@@ -37,7 +37,6 @@ from .derivation import (
     LocallyNilpotent,
     NilpotenceVerdict,
     NoWitnessIndex,
-    NotNilpotent,
     Unknown,
     apply,
     delta_derivation,

@@ -33,6 +33,7 @@ from typing import Union
 from .polycore import (
     Polynomial,
     WeightVector,
+    _rref,
     compose,
     format_poly,
     jacobian,
@@ -64,7 +65,7 @@ class Affine:
             raise ValueError("affine generator needs a square matrix and a matching shift")
         object.__setattr__(self, "matrix", m)
         object.__setattr__(self, "shift", s)
-        if _det_matrix(m) == 0:
+        if _rref(m)[2] == 0:
             raise ValueError("affine generator has singular matrix")
 
     @property
@@ -227,11 +228,11 @@ def expand(word: AutWord) -> PolyMap:
 
 def invert_generator(g: Generator) -> Generator:
     if isinstance(g, Affine):
-        inv = _invert_matrix(g.matrix)
-        shift = tuple(
-            -sum(inv[i][j] * g.shift[j] for j in range(len(inv)))
-            for i in range(len(inv))
-        )
+        n = g.n
+        augmented = [list(row) + [Fraction(int(i == j)) for j in range(n)]
+                     for i, row in enumerate(g.matrix)]
+        inv = tuple(tuple(row[n:]) for row in _rref(augmented)[0])
+        shift = tuple(-sum(a * s for a, s in zip(row, g.shift)) for row in inv)
         return Affine(inv, shift)
     if isinstance(g, Elementary):
         return Elementary(g.target, -g.addend)
@@ -263,7 +264,7 @@ def word_jacobian(word: AutWord) -> Fraction:
     mu = Fraction(1)
     for g in word.gens:
         if isinstance(g, Affine):
-            mu *= _det_matrix(g.matrix)
+            mu *= _rref(g.matrix)[2]
         elif isinstance(g, Transposition):
             mu *= -1
     return mu
@@ -286,47 +287,6 @@ def deg2_weights(m: PolyMap, w1: WeightVector) -> WeightVector:
             raise ValueError(f"coordinate {i} has nonpositive degree {d}")
         ds.append(d)
     return WeightVector(tuple(ds))
-
-
-# -- rational linear algebra helpers ---------------------------------------
-
-
-def _det_matrix(m) -> Fraction:
-    n = len(m)
-    rows = [list(r) for r in m]
-    det = Fraction(1)
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if rows[r][col] != 0), None)
-        if pivot is None:
-            return Fraction(0)
-        if pivot != col:
-            rows[col], rows[pivot] = rows[pivot], rows[col]
-            det = -det
-        det *= rows[col][col]
-        inv = Fraction(1) / rows[col][col]
-        for r in range(col + 1, n):
-            factor = rows[r][col] * inv
-            if factor:
-                for c in range(col, n):
-                    rows[r][c] -= factor * rows[col][c]
-    return det
-
-
-def _invert_matrix(m) -> tuple:
-    n = len(m)
-    rows = [list(r) + [Fraction(int(i == j)) for j in range(n)] for i, r in enumerate(m)]
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if rows[r][col] != 0), None)
-        if pivot is None:
-            raise ValueError("singular matrix")
-        rows[col], rows[pivot] = rows[pivot], rows[col]
-        inv = Fraction(1) / rows[col][col]
-        rows[col] = [a * inv for a in rows[col]]
-        for r in range(n):
-            if r != col and rows[r][col]:
-                factor = rows[r][col]
-                rows[r] = [a - factor * b for a, b in zip(rows[r], rows[col])]
-    return tuple(tuple(row[n:]) for row in rows)
 
 
 # -- text formats -----------------------------------------------------------

@@ -48,7 +48,7 @@ from fractions import Fraction
 from math import gcd, isqrt
 from typing import Optional, Union
 
-from .autmap import Affine, AutWord, Elementary, Transposition, expand
+from .autmap import Affine, AutWord, Elementary, Transposition, expand, invert_generator
 from .derivation import Derivation
 from .polycore import (
     Polynomial,
@@ -822,6 +822,25 @@ def _diagnose_square(q: Polynomial, d: WeightVector) -> str:
     return "no line of the classification matches"
 
 
+def _weighted_lattice(q: Polynomial, d1, d2):
+    """(e1, e2, r1, r2, k1, k2, s) of a nonzero polynomial in x1, x2.
+
+    e1 = d2/gcd(d1, d2) and e2 = d1/gcd(d1, d2); the x_l-valuation v_l
+    splits as k_l*e_l + r_l with 0 <= r_l < e_l; the support shifted by
+    -(v1, v2) must lie on the lattice e1*Z x e2*Z (ValueError otherwise),
+    and s*e1 is its largest x1-exponent.
+    """
+    g = gcd(int(d1), int(d2))
+    e1, e2 = int(d2) // g, int(d1) // g
+    v1 = min(m[0] for m in q.terms)
+    v2 = min(m[1] for m in q.terms)
+    for m in q.terms:
+        if (m[0] - v1) % e1 != 0 or (m[1] - v2) % e2 != 0:
+            raise ValueError("support does not lie on the weighted lattice")
+    s = max(m[0] - v1 for m in q.terms) // e1
+    return e1, e2, v1 % e1, v2 % e2, v1 // e1, v2 // e2, s
+
+
 def factor_shape(q: Polynomial, d1, d2):
     """(k, r1, r2, e1, e2) of the canonical weighted factorization of a
     two-variable deg2-homogeneous polynomial, without splitting the core.
@@ -829,17 +848,7 @@ def factor_shape(q: Polynomial, d1, d2):
     e1 = d2/gcd, e2 = d1/gcd; r_l is the monomial valuation mod e_l and k
     counts binomial factors including the degenerate pure-power ones.
     """
-    g = gcd(int(d1), int(d2))
-    e1, e2 = int(d2) // g, int(d1) // g
-    v1 = min(m[0] for m in q.terms)
-    v2 = min(m[1] for m in q.terms)
-    r1, k1 = v1 % e1, v1 // e1
-    r2, k2 = v2 % e2, v2 // e2
-    span = {(m[0] - v1) for m in q.terms}
-    for m in q.terms:
-        if (m[0] - v1) % e1 != 0 or (m[1] - v2) % e2 != 0:
-            raise ValueError("support does not lie on the weighted lattice")
-    s = max(span) // e1 if span else 0
+    e1, e2, r1, r2, k1, k2, s = _weighted_lattice(q, d1, d2)
     return k1 + k2 + s, r1, r2, e1, e2
 
 
@@ -884,22 +893,11 @@ def factor_weighted_binary_form(q: Polynomial, d1, d2):
     w = WeightVector((d1, d2, d1 + d2))
     if not is_homogeneous(q, w):
         raise ValueError("input is not weighted homogeneous")
-    g = gcd(int(d1), int(d2))
-    e1, e2 = int(d2) // g, int(d1) // g
-    v1 = min(m[0] for m in q.terms)
-    v2 = min(m[1] for m in q.terms)
-    r1, k1 = v1 % e1, v1 // e1
-    r2, k2 = v2 % e2, v2 // e2
-    core = Polynomial(3, {(m[0] - v1, m[1] - v2, 0): c for m, c in q.terms.items()})
-    # Core support sits on {(j*e1, (s-j)*e2)}; read off the univariate
-    # coefficients c_j.
-    s = max(m[0] for m in core.terms) // e1
-    coeffs = [core.coeff((j * e1, (s - j) * e2, 0)) for j in range(s + 1)]
-    rebuilt = Polynomial(
-        3, {(j * e1, (s - j) * e2, 0): c for j, c in enumerate(coeffs) if c}
-    )
-    if rebuilt != core:
-        raise ValueError("support does not lie on the weighted lattice")
+    e1, e2, r1, r2, k1, k2, s = _weighted_lattice(q, d1, d2)
+    # On the lattice, homogeneity puts the core support q / (x1^v1 * x2^v2)
+    # on {(j*e1, (s-j)*e2)}; read off the univariate coefficients c_j.
+    v1, v2 = k1 * e1 + r1, k2 * e2 + r2
+    coeffs = [q.coeff((v1 + j * e1, v2 + (s - j) * e2, 0)) for j in range(s + 1)]
     pairs = [(Fraction(1), Fraction(0))] * k1 + [(Fraction(0), Fraction(1))] * k2
     roots = _rational_roots_with_multiplicity(coeffs)
     total = sum(m for _, m in roots)
@@ -1034,12 +1032,8 @@ class _Normalizer:
 
     def map_form_to_x2(self, a2, b2):
         """Affine change sending the linear form a2*x1 + b2*x2 to x2."""
-        if b2 != 0:
-            top = (Fraction(1), Fraction(0))
-        else:
-            top = (Fraction(0), Fraction(1))
-        inv = _inverse_2x2(top[0], top[1], a2, b2)
-        self.step(_linear_part_affine(inv))
+        top = (1, 0) if b2 != 0 else (0, 1)
+        self.step(invert_generator(_linear_part_affine((top, (a2, b2)))))
 
     def finish(self, forced=None) -> NormalForm:
         word = AutWord(3, tuple(self.gens))
@@ -1125,8 +1119,8 @@ def normalize(rt: RelationType) -> Union[NormalForm, NeedsExtension]:
             nz.step(Transposition(1, 3, 3))
             nz.rescale_binomial()
             return nz.finish()
-        inv = _inverse_2x2(p["a1"], p["b1"], p["a2"], p["b2"])
-        nz.step(_linear_part_affine(inv))
+        forms = ((p["a1"], p["b1"]), (p["a2"], p["b2"]))
+        nz.step(invert_generator(_linear_part_affine(forms)))
         nz.step(Transposition(1, 3, 3))
         nz.step(Transposition(1, 2, 3))
         return nz.finish()
@@ -1158,16 +1152,6 @@ def _read_canonical(cur: Polynomial, forced):
     canonical_poly = cur * (Fraction(1) / sigma)
     fiber = _x3_parts(canonical_poly).get(0, Polynomial.zero(3))
     return TriangularFiber(k, fiber), canonical_poly, sigma
-
-
-def _inverse_2x2(a, b, c, d):
-    det = a * d - b * c
-    if det == 0:
-        raise ValueError("singular 2x2 matrix")
-    return (
-        (d / det, -b / det),
-        (-c / det, a / det),
-    )
 
 
 def _linear_part_affine(m2):

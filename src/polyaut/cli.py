@@ -15,8 +15,9 @@ Subcommands:
 Inline polynomials use the x1..xn grammar; maps are semicolon-separated
 coordinate lists; words are semicolon-separated generator lines
 ("E <i> <poly>", "T <i> <j>", "A <n*n rationals> | <n rationals>").
---json switches every report to a machine-readable document whose
-polynomial fields re-parse through the same grammar.
+--json (before or after the subcommand) switches every report to a
+machine-readable document whose polynomial fields re-parse through the same
+grammar.
 
 Exit status: 0 success, 1 domain outcomes (not an automorphism, forbidden,
 needs-extension, no match, failing verification), 2 usage errors, 3 I/O
@@ -370,6 +371,8 @@ def cmd_invert(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    if args.count < 1:
+        raise CliError(f"--count must be at least 1, got {args.count}")
     try:
         result = run_suite(args.suite, args.seed, args.count)
     except KeyError as exc:
@@ -410,43 +413,54 @@ def _add_input_flags(p, with_inverse=False):
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """The polyaut parser.  --json is accepted before and after the
+    subcommand; its default is suppressed everywhere, so that a subcommand
+    does not reset a leading --json, and main() supplies json=False."""
+    json_flag = argparse.ArgumentParser(add_help=False)
+    json_flag.add_argument("--json", action="store_true", default=argparse.SUPPRESS,
+                           help="machine-readable output")
     parser = argparse.ArgumentParser(
         prog="polyaut",
         description="Exact relations between leading terms of polynomial automorphisms",
+        parents=[json_flag],
     )
-    parser.add_argument("--json", action="store_true", help="machine-readable output")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("relations", help="relation ideal and degree bound")
+    p = sub.add_parser("relations", parents=[json_flag],
+                       help="relation ideal and degree bound")
     _add_input_flags(p)
     p.add_argument("--weights", help="comma-separated deg1 weights (default: all 1)")
     p.add_argument("--no-shadow", action="store_true",
                    help="skip the graded oracle shadow check")
     p.set_defaults(func=cmd_relations)
 
-    p = sub.add_parser("decompose2", help="tame decomposition for n = 2")
+    p = sub.add_parser("decompose2", parents=[json_flag],
+                       help="tame decomposition for n = 2")
     _add_input_flags(p)
     p.set_defaults(func=cmd_decompose2)
 
-    p = sub.add_parser("classify3", help="classify a relation generator for n = 3")
+    p = sub.add_parser("classify3", parents=[json_flag],
+                       help="classify a relation generator for n = 3")
     p.add_argument("--rel", required=True, help="the candidate generator R(x1,x2,x3)")
     p.add_argument("--weights", required=True, help="d1,d2,d3 ascending positive integers")
     p.set_defaults(func=cmd_classify3)
 
-    p = sub.add_parser("lnd-witness", help="locally nilpotent witness derivation")
+    p = sub.add_parser("lnd-witness", parents=[json_flag],
+                       help="locally nilpotent witness derivation")
     _add_input_flags(p, with_inverse=True)
     p.add_argument("--weights", help="comma-separated deg1 weights (default: all 1)")
     p.set_defaults(func=cmd_lnd_witness)
 
-    p = sub.add_parser("compose", help="expand a word to a coordinate map")
+    p = sub.add_parser("compose", parents=[json_flag],
+                       help="expand a word to a coordinate map")
     _add_input_flags(p)
     p.set_defaults(func=cmd_compose)
 
-    p = sub.add_parser("invert", help="invert a word")
+    p = sub.add_parser("invert", parents=[json_flag], help="invert a word")
     _add_input_flags(p)
     p.set_defaults(func=cmd_invert)
 
-    p = sub.add_parser("verify", help="run a named property suite")
+    p = sub.add_parser("verify", parents=[json_flag], help="run a named property suite")
     p.add_argument("--suite", required=True,
                    help=f"one of: {', '.join(sorted(set(SUITES)))}")
     p.add_argument("--seed", type=int, default=20260810)
@@ -457,7 +471,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(argv, argparse.Namespace(json=False))
     try:
         return args.func(args)
     except CliError as exc:

@@ -22,10 +22,9 @@ index and leading derivation.
 
 Local nilpotence is semi-decided by bounded iteration on the coordinate
 functions: vanishing within the cap gives LocallyNilpotent with the
-per-variable vanishing orders, otherwise the verdict is Unknown.  The
-NotNilpotent verdict exists for callers holding an external certificate;
-iteration alone never produces it (for x1 * d/dx1 the iterates never vanish
-and never will, but the loop only ever observes non-vanishing).
+per-variable vanishing orders, otherwise the verdict is Unknown (for
+x1 * d/dx1 the iterates never vanish, but the loop only ever observes
+non-vanishing).
 """
 
 from __future__ import annotations
@@ -42,13 +41,14 @@ from .autmap import (
     expand,
     invert_word,
     jacobian_constant,
+    word_jacobian,
 )
 from .polycore import (
     MINUS_INFINITY,
     Polynomial,
     WeightVector,
+    _det,
     homogeneous_component,
-    jacobian,
     partial,
     wdeg,
 )
@@ -94,17 +94,11 @@ class LocallyNilpotent:
 
 
 @dataclass(frozen=True)
-class NotNilpotent:
-    variable: int
-    reason: str
-
-
-@dataclass(frozen=True)
 class Unknown:
     cap: int
 
 
-NilpotenceVerdict = Union[LocallyNilpotent, NotNilpotent, Unknown]
+NilpotenceVerdict = Union[LocallyNilpotent, Unknown]
 
 
 def apply(d: Derivation, p: Polynomial) -> Polynomial:
@@ -190,8 +184,7 @@ def is_locally_nilpotent(d: Derivation, cap: int | None = None) -> NilpotenceVer
 
     Vanishing of every x_i within cap applications proves local nilpotence
     (the nilpotent elements form a subalgebra by the Leibniz rule, and the
-    x_i generate).  Hitting the cap yields Unknown; this test never returns
-    NotNilpotent.
+    x_i generate).  Hitting the cap yields Unknown.
     """
     if cap is None:
         cap = default_cap(d)
@@ -208,23 +201,31 @@ def is_locally_nilpotent(d: Derivation, cap: int | None = None) -> NilpotenceVer
 
 def delta_derivation(inv: PolyMap, i: int, mu: Fraction) -> Derivation:
     """The Jacobian derivation P -> j(g1,..,g_{i-1}, P, g_{i+1},..,gn),
-    materialized as a coefficient tuple via multilinearity of the
-    determinant: the coefficient of d/dx_j is j(g1,..,x_j,..,gn).
+    materialized as a coefficient tuple: by Laplace expansion along row i
+    of the Jacobian matrix of inv, the coefficient of d/dx_j is the
+    cofactor C_ij = (-1)^(i+j) * det(minor without row i and column j).
 
     inv must be the expanded inverse map and mu the Jacobian constant of the
-    forward map; j(g1,..,gn) = 1/mu is verified.
+    forward map; j(g1,..,gn) = sum_j dg_i/dx_j * C_ij = 1/mu is verified.
     """
     n = inv.n
     if not 1 <= i <= n:
         raise IndexError(f"index {i} out of range 1..{n}")
-    jac_inv = jacobian(inv.coords)
+    rows = [[partial(g, j) for j in range(1, n + 1)] for g in inv.coords]
+    minor_rows = rows[: i - 1] + rows[i:]
+    coeffs = []
+    for j in range(n):
+        if minor_rows:
+            cofactor = _det(minor_rows, [c for c in range(n) if c != j])
+        else:
+            cofactor = Polynomial.constant(1, n)  # n = 1: the empty minor
+        coeffs.append(-cofactor if (i - 1 + j) % 2 else cofactor)
+    jac_inv = Polynomial.zero(n)
+    for entry, cofactor in zip(rows[i - 1], coeffs):
+        if not entry.is_zero():
+            jac_inv = jac_inv + entry * cofactor
     if not (jac_inv.is_constant() and jac_inv.constant_value() == Fraction(1) / mu):
         raise ValueError("inverse map and Jacobian constant are inconsistent")
-    coeffs = []
-    for j in range(1, n + 1):
-        entries = list(inv.coords)
-        entries[i - 1] = Polynomial.variable(j, n)
-        coeffs.append(jacobian(entries))
     return Derivation(n, tuple(coeffs))
 
 
@@ -254,12 +255,13 @@ def lnd_witness(phi: AutWord | PolyMap, w1: WeightVector,
     leading part is locally nilpotent and annihilates a principal relation
     generator.
 
-    Word input carries its own inverse; a raw PolyMap needs an explicit
-    inverse, which is verified by exact composition.
+    Word input carries its own inverse and Jacobian constant; a raw PolyMap
+    needs an explicit inverse, which is verified by exact composition.
     """
     if isinstance(phi, AutWord):
         fwd = expand(phi)
         inv = expand(invert_word(phi))
+        mu = word_jacobian(phi)
     else:
         fwd = phi
         if inverse is None:
@@ -267,9 +269,9 @@ def lnd_witness(phi: AutWord | PolyMap, w1: WeightVector,
         inv = inverse
         if not compose_map(fwd, inv).is_identity() or not compose_map(inv, fwd).is_identity():
             raise ValueError("supplied inverse does not invert the map")
+        mu = jacobian_constant(fwd)
     if len(w1) != fwd.n:
         raise ValueError("weight vector length does not match map")
-    mu = jacobian_constant(fwd)
     d = deg2_weights(fwd, w1)
     for i in range(1, fwd.n + 1):
         delta = delta_derivation(inv, i, mu)

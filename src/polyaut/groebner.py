@@ -24,7 +24,7 @@ from fractions import Fraction
 from math import gcd
 from typing import Sequence
 
-from .polycore import Polynomial, WeightVector
+from .polycore import Polynomial, WeightVector, _rref
 
 
 class ResourceCapExceeded(RuntimeError):
@@ -46,9 +46,6 @@ class MonomialOrder:
 
     def key(self, exp):
         raise NotImplementedError
-
-    def greater(self, a, b) -> bool:
-        return self.key(a) > self.key(b)
 
 
 @dataclass(frozen=True)
@@ -438,38 +435,6 @@ def _exponents_up_to(d, budget):
     yield from rec(0, budget)
 
 
-def _nullspace(rows, ncols):
-    """Basis of the nullspace of the exact rational matrix given by rows."""
-    m = [list(r) for r in rows]
-    nrows = len(m)
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        pivot = next((i for i in range(r, nrows) if m[i][c] != 0), None)
-        if pivot is None:
-            continue
-        m[r], m[pivot] = m[pivot], m[r]
-        inv = Fraction(1) / m[r][c]
-        m[r] = [a * inv for a in m[r]]
-        for i in range(nrows):
-            if i != r and m[i][c] != 0:
-                f = m[i][c]
-                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
-        pivots.append(c)
-        r += 1
-        if r == nrows:
-            break
-    free = [c for c in range(ncols) if c not in pivots]
-    basis = []
-    for fc in free:
-        vec = [Fraction(0)] * ncols
-        vec[fc] = Fraction(1)
-        for i, pc in enumerate(pivots):
-            vec[pc] = -m[i][fc]
-        basis.append(vec)
-    return basis
-
-
 def graded_kernel_oracle(images: Sequence[Polynomial], dweights: WeightVector,
                          dmax) -> list:
     """Degree-by-degree linear-algebra recomputation of the kernel.
@@ -525,7 +490,15 @@ def graded_kernel_oracle(images: Sequence[Polynomial], dweights: WeightVector,
         rows = [[columns[j][i] for j in range(len(columns))] for i in range(len(support))]
         if not rows:
             rows = [[Fraction(0)] * len(columns)]
-        for vec in _nullspace(rows, len(columns)):
+        # The nullspace, read from the RREF: one vector per free column.
+        reduced, pivots, _ = _rref(rows)
+        for fc in range(len(columns)):
+            if fc in pivots:
+                continue
+            vec = [Fraction(0)] * len(columns)
+            vec[fc] = Fraction(1)
+            for row, pc in zip(reduced, pivots):
+                vec[pc] = -row[fc]
             poly = Polynomial(nz, {alpha: c for alpha, c in zip(alphas, vec) if c})
             found.append(monic(poly, back))
     return found
@@ -544,24 +517,10 @@ def span_contains(vectors: Sequence[Polynomial], target: Polynomial) -> bool:
     tvec = [Fraction(0)] * len(support)
     for m, c in target.terms.items():
         tvec[index[m]] = c
-    # Gaussian elimination of rows; then reduce tvec against them.
-    pivots = {}
-    reduced_rows = []
-    for row in rows:
-        row = list(row)
-        for col, rr in pivots.items():
-            if row[col] != 0:
-                f = row[col]
-                row = [a - f * b for a, b in zip(row, rr)]
-        lead = next((c for c in range(len(row)) if row[c] != 0), None)
-        if lead is None:
-            continue
-        inv = Fraction(1) / row[lead]
-        row = [a * inv for a in row]
-        pivots[lead] = row
-        reduced_rows.append(row)
-    for col, rr in pivots.items():
-        if tvec[col] != 0:
-            f = tvec[col]
-            tvec = [a - f * b for a, b in zip(tvec, rr)]
+    # Reduce tvec against the pivot rows of the RREF.
+    reduced, pivots, _ = _rref(rows)
+    for row, col in zip(reduced, pivots):
+        f = tvec[col]
+        if f != 0:
+            tvec = [a - f * b for a, b in zip(tvec, row)]
     return all(a == 0 for a in tvec)

@@ -406,6 +406,49 @@ def _det(rows, cols):
     return acc
 
 
+def _rref(matrix):
+    """Reduced row echelon form of a matrix of Fractions, by Gauss-Jordan
+    elimination with the first nonzero entry of each column as pivot.
+
+    Returns (rows, pivots, det): the reduced rows as new lists, the pivot
+    column of each nonzero reduced row, and, when there are at least as many
+    columns as rows, the determinant of the leading square block: the
+    product of the pivots with the sign of the row swaps, or 0 when one of
+    its columns has no pivot.  This is the one row elimination of the
+    library: determinants, inverses (of [M | I]), nullspaces and span
+    membership all read off its result.
+    """
+    rows = [list(r) for r in matrix]
+    nrows = len(rows)
+    ncols = len(rows[0]) if rows else 0
+    pivots = []
+    det = Fraction(1)
+    for c in range(ncols):
+        r = len(pivots)
+        if r == nrows:
+            break
+        p = next((i for i in range(r, nrows) if rows[i][c] != 0), None)
+        if p is None:
+            det = Fraction(0)
+            continue
+        if p != r:
+            rows[r], rows[p] = rows[p], rows[r]
+            det = -det
+        pivot_row = rows[r]
+        pivot = pivot_row[c]
+        det *= pivot
+        # Zero entries are skipped: they are most of a sparse matrix, and
+        # every entry left of c in the pivot row is zero.
+        if pivot != 1:
+            pivot_row = rows[r] = [a / pivot if a else a for a in pivot_row]
+        for i in range(nrows):
+            f = rows[i][c]
+            if i != r and f:
+                rows[i] = [a - f * b if b else a for a, b in zip(rows[i], pivot_row)]
+        pivots.append(c)
+    return rows, pivots, det
+
+
 # -- text grammar ----------------------------------------------------------
 #
 # expr   := ['-'] term (('+'|'-') term)*
@@ -524,10 +567,6 @@ def parse_poly(text: str, n: int) -> Polynomial:
     return _Parser(text, n).parse()
 
 
-def _format_coeff(c: Fraction) -> str:
-    return str(c)
-
-
 def format_poly(p: Polynomial, var: str = "x") -> str:
     """Render p with terms in descending lexicographic monomial order.
 
@@ -544,18 +583,13 @@ def format_poly(p: Polynomial, var: str = "x") -> str:
             if e > 0
         ]
         if not factors:
-            body = _format_coeff(abs(coeff))
+            body = str(abs(coeff))
         elif abs(coeff) == 1:
             body = "*".join(factors)
         else:
-            body = "*".join([_format_coeff(abs(coeff))] + factors)
+            body = "*".join([str(abs(coeff))] + factors)
         if not parts:
             parts.append(body if coeff > 0 else "-" + body)
         else:
             parts.append((" + " if coeff > 0 else " - ") + body)
     return "".join(parts)
-
-
-def poly_from_str(text: str, n: int) -> Polynomial:
-    """Alias for parse_poly, handy in tests."""
-    return parse_poly(text, n)

@@ -1,6 +1,8 @@
 """Command-line interface: reports, exit codes, machine-readable output."""
 
 import json
+import shlex
+from pathlib import Path
 
 import pytest
 
@@ -118,6 +120,45 @@ def test_verify_suite_passes(capsys):
     assert status == 0
     assert doc["passed"] is True
     assert doc["count"] == 10
+
+
+@pytest.mark.parametrize("count", ["0", "-5"])
+def test_verify_count_below_one_is_usage_error(capsys, count):
+    status = main(["verify", "--suite", "parachute", "--count", count])
+    captured = capsys.readouterr()
+    assert status == 2
+    assert captured.out == ""
+    assert "--count must be at least 1" in captured.err
+
+
+def test_json_flag_before_and_after_subcommand(capsys):
+    argv = ["relations", "--word", "E 1 x2^2; T 1 2"]
+    status_before, before = run(capsys, "--json", *argv)
+    status_after, after = run(capsys, *argv, "--json")
+    status_both, both = run(capsys, "--json", *argv, "--json")
+    assert status_before == status_after == status_both == 0
+    assert before == after == both
+    assert json.loads(before)["R"] == "z1 - z2^2"
+    status_text, text = run(capsys, *argv)
+    assert status_text == 0
+    assert "R = z1 - z2^2" in text
+
+
+def _readme_command_lines():
+    """The polyaut lines of the sh block under README's "Command line"."""
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    section = readme.split("\n## Command line\n", 1)[1]
+    block = section.split("```sh\n", 1)[1].split("```", 1)[0]
+    return [line for line in block.splitlines() if line.startswith("polyaut ")]
+
+
+def test_readme_command_lines_exit_zero(capsys):
+    lines = _readme_command_lines()
+    assert len(lines) >= 8
+    for line in lines:
+        status = main(shlex.split(line)[1:])
+        capsys.readouterr()
+        assert status == 0, line
 
 
 def test_verify_unknown_suite_is_usage_error(capsys):

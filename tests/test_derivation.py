@@ -189,6 +189,38 @@ def test_delta_derivation_validates_mu():
         delta_derivation(inv, 1, Fraction(2))
 
 
+def test_delta_derivation_rejects_nonconstant_jacobian():
+    inv = parse_map("x1^2 + x2\nx2", 2)  # Jacobian 2*x1
+    for i in (1, 2):
+        with pytest.raises(ValueError):
+            delta_derivation(inv, i, Fraction(1))
+
+
+def test_delta_derivation_rejects_constant_jacobian_other_than_inverse_mu():
+    # An automorphism, but not the inverse of a map with Jacobian 1: its
+    # Jacobian is the constant 3, not 1/mu = 1.
+    inv = parse_map("x1 + x2^2\n3*x2\nx3 - x1*x2", 3)
+    for i in (1, 2, 3):
+        with pytest.raises(ValueError):
+            delta_derivation(inv, i, Fraction(1))
+        # With the consistent mu = 1/3, Delta_i(g_j) = [i == j] * j(inv) = [i == j] * 3.
+        d = delta_derivation(inv, i, Fraction(1, 3))
+        for j in (1, 2, 3):
+            assert apply(d, inv.coords[j - 1]) == Polynomial.constant(3 * (i == j), 3)
+
+
+def test_lnd_witness_word_matches_raw_map_with_inverse():
+    # Word input takes mu from the word; the raw-map path recomputes it from
+    # the expanded map after checking the inverse by composition.
+    rng = random.Random(13)
+    for n in (2, 2, 2, 3, 3):
+        word = random_tame_word(rng, n, max_gens=4, max_addend_deg=2,
+                                max_coord_deg=4 if n == 2 else 3)
+        w1 = WeightVector.standard(n)
+        raw = lnd_witness(expand(word), w1, inverse=expand(invert_word(word)))
+        assert lnd_witness(word, w1) == raw
+
+
 def test_lnd_witness_affine_word():
     w = AutWord(2, (Elementary(1, P("x2", 2)),))  # linear addend: affine map
     i, dbar = lnd_witness(w, WeightVector.standard(2))

@@ -201,6 +201,60 @@ def test_oracle_solutions_vanish_on_images():
             assert compose(g, images).is_zero()
 
 
+def _linear_form(coeffs):
+    n = len(coeffs)
+    return sum((Polynomial.variable(j + 1, n) * c for j, c in enumerate(coeffs) if c),
+               Polynomial.zero(n))
+
+
+def _planted_rank_forms(rng, k, n, rank):
+    """k linear forms in n variables spanning a space of exactly the given
+    rank: `rank` triangular forms (x_i plus later variables) and k - rank
+    rational combinations of them, in shuffled order."""
+    basis = []
+    for i in range(rank):
+        coeffs = [Fraction(0)] * i + [Fraction(1)]
+        coeffs += [Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(n - i - 1)]
+        basis.append(_linear_form(coeffs))
+    forms = list(basis)
+    for _ in range(k - rank):
+        forms.append(sum((b * Fraction(rng.randint(-3, 3)) for b in basis),
+                         Polynomial.zero(n)))
+    rng.shuffle(forms)
+    return forms
+
+
+def test_oracle_linear_slice_is_the_nullspace():
+    # With linear images and unit weights, the degree-1 slice of the oracle
+    # is the nullspace of the images' coefficient matrix: sum c_i z_i with
+    # sum c_i * image_i = 0.  Its dimension is k - rank.
+    rng = random.Random(41)
+    for _ in range(15):
+        n = rng.randint(1, 4)
+        rank = rng.randint(1, n)
+        k = rng.randint(rank, rank + 3)
+        images = _planted_rank_forms(rng, k, n, rank)
+        found = graded_kernel_oracle(images, WeightVector.standard(k), 1)
+        assert len(found) == k - rank
+        for g in found:
+            assert compose(g, images).is_zero()
+
+
+def test_span_contains_seeded_combinations():
+    rng = random.Random(42)
+    for _ in range(15):
+        n = rng.randint(1, 3)
+        vectors = [random_polynomial(rng, n, max_terms=4, max_deg=3)
+                   for _ in range(rng.randint(0, 4))]
+        combo = Polynomial.zero(n)
+        for v in vectors:
+            combo = combo + v * Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+        assert span_contains(vectors, combo)
+        # A monomial of degree 4 lies outside every vector's support.
+        outside = combo + Polynomial.monomial((4,) + (0,) * (n - 1), 1, n)
+        assert not span_contains(vectors, outside)
+
+
 def test_oracle_and_kernel_agree_on_fixed_instances():
     for images, d, dmax in [
         ([P("x2^2", 2), P("x2", 2)], WeightVector((2, 1)), 2),

@@ -1,10 +1,13 @@
-"""Polynomial core: parsing, arithmetic, weighted degrees, calculus."""
+"""Polynomial core: parsing, arithmetic, weighted degrees, calculus, and
+the exact row elimination."""
 
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from polyaut.autmap import Affine, AutWord, invert_generator, word_jacobian
 from polyaut.polycore import (
     MINUS_INFINITY,
     Polynomial,
@@ -19,6 +22,7 @@ from polyaut.polycore import (
     parse_poly,
     partial,
     wdeg,
+    _rref,
 )
 
 
@@ -285,3 +289,99 @@ def test_homogeneous_components_sum(p, w):
     for d in degs:
         total = total + homogeneous_component(p, w, d)
     assert total == p
+
+
+# -- exact row elimination -----------------------------------------------------
+
+
+def _random_matrix(rng, nrows, ncols):
+    return [[Fraction(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(ncols)]
+            for _ in range(nrows)]
+
+
+def _matmul(a, b):
+    return [[sum((a[i][k] * b[k][j] for k in range(len(b))), Fraction(0))
+             for j in range(len(b[0]))] for i in range(len(a))]
+
+
+def _identity(n):
+    return [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+
+
+def _laplace_det(m):
+    """Independent determinant: the Jacobian of the linear forms m x."""
+    n = len(m)
+    forms = [sum((Polynomial.variable(j + 1, n) * a for j, a in enumerate(row) if a),
+                 Polynomial.zero(n)) for row in m]
+    return jacobian(forms).constant_value()
+
+
+def _invertible_matrix(rng, n):
+    while True:
+        m = _random_matrix(rng, n, n)
+        if _laplace_det(m) != 0:
+            return m
+
+
+def test_rref_inverse_times_matrix_is_identity():
+    rng = random.Random(31)
+    for _ in range(20):
+        n = rng.randint(1, 4)
+        m = _invertible_matrix(rng, n)
+        rows, pivots, det = _rref([row + e for row, e in zip(m, _identity(n))])
+        assert pivots == list(range(n))
+        assert det == _laplace_det(m)
+        inv = [row[n:] for row in rows]
+        assert _matmul(m, inv) == _identity(n)
+        assert _matmul(inv, m) == _identity(n)
+        # invert_generator runs the same elimination on [M | I].
+        g = invert_generator(Affine(m, [Fraction(0)] * n))
+        assert [list(row) for row in g.matrix] == inv
+
+
+def test_rref_determinant_is_multiplicative():
+    rng = random.Random(32)
+    for _ in range(20):
+        n = rng.randint(1, 4)
+        a, b = _random_matrix(rng, n, n), _random_matrix(rng, n, n)
+        det_a, det_b = _rref(a)[2], _rref(b)[2]
+        assert _rref(_matmul(a, b))[2] == det_a * det_b
+        assert det_a == _laplace_det(a)
+        if det_a != 0:
+            assert word_jacobian(AutWord(n, (Affine(a, [0] * n),))) == det_a
+
+
+def test_rref_singular_matrix_has_zero_determinant_and_no_inverse():
+    rng = random.Random(33)
+    for _ in range(20):
+        n = rng.randint(2, 4)
+        m = _random_matrix(rng, n - 1, n)
+        coeffs = [Fraction(rng.randint(-3, 3)) for _ in range(n - 1)]
+        m.insert(rng.randint(0, n - 1),
+                 [sum((c * row[j] for c, row in zip(coeffs, m)), Fraction(0))
+                  for j in range(n)])
+        assert _rref(m)[2] == 0
+        _, pivots, det = _rref([row + e for row, e in zip(m, _identity(n))])
+        assert det == 0 and pivots != list(range(n))
+        with pytest.raises(ValueError):
+            Affine(m, [0] * n)
+
+
+def test_rref_rows_are_reduced_and_span_the_input():
+    rng = random.Random(34)
+    for _ in range(20):
+        nrows, ncols = rng.randint(1, 5), rng.randint(1, 6)
+        m = _random_matrix(rng, nrows, ncols)
+        for row in m:
+            if rng.random() < 0.3:
+                row[:] = [Fraction(0)] * ncols
+        rows, pivots, _ = _rref(m)
+        assert pivots == sorted(pivots)
+        for r, c in enumerate(pivots):
+            assert [row[c] for row in rows] == [Fraction(int(i == r)) for i in range(nrows)]
+        assert all(not any(row) for row in rows[len(pivots):])
+        # The reduced rows span the row space of the input: stacking them on
+        # the input adds no pivot and leaves the echelon form unchanged.
+        stacked, stacked_pivots, _ = _rref(rows + m)
+        assert stacked_pivots == pivots
+        assert stacked[: len(pivots)] == rows[: len(pivots)]
