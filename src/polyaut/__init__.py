@@ -34,6 +34,7 @@ from .autmap import (
 )
 from .derivation import (
     Derivation,
+    InverseMismatch,
     LocallyNilpotent,
     NilpotenceVerdict,
     NoWitnessIndex,

@@ -27,6 +27,18 @@ generators), or that it matches nothing.  Lines are tried in the order
 above and the first match wins; overlaps between patterns are resolved by
 that order.
 
+The square lines T5-T13 and forbidden entries 1-6 are all read off one
+signature of the x3-free part Q of x3'^2 + Q: the weighted binary form
+Q = x1^v1*x2^v2 * sum_{j=0..s} c_j*x1^(j*e1)*x2^((s-j)*e2), with the step
+(e1, e2) taken from Q's own support.  A monomial (s = 0) is T5-T8 by
+(v1, v2).  With x2-degree v2 + s*e2 = 2: e2 = 2, e1 >= 3 is T9 (v1 = 0) or
+entry 6 (v1 = 1); e2 = 1 splits c_0*x2^2 + c_1*x1^e1*x2 + c_2*x1^(2*e1) by
+its discriminant into T11 or NeedsExtension (v1 = 0), T13 or entry 3
+(v1 = 1).  x2-degree 1 with v1 >= 1 is T10.  A binary cubic (e = (1, 1),
+v1 + v2 + s = 3) is T12 when it has a repeated factor, else entry 4.  Two
+terms (s = 1) with (e1, e2, v1, v2) = (4,3,0,0), (5,3,0,0), (3,2,0,1) are
+entries 1, 2 and 5.
+
 Everything runs over the rationals.  Shapes whose parameters exist only
 after adjoining a square root (splitting a quadratic with non-square
 discriminant, or taking the square root of a non-square coefficient)
@@ -58,7 +70,7 @@ from .polycore import (
     is_homogeneous,
     partial,
 )
-from .groebner import divmod_single
+from .groebner import GradedLex, divmod_single
 
 
 class Tag(Enum):
@@ -177,14 +189,6 @@ def _x3_parts(p: Polynomial):
     return {e: Polynomial(3, terms) for e, terms in parts.items()}
 
 
-def _x2_parts(q: Polynomial):
-    """Split an x3-free polynomial into {x2-exponent: coefficient in x1}."""
-    parts: dict = {}
-    for mono, c in q.terms.items():
-        parts.setdefault(mono[1], {})[(mono[0], 0, 0)] = c
-    return {e: Polynomial(3, terms) for e, terms in parts.items()}
-
-
 def _as_monomial(p: Polynomial):
     """(exponents, coeff) if p is a single term, else None."""
     if len(p.terms) != 1:
@@ -249,7 +253,7 @@ def reconstruct(rt: RelationType) -> Polynomial:
 # -- square completion -------------------------------------------------------
 
 
-def complete_square_x3(R: Polynomial, d: WeightVector):
+def complete_square_x3(R: Polynomial):
     """Remove the mixed x3-terms by an x3-shift: returns (R', h) with
     R = R'(x1, x2, x3 + h).
 
@@ -279,7 +283,7 @@ def complete_square_x3(R: Polynomial, d: WeightVector):
             b, a, e1 = split
             divisor = _x(2) + _mono(e1, 0, 0, a / b)
             p0 = parts.get(0, Polynomial.zero(3))
-            h = _x2_division(p0 * (Fraction(1) / b), divisor)[0]
+            h = divmod_single(p0 * (Fraction(1) / b), divisor, _X2_FIRST)[0]
             return _shift_x3(R, -h), h
     return R, Polynomial.zero(3)
 
@@ -305,24 +309,9 @@ def _linear_front_split(front: Polynomial):
     return b, a, e1
 
 
-def _x2_division(p: Polynomial, divisor: Polynomial):
-    """Division with remainder by x2 + a*x1^e1, eliminating x2.
-
-    The divisor is monic and linear in x2, so the division is the exact
-    split p = divisor * q + r with r free of x2.
-    """
-    q = Polynomial.zero(3)
-    r = p
-    while r.involves(2):
-        parts = _x2_parts(r)
-        top = max(e for e in parts if not parts[e].is_zero())
-        if top == 0:
-            break
-        coeff = parts[top]
-        term = coeff * _mono(0, top - 1, 0)
-        q = q + term
-        r = r - term * divisor
-    return q, r
+#: x2-degree first: dividing by the monic x2-linear x2 + a*x1^e1 under this
+#: order gives the unique split p = divisor * q + r with r free of x2.
+_X2_FIRST = GradedLex((0, 1, 0))
 
 
 # -- the matcher -------------------------------------------------------------
@@ -352,7 +341,7 @@ def classify(R: Polynomial, d: WeightVector) -> ClassifyOutcome:
     parts = _x3_parts(R)
     degx3 = max(parts)
     if degx3 > 2:
-        return NotInList(_diagnose(R, d, None))
+        return NotInList(_diagnose(R, d))
     if degx3 == 0:
         return _classify_x3_free(R, d)
     if degx3 == 1:
@@ -378,7 +367,7 @@ def _classify_x3_free(R: Polynomial, d: WeightVector) -> ClassifyOutcome:
                 c2,
             )
             return Classified(rt)
-    return NotInList(_diagnose(R, d, None))
+    return NotInList(_diagnose(R, d))
 
 
 def _classify_x3_linear(R: Polynomial, parts: dict, d: WeightVector) -> ClassifyOutcome:
@@ -386,7 +375,7 @@ def _classify_x3_linear(R: Polynomial, parts: dict, d: WeightVector) -> Classify
     p0 = parts.get(0, Polynomial.zero(3))
     split = _linear_front_split(front)
     if split is None:
-        return NotInList(_diagnose(R, d, None))
+        return NotInList(_diagnose(R, d))
     b, a, e1 = split
     if b == 0:
         # x3-coefficient is the pure monomial a*x1^e1.
@@ -407,14 +396,14 @@ def _classify_x3_linear(R: Polynomial, parts: dict, d: WeightVector) -> Classify
     # x3-coefficient contains x2: normalize it to x2 + a*x1^e1.
     a_norm = a / b
     if a_norm != 0 and e1 < 1:
-        return NotInList(_diagnose(R, d, None))
+        return NotInList(_diagnose(R, d))
     divisor = _x(2) + _mono(e1, 0, 0, a_norm)
-    q, p_low = _x2_division(p0 * (Fraction(1) / b), divisor)
+    q, p_low = divmod_single(p0 * (Fraction(1) / b), divisor, _X2_FIRST)
     mono = _as_monomial(p_low)
     if p_low.is_zero():
         return NotInList("(x2 + a*x1^e1) divides the input, which is reducible")
     if mono is None:
-        return NotInList(_diagnose(R, d, None))
+        return NotInList(_diagnose(R, d))
     (k, _, _), c = mono
     if k < 2:
         return NotInList(
@@ -430,154 +419,121 @@ def _classify_x3_linear(R: Polynomial, parts: dict, d: WeightVector) -> Classify
 
 
 def _classify_x3_quadratic(R: Polynomial, parts: dict, d: WeightVector) -> ClassifyOutcome:
-    top = parts[2]
-    if not top.is_constant():
+    if not parts[2].is_constant():
         return NotInList(
             "x3^2 carries a non-constant coefficient, which violates the "
             "support bound a.d <= d1+d2+d3-2"
         )
-    lam = top.constant_value()
-    shifted, h = complete_square_x3(R, d)
-    q_poly = _x3_parts(shifted).get(0, Polynomial.zero(3)) * (Fraction(1) / lam)
-    if q_poly.is_zero():
+    lam, h, q, matched = _square_part(R, parts)
+    if q.is_zero():
         return NotInList("a perfect square x3'^2 is reducible")
-    matched = _match_square_part(q_poly, d)
-    if isinstance(matched, (Forbidden, NeedsExtension, NotInList)):
+    if matched is None:
+        return NotInList(_diagnose_square(q, d))
+    if isinstance(matched, (Forbidden, NeedsExtension)):
         return matched
     tag, params = matched
     return Classified(RelationType(tag, params, h, lam))
 
 
-def _match_square_part(q: Polynomial, d: WeightVector):
-    """Match the x3-free remainder Q of x3'^2 + Q, in line order."""
-    mono = _as_monomial(q)
-    if mono is not None:
-        (r1, r2, _), c = mono
-        if (r1, r2) == (0, 3):
-            return Tag.T5, {"c": c}
-        if (r1, r2) == (1, 2):
-            return Tag.T6, {"c": c}
-        if r2 == 0 and r1 >= 3 and r1 % 2 == 1:
-            return Tag.T7, {"c": c, "r1": r1}
-        if r2 == 1 and r1 >= 1:
-            return Tag.T8, {"c": c, "r1": r1}
-        return NotInList(_diagnose_square(q, d))
-    parts = _x2_parts(q)
-    deg_x2 = max(parts)
-    if deg_x2 == 2 and len(parts) <= 3:
-        out = _match_quadratic_in_x2(q, parts, d)
-        if out is not None:
-            return out
-    if deg_x2 == 1:
-        out = _match_linear_in_x2(q, parts, d)
-        if out is not None:
-            return out
-    if _is_binary_cubic(q):
-        out = _match_cubic_form(q, d)
-        if out is not None:
-            return out
-    # Forbidden families recognizable from two terms.
-    if len(q.terms) == 2:
-        out = _match_two_term_forbidden(q, parts)
-        if out is not None:
-            return out
-    return NotInList(_diagnose_square(q, d))
+def _square_part(R: Polynomial, parts: dict):
+    """(lam, h, Q, match) with R = lam*((x3 + h)^2 + Q), for R quadratic in x3
+    with a constant x3^2 coefficient lam; match is _match_square_part(Q), or
+    None when Q = 0."""
+    lam = parts[2].constant_value()
+    shifted, h = complete_square_x3(R)
+    q = _x3_parts(shifted).get(0, Polynomial.zero(3)) * (Fraction(1) / lam)
+    return lam, h, q, None if q.is_zero() else _match_square_part(q)
 
 
-def _match_linear_in_x2(q: Polynomial, parts: dict, d: WeightVector):
-    """T10: (a*x1^e1 + b*x2) * x1^r1 with r1 >= 1, e1 >= 1."""
-    coef1 = parts[1]
-    coef0 = parts.get(0, Polynomial.zero(3))
-    m1 = _as_monomial(coef1)
-    m0 = _as_monomial(coef0)
-    if m1 is None or m0 is None or coef0.is_zero():
-        return None
-    (r1, _, _), b = m1
-    (s, _, _), a = m0
-    e1 = s - r1
-    if r1 >= 1 and e1 >= 1:
-        return Tag.T10, {"a": a, "b": b, "e1": e1, "r1": r1}
-    return None
+def _weighted_line(q: Polynomial, weights=None):
+    """Read a nonzero x3-free q as x1^v1*x2^v2 * sum_j c_j*x1^(j*e1)*x2^((s-j)*e2).
 
-
-def _match_quadratic_in_x2(q: Polynomial, parts: dict, d: WeightVector):
-    """T9, then the quadratic-in-x2 shapes T11 / T13 / F3 / F6.
-
-    The x2-quadratic is A*x2^2 + B(x1)*x2 + C(x1).  With constant A the
-    discriminant decides T11 (distinct factors), nothing (double factor,
-    reducible over the closure) or NeedsExtension.  With A = b^2 dropping
-    one power of x1 the same split decides T13 / Forbidden(3) / Forbidden(6).
+    Returns (e1, e2, v1, v2, [c_0, .., c_s]), v_l the x_l-valuation, or None
+    when the support does not lie on that line.  The step (e1, e2) is
+    (d2, d1)/gcd(d1, d2) for weights = (d1, d2), else the primitive step
+    between the extreme points of the support ((1, 1) for a monomial).
     """
-    a2 = parts[2]
-    a1 = parts.get(1, Polynomial.zero(3))
-    a0 = parts.get(0, Polynomial.zero(3))
-    m2 = _as_monomial(a2)
-    if m2 is None:
+    v1 = min(m[0] for m in q.terms)
+    v2 = min(m[1] for m in q.terms)
+    a = max(m[0] for m in q.terms) - v1
+    b = max(m[1] for m in q.terms) - v2
+    if weights is not None:
+        g = gcd(int(weights[0]), int(weights[1]))
+        e1, e2 = int(weights[1]) // g, int(weights[0]) // g
+    elif a and b:
+        e1, e2 = a // gcd(a, b), b // gcd(a, b)
+    elif a or b:
         return None
-    # T9: two pure powers a*x1^e1 + b*x2^2, e1 odd >= 3.
-    if a1.is_zero() and a2.is_constant():
-        m0 = _as_monomial(a0)
-        if m0 is not None and m0[0][0] >= 3 and m0[0][0] % 2 == 1:
-            return Tag.T9, {"a": m0[1], "b": a2.constant_value(), "e1": m0[0][0]}
-    if a2.is_constant():
-        return _split_x2_quadratic(
-            a2.constant_value(), a1, a0, val=0, d=d
-        )
-    (v, _, _), bsq = m2
-    if v == 1 and _val_x1(q) >= 1:
-        # Strip the overall x1 and retry: T13 / F3 / F6 territory.
-        stripped = Polynomial(3, {(m[0] - 1, m[1], m[2]): c for m, c in q.terms.items()})
-        sparts = _x2_parts(stripped)
-        if max(sparts) == 2 and sparts[2].is_constant():
-            return _split_x2_quadratic(
-                sparts[2].constant_value(),
-                sparts.get(1, Polynomial.zero(3)),
-                sparts.get(0, Polynomial.zero(3)),
-                val=1,
-                d=d,
-            )
-    return None
-
-
-def _split_x2_quadratic(A: Fraction, B: Polynomial, C: Polynomial, val: int,
-                        d: WeightVector):
-    """Factor A*x2^2 + B*x2 + C (times x1^val) into x2-linear binomials.
-
-    val = 0 feeds T11, val = 1 feeds T13 / Forbidden 3 / Forbidden 6.
-    Returns None when the shape does not fit any line (caller falls through).
-    """
-    mB = None if B.is_zero() else _as_monomial(B)
-    mC = None if C.is_zero() else _as_monomial(C)
-    if B.is_zero() and C.is_zero():
-        return None  # pure A*x2^2: reducible
-    if not B.is_zero() and mB is None:
-        return None
-    if not C.is_zero() and mC is None:
-        return None
-    beta = mB[1] if mB else Fraction(0)
-    gamma = mC[1] if mC else Fraction(0)
-    eB = mB[0][0] if mB else None
-    eC = mC[0][0] if mC else None
-    # Forbidden family 6: (a*x1^e1 + b*x2^2)*x1 has odd pure-power exponent.
-    if val == 1 and mB is None and mC is not None and eC % 2 == 1:
-        if eC >= 3:
-            return Forbidden(
-                6, f"x3'^2 + ({gamma}*x1^{eC} + {A}*x2^2)*x1 with odd exponent"
-            )
-        return None
-    if mB is not None and mC is not None:
-        if eC != 2 * eB:
-            return None
-        e = eB
-    elif mB is not None:
-        e = eB
     else:
-        if eC % 2 != 0:
+        e1 = e2 = 1
+    s = a // e1
+    for m in q.terms:
+        j, r1 = divmod(m[0] - v1, e1)
+        k, r2 = divmod(m[1] - v2, e2)
+        if r1 or r2 or j + k != s:
             return None
-        e = eC // 2
-    if e < 1:
+    return e1, e2, v1, v2, [q.coeff((v1 + j * e1, v2 + (s - j) * e2, 0)) for j in range(s + 1)]
+
+
+#: Forbidden entries 1, 2 and 5 by the signature (e1, e2, v1, v2) of a
+#: two-term Q = c_0*x1^v1*x2^(v2+e2) + c_1*x1^(v1+e1)*x2^v2.
+_TWO_TERM_FORBIDDEN = {
+    (4, 3, 0, 0): (1, "x3'^2 + {1}*x1^4 + {0}*x2^3"),
+    (5, 3, 0, 0): (2, "x3'^2 + {1}*x1^5 + {0}*x2^3"),
+    (3, 2, 0, 1): (5, "x3'^2 + ({1}*x1^3 + {0}*x2^2)*x2"),
+}
+
+
+def _match_square_part(q: Polynomial):
+    """Match the x3-free remainder Q of x3'^2 + Q on its weighted-line
+    signature, in line order; None when no line matches."""
+    line = _weighted_line(q)
+    if line is None:
         return None
-    disc = beta * beta - 4 * A * gamma
+    e1, e2, v1, v2, c = line
+    s = len(c) - 1
+    if s == 0:
+        if (v1, v2) == (0, 3):
+            return Tag.T5, {"c": c[0]}
+        if (v1, v2) == (1, 2):
+            return Tag.T6, {"c": c[0]}
+        if v2 == 0 and v1 >= 3 and v1 % 2 == 1:
+            return Tag.T7, {"c": c[0], "r1": v1}
+        if v2 == 1 and v1 >= 1:
+            return Tag.T8, {"c": c[0], "r1": v1}
+        return None
+    deg_x2 = v2 + s * e2
+    if e2 == 2 and deg_x2 == 2 and v1 <= 1 and e1 >= 3:
+        # c_0*x2^2 + c_1*x1^e1 (times x1^v1) with e1 odd.
+        if v1 == 0:
+            return Tag.T9, {"a": c[1], "b": c[0], "e1": e1}
+        return Forbidden(
+            6, f"x3'^2 + ({c[1]}*x1^{e1} + {c[0]}*x2^2)*x1 with odd exponent"
+        )
+    if e2 == 1 and deg_x2 == 2 and v1 <= 1:
+        out = _split_x2_quadratic(c[0], c[1], c[2] if s == 2 else Fraction(0), e1, v1)
+        if out is not None:
+            return out
+    if deg_x2 == 1 and v1 >= 1:
+        return Tag.T10, {"a": c[1], "b": c[0], "e1": e1, "r1": v1}
+    if (e1, e2) == (1, 1) and v1 + v2 + s == 3:
+        return _match_cubic_form(q, v2, c)
+    if s == 1 and (e1, e2, v1, v2) in _TWO_TERM_FORBIDDEN:
+        entry, detail = _TWO_TERM_FORBIDDEN[(e1, e2, v1, v2)]
+        return Forbidden(entry, detail.format(*c))
+    return None
+
+
+def _split_x2_quadratic(A: Fraction, B: Fraction, C: Fraction, e: int, val: int):
+    """Factor A*x2^2 + B*x1^e*x2 + C*x1^(2e) (times x1^val) into x2-linear
+    binomials.
+
+    The discriminant decides: for val = 0, T11 (distinct factors), nothing
+    (double factor, reducible over the closure) or NeedsExtension; for
+    val = 1, T13 (double factor, b = sqrt(A) rational), Forbidden(3) or
+    NeedsExtension.  None means the caller falls through to later lines.
+    """
+    disc = B * B - 4 * A * C
     if disc == 0:
         if val == 0:
             return None  # A*(x2 + t*x1^e)^2: the square case is reducible
@@ -590,11 +546,10 @@ def _split_x2_quadratic(A: Fraction, B: Polynomial, C: Polynomial, val: int,
                 f"matching (a*x1^{e} + b*x2)^2*x1 needs sqrt({A}), "
                 "which is not rational"
             )
-        a = beta / (2 * b)
+        a = B / (2 * b)
         return Tag.T13, {"a": a, "b": b, "e1": e}
     root = _sqrt_fraction(disc)
     if root is None:
-        target = "T11" if val == 0 else "the third forbidden family"
         if val == 1:
             # Distinct factors over the closure: forbidden regardless of
             # where the roots live, since the determinant condition is
@@ -604,11 +559,9 @@ def _split_x2_quadratic(A: Fraction, B: Polynomial, C: Polynomial, val: int,
                 "x3'^2 + (two independent x2-linear factors)*x1; factors "
                 f"split only over an extension (disc {disc})",
             )
-        return NeedsExtension(
-            f"splitting the x2-quadratic for {target} needs sqrt({disc})"
-        )
-    t1 = (-beta + root) / (2 * A)
-    t2 = (-beta - root) / (2 * A)
+        return NeedsExtension(f"splitting the x2-quadratic for T11 needs sqrt({disc})")
+    t1 = (-B + root) / (2 * A)
+    t2 = (-B - root) / (2 * A)
     pair1 = (-t1 * A, A)
     pair2 = (-t2, Fraction(1))
     if val == 0:
@@ -623,27 +576,32 @@ def _split_x2_quadratic(A: Fraction, B: Polynomial, C: Polynomial, val: int,
     )
 
 
-def _is_binary_cubic(q: Polynomial) -> bool:
-    return all(m[0] + m[1] == 3 and m[2] == 0 for m in q.terms)
-
-
-def _cubic_repeated_factor(q: Polynomial):
-    """A linear form L with L^2 | q (binary cubic q), or None if squarefree.
+def _match_cubic_form(q: Polynomial, v2: int, c: list):
+    """T12 or Forbidden(4) for a binary cubic Q = x1^v1*x2^v2 * core: T12
+    when x2^2 divides Q or the core sum_j c_j*t^j has a repeated rational
+    root, Forbidden(4) when Q is squarefree.
 
     A repeated factor of a rational binary cubic is itself rational: its
     conjugates would otherwise force the degree above three.  So rational
     root extraction with multiplicities is a complete squarefree test.
     """
-    c = [q.coeff((k, 3 - k, 0)) for k in range(4)]  # coefficient of x1^k*x2^(3-k)
-    # Multiplicity of the factor x2 = number of trailing zero coefficients
-    # of p(t) = sum c_k t^k read from the top.
-    deg = max(k for k in range(4) if c[k] != 0)
-    if deg <= 1:
-        return _mono(0, 1, 0)  # x2 appears squared (deg <= 1 means mult >= 2)
-    for root, mult in _rational_roots_with_multiplicity(c[: deg + 1]):
-        if mult >= 2:
-            return _x(1) - _mono(0, 1, 0, root)
-    return None
+    if v2 >= 2:
+        rep = _x(2)
+    else:
+        root = next((r for r, m in _rational_roots_with_multiplicity(c) if m >= 2), None)
+        if root is None:
+            return Forbidden(
+                4,
+                "x3'^2 + (product of three pairwise independent linear forms); "
+                "squarefree binary cubic",
+            )
+        rep = _x(1) - _mono(0, 1, 0, root)
+    quot, rem = divmod_single(q, rep * rep)
+    if not rem.is_zero():
+        raise RuntimeError("internal error: repeated factor does not divide")
+    a1, b1 = quot.coeff((1, 0, 0)), quot.coeff((0, 1, 0))
+    a2, b2 = rep.coeff((1, 0, 0)), rep.coeff((0, 1, 0))
+    return Tag.T12, {"a1": a1, "b1": b1, "a2": a2, "b2": b2}
 
 
 def _rational_roots_with_multiplicity(coeffs):
@@ -721,40 +679,6 @@ def _deflate(ints, root: Fraction):
     return [c for c in out]
 
 
-def _match_cubic_form(q: Polynomial, d: WeightVector):
-    """T12 (repeated factor) or Forbidden(4) (squarefree) for binary cubics."""
-    rep = _cubic_repeated_factor(q)
-    if rep is None:
-        return Forbidden(
-            4,
-            "x3'^2 + (product of three pairwise independent linear forms); "
-            "squarefree binary cubic",
-        )
-    quot, rem = divmod_single(q, rep * rep)
-    if not rem.is_zero():
-        raise RuntimeError("internal error: repeated factor does not divide")
-    a1, b1 = quot.coeff((1, 0, 0)), quot.coeff((0, 1, 0))
-    a2, b2 = rep.coeff((1, 0, 0)), rep.coeff((0, 1, 0))
-    if (a1, b1) == (0, 0):
-        return None
-    return Tag.T12, {"a1": a1, "b1": b1, "a2": a2, "b2": b2}
-
-
-def _match_two_term_forbidden(q: Polynomial, parts: dict):
-    """Forbidden families 1, 2 (pure powers) and 5 ((a*x1^3 + b*x2^2)*x2)."""
-    terms = sorted(q.terms.items())
-    (m1, c1), (m2, c2) = terms
-    if m1[0] == 0 and m2[1] == 0:
-        e2, e1 = m1[1], m2[0]
-        if (e1, e2) == (4, 3):
-            return Forbidden(1, f"x3'^2 + {c2}*x1^4 + {c1}*x2^3")
-        if (e1, e2) == (5, 3):
-            return Forbidden(2, f"x3'^2 + {c2}*x1^5 + {c1}*x2^3")
-    if m1 == (0, 3, 0) and m2 == (3, 1, 0):
-        return Forbidden(5, f"x3'^2 + ({c2}*x1^3 + {c1}*x2^2)*x2")
-    return None
-
-
 def forbidden_match(R: Polynomial) -> Optional[int]:
     """Entry index 1..6 when R is proportional to a forbidden-family member
     (after removing the x3-cross term), else None.
@@ -770,21 +694,14 @@ def forbidden_match(R: Polynomial) -> Optional[int]:
     parts = _x3_parts(R)
     if max(parts) != 2 or not parts[2].is_constant():
         return None
-    lam = parts[2].constant_value()
-    shifted, _ = complete_square_x3(R, WeightVector((1, 1, 1)))
-    q = _x3_parts(shifted).get(0, Polynomial.zero(3)) * (Fraction(1) / lam)
-    if q.is_zero():
-        return None
-    hit = _match_square_part(q, WeightVector((1, 1, 1)))
-    if isinstance(hit, Forbidden):
-        return hit.entry
-    return None
+    matched = _square_part(R, parts)[3]
+    return matched.entry if isinstance(matched, Forbidden) else None
 
 
 # -- diagnostics -------------------------------------------------------------
 
 
-def _diagnose(R: Polynomial, d: WeightVector, q: Optional[Polynomial]) -> str:
+def _diagnose(R: Polynomial, d: WeightVector) -> str:
     budget = d.total() - 2
     ws = d.weights
     for mono in sorted(R.terms):
@@ -794,10 +711,6 @@ def _diagnose(R: Polynomial, d: WeightVector, q: Optional[Polynomial]) -> str:
                 f"support bound violated: exponent {mono[:3]} has weighted "
                 f"degree {got} > d1+d2+d3-2 = {budget}"
             )
-    if q is not None:
-        diag = _diagnose_square(q, d)
-        if diag:
-            return diag
     return "no line of the classification matches"
 
 
@@ -805,11 +718,14 @@ def _diagnose_square(q: Polynomial, d: WeightVector) -> str:
     d1, d2, d3 = d.weights
     if d3 > d1 + d2 - 2:
         return f"square-case bound violated: d3 = {d3} > d1+d2-2 = {d1 + d2 - 2}"
-    try:
-        fact = factor_shape(q, d1, d2)
-    except ValueError:
+    line = _weighted_line(q, (d1, d2))
+    if line is None:
         return "no line of the classification matches"
-    k, r1, r2, e1, e2 = fact
+    # k counts the binomial factors of the canonical weighted factorization,
+    # the degenerate pure-power ones included; r_l = v_l mod e_l.
+    e1, e2, v1, v2, c = line
+    k = v1 // e1 + v2 // e2 + len(c) - 1
+    r1, r2 = v1 % e1, v2 % e2
     lo = Fraction(2, e2)
     mid = k + Fraction(r1, e1) + Fraction(r2, e2)
     hi = lo + Fraction(2, e1)
@@ -820,36 +736,6 @@ def _diagnose_square(q: Polynomial, d: WeightVector) -> str:
             f"k={k}, r=({r1},{r2}), e=({e1},{e2})"
         )
     return "no line of the classification matches"
-
-
-def _weighted_lattice(q: Polynomial, d1, d2):
-    """(e1, e2, r1, r2, k1, k2, s) of a nonzero polynomial in x1, x2.
-
-    e1 = d2/gcd(d1, d2) and e2 = d1/gcd(d1, d2); the x_l-valuation v_l
-    splits as k_l*e_l + r_l with 0 <= r_l < e_l; the support shifted by
-    -(v1, v2) must lie on the lattice e1*Z x e2*Z (ValueError otherwise),
-    and s*e1 is its largest x1-exponent.
-    """
-    g = gcd(int(d1), int(d2))
-    e1, e2 = int(d2) // g, int(d1) // g
-    v1 = min(m[0] for m in q.terms)
-    v2 = min(m[1] for m in q.terms)
-    for m in q.terms:
-        if (m[0] - v1) % e1 != 0 or (m[1] - v2) % e2 != 0:
-            raise ValueError("support does not lie on the weighted lattice")
-    s = max(m[0] - v1 for m in q.terms) // e1
-    return e1, e2, v1 % e1, v2 % e2, v1 // e1, v2 // e2, s
-
-
-def factor_shape(q: Polynomial, d1, d2):
-    """(k, r1, r2, e1, e2) of the canonical weighted factorization of a
-    two-variable deg2-homogeneous polynomial, without splitting the core.
-
-    e1 = d2/gcd, e2 = d1/gcd; r_l is the monomial valuation mod e_l and k
-    counts binomial factors including the degenerate pure-power ones.
-    """
-    e1, e2, r1, r2, k1, k2, s = _weighted_lattice(q, d1, d2)
-    return k1 + k2 + s, r1, r2, e1, e2
 
 
 # -- binary-form factorization over Q ----------------------------------------
@@ -893,12 +779,11 @@ def factor_weighted_binary_form(q: Polynomial, d1, d2):
     w = WeightVector((d1, d2, d1 + d2))
     if not is_homogeneous(q, w):
         raise ValueError("input is not weighted homogeneous")
-    e1, e2, r1, r2, k1, k2, s = _weighted_lattice(q, d1, d2)
-    # On the lattice, homogeneity puts the core support q / (x1^v1 * x2^v2)
-    # on {(j*e1, (s-j)*e2)}; read off the univariate coefficients c_j.
-    v1, v2 = k1 * e1 + r1, k2 * e2 + r2
-    coeffs = [q.coeff((v1 + j * e1, v2 + (s - j) * e2, 0)) for j in range(s + 1)]
-    pairs = [(Fraction(1), Fraction(0))] * k1 + [(Fraction(0), Fraction(1))] * k2
+    # Homogeneity puts the support on the weighted line of step
+    # (d2, d1)/gcd; the valuation v_l splits as k_l*e_l + r_l.
+    e1, e2, v1, v2, coeffs = _weighted_line(q, (d1, d2))
+    s = len(coeffs) - 1
+    pairs = [(Fraction(1), Fraction(0))] * (v1 // e1) + [(Fraction(0), Fraction(1))] * (v2 // e2)
     roots = _rational_roots_with_multiplicity(coeffs)
     total = sum(m for _, m in roots)
     if total < s:
@@ -909,7 +794,8 @@ def factor_weighted_binary_form(q: Polynomial, d1, d2):
     for root, mult in sorted(roots):
         pairs.extend([(Fraction(1), -root)] * mult)
     fact = BinaryFormFactorization(
-        c=coeffs[s], k=len(pairs), e1=e1, e2=e2, pairs=tuple(pairs), r1=r1, r2=r2
+        c=coeffs[s], k=len(pairs), e1=e1, e2=e2, pairs=tuple(pairs),
+        r1=v1 % e1, r2=v2 % e2,
     )
     if fact.rebuild() != q:
         raise RuntimeError("internal error: factorization does not rebuild")

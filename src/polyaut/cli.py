@@ -33,6 +33,8 @@ from fractions import Fraction
 
 from . import classify3 as c3
 from .autmap import (
+    NonConstantJacobian,
+    ZeroJacobian,
     expand,
     format_map,
     format_word,
@@ -49,7 +51,7 @@ from .classify3 import (
     classify,
     normalize,
 )
-from .derivation import is_locally_nilpotent, lnd_witness, apply as d_apply
+from .derivation import InverseMismatch, is_locally_nilpotent, lnd_witness, apply as d_apply
 from .jvdk import NotAnAutomorphism, decompose2
 from .polycore import (
     MINUS_INFINITY,
@@ -477,6 +479,10 @@ def main(argv=None) -> int:
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.status
+    except (NonConstantJacobian, ZeroJacobian, InverseMismatch) as exc:
+        # The input parsed but is not an automorphism: a domain outcome.
+        print(f"error: {exc}", file=sys.stderr)
+        return DOMAIN
     except (ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE

@@ -59,6 +59,10 @@ class NoWitnessIndex(RuntimeError):
     automorphism (for genuine automorphisms such an index always exists)."""
 
 
+class InverseMismatch(ValueError):
+    """The inverse supplied with a raw map does not invert it."""
+
+
 @dataclass(frozen=True)
 class Derivation:
     """sum(coeffs[i] * d/dx_{i+1}) on the polynomial ring in n variables."""
@@ -256,7 +260,8 @@ def lnd_witness(phi: AutWord | PolyMap, w1: WeightVector,
     generator.
 
     Word input carries its own inverse and Jacobian constant; a raw PolyMap
-    needs an explicit inverse, which is verified by exact composition.
+    needs an explicit inverse, which is verified by exact composition
+    (InverseMismatch otherwise).
     """
     if isinstance(phi, AutWord):
         fwd = expand(phi)
@@ -268,7 +273,7 @@ def lnd_witness(phi: AutWord | PolyMap, w1: WeightVector,
             raise ValueError("a raw PolyMap needs an explicit inverse")
         inv = inverse
         if not compose_map(fwd, inv).is_identity() or not compose_map(inv, fwd).is_identity():
-            raise ValueError("supplied inverse does not invert the map")
+            raise InverseMismatch("supplied inverse does not invert the map")
         mu = jacobian_constant(fwd)
     if len(w1) != fwd.n:
         raise ValueError("weight vector length does not match map")

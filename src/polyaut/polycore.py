@@ -396,13 +396,11 @@ def _det(rows, cols):
         return rows[len(rows) - len(cols)][cols[0]]
     r = len(rows) - len(cols)
     acc = Polynomial.zero(rows[0][0].n)
-    sign = 1
     for k, c in enumerate(cols):
         entry = rows[r][c]
         if not entry.is_zero():
-            minor = _det(rows, cols[:k] + cols[k + 1 :])
-            acc = acc + entry * minor * sign
-        sign = -sign
+            term = entry * _det(rows, cols[:k] + cols[k + 1 :])
+            acc = acc - term if k % 2 else acc + term
     return acc
 
 

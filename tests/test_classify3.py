@@ -1,5 +1,6 @@
 """The three-variable classification and its tame normal forms."""
 
+import hashlib
 import random
 from fractions import Fraction
 
@@ -47,26 +48,26 @@ def W(*ws):
 
 
 def test_complete_square_perfect_square():
-    r, h = complete_square_x3(P("x3^2 + 2*x1*x3 + x1^2"), W(1, 1, 1))
+    r, h = complete_square_x3(P("x3^2 + 2*x1*x3 + x1^2"))
     assert r == P("x3^2")
     assert h == P("x1")
 
 
 def test_complete_square_no_cross_term():
-    r, h = complete_square_x3(P("x3^2 + 5*x2^3"), W(1, 2, 3))
+    r, h = complete_square_x3(P("x3^2 + 5*x2^3"))
     assert r == P("x3^2 + 5*x2^3")
     assert h.is_zero()
 
 
 def test_complete_square_linear_case_division():
-    r, h = complete_square_x3(P("x2*x3 + x1^4 + x1^2*x2^2"), W(1, 2, 3))
+    r, h = complete_square_x3(P("x2*x3 + x1^4 + x1^2*x2^2"))
     assert h == P("x1^2*x2")
     assert r == P("x2*x3 + x1^4")
 
 
 def test_complete_square_rejects_nonconstant_square_coefficient():
     with pytest.raises(NonConstantX3Square):
-        complete_square_x3(P("x1*x3^2 + x2^2"), W(1, 1, 1))
+        complete_square_x3(P("x1*x3^2 + x2^2"))
 
 
 # -- binary form factorization ------------------------------------------------
@@ -417,3 +418,187 @@ def test_classify_fuzz_never_crashes_and_reconstructs():
                 )
     # The fuzz must actually exercise both accepting and rejecting paths.
     assert "Classified" in outcomes and "NotInList" in outcomes
+
+
+# -- characterization: square-part outcomes on a seeded corpus ---------------
+
+
+def _char_weights(q):
+    """Ascending integer weights (d1, d2, d3) making q deg2-homogeneous of
+    degree 2*d3, searched over small d1 <= d2 and a common multiple t;
+    the first that satisfies the square-case bound d3 <= d1+d2-2 wins,
+    else the first found; None when q admits none."""
+    if q.is_zero():
+        return None
+    first = None
+    for d1 in range(1, 9):
+        for d2 in range(d1, 13):
+            degs = {a * d1 + b * d2 for a, b, _ in q.terms}
+            if len(degs) != 1:
+                continue
+            deg = degs.pop()
+            if deg < 2 * d2:
+                continue
+            for t in (1, 2, 3, 4):
+                if t * deg % 2:
+                    continue
+                d = (t * d1, t * d2, t * deg // 2)
+                if d[2] <= d[0] + d[1] - 2:
+                    return W(*d)
+                first = first or d
+    return None if first is None else W(*first)
+
+
+def _char_mono(a, b, c):
+    return Polynomial.monomial((a, b, 0), Fraction(c), 3)
+
+
+def _char_coeff(rng):
+    return Fraction(rng.choice([-4, -3, -2, -1, 1, 2, 3, 4]), rng.choice([1, 1, 1, 2]))
+
+
+def _char_line(rng):
+    """Random subset of a weighted line x1^v1*x2^v2 * x1^(j*e1)*x2^((s-j)*e2)."""
+    e1, e2 = rng.randint(1, 5), rng.randint(1, 4)
+    v1, v2, s = rng.randint(0, 3), rng.randint(0, 3), rng.randint(0, 4)
+    js = [j for j in range(s + 1) if rng.random() < 0.6] or [rng.randint(0, s)]
+    q = Polynomial.zero(3)
+    for j in js:
+        q = q + _char_mono(v1 + j * e1, v2 + (s - j) * e2, _char_coeff(rng))
+    return q
+
+
+def _char_binomials(rng):
+    """x1^r1*x2^r2 * prod (a*x1^e1 + b*x2^e2), repeated factors, perturbed."""
+    if rng.random() < 0.4:
+        e1 = e2 = 1
+        k = rng.randint(1, 3)
+        r1 = rng.randint(0, 3 - k)
+        r2 = 3 - k - r1
+    else:
+        e1, e2 = rng.randint(1, 3), rng.randint(1, 3)
+        k, r1, r2 = rng.randint(1, 3), rng.randint(0, 2), rng.randint(0, 2)
+    pool = [(1, 0), (0, 1)] + [
+        (rng.randint(-3, 3), rng.choice([-2, -1, 1, 2])) for _ in range(2)
+    ]
+    q = _char_mono(r1, r2, _char_coeff(rng))
+    for _ in range(k):
+        a, b = rng.choice(pool)
+        q = q * (_char_mono(e1, 0, a) + _char_mono(0, e2, b))
+    if q.terms and rng.random() < 0.3:
+        mono = rng.choice(sorted(q.terms))
+        q = q + _char_mono(mono[0], mono[1], rng.choice([-1, 1]))
+    return q
+
+
+def _char_x2_quadratic(rng):
+    """A*x2^2 + B*x1^e*x2 + C*x1^(2e) with square, zero and non-square
+    discriminants, or A*x2^2 + C*x1^k, times x1^0..2."""
+    A = Fraction(rng.choice([1, -1, 2, 4, -4, 3, 9]), rng.choice([1, 1, 4]))
+    e = rng.randint(1, 3)
+    kind = rng.randrange(5)
+    if kind == 0:  # square discriminant: two rational roots
+        t1 = Fraction(rng.randint(-3, 3), rng.choice([1, 2]))
+        t2 = t1 + rng.choice([-2, -1, 1, 3])
+        B, C = -A * (t1 + t2), A * t1 * t2
+    elif kind == 1:  # zero discriminant
+        t = Fraction(rng.randint(-3, 3), rng.choice([1, 2]))
+        B, C = -2 * A * t, A * t * t
+    elif kind == 2:  # arbitrary, mostly non-square
+        B, C = Fraction(rng.randint(-4, 4)), Fraction(rng.randint(-4, 4))
+    elif kind == 3:  # one of B, C zero
+        B, C = (Fraction(rng.randint(-4, 4)), Fraction(0))
+        if rng.random() < 0.5:
+            B, C = C, B
+    else:
+        q = _char_mono(0, 2, A) + _char_mono(rng.randint(1, 7), 0, _char_coeff(rng))
+        return q * _char_mono(rng.randint(0, 2), 0, 1)
+    q = _char_mono(0, 2, A) + _char_mono(e, 1, B) + _char_mono(2 * e, 0, C)
+    return q * _char_mono(rng.randint(0, 2), 0, 1)
+
+
+def _char_near_forbidden(rng):
+    """Lines through the two-term forbidden shapes and their neighbours."""
+    e1, e2, v1, v2 = rng.choice([
+        (4, 3, 0, 0), (5, 3, 0, 0), (3, 2, 0, 1), (3, 2, 1, 0), (4, 3, 1, 0),
+        (5, 3, 0, 1), (3, 2, 0, 0), (5, 2, 1, 0), (3, 2, 1, 1),
+    ])
+    s = rng.choice([1, 1, 1, 2])
+    q = _char_mono(v1, v2 + s * e2, _char_coeff(rng))
+    q = q + _char_mono(v1 + s * e1, v2, _char_coeff(rng))
+    if s == 2 and rng.random() < 0.5:
+        q = q + _char_mono(v1 + e1, v2 + e2, _char_coeff(rng))
+    return q
+
+
+def _char_arbitrary(rng):
+    q = Polynomial.zero(3)
+    for _ in range(rng.randint(1, 4)):
+        q = q + _char_mono(rng.randint(0, 5), rng.randint(0, 5), _char_coeff(rng))
+    return q
+
+
+def _char_shift(rng, d):
+    """A random h(x1, x2), homogeneous of degree d3 when weights are given."""
+    h = Polynomial.zero(3)
+    if rng.random() < 0.5:
+        return h
+    if d is None:
+        for _ in range(rng.randint(1, 2)):
+            h = h + _char_mono(rng.randint(0, 3), rng.randint(0, 2), rng.randint(-2, 2))
+        return h
+    d1, d2, d3 = (int(w) for w in d)
+    for a in range(d3 // d1 + 1):
+        if (d3 - a * d1) % d2 == 0 and rng.random() < 0.7:
+            h = h + _char_mono(a, (d3 - a * d1) // d2, rng.randint(-2, 2))
+    return h
+
+
+def _char_x3_linear(rng):
+    """(R, d) = b*(x2 + a*x1^e)*x3 + P(x1, x2) with d = (1, e, d3)."""
+    e, d3 = rng.randint(1, 3), rng.randint(3, 6)
+    a = Fraction(rng.choice([0, 0, 1, -2, 3]))
+    b = _char_coeff(rng)
+    deg = e + d3
+    p = Polynomial.zero(3)
+    for i in range(deg // e + 1):
+        if rng.random() < 0.5:
+            p = p + _char_mono(deg - i * e, i, rng.randint(-3, 3))
+    front = (_char_mono(0, 1, 1) + _char_mono(e, 0, a)) * b
+    return front * Polynomial.variable(3, 3) + p, W(1, e, d3)
+
+
+def square_part_outcomes_digest(count=4000, seed=20261018):
+    """sha256 over classify and forbidden_match of lam*((x3 + h)^2 + Q) for a
+    seeded corpus of x3-free parts Q, plus x3-linear inputs."""
+    rng = random.Random(seed)
+    makers = [_char_line, _char_binomials, _char_x2_quadratic, _char_near_forbidden,
+              _char_arbitrary]
+    lines = []
+    x3 = Polynomial.variable(3, 3)
+    for i in range(count):
+        if i % 20 == 19:
+            R, d = _char_x3_linear(rng)
+            lines.append(repr(classify(R, d)))
+            lines.append(repr(forbidden_match(R)))
+            continue
+        q = makers[i % len(makers)](rng)
+        d = _char_weights(q)
+        lam = _char_coeff(rng)
+        x3p = x3 + _char_shift(rng, d)
+        R = (x3p * x3p + q) * lam
+        if d is not None:
+            lines.append(repr(classify(R, d)))
+        lines.append(repr(forbidden_match(R)))
+    return hashlib.sha256("\n".join(lines).encode()).hexdigest()
+
+
+#: Changes when any outcome, params dict (key order included), detail,
+#: reason or diagnostic of the corpus changes.
+EXPECTED_SQUARE_PART_DIGEST = (
+    "48edeae9d3541673c309d9b79152a5bc97025ba656303072af3001bffbe24d3d"
+)
+
+
+def test_square_part_outcomes_characterization():
+    assert square_part_outcomes_digest() == EXPECTED_SQUARE_PART_DIGEST

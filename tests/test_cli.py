@@ -209,3 +209,31 @@ def test_affine_word_line_round_trips_through_cli(capsys):
     fwd = parse_word(word_text, 2)
     inv = parse_word("\n".join(doc["word"]), 2)
     assert compose_map(expand(fwd), expand(inv)).is_identity()
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["relations", "--map", "x1^2; x2"],
+         "error: jacobian determinant is not constant: 2*x1"),
+        (["relations", "--map", "x1+x2; x1+x2"],
+         "error: jacobian determinant is identically zero"),
+        (["lnd-witness", "--map", "x1+x2^2; x2", "--inverse", "x1; x2"],
+         "error: supplied inverse does not invert the map"),
+    ],
+    ids=["non-constant-jacobian", "zero-jacobian", "inverse-mismatch"],
+)
+def test_non_automorphism_input_is_domain_outcome(capsys, argv, message):
+    # Well-formed input that is not an automorphism exits 1, not 2 (usage).
+    status = main(argv)
+    captured = capsys.readouterr()
+    assert status == 1
+    assert captured.out == ""
+    assert captured.err.splitlines() == [message]
+
+
+def test_other_value_errors_stay_usage_errors(capsys):
+    status = main(["lnd-witness", "--map", "x1+x2^2; x2", "--inverse", "x1; x2; x3"])
+    captured = capsys.readouterr()
+    assert status == 2
+    assert captured.err.startswith("error: ")
