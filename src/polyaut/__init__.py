@@ -52,7 +52,6 @@ from .derivation import (
 from .groebner import (
     GradedLex,
     IdealBasis,
-    Lex,
     ResourceCapExceeded,
     buchberger,
     graded_kernel_oracle,

@@ -148,10 +148,6 @@ class AutWord:
     def identity(n: int) -> "AutWord":
         return AutWord(n, ())
 
-    def is_affine_word(self) -> bool:
-        """True when every generator is affine or a transposition."""
-        return all(not isinstance(g, Elementary) for g in self.gens)
-
 
 @dataclass(frozen=True)
 class PolyMap:

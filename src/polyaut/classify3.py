@@ -424,7 +424,7 @@ def _classify_x3_quadratic(R: Polynomial, parts: dict, d: WeightVector) -> Class
             "x3^2 carries a non-constant coefficient, which violates the "
             "support bound a.d <= d1+d2+d3-2"
         )
-    lam, h, q, matched = _square_part(R, parts)
+    lam, h, q, matched = _square_part(parts)
     if q.is_zero():
         return NotInList("a perfect square x3'^2 is reducible")
     if matched is None:
@@ -435,13 +435,16 @@ def _classify_x3_quadratic(R: Polynomial, parts: dict, d: WeightVector) -> Class
     return Classified(RelationType(tag, params, h, lam))
 
 
-def _square_part(R: Polynomial, parts: dict):
+def _square_part(parts: dict):
     """(lam, h, Q, match) with R = lam*((x3 + h)^2 + Q), for R quadratic in x3
-    with a constant x3^2 coefficient lam; match is _match_square_part(Q), or
-    None when Q = 0."""
+    with a constant x3^2 coefficient lam, read from the x3-parts
+    R = lam*x3^2 + p1*x3 + p0: h = p1/(2*lam) and Q = p0/lam - h^2, the
+    x3-free part of R(x3 - h)/lam.  match is _match_square_part(Q), or None
+    when Q = 0."""
+    zero = Polynomial.zero(3)
     lam = parts[2].constant_value()
-    shifted, h = complete_square_x3(R)
-    q = _x3_parts(shifted).get(0, Polynomial.zero(3)) * (Fraction(1) / lam)
+    h = parts.get(1, zero) * (Fraction(1, 2) / lam)
+    q = parts.get(0, zero) * (Fraction(1) / lam) - h * h
     return lam, h, q, None if q.is_zero() else _match_square_part(q)
 
 
@@ -694,7 +697,7 @@ def forbidden_match(R: Polynomial) -> Optional[int]:
     parts = _x3_parts(R)
     if max(parts) != 2 or not parts[2].is_constant():
         return None
-    matched = _square_part(R, parts)[3]
+    matched = _square_part(parts)[3]
     return matched.entry if isinstance(matched, Forbidden) else None
 
 

@@ -20,8 +20,9 @@ machine-readable document whose polynomial fields re-parse through the same
 grammar.
 
 Exit status: 0 success, 1 domain outcomes (not an automorphism, forbidden,
-needs-extension, no match, failing verification), 2 usage errors, 3 I/O
-errors.
+needs-extension, no match, failing verification, an exhausted S-pair
+budget, an oracle mismatch, no witness index, a failed witness check), 2
+usage errors, 3 I/O errors.
 """
 
 from __future__ import annotations
@@ -33,7 +34,9 @@ from fractions import Fraction
 
 from . import classify3 as c3
 from .autmap import (
+    AutWord,
     NonConstantJacobian,
+    PolyMap,
     ZeroJacobian,
     expand,
     format_map,
@@ -48,10 +51,18 @@ from .classify3 import (
     NeedsExtension,
     NormalForm,
     NotWeightedHomogeneous,
+    WitnessVerificationFailed,
     classify,
     normalize,
 )
-from .derivation import InverseMismatch, is_locally_nilpotent, lnd_witness, apply as d_apply
+from .derivation import (
+    InverseMismatch,
+    NoWitnessIndex,
+    apply as d_apply,
+    is_locally_nilpotent,
+    lnd_witness,
+)
+from .groebner import ResourceCapExceeded
 from .jvdk import NotAnAutomorphism, decompose2
 from .polycore import (
     MINUS_INFINITY,
@@ -60,7 +71,7 @@ from .polycore import (
     format_poly,
     parse_poly,
 )
-from .relations import relation_report
+from .relations import OracleMismatch, relation_report
 from .verify import SUITES, run_suite
 
 OK, DOMAIN, USAGE, IO = 0, 1, 2, 3
@@ -93,7 +104,7 @@ def _infer_word_n(text: str) -> int:
             continue
         kind, _, rest = line.partition(" ")
         if kind == "T":
-            best = max(best, *(int(tok) for tok in rest.split()))
+            best = max([best, *(int(tok) for tok in rest.split())])
         elif kind == "A":
             body = rest.partition("|")[0]
             entries = len(body.split())
@@ -115,10 +126,10 @@ def _infer_word_n(text: str) -> int:
     return best
 
 
-def _load_map_or_word(args) -> tuple:
-    """(PolyMap, AutWord | None) from --map/--word/--map-file/--word-file."""
+def _load_map_or_word(args) -> PolyMap | AutWord:
+    """The parsed --map/--word/--map-file/--word-file input, unexpanded."""
     sources = [s for s in ("map", "word", "map_file", "word_file")
-               if getattr(args, s.replace("-", "_"), None)]
+               if getattr(args, s, None)]
     if len(sources) != 1:
         raise CliError("exactly one of --map / --word / --map-file / --word-file is required")
     if getattr(args, "map", None) or getattr(args, "map_file", None):
@@ -127,12 +138,16 @@ def _load_map_or_word(args) -> tuple:
         n = getattr(args, "n", None) or len(lines)
         if n < 1:
             raise CliError("empty map input")
-        m = parse_map(text, n)
-        return m, None
+        return parse_map(text, n)
     text = _split_lines(args.word) if args.word else _read_file(args.word_file)
     n = getattr(args, "n", None) or _infer_word_n(text)
-    word = parse_word(text, n)
-    return expand(word), word
+    return parse_word(text, n)
+
+
+def _load_map(args) -> PolyMap:
+    """The input as a coordinate map; a word is expanded."""
+    source = _load_map_or_word(args)
+    return expand(source) if isinstance(source, AutWord) else source
 
 
 def _weights(arg: str | None, n: int) -> WeightVector:
@@ -155,10 +170,9 @@ def _emit(args, payload: dict, text_lines: list) -> None:
 
 
 def cmd_relations(args) -> int:
-    m, word = _load_map_or_word(args)
-    w1 = _weights(args.weights, m.n)
-    report = relation_report(m if word is None else word, w1,
-                             oracle_shadow=not args.no_shadow)
+    source = _load_map_or_word(args)
+    w1 = _weights(args.weights, source.n)
+    report = relation_report(source, w1, oracle_shadow=not args.no_shadow)
     payload = report.to_dict()
     payload["command"] = "relations"
     payload["status"] = "ok"
@@ -186,7 +200,7 @@ def cmd_relations(args) -> int:
 
 
 def cmd_decompose2(args) -> int:
-    m, _ = _load_map_or_word(args)
+    m = _load_map(args)
     if m.n != 2:
         raise CliError("decompose2 needs a two-variable map")
     dec = decompose2(m)
@@ -309,17 +323,16 @@ def cmd_classify3(args) -> int:
 
 
 def cmd_lnd_witness(args) -> int:
-    m, word = _load_map_or_word(args)
-    w1 = _weights(args.weights, m.n)
-    if word is not None:
-        i, dbar = lnd_witness(word, w1)
+    source = _load_map_or_word(args)
+    w1 = _weights(args.weights, source.n)
+    if isinstance(source, AutWord):
+        i, dbar = lnd_witness(source, w1)
     else:
         if not args.inverse:
             raise CliError("a raw map needs --inverse (or pass a --word)")
-        inv = parse_map(_split_lines(args.inverse), m.n)
-        i, dbar = lnd_witness(m, w1, inverse=inv)
+        inv = parse_map(_split_lines(args.inverse), source.n)
+        i, dbar = lnd_witness(source, w1, inverse=inv)
     verdict = is_locally_nilpotent(dbar)
-    source = word if word is not None else m
     report = relation_report(source, w1)
     kills = None
     if report.principal and report.R is not None and not report.R.is_zero():
@@ -346,7 +359,7 @@ def cmd_lnd_witness(args) -> int:
 
 
 def cmd_compose(args) -> int:
-    m, _ = _load_map_or_word(args)
+    m = _load_map(args)
     payload = {
         "command": "compose",
         "status": "ok",
@@ -357,8 +370,8 @@ def cmd_compose(args) -> int:
 
 
 def cmd_invert(args) -> int:
-    _, word = _load_map_or_word(args)
-    if word is None:
+    word = _load_map_or_word(args)
+    if not isinstance(word, AutWord):
         raise CliError("invert needs a --word (raw maps carry no certificate)")
     inv = invert_word(word)
     payload = {
@@ -479,8 +492,10 @@ def main(argv=None) -> int:
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.status
-    except (NonConstantJacobian, ZeroJacobian, InverseMismatch) as exc:
-        # The input parsed but is not an automorphism: a domain outcome.
+    except (NonConstantJacobian, ZeroJacobian, InverseMismatch, NoWitnessIndex,
+            OracleMismatch, ResourceCapExceeded, WitnessVerificationFailed) as exc:
+        # The input parsed, but it is not an automorphism or the computation
+        # on it failed a budget or a cross-check: a domain outcome.
         print(f"error: {exc}", file=sys.stderr)
         return DOMAIN
     except (ValueError, KeyError) as exc:

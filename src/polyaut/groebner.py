@@ -49,14 +49,6 @@ class MonomialOrder:
 
 
 @dataclass(frozen=True)
-class Lex(MonomialOrder):
-    """Pure lexicographic order, x1 > x2 > ..."""
-
-    def key(self, exp):
-        return exp
-
-
-@dataclass(frozen=True)
 class GradedLex(MonomialOrder):
     """Weighted degree first, ties broken lexicographically.
 
@@ -138,12 +130,11 @@ def monic(p: Polynomial, order: MonomialOrder) -> Polynomial:
 
 @dataclass(frozen=True)
 class IdealBasis:
-    """A generating set with its monomial order; reduced=True means a reduced
-    Groebner basis (monic, pairwise fully reduced, minimal)."""
+    """A reduced Groebner basis (monic, pairwise fully reduced, minimal)
+    with its monomial order."""
 
     gens: tuple
     order: MonomialOrder
-    reduced: bool
     n: int
 
     def __post_init__(self):
@@ -251,20 +242,17 @@ def buchberger(gens: Sequence[Polynomial], order: MonomialOrder,
     G = [content_normalize(g) for g in gens if not g.is_zero()]
     if not G:
         n = gens[0].n if gens else 1
-        return IdealBasis((), order, True, n)
+        return IdealBasis((), order, n)
     n = G[0].n
-
-    def lm(i):
-        return leading_monomial(G[i], order)
-
+    lms = [leading_monomial(g, order) for g in G]
     pairs = {(i, j) for i in range(len(G)) for j in range(i + 1, len(G))}
     done = set()
     reductions = 0
     while pairs:
-        i, j = min(pairs, key=lambda ij: order.key(_mono_lcm(lm(ij[0]), lm(ij[1]))))
+        i, j = min(pairs, key=lambda ij: order.key(_mono_lcm(lms[ij[0]], lms[ij[1]])))
         pairs.remove((i, j))
         done.add((i, j))
-        li, lj = lm(i), lm(j)
+        li, lj = lms[i], lms[j]
         l = _mono_lcm(li, lj)
         # Coprime-lcm criterion: S-polynomial reduces to zero automatically.
         if l == tuple(a + b for a, b in zip(li, lj)):
@@ -274,7 +262,7 @@ def buchberger(gens: Sequence[Polynomial], order: MonomialOrder,
         for k in range(len(G)):
             if k in (i, j):
                 continue
-            if _divides(lm(k), l):
+            if _divides(lms[k], l):
                 pik = (min(i, k), max(i, k))
                 pjk = (min(j, k), max(j, k))
                 if pik in done and pjk in done:
@@ -292,6 +280,7 @@ def buchberger(gens: Sequence[Polynomial], order: MonomialOrder,
             continue
         rem = content_normalize(rem)
         G.append(rem)
+        lms.append(leading_monomial(rem, order))
         new = len(G) - 1
         for k in range(new):
             pairs.add((k, new))
@@ -331,7 +320,7 @@ def _reduce_basis(G, order, n) -> IdealBasis:
     basis = sorted((monic(g, order) for g in keep),
                    key=lambda g: order.key(leading_monomial(g, order)),
                    reverse=True)
-    return IdealBasis(tuple(basis), order, True, n)
+    return IdealBasis(tuple(basis), order, n)
 
 
 def is_principal(basis: IdealBasis):
@@ -340,8 +329,6 @@ def is_principal(basis: IdealBasis):
     The zero ideal reports (True, 0); otherwise a singleton reduced basis is
     exactly the principal case.  Returns (False, gens) for everything else.
     """
-    if not basis.reduced:
-        raise ValueError("is_principal needs a reduced basis")
     if basis.is_zero_ideal():
         return True, Polynomial.zero(basis.n)
     if len(basis.gens) == 1:
@@ -386,7 +373,9 @@ def kernel_ideal(images: Sequence[Polynomial], dweights: WeightVector,
 
     Computed by eliminating the x-block from the ideal (z_i - images[i]) in
     the combined ring Q[x1..xn, z1..zn].  Every returned generator G
-    satisfies G(images) = 0 exactly.
+    satisfies G(images) = 0 exactly.  The x-free members of the reduced
+    block-order basis are already monic and sorted for the z-order: on
+    x-free monomials the block key compares by the z-order alone.
     """
     images = list(images)
     if not images:
@@ -403,16 +392,12 @@ def kernel_ideal(images: Sequence[Polynomial], dweights: WeightVector,
         z_i[nx + i] = 1
         gens.append(Polynomial.monomial(tuple(z_i), 1, total) - _embed(img, total, 0))
     gb = buchberger(gens, order, pair_cap=pair_cap)
-    back = GradedLex(tuple(dweights.weights))
-    eliminated = [
+    eliminated = tuple(
         _project_back(g, nx, nz)
         for g in gb.gens
         if all(all(e == 0 for e in mono[:nx]) for mono in g.terms)
-    ]
-    basis = sorted((monic(g, back) for g in eliminated),
-                   key=lambda g: back.key(leading_monomial(g, back)),
-                   reverse=True)
-    return IdealBasis(tuple(basis), back, True, nz)
+    )
+    return IdealBasis(eliminated, order.back_order, nz)
 
 
 # -- independent graded oracle ----------------------------------------------

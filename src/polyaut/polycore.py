@@ -181,12 +181,6 @@ class Polynomial:
             return MINUS_INFINITY
         return max(sum(mono) for mono in self.terms)
 
-    def degree_in(self, i: int) -> int:
-        """Largest exponent of x_i (1-based); 0 for the zero polynomial."""
-        if not 1 <= i <= self.n:
-            raise IndexError(f"variable index {i} out of range 1..{self.n}")
-        return max((mono[i - 1] for mono in self.terms), default=0)
-
     def involves(self, i: int) -> bool:
         """True if x_i (1-based) occurs in some term."""
         return any(mono[i - 1] > 0 for mono in self.terms)

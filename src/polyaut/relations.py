@@ -9,7 +9,10 @@ principality and monic generator R, the drop bound
     deg2(R) <= nabla + 1,
 
 and, for small integer weights, an independent graded-slice oracle shadow
-check of the kernel computation.
+check of the kernel computation.  The report keeps the expanded map m it
+was computed from (the word's expansion, or the raw map after its Jacobian
+check), so later steps on the same automorphism compose with report.m
+instead of expanding or certifying the input again.
 
 Relation-ideal elements are returned as n-variable polynomials; read their
 variables as z1..zn (the i-th slot stands for the leading term of f_i).
@@ -64,6 +67,7 @@ class OracleMismatch(RuntimeError):
 class RelationReport:
     """Everything the pipeline computes for one map and one degree."""
 
+    m: PolyMap  # the expanded map the report was computed from
     n: int
     w1: WeightVector
     d: WeightVector
@@ -118,19 +122,19 @@ def relation_report(phi: AutWord | PolyMap, w1: WeightVector | None = None,
         w1 = WeightVector.standard(n)
     fbars = tuple(leading_term(c, w1) for c in m.coords)
     d = deg2_weights(m, w1)
+    nabla = d.total() - w1.total()
+    if w1.is_standard() and nabla.denominator != 1:
+        raise ValueError(f"nabla = {nabla} must be an integer for the standard degree")
     ideal = kernel_ideal(fbars, d, pair_cap=pair_cap)
     principal, payload = is_principal(ideal)
     R = payload if principal else None
     deg2_of_R = wdeg(R, d) if R is not None else MINUS_INFINITY
-    nabla = d.total() - w1.total()
-    if w1.is_standard():
-        assert nabla.denominator == 1, "nabla must be an integer for standard degree"
     if principal and R is not None and not R.is_zero():
         bound_ok = deg2_of_R <= nabla + 1
     else:
         bound_ok = True
     report = RelationReport(
-        n=n, w1=w1, d=d, fbars=fbars, ideal=ideal, principal=principal,
+        m=m, n=n, w1=w1, d=d, fbars=fbars, ideal=ideal, principal=principal,
         R=R, deg2_of_R=deg2_of_R, parachute=nabla, bound_ok=bound_ok,
     )
     if (
@@ -143,8 +147,9 @@ def relation_report(phi: AutWord | PolyMap, w1: WeightVector | None = None,
     return report
 
 
-def _shadow_check(report: RelationReport):
-    """Cross-check the kernel against the graded oracle up to nabla + 1."""
+def _shadow_check(report: RelationReport) -> list:
+    """Cross-check the kernel against the graded oracle up to nabla + 1;
+    returns the oracle elements it checked."""
     dmax = report.parachute + 1
     oracle = graded_kernel_oracle(report.fbars, report.d, dmax)
     for g in oracle:
@@ -158,6 +163,7 @@ def _shadow_check(report: RelationReport):
             raise OracleMismatch(
                 f"kernel generator {g} of low degree is outside the oracle span"
             )
+    return oracle
 
 
 def check_degree_lemma(phi: AutWord | PolyMap, w1: WeightVector, p: Polynomial,
@@ -168,12 +174,12 @@ def check_degree_lemma(phi: AutWord | PolyMap, w1: WeightVector, p: Polynomial,
     rhs = deg2(P), strict = (lhs < rhs), and tilde_in_I reports whether the
     deg2-leading term of P reduces to zero against the relation ideal.
     Strictness holds exactly when P is nonzero and its leading term is a
-    relation.
+    relation.  A report computed for phi supplies the expanded map; without
+    one, relation_report(phi, w1) computes it.
     """
-    m = _as_map(phi)
     if report is None:
-        report = relation_report(m, w1)
-    lhs = wdeg(compose(p, m.coords), w1)
+        report = relation_report(phi, w1)
+    lhs = wdeg(compose(p, report.m.coords), w1)
     rhs = wdeg(p, report.d)
     strict = (rhs is not MINUS_INFINITY) and lhs < rhs
     tilde = leading_term(p, report.d)

@@ -7,8 +7,12 @@ from pathlib import Path
 import pytest
 
 from polyaut.cli import main
+from polyaut.classify3 import WitnessVerificationFailed
+from polyaut.derivation import NoWitnessIndex
+from polyaut.groebner import ResourceCapExceeded
 from polyaut.polycore import parse_poly
 from polyaut.autmap import parse_word, parse_map
+from polyaut.relations import OracleMismatch
 
 
 def run(capsys, *argv):
@@ -237,3 +241,61 @@ def test_other_value_errors_stay_usage_errors(capsys):
     captured = capsys.readouterr()
     assert status == 2
     assert captured.err.startswith("error: ")
+
+
+@pytest.mark.parametrize(
+    "argv, expands",
+    [
+        (["relations", "--word", "E 1 x2^2; T 1 2"], 1),
+        (["invert", "--word", "E 1 x2^2; T 1 2"], 1),
+        # The forward map twice (lnd_witness, relation_report), the inverse once.
+        (["lnd-witness", "--word", "E 1 x2^2"], 3),
+    ],
+    ids=["relations", "invert", "lnd-witness"],
+)
+def test_word_input_expansions(capsys, expand_calls, argv, expands):
+    assert main(argv) == 0
+    capsys.readouterr()
+    assert len(expand_calls) == expands
+
+
+@pytest.mark.parametrize("word", ["T", "T 1", "T a b"])
+def test_malformed_transposition_is_usage_error(capsys, word):
+    status = main(["compose", "--word", word])
+    captured = capsys.readouterr()
+    assert status == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+
+
+def _raising(exc):
+    def fail(*args, **kwargs):
+        raise exc
+    return fail
+
+
+@pytest.mark.parametrize(
+    "target, exc, argv",
+    [
+        ("polyaut.relations.kernel_ideal",
+         ResourceCapExceeded("buchberger exceeded 1 S-pair reductions"),
+         ["relations", "--map", "x1 + x2^2; x2"]),
+        ("polyaut.relations._shadow_check",
+         OracleMismatch("kernel generator outside the oracle span"),
+         ["relations", "--word", "E 1 x2^2"]),
+        ("polyaut.cli.lnd_witness",
+         NoWitnessIndex("no index satisfies deg2(Delta_i) >= -w_i"),
+         ["lnd-witness", "--word", "E 1 x2^2"]),
+        ("polyaut.cli.normalize",
+         WitnessVerificationFailed("witness composition mismatch"),
+         ["classify3", "--rel", "x3^2 + 5*x2^3", "--weights", "1,2,3"]),
+    ],
+    ids=["resource-cap", "oracle-mismatch", "no-witness-index", "witness-verification"],
+)
+def test_runtime_errors_are_domain_outcomes(capsys, monkeypatch, target, exc, argv):
+    monkeypatch.setattr(target, _raising(exc))
+    status = main(argv)
+    captured = capsys.readouterr()
+    assert status == 1
+    assert captured.out == ""
+    assert captured.err.splitlines() == [f"error: {exc}"]

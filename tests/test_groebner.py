@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from polyaut.autmap import deg2_weights, expand
 from polyaut.groebner import (
     GradedLex,
     ResourceCapExceeded,
@@ -14,6 +15,7 @@ from polyaut.groebner import (
     graded_kernel_oracle,
     is_principal,
     kernel_ideal,
+    leading_monomial,
     normal_form,
     s_polynomial,
     span_contains,
@@ -27,7 +29,7 @@ from polyaut.polycore import (
     parse_poly,
     wdeg,
 )
-from polyaut.verify import random_polynomial
+from polyaut.verify import random_polynomial, random_tame_word
 
 
 def P(text, n):
@@ -157,6 +159,25 @@ def test_kernel_generators_annihilate_images():
         basis = kernel_ideal(images, d)
         for g in basis.gens:
             assert compose(g, images).is_zero()
+
+
+def test_kernel_basis_is_monic_and_sorted_for_the_z_order():
+    rng = random.Random(83)
+    sizes = []
+    for _ in range(10):
+        n = rng.choice([2, 3])
+        m = expand(random_tame_word(rng, n, max_gens=4, max_addend_deg=3,
+                                    max_coord_deg=8 if n == 2 else 5))
+        w = WeightVector.standard(n)
+        d = deg2_weights(m, w)
+        basis = kernel_ideal([leading_term(c, w) for c in m.coords], d)
+        order = GradedLex(tuple(d.weights))
+        assert basis.order == order
+        keys = [order.key(leading_monomial(g, order)) for g in basis.gens]
+        assert all(g.terms[leading_monomial(g, order)] == 1 for g in basis.gens)
+        assert all(a > b for a, b in zip(keys, keys[1:]))
+        sizes.append(len(basis))
+    assert max(sizes) >= 2
 
 
 def test_kernel_generators_are_graded():

@@ -218,3 +218,39 @@ def test_parachute_random_cases():
             p = random_polynomial(rng, n)
             k = rng.randint(0, 3)
             assert check_parachute(m, p, k, var=rng.randint(1, n))
+
+
+def test_report_carries_its_map_and_lemma_queries_reuse_it(expand_calls):
+    rng = random.Random(46)
+    word = random_tame_word(rng, 3, max_gens=4, max_addend_deg=3, max_coord_deg=5)
+    report = relation_report(word)
+    for _ in range(5):
+        check_degree_lemma(word, report.w1, random_polynomial(rng, 3), report=report)
+    assert expand_calls == [word]
+    assert report.m == expand(word)
+    assert relation_report(ELEM).m is ELEM
+
+
+def test_degree_lemma_same_with_and_without_report():
+    rng = random.Random(47)
+    inputs = [ELEM, NAGATA]
+    for _ in range(6):
+        n = rng.choice([2, 3])
+        word = random_tame_word(rng, n, max_gens=4, max_addend_deg=3,
+                                max_coord_deg=8 if n == 2 else 5)
+        inputs += [word, expand(word)]
+    for phi in inputs:
+        w1 = WeightVector.standard(phi.n)
+        report = relation_report(phi, w1)
+        for _ in range(3):
+            p = random_polynomial(rng, phi.n)
+            assert check_degree_lemma(phi, w1, p, report=report) == check_degree_lemma(phi, w1, p)
+
+
+def test_non_integer_nabla_for_the_standard_degree_raises(monkeypatch):
+    import polyaut.relations as relations
+
+    monkeypatch.setattr(relations, "deg2_weights",
+                        lambda m, w1: WeightVector((Fraction(3, 2), 1)))
+    with pytest.raises(ValueError, match="nabla = 1/2 must be an integer"):
+        relation_report(ELEM)
