@@ -89,8 +89,6 @@ from .classify3 import (
     Tag,
     canonical_lnd,
     classify,
-    complete_square_x3,
-    factor_weighted_binary_form,
     forbidden_match,
     normalize,
     reconstruct,

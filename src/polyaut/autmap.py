@@ -37,6 +37,7 @@ from .polycore import (
     compose,
     format_poly,
     jacobian,
+    parse_fraction,
     parse_poly,
     wdeg,
 )
@@ -324,8 +325,8 @@ def parse_word(text: str, n: int) -> AutWord:
             gens.append(Transposition(int(parts[0]), int(parts[1]), n))
         elif kind == "A":
             body, _, shift_str = rest.partition("|")
-            entries = [Fraction(tok) for tok in body.split()]
-            shift = [Fraction(tok) for tok in shift_str.split()]
+            entries = [parse_fraction(tok) for tok in body.split()]
+            shift = [parse_fraction(tok) for tok in shift_str.split()]
             if len(entries) != n * n or len(shift) != n:
                 raise ValueError(f"affine line needs {n * n} matrix entries and {n} shifts")
             matrix = tuple(tuple(entries[i * n : (i + 1) * n]) for i in range(n))

@@ -66,7 +66,6 @@ from .polycore import (
     Polynomial,
     WeightVector,
     compose,
-    format_poly,
     is_homogeneous,
     partial,
 )
@@ -135,11 +134,6 @@ class NotInList:
 
 
 ClassifyOutcome = Union[Classified, Forbidden, NeedsExtension, NotWeightedHomogeneous, NotInList]
-
-
-class NonConstantX3Square(ValueError):
-    """The x3^2 coefficient is not a constant, so no x3-shift can remove the
-    cross term; valid relation generators never look like this."""
 
 
 class WitnessVerificationFailed(RuntimeError):
@@ -250,42 +244,7 @@ def reconstruct(rt: RelationType) -> Polynomial:
     return _shift_x3(pattern_polynomial(rt.tag, rt.params), rt.shift_h) * rt.scalar
 
 
-# -- square completion -------------------------------------------------------
-
-
-def complete_square_x3(R: Polynomial):
-    """Remove the mixed x3-terms by an x3-shift: returns (R', h) with
-    R = R'(x1, x2, x3 + h).
-
-    Quadratic case: h is half the x3-linear coefficient (the x3^2
-    coefficient must be a nonzero constant).  Linear case with an x2-term
-    in the x3-coefficient: h is the quotient of the x3-free part by
-    (x2 + a*x1^e1).  Anything else is returned unshifted.
-    """
-    if R.is_zero():
-        return R, Polynomial.zero(3)
-    parts = _x3_parts(R)
-    degx3 = max(parts)
-    if degx3 == 2:
-        top = parts[2]
-        if not top.is_constant():
-            raise NonConstantX3Square(
-                f"x3^2 coefficient is {format_poly(top)}, not a constant"
-            )
-        lam = top.constant_value()
-        p1 = parts.get(1, Polynomial.zero(3))
-        h = p1 * (Fraction(1, 2) / lam)
-        return _shift_x3(R, -h), h
-    if degx3 == 1:
-        front = parts[1]
-        split = _linear_front_split(front)
-        if split is not None and split[0] != 0:
-            b, a, e1 = split
-            divisor = _x(2) + _mono(e1, 0, 0, a / b)
-            p0 = parts.get(0, Polynomial.zero(3))
-            h = divmod_single(p0 * (Fraction(1) / b), divisor, _X2_FIRST)[0]
-            return _shift_x3(R, -h), h
-    return R, Polynomial.zero(3)
+# -- x3-linear fronts --------------------------------------------------------
 
 
 def _linear_front_split(front: Polynomial):
@@ -428,7 +387,7 @@ def _classify_x3_quadratic(R: Polynomial, parts: dict, d: WeightVector) -> Class
     if q.is_zero():
         return NotInList("a perfect square x3'^2 is reducible")
     if matched is None:
-        return NotInList(_diagnose_square(q, d))
+        return NotInList(_diagnose_square(d))
     if isinstance(matched, (Forbidden, NeedsExtension)):
         return matched
     tag, params = matched
@@ -448,22 +407,19 @@ def _square_part(parts: dict):
     return lam, h, q, None if q.is_zero() else _match_square_part(q)
 
 
-def _weighted_line(q: Polynomial, weights=None):
+def _weighted_line(q: Polynomial):
     """Read a nonzero x3-free q as x1^v1*x2^v2 * sum_j c_j*x1^(j*e1)*x2^((s-j)*e2).
 
     Returns (e1, e2, v1, v2, [c_0, .., c_s]), v_l the x_l-valuation, or None
-    when the support does not lie on that line.  The step (e1, e2) is
-    (d2, d1)/gcd(d1, d2) for weights = (d1, d2), else the primitive step
-    between the extreme points of the support ((1, 1) for a monomial).
+    when the support does not lie on that line.  The step (e1, e2) is the
+    primitive step between the extreme points of the support ((1, 1) for a
+    monomial).
     """
     v1 = min(m[0] for m in q.terms)
     v2 = min(m[1] for m in q.terms)
     a = max(m[0] for m in q.terms) - v1
     b = max(m[1] for m in q.terms) - v2
-    if weights is not None:
-        g = gcd(int(weights[0]), int(weights[1]))
-        e1, e2 = int(weights[1]) // g, int(weights[0]) // g
-    elif a and b:
+    if a and b:
         e1, e2 = a // gcd(a, b), b // gcd(a, b)
     elif a or b:
         return None
@@ -585,13 +541,24 @@ def _match_cubic_form(q: Polynomial, v2: int, c: list):
     root, Forbidden(4) when Q is squarefree.
 
     A repeated factor of a rational binary cubic is itself rational: its
-    conjugates would otherwise force the degree above three.  So rational
-    root extraction with multiplicities is a complete squarefree test.
+    conjugates would otherwise force the degree above three.  With v2 <= 1
+    the earlier lines leave only cores p of degree 2 or 3, and c_0, c_s are
+    nonzero; a repeated root of p is a rational root of p' that p shares,
+    so the one or two roots of the linear or quadratic p' are the only
+    candidates.
     """
     if v2 >= 2:
         rep = _x(2)
     else:
-        root = next((r for r, m in _rational_roots_with_multiplicity(c) if m >= 2), None)
+        if len(c) == 3:
+            candidates = [-c[1] / (2 * c[2])]
+        else:
+            sq = _sqrt_fraction(4 * c[2] * c[2] - 12 * c[1] * c[3])
+            candidates = [] if sq is None else [
+                (-2 * c[2] + r) / (6 * c[3]) for r in (sq, -sq)
+            ]
+        root = next((t for t in candidates
+                     if sum(cj * t ** j for j, cj in enumerate(c)) == 0), None)
         if root is None:
             return Forbidden(
                 4,
@@ -605,81 +572,6 @@ def _match_cubic_form(q: Polynomial, v2: int, c: list):
     a1, b1 = quot.coeff((1, 0, 0)), quot.coeff((0, 1, 0))
     a2, b2 = rep.coeff((1, 0, 0)), rep.coeff((0, 1, 0))
     return Tag.T12, {"a1": a1, "b1": b1, "a2": a2, "b2": b2}
-
-
-def _rational_roots_with_multiplicity(coeffs):
-    """Rational roots of sum(coeffs[k] * t^k) with multiplicities."""
-    lcm = 1
-    for c in coeffs:
-        lcm = lcm * c.denominator // gcd(lcm, c.denominator)
-    ints = [int(c * lcm) for c in coeffs]
-    while ints and ints[-1] == 0:
-        ints.pop()
-    roots = []
-    # Factor out t = 0.
-    zero_mult = 0
-    while ints and ints[0] == 0:
-        ints = ints[1:]
-        zero_mult += 1
-    if zero_mult:
-        roots.append((Fraction(0), zero_mult))
-    if len(ints) <= 1:
-        return roots
-    for cand in _root_candidates(ints):
-        mult = 0
-        while len(ints) > 1 and _eval_int_poly(ints, cand) == 0:
-            ints = _deflate(ints, cand)
-            mult += 1
-        if mult:
-            roots.append((cand, mult))
-    return roots
-
-
-def _root_candidates(ints):
-    a0, alead = abs(ints[0]), abs(ints[-1])
-    nums = _divisors(a0)
-    dens = _divisors(alead)
-    seen = set()
-    for p in nums:
-        for q in dens:
-            for sign in (1, -1):
-                cand = Fraction(sign * p, q)
-                if cand not in seen:
-                    seen.add(cand)
-                    yield cand
-
-
-def _divisors(m: int):
-    m = abs(m)
-    if m == 0:
-        return [1]
-    out = []
-    i = 1
-    while i * i <= m:
-        if m % i == 0:
-            out.append(i)
-            if i != m // i:
-                out.append(m // i)
-        i += 1
-    return sorted(out)
-
-
-def _eval_int_poly(ints, x: Fraction) -> Fraction:
-    acc = Fraction(0)
-    for c in reversed(ints):
-        acc = acc * x + c
-    return acc
-
-
-def _deflate(ints, root: Fraction):
-    """Divide sum(ints[k] t^k) by (t - root), exactly."""
-    out = [Fraction(0)] * (len(ints) - 1)
-    carry = Fraction(0)
-    for k in range(len(ints) - 1, 0, -1):
-        carry = Fraction(ints[k]) + carry
-        out[k - 1] = carry
-        carry = carry * root
-    return [c for c in out]
 
 
 def forbidden_match(R: Polynomial) -> Optional[int]:
@@ -717,92 +609,20 @@ def _diagnose(R: Polynomial, d: WeightVector) -> str:
     return "no line of the classification matches"
 
 
-def _diagnose_square(q: Polynomial, d: WeightVector) -> str:
+def _diagnose_square(d: WeightVector) -> str:
+    """NotInList text for a square case x3'^2 + Q that matches no line.
+
+    Only the square-case bound d3 <= d1+d2-2 can be named.  The master
+    inequality 2/e2 <= k + r1/e1 + r2/e2 < 2/e2 + 2/e1 of Q's weighted
+    factorization always holds here: Q has weighted degree 2*d3, so with
+    L = lcm(d1, d2) the middle term is 2*d3/L and the bounds are 2*d2/L and
+    2*(d1 + d2)/L; the inequality thus reads d2 <= d3 < d1 + d2, which the
+    sorted weights and the bound already give.
+    """
     d1, d2, d3 = d.weights
     if d3 > d1 + d2 - 2:
         return f"square-case bound violated: d3 = {d3} > d1+d2-2 = {d1 + d2 - 2}"
-    line = _weighted_line(q, (d1, d2))
-    if line is None:
-        return "no line of the classification matches"
-    # k counts the binomial factors of the canonical weighted factorization,
-    # the degenerate pure-power ones included; r_l = v_l mod e_l.
-    e1, e2, v1, v2, c = line
-    k = v1 // e1 + v2 // e2 + len(c) - 1
-    r1, r2 = v1 % e1, v2 % e2
-    lo = Fraction(2, e2)
-    mid = k + Fraction(r1, e1) + Fraction(r2, e2)
-    hi = lo + Fraction(2, e1)
-    if not (lo <= mid < hi):
-        return (
-            f"master inequality violated: need 2/e2 <= k + r1/e1 + r2/e2 < "
-            f"2/e2 + 2/e1, got {lo} <= {mid} < {hi} with "
-            f"k={k}, r=({r1},{r2}), e=({e1},{e2})"
-        )
     return "no line of the classification matches"
-
-
-# -- binary-form factorization over Q ----------------------------------------
-
-
-@dataclass(frozen=True)
-class BinaryFormFactorization:
-    """Q = c * x1^r1 * x2^r2 * prod_i (a_i*x1^e1 + b_i*x2^e2)."""
-
-    c: Fraction
-    k: int
-    e1: int
-    e2: int
-    pairs: tuple  # k pairs (a_i, b_i); pure powers appear as (1,0) / (0,1)
-    r1: int
-    r2: int
-
-    def rebuild(self) -> Polynomial:
-        out = _mono(self.r1, self.r2, 0, self.c)
-        for a, b in self.pairs:
-            out = out * (_mono(self.e1, 0, 0, a) + _mono(0, self.e2, 0, b))
-        return out
-
-
-def factor_weighted_binary_form(q: Polynomial, d1, d2):
-    """Canonical factorization of a two-variable weighted homogeneous
-    polynomial: strip x1^r1*x2^r2 with r_l < e_l, push the remaining
-    monomial content into degenerate pairs, and split the core binary form
-    by rational root extraction.
-
-    Returns a BinaryFormFactorization, or NeedsExtension when the
-    dehomogenized core has an irrational root.
-    """
-    if q.is_zero():
-        raise ValueError("cannot factor the zero polynomial")
-    if q.involves(3):
-        raise ValueError("expected a polynomial in x1, x2 only")
-    d1, d2 = Fraction(d1), Fraction(d2)
-    if d1.denominator != 1 or d2.denominator != 1:
-        raise ValueError("weights must be integers")
-    w = WeightVector((d1, d2, d1 + d2))
-    if not is_homogeneous(q, w):
-        raise ValueError("input is not weighted homogeneous")
-    # Homogeneity puts the support on the weighted line of step
-    # (d2, d1)/gcd; the valuation v_l splits as k_l*e_l + r_l.
-    e1, e2, v1, v2, coeffs = _weighted_line(q, (d1, d2))
-    s = len(coeffs) - 1
-    pairs = [(Fraction(1), Fraction(0))] * (v1 // e1) + [(Fraction(0), Fraction(1))] * (v2 // e2)
-    roots = _rational_roots_with_multiplicity(coeffs)
-    total = sum(m for _, m in roots)
-    if total < s:
-        return NeedsExtension(
-            "the dehomogenized core has an irrational root; the binomial "
-            "factors exist only over an extension"
-        )
-    for root, mult in sorted(roots):
-        pairs.extend([(Fraction(1), -root)] * mult)
-    fact = BinaryFormFactorization(
-        c=coeffs[s], k=len(pairs), e1=e1, e2=e2, pairs=tuple(pairs),
-        r1=v1 % e1, r2=v2 % e2,
-    )
-    if fact.rebuild() != q:
-        raise RuntimeError("internal error: factorization does not rebuild")
-    return fact
 
 
 # -- tame normal forms -------------------------------------------------------

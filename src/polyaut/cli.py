@@ -30,7 +30,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from fractions import Fraction
 
 from . import classify3 as c3
 from .autmap import (
@@ -69,6 +68,7 @@ from .polycore import (
     Polynomial,
     WeightVector,
     format_poly,
+    parse_fraction,
     parse_poly,
 )
 from .relations import OracleMismatch, relation_report
@@ -153,7 +153,7 @@ def _load_map(args) -> PolyMap:
 def _weights(arg: str | None, n: int) -> WeightVector:
     if not arg:
         return WeightVector.standard(n)
-    parts = [Fraction(tok.strip()) for tok in arg.split(",")]
+    parts = [parse_fraction(tok.strip()) for tok in arg.split(",")]
     if len(parts) != n:
         raise CliError(f"expected {n} weights, got {len(parts)}")
     return WeightVector(tuple(parts))

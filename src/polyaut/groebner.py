@@ -165,9 +165,14 @@ def normal_form(p: Polynomial, basis: IdealBasis | Sequence[Polynomial],
         gens = tuple(g for g in basis if not g.is_zero())
         if order is None:
             order = GradedLex()
+    return _divide(p, gens, [leading_monomial(g, order) for g in gens], order)
+
+
+def _divide(p: Polynomial, gens, lms, order: MonomialOrder) -> Polynomial:
+    """normal_form's division loop over nonzero gens whose leading monomials
+    lms the caller already holds."""
     if not gens:
         return p
-    lms = [leading_monomial(g, order) for g in gens]
     lcs = [g.terms[lm] for g, lm in zip(gens, lms)]
     remainder = Polynomial.zero(p.n)
     work = p
@@ -216,14 +221,12 @@ def divmod_single(p: Polynomial, d: Polynomial,
     return q, r
 
 
-def divides_poly(d: Polynomial, p: Polynomial) -> bool:
-    """True iff d divides p in the polynomial ring."""
-    return divmod_single(p, d)[1].is_zero()
-
-
 def s_polynomial(f: Polynomial, g: Polynomial, order: MonomialOrder) -> Polynomial:
-    lf = leading_monomial(f, order)
-    lg = leading_monomial(g, order)
+    return _s_pair(f, leading_monomial(f, order), g, leading_monomial(g, order))
+
+
+def _s_pair(f: Polynomial, lf, g: Polynomial, lg) -> Polynomial:
+    """The S-polynomial of f and g with leading monomials lf and lg."""
     l = _mono_lcm(lf, lg)
     mf = Polynomial.monomial(_mono_quot(l, lf), Fraction(1) / f.terms[lf], f.n)
     mg = Polynomial.monomial(_mono_quot(l, lg), Fraction(1) / g.terms[lg], g.n)
@@ -275,7 +278,7 @@ def buchberger(gens: Sequence[Polynomial], order: MonomialOrder,
             raise ResourceCapExceeded(
                 f"buchberger exceeded {pair_cap} S-pair reductions"
             )
-        rem = normal_form(s_polynomial(G[i], G[j], order), G, order)
+        rem = _divide(_s_pair(G[i], li, G[j], lj), G, lms, order)
         if rem.is_zero():
             continue
         rem = content_normalize(rem)
@@ -291,7 +294,7 @@ def _reduce_basis(G, order, n) -> IdealBasis:
     """Interreduce to the unique reduced (monic) Groebner basis."""
     # Drop members whose leading monomial is divisible by another's.
     lms = [leading_monomial(g, order) for g in G]
-    keep = []
+    keep, keep_lms = [], []
     for i, g in enumerate(G):
         li = lms[i]
         redundant = any(
@@ -300,6 +303,7 @@ def _reduce_basis(G, order, n) -> IdealBasis:
         )
         if not redundant:
             keep.append(g)
+            keep_lms.append(li)
     # Fully reduce each member against the others, repeating to a fixpoint.
     changed = True
     while changed:
@@ -308,19 +312,19 @@ def _reduce_basis(G, order, n) -> IdealBasis:
             others = keep[:i] + keep[i + 1 :]
             if not others:
                 continue
-            r = normal_form(keep[i], others, order)
+            r = _divide(keep[i], others, keep_lms[:i] + keep_lms[i + 1 :], order)
             if r.is_zero():
                 keep.pop(i)
+                keep_lms.pop(i)
                 changed = True
                 break
             if r != keep[i]:
                 keep[i] = content_normalize(r)
+                keep_lms[i] = leading_monomial(keep[i], order)
                 changed = True
                 break
-    basis = sorted((monic(g, order) for g in keep),
-                   key=lambda g: order.key(leading_monomial(g, order)),
-                   reverse=True)
-    return IdealBasis(tuple(basis), order, n)
+    ranked = sorted(zip(keep_lms, keep), key=lambda lg: order.key(lg[0]), reverse=True)
+    return IdealBasis(tuple(monic(g, order) for _, g in ranked), order, n)
 
 
 def is_principal(basis: IdealBasis):

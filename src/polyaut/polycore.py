@@ -559,6 +559,15 @@ def parse_poly(text: str, n: int) -> Polynomial:
     return _Parser(text, n).parse()
 
 
+def parse_fraction(text: str) -> Fraction:
+    """Parse a rational literal such as 3, -1/2 or 0.25; ValueError when it
+    is malformed or has a zero denominator."""
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {text!r}") from None
+
+
 def format_poly(p: Polynomial, var: str = "x") -> str:
     """Render p with terms in descending lexicographic monomial order.
 

@@ -13,7 +13,6 @@ from polyaut.classify3 import (
     Forbidden,
     NONZERO_TAGS,
     NeedsExtension,
-    NonConstantX3Square,
     NormalForm,
     NotInList,
     NotWeightedHomogeneous,
@@ -23,8 +22,6 @@ from polyaut.classify3 import (
     Zero,
     canonical_lnd,
     classify,
-    complete_square_x3,
-    factor_weighted_binary_form,
     forbidden_match,
     normalize,
     reconstruct,
@@ -42,70 +39,6 @@ def P(text):
 
 def W(*ws):
     return WeightVector(tuple(Fraction(w) for w in ws))
-
-
-# -- square completion -------------------------------------------------------
-
-
-def test_complete_square_perfect_square():
-    r, h = complete_square_x3(P("x3^2 + 2*x1*x3 + x1^2"))
-    assert r == P("x3^2")
-    assert h == P("x1")
-
-
-def test_complete_square_no_cross_term():
-    r, h = complete_square_x3(P("x3^2 + 5*x2^3"))
-    assert r == P("x3^2 + 5*x2^3")
-    assert h.is_zero()
-
-
-def test_complete_square_linear_case_division():
-    r, h = complete_square_x3(P("x2*x3 + x1^4 + x1^2*x2^2"))
-    assert h == P("x1^2*x2")
-    assert r == P("x2*x3 + x1^4")
-
-
-def test_complete_square_rejects_nonconstant_square_coefficient():
-    with pytest.raises(NonConstantX3Square):
-        complete_square_x3(P("x1*x3^2 + x2^2"))
-
-
-# -- binary form factorization ------------------------------------------------
-
-
-def test_factor_monomial_degenerate_pairs():
-    fact = factor_weighted_binary_form(P("x1*x2^2"), 2, 2)
-    assert (fact.e1, fact.e2) == (1, 1)
-    assert (fact.r1, fact.r2) == (0, 0)
-    assert fact.k == 3
-    assert sorted(fact.pairs) == [(0, 1), (0, 1), (1, 0)]
-    assert fact.rebuild() == P("x1*x2^2")
-
-
-def test_factor_coprime_power_sum():
-    fact = factor_weighted_binary_form(P("x1^4 + x2^3"), 3, 4)
-    assert (fact.e1, fact.e2) == (4, 3)
-    assert fact.k == 1
-    assert fact.pairs == ((1, 1),)
-    assert (fact.r1, fact.r2) == (0, 0)
-
-
-def test_factor_split_quadratic():
-    fact = factor_weighted_binary_form(P("(x1^2 + x2)*(x1^2 - x2)"), 1, 2)
-    assert (fact.e1, fact.e2) == (2, 1)
-    assert fact.k == 2
-    assert sorted(fact.pairs) == [(1, -1), (1, 1)]
-    assert fact.rebuild() == P("x1^4 - x2^2")
-
-
-def test_factor_needs_extension():
-    out = factor_weighted_binary_form(P("x1^2 - 2*x2^2"), 1, 1)
-    assert isinstance(out, NeedsExtension)
-
-
-def test_factor_rejects_inhomogeneous():
-    with pytest.raises(ValueError):
-        factor_weighted_binary_form(P("x1 + x2^2"), 1, 1)
 
 
 # -- classification: fixed examples -------------------------------------------
@@ -206,6 +139,40 @@ def test_classify_deterministic():
     assert a == b
 
 
+# -- the x3-shift --------------------------------------------------------------
+
+
+def test_classify_square_cross_term_shift():
+    R = P("(x3 + x1^3)^2 + 5*x2^3")
+    out = classify(R, W(2, 4, 6))
+    assert isinstance(out, Classified) and out.info.tag is Tag.T5
+    assert out.info.shift_h == P("x1^3")
+    assert out.info.params == {"c": Fraction(5)}
+    assert reconstruct(out.info) == R
+
+
+def test_classify_perfect_square_rejected():
+    out = classify(P("x3^2 + 2*x1*x3 + x1^2"), W(1, 1, 1))
+    assert out == NotInList("a perfect square x3'^2 is reducible")
+
+
+def test_classify_linear_case_shift_is_quotient():
+    # x2*x3 + x1^4 + x1^2*x2^2 = x2*(x3 + x1^2*x2) + x1^4.
+    R = P("x2*x3 + x1^4 + x1^2*x2^2")
+    out = classify(R, W(1, 1, 3))
+    assert isinstance(out, Classified) and out.info.tag is Tag.T3
+    assert out.info.shift_h == P("x1^2*x2")
+    assert out.info.params == {"c": Fraction(1), "a": Fraction(0), "e1": 1, "k": 4}
+    assert reconstruct(out.info) == R
+
+
+def test_classify_nonconstant_square_coefficient_rejected():
+    out = classify(P("x1*x3^2 + x2^3"), W(1, 1, 1))
+    assert isinstance(out, NotInList)
+    assert "non-constant coefficient" in out.diagnostic
+    assert forbidden_match(P("x1*x3^2 + x2^3")) is None
+
+
 # -- forbidden list ------------------------------------------------------------
 
 
@@ -235,6 +202,81 @@ def test_forbidden_three_with_irrational_split_still_detected():
     # rational even when the factors are not.
     R = P("x3^2 + (x1^4 - 2*x2^2)*x1")  # (x1^2 - s*x2)(x1^2 + s*x2)x1, s = sqrt(2)
     assert forbidden_match(R) == 3
+
+
+# -- repeated factors of binary cubics -----------------------------------------
+
+
+def _form(a, b):
+    """a*x1 + b*x2."""
+    return (Polynomial.monomial((1, 0, 0), Fraction(a), 3)
+            + Polynomial.monomial((0, 1, 0), Fraction(b), 3))
+
+
+def _planted_cubic(kind, rng):
+    """(Q, repeated) for a binary cubic Q in x1, x2 whose core has degree 3
+    (no x1 or x2 factor) or 2 (one x2 or x1 factor), built with or without a
+    repeated linear factor; roots and factor coefficients are nonzero."""
+
+    def nonzero():
+        return Fraction(rng.choice([-3, -2, -1, 1, 2, 3]), rng.choice([1, 1, 2, 3]))
+
+    def root_form():
+        return _form(1, -nonzero())
+
+    def distinct_roots(k):
+        while True:
+            ts = [nonzero() for _ in range(k)]
+            if len(set(ts)) == k:
+                return [_form(1, -t) for t in ts]
+
+    irrational = _form(1, 0) * _form(1, 0) - Polynomial.monomial(
+        (0, 2, 0), Fraction(rng.choice([2, 3, 5, -1, -2])), 3)  # x1^2 - k*x2^2
+    c = Polynomial.constant(nonzero(), 3)
+    x1, x2 = _form(1, 0), _form(0, 1)
+    if kind == "cubic double":
+        r = root_form()
+        return c * r * r * _form(nonzero(), nonzero()), True
+    if kind == "cubic triple":
+        r = root_form()
+        return c * r * r * r, True
+    if kind == "cubic rational":
+        a, b, d = distinct_roots(3)
+        return c * a * b * d, False
+    if kind == "cubic irrational":
+        if rng.random() < 0.5:
+            return c * (x1 * x1 * x1 - Polynomial.monomial((0, 3, 0), Fraction(2), 3)), False
+        return c * irrational * _form(nonzero(), nonzero()), False
+    if kind == "quadratic double":
+        r = root_form()
+        return c * rng.choice([x1, x2]) * r * r, True
+    if kind == "quadratic rational":
+        a, b = distinct_roots(2)
+        return c * x2 * a * b, False
+    if kind == "quadratic irrational":
+        return c * x2 * irrational, False
+    raise ValueError(kind)
+
+
+@pytest.mark.parametrize("kind", [
+    "cubic double", "cubic triple", "cubic rational", "cubic irrational",
+    "quadratic double", "quadratic rational", "quadratic irrational",
+])
+def test_classify_binary_cubic_repeated_factor(kind):
+    rng = random.Random(f"repeated factor: {kind}")
+    x3 = Polynomial.variable(3, 3)
+    for _ in range(25):
+        q, repeated = _planted_cubic(kind, rng)
+        w = rng.randint(1, 3)
+        R = (x3 * x3 + q) * Fraction(rng.choice([-2, 1, 3]), rng.choice([1, 5]))
+        out = classify(R, W(2 * w, 2 * w, 3 * w))
+        if repeated:
+            assert isinstance(out, Classified) and out.info.tag is Tag.T12, (q, out)
+            assert reconstruct(out.info) == R
+            assert forbidden_match(R) is None
+        else:
+            assert isinstance(out, Forbidden) and out.entry == 4, (q, out)
+            assert forbidden_match(R) == 4
 
 
 # -- soundness, exclusivity, normal forms --------------------------------------

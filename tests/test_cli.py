@@ -236,6 +236,24 @@ def test_non_automorphism_input_is_domain_outcome(capsys, argv, message):
     assert captured.err.splitlines() == [message]
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["compose", "--word", "A 1/0 0 0 1 | 0 0"],
+        ["compose", "--word", "A 1 0 0 1 | 1/0 0"],
+        ["relations", "--map", "x1;x2", "--weights", "1/0,1"],
+        ["classify3", "--rel", "x3^2 + x2^3", "--weights", "1,2,1/0"],
+    ],
+    ids=["word-matrix", "word-shift", "relations-weights", "classify3-weights"],
+)
+def test_zero_denominator_is_usage_error(capsys, argv):
+    status = main(argv)
+    captured = capsys.readouterr()
+    assert status == 2
+    assert captured.out == ""
+    assert captured.err.splitlines() == ["error: zero denominator in '1/0'"]
+
+
 def test_other_value_errors_stay_usage_errors(capsys):
     status = main(["lnd-witness", "--map", "x1+x2^2; x2", "--inverse", "x1; x2; x3"])
     captured = capsys.readouterr()
