@@ -156,6 +156,16 @@ def test_classify_perfect_square_rejected():
     assert out == NotInList("a perfect square x3'^2 is reducible")
 
 
+def test_complete_square_no_cross_term():
+    # Without an x1/x2-dependent x3 term there is nothing to complete: the
+    # shift is zero and R is its own completed square.
+    R = P("x3^2 + 5*x2^3")
+    out = classify(R, W(1, 2, 3))
+    assert isinstance(out, Classified)
+    assert out.info.shift_h.is_zero()
+    assert reconstruct(out.info) == R
+
+
 def test_classify_linear_case_shift_is_quotient():
     # x2*x3 + x1^4 + x1^2*x2^2 = x2*(x3 + x1^2*x2) + x1^4.
     R = P("x2*x3 + x1^4 + x1^2*x2^2")
