@@ -5,6 +5,7 @@ of principal relation generators with tame normal forms."""
 
 from .polycore import (
     MINUS_INFINITY,
+    ExponentOverflow,
     Polynomial,
     WeightVector,
     compose,

@@ -21,8 +21,8 @@ grammar.
 
 Exit status: 0 success, 1 domain outcomes (not an automorphism, forbidden,
 needs-extension, no match, failing verification, an exhausted S-pair
-budget, an oracle mismatch, no witness index, a failed witness check), 2
-usage errors, 3 I/O errors.
+budget, an oracle mismatch, no witness index, a failed witness check, an
+exponent past the packed field), 2 usage errors, 3 I/O errors.
 """
 
 from __future__ import annotations
@@ -65,6 +65,7 @@ from .groebner import ResourceCapExceeded
 from .jvdk import NotAnAutomorphism, decompose2
 from .polycore import (
     MINUS_INFINITY,
+    ExponentOverflow,
     Polynomial,
     WeightVector,
     format_poly,
@@ -156,6 +157,8 @@ def _weights(arg: str | None, n: int) -> WeightVector:
     parts = [parse_fraction(tok.strip()) for tok in arg.split(",")]
     if len(parts) != n:
         raise CliError(f"expected {n} weights, got {len(parts)}")
+    if any(w <= 0 for w in parts):
+        raise CliError(f"weights must be positive, got {arg!r}")
     return WeightVector(tuple(parts))
 
 
@@ -325,15 +328,14 @@ def cmd_classify3(args) -> int:
 def cmd_lnd_witness(args) -> int:
     source = _load_map_or_word(args)
     w1 = _weights(args.weights, source.n)
-    if isinstance(source, AutWord):
-        i, dbar = lnd_witness(source, w1)
-    else:
+    inv = None
+    if not isinstance(source, AutWord):
         if not args.inverse:
             raise CliError("a raw map needs --inverse (or pass a --word)")
         inv = parse_map(_split_lines(args.inverse), source.n)
-        i, dbar = lnd_witness(source, w1, inverse=inv)
-    verdict = is_locally_nilpotent(dbar)
     report = relation_report(source, w1)
+    i, dbar = lnd_witness(source, w1, inverse=inv, report=report)
+    verdict = is_locally_nilpotent(dbar)
     kills = None
     if report.principal and report.R is not None and not report.R.is_zero():
         kills = d_apply(dbar, report.R).is_zero()
@@ -493,7 +495,8 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return exc.status
     except (NonConstantJacobian, ZeroJacobian, InverseMismatch, NoWitnessIndex,
-            OracleMismatch, ResourceCapExceeded, WitnessVerificationFailed) as exc:
+            OracleMismatch, ResourceCapExceeded, WitnessVerificationFailed,
+            ExponentOverflow) as exc:
         # The input parsed, but it is not an automorphism or the computation
         # on it failed a budget or a cross-check: a domain outcome.
         print(f"error: {exc}", file=sys.stderr)

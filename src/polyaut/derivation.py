@@ -250,7 +250,7 @@ def parse_derivation(text: str, n: int) -> Derivation:
 
 
 def lnd_witness(phi: AutWord | PolyMap, w1: WeightVector,
-                inverse: PolyMap | None = None):
+                inverse: PolyMap | None = None, report=None):
     """Witness index and leading derivation for the degree induced by phi.
 
     Scans i = 1..n for the first index with deg2(Delta_i) >= -w_i (such an
@@ -261,14 +261,19 @@ def lnd_witness(phi: AutWord | PolyMap, w1: WeightVector,
 
     Word input carries its own inverse and Jacobian constant; a raw PolyMap
     needs an explicit inverse, which is verified by exact composition
-    (InverseMismatch otherwise).
+    (InverseMismatch otherwise).  A relation report computed for phi
+    supplies the expanded forward map.
     """
-    if isinstance(phi, AutWord):
+    if report is not None:
+        fwd = report.m
+    elif isinstance(phi, AutWord):
         fwd = expand(phi)
+    else:
+        fwd = phi
+    if isinstance(phi, AutWord):
         inv = expand(invert_word(phi))
         mu = word_jacobian(phi)
     else:
-        fwd = phi
         if inverse is None:
             raise ValueError("a raw PolyMap needs an explicit inverse")
         inv = inverse

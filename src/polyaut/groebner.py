@@ -21,7 +21,6 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
 from typing import Sequence
 
 from .polycore import Polynomial, WeightVector, _rref
@@ -83,11 +82,11 @@ class BlockElimination(MonomialOrder):
 def leading_monomial(p: Polynomial, order: MonomialOrder):
     if p.is_zero():
         raise ValueError("zero polynomial has no leading monomial")
-    return max(p.terms, key=order.key)
+    return max(p.support(), key=order.key)
 
 
 def leading_coeff(p: Polynomial, order: MonomialOrder) -> Fraction:
-    return p.terms[leading_monomial(p, order)]
+    return p.coeff(leading_monomial(p, order))
 
 
 def _divides(a, b) -> bool:
@@ -108,18 +107,7 @@ def content_normalize(p: Polynomial) -> Polynomial:
     Keeps the sign of the lexicographically largest monomial's coefficient.
     Controls coefficient blow-up inside Buchberger.
     """
-    if p.is_zero():
-        return p
-    num_gcd = 0
-    den_lcm = 1
-    for c in p.terms.values():
-        num_gcd = gcd(num_gcd, c.numerator)
-        den_lcm = den_lcm * c.denominator // gcd(den_lcm, c.denominator)
-    scale = Fraction(den_lcm, num_gcd)
-    out = p * scale
-    if out.terms[max(out.terms)] < 0:
-        out = -out
-    return out
+    return p.primitive()
 
 
 def monic(p: Polynomial, order: MonomialOrder) -> Polynomial:
@@ -173,12 +161,12 @@ def _divide(p: Polynomial, gens, lms, order: MonomialOrder) -> Polynomial:
     lms the caller already holds."""
     if not gens:
         return p
-    lcs = [g.terms[lm] for g, lm in zip(gens, lms)]
+    lcs = [g.coeff(lm) for g, lm in zip(gens, lms)]
     remainder = Polynomial.zero(p.n)
     work = p
     while not work.is_zero():
         mono = leading_monomial(work, order)
-        coeff = work.terms[mono]
+        coeff = work.coeff(mono)
         for g, lm, lc in zip(gens, lms, lcs):
             if _divides(lm, mono):
                 quot = _mono_quot(mono, lm)
@@ -203,13 +191,13 @@ def divmod_single(p: Polynomial, d: Polynomial,
     if order is None:
         order = GradedLex()
     lm = leading_monomial(d, order)
-    lc = d.terms[lm]
+    lc = d.coeff(lm)
     q = Polynomial.zero(p.n)
     r = Polynomial.zero(p.n)
     work = p
     while not work.is_zero():
         mono = leading_monomial(work, order)
-        coeff = work.terms[mono]
+        coeff = work.coeff(mono)
         if _divides(lm, mono):
             factor = Polynomial.monomial(_mono_quot(mono, lm), coeff / lc, p.n)
             q = q + factor
@@ -228,8 +216,8 @@ def s_polynomial(f: Polynomial, g: Polynomial, order: MonomialOrder) -> Polynomi
 def _s_pair(f: Polynomial, lf, g: Polynomial, lg) -> Polynomial:
     """The S-polynomial of f and g with leading monomials lf and lg."""
     l = _mono_lcm(lf, lg)
-    mf = Polynomial.monomial(_mono_quot(l, lf), Fraction(1) / f.terms[lf], f.n)
-    mg = Polynomial.monomial(_mono_quot(l, lg), Fraction(1) / g.terms[lg], g.n)
+    mf = Polynomial.monomial(_mono_quot(l, lf), 1 / f.coeff(lf), f.n)
+    mg = Polynomial.monomial(_mono_quot(l, lg), 1 / g.coeff(lg), g.n)
     return mf * f - mg * g
 
 
@@ -346,18 +334,18 @@ def is_principal(basis: IdealBasis):
 def _embed(p: Polynomial, total: int, offset: int) -> Polynomial:
     """View an n-variable polynomial inside a larger ring at the given offset."""
     out = {}
-    for mono, c in p.terms.items():
+    for mono in p.support():
         big = [0] * total
         big[offset : offset + len(mono)] = mono
-        out[tuple(big)] = c
+        out[tuple(big)] = p.coeff(mono)
     return Polynomial(total, out)
 
 
 def _project_back(p: Polynomial, nx: int, nz: int) -> Polynomial:
     out = {}
-    for mono, c in p.terms.items():
+    for mono in p.support():
         assert all(e == 0 for e in mono[:nx])
-        out[mono[nx:]] = c
+        out[mono[nx:]] = p.coeff(mono)
     return Polynomial(nz, out)
 
 
@@ -399,7 +387,7 @@ def kernel_ideal(images: Sequence[Polynomial], dweights: WeightVector,
     eliminated = tuple(
         _project_back(g, nx, nz)
         for g in gb.gens
-        if all(all(e == 0 for e in mono[:nx]) for mono in g.terms)
+        if all(all(e == 0 for e in mono[:nx]) for mono in g.support())
     )
     return IdealBasis(eliminated, order.back_order, nz)
 
@@ -466,15 +454,15 @@ def graded_kernel_oracle(images: Sequence[Polynomial], dweights: WeightVector,
                 if e:
                     prod = prod * image_power(i, e)
             expansions.append(prod)
-            support.update(prod.terms)
+            support.update(prod.support())
         support = sorted(support)
         row_index = {mono: k for k, mono in enumerate(support)}
         # One matrix column per candidate monomial, one row per x-monomial.
         columns = []
         for prod in expansions:
             col = [Fraction(0)] * len(support)
-            for mono, c in prod.terms.items():
-                col[row_index[mono]] = c
+            for mono in prod.support():
+                col[row_index[mono]] = prod.coeff(mono)
             columns.append(col)
         rows = [[columns[j][i] for j in range(len(columns))] for i in range(len(support))]
         if not rows:
@@ -495,17 +483,17 @@ def graded_kernel_oracle(images: Sequence[Polynomial], dweights: WeightVector,
 
 def span_contains(vectors: Sequence[Polynomial], target: Polynomial) -> bool:
     """Exact linear-span membership test for polynomials (as coefficient vectors)."""
-    support = sorted(set(itertools.chain(target.terms, *(v.terms for v in vectors))))
+    support = sorted(set(itertools.chain(target.support(), *(v.support() for v in vectors))))
     index = {m: i for i, m in enumerate(support)}
     rows = []
     for v in vectors:
         row = [Fraction(0)] * len(support)
-        for m, c in v.terms.items():
-            row[index[m]] = c
+        for m in v.support():
+            row[index[m]] = v.coeff(m)
         rows.append(row)
     tvec = [Fraction(0)] * len(support)
-    for m, c in target.terms.items():
-        tvec[index[m]] = c
+    for m in target.support():
+        tvec[index[m]] = target.coeff(m)
     # Reduce tvec against the pivot rows of the RREF.
     reduced, pivots, _ = _rref(rows)
     for row, col in zip(reduced, pivots):

@@ -1,13 +1,31 @@
 """Exact sparse multivariate polynomial arithmetic over the rationals.
 
-A polynomial in n variables x1..xn is stored as a mapping from exponent
-tuples to nonzero Fraction coefficients, so every operation is exact and
-identity testing is reliable.  On top of the ring operations the module
-provides positive weighted homogeneous (p.w.h.) degree functions: a weight
-vector (w1,..,wn) with all wi > 0 assigns the degree a1*w1 + .. + an*wn to
-the monomial x1^a1 .. xn^an, the degree of a polynomial is the maximum over
-its support, and deg(0) = -infinity.  The leading term of a polynomial is
-the sum of its monomials of maximal weighted degree.
+A polynomial in n variables x1..xn is stored as integer numerators over one
+common denominator.  Each exponent vector (a1,..,an) is packed into one int
+of n fixed-width fields of FIELD_BITS = 32 bits, x1 in the most significant
+field: adding two packed exponents multiplies the monomials, and integer
+order on packed exponents is lexicographic order on the vectors.  A
+Polynomial holds a dict from packed exponents to nonzero int numerators and
+one positive int denominator den, reduced so that gcd(den, all numerators)
+is 1 (den is 1 for the zero polynomial).  That form is canonical, so
+equality and hashing compare it directly, and the ring operations,
+substitution, derivatives, weighted degrees and formatting run on ints
+alone.  Fraction appears only at the API: the constructor validates a
+{exponent tuple: coefficient} mapping through Fraction, coefficients are
+returned as Fractions, and .terms is a read-only {exponent tuple: Fraction}
+view.
+
+Exponents range over 0..MAX_EXPONENT = 2^32 - 1.  Every polynomial carries
+an upper bound on its exponents; a product or power whose bound could pass
+MAX_EXPONENT checks its exact degrees once, for the whole operation, and
+raises ExponentOverflow (a ValueError) when a field would overflow.
+
+On top of the ring operations the module provides positive weighted
+homogeneous (p.w.h.) degree functions: a weight vector (w1,..,wn) with all
+wi > 0 assigns the degree a1*w1 + .. + an*wn to the monomial
+x1^a1 .. xn^an, the degree of a polynomial is the maximum over its support,
+and deg(0) = -infinity.  The leading term of a polynomial is the sum of its
+monomials of maximal weighted degree.
 
 Also here: formal partial derivatives, substitution of a tuple of
 polynomials (composition with a polynomial map) and the Jacobian
@@ -19,9 +37,14 @@ of the text grammar; exponent tuples are plain 0-based Python tuples.
 
 from __future__ import annotations
 
+import functools
+import struct
+from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Sequence, Union
+from math import gcd, lcm
+from operator import add, mul
+from typing import Sequence, Union
 
 Exponent = tuple  # tuple[int, ...], one entry per variable
 
@@ -111,79 +134,160 @@ class WeightVector:
         return sum(self.weights, Fraction(0))
 
 
-class Polynomial:
-    """A sparse exact polynomial: {exponent tuple: nonzero Fraction}.
+FIELD_BITS = 32
+MAX_EXPONENT = (1 << FIELD_BITS) - 1
 
-    Instances are immutable by convention: no method mutates self, and the
-    terms dict must not be modified by callers.
+
+class ExponentOverflow(ValueError):
+    """An exponent exceeds MAX_EXPONENT, the largest one a packed field holds."""
+
+
+@functools.cache
+def _layout(n: int) -> struct.Struct:
+    """n exponents as big-endian unsigned FIELD_BITS-bit fields."""
+    return struct.Struct(f">{n}I")
+
+
+def _pack(mono, n: int) -> int:
+    """The packed form of an exponent tuple of length n."""
+    try:
+        return int.from_bytes(_layout(n).pack(*mono), "big")
+    except struct.error:
+        pass
+    if len(mono) != n:
+        raise ValueError(f"monomial {mono} has wrong length for n={n}")
+    _check_exponents(mono)
+    raise ValueError(f"monomial {mono} needs nonnegative integer exponents")
+
+
+def _unpacker(n: int):
+    """The function from a packed exponent to its exponent tuple."""
+    unpack = _layout(n).unpack
+    size = n * FIELD_BITS // 8
+    return lambda key: unpack(key.to_bytes(size, "big"))
+
+
+def _check_exponents(exponents) -> int:
+    """The largest of the exponents; ExponentOverflow when it does not fit a field."""
+    top = max(exponents)
+    if top > MAX_EXPONENT:
+        raise ExponentOverflow(
+            f"exponent {top} exceeds the largest exponent {MAX_EXPONENT}")
+    return top
+
+
+class Polynomial:
+    """A sparse exact polynomial in n variables: int numerators over one
+    positive int denominator.
+
+    _nums maps packed exponents (see the module docstring) to nonzero ints,
+    and den > 0 with gcd(den, all numerators) == 1, den == 1 for zero: the
+    canonical form, compared directly by == and hash.  _ebound bounds every
+    exponent from above, so that a product or power checks for
+    ExponentOverflow once and not per term.
+
+    Polynomial(n, terms) validates a {exponent tuple: coefficient} mapping
+    through Fraction; .terms reads it back as a {exponent tuple: Fraction}
+    view.  Instances are immutable.
     """
 
-    __slots__ = ("n", "terms")
+    __slots__ = ("n", "den", "_nums", "_ebound")
 
     def __init__(self, n: int, terms: Mapping[Exponent, Fraction] | None = None):
-        if n < 1:
-            raise ValueError("variable count must be >= 1")
-        clean = {}
+        _check_n(n)
+        fracs = {}
+        ebound = 0
         if terms:
             for mono, coeff in terms.items():
-                if len(mono) != n:
-                    raise ValueError(f"monomial {mono} has wrong length for n={n}")
+                key = _pack(mono, n)
                 c = Fraction(coeff)
-                if c != 0:
-                    clean[tuple(mono)] = c
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "terms", clean)
+                if c:
+                    fracs[key] = c
+                    ebound = max(ebound, *mono)
+        den = lcm(*(c.denominator for c in fracs.values()))
+        nums = {k: c.numerator * (den // c.denominator) for k, c in fracs.items()}
+        _init(self, n, nums, den, ebound)
 
     def __setattr__(self, name, value):
         raise AttributeError("Polynomial is immutable")
+
+    @property
+    def terms(self) -> Mapping:
+        """Read-only {exponent tuple: Fraction} view of the nonzero terms."""
+        return _TermsView(self)
 
     # -- constructors ------------------------------------------------------
 
     @staticmethod
     def zero(n: int) -> "Polynomial":
-        return Polynomial(n)
+        _check_n(n)
+        return _poly(n, {}, 1, 0)
 
     @staticmethod
     def constant(c, n: int) -> "Polynomial":
-        return Polynomial(n, {(0,) * n: Fraction(c)})
+        _check_n(n)
+        return _constant(c, n)
 
     @staticmethod
     def variable(i: int, n: int) -> "Polynomial":
         """The polynomial x_i (1-based index)."""
         if not 1 <= i <= n:
             raise IndexError(f"variable index {i} out of range 1..{n}")
-        exp = [0] * n
-        exp[i - 1] = 1
-        return Polynomial(n, {tuple(exp): Fraction(1)})
+        return _poly(n, {1 << (FIELD_BITS * (n - i)): 1}, 1, 1)
 
     @staticmethod
     def monomial(exponents: Sequence[int], coeff, n: int) -> "Polynomial":
-        return Polynomial(n, {tuple(exponents): Fraction(coeff)})
+        _check_n(n)
+        exponents = tuple(exponents)
+        key = _pack(exponents, n)
+        num, den = _ratio(coeff)
+        return _poly(n, {key: num} if num else {}, den, max(exponents))
 
     # -- basic queries -----------------------------------------------------
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self._nums
 
     def is_constant(self) -> bool:
-        return all(all(e == 0 for e in mono) for mono in self.terms)
+        return self._nums.keys() <= {0}
 
     def constant_value(self) -> Fraction:
         """Coefficient of the constant monomial (0 if absent)."""
-        return self.terms.get((0,) * self.n, Fraction(0))
+        return Fraction(self._nums.get(0, 0), self.den)
 
     def coeff(self, exponents: Sequence[int]) -> Fraction:
-        return self.terms.get(tuple(exponents), Fraction(0))
+        """Coefficient of the monomial with these exponents (0 if absent)."""
+        try:
+            key = _pack(tuple(exponents), self.n)
+        except ValueError:
+            return Fraction(0)
+        return Fraction(self._nums.get(key, 0), self.den)
+
+    def support(self):
+        """Iterator over the exponent tuples of the nonzero terms."""
+        return map(_unpacker(self.n), self._nums)
+
+    def primitive(self) -> "Polynomial":
+        """The rational multiple of self with coprime integer coefficients and
+        a positive coefficient at the lexicographically largest monomial."""
+        nums = self._nums
+        if not nums:
+            return self
+        g = gcd(*nums.values())
+        if nums[max(nums)] < 0:
+            g = -g
+        return _poly(self.n, {k: c // g for k, c in nums.items()}, 1, self._ebound)
 
     def total_degree(self):
         """Standard total degree; MINUS_INFINITY for the zero polynomial."""
-        if not self.terms:
+        if not self._nums:
             return MINUS_INFINITY
-        return max(sum(mono) for mono in self.terms)
+        return max(map(sum, self.support()))
 
     def involves(self, i: int) -> bool:
         """True if x_i (1-based) occurs in some term."""
-        return any(mono[i - 1] > 0 for mono in self.terms)
+        shift = FIELD_BITS * (self.n - i)
+        return any(key >> shift & MAX_EXPONENT for key in self._nums)
 
     # -- ring operations ---------------------------------------------------
 
@@ -193,25 +297,35 @@ class Polynomial:
 
     def __add__(self, other):
         if isinstance(other, (int, Fraction)):
-            other = Polynomial.constant(other, self.n)
+            other = _constant(other, self.n)
         self._check_compatible(other)
-        out = dict(self.terms)
-        for mono, coeff in other.terms.items():
-            s = out.get(mono, Fraction(0)) + coeff
+        a, b = self._nums, other._nums
+        if not b:
+            return self
+        if not a:
+            return other
+        den = lcm(self.den, other.den)
+        fa, fb = den // self.den, den // other.den
+        if fa == fb == 1 and len(a) < len(b):
+            a, b = b, a
+        out = a.copy() if fa == 1 else {k: c * fa for k, c in a.items()}
+        get = out.get
+        for k, c in b.items():
+            s = get(k, 0) + c * fb
             if s:
-                out[mono] = s
+                out[k] = s
             else:
-                out.pop(mono, None)
-        return Polynomial(self.n, out)
+                del out[k]
+        return _canon(self.n, out, den, max(self._ebound, other._ebound))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Polynomial(self.n, {m: -c for m, c in self.terms.items()})
+        return _poly(self.n, {k: -c for k, c in self._nums.items()}, self.den, self._ebound)
 
     def __sub__(self, other):
         if isinstance(other, (int, Fraction)):
-            other = Polynomial.constant(other, self.n)
+            other = _constant(other, self.n)
         return self + (-other)
 
     def __rsub__(self, other):
@@ -219,30 +333,39 @@ class Polynomial:
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            c = Fraction(other)
-            if c == 0:
-                return Polynomial.zero(self.n)
-            return Polynomial(self.n, {m: co * c for m, co in self.terms.items()})
+            num, den = _ratio(other)
+            out = {k: c * num for k, c in self._nums.items()} if num else {}
+            return _canon(self.n, out, self.den * den, self._ebound)
         self._check_compatible(other)
-        if not self.terms or not other.terms:
-            return Polynomial.zero(self.n)
-        out: dict = {}
-        for ma, ca in self.terms.items():
-            for mb, cb in other.terms.items():
-                mono = tuple(x + y for x, y in zip(ma, mb))
-                s = out.get(mono, Fraction(0)) + ca * cb
-                if s:
-                    out[mono] = s
-                else:
-                    del out[mono]
-        return Polynomial(self.n, out)
+        a, b = self._nums, other._nums
+        if not a or not b:
+            return _poly(self.n, {}, 1, 0)
+        ebound = self._ebound + other._ebound
+        if ebound > MAX_EXPONENT:
+            ebound = _check_exponents(map(add, _degrees(self), _degrees(other)))
+        if len(a) > len(b):
+            a, b = b, a
+        if len(a) == 1:
+            [(ka, ca)] = a.items()
+            out = {ka + kb: ca * cb for kb, cb in b.items()}
+        else:
+            out = {}
+            get = out.get
+            for ka, ca in a.items():
+                for kb, cb in b.items():
+                    k = ka + kb
+                    out[k] = get(k, 0) + ca * cb
+            out = {k: c for k, c in out.items() if c}
+        return _canon(self.n, out, self.den * other.den, ebound)
 
     __rmul__ = __mul__
 
     def __pow__(self, k: int):
         if k < 0:
             raise ValueError("negative exponent")
-        result = Polynomial.constant(1, self.n)
+        if self._ebound * k > MAX_EXPONENT:
+            _check_exponents([e * k for e in _degrees(self)])
+        result = _constant(1, self.n)
         base = self
         while k:
             if k & 1:
@@ -258,10 +381,10 @@ class Polynomial:
     def __eq__(self, other):
         if not isinstance(other, Polynomial):
             return NotImplemented
-        return self.n == other.n and self.terms == other.terms
+        return self.n == other.n and self.den == other.den and self._nums == other._nums
 
     def __hash__(self):
-        return hash((self.n, frozenset(self.terms.items())))
+        return hash((self.n, self.den, frozenset(self._nums.items())))
 
     def __repr__(self):
         return f"Polynomial({self.n}, {format_poly(self)!r})"
@@ -270,7 +393,108 @@ class Polynomial:
         return format_poly(self)
 
 
+_new = object.__new__
+_set = object.__setattr__
+
+
+def _init(p: Polynomial, n: int, nums: dict, den: int, ebound: int):
+    _set(p, "n", n)
+    _set(p, "den", den)
+    _set(p, "_nums", nums)
+    _set(p, "_ebound", ebound)
+
+
+def _poly(n: int, nums: dict, den: int, ebound: int) -> Polynomial:
+    """The trusted constructor: nums and den are already in canonical form."""
+    p = _new(Polynomial)
+    _init(p, n, nums, den, ebound)
+    return p
+
+
+def _canon(n: int, nums: dict, den: int, ebound: int) -> Polynomial:
+    """The trusted constructor for nums without zero values over den > 0, not
+    yet reduced."""
+    if den != 1:
+        g = gcd(den, *nums.values())
+        if g != 1:
+            den //= g
+            nums = {k: c // g for k, c in nums.items()}
+    return _poly(n, nums, den, ebound)
+
+
+def _check_n(n: int):
+    if n < 1:
+        raise ValueError("variable count must be >= 1")
+
+
+def _ratio(c):
+    """(numerator, denominator) of a rational scalar, denominator > 0."""
+    if isinstance(c, int):
+        return c, 1
+    if not isinstance(c, Fraction):
+        c = Fraction(c)
+    return c.numerator, c.denominator
+
+
+def _constant(c, n: int) -> Polynomial:
+    num, den = _ratio(c)
+    return _poly(n, {0: num} if num else {}, den, 0)
+
+
+def _degrees(p: Polynomial) -> list:
+    """The degree of p in each variable (all 0 for p = 0)."""
+    degs = [0] * p.n
+    for mono in p.support():
+        degs = list(map(max, degs, mono))
+    return degs
+
+
+class _TermsView(Mapping):
+    """Read-only {exponent tuple: Fraction} view of a Polynomial's terms.
+
+    len() and membership tests build no Fraction.
+    """
+
+    __slots__ = ("_p",)
+
+    def __init__(self, p: Polynomial):
+        self._p = p
+
+    def __len__(self):
+        return len(self._p._nums)
+
+    def __iter__(self):
+        return self._p.support()
+
+    def _key(self, mono):
+        try:
+            return _pack(mono, self._p.n)
+        except (TypeError, ValueError):
+            return None
+
+    def __contains__(self, mono):
+        return self._key(mono) in self._p._nums
+
+    def __getitem__(self, mono) -> Fraction:
+        num = self._p._nums.get(self._key(mono))
+        if num is None:
+            raise KeyError(mono)
+        return Fraction(num, self._p.den)
+
+    def __repr__(self):
+        return repr(dict(self.items()))
+
+
 # -- weighted degrees and leading terms -----------------------------------
+
+
+def _scaled_degrees(p: Polynomial, w: WeightVector):
+    """(s, {packed exponent: s * weighted degree}) with s the least common
+    denominator of the weights, so that every degree is an int."""
+    s = lcm(*(wi.denominator for wi in w.weights))
+    ws = [wi.numerator * (s // wi.denominator) for wi in w.weights]
+    unpack = _unpacker(p.n)
+    return s, {key: sum(map(mul, unpack(key), ws)) for key in p._nums}
 
 
 def wdeg(p: Polynomial, w: WeightVector) -> WDegree:
@@ -280,10 +504,10 @@ def wdeg(p: Polynomial, w: WeightVector) -> WDegree:
     """
     if len(w) != p.n:
         raise ValueError("weight vector length does not match variable count")
-    if not p.terms:
+    if not p._nums:
         return MINUS_INFINITY
-    ws = w.weights
-    return max(sum(e * wi for e, wi in zip(mono, ws)) for mono in p.terms)
+    s, degs = _scaled_degrees(p, w)
+    return Fraction(max(degs.values()), s)
 
 
 def leading_term(p: Polynomial, w: WeightVector) -> Polynomial:
@@ -291,32 +515,30 @@ def leading_term(p: Polynomial, w: WeightVector) -> Polynomial:
 
     The result is weighted homogeneous, and the operation is idempotent.
     """
-    if not p.terms:
+    if not p._nums:
         return p
-    ws = w.weights
-    degs = {mono: sum(e * wi for e, wi in zip(mono, ws)) for mono in p.terms}
+    _, degs = _scaled_degrees(p, w)
     top = max(degs.values())
-    return Polynomial(p.n, {m: c for m, c in p.terms.items() if degs[m] == top})
+    return _part(p, {k: c for k, c in p._nums.items() if degs[k] == top})
 
 
 def homogeneous_component(p: Polynomial, w: WeightVector, degree) -> Polynomial:
     """The w-homogeneous part of p of the given weighted degree (may be 0)."""
-    ws = w.weights
-    return Polynomial(
-        p.n,
-        {
-            m: c
-            for m, c in p.terms.items()
-            if sum(e * wi for e, wi in zip(m, ws)) == degree
-        },
-    )
+    s, degs = _scaled_degrees(p, w)
+    target = degree * s
+    return _part(p, {k: c for k, c in p._nums.items() if degs[k] == target})
+
+
+def _part(p: Polynomial, nums: dict) -> Polynomial:
+    """The polynomial of some of p's terms, given as a subdict of p's numerators."""
+    if len(nums) == len(p._nums):
+        return p
+    return _canon(p.n, nums, p.den, p._ebound)
 
 
 def is_homogeneous(p: Polynomial, w: WeightVector) -> bool:
     """True if all terms of p share one weighted degree (vacuously for 0)."""
-    ws = w.weights
-    degs = {sum(e * wi for e, wi in zip(m, ws)) for m in p.terms}
-    return len(degs) <= 1
+    return len(set(_scaled_degrees(p, w)[1].values())) <= 1
 
 
 # -- calculus --------------------------------------------------------------
@@ -326,23 +548,23 @@ def partial(p: Polynomial, i: int) -> Polynomial:
     """Formal partial derivative dp/dx_i (1-based index)."""
     if not 1 <= i <= p.n:
         raise IndexError(f"variable index {i} out of range 1..{p.n}")
-    k = i - 1
+    shift = FIELD_BITS * (p.n - i)
+    unit = 1 << shift
     out = {}
-    for mono, coeff in p.terms.items():
-        e = mono[k]
-        if e == 0:
-            continue
-        new = list(mono)
-        new[k] = e - 1
-        out[tuple(new)] = coeff * e
-    return Polynomial(p.n, out)
+    for key, c in p._nums.items():
+        e = key >> shift & MAX_EXPONENT
+        if e:
+            out[key - unit] = c * e
+    return _canon(p.n, out, p.den, p._ebound)
 
 
 def compose(p: Polynomial, coords) -> Polynomial:
     """Substitute coords[i-1] for x_i in p, exactly.
 
     coords may be a sequence of Polynomials or anything with a .coords
-    attribute (a polynomial map); all must share p's variable count.
+    attribute (a polynomial map); all must share p's variable count.  The
+    terms are summed in one accumulator of numerators over a common
+    denominator.
     """
     cs = list(getattr(coords, "coords", coords))
     if len(cs) != p.n:
@@ -353,20 +575,33 @@ def compose(p: Polynomial, coords) -> Polynomial:
     for c in cs:
         if c.n != m:
             raise ValueError("coordinates have inconsistent variable counts")
-    # Per-variable power cache: powers[i][k] = coords[i] ** k.
-    powers = [[Polynomial.constant(1, m)] for _ in range(p.n)]
-    result = Polynomial.zero(m)
-    for mono, coeff in sorted(p.terms.items()):
-        term = Polynomial.constant(coeff, m)
-        for i, e in enumerate(mono):
-            if e == 0:
-                continue
-            cache = powers[i]
-            while len(cache) <= e:
-                cache.append(cache[-1] * cs[i])
-            term = term * cache[e]
-        result = result + term
-    return result
+    one = _constant(1, m)
+    # Per-variable power cache: powers[i][k] = coords[i] ** (k + 1).
+    powers = [[c] for c in cs]
+    unpack = _unpacker(p.n)
+    acc: dict = {}
+    den = 1
+    ebound = 0
+    for key, c in p._nums.items():
+        term = one
+        for i, e in enumerate(unpack(key)):
+            if e:
+                cache = powers[i]
+                while len(cache) < e:
+                    cache.append(cache[-1] * cs[i])
+                term = cache[e - 1] if term is one else term * cache[e - 1]
+        # acc / den += (c / p.den) * term
+        tden = p.den * term.den
+        if den % tden:
+            f = tden // gcd(den, tden)
+            acc = {k: v * f for k, v in acc.items()}
+            den *= f
+        f = c * (den // tden)
+        get = acc.get
+        for k, v in term._nums.items():
+            acc[k] = get(k, 0) + f * v
+        ebound = max(ebound, term._ebound)
+    return _canon(m, {k: v for k, v in acc.items() if v}, den, ebound)
 
 
 def jacobian(ps: Sequence[Polynomial]) -> Polynomial:
@@ -573,24 +808,28 @@ def format_poly(p: Polynomial, var: str = "x") -> str:
 
     Round-trips through parse_poly for var='x'.
     """
-    if not p.terms:
+    if not p._nums:
         return "0"
+    unpack = _unpacker(p.n)
     parts = []
-    for mono in sorted(p.terms, reverse=True):
-        coeff = p.terms[mono]
+    for key in sorted(p._nums, reverse=True):
+        num = p._nums[key]
+        g = gcd(num, p.den)
+        a, b = abs(num) // g, p.den // g
         factors = [
             f"{var}{i + 1}" if e == 1 else f"{var}{i + 1}^{e}"
-            for i, e in enumerate(mono)
+            for i, e in enumerate(unpack(key))
             if e > 0
         ]
+        coeff = str(a) if b == 1 else f"{a}/{b}"
         if not factors:
-            body = str(abs(coeff))
-        elif abs(coeff) == 1:
+            body = coeff
+        elif a == b == 1:
             body = "*".join(factors)
         else:
-            body = "*".join([str(abs(coeff))] + factors)
+            body = "*".join([coeff] + factors)
         if not parts:
-            parts.append(body if coeff > 0 else "-" + body)
+            parts.append(body if num > 0 else "-" + body)
         else:
-            parts.append((" + " if coeff > 0 else " - ") + body)
+            parts.append((" + " if num > 0 else " - ") + body)
     return "".join(parts)

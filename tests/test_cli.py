@@ -10,7 +10,7 @@ from polyaut.cli import main
 from polyaut.classify3 import WitnessVerificationFailed
 from polyaut.derivation import NoWitnessIndex
 from polyaut.groebner import ResourceCapExceeded
-from polyaut.polycore import parse_poly
+from polyaut.polycore import MAX_EXPONENT, parse_poly
 from polyaut.autmap import parse_word, parse_map
 from polyaut.relations import OracleMismatch
 
@@ -254,6 +254,25 @@ def test_zero_denominator_is_usage_error(capsys, argv):
     assert captured.err.splitlines() == ["error: zero denominator in '1/0'"]
 
 
+def test_nonpositive_weights_echo_the_input(capsys):
+    status = main(["relations", "--map", "x1;x2", "--weights", "0,1"])
+    captured = capsys.readouterr()
+    assert status == 2
+    assert captured.out == ""
+    assert "'0,1'" in captured.err
+    assert "Fraction(" not in captured.err
+
+
+def test_exponent_overflow_is_domain_outcome(capsys):
+    status = main(["compose", "--map", f"x1^{MAX_EXPONENT + 1}; x2"])
+    captured = capsys.readouterr()
+    assert status == 1
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        f"error: exponent {MAX_EXPONENT + 1} exceeds the largest exponent {MAX_EXPONENT}"
+    ]
+
+
 def test_other_value_errors_stay_usage_errors(capsys):
     status = main(["lnd-witness", "--map", "x1+x2^2; x2", "--inverse", "x1; x2; x3"])
     captured = capsys.readouterr()
@@ -266,8 +285,9 @@ def test_other_value_errors_stay_usage_errors(capsys):
     [
         (["relations", "--word", "E 1 x2^2; T 1 2"], 1),
         (["invert", "--word", "E 1 x2^2; T 1 2"], 1),
-        # The forward map twice (lnd_witness, relation_report), the inverse once.
-        (["lnd-witness", "--word", "E 1 x2^2"], 3),
+        # The forward map once (relation_report, whose map lnd_witness
+        # reuses), the inverse once.
+        (["lnd-witness", "--word", "E 1 x2^2"], 2),
     ],
     ids=["relations", "invert", "lnd-witness"],
 )

@@ -9,7 +9,9 @@ from hypothesis import given, settings, strategies as st
 
 from polyaut.autmap import Affine, AutWord, invert_generator, word_jacobian
 from polyaut.polycore import (
+    MAX_EXPONENT,
     MINUS_INFINITY,
+    ExponentOverflow,
     Polynomial,
     PolyParseError,
     WeightVector,
@@ -289,6 +291,239 @@ def test_homogeneous_components_sum(p, w):
     for d in degs:
         total = total + homogeneous_component(p, w, d)
     assert total == p
+
+
+# -- the integer core against {tuple: Fraction} reference arithmetic -----------
+#
+# The reference below is the dict-of-Fractions arithmetic the packed integer
+# core replaced, kept here only as an independent model of the same ring.
+
+
+def _ref_clean(a):
+    return {m: c for m, c in a.items() if c}
+
+
+def _ref_add(a, b):
+    out = dict(a)
+    for m, c in b.items():
+        out[m] = out.get(m, 0) + c
+    return _ref_clean(out)
+
+
+def _ref_neg(a):
+    return {m: -c for m, c in a.items()}
+
+
+def _ref_mul(a, b):
+    out = {}
+    for ma, ca in a.items():
+        for mb, cb in b.items():
+            m = tuple(x + y for x, y in zip(ma, mb))
+            out[m] = out.get(m, 0) + ca * cb
+    return _ref_clean(out)
+
+
+def _ref_one(n):
+    return {(0,) * n: Fraction(1)}
+
+
+def _ref_pow(a, k, n):
+    out = _ref_one(n)
+    for _ in range(k):
+        out = _ref_mul(out, a)
+    return out
+
+
+def _ref_compose(a, coords, m):
+    total = {}
+    for mono, c in a.items():
+        term = {(0,) * m: c}
+        for coord, e in zip(coords, mono):
+            for _ in range(e):
+                term = _ref_mul(term, coord)
+        total = _ref_add(total, term)
+    return total
+
+
+def _ref_partial(a, i):
+    out = {}
+    for mono, c in a.items():
+        if mono[i]:
+            out[mono[:i] + (mono[i] - 1,) + mono[i + 1:]] = c * mono[i]
+    return out
+
+
+def _ref_det(rows):
+    if len(rows) == 1:
+        return rows[0][0]
+    total = {}
+    for j, entry in enumerate(rows[0]):
+        minor = _ref_det([row[:j] + row[j + 1:] for row in rows[1:]])
+        term = _ref_mul(entry, minor)
+        total = _ref_add(total, _ref_neg(term) if j % 2 else term)
+    return total
+
+
+def _ref_degrees(a, ws):
+    return {m: sum(e * w for e, w in zip(m, ws)) for m in a}
+
+
+#: Coefficients over several coprime denominators.
+COEFFS = st.builds(Fraction, st.integers(-12, 12), st.sampled_from([1, 2, 3, 5, 6, 7, 35]))
+WEIGHTS = st.sampled_from([Fraction(1, 2), Fraction(1), Fraction(3, 2), Fraction(2),
+                           Fraction(5, 3), Fraction(3)])
+
+
+def ref_polys(n, max_terms=4, max_exp=3):
+    return st.dictionaries(
+        st.tuples(*[st.integers(0, max_exp)] * n), COEFFS, max_size=max_terms
+    ).map(_ref_clean)
+
+
+@st.composite
+def ref_pairs(draw, sizes=(1, 2, 3, 4, 12)):
+    """(n, a, b) with some of b's terms chosen to cancel a's exactly."""
+    n = draw(st.sampled_from(sizes))
+    a = draw(ref_polys(n))
+    b = draw(ref_polys(n))
+    for m in sorted(a):
+        if draw(st.booleans()):
+            b[m] = -a[m]
+    return n, a, b
+
+
+def _poly(n, a):
+    p = Polynomial(n, a)
+    assert p.terms == a
+    return p
+
+
+@settings(max_examples=150, deadline=None)
+@given(ref_pairs(), COEFFS, st.integers(-5, 5))
+def test_core_ring_operations_match_reference(nab, c, k):
+    n, a, b = nab
+    p, q = _poly(n, a), _poly(n, b)
+    assert (p + q).terms == _ref_add(a, b)
+    assert (p - q).terms == _ref_add(a, _ref_neg(b))
+    assert (-p).terms == _ref_neg(a)
+    assert (p * q).terms == _ref_mul(a, b)
+    assert (p * k).terms == (k * p).terms == _ref_clean({m: v * k for m, v in a.items()})
+    assert (p * c).terms == _ref_clean({m: v * c for m, v in a.items()})
+    # Equal polynomials reached along different paths are equal and hash equal.
+    s1, s2 = p + q, Polynomial(n, _ref_add(a, b))
+    assert s1 == s2 and hash(s1) == hash(s2)
+    assert (q + p) - q == p and hash((q + p) - q) == hash(p)
+
+
+@settings(max_examples=60, deadline=None)
+@given(ref_pairs(), st.integers(0, 4))
+def test_core_power_matches_reference(nab, k):
+    n, a, _ = nab
+    small = dict(sorted(a.items())[:3])
+    assert (_poly(n, small) ** k).terms == _ref_pow(small, k, n)
+
+
+@st.composite
+def ref_maps(draw, sizes=(1, 2, 3)):
+    n = draw(st.sampled_from(sizes))
+    p = draw(ref_polys(n, max_terms=3, max_exp=2))
+    coords = [draw(ref_polys(n, max_terms=3, max_exp=2)) for _ in range(n)]
+    return n, p, coords
+
+
+@settings(max_examples=60, deadline=None)
+@given(ref_maps())
+def test_core_compose_matches_reference(npc):
+    n, a, coords = npc
+    out = compose(_poly(n, a), [_poly(n, c) for c in coords])
+    assert out.terms == _ref_compose(a, coords, n)
+
+
+@settings(max_examples=60, deadline=None)
+@given(ref_pairs())
+def test_core_partial_matches_reference(nab):
+    n, a, _ = nab
+    p = _poly(n, a)
+    for i in range(n):
+        assert partial(p, i + 1).terms == _ref_partial(a, i)
+
+
+@settings(max_examples=60, deadline=None)
+@given(ref_maps())
+def test_core_jacobian_matches_reference(npc):
+    n, _, coords = npc
+    rows = [[_ref_partial(c, j) for j in range(n)] for c in coords]
+    assert jacobian([_poly(n, c) for c in coords]).terms == _ref_det(rows)
+
+
+@settings(max_examples=100, deadline=None)
+@given(ref_pairs(), st.data())
+def test_core_weighted_degrees_match_reference(nab, data):
+    n, a, _ = nab
+    ws = tuple(data.draw(st.lists(WEIGHTS, min_size=n, max_size=n)))
+    w = WeightVector(ws)
+    p = _poly(n, a)
+    degs = _ref_degrees(a, ws)
+    if not a:
+        assert wdeg(p, w) is MINUS_INFINITY
+        assert leading_term(p, w).is_zero()
+        return
+    top = max(degs.values())
+    assert wdeg(p, w) == top
+    assert leading_term(p, w).terms == {m: c for m, c in a.items() if degs[m] == top}
+    for d in set(degs.values()) | {top + 1, Fraction(1, 7)}:
+        assert homogeneous_component(p, w, d).terms == {
+            m: c for m, c in a.items() if degs[m] == d
+        }
+
+
+@settings(max_examples=100, deadline=None)
+@given(ref_pairs())
+def test_core_format_round_trips(nab):
+    n, a, b = nab
+    for p in (_poly(n, a), _poly(n, a) * _poly(n, b)):
+        text = format_poly(p)
+        assert parse_poly(text, n) == p
+        assert hash(parse_poly(text, n)) == hash(p)
+
+
+# -- the exponent field bound --------------------------------------------------
+
+
+def test_largest_exponent_builds_and_formats():
+    top = Polynomial.monomial((MAX_EXPONENT,), Fraction(-3, 2), 1)
+    assert top.terms == {(MAX_EXPONENT,): Fraction(-3, 2)}
+    assert format_poly(top) == f"-3/2*x1^{MAX_EXPONENT}"
+    assert parse_poly(format_poly(top), 1) == top
+    assert parse_poly(f"x1^{MAX_EXPONENT}", 1) == Polynomial.monomial((MAX_EXPONENT,), 1, 1)
+    # Fields are separate: the largest exponent in every variable fits.
+    x1, x2 = (Polynomial.monomial(e, 1, 2) for e in [(MAX_EXPONENT, 0), (0, MAX_EXPONENT)])
+    assert (x1 * x2).terms == {(MAX_EXPONENT, MAX_EXPONENT): 1}
+
+
+def test_exponent_overflow_raises_typed_error():
+    top = Polynomial.monomial((MAX_EXPONENT,), 1, 1)
+    x1 = Polynomial.variable(1, 1)
+    with pytest.raises(ExponentOverflow):
+        parse_poly(f"x1^{MAX_EXPONENT + 1}", 1)
+    with pytest.raises(ExponentOverflow):
+        top * x1
+    with pytest.raises(ExponentOverflow):
+        top ** 2
+    with pytest.raises(ExponentOverflow):
+        Polynomial(2, {(0, MAX_EXPONENT + 1): 1})
+    with pytest.raises(ExponentOverflow):
+        Polynomial.monomial((MAX_EXPONENT + 1, 0), 1, 2)
+    assert issubclass(ExponentOverflow, ValueError)
+
+
+def test_exponent_bound_is_checked_exactly():
+    # top + 1 - top carries the bound of top, but its product with x1 fits.
+    top = Polynomial.monomial((MAX_EXPONENT - 1,), 1, 1)
+    one = top + 1 - top
+    assert one == Polynomial.constant(1, 1)
+    x1 = Polynomial.variable(1, 1)
+    assert one * x1 * x1 == x1 ** 2
 
 
 # -- exact row elimination -----------------------------------------------------
