@@ -180,11 +180,12 @@ class Polynomial:
     """A sparse exact polynomial in n variables: int numerators over one
     positive int denominator.
 
-    _nums maps packed exponents (see the module docstring) to nonzero ints,
-    and den > 0 with gcd(den, all numerators) == 1, den == 1 for zero: the
-    canonical form, compared directly by == and hash.  _ebound bounds every
-    exponent from above, so that a product or power checks for
-    ExponentOverflow once and not per term.
+    _nums maps packed exponents (one FIELD_BITS = 32-bit field per
+    variable, x1 most significant) to nonzero ints, and den > 0 with
+    gcd(den, all numerators) == 1, den == 1 for zero: the canonical form,
+    compared directly by == and hash.  _ebound bounds every exponent from
+    above, so that a product or power checks once, not per term, whether
+    an exponent would pass MAX_EXPONENT and raises ExponentOverflow then.
 
     Polynomial(n, terms) validates a {exponent tuple: coefficient} mapping
     through Fraction; .terms reads it back as a {exponent tuple: Fraction}
