@@ -65,9 +65,7 @@ from .relations import (
     RelationReport,
     check_degree_lemma,
     check_parachute,
-    order_in_R,
     relation_report,
-    support_bound_holds,
 )
 from .jvdk import (
     Decomposition,

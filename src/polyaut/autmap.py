@@ -14,9 +14,12 @@ and expand([g1,..,gk]) = G1 o G2 o .. o Gk.  A word carries its own
 certificate of invertibility: invert_word reverses the list and inverts
 each generator.
 
-Raw PolyMaps are accepted elsewhere in the library but are only *certified*
-as automorphisms through the two-variable decomposition (jvdk) or, for
-n >= 3, the non-certifying constant-Jacobian check jacobian_constant.
+certify(phi) returns the pair every later step needs, the coordinate map F
+and its constant Jacobian mu.  For a word, F is its expansion and mu the
+product of the generator determinants (each Affine keeps its det).  A raw
+PolyMap is only *certified* as an automorphism through the two-variable
+decomposition (jvdk); certify applies the necessary but, for n >= 2, not
+sufficient check that its Jacobian is a nonzero constant (jacobian_constant).
 
 Text formats (used by the CLI and the tests):
   word: one generator per line,
@@ -26,7 +29,7 @@ Text formats (used by the CLI and the tests):
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Union
 
@@ -57,6 +60,7 @@ class Affine:
 
     matrix: tuple  # n rows, each a tuple of n Fractions
     shift: tuple  # n Fractions
+    det: Fraction = field(init=False, repr=False, compare=False)  # det(M)
 
     def __post_init__(self):
         m = tuple(tuple(Fraction(a) for a in row) for row in self.matrix)
@@ -66,8 +70,10 @@ class Affine:
             raise ValueError("affine generator needs a square matrix and a matching shift")
         object.__setattr__(self, "matrix", m)
         object.__setattr__(self, "shift", s)
-        if _rref(m)[2] == 0:
+        det = _rref(m)[2]
+        if det == 0:
             raise ValueError("affine generator has singular matrix")
+        object.__setattr__(self, "det", det)
 
     @property
     def n(self) -> int:
@@ -261,10 +267,21 @@ def word_jacobian(word: AutWord) -> Fraction:
     mu = Fraction(1)
     for g in word.gens:
         if isinstance(g, Affine):
-            mu *= _rref(g.matrix)[2]
+            mu *= g.det
         elif isinstance(g, Transposition):
             mu *= -1
     return mu
+
+
+def certify(phi: AutWord | PolyMap) -> tuple:
+    """(F, mu): the coordinate map of phi and its constant Jacobian.
+
+    A word is expanded and mu is read from its generators; a raw map must
+    pass jacobian_constant (ZeroJacobian / NonConstantJacobian otherwise).
+    """
+    if isinstance(phi, AutWord):
+        return expand(phi), word_jacobian(phi)
+    return phi, jacobian_constant(phi)
 
 
 def deg2_weights(m: PolyMap, w1: WeightVector) -> WeightVector:

@@ -328,11 +328,9 @@ def cmd_classify3(args) -> int:
 def cmd_lnd_witness(args) -> int:
     source = _load_map_or_word(args)
     w1 = _weights(args.weights, source.n)
-    inv = None
-    if not isinstance(source, AutWord):
-        if not args.inverse:
-            raise CliError("a raw map needs --inverse (or pass a --word)")
-        inv = parse_map(_split_lines(args.inverse), source.n)
+    if not (args.inverse or isinstance(source, AutWord)):
+        raise CliError("a raw map needs --inverse (or pass a --word)")
+    inv = parse_map(_split_lines(args.inverse), source.n) if args.inverse else None
     report = relation_report(source, w1)
     i, dbar = lnd_witness(source, w1, inverse=inv, report=report)
     verdict = is_locally_nilpotent(dbar)
@@ -426,7 +424,8 @@ def _add_input_flags(p, with_inverse=False):
     p.add_argument("--word-file", help="file with one generator per line")
     p.add_argument("--n", type=int, help="variable count (inferred when omitted)")
     if with_inverse:
-        p.add_argument("--inverse", help="inverse map for raw-map input")
+        p.add_argument("--inverse",
+                       help="inverse map for raw-map input (a word carries its own)")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -36,12 +36,11 @@ from typing import Union
 from .autmap import (
     AutWord,
     PolyMap,
+    certify,
     compose_map,
     deg2_weights,
     expand,
     invert_word,
-    jacobian_constant,
-    word_jacobian,
 )
 from .polycore import (
     MINUS_INFINITY,
@@ -259,27 +258,24 @@ def lnd_witness(phi: AutWord | PolyMap, w1: WeightVector,
     leading part is locally nilpotent and annihilates a principal relation
     generator.
 
-    Word input carries its own inverse and Jacobian constant; a raw PolyMap
-    needs an explicit inverse, which is verified by exact composition
-    (InverseMismatch otherwise).  A relation report computed for phi
-    supplies the expanded forward map.
+    Word input carries its own inverse (ValueError if one is supplied); a
+    raw PolyMap needs an explicit inverse, which is verified by exact
+    composition (InverseMismatch otherwise).  The forward map and its
+    Jacobian constant come from a relation report computed for phi, or
+    else from certify(phi).
     """
-    if report is not None:
-        fwd = report.m
-    elif isinstance(phi, AutWord):
-        fwd = expand(phi)
-    else:
-        fwd = phi
     if isinstance(phi, AutWord):
+        if inverse is not None:
+            raise ValueError("a word carries its own inverse; pass no inverse with it")
+    elif inverse is None:
+        raise ValueError("a raw PolyMap needs an explicit inverse")
+    fwd, mu = (report.m, report.mu) if report is not None else certify(phi)
+    if inverse is None:
         inv = expand(invert_word(phi))
-        mu = word_jacobian(phi)
     else:
-        if inverse is None:
-            raise ValueError("a raw PolyMap needs an explicit inverse")
         inv = inverse
         if not compose_map(fwd, inv).is_identity() or not compose_map(inv, fwd).is_identity():
             raise InverseMismatch("supplied inverse does not invert the map")
-        mu = jacobian_constant(fwd)
     if len(w1) != fwd.n:
         raise ValueError("weight vector length does not match map")
     d = deg2_weights(fwd, w1)

@@ -101,15 +101,6 @@ def _mono_quot(a, b):
     return tuple(x - y for x, y in zip(a, b))
 
 
-def content_normalize(p: Polynomial) -> Polynomial:
-    """Scale p so its coefficients are coprime integers with no common factor.
-
-    Keeps the sign of the lexicographically largest monomial's coefficient.
-    Controls coefficient blow-up inside Buchberger.
-    """
-    return p.primitive()
-
-
 def monic(p: Polynomial, order: MonomialOrder) -> Polynomial:
     if p.is_zero():
         return p
@@ -209,10 +200,6 @@ def divmod_single(p: Polynomial, d: Polynomial,
     return q, r
 
 
-def s_polynomial(f: Polynomial, g: Polynomial, order: MonomialOrder) -> Polynomial:
-    return _s_pair(f, leading_monomial(f, order), g, leading_monomial(g, order))
-
-
 def _s_pair(f: Polynomial, lf, g: Polynomial, lg) -> Polynomial:
     """The S-polynomial of f and g with leading monomials lf and lg."""
     l = _mono_lcm(lf, lg)
@@ -230,7 +217,7 @@ def buchberger(gens: Sequence[Polynomial], order: MonomialOrder,
     intermediate polynomial is content-normalized.  Raises
     ResourceCapExceeded after pair_cap S-pair reductions.
     """
-    G = [content_normalize(g) for g in gens if not g.is_zero()]
+    G = [g.primitive() for g in gens if not g.is_zero()]
     if not G:
         n = gens[0].n if gens else 1
         return IdealBasis((), order, n)
@@ -269,7 +256,7 @@ def buchberger(gens: Sequence[Polynomial], order: MonomialOrder,
         rem = _divide(_s_pair(G[i], li, G[j], lj), G, lms, order)
         if rem.is_zero():
             continue
-        rem = content_normalize(rem)
+        rem = rem.primitive()
         G.append(rem)
         lms.append(leading_monomial(rem, order))
         new = len(G) - 1
@@ -307,7 +294,7 @@ def _reduce_basis(G, order, n) -> IdealBasis:
                 changed = True
                 break
             if r != keep[i]:
-                keep[i] = content_normalize(r)
+                keep[i] = r.primitive()
                 keep_lms[i] = leading_monomial(keep[i], order)
                 changed = True
                 break

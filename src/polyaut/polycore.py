@@ -376,9 +376,6 @@ class Polynomial:
                 base = base * base
         return result
 
-    def scale(self, c) -> "Polynomial":
-        return self * Fraction(c)
-
     def __eq__(self, other):
         if not isinstance(other, Polynomial):
             return NotImplemented
@@ -492,6 +489,8 @@ class _TermsView(Mapping):
 def _scaled_degrees(p: Polynomial, w: WeightVector):
     """(s, {packed exponent: s * weighted degree}) with s the least common
     denominator of the weights, so that every degree is an int."""
+    if len(w) != p.n:
+        raise ValueError("weight vector length does not match variable count")
     s = lcm(*(wi.denominator for wi in w.weights))
     ws = [wi.numerator * (s // wi.denominator) for wi in w.weights]
     unpack = _unpacker(p.n)
@@ -503,11 +502,9 @@ def wdeg(p: Polynomial, w: WeightVector) -> WDegree:
 
     Returns MINUS_INFINITY exactly for the zero polynomial.
     """
-    if len(w) != p.n:
-        raise ValueError("weight vector length does not match variable count")
-    if not p._nums:
-        return MINUS_INFINITY
     s, degs = _scaled_degrees(p, w)
+    if not degs:
+        return MINUS_INFINITY
     return Fraction(max(degs.values()), s)
 
 
@@ -516,9 +513,9 @@ def leading_term(p: Polynomial, w: WeightVector) -> Polynomial:
 
     The result is weighted homogeneous, and the operation is idempotent.
     """
-    if not p._nums:
-        return p
     _, degs = _scaled_degrees(p, w)
+    if not degs:
+        return p
     top = max(degs.values())
     return _part(p, {k: c for k, c in p._nums.items() if degs[k] == top})
 

@@ -9,10 +9,11 @@ principality and monic generator R, the drop bound
     deg2(R) <= nabla + 1,
 
 and, for small integer weights, an independent graded-slice oracle shadow
-check of the kernel computation.  The report keeps the expanded map m it
-was computed from (the word's expansion, or the raw map after its Jacobian
-check), so later steps on the same automorphism compose with report.m
-instead of expanding or certifying the input again.
+check of the kernel computation.  The report keeps the certified pair it
+was computed from, autmap.certify(phi): the expanded map report.m and its
+constant Jacobian report.mu.  Later steps on the same automorphism compose
+with report.m and read report.mu instead of expanding or certifying the
+input again.
 
 Relation-ideal elements are returned as n-variable polynomials; read their
 variables as z1..zn (the i-th slot stands for the leading term of f_i).
@@ -26,10 +27,7 @@ The module also exposes the two degree inequalities as testable predicates:
     deg2-leading term of a nonzero P lies in the relation ideal;
   * check_parachute:     deg1(P o F) >= deg1(d^k P/dx^k o F) + k*d - k*nabla,
     the k-fold minoration that prevents composition from dropping degrees
-    arbitrarily far;
-
-and order_in_R, the largest k with the deg2-leading term of P in (R^k),
-decided by iterated exact division.
+    arbitrarily far.
 """
 
 from __future__ import annotations
@@ -37,11 +35,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .autmap import AutWord, PolyMap, deg2_weights, expand, jacobian_constant
+from .autmap import AutWord, PolyMap, certify, deg2_weights
 from .groebner import (
     DEFAULT_PAIR_CAP,
     IdealBasis,
-    divmod_single,
     graded_kernel_oracle,
     is_principal,
     kernel_ideal,
@@ -68,6 +65,7 @@ class RelationReport:
     """Everything the pipeline computes for one map and one degree."""
 
     m: PolyMap  # the expanded map the report was computed from
+    mu: Fraction  # its constant Jacobian
     n: int
     w1: WeightVector
     d: WeightVector
@@ -98,13 +96,6 @@ class RelationReport:
         }
 
 
-def _as_map(phi: AutWord | PolyMap) -> PolyMap:
-    if isinstance(phi, AutWord):
-        return expand(phi)
-    jacobian_constant(phi)  # necessary check for raw maps; raises otherwise
-    return phi
-
-
 def relation_report(phi: AutWord | PolyMap, w1: WeightVector | None = None,
                     oracle_shadow: bool = True,
                     pair_cap: int = DEFAULT_PAIR_CAP) -> RelationReport:
@@ -116,7 +107,7 @@ def relation_report(phi: AutWord | PolyMap, w1: WeightVector | None = None,
     OracleMismatch; the bound pins down exactly where a principal generator
     can live, so the oracle sees all of it.
     """
-    m = _as_map(phi)
+    m, mu = certify(phi)
     n = m.n
     if w1 is None:
         w1 = WeightVector.standard(n)
@@ -134,8 +125,9 @@ def relation_report(phi: AutWord | PolyMap, w1: WeightVector | None = None,
     else:
         bound_ok = True
     report = RelationReport(
-        m=m, n=n, w1=w1, d=d, fbars=fbars, ideal=ideal, principal=principal,
-        R=R, deg2_of_R=deg2_of_R, parachute=nabla, bound_ok=bound_ok,
+        m=m, mu=mu, n=n, w1=w1, d=d, fbars=fbars, ideal=ideal,
+        principal=principal, R=R, deg2_of_R=deg2_of_R, parachute=nabla,
+        bound_ok=bound_ok,
     )
     if (
         oracle_shadow
@@ -198,7 +190,7 @@ def check_parachute(phi: AutWord | PolyMap, p: Polynomial, k: int,
     """
     if k < 0:
         raise ValueError("k must be >= 0")
-    m = _as_map(phi)
+    m, _ = certify(phi)
     n = m.n
     if var is None:
         var = n
@@ -213,33 +205,3 @@ def check_parachute(phi: AutWord | PolyMap, p: Polynomial, k: int,
         return True
     rhs = wdeg(compose(pk, m.coords), w1) + k * d[var] - k * nabla
     return lhs >= rhs
-
-
-def order_in_R(p: Polynomial, R: Polynomial, d: WeightVector) -> int:
-    """Largest k with the deg2-leading term of P in (R^k), via iterated
-    exact division by R (k = 0 when R does not divide the leading term)."""
-    if R.is_zero() or R.is_constant():
-        raise ValueError("R must be a nonzero non-unit")
-    current = leading_term(p, d)
-    k = 0
-    while not current.is_zero():
-        q, r = divmod_single(current, R)
-        if not r.is_zero():
-            break
-        current = q
-        k += 1
-    return k
-
-
-def support_bound_holds(R: Polynomial, d: WeightVector) -> bool:
-    """Every exponent a in the support of R satisfies a . d <= sum(d) - 2.
-
-    For deg2-homogeneous R this is one inequality: deg2(R) <= sum(d) - 2,
-    the n = 3 specialization of the drop bound that constrains which
-    monomials a principal relation generator can contain.
-    """
-    budget = d.total() - 2
-    ws = d.weights
-    return all(
-        sum(e * w for e, w in zip(mono, ws)) <= budget for mono in R.terms
-    )

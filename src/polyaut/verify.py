@@ -94,13 +94,6 @@ class SuiteResult:
     def failures(self):
         return [c for c in self.cases if not c.ok]
 
-    def summary(self) -> str:
-        status = "PASS" if self.passed else "FAIL"
-        return (
-            f"{status} {self.name}: {len(self.cases) - len(self.failures)}/"
-            f"{len(self.cases)} cases, seed={self.seed}, {self.elapsed:.2f}s"
-        )
-
 
 # -- random corpora ----------------------------------------------------------
 
@@ -331,7 +324,7 @@ def run_lnd_witness(seed: int, count: int) -> SuiteResult:
             w1 = WeightVector.standard(n)
             report = relation_report(word)
             try:
-                i, dbar = lnd_witness(word, w1)
+                i, dbar = lnd_witness(word, w1, report=report)
             except Exception as exc:  # noqa: BLE001 - reported as a failure
                 yield CaseResult(idx, False, f"witness failed: {exc}")
                 continue

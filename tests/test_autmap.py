@@ -13,6 +13,7 @@ from polyaut.autmap import (
     PolyMap,
     Transposition,
     ZeroJacobian,
+    certify,
     compose_map,
     deg2_weights,
     expand,
@@ -111,6 +112,38 @@ def test_word_jacobian_matches_expansion():
     for _ in range(12):
         w = random_tame_word(rng, 2, max_gens=5, max_coord_deg=10)
         assert jacobian_constant(expand(w)) == word_jacobian(w)
+
+
+def test_certify_words_and_raw_maps():
+    rng = random.Random(10)
+    for n in (2, 2, 3, 3):
+        w = random_tame_word(rng, n, max_gens=5, max_coord_deg=8 if n == 2 else 5)
+        assert certify(w) == (expand(w), word_jacobian(w))
+        m = expand(w)
+        assert certify(m) == (m, jacobian_constant(m))
+    with pytest.raises(NonConstantJacobian):
+        certify(parse_map("x1^2\nx2", 2))
+
+
+def test_affine_keeps_its_determinant_outside_eq_and_repr():
+    a = Affine(((2, 1), (3, 4)), (0, 1))
+    assert a.det == 5
+    assert a == Affine(((2, 1), (3, 4)), (0, 1))
+    assert hash(a) == hash(Affine(((2, 1), (3, 4)), (0, 1)))
+    assert "det" not in repr(a)
+    assert format_word(AutWord(2, (a,))) == "A 2 1 3 4 | 0 1"
+
+
+def test_word_jacobian_runs_no_elimination(count_calls):
+    from polyaut import polycore
+
+    rng = random.Random(11)
+    words = [random_tame_word(rng, 3, max_gens=6, max_coord_deg=5) for _ in range(4)]
+    assert any(isinstance(g, Affine) for w in words for g in w)
+    rref_calls = count_calls(polycore, "_rref")
+    for w in words:
+        word_jacobian(w)
+    assert rref_calls == []
 
 
 def test_deg2_weights_identity():

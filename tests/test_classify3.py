@@ -29,8 +29,7 @@ from polyaut.classify3 import (
     sample_forbidden,
 )
 from polyaut.derivation import LocallyNilpotent, apply, is_locally_nilpotent
-from polyaut.polycore import Polynomial, WeightVector, compose, parse_poly
-from polyaut.relations import support_bound_holds
+from polyaut.polycore import Polynomial, WeightVector, compose, parse_poly, wdeg
 
 
 def P(text):
@@ -297,7 +296,7 @@ def test_sampler_round_trip_all_lines():
     for tag in NONZERO_TAGS:
         for _ in range(3):
             R, d = sample_classified(tag, rng)
-            assert support_bound_holds(R, d)
+            assert wdeg(R, d) <= d.total() - 2
             out = classify(R, d)
             assert isinstance(out, Classified), (tag, out)
             assert out.info.tag is tag, (tag, out.info.tag)

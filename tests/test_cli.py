@@ -297,6 +297,25 @@ def test_word_input_expansions(capsys, expand_calls, argv, expands):
     assert len(expand_calls) == expands
 
 
+def test_raw_map_witness_computes_one_jacobian(capsys, count_calls):
+    # relation_report certifies the map once; lnd_witness reads report.mu.
+    from polyaut import polycore
+
+    jacobian_calls = count_calls(polycore, "jacobian")
+    assert main(["lnd-witness", "--map", "x1+x2^2; x2", "--inverse", "x1-x2^2; x2"]) == 0
+    capsys.readouterr()
+    assert len(jacobian_calls) == 1
+
+
+def test_inverse_with_word_is_usage_error(capsys):
+    status = main(["lnd-witness", "--word", "E 1 x2^2", "--inverse", "x1 + 5; x2^7"])
+    captured = capsys.readouterr()
+    assert status == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert "inverse" in captured.err
+
+
 @pytest.mark.parametrize("word", ["T", "T 1", "T a b"])
 def test_malformed_transposition_is_usage_error(capsys, word):
     status = main(["compose", "--word", word])

@@ -260,6 +260,13 @@ def test_lnd_witness_requires_inverse_for_raw_maps():
         lnd_witness(parse_map("x1 + x2^2\nx2", 2), WeightVector.standard(2))
 
 
+def test_lnd_witness_rejects_an_inverse_with_a_word():
+    # A word carries its own inverse; a supplied one is an error, not ignored.
+    w = AutWord(2, (Elementary(1, P("x2^2", 2)),))
+    with pytest.raises(ValueError, match="carries its own inverse"):
+        lnd_witness(w, WeightVector.standard(2), inverse=parse_map("x1 + 5\nx2^7", 2))
+
+
 def test_intertwining_identities_on_random_words():
     rng = random.Random(11)
     for _ in range(8):

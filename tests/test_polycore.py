@@ -129,6 +129,20 @@ def test_wdeg_standard():
     assert wdeg(P("x1^2*x2", 2), std(2)) == 3
 
 
+@pytest.mark.parametrize("weights", [(1,), (1, 1, 1)])
+@pytest.mark.parametrize("fn", [
+    wdeg,
+    leading_term,
+    lambda p, w: homogeneous_component(p, w, 2),
+    is_homogeneous,
+], ids=["wdeg", "leading_term", "homogeneous_component", "is_homogeneous"])
+def test_weight_vector_length_must_match(fn, weights):
+    # A mismatched weight vector is rejected, not truncated by zip.
+    for p in (P("x1^2 + x2^5", 2), Polynomial.zero(2)):
+        with pytest.raises(ValueError, match="weight vector length"):
+            fn(p, WeightVector(weights))
+
+
 def test_minus_infinity_ordering():
     assert MINUS_INFINITY < Fraction(-100)
     assert not (MINUS_INFINITY < MINUS_INFINITY)

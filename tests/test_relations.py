@@ -5,7 +5,14 @@ from fractions import Fraction
 
 import pytest
 
-from polyaut.autmap import AutWord, Elementary, expand, parse_map
+from polyaut.autmap import (
+    AutWord,
+    Elementary,
+    expand,
+    jacobian_constant,
+    parse_map,
+    word_jacobian,
+)
 from polyaut.polycore import (
     MINUS_INFINITY,
     Polynomial,
@@ -15,9 +22,7 @@ from polyaut.polycore import (
 from polyaut.relations import (
     check_degree_lemma,
     check_parachute,
-    order_in_R,
     relation_report,
-    support_bound_holds,
 )
 from polyaut.verify import random_polynomial, random_tame_word
 
@@ -125,35 +130,6 @@ def test_parachute_vanishing_derivative():
     assert check_parachute(ELEM, P("x1", 2), 3, var=2)
 
 
-def test_order_in_R_constructed():
-    R = P("x1 - x2^2", 2)
-    S = P("x1 + x2", 2)
-    d = WeightVector((2, 1))
-    p = R ** 3 * S
-    # p is d-homogeneous only up to its leading part; use the leading term
-    assert order_in_R(p, R, d) >= 3
-
-
-def test_order_in_R_coprime():
-    d = WeightVector((2, 1))
-    assert order_in_R(P("x2", 2), P("x1 - x2^2", 2), d) == 0
-
-
-def test_order_in_R_inverse_coordinate():
-    # The non-affine inverse coordinate has order 1 in R, and the drop
-    # estimate deg1(g o F) >= k * (deg2(R) - nabla) holds with k = 1.
-    R = P("x1 - x2^2", 2)
-    d = WeightVector((2, 1))
-    k = order_in_R(P("x1 - x2^2", 2), R, d)
-    assert k == 1
-    assert 1 >= k * (2 - 1)
-
-
-def test_order_in_R_rejects_units():
-    with pytest.raises(ValueError):
-        order_in_R(P("x1", 2), Polynomial.constant(2, 2), WeightVector((1, 1)))
-
-
 def test_degree_bound_on_random_words():
     rng = random.Random(42)
     for _ in range(10):
@@ -186,9 +162,12 @@ def test_plane_inequality_coordinate_exponent():
 def test_support_bound_on_principal_space_words():
     from polyaut.verify import space_corpus_principal
 
+    # For n = 3 with standard weights nabla + 1 = d1 + d2 + d3 - 2, so the
+    # drop bound is the support bound deg2(R) <= sum(d) - 2.
     for word in space_corpus_principal(99, 5):
         report = relation_report(word)
-        assert support_bound_holds(report.R, report.d)
+        assert report.parachute + 1 == report.d.total() - 2
+        assert report.bound_ok
 
 
 def test_lemma_1_2_random_cases():
@@ -229,6 +208,18 @@ def test_report_carries_its_map_and_lemma_queries_reuse_it(expand_calls):
     assert expand_calls == [word]
     assert report.m == expand(word)
     assert relation_report(ELEM).m is ELEM
+
+
+def test_report_carries_the_jacobian_constant():
+    rng = random.Random(48)
+    for n in (2, 3, 3):
+        word = random_tame_word(rng, n, max_gens=5, max_coord_deg=8 if n == 2 else 5)
+        report = relation_report(word)
+        assert report.mu == word_jacobian(word)
+        assert "mu" not in report.to_dict()
+        m = expand(word)
+        assert relation_report(m).mu == jacobian_constant(m)
+    assert relation_report(NAGATA).mu == jacobian_constant(NAGATA) == 1
 
 
 def test_degree_lemma_same_with_and_without_report():
