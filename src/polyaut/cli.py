@@ -328,7 +328,10 @@ def cmd_classify3(args) -> int:
 def cmd_lnd_witness(args) -> int:
     source = _load_map_or_word(args)
     w1 = _weights(args.weights, source.n)
-    if not (args.inverse or isinstance(source, AutWord)):
+    if isinstance(source, AutWord):
+        if args.inverse:
+            raise CliError("a word carries its own inverse; pass no --inverse with it")
+    elif not args.inverse:
         raise CliError("a raw map needs --inverse (or pass a --word)")
     inv = parse_map(_split_lines(args.inverse), source.n) if args.inverse else None
     report = relation_report(source, w1)

@@ -6,7 +6,8 @@ Provides reduced Groebner bases over the rationals, multivariate division
   * kernel_ideal: the kernel of the ring map z_i -> image_i, computed by
     eliminating the x-block from the ideal (z_i - image_i).  When the images
     are the weighted leading terms of an automorphism's coordinates, this
-    kernel is the ideal of relations between those leading terms.
+    kernel is the ideal of relations between those leading terms.  Both
+    changes of ring (into Q[x, z] and back to Q[z]) are compose calls.
   * graded_kernel_oracle: an independent degree-by-degree linear-algebra
     recomputation of the kernel's graded slices, used to cross-check the
     Buchberger route.  The kernel is homogeneous for the weights d, so each
@@ -14,16 +15,20 @@ Provides reduced Groebner bases over the rationals, multivariate division
 
 Principality of an ideal is decided by the size of its reduced basis: the
 reduced Groebner basis of a principal ideal is a singleton, and conversely.
+
+A basis member's leading monomial is computed once and travels with it:
+buchberger keeps a list beside its working basis, and a finished IdealBasis
+holds them as lms.  normal_form divides by an IdealBasis and reads its lms.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
 
-from .polycore import Polynomial, WeightVector, _rref
+from .polycore import Polynomial, WeightVector, _rref, compose
 
 
 class ResourceCapExceeded(RuntimeError):
@@ -85,10 +90,6 @@ def leading_monomial(p: Polynomial, order: MonomialOrder):
     return max(p.support(), key=order.key)
 
 
-def leading_coeff(p: Polynomial, order: MonomialOrder) -> Fraction:
-    return p.coeff(leading_monomial(p, order))
-
-
 def _divides(a, b) -> bool:
     return all(x <= y for x, y in zip(a, b))
 
@@ -104,21 +105,23 @@ def _mono_quot(a, b):
 def monic(p: Polynomial, order: MonomialOrder) -> Polynomial:
     if p.is_zero():
         return p
-    return p * (Fraction(1) / leading_coeff(p, order))
+    return p * (Fraction(1) / p.coeff(leading_monomial(p, order)))
 
 
 @dataclass(frozen=True)
 class IdealBasis:
     """A reduced Groebner basis (monic, pairwise fully reduced, minimal)
-    with its monomial order."""
+    with its monomial order and the leading monomial of each member."""
 
     gens: tuple
     order: MonomialOrder
     n: int
+    lms: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         gens = tuple(g for g in self.gens if not g.is_zero())
         object.__setattr__(self, "gens", gens)
+        object.__setattr__(self, "lms", tuple(leading_monomial(g, self.order) for g in gens))
 
     def is_zero_ideal(self) -> bool:
         return not self.gens
@@ -130,21 +133,13 @@ class IdealBasis:
         return iter(self.gens)
 
 
-def normal_form(p: Polynomial, basis: IdealBasis | Sequence[Polynomial],
-                order: MonomialOrder | None = None) -> Polynomial:
+def normal_form(p: Polynomial, basis: IdealBasis) -> Polynomial:
     """Remainder of multivariate division of p by the basis.
 
-    No term of the result is divisible by any basis leading monomial.  When
-    the basis is a Groebner basis, the remainder is 0 iff p lies in the ideal.
+    No term of the result is divisible by any basis leading monomial.  The
+    basis is a Groebner basis, so the remainder is 0 iff p lies in the ideal.
     """
-    if isinstance(basis, IdealBasis):
-        gens = basis.gens
-        order = basis.order
-    else:
-        gens = tuple(g for g in basis if not g.is_zero())
-        if order is None:
-            order = GradedLex()
-    return _divide(p, gens, [leading_monomial(g, order) for g in gens], order)
+    return _divide(p, basis.gens, basis.lms, basis.order)
 
 
 def _divide(p: Polynomial, gens, lms, order: MonomialOrder) -> Polynomial:
@@ -262,13 +257,13 @@ def buchberger(gens: Sequence[Polynomial], order: MonomialOrder,
         new = len(G) - 1
         for k in range(new):
             pairs.add((k, new))
-    return _reduce_basis(G, order, n)
+    return _reduce_basis(G, lms, order, n)
 
 
-def _reduce_basis(G, order, n) -> IdealBasis:
-    """Interreduce to the unique reduced (monic) Groebner basis."""
+def _reduce_basis(G, lms, order, n) -> IdealBasis:
+    """Interreduce G, whose leading monomials are lms, to the unique reduced
+    (monic) Groebner basis."""
     # Drop members whose leading monomial is divisible by another's.
-    lms = [leading_monomial(g, order) for g in G]
     keep, keep_lms = [], []
     for i, g in enumerate(G):
         li = lms[i]
@@ -299,7 +294,7 @@ def _reduce_basis(G, order, n) -> IdealBasis:
                 changed = True
                 break
     ranked = sorted(zip(keep_lms, keep), key=lambda lg: order.key(lg[0]), reverse=True)
-    return IdealBasis(tuple(monic(g, order) for _, g in ranked), order, n)
+    return IdealBasis(tuple(g * (1 / g.coeff(lm)) for lm, g in ranked), order, n)
 
 
 def is_principal(basis: IdealBasis):
@@ -318,24 +313,6 @@ def is_principal(basis: IdealBasis):
 # -- kernels of ring maps ----------------------------------------------------
 
 
-def _embed(p: Polynomial, total: int, offset: int) -> Polynomial:
-    """View an n-variable polynomial inside a larger ring at the given offset."""
-    out = {}
-    for mono in p.support():
-        big = [0] * total
-        big[offset : offset + len(mono)] = mono
-        out[tuple(big)] = p.coeff(mono)
-    return Polynomial(total, out)
-
-
-def _project_back(p: Polynomial, nx: int, nz: int) -> Polynomial:
-    out = {}
-    for mono in p.support():
-        assert all(e == 0 for e in mono[:nx])
-        out[mono[nx:]] = p.coeff(mono)
-    return Polynomial(nz, out)
-
-
 def elimination_order(nx: int, nz: int, dweights: WeightVector) -> BlockElimination:
     """x-block in front under graded lex, z-block behind graded by dweights."""
     return BlockElimination(
@@ -351,10 +328,13 @@ def kernel_ideal(images: Sequence[Polynomial], dweights: WeightVector,
     dweights) of the kernel of z_i -> images[i].
 
     Computed by eliminating the x-block from the ideal (z_i - images[i]) in
-    the combined ring Q[x1..xn, z1..zn].  Every returned generator G
-    satisfies G(images) = 0 exactly.  The x-free members of the reduced
-    block-order basis are already monic and sorted for the z-order: on
-    x-free monomials the block key compares by the z-order alone.
+    the combined ring Q[x1..xn, z1..zn]; compose moves the images into that
+    ring and the kept members back to Q[z1..zn].  Every returned generator
+    G satisfies G(images) = 0 exactly.  A member is x-free iff its leading
+    monomial is: under the block order any monomial with an x-part ranks
+    above every x-free one.  The x-free members of the reduced block-order
+    basis are already monic and sorted for the z-order: on x-free monomials
+    the block key compares by the z-order alone.
     """
     images = list(images)
     if not images:
@@ -365,16 +345,15 @@ def kernel_ideal(images: Sequence[Polynomial], dweights: WeightVector,
         raise ValueError("dweights length must match image count")
     total = nx + nz
     order = elimination_order(nx, nz, dweights)
-    gens = []
-    for i, img in enumerate(images):
-        z_i = [0] * total
-        z_i[nx + i] = 1
-        gens.append(Polynomial.monomial(tuple(z_i), 1, total) - _embed(img, total, 0))
+    xs = [Polynomial.variable(j, total) for j in range(1, nx + 1)]
+    gens = [
+        Polynomial.variable(nx + i, total) - compose(img, xs)
+        for i, img in enumerate(images, start=1)
+    ]
     gb = buchberger(gens, order, pair_cap=pair_cap)
+    to_z = [Polynomial.zero(nz)] * nx + [Polynomial.variable(i, nz) for i in range(1, nz + 1)]
     eliminated = tuple(
-        _project_back(g, nx, nz)
-        for g in gb.gens
-        if all(all(e == 0 for e in mono[:nx]) for mono in g.support())
+        compose(g, to_z) for g, lm in zip(gb.gens, gb.lms) if not any(lm[:nx])
     )
     return IdealBasis(eliminated, order.back_order, nz)
 

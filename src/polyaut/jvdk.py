@@ -168,11 +168,12 @@ def decompose2(m: PolyMap) -> Union[Decomposition, NotAnAutomorphism]:
         for coord in (f, g)
     )
     shift = tuple(coord.constant_value() for coord in (f, g))
-    if matrix[0][0] * matrix[1][1] - matrix[0][1] * matrix[1][0] == 0:
+    try:
+        tail = Affine(matrix, shift)
+    except ValueError:
         return NotAnAutomorphism(
             "affine base", "linear part of the residual affine map is singular"
         )
-    tail = Affine(matrix, shift)
     if not tail.is_identity():
         gens.append(tail)
     word = AutWord(2, tuple(gens))

@@ -167,10 +167,14 @@ def check_degree_lemma(phi: AutWord | PolyMap, w1: WeightVector, p: Polynomial,
     deg2-leading term of P reduces to zero against the relation ideal.
     Strictness holds exactly when P is nonzero and its leading term is a
     relation.  A report computed for phi supplies the expanded map; without
-    one, relation_report(phi, w1) computes it.
+    one, relation_report(phi, w1) computes it.  A report computed for other
+    weights than w1 raises ValueError: its d would measure the right side
+    in another grading.
     """
     if report is None:
         report = relation_report(phi, w1)
+    elif report.w1 != w1:
+        raise ValueError("report was computed for a different w1")
     lhs = wdeg(compose(p, report.m.coords), w1)
     rhs = wdeg(p, report.d)
     strict = (rhs is not MINUS_INFINITY) and lhs < rhs

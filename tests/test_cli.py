@@ -307,13 +307,18 @@ def test_raw_map_witness_computes_one_jacobian(capsys, count_calls):
     assert len(jacobian_calls) == 1
 
 
-def test_inverse_with_word_is_usage_error(capsys):
+def test_inverse_with_word_is_usage_error(capsys, count_calls):
+    from polyaut import cli
+
+    report_calls = count_calls(cli, "relation_report")
     status = main(["lnd-witness", "--word", "E 1 x2^2", "--inverse", "x1 + 5; x2^7"])
     captured = capsys.readouterr()
     assert status == 2
     assert captured.out == ""
     assert captured.err.startswith("error: ")
     assert "inverse" in captured.err
+    # The usage error comes before any relation-ideal work.
+    assert report_calls == []
 
 
 @pytest.mark.parametrize("word", ["T", "T 1", "T a b"])

@@ -53,6 +53,41 @@ def test_normal_form_divisible():
     assert normal_form(P("x1^2 - x2^4", 2), basis).is_zero()
 
 
+def test_basis_holds_its_leading_monomials():
+    rng = random.Random(557)
+    bases = [buchberger([P("x1^2", 2), P("x1*x2", 2), P("x2^2", 2)], GradedLex())]
+    for _ in range(4):
+        word = random_tame_word(rng, 3, max_gens=4, max_addend_deg=3, max_coord_deg=5)
+        m = expand(word)
+        w = WeightVector.standard(3)
+        bases.append(kernel_ideal([leading_term(c, w) for c in m.coords], deg2_weights(m, w)))
+    for basis in bases:
+        assert basis.lms == tuple(leading_monomial(g, basis.order) for g in basis.gens)
+
+
+def test_normal_form_reads_the_held_leading_monomials(count_calls):
+    from polyaut import groebner
+
+    basis = buchberger([P("x1^2", 2), P("x1*x2", 2), P("x2^2", 2)], GradedLex())
+    assert len(basis) == 3
+    calls = count_calls(groebner, "leading_monomial")
+    assert normal_form(Polynomial.constant(1, 2), basis) == Polynomial.constant(1, 2)
+    # One call: the leading monomial of the dividend; none for the basis.
+    assert len(calls) == 1
+
+
+def test_relation_reports_compute_each_leading_monomial_once(count_calls):
+    from polyaut import groebner
+    from polyaut.relations import relation_report
+    from polyaut.verify import space_corpus_principal
+
+    words = space_corpus_principal(20260813, 5)
+    calls = count_calls(groebner, "leading_monomial")
+    for word in words:
+        relation_report(word)
+    assert len(calls) <= 165
+
+
 def test_divmod_single_exact_and_inexact():
     a = P("x1^2 - x2^4", 2)
     b = P("x1 - x2^2", 2)
@@ -306,7 +341,7 @@ def _s_poly(f, g, order):
 
 def _naive_buchberger(gens, order):
     """Criteria-free reference: process every pair until stable."""
-    from polyaut.groebner import _reduce_basis
+    from polyaut.groebner import _divide, _reduce_basis
 
     G = [g.primitive() for g in gens if not g.is_zero()]
     if not G:
@@ -314,11 +349,12 @@ def _naive_buchberger(gens, order):
     pairs = [(i, j) for i in range(len(G)) for j in range(i + 1, len(G))]
     while pairs:
         i, j = pairs.pop()
-        rem = normal_form(_s_poly(G[i], G[j], order), G, order)
+        lms = [leading_monomial(g, order) for g in G]
+        rem = _divide(_s_poly(G[i], G[j], order), G, lms, order)
         if not rem.is_zero():
             G.append(rem.primitive())
             pairs.extend((k, len(G) - 1) for k in range(len(G) - 1))
-    return _reduce_basis(G, order, G[0].n)
+    return _reduce_basis(G, [leading_monomial(g, order) for g in G], order, G[0].n)
 
 
 def test_buchberger_matches_criteria_free_reference():

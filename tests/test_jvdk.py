@@ -76,6 +76,13 @@ def test_decompose_rejects_non_automorphism():
     assert out.stage in ("reduce step", "affine base")
 
 
+def test_decompose_rejects_singular_affine_base():
+    out = decompose2(parse_map("x1 + x2\nx1 + x2 + 1", 2))
+    assert out == NotAnAutomorphism(
+        "affine base", "linear part of the residual affine map is singular"
+    )
+
+
 def test_decompose_rejects_constant_coordinate():
     out = decompose2(parse_map("x1\n7", 2))
     assert isinstance(out, NotAnAutomorphism)

@@ -238,6 +238,16 @@ def test_degree_lemma_same_with_and_without_report():
             assert check_degree_lemma(phi, w1, p, report=report) == check_degree_lemma(phi, w1, p)
 
 
+def test_degree_lemma_rejects_a_report_for_other_weights():
+    # A report for the standard weights would measure deg2(P) in its own d,
+    # so the pair (3, 1) would read as a counterexample to deg1(P o F) <= deg2(P).
+    w1 = WeightVector((1, 3))
+    report = relation_report(ELEM)
+    with pytest.raises(ValueError, match="different w1"):
+        check_degree_lemma(ELEM, w1, P("x2", 2), report=report)
+    assert check_degree_lemma(ELEM, w1, P("x2", 2))[:2] == (3, 3)
+
+
 def test_non_integer_nabla_for_the_standard_degree_raises(monkeypatch):
     import polyaut.relations as relations
 
