@@ -56,7 +56,6 @@ from .groebner import (
     ResourceCapExceeded,
     buchberger,
     graded_kernel_oracle,
-    is_principal,
     kernel_ideal,
     normal_form,
 )

@@ -13,12 +13,12 @@ Provides reduced Groebner bases over the rationals, multivariate division
     Buchberger route.  The kernel is homogeneous for the weights d, so each
     slice can be solved as one exact linear system.
 
-Principality of an ideal is decided by the size of its reduced basis: the
-reduced Groebner basis of a principal ideal is a singleton, and conversely.
-
 A basis member's leading monomial is computed once and travels with it:
-buchberger keeps a list beside its working basis, and a finished IdealBasis
-holds them as lms.  normal_form divides by an IdealBasis and reads its lms.
+buchberger keeps a list beside its working basis, and every IdealBasis is
+built with them as lms, which normal_form reads.  Interreduction is one
+pass: in a minimal basis no leading monomial divides another, so dividing
+a member by the others keeps its leading monomial.  relation_report reads
+principality off the reduced basis: it is principal iff it has <= 1 member.
 """
 
 from __future__ import annotations
@@ -41,22 +41,13 @@ DEFAULT_PAIR_CAP = 100_000
 # -- monomial orders ---------------------------------------------------------
 
 
-class MonomialOrder:
-    """A total order on exponent tuples, compatible with multiplication.
-
-    Subclasses implement key(); monomial a is greater than b iff
-    key(a) > key(b) as Python tuples.
-    """
-
-    def key(self, exp):
-        raise NotImplementedError
-
-
 @dataclass(frozen=True)
-class GradedLex(MonomialOrder):
+class GradedLex:
     """Weighted degree first, ties broken lexicographically.
 
-    weights = None means the standard grading (all weights 1).
+    weights = None means the standard grading (all weights 1).  Like every
+    monomial order here, monomial a is greater than b iff key(a) > key(b)
+    as Python tuples.
     """
 
     weights: tuple | None = None
@@ -68,20 +59,23 @@ class GradedLex(MonomialOrder):
 
 
 @dataclass(frozen=True)
-class BlockElimination(MonomialOrder):
+class BlockElimination:
     """Front block of variables dominates: eliminate the first `front` variables.
 
-    Any monomial containing a front variable ranks above every monomial in
-    the back variables alone, because the front key leads with the front
-    block's (positive-weight) degree.
+    The front block is graded by total degree with ties broken
+    lexicographically, so any monomial containing a front variable ranks
+    above every monomial in the back variables alone.
     """
 
     front: int
-    front_order: MonomialOrder
-    back_order: MonomialOrder
+    back_order: GradedLex
 
     def key(self, exp):
-        return (self.front_order.key(exp[: self.front]), self.back_order.key(exp[self.front :]))
+        x = exp[: self.front]
+        return ((sum(x), x), self.back_order.key(exp[self.front :]))
+
+
+MonomialOrder = GradedLex | BlockElimination
 
 
 def leading_monomial(p: Polynomial, order: MonomialOrder):
@@ -111,17 +105,13 @@ def monic(p: Polynomial, order: MonomialOrder) -> Polynomial:
 @dataclass(frozen=True)
 class IdealBasis:
     """A reduced Groebner basis (monic, pairwise fully reduced, minimal)
-    with its monomial order and the leading monomial of each member."""
+    with its monomial order and the leading monomial of each member, which
+    its producers already hold and pass as lms.  No member is zero."""
 
     gens: tuple
     order: MonomialOrder
     n: int
-    lms: tuple = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        gens = tuple(g for g in self.gens if not g.is_zero())
-        object.__setattr__(self, "gens", gens)
-        object.__setattr__(self, "lms", tuple(leading_monomial(g, self.order) for g in gens))
+    lms: tuple = field(repr=False, compare=False)
 
     def is_zero_ideal(self) -> bool:
         return not self.gens
@@ -215,7 +205,7 @@ def buchberger(gens: Sequence[Polynomial], order: MonomialOrder,
     G = [g.primitive() for g in gens if not g.is_zero()]
     if not G:
         n = gens[0].n if gens else 1
-        return IdealBasis((), order, n)
+        return IdealBasis((), order, n, ())
     n = G[0].n
     lms = [leading_monomial(g, order) for g in G]
     pairs = {(i, j) for i in range(len(G)) for j in range(i + 1, len(G))}
@@ -231,17 +221,9 @@ def buchberger(gens: Sequence[Polynomial], order: MonomialOrder,
         if l == tuple(a + b for a, b in zip(li, lj)):
             continue
         # Chain criterion: some k with lm(k) | lcm and both flank pairs done.
-        skip = False
-        for k in range(len(G)):
-            if k in (i, j):
-                continue
-            if _divides(lms[k], l):
-                pik = (min(i, k), max(i, k))
-                pjk = (min(j, k), max(j, k))
-                if pik in done and pjk in done:
-                    skip = True
-                    break
-        if skip:
+        if any(k not in (i, j) and _divides(lms[k], l)
+               and (min(i, k), max(i, k)) in done and (min(j, k), max(j, k)) in done
+               for k in range(len(G))):
             continue
         reductions += 1
         if reductions > pair_cap:
@@ -262,7 +244,12 @@ def buchberger(gens: Sequence[Polynomial], order: MonomialOrder,
 
 def _reduce_basis(G, lms, order, n) -> IdealBasis:
     """Interreduce G, whose leading monomials are lms, to the unique reduced
-    (monic) Groebner basis."""
+    (monic) Groebner basis.
+
+    One pass suffices: no kept leading monomial divides another, so dividing
+    a member by the others keeps its leading term (it cannot reduce to 0),
+    the leading monomials never change, and a reduced member stays reduced.
+    """
     # Drop members whose leading monomial is divisible by another's.
     keep, keep_lms = [], []
     for i, g in enumerate(G):
@@ -274,52 +261,17 @@ def _reduce_basis(G, lms, order, n) -> IdealBasis:
         if not redundant:
             keep.append(g)
             keep_lms.append(li)
-    # Fully reduce each member against the others, repeating to a fixpoint.
-    changed = True
-    while changed:
-        changed = False
-        for i in range(len(keep)):
+    # Fully reduce each member against the others, once each, in order.
+    if len(keep) > 1:
+        for i, g in enumerate(keep):
             others = keep[:i] + keep[i + 1 :]
-            if not others:
-                continue
-            r = _divide(keep[i], others, keep_lms[:i] + keep_lms[i + 1 :], order)
-            if r.is_zero():
-                keep.pop(i)
-                keep_lms.pop(i)
-                changed = True
-                break
-            if r != keep[i]:
-                keep[i] = r.primitive()
-                keep_lms[i] = leading_monomial(keep[i], order)
-                changed = True
-                break
+            keep[i] = _divide(g, others, keep_lms[:i] + keep_lms[i + 1 :], order).primitive()
     ranked = sorted(zip(keep_lms, keep), key=lambda lg: order.key(lg[0]), reverse=True)
-    return IdealBasis(tuple(g * (1 / g.coeff(lm)) for lm, g in ranked), order, n)
-
-
-def is_principal(basis: IdealBasis):
-    """(True, monic generator) iff the reduced basis is empty or a singleton.
-
-    The zero ideal reports (True, 0); otherwise a singleton reduced basis is
-    exactly the principal case.  Returns (False, gens) for everything else.
-    """
-    if basis.is_zero_ideal():
-        return True, Polynomial.zero(basis.n)
-    if len(basis.gens) == 1:
-        return True, basis.gens[0]
-    return False, basis.gens
+    return IdealBasis(tuple(g * (1 / g.coeff(lm)) for lm, g in ranked), order, n,
+                      tuple(lm for lm, _ in ranked))
 
 
 # -- kernels of ring maps ----------------------------------------------------
-
-
-def elimination_order(nx: int, nz: int, dweights: WeightVector) -> BlockElimination:
-    """x-block in front under graded lex, z-block behind graded by dweights."""
-    return BlockElimination(
-        front=nx,
-        front_order=GradedLex(),
-        back_order=GradedLex(tuple(dweights.weights)),
-    )
 
 
 def kernel_ideal(images: Sequence[Polynomial], dweights: WeightVector,
@@ -333,8 +285,10 @@ def kernel_ideal(images: Sequence[Polynomial], dweights: WeightVector,
     G satisfies G(images) = 0 exactly.  A member is x-free iff its leading
     monomial is: under the block order any monomial with an x-part ranks
     above every x-free one.  The x-free members of the reduced block-order
-    basis are already monic and sorted for the z-order: on x-free monomials
-    the block key compares by the z-order alone.
+    basis are already monic and sorted for the z-order, with lms the z-parts
+    of their block leading monomials: on x-free monomials the block key
+    compares by the z-order alone.  relation_report reads principality off
+    the size of the result.
     """
     images = list(images)
     if not images:
@@ -344,7 +298,7 @@ def kernel_ideal(images: Sequence[Polynomial], dweights: WeightVector,
     if len(dweights) != nz:
         raise ValueError("dweights length must match image count")
     total = nx + nz
-    order = elimination_order(nx, nz, dweights)
+    order = BlockElimination(nx, GradedLex(tuple(dweights.weights)))
     xs = [Polynomial.variable(j, total) for j in range(1, nx + 1)]
     gens = [
         Polynomial.variable(nx + i, total) - compose(img, xs)
@@ -352,10 +306,9 @@ def kernel_ideal(images: Sequence[Polynomial], dweights: WeightVector,
     ]
     gb = buchberger(gens, order, pair_cap=pair_cap)
     to_z = [Polynomial.zero(nz)] * nx + [Polynomial.variable(i, nz) for i in range(1, nz + 1)]
-    eliminated = tuple(
-        compose(g, to_z) for g, lm in zip(gb.gens, gb.lms) if not any(lm[:nx])
-    )
-    return IdealBasis(eliminated, order.back_order, nz)
+    kept = [(g, lm) for g, lm in zip(gb.gens, gb.lms) if not any(lm[:nx])]
+    return IdealBasis(tuple(compose(g, to_z) for g, _ in kept), order.back_order, nz,
+                      tuple(lm[nx:] for _, lm in kept))
 
 
 # -- independent graded oracle ----------------------------------------------
@@ -421,16 +374,9 @@ def graded_kernel_oracle(images: Sequence[Polynomial], dweights: WeightVector,
                     prod = prod * image_power(i, e)
             expansions.append(prod)
             support.update(prod.support())
-        support = sorted(support)
-        row_index = {mono: k for k, mono in enumerate(support)}
         # One matrix column per candidate monomial, one row per x-monomial.
-        columns = []
-        for prod in expansions:
-            col = [Fraction(0)] * len(support)
-            for mono in prod.support():
-                col[row_index[mono]] = prod.coeff(mono)
-            columns.append(col)
-        rows = [[columns[j][i] for j in range(len(columns))] for i in range(len(support))]
+        columns = _coefficient_rows(expansions, sorted(support))
+        rows = list(zip(*columns))
         if not rows:
             rows = [[Fraction(0)] * len(columns)]
         # The nullspace, read from the RREF: one vector per free column.
@@ -447,19 +393,23 @@ def graded_kernel_oracle(images: Sequence[Polynomial], dweights: WeightVector,
     return found
 
 
+def _coefficient_rows(polys, support) -> list:
+    """One dense row of Fraction coefficients per polynomial, over the sorted
+    monomial list support (which holds every monomial of every polynomial)."""
+    index = {m: i for i, m in enumerate(support)}
+    rows = []
+    for p in polys:
+        row = [Fraction(0)] * len(support)
+        for m in p.support():
+            row[index[m]] = p.coeff(m)
+        rows.append(row)
+    return rows
+
+
 def span_contains(vectors: Sequence[Polynomial], target: Polynomial) -> bool:
     """Exact linear-span membership test for polynomials (as coefficient vectors)."""
     support = sorted(set(itertools.chain(target.support(), *(v.support() for v in vectors))))
-    index = {m: i for i, m in enumerate(support)}
-    rows = []
-    for v in vectors:
-        row = [Fraction(0)] * len(support)
-        for m in v.support():
-            row[index[m]] = v.coeff(m)
-        rows.append(row)
-    tvec = [Fraction(0)] * len(support)
-    for m in target.support():
-        tvec[index[m]] = target.coeff(m)
+    *rows, tvec = _coefficient_rows((*vectors, target), support)
     # Reduce tvec against the pivot rows of the RREF.
     reduced, pivots, _ = _rref(rows)
     for row, col in zip(reduced, pivots):

@@ -40,7 +40,6 @@ from .groebner import (
     DEFAULT_PAIR_CAP,
     IdealBasis,
     graded_kernel_oracle,
-    is_principal,
     kernel_ideal,
     normal_form,
     span_contains,
@@ -117,13 +116,15 @@ def relation_report(phi: AutWord | PolyMap, w1: WeightVector | None = None,
     if w1.is_standard() and nabla.denominator != 1:
         raise ValueError(f"nabla = {nabla} must be an integer for the standard degree")
     ideal = kernel_ideal(fbars, d, pair_cap=pair_cap)
-    principal, payload = is_principal(ideal)
-    R = payload if principal else None
-    deg2_of_R = wdeg(R, d) if R is not None else MINUS_INFINITY
-    if principal and R is not None and not R.is_zero():
-        bound_ok = deg2_of_R <= nabla + 1
+    # A reduced basis is principal iff it has at most one member.
+    if ideal.is_zero_ideal():
+        R = Polynomial.zero(n)
     else:
-        bound_ok = True
+        R = ideal.gens[0] if len(ideal) == 1 else None
+    principal = R is not None
+    deg2_of_R = wdeg(R, d) if principal else MINUS_INFINITY
+    # The bound speaks about a nonzero principal generator only.
+    bound_ok = R is None or R.is_zero() or deg2_of_R <= nabla + 1
     report = RelationReport(
         m=m, mu=mu, n=n, w1=w1, d=d, fbars=fbars, ideal=ideal,
         principal=principal, R=R, deg2_of_R=deg2_of_R, parachute=nabla,

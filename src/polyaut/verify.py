@@ -38,9 +38,9 @@ from .autmap import (
     Elementary,
     PolyMap,
     Transposition,
+    certify,
     expand,
     invert_word,
-    jacobian_constant,
 )
 from .classify3 import (
     Classified,
@@ -99,38 +99,26 @@ class SuiteResult:
 
 
 def random_polynomial(rng: random.Random, n: int, max_terms: int = 4,
-                      max_deg: int = 3, coeff_bound: int = 9) -> Polynomial:
-    """A random nonzero polynomial with small integer coefficients."""
+                      max_deg: int = 3, coeff_bound: int = 9, *,
+                      variables=None, min_deg: int = 0) -> Polynomial:
+    """A random nonzero polynomial with small integer coefficients.
+
+    Each term has between min_deg and max_deg variable factors, drawn from
+    the 0-based indices in variables (default: all n variables).
+    """
+    if variables is None:
+        variables = range(n)
     while True:
         terms = {}
         for _ in range(rng.randint(1, max_terms)):
             mono = [0] * n
-            for _ in range(rng.randint(0, max_deg)):
-                mono[rng.randrange(n)] += 1
+            for _ in range(rng.randint(min_deg, max_deg)):
+                mono[rng.choice(variables)] += 1
             c = rng.randint(-coeff_bound, coeff_bound)
             if c:
                 terms[tuple(mono)] = Fraction(c)
         p = Polynomial(n, terms)
         if not p.is_zero():
-            return p
-
-
-def _random_addend(rng: random.Random, n: int, target: int,
-                   max_deg: int, coeff_bound: int) -> Polynomial:
-    """Nonconstant polynomial in the variables other than `target`."""
-    others = [i for i in range(1, n + 1) if i != target]
-    while True:
-        terms = {}
-        for _ in range(rng.randint(1, 3)):
-            deg = rng.randint(1, max_deg)
-            mono = [0] * n
-            for _ in range(deg):
-                mono[rng.choice(others) - 1] += 1
-            c = rng.randint(-coeff_bound, coeff_bound)
-            if c:
-                terms[tuple(mono)] = Fraction(c)
-        p = Polynomial(n, terms)
-        if not p.is_zero() and p.total_degree() >= 1:
             return p
 
 
@@ -158,10 +146,11 @@ def _random_generator(rng: random.Random, n: int, mode: str,
     else:
         kind = "affine"
     if kind == "elementary":
+        # The addend is nonconstant and free of the target variable.
         target = rng.randint(1, n)
-        return Elementary(
-            target, _random_addend(rng, n, target, max_addend_deg, coeff_bound)
-        )
+        others = [i for i in range(n) if i != target - 1]
+        return Elementary(target, random_polynomial(
+            rng, n, 3, max_addend_deg, coeff_bound, variables=others, min_deg=1))
     if kind == "transposition":
         i = rng.randint(1, n)
         j = rng.randint(1, n - 1)
@@ -233,6 +222,26 @@ def space_corpus_principal(seed: int, count: int, max_coord_deg: int = 6):
     return tuple(words)
 
 
+def _mixed_corpus(seed: int, count: int) -> tuple:
+    """The plane corpus followed by max(1, count // 5) principal n = 3 words."""
+    return plane_corpus(seed, count) + space_corpus_principal(seed + 3, max(1, count // 5))
+
+
+def _word_batches(rng: random.Random, count: int, per_word: int, budgets,
+                  max_addend_deg: int):
+    """Yield (word, case indices) until count cases are covered: each word
+    (n = 2 or 3, coordinate degree at most budgets[n - 2]) serves up to
+    per_word consecutive cases, which draw from rng before the next word."""
+    idx = 0
+    while idx < count:
+        n = rng.choice([2, 3])
+        word = random_tame_word(rng, n, max_gens=4, max_addend_deg=max_addend_deg,
+                                max_coord_deg=budgets[n - 2])
+        stop = min(idx + per_word, count)
+        yield word, range(idx, stop)
+        idx = stop
+
+
 # -- the suites --------------------------------------------------------------
 
 
@@ -274,14 +283,10 @@ def run_jvdk_roundtrip(seed: int, count: int) -> SuiteResult:
 def run_lemma_1_2(seed: int, count: int) -> SuiteResult:
     def cases():
         rng = random.Random(seed + 1)
-        idx = 0
-        while idx < count:
-            n = rng.choice([2, 3])
-            budget = 8 if n == 2 else 5
-            word = random_tame_word(rng, n, max_gens=4, max_addend_deg=3,
-                                    max_coord_deg=budget)
+        for word, indices in _word_batches(rng, count, 5, (8, 5), 3):
+            n = word.n
             report = relation_report(word)
-            for _ in range(min(5, count - idx)):
+            for idx in indices:
                 p = random_polynomial(rng, n)
                 lhs, rhs, strict, tilde_in = check_degree_lemma(
                     word, report.w1, p, report=report
@@ -289,7 +294,6 @@ def run_lemma_1_2(seed: int, count: int) -> SuiteResult:
                 ok = lhs <= rhs and (strict == tilde_in)
                 detail = f"n={n} lhs={lhs} rhs={rhs} strict={strict} in_I={tilde_in}"
                 yield CaseResult(idx, ok, detail)
-                idx += 1
 
     return _suite("lemma-1<2", seed, count, cases())
 
@@ -297,29 +301,22 @@ def run_lemma_1_2(seed: int, count: int) -> SuiteResult:
 def run_parachute(seed: int, count: int) -> SuiteResult:
     def cases():
         rng = random.Random(seed + 2)
-        idx = 0
-        while idx < count:
-            n = rng.choice([2, 3])
-            budget = 8 if n == 2 else 5
-            word = random_tame_word(rng, n, max_gens=4, max_addend_deg=3,
-                                    max_coord_deg=budget)
+        for word, indices in _word_batches(rng, count, 5, (8, 5), 3):
+            n = word.n
             m = expand(word)
-            for _ in range(min(5, count - idx)):
+            for idx in indices:
                 p = random_polynomial(rng, n)
                 k = rng.randint(0, 3)
                 var = rng.randint(1, n)
                 ok = check_parachute(m, p, k, var=var)
                 yield CaseResult(idx, ok, f"n={n} k={k} var={var}")
-                idx += 1
 
     return _suite("parachute", seed, count, cases())
 
 
 def run_lnd_witness(seed: int, count: int) -> SuiteResult:
     def cases():
-        two = plane_corpus(seed, count)
-        three = space_corpus_principal(seed + 3, max(1, count // 5))
-        for idx, word in enumerate(tuple(two) + tuple(three)):
+        for idx, word in enumerate(_mixed_corpus(seed, count)):
             n = word.n
             w1 = WeightVector.standard(n)
             report = relation_report(word)
@@ -328,9 +325,7 @@ def run_lnd_witness(seed: int, count: int) -> SuiteResult:
             except Exception as exc:  # noqa: BLE001 - reported as a failure
                 yield CaseResult(idx, False, f"witness failed: {exc}")
                 continue
-            delta = delta_derivation(
-                expand(invert_word(word)), i, jacobian_constant(report.m)
-            )
+            delta = delta_derivation(expand(invert_word(word)), i, report.mu)
             if not derivation_degree(delta, report.d) >= -w1[i]:
                 yield CaseResult(idx, False, "witness inequality fails")
                 continue
@@ -350,16 +345,11 @@ def run_lnd_witness(seed: int, count: int) -> SuiteResult:
 def run_lnd01(seed: int, count: int) -> SuiteResult:
     def cases():
         rng = random.Random(seed + 4)
-        idx = 0
-        while idx < count:
-            n = rng.choice([2, 3])
-            budget = 4 if n == 2 else 3
-            word = random_tame_word(rng, n, max_gens=4, max_addend_deg=2,
-                                    max_coord_deg=budget)
-            m = expand(word)
+        for word, indices in _word_batches(rng, count, 2, (4, 3), 2):
+            n = word.n
+            m, mu = certify(word)
             inv = expand(invert_word(word))
-            mu = jacobian_constant(m)
-            for _ in range(min(2, count - idx)):
+            for idx in indices:
                 p = random_polynomial(rng, n, max_deg=3)
                 ok = True
                 detail = f"n={n}"
@@ -378,16 +368,13 @@ def run_lnd01(seed: int, count: int) -> SuiteResult:
                         detail = f"n={n} inverse identity fails at i={i}"
                         break
                 yield CaseResult(idx, ok, detail)
-                idx += 1
 
     return _suite("lnd01", seed, count, cases())
 
 
 def run_degree_bound(seed: int, count: int) -> SuiteResult:
     def cases():
-        two = plane_corpus(seed, count)
-        three = space_corpus_principal(seed + 3, max(1, count // 5))
-        for idx, word in enumerate(tuple(two) + tuple(three)):
+        for idx, word in enumerate(_mixed_corpus(seed, count)):
             report = relation_report(word)
             if not (report.principal and report.R is not None):
                 yield CaseResult(idx, True, "kernel not principal; bound vacuous")
@@ -410,9 +397,7 @@ def run_degree_bound(seed: int, count: int) -> SuiteResult:
 
 def run_oracle_agreement(seed: int, count: int) -> SuiteResult:
     def cases():
-        two = plane_corpus(seed, count)
-        three = space_corpus_principal(seed + 3, max(1, count // 5))
-        for idx, word in enumerate(tuple(two) + tuple(three)):
+        for idx, word in enumerate(_mixed_corpus(seed, count)):
             try:
                 oracle = _shadow_check(relation_report(word, oracle_shadow=False))
             except Exception as exc:  # noqa: BLE001

@@ -5,14 +5,13 @@ from fractions import Fraction
 
 import pytest
 
-from polyaut.autmap import deg2_weights, expand
+from polyaut.autmap import deg2_weights, expand, parse_map
 from polyaut.groebner import (
     GradedLex,
     ResourceCapExceeded,
     buchberger,
     divmod_single,
     graded_kernel_oracle,
-    is_principal,
     kernel_ideal,
     leading_monomial,
     normal_form,
@@ -85,7 +84,7 @@ def test_relation_reports_compute_each_leading_monomial_once(count_calls):
     calls = count_calls(groebner, "leading_monomial")
     for word in words:
         relation_report(word)
-    assert len(calls) <= 165
+    assert len(calls) <= 129
 
 
 def test_divmod_single_exact_and_inexact():
@@ -136,17 +135,22 @@ def test_buchberger_resource_cap():
         buchberger(gens, GradedLex(), pair_cap=1)
 
 
-def test_is_principal_cases():
-    # Monic for graded lex: x2^2 outranks x1, so the generator flips sign.
-    basis = buchberger([P("x1 - x2^2", 2)], GradedLex())
-    flag, gen = is_principal(basis)
-    assert flag and gen == P("x2^2 - x1", 2)
-    empty = buchberger([Polynomial.zero(2)], GradedLex())
-    flag, gen = is_principal(empty)
-    assert flag and gen.is_zero()
-    two = buchberger([P("x1", 2), P("x2", 2)], GradedLex())
-    flag, gens = is_principal(two)
-    assert not flag and len(gens) == 2
+def test_relation_report_principal_cases():
+    # relation_report reads principality off the size of the reduced basis.
+    from polyaut.relations import relation_report
+
+    def report(text, n):
+        return relation_report(parse_map(text.replace(";", "\n"), n))
+
+    zero = report("x1 + 1; x2 - x1", 2)
+    assert zero.principal and zero.R == Polynomial.zero(2)
+    assert zero.to_dict()["R"] == "0" and zero.to_dict()["ideal"] == []
+    one = report("x1 + x2^2; x2", 2)
+    assert one.principal and one.R == P("x1 - x2^2", 2)
+    assert one.to_dict()["R"] == "z1 - z2^2"
+    two = report("x1 + x3^2; x2 + x3^2; x3", 3)
+    assert not two.principal and two.R is None
+    assert two.to_dict()["ideal"] == ["z1 - z3^2", "z2 - z3^2"]
 
 
 # -- kernel ideals -----------------------------------------------------------
@@ -194,16 +198,21 @@ def test_kernel_generators_annihilate_images():
             assert compose(g, images).is_zero()
 
 
-def test_kernel_basis_is_monic_and_sorted_for_the_z_order():
+def _seeded_kernel_bases():
+    """Ten kernel_ideal bases of seeded tame words, each with its weights d."""
     rng = random.Random(83)
-    sizes = []
     for _ in range(10):
         n = rng.choice([2, 3])
         m = expand(random_tame_word(rng, n, max_gens=4, max_addend_deg=3,
                                     max_coord_deg=8 if n == 2 else 5))
         w = WeightVector.standard(n)
         d = deg2_weights(m, w)
-        basis = kernel_ideal([leading_term(c, w) for c in m.coords], d)
+        yield kernel_ideal([leading_term(c, w) for c in m.coords], d), d
+
+
+def test_kernel_basis_is_monic_and_sorted_for_the_z_order():
+    sizes = []
+    for basis, d in _seeded_kernel_bases():
         order = GradedLex(tuple(d.weights))
         assert basis.order == order
         keys = [order.key(leading_monomial(g, order)) for g in basis.gens]
@@ -339,13 +348,46 @@ def _s_poly(f, g, order):
     return mf * f - mg * g
 
 
+def _divides(a, b):
+    return all(x <= y for x, y in zip(a, b))
+
+
+def _fixpoint_interreduce(G, order):
+    """The reference's own interreduction of a Groebner basis G: drop members
+    whose leading monomial another's divides, then divide each member by the
+    others, restarting after every change, until nothing changes.  Returns
+    the monic members sorted by descending leading monomial."""
+    from polyaut.groebner import _divide
+
+    lms = [leading_monomial(g, order) for g in G]
+    keep = [g for i, g in enumerate(G)
+            if not any(j != i and _divides(lms[j], lms[i]) and (lms[j] != lms[i] or j < i)
+                       for j in range(len(G)))]
+    changed = True
+    while changed:
+        changed = False
+        for i, g in enumerate(keep):
+            others = keep[:i] + keep[i + 1 :]
+            r = _divide(g, others, [leading_monomial(o, order) for o in others], order)
+            if r.is_zero():
+                del keep[i]
+            elif r != g:
+                keep[i] = r.primitive()
+            else:
+                continue
+            changed = True
+            break
+    monic = [g * (1 / g.coeff(leading_monomial(g, order))) for g in keep]
+    return tuple(sorted(monic, key=lambda g: order.key(leading_monomial(g, order)),
+                        reverse=True))
+
+
 def _naive_buchberger(gens, order):
-    """Criteria-free reference: process every pair until stable."""
-    from polyaut.groebner import _divide, _reduce_basis
+    """Criteria-free reference: process every pair until stable.  Returns the
+    generators of the reduced basis, monic and sorted like IdealBasis.gens."""
+    from polyaut.groebner import _divide
 
     G = [g.primitive() for g in gens if not g.is_zero()]
-    if not G:
-        return buchberger(gens, order)
     pairs = [(i, j) for i in range(len(G)) for j in range(i + 1, len(G))]
     while pairs:
         i, j = pairs.pop()
@@ -354,23 +396,40 @@ def _naive_buchberger(gens, order):
         if not rem.is_zero():
             G.append(rem.primitive())
             pairs.extend((k, len(G) - 1) for k in range(len(G) - 1))
-    return _reduce_basis(G, [leading_monomial(g, order) for g in G], order, G[0].n)
+    return _fixpoint_interreduce(G, order)
+
+
+def _criteria_free_inputs():
+    """The seeded generator lists the reference comparison runs on."""
+    rng = random.Random(555)
+    for _ in range(12):
+        n = rng.choice([2, 3])
+        yield [
+            random_polynomial(rng, n, max_terms=3, max_deg=3, coeff_bound=4)
+            for _ in range(rng.randint(1, 3))
+        ]
 
 
 def test_buchberger_matches_criteria_free_reference():
     # The reduced Groebner basis is unique, so the optimized engine must
     # agree exactly with a pair-by-pair reference run.
-    rng = random.Random(555)
-    for trial in range(12):
-        n = rng.choice([2, 3])
-        gens = [
-            random_polynomial(rng, n, max_terms=3, max_deg=3, coeff_bound=4)
-            for _ in range(rng.randint(1, 3))
-        ]
+    for trial, gens in enumerate(_criteria_free_inputs()):
         order = GradedLex()
-        fast = buchberger(gens, order)
-        slow = _naive_buchberger(gens, order)
-        assert fast.gens == slow.gens, f"trial {trial}"
+        assert buchberger(gens, order).gens == _naive_buchberger(gens, order), f"trial {trial}"
+
+
+def test_buchberger_bases_are_reduced():
+    # Monic at the held leading monomial, no term divisible by another
+    # member's leading monomial, and the held lms are the true ones.
+    bases = [buchberger(gens, GradedLex()) for gens in _criteria_free_inputs()]
+    bases += [basis for basis, _ in _seeded_kernel_bases()]
+    assert max(len(basis) for basis in bases) >= 2
+    for basis in bases:
+        assert basis.lms == tuple(leading_monomial(g, basis.order) for g in basis.gens)
+        for i, (g, lm) in enumerate(zip(basis.gens, basis.lms)):
+            assert g.coeff(lm) == 1
+            for j, other in enumerate(basis.lms):
+                assert j == i or not any(_divides(other, m) for m in g.support())
 
 
 def test_kernel_and_oracle_agree_on_arbitrary_graded_images():

@@ -1,0 +1,16 @@
+"""The seeded verify suites reuse what each word already certifies."""
+
+import pytest
+
+from polyaut import polycore
+from polyaut.verify import run_suite
+
+
+@pytest.mark.parametrize("suite", ["lnd-witness", "lnd01"])
+def test_witness_suites_read_the_certified_jacobian(count_calls, suite):
+    # Each word's Jacobian constant is the product of its generators'
+    # determinants; delta_derivation's Laplace check j(G) = 1/mu still
+    # catches a wrong mu, so no suite computes a Jacobian determinant.
+    calls = count_calls(polycore, "jacobian")
+    assert run_suite(suite, 20260810, 25).passed
+    assert calls == []
