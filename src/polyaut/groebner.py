@@ -13,6 +13,15 @@ Provides reduced Groebner bases over the rationals, multivariate division
     Buchberger route.  The kernel is homogeneous for the weights d, so each
     slice can be solved as one exact linear system.
 
+Every monomial order ranks packed exponents (polycore's one int per
+monomial) by one int key, built by packed_key(n) from the order's weights
+scaled to ints once.  The key is additive, key(a + b) = key(a) + key(b),
+and keeps the packed exponent in its low FIELD_BITS * n bits.  Division
+therefore runs in place on one dict {key: int numerator} over one
+denominator: each step pops the largest key and subtracts a fraction-free
+multiple of a divisor shifted by adding keys, and no Polynomial or Fraction
+is built per step.
+
 A basis member's leading monomial is computed once and travels with it:
 buchberger keeps a list beside its working basis, and every IdealBasis is
 built with them as lms, which normal_form reads.  Interreduction is one
@@ -26,9 +35,25 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Sequence
+from math import floor, gcd
+from operator import add, le, mul, sub
+from typing import NamedTuple, Sequence
 
-from .polycore import Polynomial, WeightVector, _rref, compose
+from .polycore import (
+    FIELD_BITS,
+    MAX_EXPONENT,
+    Polynomial,
+    WeightVector,
+    _canon,
+    _check_exponents,
+    _degrees,
+    _int_weights,
+    _pack,
+    _poly,
+    _rref,
+    _unpacker,
+    compose,
+)
 
 
 class ResourceCapExceeded(RuntimeError):
@@ -41,21 +66,48 @@ DEFAULT_PAIR_CAP = 100_000
 # -- monomial orders ---------------------------------------------------------
 
 
+def _linear_key(prefix, n: int):
+    """The key sum(a_i * prefix_i) << FIELD_BITS * n | a of a packed exponent
+    a = (a_1..a_n); additive because the packed exponent is."""
+    unpack = _unpacker(n)
+    shift = FIELD_BITS * n
+    return lambda a: sum(map(mul, unpack(a), prefix)) << shift | a
+
+
 @dataclass(frozen=True)
 class GradedLex:
     """Weighted degree first, ties broken lexicographically.
 
-    weights = None means the standard grading (all weights 1).  Like every
-    monomial order here, monomial a is greater than b iff key(a) > key(b)
-    as Python tuples.
+    weights = None means the standard grading (all weights 1).  Weights are
+    nonnegative rationals (zero is allowed: ties then fall to lex), scaled
+    once, at construction, to ints by the lcm of their denominators.  Like
+    every monomial order here, monomial a is greater than b iff
+    packed_key(n)(a) > packed_key(n)(b) for their packed exponents.
     """
 
     weights: tuple | None = None
+    _scaled: tuple | None = field(init=False, repr=False, compare=False)
 
-    def key(self, exp):
-        if self.weights is None:
-            return (sum(exp), exp)
-        return (sum(e * w for e, w in zip(exp, self.weights)), exp)
+    def __post_init__(self):
+        scaled = None
+        if self.weights is not None:
+            ws = [Fraction(w) for w in self.weights]
+            if any(w < 0 for w in ws):
+                raise ValueError(f"order weights must be nonnegative, got {self.weights}")
+            scaled = _int_weights(ws)[1]
+        object.__setattr__(self, "_scaled", scaled)
+
+    def int_weights(self, n: int) -> tuple:
+        """The scaled weights of n variables."""
+        if self._scaled is None:
+            return (1,) * n
+        if len(self._scaled) != n:
+            raise ValueError(f"order has {len(self._scaled)} weights, not {n}")
+        return self._scaled
+
+    def packed_key(self, n: int):
+        """The key (scaled weighted degree, packed exponent) as one int."""
+        return _linear_key(self.int_weights(n), n)
 
 
 @dataclass(frozen=True)
@@ -64,15 +116,23 @@ class BlockElimination:
 
     The front block is graded by total degree with ties broken
     lexicographically, so any monomial containing a front variable ranks
-    above every monomial in the back variables alone.
+    above every monomial in the back variables alone.  Monomials with equal
+    front parts compare by back_order.
     """
 
     front: int
     back_order: GradedLex
 
-    def key(self, exp):
-        x = exp[: self.front]
-        return ((sum(x), x), self.back_order.key(exp[self.front :]))
+    def packed_key(self, n: int):
+        """The key ((sum x, x), (wdeg z, z)) of the front part x and back
+        part z as one int: the fields sum x, x and the scaled wdeg z above
+        the packed exponent, whose low bits are z."""
+        nx = self.front
+        ws = self.back_order.int_weights(n - nx)
+        wbits = (MAX_EXPONENT * sum(ws)).bit_length()
+        xs = [(1 << FIELD_BITS * nx | 1 << FIELD_BITS * (nx - 1 - i)) << wbits
+              for i in range(nx)]
+        return _linear_key(xs + list(ws), n)
 
 
 MonomialOrder = GradedLex | BlockElimination
@@ -81,19 +141,15 @@ MonomialOrder = GradedLex | BlockElimination
 def leading_monomial(p: Polynomial, order: MonomialOrder):
     if p.is_zero():
         raise ValueError("zero polynomial has no leading monomial")
-    return max(p.support(), key=order.key)
+    return _unpacker(p.n)(max(p._nums, key=order.packed_key(p.n)))
 
 
 def _divides(a, b) -> bool:
-    return all(x <= y for x, y in zip(a, b))
+    return all(map(le, a, b))
 
 
 def _mono_lcm(a, b):
-    return tuple(max(x, y) for x, y in zip(a, b))
-
-
-def _mono_quot(a, b):
-    return tuple(x - y for x, y in zip(a, b))
+    return tuple(map(max, a, b))
 
 
 def monic(p: Polynomial, order: MonomialOrder) -> Polynomial:
@@ -123,6 +179,105 @@ class IdealBasis:
         return iter(self.gens)
 
 
+# -- division on order keys ---------------------------------------------------
+
+
+class _Divisor(NamedTuple):
+    """A nonzero polynomial g as division reads it, through its integer
+    multiple g * scale with content 1 and a positive leading coefficient:
+    the leading monomial lm, its key, that leading coefficient lead, and
+    the other terms of g * scale as (key, numerator) pairs."""
+
+    lm: tuple
+    key: int
+    lead: int
+    tail: list
+    g: Polynomial
+    scale: Fraction
+
+
+def _divisor(g: Polynomial, key, lm=None) -> _Divisor:
+    """g read for division under the order key; lm is g's leading monomial
+    when the caller holds it."""
+    if lm is None:
+        k = max(g._nums, key=key)
+        lm = _unpacker(g.n)(k)
+    else:
+        k = _pack(lm, g.n)
+    content = gcd(*g._nums.values())
+    if g._nums[k] < 0:
+        content = -content
+    tail = [(key(t), c // content) for t, c in g._nums.items() if t != k]
+    return _Divisor(lm, key(k), g._nums[k] // content, tail, g, Fraction(g.den, content))
+
+
+def _check_shift(mono, div: _Divisor):
+    """Raise ExponentOverflow when x^(mono - div.lm) * div.g has an exponent
+    above MAX_EXPONENT."""
+    if max(mono) + div.g._ebound > MAX_EXPONENT:
+        _check_exponents(map(add, map(sub, mono, div.lm), _degrees(div.g)))
+
+
+def _reduce(work: dict, den: int, divisors, n: int, quotient=None) -> Polynomial:
+    """The remainder of dividing work / den by the divisors, consuming work.
+
+    work maps order keys to nonzero int numerators.  Each step pops the
+    largest key; the first divisor whose leading monomial divides it
+    cancels it, scaling work and den by lead / gcd(c, lead) first when that
+    is not 1, and otherwise the term joins the remainder with the
+    denominator of that step.  When quotient is a list, each step appends
+    (key of x^q, b, den) for the subtracted (b / den) * x^q * g * scale of
+    a single divisor.
+    """
+    mask = (1 << FIELD_BITS * n) - 1
+    unpack = _unpacker(n)
+    rest = []
+    top = 0
+    while work:
+        k = max(work)
+        c = work.pop(k)
+        mono = unpack(k & mask)
+        for div in divisors:
+            if all(map(le, div.lm, mono)):
+                break
+        else:
+            rest.append((k & mask, c, den))
+            top = max(top, *mono)
+            continue
+        _check_shift(mono, div)
+        h = gcd(c, div.lead)
+        if h != div.lead:
+            s = div.lead // h
+            den *= s
+            for t in work:
+                work[t] *= s
+        b = c // h
+        q = k - div.key
+        if quotient is not None:
+            quotient.append((q, b, den))
+        get = work.get
+        for kt, ct in div.tail:
+            t = q + kt
+            v = get(t, 0) - b * ct
+            if v:
+                work[t] = v
+            else:
+                del work[t]
+    return _collect(rest, den, n, top)
+
+
+def _collect(terms, den: int, n: int, ebound: int) -> Polynomial:
+    """The polynomial sum(num / d * x^a) of (packed a, num, d) terms with
+    distinct a, each d dividing den."""
+    if not terms:
+        return _poly(n, {}, 1, 0)
+    return _canon(n, {a: c * (den // d) for a, c, d in terms}, den, ebound)
+
+
+def _remainder(p: Polynomial, divisors, key, quotient=None) -> Polynomial:
+    return _reduce({key(a): c for a, c in p._nums.items()}, p.den, divisors, p.n, quotient)
+
+
 def normal_form(p: Polynomial, basis: IdealBasis) -> Polynomial:
     """Remainder of multivariate division of p by the basis.
 
@@ -133,26 +288,12 @@ def normal_form(p: Polynomial, basis: IdealBasis) -> Polynomial:
 
 
 def _divide(p: Polynomial, gens, lms, order: MonomialOrder) -> Polynomial:
-    """normal_form's division loop over nonzero gens whose leading monomials
+    """normal_form's division of p by nonzero gens whose leading monomials
     lms the caller already holds."""
     if not gens:
         return p
-    lcs = [g.coeff(lm) for g, lm in zip(gens, lms)]
-    remainder = Polynomial.zero(p.n)
-    work = p
-    while not work.is_zero():
-        mono = leading_monomial(work, order)
-        coeff = work.coeff(mono)
-        for g, lm, lc in zip(gens, lms, lcs):
-            if _divides(lm, mono):
-                quot = _mono_quot(mono, lm)
-                factor = Polynomial.monomial(quot, coeff / lc, p.n)
-                work = work - factor * g
-                break
-        else:
-            remainder = remainder + Polynomial.monomial(mono, coeff, p.n)
-            work = work - Polynomial.monomial(mono, coeff, p.n)
-    return remainder
+    key = order.packed_key(p.n)
+    return _remainder(p, [_divisor(g, key, lm) for g, lm in zip(gens, lms)], key)
 
 
 def divmod_single(p: Polynomial, d: Polynomial,
@@ -166,31 +307,36 @@ def divmod_single(p: Polynomial, d: Polynomial,
         raise ZeroDivisionError("division by the zero polynomial")
     if order is None:
         order = GradedLex()
-    lm = leading_monomial(d, order)
-    lc = d.coeff(lm)
-    q = Polynomial.zero(p.n)
-    r = Polynomial.zero(p.n)
-    work = p
-    while not work.is_zero():
-        mono = leading_monomial(work, order)
-        coeff = work.coeff(mono)
-        if _divides(lm, mono):
-            factor = Polynomial.monomial(_mono_quot(mono, lm), coeff / lc, p.n)
-            q = q + factor
-            work = work - factor * d
+    key = order.packed_key(p.n)
+    div = _divisor(d, key)
+    steps = []
+    r = _remainder(p, [div], key, steps)
+    mask = (1 << FIELD_BITS * p.n) - 1
+    unpack = _unpacker(p.n)
+    terms = [(k & mask, b, e) for k, b, e in steps]
+    ebound = max((max(unpack(a)) for a, _, _ in terms), default=0)
+    # The steps subtracted sum((b / den) * x^q) * d * scale.
+    q = _collect(terms, steps[-1][2] if steps else 1, p.n, ebound)
+    return q * div.scale, r
+
+
+def _s_pair(f: _Divisor, g: _Divisor, kl: int, l) -> dict:
+    """A positive integer multiple of the S-polynomial of f and g, whose
+    leading monomials have lcm l with key kl, as {key: numerator} without
+    the cancelled leading terms."""
+    _check_shift(l, f)
+    _check_shift(l, g)
+    qf, qg = kl - f.key, kl - g.key
+    work = {qf + kt: g.lead * c for kt, c in f.tail}
+    get = work.get
+    for kt, c in g.tail:
+        t = qg + kt
+        v = get(t, 0) - f.lead * c
+        if v:
+            work[t] = v
         else:
-            t = Polynomial.monomial(mono, coeff, p.n)
-            r = r + t
-            work = work - t
-    return q, r
-
-
-def _s_pair(f: Polynomial, lf, g: Polynomial, lg) -> Polynomial:
-    """The S-polynomial of f and g with leading monomials lf and lg."""
-    l = _mono_lcm(lf, lg)
-    mf = Polynomial.monomial(_mono_quot(l, lf), 1 / f.coeff(lf), f.n)
-    mg = Polynomial.monomial(_mono_quot(l, lg), 1 / g.coeff(lg), g.n)
-    return mf * f - mg * g
+            del work[t]
+    return work
 
 
 def buchberger(gens: Sequence[Polynomial], order: MonomialOrder,
@@ -207,43 +353,53 @@ def buchberger(gens: Sequence[Polynomial], order: MonomialOrder,
         n = gens[0].n if gens else 1
         return IdealBasis((), order, n, ())
     n = G[0].n
-    lms = [leading_monomial(g, order) for g in G]
-    pairs = {(i, j) for i in range(len(G)) for j in range(i + 1, len(G))}
+    key = order.packed_key(n)
+    divs = [_divisor(g, key) for g in G]
+    # The lcm of each pair's leading monomials, with its key.
+    lcms = {}
+
+    def add_lcms(j):
+        for i in range(j):
+            l = _mono_lcm(divs[i].lm, divs[j].lm)
+            lcms[i, j] = (key(_pack(l, n)), l)
+
+    for j in range(len(divs)):
+        add_lcms(j)
+    pairs = {(i, j) for i in range(len(divs)) for j in range(i + 1, len(divs))}
     done = set()
     reductions = 0
     while pairs:
-        i, j = min(pairs, key=lambda ij: order.key(_mono_lcm(lms[ij[0]], lms[ij[1]])))
+        i, j = min(pairs, key=lambda ij: lcms[ij][0])
         pairs.remove((i, j))
         done.add((i, j))
-        li, lj = lms[i], lms[j]
-        l = _mono_lcm(li, lj)
+        kl, l = lcms[i, j]
+        li, lj = divs[i].lm, divs[j].lm
         # Coprime-lcm criterion: S-polynomial reduces to zero automatically.
-        if l == tuple(a + b for a, b in zip(li, lj)):
+        if l == tuple(map(add, li, lj)):
             continue
         # Chain criterion: some k with lm(k) | lcm and both flank pairs done.
-        if any(k not in (i, j) and _divides(lms[k], l)
+        if any(k not in (i, j) and _divides(divs[k].lm, l)
                and (min(i, k), max(i, k)) in done and (min(j, k), max(j, k)) in done
-               for k in range(len(G))):
+               for k in range(len(divs))):
             continue
         reductions += 1
         if reductions > pair_cap:
             raise ResourceCapExceeded(
                 f"buchberger exceeded {pair_cap} S-pair reductions"
             )
-        rem = _divide(_s_pair(G[i], li, G[j], lj), G, lms, order)
+        rem = _reduce(_s_pair(divs[i], divs[j], kl, l), 1, divs, n)
         if rem.is_zero():
             continue
-        rem = rem.primitive()
-        G.append(rem)
-        lms.append(leading_monomial(rem, order))
-        new = len(G) - 1
+        divs.append(_divisor(rem.primitive(), key))
+        new = len(divs) - 1
+        add_lcms(new)
         for k in range(new):
             pairs.add((k, new))
-    return _reduce_basis(G, lms, order, n)
+    return _reduce_basis(divs, order, key, n)
 
 
-def _reduce_basis(G, lms, order, n) -> IdealBasis:
-    """Interreduce G, whose leading monomials are lms, to the unique reduced
+def _reduce_basis(divs, order, key, n) -> IdealBasis:
+    """Interreduce the divisors of a Groebner basis to the unique reduced
     (monic) Groebner basis.
 
     One pass suffices: no kept leading monomial divides another, so dividing
@@ -251,24 +407,19 @@ def _reduce_basis(G, lms, order, n) -> IdealBasis:
     the leading monomials never change, and a reduced member stays reduced.
     """
     # Drop members whose leading monomial is divisible by another's.
-    keep, keep_lms = [], []
-    for i, g in enumerate(G):
-        li = lms[i]
-        redundant = any(
-            j != i and _divides(lms[j], li) and (lms[j] != li or j < i)
-            for j in range(len(G))
-        )
-        if not redundant:
-            keep.append(g)
-            keep_lms.append(li)
+    keep = [
+        d for i, d in enumerate(divs)
+        if not any(j != i and _divides(e.lm, d.lm) and (e.lm != d.lm or j < i)
+                   for j, e in enumerate(divs))
+    ]
     # Fully reduce each member against the others, once each, in order.
     if len(keep) > 1:
-        for i, g in enumerate(keep):
-            others = keep[:i] + keep[i + 1 :]
-            keep[i] = _divide(g, others, keep_lms[:i] + keep_lms[i + 1 :], order).primitive()
-    ranked = sorted(zip(keep_lms, keep), key=lambda lg: order.key(lg[0]), reverse=True)
-    return IdealBasis(tuple(g * (1 / g.coeff(lm)) for lm, g in ranked), order, n,
-                      tuple(lm for lm, _ in ranked))
+        for i, d in enumerate(keep):
+            g = _remainder(d.g, keep[:i] + keep[i + 1 :], key).primitive()
+            keep[i] = _divisor(g, key, d.lm)
+    keep.sort(key=lambda d: d.key, reverse=True)
+    return IdealBasis(tuple(d.g * (1 / d.g.coeff(d.lm)) for d in keep), order, n,
+                      tuple(d.lm for d in keep))
 
 
 # -- kernels of ring maps ----------------------------------------------------
@@ -315,7 +466,7 @@ def kernel_ideal(images: Sequence[Polynomial], dweights: WeightVector,
 
 
 def _exponents_up_to(d, budget):
-    """All exponent tuples a with a . d <= budget (weights d positive)."""
+    """All exponent tuples a with a . d <= budget (weights d positive ints)."""
     n = len(d)
 
     def rec(i, remaining):
@@ -344,12 +495,11 @@ def graded_kernel_oracle(images: Sequence[Polynomial], dweights: WeightVector,
     nz = len(images)
     if len(dweights) != nz:
         raise ValueError("dweights length must match image count")
-    d = list(dweights.weights)
-    dmax = Fraction(dmax)
+    # Degrees scaled to ints by the common denominator s of the weights.
+    s, d = _int_weights(dweights.weights)
     by_degree: dict = {}
-    for alpha in _exponents_up_to(d, dmax):
-        deg = sum(e * w for e, w in zip(alpha, d))
-        by_degree.setdefault(deg, []).append(alpha)
+    for alpha in _exponents_up_to(d, floor(Fraction(dmax) * s)):
+        by_degree.setdefault(sum(map(mul, alpha, d)), []).append(alpha)
     # Power caches for the images.
     caches = [[Polynomial.constant(1, images[0].n)] for _ in images]
 

@@ -486,13 +486,19 @@ class _TermsView(Mapping):
 # -- weighted degrees and leading terms -----------------------------------
 
 
+def _int_weights(weights):
+    """(s, ints): s the least common denominator of the rational weights
+    and ints the tuple of the weights times s."""
+    s = lcm(*(w.denominator for w in weights))
+    return s, tuple(w.numerator * (s // w.denominator) for w in weights)
+
+
 def _scaled_degrees(p: Polynomial, w: WeightVector):
     """(s, {packed exponent: s * weighted degree}) with s the least common
     denominator of the weights, so that every degree is an int."""
     if len(w) != p.n:
         raise ValueError("weight vector length does not match variable count")
-    s = lcm(*(wi.denominator for wi in w.weights))
-    ws = [wi.numerator * (s // wi.denominator) for wi in w.weights]
+    s, ws = _int_weights(w.weights)
     unpack = _unpacker(p.n)
     return s, {key: sum(map(mul, unpack(key), ws)) for key in p._nums}
 

@@ -4,11 +4,14 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from polyaut.autmap import deg2_weights, expand, parse_map
 from polyaut.groebner import (
+    BlockElimination,
     GradedLex,
     ResourceCapExceeded,
+    _divide,
     buchberger,
     divmod_single,
     graded_kernel_oracle,
@@ -18,8 +21,11 @@ from polyaut.groebner import (
     span_contains,
 )
 from polyaut.polycore import (
+    MAX_EXPONENT,
+    ExponentOverflow,
     Polynomial,
     WeightVector,
+    _pack,
     compose,
     is_homogeneous,
     leading_term,
@@ -31,6 +37,53 @@ from polyaut.verify import random_polynomial, random_tame_word
 
 def P(text, n):
     return parse_poly(text, n)
+
+
+# -- reference order keys and division ----------------------------------------
+#
+# The references below rank exponent tuples with Fraction weights and divide
+# with Polynomial arithmetic, independently of the engine's packed int keys
+# and in-place division.
+
+
+def _reference_key(order, exp):
+    """(weighted degree, exp) for GradedLex; ((sum x, x), (wdeg z, z)) for
+    BlockElimination with front part x and back part z."""
+    if isinstance(order, BlockElimination):
+        x, z = exp[: order.front], exp[order.front :]
+        return ((sum(x), x), _reference_key(order.back_order, z))
+    weights = order.weights if order.weights is not None else (1,) * len(exp)
+    return (sum(Fraction(w) * e for w, e in zip(weights, exp)), exp)
+
+
+def _reference_lm(p, order):
+    return max(p.support(), key=lambda exp: _reference_key(order, exp))
+
+
+def _divides(a, b):
+    return all(x <= y for x, y in zip(a, b))
+
+
+def _reference_divide(p, gens, order):
+    """Multivariate division of p by gens on Polynomial arithmetic: cancel
+    the leading term with the first divisor whose leading monomial divides
+    it, else move it to the remainder."""
+    lms = [_reference_lm(g, order) for g in gens]
+    lcs = [g.coeff(lm) for g, lm in zip(gens, lms)]
+    remainder = Polynomial.zero(p.n)
+    work = p
+    while not work.is_zero():
+        mono = _reference_lm(work, order)
+        coeff = work.coeff(mono)
+        for g, lm, lc in zip(gens, lms, lcs):
+            if _divides(lm, mono):
+                quot = tuple(a - b for a, b in zip(mono, lm))
+                work = work - Polynomial.monomial(quot, coeff / lc, p.n) * g
+                break
+        else:
+            remainder = remainder + Polynomial.monomial(mono, coeff, p.n)
+            work = work - Polynomial.monomial(mono, coeff, p.n)
+    return remainder
 
 
 # -- normal form and division ------------------------------------------------
@@ -71,8 +124,8 @@ def test_normal_form_reads_the_held_leading_monomials(count_calls):
     assert len(basis) == 3
     calls = count_calls(groebner, "leading_monomial")
     assert normal_form(Polynomial.constant(1, 2), basis) == Polynomial.constant(1, 2)
-    # One call: the leading monomial of the dividend; none for the basis.
-    assert len(calls) == 1
+    # Division pops the dividend's leading terms off its order keys.
+    assert len(calls) == 0
 
 
 def test_relation_reports_compute_each_leading_monomial_once(count_calls):
@@ -84,7 +137,7 @@ def test_relation_reports_compute_each_leading_monomial_once(count_calls):
     calls = count_calls(groebner, "leading_monomial")
     for word in words:
         relation_report(word)
-    assert len(calls) <= 129
+    assert len(calls) <= 8
 
 
 def test_divmod_single_exact_and_inexact():
@@ -93,6 +146,114 @@ def test_divmod_single_exact_and_inexact():
     q, r = divmod_single(a, b)
     assert r.is_zero() and q * b == a
     assert not divmod_single(P("x2", 2), P("x1", 2))[1].is_zero()
+
+
+def _division_cases():
+    """Seeded (dividend, divisors, order) triples: dividends with rational
+    coefficients, primitive non-monic divisors as inside buchberger, and
+    standard, weighted, zero-weight and block orders."""
+    rng = random.Random(558)
+    orders = [GradedLex(), GradedLex((0, 1, 0)),
+              GradedLex((Fraction(1, 2), 3, Fraction(2, 3))),
+              BlockElimination(1, GradedLex((2, 1)))]
+    for trial in range(32):
+        p = Polynomial.zero(3)
+        for _ in range(3):
+            p = p + random_polynomial(rng, 3, max_terms=3, max_deg=4) * Fraction(
+                rng.randint(-5, 5), rng.randint(1, 7))
+        gens = [random_polynomial(rng, 3, max_terms=3, max_deg=2, coeff_bound=6).primitive()
+                for _ in range(rng.randint(1, 3))]
+        yield p, gens, orders[trial % len(orders)]
+
+
+def test_divide_matches_reference():
+    nonmonic = 0
+    for p, gens, order in _division_cases():
+        lms = [leading_monomial(g, order) for g in gens]
+        assert lms == [_reference_lm(g, order) for g in gens]
+        nonmonic += any(g.coeff(lm) != 1 for g, lm in zip(gens, lms))
+        assert _divide(p, gens, lms, order) == _reference_divide(p, gens, order)
+        basis = buchberger(gens, order)
+        assert normal_form(p, basis) == _reference_divide(p, basis.gens, order)
+        q, r = divmod_single(p, gens[0], order)
+        assert r == _reference_divide(p, gens[:1], order) and q * gens[0] + r == p
+    assert nonmonic >= 10
+
+
+def test_orders_reject_negative_and_miscounted_weights():
+    with pytest.raises(ValueError):
+        GradedLex((1, -1))
+    with pytest.raises(ValueError):
+        GradedLex((1, 2)).packed_key(3)
+
+
+def test_division_past_the_largest_exponent_raises():
+    # x2 leads x2 - x1^2 for the weights (1, 3); cancelling x1^(MAX - 1) * x2
+    # would need x1^(MAX + 1).
+    order = GradedLex((1, 3))
+    g = P("x2 - x1^2", 2)
+    p = Polynomial.monomial((MAX_EXPONENT - 1, 1), 1, 2)
+    with pytest.raises(ExponentOverflow):
+        _divide(p, [g], [(0, 1)], order)
+    with pytest.raises(ExponentOverflow):
+        divmod_single(p, g, order)
+    # The S-pair of x1*x2 + x2^2 and x2^MAX shifts x2^2 by x2^(MAX - 1).
+    gens = [P("x1*x2 + x2^2", 2), Polynomial.monomial((0, MAX_EXPONENT), 1, 2)]
+    for pair in (gens, gens[::-1]):
+        with pytest.raises(ExponentOverflow):
+            buchberger(pair, GradedLex())
+    # A remainder keeps a true exponent bound for later products.
+    r = _divide(Polynomial.monomial((MAX_EXPONENT, 0), 1, 2), [P("x2", 2)], [(0, 1)], order)
+    with pytest.raises(ExponentOverflow):
+        r * P("x1", 2)
+
+
+def _sign(a, b):
+    return (a > b) - (a < b)
+
+
+_WEIGHT = st.fractions(min_value=Fraction(1, 9), max_value=9, max_denominator=9)
+_EXPONENT = st.one_of(st.integers(0, 6), st.integers(0, MAX_EXPONENT))
+
+
+@st.composite
+def _order_and_exponents(draw):
+    """An order on n variables and two exponent tuples for it."""
+    kind = draw(st.sampled_from(["standard", "int", "rational", "zero", "block"]))
+    n = draw(st.integers(1, 4))
+    if kind == "standard":
+        order = GradedLex()
+    elif kind == "int":
+        order = GradedLex(tuple(draw(st.integers(1, 9)) for _ in range(n)))
+    elif kind == "rational":
+        order = GradedLex(tuple(draw(_WEIGHT) for _ in range(n)))
+    elif kind == "zero":
+        n = 3
+        order = GradedLex((0, 1, 0))
+    else:
+        nx = draw(st.integers(1, 3))
+        d = tuple(draw(_WEIGHT) for _ in range(n))
+        order, n = BlockElimination(nx, GradedLex(d)), nx + n
+    a = draw(st.tuples(*[_EXPONENT] * n))
+    # b shares some of a's entries, so that comparisons often tie on a prefix.
+    b = tuple(draw(st.one_of(st.just(e), _EXPONENT)) for e in a)
+    return order, n, a, b
+
+
+@settings(max_examples=300, deadline=None)
+@given(_order_and_exponents())
+# Equal sum x, and a back degree 9 * MAX that must not reach the x fields.
+@example((BlockElimination(2, GradedLex((9,))), 3, (0, 5, MAX_EXPONENT), (1, 4, 0)))
+def test_packed_key_ranks_like_the_reference_key(case):
+    order, n, a, b = case
+    key = order.packed_key(n)
+    ka, kb = key(_pack(a, n)), key(_pack(b, n))
+    assert _sign(ka, kb) == _sign(_reference_key(order, a), _reference_key(order, b))
+    # Division shifts keys by adding them and reads exponents off the low bits.
+    assert ka & ((1 << 32 * n) - 1) == _pack(a, n)
+    s = tuple(x + y for x, y in zip(a, b))
+    if max(s) <= MAX_EXPONENT:
+        assert key(_pack(s, n)) == ka + kb
 
 
 # -- buchberger --------------------------------------------------------------
@@ -215,7 +376,7 @@ def test_kernel_basis_is_monic_and_sorted_for_the_z_order():
     for basis, d in _seeded_kernel_bases():
         order = GradedLex(tuple(d.weights))
         assert basis.order == order
-        keys = [order.key(leading_monomial(g, order)) for g in basis.gens]
+        keys = [_reference_key(order, leading_monomial(g, order)) for g in basis.gens]
         assert all(g.terms[leading_monomial(g, order)] == 1 for g in basis.gens)
         assert all(a > b for a, b in zip(keys, keys[1:]))
         sizes.append(len(basis))
@@ -341,15 +502,11 @@ def test_span_contains_basic():
 
 def _s_poly(f, g, order):
     """The S-polynomial of f and g, formed from their leading terms."""
-    lf, lg = leading_monomial(f, order), leading_monomial(g, order)
+    lf, lg = _reference_lm(f, order), _reference_lm(g, order)
     lcm = tuple(map(max, lf, lg))
     mf = Polynomial.monomial(tuple(a - b for a, b in zip(lcm, lf)), 1 / f.coeff(lf), f.n)
     mg = Polynomial.monomial(tuple(a - b for a, b in zip(lcm, lg)), 1 / g.coeff(lg), g.n)
     return mf * f - mg * g
-
-
-def _divides(a, b):
-    return all(x <= y for x, y in zip(a, b))
 
 
 def _fixpoint_interreduce(G, order):
@@ -357,9 +514,7 @@ def _fixpoint_interreduce(G, order):
     whose leading monomial another's divides, then divide each member by the
     others, restarting after every change, until nothing changes.  Returns
     the monic members sorted by descending leading monomial."""
-    from polyaut.groebner import _divide
-
-    lms = [leading_monomial(g, order) for g in G]
+    lms = [_reference_lm(g, order) for g in G]
     keep = [g for i, g in enumerate(G)
             if not any(j != i and _divides(lms[j], lms[i]) and (lms[j] != lms[i] or j < i)
                        for j in range(len(G)))]
@@ -368,7 +523,7 @@ def _fixpoint_interreduce(G, order):
         changed = False
         for i, g in enumerate(keep):
             others = keep[:i] + keep[i + 1 :]
-            r = _divide(g, others, [leading_monomial(o, order) for o in others], order)
+            r = _reference_divide(g, others, order)
             if r.is_zero():
                 del keep[i]
             elif r != g:
@@ -377,22 +532,19 @@ def _fixpoint_interreduce(G, order):
                 continue
             changed = True
             break
-    monic = [g * (1 / g.coeff(leading_monomial(g, order))) for g in keep]
-    return tuple(sorted(monic, key=lambda g: order.key(leading_monomial(g, order)),
+    monic = [g * (1 / g.coeff(_reference_lm(g, order))) for g in keep]
+    return tuple(sorted(monic, key=lambda g: _reference_key(order, _reference_lm(g, order)),
                         reverse=True))
 
 
 def _naive_buchberger(gens, order):
     """Criteria-free reference: process every pair until stable.  Returns the
     generators of the reduced basis, monic and sorted like IdealBasis.gens."""
-    from polyaut.groebner import _divide
-
     G = [g.primitive() for g in gens if not g.is_zero()]
     pairs = [(i, j) for i in range(len(G)) for j in range(i + 1, len(G))]
     while pairs:
         i, j = pairs.pop()
-        lms = [leading_monomial(g, order) for g in G]
-        rem = _divide(_s_poly(G[i], G[j], order), G, lms, order)
+        rem = _reference_divide(_s_poly(G[i], G[j], order), G, order)
         if not rem.is_zero():
             G.append(rem.primitive())
             pairs.extend((k, len(G) - 1) for k in range(len(G) - 1))

@@ -1,5 +1,7 @@
 """Relation reports, the degree lemmas and the drop bound."""
 
+import hashlib
+import json
 import random
 from fractions import Fraction
 
@@ -138,6 +140,28 @@ def test_degree_bound_on_random_words():
         assert report.bound_ok
         if report.principal and not report.R.is_zero():
             assert report.deg2_of_R <= report.parachute + 1
+
+
+# sha256 of the reports below, one sort_keys JSON line each.
+RATIONAL_WEIGHT_REPORTS_SHA256 = (
+    "15825baf12e7faa02e85b9fcf7dbabf23ab31ff2fc76a765d18427fca7b53923")
+
+
+def test_reports_for_rational_weights_and_four_variables_are_pinned():
+    # The oracle shadow runs only for n <= 3 with integer weights, so these
+    # reports (n alternating 3 and 4, rational w1) have no cross-check but
+    # their pinned bytes.
+    rng = random.Random(20261018)
+    lines = []
+    for k in range(40):
+        n = 4 if k % 2 else 3
+        word = random_tame_word(rng, n, max_gens=5, max_addend_deg=2, max_coord_deg=6)
+        w1 = WeightVector(tuple(Fraction(rng.randint(1, 4), rng.randint(1, 3))
+                                for _ in range(n)))
+        report = relation_report(word, w1)
+        lines.append(json.dumps(report.to_dict(), sort_keys=True) + "\n")
+    digest = hashlib.sha256("".join(lines).encode()).hexdigest()
+    assert digest == RATIONAL_WEIGHT_REPORTS_SHA256
 
 
 def test_plane_inequality_coordinate_exponent():
