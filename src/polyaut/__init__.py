@@ -48,7 +48,6 @@ from .derivation import (
     leading_derivation,
     lnd_witness,
     nilpotence_order,
-    parse_derivation,
 )
 from .groebner import (
     GradedLex,

@@ -3,7 +3,9 @@
 Subcommands:
 
   relations    leading terms, induced weights, relation ideal, principal
-               generator and the degree bound for a map or word
+               generator and the degree bound for a map or word: under
+               uniform weights w1 = c*(1,..,1) it reads deg2(R) <= nabla + c
+               (holds or FAILS); for other w1 it is "not proved" (JSON null)
   decompose2   tame decomposition of a two-variable map (or a disproof)
   classify3    classify a candidate principal relation generator for n = 3
                and produce its tame normal form
@@ -14,7 +16,8 @@ Subcommands:
 
 Inline polynomials use the x1..xn grammar; maps are semicolon-separated
 coordinate lists; words are semicolon-separated generator lines
-("E <i> <poly>", "T <i> <j>", "A <n*n rationals> | <n rationals>").
+("E <i> <poly>", "T <i> <j>", "A <n*n rationals> | <n rationals>").  The
+variable count, --n or inferred, lies in 1..MAX_VARIABLES (64).
 --json (before or after the subcommand) switches every report to a
 machine-readable document whose polynomial fields re-parse through the same
 grammar.
@@ -29,7 +32,10 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
+import re
 import sys
+from dataclasses import asdict
 
 from . import classify3 as c3
 from .autmap import (
@@ -49,6 +55,7 @@ from .classify3 import (
     Forbidden,
     NeedsExtension,
     NormalForm,
+    NotInList,
     NotWeightedHomogeneous,
     WitnessVerificationFailed,
     classify,
@@ -64,7 +71,7 @@ from .derivation import (
 from .groebner import ResourceCapExceeded
 from .jvdk import NotAnAutomorphism, decompose2
 from .polycore import (
-    MINUS_INFINITY,
+    MAX_VARIABLES,
     ExponentOverflow,
     Polynomial,
     WeightVector,
@@ -97,52 +104,50 @@ def _read_file(path: str) -> str:
 
 
 def _infer_word_n(text: str) -> int:
-    """Variable count of a word from its generator lines."""
+    """Variable count of a word: the largest index its lines name (the E
+    target and its x<i>, the T indices, the side of the A matrix)."""
     best = 0
-    for raw in text.splitlines():
-        line = raw.strip()
-        if not line:
-            continue
-        kind, _, rest = line.partition(" ")
+    for line in text.splitlines():
+        kind, _, rest = line.strip().partition(" ")
         if kind == "T":
-            best = max([best, *(int(tok) for tok in rest.split())])
-        elif kind == "A":
-            body = rest.partition("|")[0]
-            entries = len(body.split())
-            n = 1
-            while n * n < entries:
-                n += 1
-            if n * n != entries:
-                raise CliError("affine line does not contain a square matrix")
-            best = max(best, n)
+            indices = rest.split()
         elif kind == "E":
-            idx_str, _, poly = rest.strip().partition(" ")
-            best = max(best, int(idx_str))
-            tokens = poly.replace("^", " ").replace("*", " ")
-            for tok in tokens.replace("(", " ").replace(")", " ").replace("+", " ").replace("-", " ").split():
-                if tok.startswith("x") and tok[1:].isdigit():
-                    best = max(best, int(tok[1:]))
+            target, _, poly = rest.strip().partition(" ")
+            indices = [target, *re.findall(r"x(\d+)", poly)]
+        elif kind == "A":
+            entries = len(rest.partition("|")[0].split())
+            side = math.isqrt(entries)
+            if side < 1 or side * side != entries:
+                raise CliError("affine line does not contain a square matrix")
+            indices = [side]
+        else:
+            continue
+        best = max([best, *map(int, indices)])
     if best < 1:
         raise CliError("cannot infer the variable count; pass --n")
     return best
 
 
 def _load_map_or_word(args) -> PolyMap | AutWord:
-    """The parsed --map/--word/--map-file/--word-file input, unexpanded."""
-    sources = [s for s in ("map", "word", "map_file", "word_file")
-               if getattr(args, s, None)]
-    if len(sources) != 1:
+    """The parsed --map/--word/--map-file/--word-file input, unexpanded.  Its
+    variable count, --n or inferred from the input, lies in 1..MAX_VARIABLES."""
+    if sum(bool(s) for s in (args.map, args.word, args.map_file, args.word_file)) != 1:
         raise CliError("exactly one of --map / --word / --map-file / --word-file is required")
-    if getattr(args, "map", None) or getattr(args, "map_file", None):
+    if args.n is not None and not 1 <= args.n <= MAX_VARIABLES:
+        raise CliError(f"--n must be between 1 and {MAX_VARIABLES}, got {args.n}")
+    if args.map or args.map_file:
         text = _split_lines(args.map) if args.map else _read_file(args.map_file)
-        lines = [l for l in text.splitlines() if l.strip()]
-        n = getattr(args, "n", None) or len(lines)
+        n = args.n or sum(1 for line in text.splitlines() if line.strip())
         if n < 1:
             raise CliError("empty map input")
-        return parse_map(text, n)
-    text = _split_lines(args.word) if args.word else _read_file(args.word_file)
-    n = getattr(args, "n", None) or _infer_word_n(text)
-    return parse_word(text, n)
+        parse = parse_map
+    else:
+        text = _split_lines(args.word) if args.word else _read_file(args.word_file)
+        n = args.n or _infer_word_n(text)
+        parse = parse_word
+    if n > MAX_VARIABLES:
+        raise CliError(f"the input needs {n} variables; at most {MAX_VARIABLES} are allowed")
+    return parse(text, n)
 
 
 def _load_map(args) -> PolyMap:
@@ -176,28 +181,27 @@ def cmd_relations(args) -> int:
     source = _load_map_or_word(args)
     w1 = _weights(args.weights, source.n)
     report = relation_report(source, w1, oracle_shadow=not args.no_shadow)
-    payload = report.to_dict()
-    payload["command"] = "relations"
-    payload["status"] = "ok"
+    payload = {"command": "relations", "status": "ok", **report.to_dict()}
     lines = [
-        f"n = {report.n}",
-        f"w1 = ({', '.join(str(w) for w in report.w1)})",
-        f"d  = ({', '.join(str(w) for w in report.d)})",
+        f"n = {payload['n']}",
+        f"w1 = ({', '.join(payload['w1'])})",
+        f"d  = ({', '.join(payload['d'])})",
         "leading terms:",
+        *(f"  f{i}bar = {f}" for i, f in enumerate(payload["fbars"], 1)),
     ]
-    lines += [f"  f{i}bar = {format_poly(f)}" for i, f in enumerate(report.fbars, 1)]
-    if report.ideal.is_zero_ideal():
-        lines.append("relation ideal: (0)")
+    if payload["ideal"]:
+        lines += ["relation ideal generators:", *(f"  {g}" for g in payload["ideal"])]
     else:
-        lines.append("relation ideal generators:")
-        lines += [f"  {format_poly(g, var='z')}" for g in report.ideal.gens]
-    lines.append(f"principal: {report.principal}")
-    if report.R is not None:
-        lines.append(f"R = {format_poly(report.R, var='z')}")
-        deg = report.deg2_of_R
-        lines.append(f"deg2(R) = {'-inf' if deg is MINUS_INFINITY else deg}")
-    lines.append(f"parachute nabla = {report.parachute}")
-    lines.append(f"bound deg2(R) <= nabla + 1: {'holds' if report.bound_ok else 'FAILS'}")
+        lines.append("relation ideal: (0)")
+    lines.append(f"principal: {payload['principal']}")
+    if payload["R"] is not None:
+        lines += [f"R = {payload['R']}", f"deg2(R) = {payload['deg2_of_R']}"]
+    lines.append(f"parachute nabla = {payload['parachute']}")
+    if payload["bound_ok"] is None:
+        lines.append("bound deg2(R): not proved (w1 not uniform)")
+    else:
+        verdict = "holds" if payload["bound_ok"] else "FAILS"
+        lines.append(f"bound deg2(R) <= nabla + {payload['w1'][0]}: {verdict}")
     _emit(args, payload, lines)
     return OK
 
@@ -208,61 +212,48 @@ def cmd_decompose2(args) -> int:
         raise CliError("decompose2 needs a two-variable map")
     dec = decompose2(m)
     if isinstance(dec, NotAnAutomorphism):
-        payload = {
-            "command": "decompose2",
-            "status": "not-an-automorphism",
-            "stage": dec.stage,
-            "detail": dec.detail,
-        }
+        payload = {"command": "decompose2", "status": "not-an-automorphism", **asdict(dec)}
         _emit(args, payload, [f"not an automorphism ({dec.stage}): {dec.detail}"])
         return DOMAIN
-    word_text = format_word(dec.word)
     payload = {
         "command": "decompose2",
         "status": "ok",
-        "word": word_text.splitlines(),
-        "steps": [
-            {
-                "swapped": s.swapped,
-                "c": str(s.c),
-                "r": s.r,
-                "degree_sum_before": s.degree_sum_before,
-                "degree_sum_after": s.degree_sum_after,
-            }
-            for s in dec.steps
-        ],
+        "word": format_word(dec.word).splitlines(),
+        "steps": [{**asdict(s), "c": str(s.c)} for s in dec.steps],
     }
-    lines = ["word:"]
-    lines += [f"  {l}" for l in word_text.splitlines()] if word_text else ["  (identity)"]
-    lines.append("steps:")
-    if not dec.steps:
-        lines.append("  (none: affine map)")
-    for s in dec.steps:
-        swap = "swap, then " if s.swapped else ""
-        lines.append(
-            f"  {swap}subtract {s.c} * g^{s.r}: degree sum "
-            f"{s.degree_sum_before} -> {s.degree_sum_after}"
-        )
+    lines = ["word:", *([f"  {l}" for l in payload["word"]] or ["  (identity)"]), "steps:"]
+    lines += [
+        f"  {'swap, then ' if s.swapped else ''}subtract {s.c} * g^{s.r}: degree sum "
+        f"{s.degree_sum_before} -> {s.degree_sum_after}"
+        for s in dec.steps
+    ] or ["  (none: affine map)"]
     _emit(args, payload, lines)
     return OK
 
 
 def _canonical_payload(nf: NormalForm) -> dict:
     c = nf.canonical
-    if isinstance(c, c3.Zero):
-        kind = {"kind": "Zero"}
-    elif isinstance(c, c3.X3):
-        kind = {"kind": "X3"}
-    elif isinstance(c, c3.Binomial):
-        kind = {"kind": "Binomial", "r": c.r, "s": c.s}
-    else:
-        kind = {"kind": "TriangularFiber", "k": c.k, "fiber": format_poly(c.fiber)}
+    kind = {"kind": type(c).__name__}  # Zero, X3, Binomial or TriangularFiber
+    if isinstance(c, c3.Binomial):
+        kind.update(r=c.r, s=c.s)
+    elif isinstance(c, c3.TriangularFiber):
+        kind.update(k=c.k, fiber=format_poly(c.fiber))
     return {
         **kind,
         "canonical_poly": format_poly(nf.canonical_poly),
         "witness": format_word(nf.witness).splitlines(),
         "residual_scalar": str(nf.residual_scalar),
     }
+
+
+#: classify3's outcomes other than Classified: the payload status and the
+#: text line, filled in from the outcome's fields (which the payload carries).
+_CLASSIFY3_OUTCOMES = {
+    Forbidden: ("forbidden", "forbidden (entry {entry}): {detail}"),
+    NeedsExtension: ("needs-extension", "needs extension: {reason}"),
+    NotWeightedHomogeneous: ("not-homogeneous", "not weighted homogeneous: {detail}"),
+    NotInList: ("not-in-list", "matches no line: {diagnostic}"),
+}
 
 
 def cmd_classify3(args) -> int:
@@ -283,45 +274,26 @@ def cmd_classify3(args) -> int:
             "h": format_poly(rt.shift_h),
             "scalar": str(rt.scalar),
         }
-        lines = [
-            f"tag: {rt.tag.value}",
-            f"params: {params}",
-            f"h = {format_poly(rt.shift_h)}",
-            f"scalar = {rt.scalar}",
-        ]
+        lines = [f"tag: {payload['tag']}", f"params: {params}", f"h = {payload['h']}",
+                 f"scalar = {payload['scalar']}"]
         nf = normalize(rt)
         if isinstance(nf, NeedsExtension):
             payload["normal_form"] = {"status": "needs-extension", "reason": nf.reason}
             lines.append(f"normal form: needs extension ({nf.reason})")
         else:
-            payload["normal_form"] = _canonical_payload(nf)
-            lines.append(f"normal form: {payload['normal_form']['kind']}")
-            lines.append(f"  canonical = {format_poly(nf.canonical_poly)}")
-            lines.append(f"  residual scalar = {nf.residual_scalar}")
-            lines.append("  witness word:")
-            wl = format_word(nf.witness).splitlines()
-            lines += [f"    {l}" for l in wl] if wl else ["    (identity)"]
+            form = payload["normal_form"] = _canonical_payload(nf)
+            lines += [
+                f"normal form: {form['kind']}",
+                f"  canonical = {form['canonical_poly']}",
+                f"  residual scalar = {form['residual_scalar']}",
+                "  witness word:",
+                *([f"    {l}" for l in form["witness"]] or ["    (identity)"]),
+            ]
         _emit(args, payload, lines)
         return OK
-    if isinstance(out, Forbidden):
-        payload = {
-            "command": "classify3",
-            "status": "forbidden",
-            "entry": out.entry,
-            "detail": out.detail,
-        }
-        _emit(args, payload, [f"forbidden (entry {out.entry}): {out.detail}"])
-        return DOMAIN
-    if isinstance(out, NeedsExtension):
-        payload = {"command": "classify3", "status": "needs-extension", "reason": out.reason}
-        _emit(args, payload, [f"needs extension: {out.reason}"])
-        return DOMAIN
-    if isinstance(out, NotWeightedHomogeneous):
-        payload = {"command": "classify3", "status": "not-homogeneous", "detail": out.detail}
-        _emit(args, payload, [f"not weighted homogeneous: {out.detail}"])
-        return DOMAIN
-    payload = {"command": "classify3", "status": "not-in-list", "diagnostic": out.diagnostic}
-    _emit(args, payload, [f"matches no line: {out.diagnostic}"])
+    status, text = _CLASSIFY3_OUTCOMES[type(out)]
+    fields = asdict(out)
+    _emit(args, {"command": "classify3", "status": status, **fields}, [text.format(**fields)])
     return DOMAIN
 
 
@@ -338,7 +310,7 @@ def cmd_lnd_witness(args) -> int:
     i, dbar = lnd_witness(source, w1, inverse=inv, report=report)
     verdict = is_locally_nilpotent(dbar)
     kills = None
-    if report.principal and report.R is not None and not report.R.is_zero():
+    if report.R is not None and not report.R.is_zero():
         kills = d_apply(dbar, report.R).is_zero()
     payload = {
         "command": "lnd-witness",
@@ -352,23 +324,19 @@ def cmd_lnd_witness(args) -> int:
     lines = [
         f"witness index: {i}",
         "leading derivation coefficients:",
+        *(f"  d/dx{j}: {c}" for j, c in enumerate(payload["leading_derivation"], 1)),
+        # The payload names the verdict's type only; the text shows its orders.
+        f"nilpotence verdict: {verdict}",
     ]
-    lines += [f"  d/dx{j}: {format_poly(c)}" for j, c in enumerate(dbar.coeffs, 1)]
-    lines.append(f"nilpotence verdict: {verdict}")
     if kills is not None:
-        lines.append(f"annihilates R = {format_poly(report.R, var='z')}: {kills}")
+        lines.append(f"annihilates R = {payload['R']}: {kills}")
     _emit(args, payload, lines)
     return OK
 
 
 def cmd_compose(args) -> int:
-    m = _load_map(args)
-    payload = {
-        "command": "compose",
-        "status": "ok",
-        "map": format_map(m).splitlines(),
-    }
-    _emit(args, payload, format_map(m).splitlines())
+    lines = format_map(_load_map(args)).splitlines()
+    _emit(args, {"command": "compose", "status": "ok", "map": lines}, lines)
     return OK
 
 
@@ -383,8 +351,7 @@ def cmd_invert(args) -> int:
         "word": format_word(inv).splitlines(),
         "map": format_map(expand(inv)).splitlines(),
     }
-    lines = format_word(inv).splitlines() or ["(identity)"]
-    _emit(args, payload, lines)
+    _emit(args, payload, payload["word"] or ["(identity)"])
     return OK
 
 
@@ -401,18 +368,14 @@ def cmd_verify(args) -> int:
         "seed": result.seed,
         "count": len(result.cases),
         "passed": result.passed,
-        "failures": [
-            {"index": c.index, "detail": c.detail} for c in result.failures
-        ],
+        "failures": [{"index": c.index, "detail": c.detail} for c in result.failures],
     }
-    status = "PASS" if result.passed else "FAIL"
     lines = [
-        f"{status} {result.name}: "
-        f"{len(result.cases) - len(result.failures)}/{len(result.cases)} cases "
-        f"(seed={result.seed})"
+        f"{'PASS' if result.passed else 'FAIL'} {result.name}: "
+        f"{payload['count'] - len(result.failures)}/{payload['count']} cases "
+        f"(seed={result.seed})",
+        *(f"  case {f['index']}: {f['detail']}" for f in payload["failures"]),
     ]
-    for c in result.failures:
-        lines.append(f"  case {c.index}: {c.detail}")
     _emit(args, payload, lines)
     return OK if result.passed else DOMAIN
 

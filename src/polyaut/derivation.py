@@ -239,15 +239,6 @@ def format_derivation(d: Derivation) -> str:
     return "\n".join(format_poly(c) for c in d.coeffs)
 
 
-def parse_derivation(text: str, n: int) -> Derivation:
-    from .polycore import parse_poly
-
-    lines = [line for line in (l.strip() for l in text.splitlines()) if line]
-    if len(lines) != n:
-        raise ValueError(f"expected {n} coefficient lines, got {len(lines)}")
-    return Derivation(n, tuple(parse_poly(line, n) for line in lines))
-
-
 def lnd_witness(phi: AutWord | PolyMap, w1: WeightVector,
                 inverse: PolyMap | None = None, report=None):
     """Witness index and leading derivation for the degree induced by phi.

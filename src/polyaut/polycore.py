@@ -136,6 +136,11 @@ class WeightVector:
 
 FIELD_BITS = 32
 MAX_EXPONENT = (1 << FIELD_BITS) - 1
+#: The largest variable count the command line accepts, explicit or inferred.
+#: Every packed exponent has FIELD_BITS bits per variable and an identity map
+#: has one coordinate per variable, so an unbounded count (a word naming
+#: x99999999999) would ask for unbounded memory; the tests use at most 12.
+MAX_VARIABLES = 64
 
 
 class ExponentOverflow(ValueError):

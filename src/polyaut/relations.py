@@ -8,7 +8,11 @@ principality and monic generator R, the drop bound
     nabla = d_1 + .. + d_n - n        (standard deg1)
     deg2(R) <= nabla + 1,
 
-and, for small integer weights, an independent graded-slice oracle shadow
+which under uniform weights w1 = c*(1, .., 1), where every degree scales by
+c, reads deg2(R) <= nabla + c with nabla = d_1 + .. + d_n - n*c.  The
+report's bound_ok is that verdict (vacuously True when R is None or zero);
+for any other w1 the bound is not proved and bound_ok is None.  Also, for
+small integer weights, an independent graded-slice oracle shadow
 check of the kernel computation.  The report keeps the certified pair it
 was computed from, autmap.certify(phi): the expanded map report.m and its
 constant Jacobian report.mu.  Later steps on the same automorphism compose
@@ -74,7 +78,7 @@ class RelationReport:
     R: Polynomial | None  # monic generator when principal (0 for the zero ideal)
     deg2_of_R: object  # WDegree
     parachute: Fraction
-    bound_ok: bool
+    bound_ok: bool | None  # None: w1 is not uniform, so no bound is proved
 
     def to_dict(self) -> dict:
         from .polycore import format_poly
@@ -123,8 +127,11 @@ def relation_report(phi: AutWord | PolyMap, w1: WeightVector | None = None,
         R = ideal.gens[0] if len(ideal) == 1 else None
     principal = R is not None
     deg2_of_R = wdeg(R, d) if principal else MINUS_INFINITY
-    # The bound speaks about a nonzero principal generator only.
-    bound_ok = R is None or R.is_zero() or deg2_of_R <= nabla + 1
+    # The bound speaks about a nonzero principal generator only, and is
+    # proved for uniform weights c*(1, .., 1) only.
+    c = w1[1]
+    bound_ok = (None if any(w != c for w in w1)
+                else R is None or R.is_zero() or deg2_of_R <= nabla + c)
     report = RelationReport(
         m=m, mu=mu, n=n, w1=w1, d=d, fbars=fbars, ideal=ideal,
         principal=principal, R=R, deg2_of_R=deg2_of_R, parachute=nabla,

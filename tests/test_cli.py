@@ -10,7 +10,7 @@ from polyaut.cli import main
 from polyaut.classify3 import WitnessVerificationFailed
 from polyaut.derivation import NoWitnessIndex
 from polyaut.groebner import ResourceCapExceeded
-from polyaut.polycore import MAX_EXPONENT, parse_poly
+from polyaut.polycore import MAX_EXPONENT, MAX_VARIABLES, parse_poly
 from polyaut.autmap import parse_word, parse_map
 from polyaut.relations import OracleMismatch
 
@@ -31,6 +31,44 @@ def test_relations_text_report(capsys):
     assert status == 0
     assert "R = z1 - z2^2" in out
     assert "bound deg2(R) <= nabla + 1: holds" in out
+
+
+def test_relations_bound_scales_with_uniform_weights(capsys):
+    # Under w1 = 2*(1, 1, 1) every degree doubles: deg2(R) = 6, nabla = 4,
+    # and the proved bound is nabla + 2.
+    argv = ["relations", "--word", "E 3 x1^3", "--weights", "2,2,2"]
+    status, out = run(capsys, *argv)
+    assert status == 0
+    assert "deg2(R) = 6\nparachute nabla = 4\n" in out
+    assert out.endswith("bound deg2(R) <= nabla + 2: holds\n")
+    status, doc = run_json(capsys, *argv)
+    assert status == 0
+    assert doc["bound_ok"] is True
+
+
+def test_relations_bound_not_proved_for_non_uniform_weights(capsys):
+    argv = ["relations", "--word", "E 3 x1^3", "--weights", "1,2,2"]
+    status, doc = run_json(capsys, *argv)
+    assert status == 0
+    assert doc["principal"] is True and doc["R"] not in (None, "0")
+    assert doc["bound_ok"] is None
+    status, out = run(capsys, *argv)
+    assert status == 0
+    assert out.endswith("bound deg2(R): not proved (w1 not uniform)\n")
+
+
+def test_no_shadow_skips_the_oracle_and_keeps_the_report(capsys, count_calls):
+    from polyaut import relations
+
+    shadow_calls = count_calls(relations, "_shadow_check")
+    argv = ["relations", "--word", "E 3 x1*x2^2; E 1 x2^2"]
+    status, default = run(capsys, *argv)
+    assert status == 0
+    assert len(shadow_calls) == 1
+    status, no_shadow = run(capsys, *argv, "--no-shadow")
+    assert status == 0
+    assert len(shadow_calls) == 1
+    assert no_shadow == default
 
 
 def test_relations_json_reparses(capsys):
@@ -319,6 +357,38 @@ def test_inverse_with_word_is_usage_error(capsys, count_calls):
     assert "inverse" in captured.err
     # The usage error comes before any relation-ideal work.
     assert report_calls == []
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["compose", "--word", "E 1 x2", "--n", "0"],
+        ["compose", "--word", "E 1 x2", "--n", "-1"],
+        ["compose", "--word", "E 1 x2", "--n", str(MAX_VARIABLES + 1)],
+        ["compose", "--word", f"E 1 x{MAX_VARIABLES + 1}"],
+        ["compose", "--word", f"T 1 {MAX_VARIABLES + 1}"],
+        ["relations", "--map", "; ".join(["x1"] * (MAX_VARIABLES + 1))],
+    ],
+    ids=["n-zero", "n-negative", "n-over-cap", "x-index-over-cap",
+         "t-index-over-cap", "map-over-cap"],
+)
+def test_variable_count_outside_the_cap_is_usage_error(capsys, count_calls, argv):
+    from polyaut import cli
+
+    parse_calls = [count_calls(cli, "parse_word"), count_calls(cli, "parse_map")]
+    status = main(argv)
+    captured = capsys.readouterr()
+    assert status == 2
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1
+    assert captured.err.startswith("error: ")
+    assert parse_calls == [[], []]  # rejected before anything is parsed
+
+
+def test_variable_count_at_the_cap_is_accepted(capsys):
+    status, doc = run_json(capsys, "compose", "--word", f"E 1 x{MAX_VARIABLES}")
+    assert status == 0
+    assert len(doc["map"]) == MAX_VARIABLES
 
 
 @pytest.mark.parametrize("word", ["T", "T 1", "T a b"])

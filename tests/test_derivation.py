@@ -307,11 +307,11 @@ def test_delta_derivations_of_words_are_locally_nilpotent():
                 assert isinstance(is_locally_nilpotent(lead), LocallyNilpotent)
 
 
-def test_derivation_text_round_trip():
-    from polyaut.derivation import format_derivation, parse_derivation
+def test_format_derivation_prints_one_coefficient_per_line():
+    from polyaut.derivation import format_derivation
 
-    d = D(["2*x2", "1"], 2)
-    assert parse_derivation(format_derivation(d), 2) == d
+    assert format_derivation(D(["2*x2", "1"], 2)) == "2*x2\n1"
+    assert format_derivation(D(["0", "x1^2 - 1/2", "3"], 3)) == "0\nx1^2 - 1/2\n3"
 
 
 def test_witness_leading_derivation_stabilizes_the_relation_ideal():

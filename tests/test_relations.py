@@ -142,9 +142,37 @@ def test_degree_bound_on_random_words():
             assert report.deg2_of_R <= report.parachute + 1
 
 
+def test_uniform_weights_scale_the_degree_bound():
+    # Under w1 = c*(1, .., 1) every degree scales by c, so the proved bound
+    # deg2(R) <= nabla + 1 of the standard degree reads nabla + c.
+    rng = random.Random(45)
+    checked = 0
+    while checked < 6:
+        n = rng.choice([2, 3])
+        word = random_tame_word(rng, n, max_gens=4, max_addend_deg=2,
+                                max_coord_deg=6, mode="nonaffine")
+        std = relation_report(word)
+        if not (std.principal and not std.R.is_zero()):
+            continue
+        for c in (Fraction(1, 2), Fraction(3)):
+            report = relation_report(word, WeightVector((c,) * n))
+            assert report.R == std.R
+            assert report.deg2_of_R == c * std.deg2_of_R
+            assert report.parachute == c * std.parachute
+            assert report.bound_ok is True
+        checked += 1
+
+
+def test_degree_bound_is_not_proved_for_non_uniform_weights():
+    report = relation_report(ELEM, WeightVector((1, 2)))
+    assert report.principal and not report.R.is_zero()
+    assert report.bound_ok is None
+    assert report.to_dict()["bound_ok"] is None
+
+
 # sha256 of the reports below, one sort_keys JSON line each.
 RATIONAL_WEIGHT_REPORTS_SHA256 = (
-    "15825baf12e7faa02e85b9fcf7dbabf23ab31ff2fc76a765d18427fca7b53923")
+    "9fdef83d57a26c7e2b283242384718d2b99795c7bc00a64f52cb1cc700a71ecc")
 
 
 def test_reports_for_rational_weights_and_four_variables_are_pinned():
