@@ -86,7 +86,6 @@ from .classify3 import (
     Tag,
     canonical_lnd,
     classify,
-    forbidden_match,
     normalize,
     reconstruct,
     sample_classified,

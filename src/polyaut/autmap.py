@@ -179,12 +179,6 @@ class PolyMap:
     def is_identity(self) -> bool:
         return self == PolyMap.identity(self.n)
 
-    def __getitem__(self, i: int) -> Polynomial:
-        """Coordinate f_i, 1-based."""
-        if not 1 <= i <= self.n:
-            raise IndexError(f"coordinate index {i} out of range 1..{self.n}")
-        return self.coords[i - 1]
-
 
 def compose_map(outer: PolyMap, inner: PolyMap) -> PolyMap:
     """(outer o inner)(x) = outer(inner(x)): substitute inner into outer."""

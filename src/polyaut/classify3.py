@@ -574,25 +574,6 @@ def _match_cubic_form(q: Polynomial, v2: int, c: list):
     return Tag.T12, {"a1": a1, "b1": b1, "a2": a2, "b2": b2}
 
 
-def forbidden_match(R: Polynomial) -> Optional[int]:
-    """Entry index 1..6 when R is proportional to a forbidden-family member
-    (after removing the x3-cross term), else None.
-
-    Family 3 additionally needs both factors to genuinely involve x2
-    (otherwise an x2-substitution reaches a triangular fiber form, which
-    does lie in an LND kernel); the determinant side condition is checked
-    as the discriminant of the x2-quadratic, so membership is decided even
-    when the factors themselves live in an extension.
-    """
-    if R.n != 3 or R.is_zero():
-        return None
-    parts = _x3_parts(R)
-    if max(parts) != 2 or not parts[2].is_constant():
-        return None
-    matched = _square_part(parts)[3]
-    return matched.entry if isinstance(matched, Forbidden) else None
-
-
 # -- diagnostics -------------------------------------------------------------
 
 
@@ -932,12 +913,9 @@ def _weights(*ws) -> WeightVector:
 
 
 def sample_classified(tag: Tag, rng: random.Random):
-    """(R, d) drawn from the given line; R is deg2-homogeneous for d and
-    satisfies the support bound deg2(R) <= d1+d2+d3-2."""
+    """(R, d) drawn from the given nonzero line; R is deg2-homogeneous for d
+    and satisfies the support bound deg2(R) <= d1+d2+d3-2."""
     lam = _rand_nonzero(rng)
-    if tag is Tag.ZERO:
-        d = _weights(1, 2, 3)
-        return Polynomial.zero(3), d
     if tag is Tag.ELEM_REDUCIBLE:
         d = _weights(*rng.choice([(1, 1, 1), (1, 2, 2), (2, 3, 4), (2, 2, 3), (1, 2, 3)]))
         rt = RelationType(tag, {}, _rand_h(rng, d), lam)

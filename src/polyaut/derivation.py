@@ -191,8 +191,6 @@ def is_locally_nilpotent(d: Derivation, cap: int | None = None) -> NilpotenceVer
     """
     if cap is None:
         cap = default_cap(d)
-    if cap < 1:
-        raise ValueError("cap must be >= 1")
     orders = []
     for i in range(1, d.n + 1):
         k = nilpotence_order(d, Polynomial.variable(i, d.n), cap)
@@ -267,13 +265,9 @@ def lnd_witness(phi: AutWord | PolyMap, w1: WeightVector,
         inv = inverse
         if not compose_map(fwd, inv).is_identity() or not compose_map(inv, fwd).is_identity():
             raise InverseMismatch("supplied inverse does not invert the map")
-    if len(w1) != fwd.n:
-        raise ValueError("weight vector length does not match map")
     d = deg2_weights(fwd, w1)
     for i in range(1, fwd.n + 1):
         delta = delta_derivation(inv, i, mu)
-        if delta.is_zero():
-            continue
         if derivation_degree(delta, d) >= -w1[i]:
             return i, leading_derivation(delta, d)
     raise NoWitnessIndex(

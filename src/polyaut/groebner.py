@@ -175,9 +175,6 @@ class IdealBasis:
     def __len__(self):
         return len(self.gens)
 
-    def __iter__(self):
-        return iter(self.gens)
-
 
 # -- division on order keys ---------------------------------------------------
 
@@ -496,7 +493,7 @@ def graded_kernel_oracle(images: Sequence[Polynomial], dweights: WeightVector,
     if len(dweights) != nz:
         raise ValueError("dweights length must match image count")
     # Degrees scaled to ints by the common denominator s of the weights.
-    s, d = _int_weights(dweights.weights)
+    s, d = dweights._int_form
     by_degree: dict = {}
     for alpha in _exponents_up_to(d, floor(Fraction(dmax) * s)):
         by_degree.setdefault(sum(map(mul, alpha, d)), []).append(alpha)

@@ -40,7 +40,7 @@ from __future__ import annotations
 import functools
 import struct
 from collections.abc import Mapping
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, lcm
 from operator import add, mul
@@ -95,9 +95,13 @@ class PolyParseError(ValueError):
 
 @dataclass(frozen=True)
 class WeightVector:
-    """Positive rational weights (w1,..,wn) defining a p.w.h. degree."""
+    """Positive rational weights (w1,..,wn) defining a p.w.h. degree.
+
+    _int_form is (s, the weights times s) for the least common denominator
+    s, computed once here for the degree functions."""
 
     weights: tuple
+    _int_form: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         ws = tuple(Fraction(w) for w in self.weights)
@@ -106,14 +110,11 @@ class WeightVector:
         if any(w <= 0 for w in ws):
             raise ValueError(f"weights must be positive, got {ws}")
         object.__setattr__(self, "weights", ws)
+        object.__setattr__(self, "_int_form", _int_weights(ws))
 
     @staticmethod
     def standard(n: int) -> "WeightVector":
         return WeightVector((Fraction(1),) * n)
-
-    @property
-    def n(self) -> int:
-        return len(self.weights)
 
     def __len__(self):
         return len(self.weights)
@@ -503,7 +504,7 @@ def _scaled_degrees(p: Polynomial, w: WeightVector):
     denominator of the weights, so that every degree is an int."""
     if len(w) != p.n:
         raise ValueError("weight vector length does not match variable count")
-    s, ws = _int_weights(w.weights)
+    s, ws = w._int_form
     unpack = _unpacker(p.n)
     return s, {key: sum(map(mul, unpack(key), ws)) for key in p._nums}
 

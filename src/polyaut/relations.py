@@ -12,12 +12,12 @@ which under uniform weights w1 = c*(1, .., 1), where every degree scales by
 c, reads deg2(R) <= nabla + c with nabla = d_1 + .. + d_n - n*c.  The
 report's bound_ok is that verdict (vacuously True when R is None or zero);
 for any other w1 the bound is not proved and bound_ok is None.  Also, for
-small integer weights, an independent graded-slice oracle shadow
-check of the kernel computation.  The report keeps the certified pair it
-was computed from, autmap.certify(phi): the expanded map report.m and its
-constant Jacobian report.mu.  Later steps on the same automorphism compose
-with report.m and read report.mu instead of expanding or certifying the
-input again.
+n <= 3 and any positive weights, an independent graded-slice oracle shadow
+check of the kernel computation that covers every basis member.  The
+report keeps the certified pair it was computed from, autmap.certify(phi):
+the expanded map report.m and its constant Jacobian report.mu.  Later
+steps on the same automorphism compose with report.m and read report.mu
+instead of expanding or certifying the input again.
 
 Relation-ideal elements are returned as n-variable polynomials; read their
 variables as z1..zn (the i-th slot stands for the leading term of f_i).
@@ -91,9 +91,7 @@ class RelationReport:
             "ideal": [format_poly(g, var="z") for g in self.ideal.gens],
             "principal": self.principal,
             "R": None if self.R is None else format_poly(self.R, var="z"),
-            "deg2_of_R": (
-                "-inf" if self.deg2_of_R is MINUS_INFINITY else str(self.deg2_of_R)
-            ),
+            "deg2_of_R": str(self.deg2_of_R),
             "parachute": str(self.parachute),
             "bound_ok": self.bound_ok,
         }
@@ -105,10 +103,10 @@ def relation_report(phi: AutWord | PolyMap, w1: WeightVector | None = None,
     """Compute leading terms, relation ideal, principality, R, nabla and the
     degree bound for the map (default weights: standard).
 
-    With integer weights and n <= 3, the graded oracle independently
-    recomputes the kernel up to degree nabla + 1 and any disagreement raises
-    OracleMismatch; the bound pins down exactly where a principal generator
-    can live, so the oracle sees all of it.
+    For n <= 3, under any positive weights, the graded oracle independently
+    recomputes the kernel up to degree nabla + 1, or up to the top deg2 of a
+    basis member when that is higher, so it sees every generator, R
+    included; any disagreement raises OracleMismatch.
     """
     m, mu = certify(phi)
     n = m.n
@@ -137,32 +135,25 @@ def relation_report(phi: AutWord | PolyMap, w1: WeightVector | None = None,
         principal=principal, R=R, deg2_of_R=deg2_of_R, parachute=nabla,
         bound_ok=bound_ok,
     )
-    if (
-        oracle_shadow
-        and n <= 3
-        and all(w.denominator == 1 for w in d)
-        and nabla + 1 > 0
-    ):
+    if oracle_shadow and n <= 3:
         _shadow_check(report)
     return report
 
 
 def _shadow_check(report: RelationReport) -> list:
-    """Cross-check the kernel against the graded oracle up to nabla + 1;
-    returns the oracle elements it checked."""
-    dmax = report.parachute + 1
+    """Cross-check the kernel against the graded oracle up to the larger of
+    nabla + 1 and the top deg2 of a basis member, so that every basis member
+    lies in the oracle's span; returns the oracle elements it checked."""
+    dmax = max([report.parachute + 1, *(wdeg(g, report.d) for g in report.ideal.gens)])
     oracle = graded_kernel_oracle(report.fbars, report.d, dmax)
     for g in oracle:
         if not normal_form(g, report.ideal).is_zero():
             raise OracleMismatch(
                 f"oracle element {g} does not reduce to zero against the kernel basis"
             )
-    low_gens = [g for g in report.ideal.gens if wdeg(g, report.d) <= dmax]
-    for g in low_gens:
+    for g in report.ideal.gens:
         if not span_contains(oracle, g):
-            raise OracleMismatch(
-                f"kernel generator {g} of low degree is outside the oracle span"
-            )
+            raise OracleMismatch(f"kernel generator {g} is outside the oracle span")
     return oracle
 
 

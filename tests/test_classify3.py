@@ -20,9 +20,10 @@ from polyaut.classify3 import (
     TriangularFiber,
     X3,
     Zero,
+    _square_part,
+    _x3_parts,
     canonical_lnd,
     classify,
-    forbidden_match,
     normalize,
     reconstruct,
     sample_classified,
@@ -179,22 +180,29 @@ def test_classify_nonconstant_square_coefficient_rejected():
     out = classify(P("x1*x3^2 + x2^3"), W(1, 1, 1))
     assert isinstance(out, NotInList)
     assert "non-constant coefficient" in out.diagnostic
-    assert forbidden_match(P("x1*x3^2 + x2^3")) is None
 
 
 # -- forbidden list ------------------------------------------------------------
 
 
-def test_forbidden_match_examples():
-    assert forbidden_match(P("x3^2 + x1^5 + x2^3")) == 2
-    assert forbidden_match(P("x3^2 + (x1^3 + x2^2)*x2")) == 5
-    assert forbidden_match(P("x3^2 + x2^3")) is None  # T5, not forbidden
-    assert forbidden_match(P("x3^2 + (x1^3 - x2^2)*x1")) == 6
-    assert forbidden_match(P("x3^2 + (x1 + x2)*(x1 - x2)*(x1 + 2*x2)")) == 4
+def _entry(text, *ws):
+    """The forbidden entry classify reports for R at ascending weights, or
+    None when R classifies otherwise."""
+    out = classify(P(text), W(*ws))
+    return out.entry if isinstance(out, Forbidden) else None
+
+
+def test_forbidden_examples():
+    assert _entry("x3^2 + x1^5 + x2^3", 6, 10, 15) == 2
+    assert _entry("x3^2 + (x1^3 + x2^2)*x2", 4, 6, 9) == 5
+    t5 = classify(P("x3^2 + x2^3"), W(4, 4, 6))  # T5, not forbidden
+    assert isinstance(t5, Classified) and t5.info.tag is Tag.T5
+    assert _entry("x3^2 + (x1^3 - x2^2)*x1", 4, 6, 8) == 6
+    assert _entry("x3^2 + (x1 + x2)*(x1 - x2)*(x1 + 2*x2)", 4, 4, 6) == 4
     # With a bare x1 factor the product of two independent x2-linear forms
     # sits in families 3 and 4 at once; first match reports 3.
-    assert forbidden_match(P("x3^2 + (x1 + x2)*(x1 - x2)*x1")) == 3
-    assert forbidden_match(P("x3^2 + (x1^2 + x2)*(x1^2 - x2)*x1")) == 3
+    assert _entry("x3^2 + (x1 + x2)*(x1 - x2)*x1", 4, 4, 6) == 3
+    assert _entry("x3^2 + (x1^2 + x2)*(x1^2 - x2)*x1", 4, 8, 10) == 3
 
 
 def test_forbidden_families_never_classify():
@@ -209,8 +217,8 @@ def test_forbidden_families_never_classify():
 def test_forbidden_three_with_irrational_split_still_detected():
     # Discriminant nonzero but not a square: the determinant condition is
     # rational even when the factors are not.
-    R = P("x3^2 + (x1^4 - 2*x2^2)*x1")  # (x1^2 - s*x2)(x1^2 + s*x2)x1, s = sqrt(2)
-    assert forbidden_match(R) == 3
+    # (x1^2 - s*x2)(x1^2 + s*x2)x1 with s = sqrt(2)
+    assert _entry("x3^2 + (x1^4 - 2*x2^2)*x1", 4, 8, 10) == 3
 
 
 # -- repeated factors of binary cubics -----------------------------------------
@@ -282,10 +290,8 @@ def test_classify_binary_cubic_repeated_factor(kind):
         if repeated:
             assert isinstance(out, Classified) and out.info.tag is Tag.T12, (q, out)
             assert reconstruct(out.info) == R
-            assert forbidden_match(R) is None
         else:
             assert isinstance(out, Forbidden) and out.entry == 4, (q, out)
-            assert forbidden_match(R) == 4
 
 
 # -- soundness, exclusivity, normal forms --------------------------------------
@@ -394,7 +400,7 @@ def test_real_relation_generators_always_classify():
             tuple(d.weights[i] for i in order)
         )
 
-    for word in space_corpus_principal(424242, 8, 6):
+    for word in space_corpus_principal(424242, 8):
         rep = relation_report(word)
         R, d = reorder(rep.R, rep.d)
         out = classify(R, d)
@@ -619,9 +625,21 @@ def _char_x3_linear(rng):
     return front * Polynomial.variable(3, 3) + p, W(1, e, d3)
 
 
+def _square_part_entry(R):
+    """The forbidden entry matched by the x3-free part Q of R = lam*((x3 +
+    h)^2 + Q) when the x3^2 coefficient lam is a constant, else None.  Unlike
+    classify, this reads Q whether or not it is weighted homogeneous."""
+    parts = _x3_parts(R)
+    if max(parts) != 2 or not parts[2].is_constant():
+        return None
+    matched = _square_part(parts)[3]
+    return matched.entry if isinstance(matched, Forbidden) else None
+
+
 def square_part_outcomes_digest(count=4000, seed=20261018):
-    """sha256 over classify and forbidden_match of lam*((x3 + h)^2 + Q) for a
-    seeded corpus of x3-free parts Q, plus x3-linear inputs."""
+    """sha256 over classify and the square-part forbidden entry of
+    lam*((x3 + h)^2 + Q) for a seeded corpus of x3-free parts Q, plus
+    x3-linear inputs."""
     rng = random.Random(seed)
     makers = [_char_line, _char_binomials, _char_x2_quadratic, _char_near_forbidden,
               _char_arbitrary]
@@ -631,7 +649,7 @@ def square_part_outcomes_digest(count=4000, seed=20261018):
         if i % 20 == 19:
             R, d = _char_x3_linear(rng)
             lines.append(repr(classify(R, d)))
-            lines.append(repr(forbidden_match(R)))
+            lines.append(repr(_square_part_entry(R)))
             continue
         q = makers[i % len(makers)](rng)
         d = _char_weights(q)
@@ -640,7 +658,7 @@ def square_part_outcomes_digest(count=4000, seed=20261018):
         R = (x3p * x3p + q) * lam
         if d is not None:
             lines.append(repr(classify(R, d)))
-        lines.append(repr(forbidden_match(R)))
+        lines.append(repr(_square_part_entry(R)))
     return hashlib.sha256("\n".join(lines).encode()).hexdigest()
 
 

@@ -292,6 +292,25 @@ def test_zero_denominator_is_usage_error(capsys, argv):
     assert captured.err.splitlines() == ["error: zero denominator in '1/0'"]
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["compose", "--word", "A 1 2 3 | 0 0"], "affine line does not contain a square matrix"),
+        (["relations", "--map", ";"], "empty map input"),
+        (["relations", "--map", "x1; x2", "--weights", "1"], "expected 2 weights, got 1"),
+        (["lnd-witness", "--map", "x1 + x2^2; x2"],
+         "a raw map needs --inverse (or pass a --word)"),
+    ],
+    ids=["affine-not-square", "empty-map", "weight-count", "raw-map-without-inverse"],
+)
+def test_malformed_input_is_usage_error(capsys, argv, message):
+    status = main(argv)
+    captured = capsys.readouterr()
+    assert status == 2
+    assert captured.out == ""
+    assert captured.err.splitlines() == [f"error: {message}"]
+
+
 def test_nonpositive_weights_echo_the_input(capsys):
     status = main(["relations", "--map", "x1;x2", "--weights", "0,1"])
     captured = capsys.readouterr()

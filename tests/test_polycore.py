@@ -143,6 +143,20 @@ def test_weight_vector_length_must_match(fn, weights):
             fn(p, WeightVector(weights))
 
 
+def test_weight_vector_scales_itself_once(count_calls):
+    from polyaut import polycore
+
+    w = WeightVector((Fraction(1, 2), Fraction(2, 3)))
+    calls = count_calls(polycore, "_int_weights")
+    for k in range(10):
+        assert wdeg(P(f"x1^{k} + x2", 2), w) == max(Fraction(k, 2), Fraction(2, 3))
+    assert calls == []
+    # The cached integer form stays out of ==, hash and repr.
+    same = WeightVector((Fraction(1, 2), Fraction(2, 3)))
+    assert w == same and hash(w) == hash(same)
+    assert repr(w) == "WeightVector(weights=(Fraction(1, 2), Fraction(2, 3)))"
+
+
 def test_minus_infinity_ordering():
     assert MINUS_INFINITY < Fraction(-100)
     assert not (MINUS_INFINITY < MINUS_INFINITY)

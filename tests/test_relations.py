@@ -132,6 +132,11 @@ def test_parachute_vanishing_derivative():
     assert check_parachute(ELEM, P("x1", 2), 3, var=2)
 
 
+def test_parachute_rejects_negative_k():
+    with pytest.raises(ValueError):
+        check_parachute(ELEM, P("x1", 2), -1)
+
+
 def test_degree_bound_on_random_words():
     rng = random.Random(42)
     for _ in range(10):
@@ -163,6 +168,37 @@ def test_uniform_weights_scale_the_degree_bound():
         checked += 1
 
 
+SHADOW_CASES = [
+    # (addend of x3, w1): R lies above nabla + 1 under the first two weight
+    # vectors, and the third is rational.
+    ("x1^3", (2, 2, 2)),
+    ("x1^2*x2", (1, 2, 3)),
+    ("x1^3", (Fraction(1, 2),) * 3),
+]
+
+
+@pytest.mark.parametrize("addend, w1", SHADOW_CASES, ids=["uniform-2", "1-2-3", "half"])
+def test_shadow_checks_every_generator_under_any_weights(monkeypatch, count_calls,
+                                                         addend, w1):
+    from polyaut import relations
+    from polyaut.groebner import span_contains
+
+    checked = []
+
+    def recording(vectors, target):
+        ok = span_contains(vectors, target)
+        checked.append((target, ok))
+        return ok
+
+    monkeypatch.setattr(relations, "span_contains", recording)
+    shadow_calls = count_calls(relations, "_shadow_check")
+    word = AutWord(3, (Elementary(3, P(addend, 3)),))
+    report = relation_report(word, WeightVector(w1))
+    assert report.principal and not report.R.is_zero()
+    assert len(shadow_calls) == 1
+    assert (report.R, True) in checked
+
+
 def test_degree_bound_is_not_proved_for_non_uniform_weights():
     report = relation_report(ELEM, WeightVector((1, 2)))
     assert report.principal and not report.R.is_zero()
@@ -176,8 +212,8 @@ RATIONAL_WEIGHT_REPORTS_SHA256 = (
 
 
 def test_reports_for_rational_weights_and_four_variables_are_pinned():
-    # The oracle shadow runs only for n <= 3 with integer weights, so these
-    # reports (n alternating 3 and 4, rational w1) have no cross-check but
+    # The oracle shadow runs only for n <= 3, so the n = 4 reports among
+    # these (n alternating 3 and 4, rational w1) have no cross-check but
     # their pinned bytes.
     rng = random.Random(20261018)
     lines = []

@@ -14,3 +14,10 @@ def test_witness_suites_read_the_certified_jacobian(count_calls, suite):
     calls = count_calls(polycore, "jacobian")
     assert run_suite(suite, 20260810, 25).passed
     assert calls == []
+
+
+def test_parachute_suite_passes_the_word(count_calls):
+    # check_parachute certifies a word from its generators' determinants.
+    calls = count_calls(polycore, "jacobian")
+    assert run_suite("parachute", 20260810, 25).passed
+    assert calls == []
