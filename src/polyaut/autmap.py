@@ -10,9 +10,13 @@ ordered list of generators, each one of
 
 expand() turns a word into a PolyMap, the explicit coordinate tuple
 (f1,..,fn); composition of maps is substitution, (F o G)(x) = F(G(x)),
-and expand([g1,..,gk]) = G1 o G2 o .. o Gk.  A word carries its own
-certificate of invertibility: invert_word reverses the list and inverts
-each generator.
+and expand([g1,..,gk]) = G1 o G2 o .. o Gk.  It evaluates the word as
+G1(G2(..Gk(x))), last generator first: starting from the identity,
+apply_generator(g, coords) applies each generator to the coordinates
+built so far.  generator_map(g), the coordinates of one generator, is
+apply_generator on the identity.  A word carries its own certificate of
+invertibility: invert_word reverses the list and inverts each generator,
+an Affine by one elimination that also gives its determinant.
 
 certify(phi) returns the pair every later step needs, the coordinate map F
 and its constant Jacobian mu.  For a word, F is its expansion and mu the
@@ -187,50 +191,74 @@ def compose_map(outer: PolyMap, inner: PolyMap) -> PolyMap:
     return PolyMap(outer.n, tuple(compose(c, inner.coords) for c in outer.coords))
 
 
-def generator_map(g: Generator) -> PolyMap:
-    """The coordinate tuple of a single generator."""
-    n = g.n
+def apply_generator(g: Generator, coords: tuple) -> tuple:
+    """The coordinates of g o C, for the map C with coordinates coords: the
+    generator's coordinate functions with coords substituted for x1..xn.
+
+    An Affine is a linear combination of coords plus its shift, an
+    Elementary adds its addend composed with coords to one coordinate, and
+    a Transposition swaps two coordinates.
+    """
     if isinstance(g, Affine):
-        coords = []
-        for i in range(n):
-            p = Polynomial.constant(g.shift[i], n)
-            for j in range(n):
-                a = g.matrix[i][j]
+        out = []
+        for row, s in zip(g.matrix, g.shift):
+            p = Polynomial.constant(s, g.n)
+            for a, c in zip(row, coords):
                 if a:
-                    p = p + Polynomial.variable(j + 1, n) * a
-            coords.append(p)
-        return PolyMap(n, tuple(coords))
+                    p = p + c * a
+            out.append(p)
+        return tuple(out)
+    out = list(coords)
     if isinstance(g, Elementary):
-        coords = list(PolyMap.identity(n).coords)
-        coords[g.target - 1] = coords[g.target - 1] + g.addend
-        return PolyMap(n, tuple(coords))
-    if isinstance(g, Transposition):
-        coords = list(PolyMap.identity(n).coords)
-        coords[g.i - 1], coords[g.j - 1] = coords[g.j - 1], coords[g.i - 1]
-        return PolyMap(n, tuple(coords))
-    raise TypeError(f"unknown generator {g!r}")
+        t = g.target - 1
+        out[t] = coords[t] + compose(g.addend, coords)
+    elif isinstance(g, Transposition):
+        out[g.i - 1], out[g.j - 1] = coords[g.j - 1], coords[g.i - 1]
+    else:
+        raise TypeError(f"unknown generator {g!r}")
+    return tuple(out)
+
+
+def generator_map(g: Generator) -> PolyMap:
+    """The coordinate tuple of a single generator: g applied to the identity."""
+    return PolyMap(g.n, apply_generator(g, PolyMap.identity(g.n).coords))
 
 
 def expand(word: AutWord) -> PolyMap:
     """Expand a word to its coordinate tuple: G1 o G2 o .. o Gk.
 
-    expand is a monoid homomorphism: expand(u + v) = expand(u) o expand(v),
-    and expand of the empty word is the identity map.
+    The word is evaluated G1(G2(..Gk(x))): starting from the identity, each
+    generator, last to first, is applied to the coordinates built so far
+    (apply_generator), so every step substitutes the accumulated map into
+    one small generator.  expand is a monoid homomorphism: expand(u + v) =
+    expand(u) o expand(v), and expand of the empty word is the identity map.
     """
-    result = PolyMap.identity(word.n)
-    for g in word.gens:
-        result = compose_map(result, generator_map(g))
-    return result
+    coords = PolyMap.identity(word.n).coords
+    for g in reversed(word.gens):
+        coords = apply_generator(g, coords)
+    return PolyMap(word.n, coords)
+
+
+def _affine(matrix: tuple, shift: tuple, det: Fraction) -> Affine:
+    """An Affine from Fraction entries whose det(M) is already known, built
+    without the constructor's elimination."""
+    a = object.__new__(Affine)
+    object.__setattr__(a, "matrix", matrix)
+    object.__setattr__(a, "shift", shift)
+    object.__setattr__(a, "det", det)
+    return a
 
 
 def invert_generator(g: Generator) -> Generator:
+    """The inverse generator.  An Affine is inverted by one elimination of
+    [M | I], and its inverse keeps det(M^-1) = 1/det(M)."""
     if isinstance(g, Affine):
         n = g.n
         augmented = [list(row) + [Fraction(int(i == j)) for j in range(n)]
                      for i, row in enumerate(g.matrix)]
         inv = tuple(tuple(row[n:]) for row in _rref(augmented)[0])
         shift = tuple(-sum(a * s for a, s in zip(row, g.shift)) for row in inv)
-        return Affine(inv, shift)
+        return _affine(inv, shift, 1 / g.det)
     if isinstance(g, Elementary):
         return Elementary(g.target, -g.addend)
     return g  # transpositions are involutions

@@ -31,6 +31,7 @@ exponent past the packed field), 2 usage errors, 3 I/O errors.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import re
@@ -394,10 +395,13 @@ def _add_input_flags(p, with_inverse=False):
                        help="inverse map for raw-map input (a word carries its own)")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    """The polyaut parser.  --json is accepted before and after the
-    subcommand; its default is suppressed everywhere, so that a subcommand
-    does not reset a leading --json, and main() supplies json=False."""
+    """The polyaut parser, built once per process.  --json is accepted
+    before and after the subcommand; its default is suppressed everywhere,
+    so that a subcommand does not reset a leading --json, and main()
+    supplies json=False in a fresh namespace on every call.  Parsing keeps
+    no state in the parser: no argument type or action holds any."""
     json_flag = argparse.ArgumentParser(add_help=False)
     json_flag.add_argument("--json", action="store_true", default=argparse.SUPPRESS,
                            help="machine-readable output")

@@ -183,17 +183,20 @@ def check_degree_lemma(phi: AutWord | PolyMap, w1: WeightVector, p: Polynomial,
 
 
 def check_parachute(phi: AutWord | PolyMap, p: Polynomial, k: int,
-                    var: int | None = None) -> bool:
+                    var: int | None = None, certified: tuple | None = None) -> bool:
     """The k-fold degree minoration under the standard degree:
 
         deg1(P o F) >= deg1(d^k P / dx_var^k o F) + k*d_var - k*nabla.
 
     var defaults to the last variable; the guarantee holds for every
     automorphism, so False signals a fault or a non-automorphism input.
+    The pair certify(phi) supplies the map F; without it, certify(phi)
+    computes it, so a caller with several queries on one phi certifies
+    it once and passes the pair.
     """
     if k < 0:
         raise ValueError("k must be >= 0")
-    m, _ = certify(phi)
+    m, _ = certify(phi) if certified is None else certified
     n = m.n
     if var is None:
         var = n

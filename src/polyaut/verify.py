@@ -302,11 +302,12 @@ def run_parachute(seed: int, count: int) -> SuiteResult:
         rng = random.Random(seed + 2)
         for word, indices in _word_batches(rng, count, 5, (8, 5), 3):
             n = word.n
+            certified = certify(word)
             for idx in indices:
                 p = random_polynomial(rng, n)
                 k = rng.randint(0, 3)
                 var = rng.randint(1, n)
-                ok = check_parachute(word, p, k, var=var)
+                ok = check_parachute(word, p, k, var=var, certified=certified)
                 yield CaseResult(idx, ok, f"n={n} k={k} var={var}")
 
     return _suite("parachute", seed, count, cases())

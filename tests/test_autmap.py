@@ -1,10 +1,13 @@
 """Automorphism words: expansion, inversion, Jacobians, induced weights."""
 
+import importlib.util
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+from polyaut import polycore
 from polyaut.autmap import (
     Affine,
     AutWord,
@@ -19,18 +22,104 @@ from polyaut.autmap import (
     expand,
     format_map,
     format_word,
+    invert_generator,
     invert_word,
     jacobian_constant,
     parse_map,
     parse_word,
     word_jacobian,
 )
-from polyaut.polycore import WeightVector, parse_poly
-from polyaut.verify import random_tame_word
+from polyaut.polycore import Polynomial, WeightVector, _rref, parse_poly
+from polyaut.verify import random_polynomial, random_tame_word
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def E(i, text, n):
     return Elementary(i, parse_poly(text, n))
+
+
+def _reference_generator_map(g):
+    """The coordinate tuple of one generator, built term by term."""
+    n = g.n
+    xs = [Polynomial.variable(i, n) for i in range(1, n + 1)]
+    if isinstance(g, Affine):
+        coords = []
+        for row, s in zip(g.matrix, g.shift):
+            p = Polynomial.constant(s, n)
+            for a, x in zip(row, xs):
+                if a:
+                    p = p + x * a
+            coords.append(p)
+        return PolyMap(n, tuple(coords))
+    if isinstance(g, Elementary):
+        xs[g.target - 1] = xs[g.target - 1] + g.addend
+    else:
+        xs[g.i - 1], xs[g.j - 1] = xs[g.j - 1], xs[g.i - 1]
+    return PolyMap(n, tuple(xs))
+
+
+def _reference_expand(word):
+    """G1 o .. o Gk folded from the inside out: result o Gi, first to last."""
+    result = PolyMap.identity(word.n)
+    for g in word.gens:
+        result = compose_map(result, _reference_generator_map(g))
+    return result
+
+
+def _rational_affine(rng, n):
+    while True:
+        matrix = [[Fraction(rng.randint(-3, 3), rng.randint(1, 4)) for _ in range(n)]
+                  for _ in range(n)]
+        shift = [Fraction(rng.randint(-3, 3), rng.randint(1, 4)) for _ in range(n)]
+        if _rref(matrix)[2] not in (0, 1, -1):
+            return Affine(matrix, shift)
+
+
+def _rational_word(rng, n, length):
+    """Rational non-unimodular affines, transpositions and elementaries with
+    small addends, in random order."""
+    gens = []
+    for _ in range(length):
+        kind = rng.choice(("affine", "elementary", "transposition"))
+        if kind == "affine":
+            gens.append(_rational_affine(rng, n))
+        elif kind == "elementary":
+            target = rng.randint(1, n)
+            others = [i for i in range(n) if i != target - 1]
+            addend = random_polynomial(rng, n, 2, 2, 5, variables=others, min_deg=1)
+            gens.append(Elementary(target, addend * Fraction(1, rng.randint(1, 3))))
+        else:
+            i, j = rng.sample(range(1, n + 1), 2)
+            gens.append(Transposition(i, j, n))
+    return AutWord(n, tuple(gens))
+
+
+def _benchmark_words():
+    """Words of the generator families the benchmark corpora draw from:
+    plane words A; E; .. ; A with dense unimodular 2 x 2 matrices, n = 3
+    words A; E; A with unimodular 0/1 matrices, and n = 3 ladders whose
+    affine maps have determinant +-2."""
+    spec = importlib.util.spec_from_file_location(
+        "benchmark_workloads", ROOT / "perfbench" / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    rng = random.Random(1)
+    words = workloads.PlaneDecompose().build(rng)[::8]
+    kernel = workloads.RelationsKernel()
+    words += [kernel._word(rng, *shape) for shape in kernel.ADDENDS]
+    words += workloads.LndLadder().build(rng)[::5]
+    return words
+
+
+def _seeded_words():
+    rng = random.Random(12)
+    words = [AutWord.identity(n) for n in (2, 3, 4)]
+    for n, budget in ((2, 10), (3, 5), (4, 3)):
+        words += [random_tame_word(rng, n, max_gens=5, max_addend_deg=2, max_coord_deg=budget)
+                  for _ in range(6)]
+        words += [_rational_word(rng, n, length) for length in (1, 2, 3, 4)]
+    return words
 
 
 def test_expand_single_elementary():
@@ -51,16 +140,38 @@ def test_expand_is_monoid_homomorphism():
     u = AutWord(2, (E(1, "x2^2", 2), Transposition(1, 2, 2)))
     v = AutWord(2, (E(1, "x2^3", 2),))
     assert expand(u + v) == compose_map(expand(u), expand(v))
+    rng = random.Random(14)
+    for n in (2, 3, 4):
+        for _ in range(4):
+            u = _rational_word(rng, n, rng.randint(0, 3))
+            v = _rational_word(rng, n, rng.randint(0, 3))
+            assert expand(u + v) == compose_map(expand(u), expand(v))
 
 
 def test_expand_matches_stepwise_substitution():
     word = AutWord(2, (E(1, "x2^2", 2), Transposition(1, 2, 2), E(1, "x2^3", 2)))
-    m = PolyMap.identity(2)
-    for g in word.gens:
-        from polyaut.autmap import generator_map
+    words = [word, *_seeded_words(), *_benchmark_words()]
+    assert {len(w) for w in words} >= {0, 1, 5}
+    assert {w.n for w in words} == {2, 3, 4}
+    gens = [g for w in words for g in w]
+    assert any(isinstance(g, Affine) and g.det not in (1, -1)
+               and any(a.denominator != 1 for row in g.matrix for a in row) for g in gens)
+    assert any(isinstance(g, Transposition) for g in gens)
+    for w in words:
+        assert expand(w) == _reference_expand(w)
+        inverse = invert_word(w)
+        assert expand(inverse) == _reference_expand(inverse)
 
-        m = compose_map(m, generator_map(g))
-    assert expand(word) == m
+
+def test_expand_composes_once_per_elementary(count_calls):
+    # Affine and Transposition steps are linear combinations and swaps of
+    # the coordinates; only an Elementary substitutes them into its addend.
+    words = _seeded_words()
+    calls = count_calls(polycore, "compose")
+    for w in words:
+        before = len(calls)
+        expand(w)
+        assert len(calls) - before == sum(isinstance(g, Elementary) for g in w)
 
 
 def test_elementary_rejects_target_variable():
@@ -77,6 +188,28 @@ def test_invert_elementary():
     w = AutWord(2, (E(1, "x2^2", 2),))
     inv = invert_word(w)
     assert inv.gens[0] == E(1, "-x2^2", 2)
+
+
+def test_invert_word_eliminates_once_per_affine(count_calls):
+    words = _seeded_words()
+    assert sum(isinstance(g, Affine) for w in words for g in w) > 10
+    calls = count_calls(polycore, "_rref")
+    for w in words:
+        before = len(calls)
+        invert_word(w)
+        assert len(calls) - before == sum(isinstance(g, Affine) for g in w)
+
+
+def test_inverse_affine_keeps_the_reciprocal_determinant():
+    rng = random.Random(15)
+    for n in (1, 2, 3, 4):
+        for _ in range(4):
+            a = _rational_affine(rng, n)
+            inv = invert_generator(a)
+            assert inv.det == 1 / a.det
+            assert inv.det == _rref(inv.matrix)[2]
+            assert inv == Affine(inv.matrix, inv.shift)
+            assert expand(AutWord(n, (a, inv))).is_identity()
 
 
 def test_invert_identity_word():

@@ -6,7 +6,7 @@ output."""
 import hashlib
 import json
 
-from polyaut.cli import main
+from polyaut.cli import build_parser, main
 
 ARGVS = [
     ["relations", "--map", "x1 + x2^2; x2"],
@@ -47,12 +47,34 @@ ARGVS = [
 CLI_OUTPUT_SHA256 = "4f269ff45b323d205101d5437815cc0edbbf4d3010b827bb0c5b64ccf9f96925"
 
 
-def test_cli_output_digest(capsys):
-    h = hashlib.sha256()
-    for argv in ARGVS:
+def _records(argvs, capsys):
+    """One [argv, status, stdout, stderr] pair (text, --json) per argv."""
+    records = []
+    for argv in argvs:
+        pair = []
         for mode in ([], ["--json"]):
             status = main(mode + argv)
             captured = capsys.readouterr()
-            record = [mode + argv, status, captured.out, captured.err]
+            pair.append([mode + argv, status, captured.out, captured.err])
+        records.append(pair)
+    return records
+
+
+def _digest(records):
+    h = hashlib.sha256()
+    for pair in records:
+        for record in pair:
             h.update((json.dumps(record) + "\n").encode())
-    assert h.hexdigest() == CLI_OUTPUT_SHA256
+    return h.hexdigest()
+
+
+def test_cli_output_digest(capsys):
+    assert _digest(_records(ARGVS, capsys)) == CLI_OUTPUT_SHA256
+
+
+def test_reused_parser_keeps_no_state_between_calls(capsys):
+    # build_parser is built once per process: a second pass, in reverse
+    # order, parses every argv with the parser the first pass used.
+    assert build_parser() is build_parser()
+    assert _digest(_records(ARGVS, capsys)) == CLI_OUTPUT_SHA256
+    assert _digest(_records(ARGVS[::-1], capsys)[::-1]) == CLI_OUTPUT_SHA256

@@ -16,8 +16,10 @@ def test_witness_suites_read_the_certified_jacobian(count_calls, suite):
     assert calls == []
 
 
-def test_parachute_suite_passes_the_word(count_calls):
-    # check_parachute certifies a word from its generators' determinants.
+def test_parachute_suite_passes_the_word(count_calls, expand_calls):
+    # Each word is certified once, from its generators' determinants, and
+    # its queries share the certified pair: 5 words serve the 25 cases.
     calls = count_calls(polycore, "jacobian")
     assert run_suite("parachute", 20260810, 25).passed
     assert calls == []
+    assert len(expand_calls) == 5
