@@ -13,7 +13,8 @@ expand() turns a word into a PolyMap, the explicit coordinate tuple
 and expand([g1,..,gk]) = G1 o G2 o .. o Gk.  It evaluates the word as
 G1(G2(..Gk(x))), last generator first: starting from the identity,
 apply_generator(g, coords) applies each generator to the coordinates
-built so far.  generator_map(g), the coordinates of one generator, is
+built so far, and expansion(word) yields every tuple on the way; expand
+is its last.  generator_map(g), the coordinates of one generator, is
 apply_generator on the identity.  A word carries its own certificate of
 invertibility: invert_word reverses the list and inverts each generator,
 an Affine by one elimination that also gives its determinant.
@@ -224,18 +225,30 @@ def generator_map(g: Generator) -> PolyMap:
     return PolyMap(g.n, apply_generator(g, PolyMap.identity(g.n).coords))
 
 
-def expand(word: AutWord) -> PolyMap:
-    """Expand a word to its coordinate tuple: G1 o G2 o .. o Gk.
+def expansion(word: AutWord):
+    """Yield the coordinate tuples of the outside-in expansion of the word
+    [G1,..,Gk]: the identity, then Gk, G(k-1) o Gk, .., G1 o .. o Gk.
 
-    The word is evaluated G1(G2(..Gk(x))): starting from the identity, each
-    generator, last to first, is applied to the coordinates built so far
+    Each tuple is the generator, last to first, applied to the one before
     (apply_generator), so every step substitutes the accumulated map into
-    one small generator.  expand is a monoid homomorphism: expand(u + v) =
-    expand(u) o expand(v), and expand of the empty word is the identity map.
+    one small generator.  The last tuple is expand(word).
     """
     coords = PolyMap.identity(word.n).coords
+    yield coords
     for g in reversed(word.gens):
         coords = apply_generator(g, coords)
+        yield coords
+
+
+def expand(word: AutWord) -> PolyMap:
+    """Expand a word to its coordinate tuple: G1 o G2 o .. o Gk, evaluated
+    G1(G2(..Gk(x))) as the last tuple of expansion(word).
+
+    expand is a monoid homomorphism: expand(u + v) = expand(u) o expand(v),
+    and expand of the empty word is the identity map.
+    """
+    for coords in expansion(word):
+        pass
     return PolyMap(word.n, coords)
 
 
@@ -257,7 +270,10 @@ def invert_generator(g: Generator) -> Generator:
         augmented = [list(row) + [Fraction(int(i == j)) for j in range(n)]
                      for i, row in enumerate(g.matrix)]
         inv = tuple(tuple(row[n:]) for row in _rref(augmented)[0])
-        shift = tuple(-sum(a * s for a, s in zip(row, g.shift)) for row in inv)
+        # Only the nonzero shift entries contribute; a zero shift stays a
+        # tuple of Fraction(0).
+        nonzero = [(c, s) for c, s in enumerate(g.shift) if s]
+        shift = tuple(-sum((row[c] * s for c, s in nonzero), Fraction(0)) for row in inv)
         return _affine(inv, shift, 1 / g.det)
     if isinstance(g, Elementary):
         return Elementary(g.target, -g.addend)

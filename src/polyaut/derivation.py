@@ -13,7 +13,22 @@ Jacobian mu, the Jacobian derivations are
   delta_i(P) = mu^{-1} * dP/dx_i
   Delta_i(P) = j(g1,..,g_{i-1}, P, g_{i+1},..,gn)
 
-intertwined by Delta_i(P) o F = delta_i(P o F).  Every Delta_i is locally
+intertwined by Delta_i(P) o F = delta_i(P o F).  The coefficient of
+d/dx_j in Delta_i is the cofactor C_ij of the Jacobian matrix J_g of the
+inverse, and the adjugate identity adj(J_g) = det(J_g) * J_g^-1 =
+mu^-1 * (J_F o g) gives C_ij = mu^-1 * (df_j/dx_i) o g.  Two routes build
+them:
+
+  * word input, F = G1 o .. o Gk (word_derivations): by the chain rule
+    J_F o g = J_G1(v_1) .. J_Gk(v_k) with v_t = Gt^-1 o .. o G1^-1, the
+    intermediate tuples of the outside-in expansion of the inverse word
+    (autmap.expansion), so column i comes from applying the generator
+    Jacobians, last to first, to the unit vector e_i;
+  * a raw PolyMap with its inverse (delta_derivation): Laplace cofactors
+    of the expanded inverse's Jacobian matrix.  It is also the independent
+    reference the verify suites and tests compare the word route with.
+
+Both verify sum_j dg_i/dx_j * C_ij = j(g1,..,gn) = 1/mu.  Every Delta_i is locally
 nilpotent, some index i satisfies deg2(Delta_i) >= -w_i, and the leading
 part of that Delta_i for the induced degree deg2 is again locally nilpotent
 and stabilizes the ideal of relations; when the ideal is principal with
@@ -34,19 +49,23 @@ from fractions import Fraction
 from typing import Union
 
 from .autmap import (
+    Affine,
     AutWord,
+    Elementary,
     PolyMap,
     certify,
     compose_map,
     deg2_weights,
-    expand,
+    expansion,
     invert_word,
+    word_jacobian,
 )
 from .polycore import (
     MINUS_INFINITY,
     Polynomial,
     WeightVector,
     _det,
+    compose,
     homogeneous_component,
     partial,
     wdeg,
@@ -221,13 +240,72 @@ def delta_derivation(inv: PolyMap, i: int, mu: Fraction) -> Derivation:
         else:
             cofactor = Polynomial.constant(1, n)  # n = 1: the empty minor
         coeffs.append(-cofactor if (i - 1 + j) % 2 else cofactor)
-    jac_inv = Polynomial.zero(n)
-    for entry, cofactor in zip(rows[i - 1], coeffs):
+    _check_cofactors(rows[i - 1], coeffs, mu)
+    return Derivation(n, tuple(coeffs))
+
+
+def _check_cofactors(row, cofactors, mu: Fraction):
+    """Raise ValueError unless sum_j row[j] * cofactors[j] = 1/mu, for the
+    row i of J_g and the cofactors C_i1,..,C_in of that row."""
+    jac_inv = Polynomial.zero(len(row))
+    for entry, cofactor in zip(row, cofactors):
         if not entry.is_zero():
             jac_inv = jac_inv + entry * cofactor
     if not (jac_inv.is_constant() and jac_inv.constant_value() == Fraction(1) / mu):
         raise ValueError("inverse map and Jacobian constant are inconsistent")
-    return Derivation(n, tuple(coeffs))
+
+
+def word_derivations(word: AutWord, mu: Fraction):
+    """Yield Delta_1,..,Delta_n of a word, built by the chain rule: equal
+    to delta_derivation(expand(invert_word(word)), i, mu) for each i.
+
+    Column i of J_F o g = J_G1(v_1) .. J_Gk(v_k) is the product applied,
+    right to left, to the unit vector e_i: an Affine G_t multiplies by its
+    matrix, an Elementary G_t with target r and addend a adds
+    sum_s (da/dx_s o v_t) * vec_s to entry r, and a Transposition swaps two
+    entries.  The v_t come
+    from expansion(invert_word(word)), and the compositions da/dx_s o v_t
+    are shared by all n columns.  The column is scaled by det(J_g), the
+    reciprocal of the word's own Jacobian (word_jacobian), so that the
+    check sum_j dg_i/dx_j * C_ij = 1/mu still rejects a wrong mu.
+    """
+    n = word.n
+    steps = list(expansion(invert_word(word)))  # v_0 = identity, .., v_k = g
+    g = steps[-1]
+    scale = 1 / word_jacobian(word)
+    zero = Polynomial.zero(n)
+    composed = {}  # (t, s) -> da_t/dx_s o v_t, t the 1-based generator index
+    for i in range(1, n + 1):
+        vec = [zero] * n
+        vec[i - 1] = Polynomial.constant(1, n)
+        for t in range(len(word.gens), 0, -1):
+            gen = word.gens[t - 1]
+            if isinstance(gen, Affine):
+                new = []
+                for row in gen.matrix:
+                    p = zero
+                    for a, c in zip(row, vec):
+                        if a and not c.is_zero():
+                            p = p + c * a
+                    new.append(p)
+                vec = new
+            elif isinstance(gen, Elementary):
+                target = gen.target - 1
+                acc = vec[target]
+                for s, c in enumerate(vec):
+                    if c.is_zero() or s == target:  # the addend is free of x_target
+                        continue
+                    da = composed.get((t, s))
+                    if da is None:
+                        da = composed[t, s] = compose(partial(gen.addend, s + 1), steps[t])
+                    if not da.is_zero():
+                        acc = acc + da * c
+                vec[target] = acc
+            else:
+                vec[gen.i - 1], vec[gen.j - 1] = vec[gen.j - 1], vec[gen.i - 1]
+        coeffs = [c * scale for c in vec]
+        _check_cofactors([partial(g[i - 1], j) for j in range(1, n + 1)], coeffs, mu)
+        yield Derivation(n, tuple(coeffs))
 
 
 def format_derivation(d: Derivation) -> str:
@@ -247,9 +325,10 @@ def lnd_witness(phi: AutWord | PolyMap, w1: WeightVector,
     leading part is locally nilpotent and annihilates a principal relation
     generator.
 
-    Word input carries its own inverse (ValueError if one is supplied); a
-    raw PolyMap needs an explicit inverse, which is verified by exact
-    composition (InverseMismatch otherwise).  The forward map and its
+    Word input carries its own inverse (ValueError if one is supplied) and
+    its Delta_i come from word_derivations; a raw PolyMap needs an explicit
+    inverse, which is verified by exact composition (InverseMismatch
+    otherwise), and its Delta_i from delta_derivation.  The forward map and its
     Jacobian constant come from a relation report computed for phi, or
     else from certify(phi).
     """
@@ -260,14 +339,14 @@ def lnd_witness(phi: AutWord | PolyMap, w1: WeightVector,
         raise ValueError("a raw PolyMap needs an explicit inverse")
     fwd, mu = (report.m, report.mu) if report is not None else certify(phi)
     if inverse is None:
-        inv = expand(invert_word(phi))
+        deltas = word_derivations(phi, mu)
     else:
-        inv = inverse
-        if not compose_map(fwd, inv).is_identity() or not compose_map(inv, fwd).is_identity():
+        if (not compose_map(fwd, inverse).is_identity()
+                or not compose_map(inverse, fwd).is_identity()):
             raise InverseMismatch("supplied inverse does not invert the map")
+        deltas = (delta_derivation(inverse, i, mu) for i in range(1, fwd.n + 1))
     d = deg2_weights(fwd, w1)
-    for i in range(1, fwd.n + 1):
-        delta = delta_derivation(inv, i, mu)
+    for i, delta in enumerate(deltas, start=1):
         if derivation_degree(delta, d) >= -w1[i]:
             return i, leading_derivation(delta, d)
     raise NoWitnessIndex(

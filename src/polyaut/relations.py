@@ -182,27 +182,34 @@ def check_degree_lemma(phi: AutWord | PolyMap, w1: WeightVector, p: Polynomial,
     return lhs, rhs, strict, tilde_in_I
 
 
+def parachute_frame(phi: AutWord | PolyMap) -> tuple:
+    """(F, d, nabla) for check_parachute: the certified map of phi, its
+    induced weights d_i = deg1(f_i) under the standard degree and nabla =
+    d_1 + .. + d_n - n.  A caller with several queries on one phi computes
+    it once and passes it to each."""
+    m, _ = certify(phi)
+    d = deg2_weights(m, WeightVector.standard(m.n))
+    return m, d, d.total() - m.n
+
+
 def check_parachute(phi: AutWord | PolyMap, p: Polynomial, k: int,
-                    var: int | None = None, certified: tuple | None = None) -> bool:
+                    var: int | None = None, frame: tuple | None = None) -> bool:
     """The k-fold degree minoration under the standard degree:
 
         deg1(P o F) >= deg1(d^k P / dx_var^k o F) + k*d_var - k*nabla.
 
     var defaults to the last variable; the guarantee holds for every
     automorphism, so False signals a fault or a non-automorphism input.
-    The pair certify(phi) supplies the map F; without it, certify(phi)
-    computes it, so a caller with several queries on one phi certifies
-    it once and passes the pair.
+    frame, the triple parachute_frame(phi), supplies F, d and nabla;
+    without it, parachute_frame(phi) computes them.
     """
     if k < 0:
         raise ValueError("k must be >= 0")
-    m, _ = certify(phi) if certified is None else certified
+    m, d, nabla = parachute_frame(phi) if frame is None else frame
     n = m.n
     if var is None:
         var = n
     w1 = WeightVector.standard(n)
-    d = deg2_weights(m, w1)
-    nabla = d.total() - n
     lhs = wdeg(compose(p, m.coords), w1)
     pk = p
     for _ in range(k):

@@ -7,8 +7,9 @@ one family of exact identities or inequalities case by case:
   lemma-1<2          deg1(P o F) <= deg2(P), strict iff the leading term
                      of P is a relation
   parachute          the k-fold degree minoration
-  lnd-witness        witness index inequality, local nilpotence of the
-                     leading derivation, annihilation of principal R
+  lnd-witness        witness index inequality, the same leading derivation
+                     by the chain rule and by Laplace cofactors, local
+                     nilpotence of it, annihilation of principal R
   lnd01              the intertwining Delta_i(P) o F = mu^-1 * d(P o F)/dx_i
   degree-bound       deg2(R) <= d1+..+dn-n+1 for principal kernels
   oracle-agreement   Buchberger kernel == graded linear-algebra oracle up
@@ -58,6 +59,7 @@ from .derivation import (
     delta_derivation,
     derivation_degree,
     is_locally_nilpotent,
+    leading_derivation,
     lnd_witness,
 )
 from .jvdk import decompose2, Decomposition
@@ -68,7 +70,13 @@ from .polycore import (
     compose,
     partial,
 )
-from .relations import _shadow_check, check_degree_lemma, check_parachute, relation_report
+from .relations import (
+    _shadow_check,
+    check_degree_lemma,
+    check_parachute,
+    parachute_frame,
+    relation_report,
+)
 
 
 @dataclass(frozen=True)
@@ -302,12 +310,12 @@ def run_parachute(seed: int, count: int) -> SuiteResult:
         rng = random.Random(seed + 2)
         for word, indices in _word_batches(rng, count, 5, (8, 5), 3):
             n = word.n
-            certified = certify(word)
+            frame = parachute_frame(word)
             for idx in indices:
                 p = random_polynomial(rng, n)
                 k = rng.randint(0, 3)
                 var = rng.randint(1, n)
-                ok = check_parachute(word, p, k, var=var, certified=certified)
+                ok = check_parachute(word, p, k, var=var, frame=frame)
                 yield CaseResult(idx, ok, f"n={n} k={k} var={var}")
 
     return _suite("parachute", seed, count, cases())
@@ -324,9 +332,13 @@ def run_lnd_witness(seed: int, count: int) -> SuiteResult:
             except Exception as exc:  # noqa: BLE001 - reported as a failure
                 yield CaseResult(idx, False, f"witness failed: {exc}")
                 continue
+            # The Laplace route, independent of lnd_witness's chain rule.
             delta = delta_derivation(expand(invert_word(word)), i, report.mu)
             if not derivation_degree(delta, report.d) >= -w1[i]:
                 yield CaseResult(idx, False, "witness inequality fails")
+                continue
+            if leading_derivation(delta, report.d) != dbar:
+                yield CaseResult(idx, False, "leading derivation differs from the Laplace route")
                 continue
             verdict = is_locally_nilpotent(dbar)
             if not isinstance(verdict, LocallyNilpotent):

@@ -212,6 +212,16 @@ def test_inverse_affine_keeps_the_reciprocal_determinant():
             assert expand(AutWord(n, (a, inv))).is_identity()
 
 
+def test_inverse_affine_shift_stays_a_fraction():
+    # Zero shift entries are skipped, but every entry stays a Fraction.
+    a = Affine(((1, 1, 0), (0, 1, 1), (1, 0, 1)), (0, 0, 0))
+    b = Affine(((1, 1), (0, 1)), (0, Fraction(1, 2)))
+    for g, text in ((a, "| 0 0 0"), (b, "| 1/2 -1/2")):
+        inv = invert_generator(g)
+        assert all(type(s) is Fraction for s in inv.shift)
+        assert format_word(AutWord(g.n, (inv,))).endswith(text)
+
+
 def test_invert_identity_word():
     assert invert_word(AutWord.identity(2)) == AutWord.identity(2)
 

@@ -338,20 +338,27 @@ def test_other_value_errors_stay_usage_errors(capsys):
 
 
 @pytest.mark.parametrize(
-    "argv, expands",
+    "argv, expands, stepwise",
     [
-        (["relations", "--word", "E 1 x2^2; T 1 2"], 1),
-        (["invert", "--word", "E 1 x2^2; T 1 2"], 1),
+        (["relations", "--word", "E 1 x2^2; T 1 2"], 1, 0),
+        (["invert", "--word", "E 1 x2^2; T 1 2"], 1, 0),
         # The forward map once (relation_report, whose map lnd_witness
-        # reuses), the inverse once.
-        (["lnd-witness", "--word", "E 1 x2^2"], 2),
+        # reuses), and the inverse once, step by step, for the chain rule.
+        (["lnd-witness", "--word", "E 1 x2^2"], 1, 1),
     ],
     ids=["relations", "invert", "lnd-witness"],
 )
-def test_word_input_expansions(capsys, expand_calls, argv, expands):
+def test_word_input_expansions(capsys, count_calls, expand_calls, argv, expands, stepwise):
+    from polyaut import autmap
+
+    steps_calls = count_calls(autmap, "expansion")
     assert main(argv) == 0
     capsys.readouterr()
     assert len(expand_calls) == expands
+    # expand runs through expansion; the other calls expand step by step.
+    assert len(steps_calls) == expands + stepwise
+    assert [w for w in steps_calls if w not in expand_calls] == [
+        autmap.invert_word(w) for w in expand_calls[:stepwise]]
 
 
 def test_raw_map_witness_computes_one_jacobian(capsys, count_calls):

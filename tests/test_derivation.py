@@ -3,16 +3,22 @@
 import random
 from fractions import Fraction
 
+import dataclasses
+
 import pytest
 
+from polyaut import polycore
 from polyaut.autmap import (
+    Affine,
     AutWord,
     Elementary,
     PolyMap,
+    Transposition,
     expand,
     invert_word,
     jacobian_constant,
     parse_map,
+    word_jacobian,
 )
 from polyaut.derivation import (
     Derivation,
@@ -26,6 +32,7 @@ from polyaut.derivation import (
     leading_derivation,
     lnd_witness,
     nilpotence_order,
+    word_derivations,
 )
 from polyaut.polycore import (
     MINUS_INFINITY,
@@ -36,7 +43,9 @@ from polyaut.polycore import (
     partial,
     wdeg,
 )
+from polyaut.relations import relation_report
 from polyaut.verify import random_polynomial, random_tame_word
+from test_autmap import _benchmark_words, _seeded_words
 
 
 def P(text, n):
@@ -207,6 +216,44 @@ def test_delta_derivation_rejects_constant_jacobian_other_than_inverse_mu():
         d = delta_derivation(inv, i, Fraction(1, 3))
         for j in (1, 2, 3):
             assert apply(d, inv.coords[j - 1]) == Polynomial.constant(3 * (i == j), 3)
+
+
+def test_word_derivations_equal_the_laplace_cofactors():
+    # The chain rule through the generators gives exactly the cofactors of
+    # the expanded inverse's Jacobian matrix, for every index.
+    words = _seeded_words() + _benchmark_words()
+    assert {w.n for w in words} == {2, 3, 4}
+    assert any(len(w) == 0 for w in words)
+    gens = [g for w in words for g in w]
+    assert any(isinstance(g, Affine) and g.det not in (1, -1) and any(g.shift)
+               and any(a.denominator != 1 for row in g.matrix for a in row) for g in gens)
+    assert any(isinstance(g, Transposition) for g in gens)
+    assert any(isinstance(g, Affine) and abs(g.det) == 2 for g in gens)  # lnd-ladder
+    for w in words:
+        mu = word_jacobian(w)
+        inv = expand(invert_word(w))
+        assert list(word_derivations(w, mu)) == [
+            delta_derivation(inv, i, mu) for i in range(1, w.n + 1)]
+
+
+def test_word_route_rejects_a_wrong_mu():
+    words = [w for w in _seeded_words() if len(w)][::3]
+    for w in words:
+        mu = word_jacobian(w)
+        for wrong in (2 * mu, -mu):
+            with pytest.raises(ValueError, match="inconsistent"):
+                next(word_derivations(w, wrong))
+    w = AutWord(2, (Elementary(1, P("x2^2", 2)), Transposition(1, 2, 2)))
+    report = dataclasses.replace(relation_report(w), mu=Fraction(1))  # mu is -1
+    with pytest.raises(ValueError, match="inconsistent"):
+        lnd_witness(w, WeightVector.standard(2), report=report)
+
+
+def test_word_witness_computes_no_determinant(count_calls):
+    calls = count_calls(polycore, "_det")
+    for w in _seeded_words():
+        lnd_witness(w, WeightVector.standard(w.n))
+    assert calls == []
 
 
 def test_lnd_witness_word_matches_raw_map_with_inverse():

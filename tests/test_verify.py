@@ -9,8 +9,10 @@ from polyaut.verify import run_suite
 @pytest.mark.parametrize("suite", ["lnd-witness", "lnd01"])
 def test_witness_suites_read_the_certified_jacobian(count_calls, suite):
     # Each word's Jacobian constant is the product of its generators'
-    # determinants; delta_derivation's Laplace check j(G) = 1/mu still
-    # catches a wrong mu, so no suite computes a Jacobian determinant.
+    # determinants, and no suite computes a Jacobian determinant: the check
+    # sum_j dg_i/dx_j * C_ij = 1/mu of both the chain-rule route
+    # (lnd_witness) and the Laplace route (delta_derivation) still catches
+    # a wrong mu.
     calls = count_calls(polycore, "jacobian")
     assert run_suite(suite, 20260810, 25).passed
     assert calls == []
@@ -23,3 +25,31 @@ def test_parachute_suite_passes_the_word(count_calls, expand_calls):
     assert run_suite("parachute", 20260810, 25).passed
     assert calls == []
     assert len(expand_calls) == 5
+
+
+def test_parachute_suite_takes_the_weights_once_per_word(count_calls):
+    # parachute_frame computes d and nabla once per word for its 5 queries.
+    from polyaut import relations
+
+    calls = count_calls(relations, "deg2_weights")
+    assert run_suite("parachute", 20260810, 25).passed
+    assert len(calls) == 5
+
+
+def test_lnd_witness_suite_compares_the_two_routes(monkeypatch):
+    # A doubled leading derivation is still locally nilpotent and still
+    # kills R; only the comparison with the Laplace route rejects it.
+    from polyaut import verify
+    from polyaut.derivation import Derivation
+
+    witness = verify.lnd_witness
+
+    def doubled(*args, **kwargs):
+        i, dbar = witness(*args, **kwargs)
+        return i, Derivation(dbar.n, tuple(c * 2 for c in dbar.coeffs))
+
+    monkeypatch.setattr(verify, "lnd_witness", doubled)
+    result = run_suite("lnd-witness", 20260810, 5)
+    assert result.failures
+    assert {c.detail for c in result.failures} == {
+        "leading derivation differs from the Laplace route"}
