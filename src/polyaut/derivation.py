@@ -28,12 +28,13 @@ them:
     of the expanded inverse's Jacobian matrix.  It is also the independent
     reference the verify suites and tests compare the word route with.
 
-Both verify sum_j dg_i/dx_j * C_ij = j(g1,..,gn) = 1/mu.  Every Delta_i is locally
-nilpotent, some index i satisfies deg2(Delta_i) >= -w_i, and the leading
-part of that Delta_i for the induced degree deg2 is again locally nilpotent
-and stabilizes the ideal of relations; when the ideal is principal with
-generator R, the leading part annihilates R.  lnd_witness returns that
-index and leading derivation.
+Both verify sum_j dg_i/dx_j * C_ij = j(g1,..,gn) = 1/mu.
+
+Every Delta_i is locally nilpotent, some index i satisfies
+deg2(Delta_i) >= -w_i, and the leading part of that Delta_i for the induced
+degree deg2 is again locally nilpotent and stabilizes the ideal of
+relations; when the ideal is principal with generator R, the leading part
+annihilates R.  lnd_witness returns that index and leading derivation.
 
 Local nilpotence is semi-decided by bounded iteration on the coordinate
 functions: vanishing within the cap gives LocallyNilpotent with the
@@ -263,11 +264,11 @@ def word_derivations(word: AutWord, mu: Fraction):
     right to left, to the unit vector e_i: an Affine G_t multiplies by its
     matrix, an Elementary G_t with target r and addend a adds
     sum_s (da/dx_s o v_t) * vec_s to entry r, and a Transposition swaps two
-    entries.  The v_t come
-    from expansion(invert_word(word)), and the compositions da/dx_s o v_t
-    are shared by all n columns.  The column is scaled by det(J_g), the
-    reciprocal of the word's own Jacobian (word_jacobian), so that the
-    check sum_j dg_i/dx_j * C_ij = 1/mu still rejects a wrong mu.
+    entries.  The v_t come from expansion(invert_word(word)), and the
+    compositions da/dx_s o v_t are shared by all n columns.  The column is
+    scaled by det(J_g), the reciprocal of the word's own Jacobian
+    (word_jacobian), so that the check sum_j dg_i/dx_j * C_ij = 1/mu still
+    rejects a wrong mu.
     """
     n = word.n
     steps = list(expansion(invert_word(word)))  # v_0 = identity, .., v_k = g
@@ -328,8 +329,8 @@ def lnd_witness(phi: AutWord | PolyMap, w1: WeightVector,
     Word input carries its own inverse (ValueError if one is supplied) and
     its Delta_i come from word_derivations; a raw PolyMap needs an explicit
     inverse, which is verified by exact composition (InverseMismatch
-    otherwise), and its Delta_i from delta_derivation.  The forward map and its
-    Jacobian constant come from a relation report computed for phi, or
+    otherwise), and its Delta_i from delta_derivation.  The forward map and
+    its Jacobian constant come from a relation report computed for phi, or
     else from certify(phi).
     """
     if isinstance(phi, AutWord):

@@ -1,9 +1,8 @@
 """Derivations: Leibniz action, degrees, nilpotence, Jacobian derivations."""
 
+import dataclasses
 import random
 from fractions import Fraction
-
-import dataclasses
 
 import pytest
 
