@@ -84,15 +84,10 @@ class Affine:
     def n(self) -> int:
         return len(self.matrix)
 
-    @staticmethod
-    def identity(n: int) -> "Affine":
-        return Affine(
-            tuple(tuple(Fraction(int(i == j)) for j in range(n)) for i in range(n)),
-            (Fraction(0),) * n,
-        )
-
     def is_identity(self) -> bool:
-        return self == Affine.identity(self.n)
+        return not any(self.shift) and all(
+            a == int(i == j) for i, row in enumerate(self.matrix) for j, a in enumerate(row)
+        )
 
 
 @dataclass(frozen=True)

@@ -8,12 +8,17 @@ then use the key reduction step
     the leading form of f is c times the r-th power of the leading form
     of g, with r = deg(f) / deg(g) an integer,
 
-so f - c*g^r has strictly smaller degree and composing with the elementary
-map (x1 - c*x2^r, x2) strictly decreases the degree sum.  The base case is
-an affine pair.  For a genuine automorphism the reduction step always
-succeeds; its failure on a non-affine pair therefore *disproves*
-automorphy, so the procedure doubles as a decision procedure for n = 2 and
-failure is returned as a value, not an error.
+so h = f - c*g^r has strictly smaller degree and composing with the
+elementary map (x1 - c*x2^r, x2) strictly decreases the degree sum.
+reduce_step decides the step by that degree drop: c is read off the one
+monomial r*t that tops g^r (t the lexicographically largest monomial of
+the leading form of g), and since deg(c*g^r) = deg(f), the leading form
+of f equals c times that of g^r exactly when deg(h) < deg(f) or h = 0.
+It returns (c, r, h), so the reduced coordinate is computed once.  The
+base case is an affine pair.  For a genuine automorphism the reduction
+step always succeeds; its failure on a non-affine pair therefore
+*disproves* automorphy, so the procedure doubles as a decision procedure
+for n = 2 and failure is returned as a value, not an error.
 
 The first reduction also reads off the relation between the two leading
 forms: the relation ideal of a non-affine plane automorphism is generated
@@ -67,7 +72,6 @@ class NotAnAutomorphism:
 class Decomposition:
     word: AutWord
     steps: tuple
-    affine_tail: Affine
 
 
 def _std_deg(p: Polynomial) -> int:
@@ -78,30 +82,28 @@ def _std_deg(p: Polynomial) -> int:
 
 
 def reduce_step(f: Polynomial, g: Polynomial):
-    """(c, r) with leading(f) = c * leading(g)^r and r = deg(f)/deg(g),
-    or None when no such reduction exists.
+    """(c, r, h) with h = f - c*g^r of lower degree than f, r = deg(f)/deg(g)
+    and c != 0, or None when no such reduction exists.
 
-    Expects deg(f) >= deg(g) >= 1 under the standard degree and a non-affine
-    pair.  c is read off as a single coefficient ratio and then the full
-    equality of leading forms is verified, so no root extraction is ever
-    attempted.
+    Expects deg(f) >= deg(g) >= 1 under the standard degree.  The
+    lexicographically largest monomial t of the leading form of g gives
+    the top monomial r*t of g^r, so c = f[r*t] / g[t]^r without a root;
+    the leading form of f is c times that of g^r exactly when f - c*g^r
+    drops in degree (h may be 0).
     """
-    w = WeightVector.standard(f.n)
-    df, dg = _std_deg(f), _std_deg(g)
+    df = _std_deg(f)
+    t = max(g.support(), key=lambda e: (sum(e), e))
+    dg = sum(t)
     if df % dg != 0:
         return None
     r = df // dg
-    fbar = leading_term(f, w)
-    gbar_r = leading_term(g, w) ** r
-    mono = next(iter(gbar_r.terms))
-    num = fbar.coeff(mono)
-    den = gbar_r.terms[mono]
-    c = num / den
+    c = f.coeff(tuple(r * e for e in t)) / g.coeff(t) ** r
     if c == 0:
         return None
-    if fbar == gbar_r * c:
-        return c, r
-    return None
+    h = f - (g ** r) * c
+    if h.total_degree() >= df:
+        return None
+    return c, r, h
 
 
 def decompose2(m: PolyMap) -> Union[Decomposition, NotAnAutomorphism]:
@@ -119,16 +121,13 @@ def decompose2(m: PolyMap) -> Union[Decomposition, NotAnAutomorphism]:
             )
     gens: list = []
     steps: list = []
-    cur = m
+    f, g = m.coords
+    df, dg = _std_deg(f), _std_deg(g)
     pending_swap = False
-    while True:
-        f, g = cur.coords
-        df, dg = _std_deg(f), _std_deg(g)
-        if df <= 1 and dg <= 1:
-            break
+    while df > 1 or dg > 1:
         if df < dg:
             gens.append(Transposition(1, 2, 2))
-            cur = PolyMap(2, (g, f))
+            f, g, df, dg = g, f, dg, df
             pending_swap = True
             continue
         if dg < 1:
@@ -142,27 +141,25 @@ def decompose2(m: PolyMap) -> Union[Decomposition, NotAnAutomorphism]:
                 f"leading form of degree {df} is not a scalar multiple of the "
                 f"degree-{dg} leading form raised to {df}/{dg}",
             )
-        c, r = red
-        addend = Polynomial.variable(2, 2) ** r * c
-        gens.append(Elementary(1, addend))
-        new_f = f - (g ** r) * c
-        if new_f.is_zero():
+        c, r, h = red
+        if h.is_zero():
             return NotAnAutomorphism(
                 "reduce step", "coordinate vanished after reduction (f = c*g^r)"
             )
+        gens.append(Elementary(1, Polynomial.variable(2, 2) ** r * c))
+        dh = _std_deg(h)
         steps.append(
             ReductionStep(
                 swapped=pending_swap,
                 c=c,
                 r=r,
                 degree_sum_before=df + dg,
-                degree_sum_after=_std_deg(new_f) + dg,
+                degree_sum_after=dh + dg,
             )
         )
         pending_swap = False
-        cur = PolyMap(2, (new_f, g))
+        f, df = h, dh
     # Affine base case: read off the linear part and the shift.
-    f, g = cur.coords
     matrix = tuple(
         tuple(coord.coeff(tuple(int(k == j) for k in range(2))) for j in range(2))
         for coord in (f, g)
@@ -179,7 +176,7 @@ def decompose2(m: PolyMap) -> Union[Decomposition, NotAnAutomorphism]:
     word = AutWord(2, tuple(gens))
     if expand(word) != m:
         raise RuntimeError("internal error: decomposition does not recompose")
-    return Decomposition(word=word, steps=tuple(steps), affine_tail=tail)
+    return Decomposition(word=word, steps=tuple(steps))
 
 
 class NotAnAutomorphismError(ValueError):

@@ -128,9 +128,6 @@ class WeightVector:
     def __iter__(self):
         return iter(self.weights)
 
-    def is_standard(self) -> bool:
-        return all(w == 1 for w in self.weights)
-
     def total(self) -> Fraction:
         return sum(self.weights, Fraction(0))
 

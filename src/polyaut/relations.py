@@ -115,8 +115,6 @@ def relation_report(phi: AutWord | PolyMap, w1: WeightVector | None = None,
     fbars = tuple(leading_term(c, w1) for c in m.coords)
     d = deg2_weights(m, w1)
     nabla = d.total() - w1.total()
-    if w1.is_standard() and nabla.denominator != 1:
-        raise ValueError(f"nabla = {nabla} must be an integer for the standard degree")
     ideal = kernel_ideal(fbars, d, pair_cap=pair_cap)
     # A reduced basis is principal iff it has at most one member.
     if ideal.is_zero_ideal():

@@ -184,6 +184,17 @@ def test_affine_rejects_singular_matrix():
         Affine(((1, 2), (2, 4)), (0, 0))
 
 
+@pytest.mark.parametrize("matrix, shift, expected", [
+    (((1, 0), (0, 1)), (0, 0), True),
+    (((1, 0), (0, 1)), (0, Fraction(1, 2)), False),
+    (((1, 0), (1, 1)), (0, 0), False),
+    (((0, 1), (1, 0)), (0, 0), False),
+    (((1, 0, 0), (0, 1, 0), (0, 0, -1)), (0, 0, 0), False),
+])
+def test_affine_is_identity(matrix, shift, expected):
+    assert Affine(matrix, shift).is_identity() is expected
+
+
 def test_invert_elementary():
     w = AutWord(2, (E(1, "x2^2", 2),))
     inv = invert_word(w)

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from polyaut import autmap, jvdk
 from polyaut.autmap import Elementary, PolyMap, expand, parse_map
 from polyaut.groebner import monic
 from polyaut.jvdk import (
@@ -17,15 +18,41 @@ from polyaut.jvdk import (
 )
 from polyaut.polycore import Polynomial, WeightVector, leading_term, parse_poly
 from polyaut.relations import relation_report
-from polyaut.verify import random_tame_word
+from polyaut.verify import plane_corpus, random_polynomial, random_tame_word
 
 
 def P(text, n):
     return parse_poly(text, n)
 
 
+def _reference_reduce(f, g):
+    """The leading-form criterion: (c, r) with leading(f) = c * leading(g)^r
+    and r = deg(f)/deg(g), c read off one monomial of leading(g)^r, or None."""
+    w = WeightVector.standard(f.n)
+    df, dg = f.total_degree(), g.total_degree()
+    if df % dg != 0:
+        return None
+    r = df // dg
+    fbar = leading_term(f, w)
+    gbar_r = leading_term(g, w) ** r
+    mono = next(iter(gbar_r.terms))
+    c = fbar.coeff(mono) / gbar_r.terms[mono]
+    if c == 0 or fbar != gbar_r * c:
+        return None
+    return c, r
+
+
 def test_reduce_step_elementary():
-    assert reduce_step(P("x1 + x2^2", 2), P("x2", 2)) == (Fraction(1), 2)
+    assert reduce_step(P("x1 + x2^2", 2), P("x2", 2)) == (Fraction(1), 2, P("x1", 2))
+
+
+def test_reduce_step_reads_c_at_the_lex_largest_monomial():
+    # x1*x2 comes first in g's terms but is no vertex of its Newton polygon:
+    # the coefficient of x1^2*x2^2 in g^2 is 3, not 1^2, so c must be read
+    # at x1^4, the square of g's lexicographically largest monomial.
+    g = Polynomial(2, {(1, 1): 1, (2, 0): 1, (0, 2): 1})
+    f = (g ** 2) * 2 + P("x1", 2)
+    assert reduce_step(f, g) == (Fraction(2), 2, P("x1", 2))
 
 
 def test_reduce_step_not_reducible_distinct_variables():
@@ -35,14 +62,100 @@ def test_reduce_step_not_reducible_distinct_variables():
 def test_reduce_step_constructed_instance():
     g = P("x2 + x1", 2)
     f = (g ** 5) * 3 + P("x1^2", 2)
-    assert reduce_step(f, g) == (Fraction(3), 5)
+    assert reduce_step(f, g) == (Fraction(3), 5, P("x1^2", 2))
+
+
+def _met_pairs(monkeypatch, maps):
+    """The (f, g) pairs decompose2 hands to reduce_step on the maps."""
+    pairs = []
+
+    def recording(f, g):
+        pairs.append((f, g))
+        return reduce_step(f, g)
+
+    monkeypatch.setattr(jvdk, "reduce_step", recording)
+    for m in maps:
+        decompose2(m)
+    monkeypatch.undo()
+    return pairs
+
+
+def _perturbed_maps(rng, count):
+    """Non-automorphisms: tame plane maps with one top monomial bumped."""
+    maps = []
+    for _ in range(count):
+        f, g = expand(random_tame_word(rng, 2, max_coord_deg=10, mode="nonaffine")).coords
+        if f.total_degree() < g.total_degree():
+            f, g = g, f
+        mono = max(f.terms, key=lambda e: (sum(e), e))
+        maps.append(PolyMap(2, (f + Polynomial.monomial(mono, rng.choice([-1, 1]), 2), g)))
+    return maps
+
+
+def _constructed_pairs(rng, count):
+    """f = c*g^r + q with q of degree up to deg(g^r), and unrelated pairs."""
+    pairs = []
+    for _ in range(count):
+        g = random_polynomial(rng, 2, max_deg=3, min_deg=1)
+        r = rng.randint(1, 3)
+        q = random_polynomial(rng, 2, max_deg=r * g.total_degree())
+        c = Fraction(rng.randint(-4, 4) or 1, rng.randint(1, 3))
+        pairs.append(((g ** r) * c + q, g))
+        f = random_polynomial(rng, 2, max_deg=6, min_deg=g.total_degree())
+        if f.total_degree() >= g.total_degree():
+            pairs.append((f, g))
+    return pairs
+
+
+def test_reduce_step_agrees_with_the_leading_form_criterion(monkeypatch):
+    # The degree drop of h = f - c*g^r decides exactly as the comparison of
+    # leading forms does, with the same c and r.
+    rng = random.Random(20260815)
+    maps = [expand(w) for w in plane_corpus(20260810, 100)]
+    met = _met_pairs(monkeypatch, maps)
+    rejected_maps = _met_pairs(monkeypatch, _perturbed_maps(rng, 30))
+    pairs = met + rejected_maps + _constructed_pairs(rng, 150)
+    accepted = rejected = 0
+    for f, g in pairs:
+        red = reduce_step(f, g)
+        expected = _reference_reduce(f, g)
+        if expected is None:
+            assert red is None, (f, g)
+            rejected += 1
+            continue
+        assert red is not None, (f, g)
+        c, r, h = red
+        assert (c, r) == expected
+        assert h == f - (g ** r) * c
+        assert h.total_degree() < f.total_degree()
+        accepted += 1
+    assert len(met) > 100 and accepted > len(met) and rejected >= 50
+
+
+def test_decompose2_powers_and_eliminations(monkeypatch, count_calls):
+    # Per reduction step one g^r and one x2^r for the elementary generator;
+    # per map one elimination, the Affine of the base case.
+    maps = [expand(w) for w in plane_corpus(20260810, 25)]
+    powers = []
+    power = Polynomial.__pow__
+
+    def counting(self, k):
+        powers.append(k)
+        return power(self, k)
+
+    monkeypatch.setattr(Polynomial, "__pow__", counting)
+    eliminations = count_calls(autmap, "_rref")
+    steps = sum(len(decompose2(m).steps) for m in maps)
+    assert steps == 64
+    assert len(powers) == 128
+    assert len(eliminations) == 25
 
 
 def test_decompose_identity():
     dec = decompose2(PolyMap.identity(2))
     assert isinstance(dec, Decomposition)
     assert len(dec.word) == 0
-    assert dec.affine_tail.is_identity()
+    assert dec.steps == ()
 
 
 def test_decompose_single_elementary():

@@ -336,10 +336,11 @@ def test_degree_lemma_rejects_a_report_for_other_weights():
     assert check_degree_lemma(ELEM, w1, P("x2", 2))[:2] == (3, 3)
 
 
-def test_non_integer_nabla_for_the_standard_degree_raises(monkeypatch):
-    import polyaut.relations as relations
-
-    monkeypatch.setattr(relations, "deg2_weights",
-                        lambda m, w1: WeightVector((Fraction(3, 2), 1)))
-    with pytest.raises(ValueError, match="nabla = 1/2 must be an integer"):
-        relation_report(ELEM)
+def test_nabla_is_an_integer_for_the_standard_degree():
+    # Under the standard degree every d_i is a total degree, so nabla =
+    # d_1 + .. + d_n - n is an integer.
+    rng = random.Random(31)
+    for n in (2, 3):
+        for _ in range(4):
+            word = random_tame_word(rng, n, max_gens=3, max_addend_deg=2, max_coord_deg=6)
+            assert relation_report(word).parachute.denominator == 1

@@ -36,6 +36,16 @@ def test_parachute_suite_takes_the_weights_once_per_word(count_calls):
     assert len(calls) == 5
 
 
+def test_lnd01_suite_builds_the_derivations_once_per_word(count_calls):
+    # 13 words, with n summing to 34, serve the 25 cases: one Delta_i per
+    # word and index, shared by the word's cases.
+    from polyaut import derivation
+
+    calls = count_calls(derivation, "delta_derivation")
+    assert run_suite("lnd01", 20260810, 25).passed
+    assert len(calls) == 34
+
+
 def test_lnd_witness_suite_compares_the_two_routes(monkeypatch):
     # A doubled leading derivation is still locally nilpotent and still
     # kills R; only the comparison with the Laplace route rejects it.
