@@ -16,6 +16,7 @@ from polyaut import (
     Transposition,
     WeightVector,
     apply,
+    certify,
     format_poly,
     is_locally_nilpotent,
     lnd_witness,
@@ -59,7 +60,7 @@ inverse = parse_map(
     "x3",
     3,
 )
-i, dbar = lnd_witness(nagata, WeightVector.standard(3), inverse=inverse)
+i, dbar = lnd_witness(certify(nagata, inverse), WeightVector.standard(3))
 print("Nagata witness")
 print(f"   index i = {i}")
 for j, c in enumerate(dbar.coeffs, 1):

@@ -21,8 +21,10 @@ from .autmap import (
     Affine,
     AutWord,
     Elementary,
+    InverseMismatch,
     PolyMap,
     Transposition,
+    certify,
     compose_map,
     deg2_weights,
     expand,
@@ -35,7 +37,6 @@ from .autmap import (
 )
 from .derivation import (
     Derivation,
-    InverseMismatch,
     LocallyNilpotent,
     NilpotenceVerdict,
     NoWitnessIndex,

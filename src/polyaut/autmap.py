@@ -19,10 +19,10 @@ apply_generator on the identity.  A word carries its own certificate of
 invertibility: invert_word reverses the list and inverts each generator,
 an Affine by one elimination that also gives its determinant.
 
-certify(phi) returns the pair every later step needs, the coordinate map F
-and its constant Jacobian mu.  For a word, F is its expansion and mu the
-product of the generator determinants (each Affine keeps its det).  A raw
-PolyMap is only *certified* as an automorphism through the two-variable
+certify(phi) returns the Certified every later step reads: the map F, its
+constant Jacobian mu, the inverse and the induced weights.  For a word, mu
+is the product of the generator determinants (each Affine keeps its det).
+A raw PolyMap is only *certified* as an automorphism through the plane
 decomposition (jvdk); certify applies the necessary but, for n >= 2, not
 sufficient check that its Jacobian is a nonzero constant (jacobian_constant).
 
@@ -36,6 +36,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from typing import Union
 
 from .polycore import (
@@ -57,6 +58,10 @@ class NonConstantJacobian(ValueError):
 
 class ZeroJacobian(ValueError):
     """The Jacobian determinant vanishes identically."""
+
+
+class InverseMismatch(ValueError):
+    """The inverse supplied with a raw map does not invert it."""
 
 
 @dataclass(frozen=True)
@@ -150,10 +155,6 @@ class AutWord:
         if other.n != self.n:
             raise ValueError("cannot concatenate words with different variable counts")
         return AutWord(self.n, self.gens + other.gens)
-
-    @staticmethod
-    def identity(n: int) -> "AutWord":
-        return AutWord(n, ())
 
 
 @dataclass(frozen=True)
@@ -306,15 +307,53 @@ def word_jacobian(word: AutWord) -> Fraction:
     return mu
 
 
-def certify(phi: AutWord | PolyMap) -> tuple:
-    """(F, mu): the coordinate map of phi and its constant Jacobian.
+@dataclass(frozen=True)
+class Certified:
+    """The input phi, its map m and constant Jacobian mu, its inverse and
+    its induced weights d(w1), built by certify.  A word's inverse and each
+    d(w1) are memos, computed on first use from the fields and kept."""
 
-    A word is expanded and mu is read from its generators; a raw map must
-    pass jacobian_constant (ZeroJacobian / NonConstantJacobian otherwise).
-    """
+    phi: AutWord | PolyMap
+    m: PolyMap
+    mu: Fraction
+    map_inverse: PolyMap | None = None  # the checked inverse of a raw map
+    _d: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+
+    @cached_property
+    def inverse_steps(self) -> tuple:
+        """expansion(invert_word(phi)) of a word phi, identity to inverse."""
+        return tuple(expansion(invert_word(self.phi)))
+
+    @cached_property
+    def inverse(self) -> PolyMap | None:
+        """The inverse map; None for a raw map certified without one."""
+        if isinstance(self.phi, AutWord):
+            return PolyMap(self.m.n, self.inverse_steps[-1])
+        return self.map_inverse
+
+    def d(self, w1: WeightVector) -> WeightVector:
+        """deg2_weights(m, w1), kept per w1."""
+        if w1 not in self._d:
+            self._d[w1] = deg2_weights(self.m, w1)
+        return self._d[w1]
+
+
+def certify(phi: AutWord | PolyMap | Certified,
+            inverse: PolyMap | None = None) -> Certified:
+    """The Certified of phi (a Certified is returned unchanged).  A raw map
+    must pass jacobian_constant, and a supplied inverse must compose with it
+    to the identity on both sides (InverseMismatch otherwise)."""
+    if inverse is not None and not isinstance(phi, PolyMap):
+        raise ValueError("a word or a Certified carries its own inverse")
+    if isinstance(phi, Certified):
+        return phi
     if isinstance(phi, AutWord):
-        return expand(phi), word_jacobian(phi)
-    return phi, jacobian_constant(phi)
+        return Certified(phi, expand(phi), word_jacobian(phi))
+    mu = jacobian_constant(phi)
+    if inverse is not None and (not compose_map(phi, inverse).is_identity()
+                                or not compose_map(inverse, phi).is_identity()):
+        raise InverseMismatch("supplied inverse does not invert the map")
+    return Certified(phi, phi, mu, inverse)
 
 
 def deg2_weights(m: PolyMap, w1: WeightVector) -> WeightVector:

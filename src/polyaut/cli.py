@@ -41,9 +41,11 @@ from dataclasses import asdict
 from . import classify3 as c3
 from .autmap import (
     AutWord,
+    InverseMismatch,
     NonConstantJacobian,
     PolyMap,
     ZeroJacobian,
+    certify,
     expand,
     format_map,
     format_word,
@@ -63,7 +65,6 @@ from .classify3 import (
     normalize,
 )
 from .derivation import (
-    InverseMismatch,
     NoWitnessIndex,
     apply as d_apply,
     is_locally_nilpotent,
@@ -307,8 +308,9 @@ def cmd_lnd_witness(args) -> int:
     elif not args.inverse:
         raise CliError("a raw map needs --inverse (or pass a --word)")
     inv = parse_map(_split_lines(args.inverse), source.n) if args.inverse else None
-    report = relation_report(source, w1)
-    i, dbar = lnd_witness(source, w1, inverse=inv, report=report)
+    cert = certify(source, inv)
+    report = relation_report(cert, w1)
+    i, dbar = lnd_witness(cert, w1)
     verdict = is_locally_nilpotent(dbar)
     kills = None
     if report.R is not None and not report.R.is_zero():

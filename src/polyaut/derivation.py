@@ -21,9 +21,9 @@ them:
 
   * word input, F = G1 o .. o Gk (word_derivations): by the chain rule
     J_F o g = J_G1(v_1) .. J_Gk(v_k) with v_t = Gt^-1 o .. o G1^-1, the
-    intermediate tuples of the outside-in expansion of the inverse word
-    (autmap.expansion), so column i comes from applying the generator
-    Jacobians, last to first, to the unit vector e_i;
+    intermediate tuples of the word's autmap.Certified.inverse_steps, so
+    column i comes from applying the generator Jacobians, last to first,
+    to the unit vector e_i;
   * a raw PolyMap with its inverse (delta_derivation): Laplace cofactors
     of the expanded inverse's Jacobian matrix.  It is also the independent
     reference the verify suites and tests compare the word route with.
@@ -52,13 +52,10 @@ from typing import Union
 from .autmap import (
     Affine,
     AutWord,
+    Certified,
     Elementary,
     PolyMap,
     certify,
-    compose_map,
-    deg2_weights,
-    expansion,
-    invert_word,
     word_jacobian,
 )
 from .polycore import (
@@ -67,6 +64,7 @@ from .polycore import (
     WeightVector,
     _det,
     compose,
+    format_poly,
     homogeneous_component,
     partial,
     wdeg,
@@ -76,10 +74,6 @@ from .polycore import (
 class NoWitnessIndex(RuntimeError):
     """No index satisfies the witness inequality: the input map cannot be an
     automorphism (for genuine automorphisms such an index always exists)."""
-
-
-class InverseMismatch(ValueError):
-    """The inverse supplied with a raw map does not invert it."""
 
 
 @dataclass(frozen=True)
@@ -256,22 +250,22 @@ def _check_cofactors(row, cofactors, mu: Fraction):
         raise ValueError("inverse map and Jacobian constant are inconsistent")
 
 
-def word_derivations(word: AutWord, mu: Fraction):
-    """Yield Delta_1,..,Delta_n of a word, built by the chain rule: equal
-    to delta_derivation(expand(invert_word(word)), i, mu) for each i.
+def word_derivations(cert: Certified):
+    """Yield Delta_1,..,Delta_n of a certified word, built by the chain
+    rule: equal to delta_derivation(cert.inverse, i, cert.mu) for each i.
 
     Column i of J_F o g = J_G1(v_1) .. J_Gk(v_k) is the product applied,
     right to left, to the unit vector e_i: an Affine G_t multiplies by its
     matrix, an Elementary G_t with target r and addend a adds
     sum_s (da/dx_s o v_t) * vec_s to entry r, and a Transposition swaps two
-    entries.  The v_t come from expansion(invert_word(word)), and the
-    compositions da/dx_s o v_t are shared by all n columns.  The column is
-    scaled by det(J_g), the reciprocal of the word's own Jacobian
-    (word_jacobian), so that the check sum_j dg_i/dx_j * C_ij = 1/mu still
-    rejects a wrong mu.
+    entries.  The v_t are cert.inverse_steps, and the compositions
+    da/dx_s o v_t are shared by all n columns.  The column is scaled by
+    det(J_g), the reciprocal of the word's own Jacobian (word_jacobian), so
+    that the check sum_j dg_i/dx_j * C_ij = 1/mu still rejects a wrong mu.
     """
+    word, mu = cert.phi, cert.mu
     n = word.n
-    steps = list(expansion(invert_word(word)))  # v_0 = identity, .., v_k = g
+    steps = cert.inverse_steps  # v_0 = identity, .., v_k = g
     g = steps[-1]
     scale = 1 / word_jacobian(word)
     zero = Polynomial.zero(n)
@@ -311,13 +305,10 @@ def word_derivations(word: AutWord, mu: Fraction):
 
 def format_derivation(d: Derivation) -> str:
     """n polynomial lines; line i is the coefficient of d/dx_i."""
-    from .polycore import format_poly
-
     return "\n".join(format_poly(c) for c in d.coeffs)
 
 
-def lnd_witness(phi: AutWord | PolyMap, w1: WeightVector,
-                inverse: PolyMap | None = None, report=None):
+def lnd_witness(phi: AutWord | PolyMap | Certified, w1: WeightVector):
     """Witness index and leading derivation for the degree induced by phi.
 
     Scans i = 1..n for the first index with deg2(Delta_i) >= -w_i (such an
@@ -326,27 +317,18 @@ def lnd_witness(phi: AutWord | PolyMap, w1: WeightVector,
     leading part is locally nilpotent and annihilates a principal relation
     generator.
 
-    Word input carries its own inverse (ValueError if one is supplied) and
-    its Delta_i come from word_derivations; a raw PolyMap needs an explicit
-    inverse, which is verified by exact composition (InverseMismatch
-    otherwise), and its Delta_i from delta_derivation.  The forward map and
-    its Jacobian constant come from a relation report computed for phi, or
-    else from certify(phi).
+    A word's Delta_i come from word_derivations; a raw PolyMap enters as
+    certify(m, inverse) and its Delta_i from delta_derivation.
     """
-    if isinstance(phi, AutWord):
-        if inverse is not None:
-            raise ValueError("a word carries its own inverse; pass no inverse with it")
-    elif inverse is None:
-        raise ValueError("a raw PolyMap needs an explicit inverse")
-    fwd, mu = (report.m, report.mu) if report is not None else certify(phi)
-    if inverse is None:
-        deltas = word_derivations(phi, mu)
+    cert = certify(phi)
+    inv = cert.map_inverse
+    if isinstance(cert.phi, AutWord):
+        deltas = word_derivations(cert)
+    elif inv is None:
+        raise ValueError("a raw PolyMap needs an explicit inverse: certify(m, inverse)")
     else:
-        if (not compose_map(fwd, inverse).is_identity()
-                or not compose_map(inverse, fwd).is_identity()):
-            raise InverseMismatch("supplied inverse does not invert the map")
-        deltas = (delta_derivation(inverse, i, mu) for i in range(1, fwd.n + 1))
-    d = deg2_weights(fwd, w1)
+        deltas = (delta_derivation(inv, i, cert.mu) for i in range(1, inv.n + 1))
+    d = cert.d(w1)
     for i, delta in enumerate(deltas, start=1):
         if derivation_degree(delta, d) >= -w1[i]:
             return i, leading_derivation(delta, d)

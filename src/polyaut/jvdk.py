@@ -14,7 +14,7 @@ reduce_step decides the step by that degree drop: c is read off the one
 monomial r*t that tops g^r (t the lexicographically largest monomial of
 the leading form of g), and since deg(c*g^r) = deg(f), the leading form
 of f equals c times that of g^r exactly when deg(h) < deg(f) or h = 0.
-It returns (c, r, h), so the reduced coordinate is computed once.  The
+It returns (c, r, h, deg h), so h and its degree are computed once.  The
 base case is an affine pair.  For a genuine automorphism the reduction
 step always succeeds; its failure on a non-affine pair therefore
 *disproves* automorphy, so the procedure doubles as a decision procedure
@@ -41,7 +41,6 @@ from .autmap import (
     expand,
 )
 from .polycore import (
-    MINUS_INFINITY,
     Polynomial,
     WeightVector,
     compose,
@@ -74,24 +73,16 @@ class Decomposition:
     steps: tuple
 
 
-def _std_deg(p: Polynomial) -> int:
-    d = p.total_degree()
-    if d is MINUS_INFINITY:
-        raise ValueError("zero coordinate")
-    return int(d)
-
-
-def reduce_step(f: Polynomial, g: Polynomial):
-    """(c, r, h) with h = f - c*g^r of lower degree than f, r = deg(f)/deg(g)
-    and c != 0, or None when no such reduction exists.
+def reduce_step(f: Polynomial, g: Polynomial, df: int):
+    """(c, r, h, dh) with h = f - c*g^r of degree dh lower than df = deg(f),
+    r = deg(f)/deg(g) and c != 0, or None when no such reduction exists.
 
     Expects deg(f) >= deg(g) >= 1 under the standard degree.  The
     lexicographically largest monomial t of the leading form of g gives
     the top monomial r*t of g^r, so c = f[r*t] / g[t]^r without a root;
     the leading form of f is c times that of g^r exactly when f - c*g^r
-    drops in degree (h may be 0).
+    drops in degree (h may be 0, with dh = MINUS_INFINITY).
     """
-    df = _std_deg(f)
     t = max(g.support(), key=lambda e: (sum(e), e))
     dg = sum(t)
     if df % dg != 0:
@@ -101,9 +92,10 @@ def reduce_step(f: Polynomial, g: Polynomial):
     if c == 0:
         return None
     h = f - (g ** r) * c
-    if h.total_degree() >= df:
+    dh = h.total_degree()
+    if dh >= df:
         return None
-    return c, r, h
+    return c, r, h, dh
 
 
 def decompose2(m: PolyMap) -> Union[Decomposition, NotAnAutomorphism]:
@@ -122,7 +114,7 @@ def decompose2(m: PolyMap) -> Union[Decomposition, NotAnAutomorphism]:
     gens: list = []
     steps: list = []
     f, g = m.coords
-    df, dg = _std_deg(f), _std_deg(g)
+    df, dg = f.total_degree(), g.total_degree()
     pending_swap = False
     while df > 1 or dg > 1:
         if df < dg:
@@ -134,20 +126,19 @@ def decompose2(m: PolyMap) -> Union[Decomposition, NotAnAutomorphism]:
             return NotAnAutomorphism(
                 "degenerate coordinate", "a coordinate degenerated to a constant"
             )
-        red = reduce_step(f, g)
+        red = reduce_step(f, g, df)
         if red is None:
             return NotAnAutomorphism(
                 "reduce step",
                 f"leading form of degree {df} is not a scalar multiple of the "
                 f"degree-{dg} leading form raised to {df}/{dg}",
             )
-        c, r, h = red
+        c, r, h, dh = red
         if h.is_zero():
             return NotAnAutomorphism(
                 "reduce step", "coordinate vanished after reduction (f = c*g^r)"
             )
-        gens.append(Elementary(1, Polynomial.variable(2, 2) ** r * c))
-        dh = _std_deg(h)
+        gens.append(Elementary(1, Polynomial.monomial((0, r), c, 2)))
         steps.append(
             ReductionStep(
                 swapped=pending_swap,
@@ -199,8 +190,8 @@ def relation2(m: PolyMap) -> Polynomial:
     if not dec.steps:
         return Polynomial.zero(2)
     first = dec.steps[0]
-    a, b = (2, 1) if first.swapped else (1, 2)
-    R = Polynomial.variable(a, 2) - Polynomial.variable(b, 2) ** first.r * first.c
+    a, zb_r = (2, (first.r, 0)) if first.swapped else (1, (0, first.r))
+    R = Polynomial.variable(a, 2) - Polynomial.monomial(zb_r, first.c, 2)
     w = WeightVector.standard(2)
     fbars = [leading_term(c, w) for c in m.coords]
     if not compose(R, fbars).is_zero():

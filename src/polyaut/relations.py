@@ -14,10 +14,9 @@ report's bound_ok is that verdict (vacuously True when R is None or zero);
 for any other w1 the bound is not proved and bound_ok is None.  Also, for
 n <= 3 and any positive weights, an independent graded-slice oracle shadow
 check of the kernel computation that covers every basis member.  The
-report keeps the certified pair it was computed from, autmap.certify(phi):
-the expanded map report.m and its constant Jacobian report.mu.  Later
-steps on the same automorphism compose with report.m and read report.mu
-instead of expanding or certifying the input again.
+report keeps the autmap.Certified it was computed from as report.cert;
+later steps on the same automorphism read its map, Jacobian constant,
+inverse and weights instead of expanding or certifying the input again.
 
 Relation-ideal elements are returned as n-variable polynomials; read their
 variables as z1..zn (the i-th slot stands for the leading term of f_i).
@@ -39,7 +38,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .autmap import AutWord, PolyMap, certify, deg2_weights
+from .autmap import AutWord, Certified, PolyMap, certify
 from .groebner import (
     DEFAULT_PAIR_CAP,
     IdealBasis,
@@ -53,6 +52,7 @@ from .polycore import (
     Polynomial,
     WeightVector,
     compose,
+    format_poly,
     leading_term,
     partial,
     wdeg,
@@ -67,9 +67,7 @@ class OracleMismatch(RuntimeError):
 class RelationReport:
     """Everything the pipeline computes for one map and one degree."""
 
-    m: PolyMap  # the expanded map the report was computed from
-    mu: Fraction  # its constant Jacobian
-    n: int
+    cert: Certified  # the automorphism the report was computed from
     w1: WeightVector
     d: WeightVector
     fbars: tuple  # weighted leading terms of the coordinates
@@ -81,10 +79,8 @@ class RelationReport:
     bound_ok: bool | None  # None: w1 is not uniform, so no bound is proved
 
     def to_dict(self) -> dict:
-        from .polycore import format_poly
-
         return {
-            "n": self.n,
+            "n": self.cert.m.n,
             "w1": [str(w) for w in self.w1],
             "d": [str(w) for w in self.d],
             "fbars": [format_poly(f) for f in self.fbars],
@@ -97,7 +93,7 @@ class RelationReport:
         }
 
 
-def relation_report(phi: AutWord | PolyMap, w1: WeightVector | None = None,
+def relation_report(phi: AutWord | PolyMap | Certified, w1: WeightVector | None = None,
                     oracle_shadow: bool = True,
                     pair_cap: int = DEFAULT_PAIR_CAP) -> RelationReport:
     """Compute leading terms, relation ideal, principality, R, nabla and the
@@ -108,12 +104,12 @@ def relation_report(phi: AutWord | PolyMap, w1: WeightVector | None = None,
     basis member when that is higher, so it sees every generator, R
     included; any disagreement raises OracleMismatch.
     """
-    m, mu = certify(phi)
-    n = m.n
+    cert = certify(phi)
+    n = cert.m.n
     if w1 is None:
         w1 = WeightVector.standard(n)
-    fbars = tuple(leading_term(c, w1) for c in m.coords)
-    d = deg2_weights(m, w1)
+    fbars = tuple(leading_term(c, w1) for c in cert.m.coords)
+    d = cert.d(w1)
     nabla = d.total() - w1.total()
     ideal = kernel_ideal(fbars, d, pair_cap=pair_cap)
     # A reduced basis is principal iff it has at most one member.
@@ -129,7 +125,7 @@ def relation_report(phi: AutWord | PolyMap, w1: WeightVector | None = None,
     bound_ok = (None if any(w != c for w in w1)
                 else R is None or R.is_zero() or deg2_of_R <= nabla + c)
     report = RelationReport(
-        m=m, mu=mu, n=n, w1=w1, d=d, fbars=fbars, ideal=ideal,
+        cert=cert, w1=w1, d=d, fbars=fbars, ideal=ideal,
         principal=principal, R=R, deg2_of_R=deg2_of_R, parachute=nabla,
         bound_ok=bound_ok,
     )
@@ -155,8 +151,8 @@ def _shadow_check(report: RelationReport) -> list:
     return oracle
 
 
-def check_degree_lemma(phi: AutWord | PolyMap, w1: WeightVector, p: Polynomial,
-                       report: RelationReport | None = None):
+def check_degree_lemma(phi: AutWord | PolyMap | Certified, w1: WeightVector,
+                       p: Polynomial, report: RelationReport | None = None):
     """Evaluate deg1(P o F) <= deg2(P) and the strictness criterion.
 
     Returns (lhs, rhs, strict, tilde_in_I): lhs = deg1(P o F),
@@ -172,7 +168,7 @@ def check_degree_lemma(phi: AutWord | PolyMap, w1: WeightVector, p: Polynomial,
         report = relation_report(phi, w1)
     elif report.w1 != w1:
         raise ValueError("report was computed for a different w1")
-    lhs = wdeg(compose(p, report.m.coords), w1)
+    lhs = wdeg(compose(p, report.cert.m.coords), w1)
     rhs = wdeg(p, report.d)
     strict = (rhs is not MINUS_INFINITY) and lhs < rhs
     tilde = leading_term(p, report.d)
@@ -180,39 +176,30 @@ def check_degree_lemma(phi: AutWord | PolyMap, w1: WeightVector, p: Polynomial,
     return lhs, rhs, strict, tilde_in_I
 
 
-def parachute_frame(phi: AutWord | PolyMap) -> tuple:
-    """(F, d, nabla) for check_parachute: the certified map of phi, its
-    induced weights d_i = deg1(f_i) under the standard degree and nabla =
-    d_1 + .. + d_n - n.  A caller with several queries on one phi computes
-    it once and passes it to each."""
-    m, _ = certify(phi)
-    d = deg2_weights(m, WeightVector.standard(m.n))
-    return m, d, d.total() - m.n
-
-
-def check_parachute(phi: AutWord | PolyMap, p: Polynomial, k: int,
-                    var: int | None = None, frame: tuple | None = None) -> bool:
+def check_parachute(phi: AutWord | PolyMap | Certified, p: Polynomial, k: int,
+                    var: int | None = None) -> bool:
     """The k-fold degree minoration under the standard degree:
 
         deg1(P o F) >= deg1(d^k P / dx_var^k o F) + k*d_var - k*nabla.
 
     var defaults to the last variable; the guarantee holds for every
     automorphism, so False signals a fault or a non-automorphism input.
-    frame, the triple parachute_frame(phi), supplies F, d and nabla;
-    without it, parachute_frame(phi) computes them.
+    Several queries on one phi share F and d through certify(phi).
     """
     if k < 0:
         raise ValueError("k must be >= 0")
-    m, d, nabla = parachute_frame(phi) if frame is None else frame
-    n = m.n
+    cert = certify(phi)
+    n = cert.m.n
     if var is None:
         var = n
     w1 = WeightVector.standard(n)
-    lhs = wdeg(compose(p, m.coords), w1)
+    d = cert.d(w1)
+    nabla = d.total() - n
+    lhs = wdeg(compose(p, cert.m.coords), w1)
     pk = p
     for _ in range(k):
         pk = partial(pk, var)
     if pk.is_zero():
         return True
-    rhs = wdeg(compose(pk, m.coords), w1) + k * d[var] - k * nabla
+    rhs = wdeg(compose(pk, cert.m.coords), w1) + k * d[var] - k * nabla
     return lhs >= rhs

@@ -40,7 +40,6 @@ from .autmap import (
     Transposition,
     certify,
     expand,
-    invert_word,
 )
 from .classify3 import (
     Classified,
@@ -65,7 +64,6 @@ from .jvdk import decompose2, Decomposition
 from .polycore import (
     MINUS_INFINITY,
     Polynomial,
-    WeightVector,
     compose,
     partial,
 )
@@ -73,7 +71,6 @@ from .relations import (
     _shadow_check,
     check_degree_lemma,
     check_parachute,
-    parachute_frame,
     relation_report,
 )
 
@@ -306,12 +303,12 @@ def run_parachute(seed: int, count: int) -> SuiteResult:
         rng = random.Random(seed + 2)
         for word, indices in _word_batches(rng, count, 5, (8, 5), 3):
             n = word.n
-            frame = parachute_frame(word)
+            cert = certify(word)
             for idx in indices:
                 p = random_polynomial(rng, n)
                 k = rng.randint(0, 3)
                 var = rng.randint(1, n)
-                ok = check_parachute(word, p, k, var=var, frame=frame)
+                ok = check_parachute(cert, p, k, var=var)
                 yield CaseResult(idx, ok, f"n={n} k={k} var={var}")
 
     return _suite("parachute", seed, count, cases())
@@ -321,16 +318,16 @@ def run_lnd_witness(seed: int, count: int) -> SuiteResult:
     def cases():
         for idx, word in enumerate(_mixed_corpus(seed, count)):
             n = word.n
-            w1 = WeightVector.standard(n)
-            report = relation_report(word)
+            cert = certify(word)
+            report = relation_report(cert)
             try:
-                i, dbar = lnd_witness(word, w1, report=report)
+                i, dbar = lnd_witness(cert, report.w1)
             except Exception as exc:  # noqa: BLE001 - reported as a failure
                 yield CaseResult(idx, False, f"witness failed: {exc}")
                 continue
             # The Laplace route, independent of lnd_witness's chain rule.
-            delta = delta_derivation(expand(invert_word(word)), i, report.mu)
-            if not derivation_degree(delta, report.d) >= -w1[i]:
+            delta = delta_derivation(cert.inverse, i, cert.mu)
+            if not derivation_degree(delta, report.d) >= -report.w1[i]:
                 yield CaseResult(idx, False, "witness inequality fails")
                 continue
             if leading_derivation(delta, report.d) != dbar:
@@ -354,8 +351,8 @@ def run_lnd01(seed: int, count: int) -> SuiteResult:
         rng = random.Random(seed + 4)
         for word, indices in _word_batches(rng, count, 2, (4, 3), 2):
             n = word.n
-            m, mu = certify(word)
-            inv = expand(invert_word(word))
+            cert = certify(word)
+            m, mu, inv = cert.m, cert.mu, cert.inverse
             deltas = [delta_derivation(inv, i, mu) for i in range(1, n + 1)]
             for idx in indices:
                 p = random_polynomial(rng, n, max_deg=3)

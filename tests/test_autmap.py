@@ -11,7 +11,9 @@ from polyaut import polycore
 from polyaut.autmap import (
     Affine,
     AutWord,
+    Certified,
     Elementary,
+    InverseMismatch,
     NonConstantJacobian,
     PolyMap,
     Transposition,
@@ -114,7 +116,7 @@ def _benchmark_words():
 
 def _seeded_words():
     rng = random.Random(12)
-    words = [AutWord.identity(n) for n in (2, 3, 4)]
+    words = [AutWord(n, ()) for n in (2, 3, 4)]
     for n, budget in ((2, 10), (3, 5), (4, 3)):
         words += [random_tame_word(rng, n, max_gens=5, max_addend_deg=2, max_coord_deg=budget)
                   for _ in range(6)]
@@ -133,7 +135,7 @@ def test_expand_transposition():
 
 
 def test_expand_empty_word_is_identity():
-    assert expand(AutWord.identity(3)).is_identity()
+    assert expand(AutWord(3, ())).is_identity()
 
 
 def test_expand_is_monoid_homomorphism():
@@ -234,7 +236,7 @@ def test_inverse_affine_shift_stays_a_fraction():
 
 
 def test_invert_identity_word():
-    assert invert_word(AutWord.identity(2)) == AutWord.identity(2)
+    assert invert_word(AutWord(2, ())) == AutWord(2, ())
 
 
 def test_invert_random_words_compose_to_identity():
@@ -272,11 +274,59 @@ def test_certify_words_and_raw_maps():
     rng = random.Random(10)
     for n in (2, 2, 3, 3):
         w = random_tame_word(rng, n, max_gens=5, max_coord_deg=8 if n == 2 else 5)
-        assert certify(w) == (expand(w), word_jacobian(w))
+        cert = certify(w)
+        assert (cert.phi, cert.m, cert.mu) == (w, expand(w), word_jacobian(w))
+        assert cert.inverse == expand(invert_word(w))
         m = expand(w)
-        assert certify(m) == (m, jacobian_constant(m))
+        raw = certify(m)
+        assert (raw.phi, raw.m, raw.mu, raw.inverse) == (m, m, jacobian_constant(m), None)
+        assert certify(m, cert.inverse).inverse == cert.inverse
     with pytest.raises(NonConstantJacobian):
         certify(parse_map("x1^2\nx2", 2))
+
+
+def test_certify_returns_a_certified_unchanged():
+    w = AutWord(2, (E(1, "x2^2", 2), Transposition(1, 2, 2)))
+    m = parse_map("x1 + x2^2\nx2", 2)
+    for cert in (certify(w), certify(m), certify(m, parse_map("x1 - x2^2\nx2", 2))):
+        assert isinstance(cert, Certified)
+        assert certify(cert) is cert
+
+
+def test_certify_checks_a_supplied_inverse():
+    m = parse_map("x1 + x2^2\nx2", 2)
+    # Each wrong inverse fails one side of the composition at least.
+    for wrong in ("x1 + x2^2\nx2", "x1 - x2^2\n2*x2", "x1\nx2"):
+        with pytest.raises(InverseMismatch, match="does not invert"):
+            certify(m, parse_map(wrong, 2))
+    # The Jacobian is checked first, as it is without an inverse.
+    with pytest.raises(NonConstantJacobian):
+        certify(parse_map("x1^2\nx2", 2), parse_map("x1\nx2", 2))
+    # A word, or an object already certified, carries its own inverse.
+    w = AutWord(2, (E(1, "x2^2", 2),))
+    for phi in (w, certify(w), certify(m)):
+        with pytest.raises(ValueError, match="carries its own inverse"):
+            certify(phi, parse_map("x1 - x2^2\nx2", 2))
+
+
+def test_certified_keeps_the_inverse_and_the_weights(count_calls):
+    # The inverse expansion and each d(w1) are memos: computed on first use,
+    # kept, and invisible to equality.
+    from polyaut import autmap
+
+    w = AutWord(2, (E(1, "x2^2", 2), Transposition(1, 2, 2)))
+    inverts = count_calls(autmap, "invert_word")
+    weights = count_calls(autmap, "deg2_weights")
+    cert = certify(w)
+    assert inverts == [] and weights == []
+    assert cert.inverse is cert.inverse
+    assert cert.inverse_steps[-1] == cert.inverse.coords
+    assert len(cert.inverse_steps) == len(w) + 1
+    w1, w2 = WeightVector.standard(2), WeightVector((3, 1))
+    assert cert.d(w1) is cert.d(w1)
+    assert cert.d(w2) == deg2_weights(cert.m, w2) != cert.d(w1)
+    assert inverts == [w] and len(weights) == 2  # one per w1
+    assert cert == certify(w) and hash(cert) == hash(certify(w))
 
 
 def test_affine_keeps_its_determinant_outside_eq_and_repr():

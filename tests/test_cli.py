@@ -342,8 +342,9 @@ def test_other_value_errors_stay_usage_errors(capsys):
     [
         (["relations", "--word", "E 1 x2^2; T 1 2"], 1, 0),
         (["invert", "--word", "E 1 x2^2; T 1 2"], 1, 0),
-        # The forward map once (relation_report, whose map lnd_witness
-        # reuses), and the inverse once, step by step, for the chain rule.
+        # The forward map once (certify, whose Certified relation_report and
+        # lnd_witness share), and the inverse once, step by step, for the
+        # chain rule.
         (["lnd-witness", "--word", "E 1 x2^2"], 1, 1),
     ],
     ids=["relations", "invert", "lnd-witness"],
@@ -362,7 +363,7 @@ def test_word_input_expansions(capsys, count_calls, expand_calls, argv, expands,
 
 
 def test_raw_map_witness_computes_one_jacobian(capsys, count_calls):
-    # relation_report certifies the map once; lnd_witness reads report.mu.
+    # certify computes mu once; relation_report and lnd_witness read it.
     from polyaut import polycore
 
     jacobian_calls = count_calls(polycore, "jacobian")

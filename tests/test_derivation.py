@@ -13,6 +13,7 @@ from polyaut.autmap import (
     Elementary,
     PolyMap,
     Transposition,
+    certify,
     expand,
     invert_word,
     jacobian_constant,
@@ -42,7 +43,6 @@ from polyaut.polycore import (
     partial,
     wdeg,
 )
-from polyaut.relations import relation_report
 from polyaut.verify import random_polynomial, random_tame_word
 from test_autmap import _benchmark_words, _seeded_words
 
@@ -231,7 +231,7 @@ def test_word_derivations_equal_the_laplace_cofactors():
     for w in words:
         mu = word_jacobian(w)
         inv = expand(invert_word(w))
-        assert list(word_derivations(w, mu)) == [
+        assert list(word_derivations(certify(w))) == [
             delta_derivation(inv, i, mu) for i in range(1, w.n + 1)]
 
 
@@ -241,11 +241,11 @@ def test_word_route_rejects_a_wrong_mu():
         mu = word_jacobian(w)
         for wrong in (2 * mu, -mu):
             with pytest.raises(ValueError, match="inconsistent"):
-                next(word_derivations(w, wrong))
+                next(word_derivations(dataclasses.replace(certify(w), mu=wrong)))
     w = AutWord(2, (Elementary(1, P("x2^2", 2)), Transposition(1, 2, 2)))
-    report = dataclasses.replace(relation_report(w), mu=Fraction(1))  # mu is -1
+    cert = dataclasses.replace(certify(w), mu=Fraction(1))  # mu is -1
     with pytest.raises(ValueError, match="inconsistent"):
-        lnd_witness(w, WeightVector.standard(2), report=report)
+        lnd_witness(cert, WeightVector.standard(2))
 
 
 def test_word_witness_computes_no_determinant(count_calls):
@@ -263,7 +263,7 @@ def test_lnd_witness_word_matches_raw_map_with_inverse():
         word = random_tame_word(rng, n, max_gens=4, max_addend_deg=2,
                                 max_coord_deg=4 if n == 2 else 3)
         w1 = WeightVector.standard(n)
-        raw = lnd_witness(expand(word), w1, inverse=expand(invert_word(word)))
+        raw = lnd_witness(certify(expand(word), expand(invert_word(word))), w1)
         assert lnd_witness(word, w1) == raw
 
 
@@ -296,7 +296,7 @@ NAGATA_INVERSE = (
 def test_lnd_witness_nagata():
     m = parse_map(NAGATA, 3)
     inv = parse_map(NAGATA_INVERSE, 3)
-    i, dbar = lnd_witness(m, WeightVector.standard(3), inverse=inv)
+    i, dbar = lnd_witness(certify(m, inv), WeightVector.standard(3))
     assert apply(dbar, P("x2^2 + x1*x3", 3)).is_zero()
     assert isinstance(is_locally_nilpotent(dbar), LocallyNilpotent)
 
@@ -308,9 +308,12 @@ def test_lnd_witness_requires_inverse_for_raw_maps():
 
 def test_lnd_witness_rejects_an_inverse_with_a_word():
     # A word carries its own inverse; a supplied one is an error, not ignored.
+    # lnd_witness takes no inverse: one enters through certify.
     w = AutWord(2, (Elementary(1, P("x2^2", 2)),))
+    with pytest.raises(TypeError):
+        lnd_witness(w, WeightVector.standard(2), inverse=parse_map("x1 - x2^2\nx2", 2))
     with pytest.raises(ValueError, match="carries its own inverse"):
-        lnd_witness(w, WeightVector.standard(2), inverse=parse_map("x1 + 5\nx2^7", 2))
+        lnd_witness(certify(w, parse_map("x1 + 5\nx2^7", 2)), WeightVector.standard(2))
 
 
 def test_intertwining_identities_on_random_words():

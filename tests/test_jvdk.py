@@ -43,7 +43,7 @@ def _reference_reduce(f, g):
 
 
 def test_reduce_step_elementary():
-    assert reduce_step(P("x1 + x2^2", 2), P("x2", 2)) == (Fraction(1), 2, P("x1", 2))
+    assert reduce_step(P("x1 + x2^2", 2), P("x2", 2), 2) == (Fraction(1), 2, P("x1", 2), 1)
 
 
 def test_reduce_step_reads_c_at_the_lex_largest_monomial():
@@ -52,26 +52,27 @@ def test_reduce_step_reads_c_at_the_lex_largest_monomial():
     # at x1^4, the square of g's lexicographically largest monomial.
     g = Polynomial(2, {(1, 1): 1, (2, 0): 1, (0, 2): 1})
     f = (g ** 2) * 2 + P("x1", 2)
-    assert reduce_step(f, g) == (Fraction(2), 2, P("x1", 2))
+    assert reduce_step(f, g, 4) == (Fraction(2), 2, P("x1", 2), 1)
 
 
 def test_reduce_step_not_reducible_distinct_variables():
-    assert reduce_step(P("x1^2", 2), P("x2", 2)) is None
+    assert reduce_step(P("x1^2", 2), P("x2", 2), 2) is None
 
 
 def test_reduce_step_constructed_instance():
     g = P("x2 + x1", 2)
     f = (g ** 5) * 3 + P("x1^2", 2)
-    assert reduce_step(f, g) == (Fraction(3), 5, P("x1^2", 2))
+    assert reduce_step(f, g, 5) == (Fraction(3), 5, P("x1^2", 2), 2)
 
 
 def _met_pairs(monkeypatch, maps):
     """The (f, g) pairs decompose2 hands to reduce_step on the maps."""
     pairs = []
 
-    def recording(f, g):
+    def recording(f, g, df):
+        assert df == f.total_degree()
         pairs.append((f, g))
-        return reduce_step(f, g)
+        return reduce_step(f, g, df)
 
     monkeypatch.setattr(jvdk, "reduce_step", recording)
     for m in maps:
@@ -117,24 +118,24 @@ def test_reduce_step_agrees_with_the_leading_form_criterion(monkeypatch):
     pairs = met + rejected_maps + _constructed_pairs(rng, 150)
     accepted = rejected = 0
     for f, g in pairs:
-        red = reduce_step(f, g)
+        red = reduce_step(f, g, f.total_degree())
         expected = _reference_reduce(f, g)
         if expected is None:
             assert red is None, (f, g)
             rejected += 1
             continue
         assert red is not None, (f, g)
-        c, r, h = red
+        c, r, h, dh = red
         assert (c, r) == expected
         assert h == f - (g ** r) * c
-        assert h.total_degree() < f.total_degree()
+        assert dh == h.total_degree() < f.total_degree()
         accepted += 1
     assert len(met) > 100 and accepted > len(met) and rejected >= 50
 
 
 def test_decompose2_powers_and_eliminations(monkeypatch, count_calls):
-    # Per reduction step one g^r and one x2^r for the elementary generator;
-    # per map one elimination, the Affine of the base case.
+    # Per reduction step one g^r (the elementary generator's addend is a
+    # monomial); per map one elimination, the Affine of the base case.
     maps = [expand(w) for w in plane_corpus(20260810, 25)]
     powers = []
     power = Polynomial.__pow__
@@ -147,8 +148,26 @@ def test_decompose2_powers_and_eliminations(monkeypatch, count_calls):
     eliminations = count_calls(autmap, "_rref")
     steps = sum(len(decompose2(m).steps) for m in maps)
     assert steps == 64
-    assert len(powers) == 128
+    assert len(powers) == 64
     assert len(eliminations) == 25
+
+
+def test_decompose2_takes_each_degree_once(monkeypatch):
+    # Two degrees per map to start, then one per reduction step: the degree
+    # of h, which reduce_step returns with it.  The 25 maps take 64 steps,
+    # and 50 + 64 = 114.
+    maps = [expand(w) for w in plane_corpus(20260810, 25)]
+    degrees = []
+    total_degree = Polynomial.total_degree
+
+    def counting(self):
+        degrees.append(self)
+        return total_degree(self)
+
+    monkeypatch.setattr(Polynomial, "total_degree", counting)
+    for m in maps:
+        decompose2(m)
+    assert len(degrees) == 114
 
 
 def test_decompose_identity():

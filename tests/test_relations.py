@@ -10,11 +10,13 @@ import pytest
 from polyaut.autmap import (
     AutWord,
     Elementary,
+    certify,
     expand,
     jacobian_constant,
     parse_map,
     word_jacobian,
 )
+from polyaut.derivation import lnd_witness
 from polyaut.polycore import (
     MINUS_INFINITY,
     Polynomial,
@@ -294,8 +296,8 @@ def test_report_carries_its_map_and_lemma_queries_reuse_it(expand_calls):
     for _ in range(5):
         check_degree_lemma(word, report.w1, random_polynomial(rng, 3), report=report)
     assert expand_calls == [word]
-    assert report.m == expand(word)
-    assert relation_report(ELEM).m is ELEM
+    assert report.cert.m == expand(word)
+    assert relation_report(ELEM).cert.m is ELEM
 
 
 def test_report_carries_the_jacobian_constant():
@@ -303,11 +305,35 @@ def test_report_carries_the_jacobian_constant():
     for n in (2, 3, 3):
         word = random_tame_word(rng, n, max_gens=5, max_coord_deg=8 if n == 2 else 5)
         report = relation_report(word)
-        assert report.mu == word_jacobian(word)
+        assert report.cert.mu == word_jacobian(word)
         assert "mu" not in report.to_dict()
         m = expand(word)
-        assert relation_report(m).mu == jacobian_constant(m)
-    assert relation_report(NAGATA).mu == jacobian_constant(NAGATA) == 1
+        assert relation_report(m).cert.mu == jacobian_constant(m)
+    assert relation_report(NAGATA).cert.mu == jacobian_constant(NAGATA) == 1
+
+
+def test_word_and_its_certified_give_equal_results():
+    # Each step accepts the Certified in place of the word or map it came
+    # from, and reads the same automorphism from it.
+    rng = random.Random(49)
+    inputs = [ELEM, NAGATA]
+    for n in (2, 2, 3, 3):
+        word = random_tame_word(rng, n, max_gens=4, max_addend_deg=3,
+                                max_coord_deg=8 if n == 2 else 5)
+        inputs += [word, expand(word)]
+    for phi in inputs:
+        cert = certify(phi)
+        w1 = WeightVector.standard(phi.n)
+        report = relation_report(phi)
+        assert relation_report(cert) == report
+        assert relation_report(cert).to_dict() == report.to_dict()
+        if isinstance(phi, AutWord):
+            assert lnd_witness(cert, w1) == lnd_witness(phi, w1)
+        for _ in range(3):
+            p = random_polynomial(rng, phi.n)
+            assert check_degree_lemma(cert, w1, p) == check_degree_lemma(phi, w1, p)
+            k, var = rng.randint(0, 3), rng.randint(1, phi.n)
+            assert check_parachute(cert, p, k, var=var) == check_parachute(phi, p, k, var=var)
 
 
 def test_degree_lemma_same_with_and_without_report():

@@ -20,7 +20,7 @@ def test_witness_suites_read_the_certified_jacobian(count_calls, suite):
 
 def test_parachute_suite_passes_the_word(count_calls, expand_calls):
     # Each word is certified once, from its generators' determinants, and
-    # its queries share the certified pair: 5 words serve the 25 cases.
+    # its queries share its Certified: 5 words serve the 25 cases.
     calls = count_calls(polycore, "jacobian")
     assert run_suite("parachute", 20260810, 25).passed
     assert calls == []
@@ -28,12 +28,30 @@ def test_parachute_suite_passes_the_word(count_calls, expand_calls):
 
 
 def test_parachute_suite_takes_the_weights_once_per_word(count_calls):
-    # parachute_frame computes d and nabla once per word for its 5 queries.
-    from polyaut import relations
+    # The word's Certified computes d once for its 5 queries.
+    from polyaut import autmap
 
-    calls = count_calls(relations, "deg2_weights")
+    calls = count_calls(autmap, "deg2_weights")
     assert run_suite("parachute", 20260810, 25).passed
     assert len(calls) == 5
+
+
+def test_lnd_witness_suite_certifies_each_word_once(count_calls):
+    # 30 words (25 plane, 5 principal n = 3): one inverse word and one
+    # inverse expansion each, shared by the chain rule and the Laplace
+    # reference, and one forward expansion and d each, shared by the report
+    # and the witness.  Drawing the 5 principal words computes 6 reports
+    # (one draw is rejected), hence 36 forward expansions and 36 d's.
+    from polyaut import autmap, verify
+
+    verify.plane_corpus.cache_clear()
+    verify.space_corpus_principal.cache_clear()
+    inverts = count_calls(autmap, "invert_word")
+    expands = count_calls(autmap, "expand")
+    expansions = count_calls(autmap, "expansion")
+    weights = count_calls(autmap, "deg2_weights")
+    assert run_suite("lnd-witness", 20260810, 25).passed
+    assert (len(inverts), len(expands), len(expansions), len(weights)) == (30, 36, 66, 36)
 
 
 def test_lnd01_suite_builds_the_derivations_once_per_word(count_calls):
