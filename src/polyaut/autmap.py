@@ -46,6 +46,7 @@ from .polycore import (
     compose,
     format_poly,
     jacobian,
+    linear_combination,
     parse_fraction,
     parse_poly,
     wdeg,
@@ -192,19 +193,14 @@ def apply_generator(g: Generator, coords: tuple) -> tuple:
     """The coordinates of g o C, for the map C with coordinates coords: the
     generator's coordinate functions with coords substituted for x1..xn.
 
-    An Affine is a linear combination of coords plus its shift, an
-    Elementary adds its addend composed with coords to one coordinate, and
-    a Transposition swaps two coordinates.
+    An Affine coordinate is the linear_combination of coords with one
+    matrix row plus its shift, an Elementary adds its addend composed with
+    coords to one coordinate, and a Transposition swaps two coordinates.
     """
     if isinstance(g, Affine):
-        out = []
-        for row, s in zip(g.matrix, g.shift):
-            p = Polynomial.constant(s, g.n)
-            for a, c in zip(row, coords):
-                if a:
-                    p = p + c * a
-            out.append(p)
-        return tuple(out)
+        one = Polynomial.constant(1, g.n)
+        return tuple(linear_combination([(s, one), *zip(row, coords)], g.n)
+                     for row, s in zip(g.matrix, g.shift))
     out = list(coords)
     if isinstance(g, Elementary):
         t = g.target - 1
@@ -321,7 +317,11 @@ class Certified:
 
     @cached_property
     def inverse_steps(self) -> tuple:
-        """expansion(invert_word(phi)) of a word phi, identity to inverse."""
+        """expansion(invert_word(phi)) of a word phi, identity to inverse.
+        TypeError for a raw map, which has no generator word."""
+        if not isinstance(self.phi, AutWord):
+            raise TypeError("a raw map has no generator word to invert; "
+                            "its Delta_i come from delta_derivation")
         return tuple(expansion(invert_word(self.phi)))
 
     @cached_property

@@ -66,6 +66,7 @@ from .polycore import (
     compose,
     format_poly,
     homogeneous_component,
+    linear_combination,
     partial,
     wdeg,
 )
@@ -119,17 +120,12 @@ NilpotenceVerdict = Union[LocallyNilpotent, Unknown]
 
 
 def apply(d: Derivation, p: Polynomial) -> Polynomial:
-    """sum(a_i * dp/dx_i); a K-derivation of the polynomial ring."""
+    """sum(a_i * dp/dx_i), one linear_combination; a K-derivation of the
+    polynomial ring."""
     if d.n != p.n:
         raise ValueError("dimension mismatch between derivation and polynomial")
-    out = Polynomial.zero(p.n)
-    for i, a in enumerate(d.coeffs, start=1):
-        if a.is_zero():
-            continue
-        dp = partial(p, i)
-        if not dp.is_zero():
-            out = out + a * dp
-    return out
+    return linear_combination(((a, partial(p, i)) for i, a in enumerate(d.coeffs, start=1)
+                               if not a.is_zero()), p.n)
 
 
 def derivation_degree(d: Derivation, w: WeightVector):
@@ -242,10 +238,7 @@ def delta_derivation(inv: PolyMap, i: int, mu: Fraction) -> Derivation:
 def _check_cofactors(row, cofactors, mu: Fraction):
     """Raise ValueError unless sum_j row[j] * cofactors[j] = 1/mu, for the
     row i of J_g and the cofactors C_i1,..,C_in of that row."""
-    jac_inv = Polynomial.zero(len(row))
-    for entry, cofactor in zip(row, cofactors):
-        if not entry.is_zero():
-            jac_inv = jac_inv + entry * cofactor
+    jac_inv = linear_combination(zip(row, cofactors), len(row))
     if not (jac_inv.is_constant() and jac_inv.constant_value() == Fraction(1) / mu):
         raise ValueError("inverse map and Jacobian constant are inconsistent")
 
@@ -258,10 +251,12 @@ def word_derivations(cert: Certified):
     right to left, to the unit vector e_i: an Affine G_t multiplies by its
     matrix, an Elementary G_t with target r and addend a adds
     sum_s (da/dx_s o v_t) * vec_s to entry r, and a Transposition swaps two
-    entries.  The v_t are cert.inverse_steps, and the compositions
-    da/dx_s o v_t are shared by all n columns.  The column is scaled by
-    det(J_g), the reciprocal of the word's own Jacobian (word_jacobian), so
-    that the check sum_j dg_i/dx_j * C_ij = 1/mu still rejects a wrong mu.
+    entries.  Each new entry is one polycore.linear_combination.  The v_t
+    are cert.inverse_steps (a raw map's Certified has none: TypeError), and
+    the compositions da/dx_s o v_t are shared by all n columns.  The column
+    is scaled by det(J_g), the reciprocal of the word's own Jacobian
+    (word_jacobian), so that the check sum_j dg_i/dx_j * C_ij = 1/mu still
+    rejects a wrong mu.
     """
     word, mu = cert.phi, cert.mu
     n = word.n
@@ -276,26 +271,18 @@ def word_derivations(cert: Certified):
         for t in range(len(word.gens), 0, -1):
             gen = word.gens[t - 1]
             if isinstance(gen, Affine):
-                new = []
-                for row in gen.matrix:
-                    p = zero
-                    for a, c in zip(row, vec):
-                        if a and not c.is_zero():
-                            p = p + c * a
-                    new.append(p)
-                vec = new
+                vec = [linear_combination(zip(row, vec), n) for row in gen.matrix]
             elif isinstance(gen, Elementary):
                 target = gen.target - 1
-                acc = vec[target]
+                pairs = [(1, vec[target])]
                 for s, c in enumerate(vec):
                     if c.is_zero() or s == target:  # the addend is free of x_target
                         continue
                     da = composed.get((t, s))
                     if da is None:
                         da = composed[t, s] = compose(partial(gen.addend, s + 1), steps[t])
-                    if not da.is_zero():
-                        acc = acc + da * c
-                vec[target] = acc
+                    pairs.append((da, c))
+                vec[target] = linear_combination(pairs, n)
             else:
                 vec[gen.i - 1], vec[gen.j - 1] = vec[gen.j - 1], vec[gen.i - 1]
         coeffs = [c * scale for c in vec]

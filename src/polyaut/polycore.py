@@ -29,7 +29,10 @@ monomials of maximal weighted degree.
 
 Also here: formal partial derivatives, substitution of a tuple of
 polynomials (composition with a polynomial map) and the Jacobian
-determinant j(P1,..,Pn) = det(dPi/dxj).
+determinant j(P1,..,Pn) = det(dPi/dxj).  Every sum of products of
+polynomials in the library (compositions, affine coordinates, derivations
+applied, chain-rule columns, cofactor rows, determinants) is accumulated by
+linear_combination, into one dict of numerators over one denominator.
 
 Variable indices in the public API are 1-based, matching the x1..xn naming
 of the text grammar; exponent tuples are plain 0-based Python tuples.
@@ -295,32 +298,10 @@ class Polynomial:
 
     # -- ring operations ---------------------------------------------------
 
-    def _check_compatible(self, other: "Polynomial"):
-        if self.n != other.n:
-            raise ValueError(f"variable-count mismatch: {self.n} vs {other.n}")
-
     def __add__(self, other):
         if isinstance(other, (int, Fraction)):
             other = _constant(other, self.n)
-        self._check_compatible(other)
-        a, b = self._nums, other._nums
-        if not b:
-            return self
-        if not a:
-            return other
-        den = lcm(self.den, other.den)
-        fa, fb = den // self.den, den // other.den
-        if fa == fb == 1 and len(a) < len(b):
-            a, b = b, a
-        out = a.copy() if fa == 1 else {k: c * fa for k, c in a.items()}
-        get = out.get
-        for k, c in b.items():
-            s = get(k, 0) + c * fb
-            if s:
-                out[k] = s
-            else:
-                del out[k]
-        return _canon(self.n, out, den, max(self._ebound, other._ebound))
+        return linear_combination(((1, self), (1, other)), self.n)
 
     __radd__ = __add__
 
@@ -340,7 +321,8 @@ class Polynomial:
             num, den = _ratio(other)
             out = {k: c * num for k, c in self._nums.items()} if num else {}
             return _canon(self.n, out, self.den * den, self._ebound)
-        self._check_compatible(other)
+        if self.n != other.n:
+            raise ValueError(f"variable-count mismatch: {self.n} vs {other.n}")
         a, b = self._nums, other._nums
         if not a or not b:
             return _poly(self.n, {}, 1, 0)
@@ -565,19 +547,68 @@ def partial(p: Polynomial, i: int) -> Polynomial:
     return _canon(p.n, out, p.den, p._ebound)
 
 
+def linear_combination(pairs, n: int) -> Polynomial:
+    """sum(a * p) over the (a, p) pairs as a polynomial in n variables, each
+    p a Polynomial and each a a Polynomial or a rational.
+
+    Every term goes straight into one {packed exponent: numerator} dict over
+    one common denominator: no product or partial sum is built as a
+    Polynomial.  A product whose exponents pass MAX_EXPONENT raises
+    ExponentOverflow, as * does.
+    """
+    acc: dict = {}
+    get = acc.get
+    den = 1
+    ebound = 0
+    for a, p in pairs:
+        if p.n != n:
+            raise ValueError(f"variable-count mismatch: {n} vs {p.n}")
+        if isinstance(a, Polynomial):
+            if a.n != n:
+                raise ValueError(f"variable-count mismatch: {n} vs {a.n}")
+            outer, tden = a._nums, a.den * p.den
+            eb = a._ebound + p._ebound
+            if eb > MAX_EXPONENT:
+                eb = _check_exponents(map(add, _degrees(a), _degrees(p)))
+        else:
+            num, tden = (a, 1) if a.__class__ is int else _ratio(a)
+            if not num or not p._nums:
+                continue
+            outer, tden, eb = None, tden * p.den, p._ebound
+        # acc / den += a * p, with a * p over the denominator tden
+        if den % tden:
+            f = tden // gcd(den, tden)
+            acc = {k: v * f for k, v in acc.items()}
+            get = acc.get
+            den *= f
+        scale = den // tden
+        if outer is None:
+            f = num * scale
+            for k, v in p._nums.items():
+                acc[k] = get(k, 0) + f * v
+        else:
+            for ka, ca in outer.items():
+                f = ca * scale
+                for kb, cb in p._nums.items():
+                    k = ka + kb
+                    acc[k] = get(k, 0) + f * cb
+        if eb > ebound:
+            ebound = eb
+    return _canon(n, {k: v for k, v in acc.items() if v}, den, ebound)
+
+
 def compose(p: Polynomial, coords) -> Polynomial:
     """Substitute coords[i-1] for x_i in p, exactly.
 
     coords may be a sequence of Polynomials or anything with a .coords
     attribute (a polynomial map); all must share p's variable count.  The
-    terms are summed in one accumulator of numerators over a common
-    denominator.
+    monomials of p, built from cached powers of the coordinates, are summed
+    by linear_combination with p's numerators as the scalars; p's one
+    denominator divides the sum once.
     """
     cs = list(getattr(coords, "coords", coords))
     if len(cs) != p.n:
         raise ValueError(f"expected {p.n} coordinates, got {len(cs)}")
-    if not cs:
-        raise ValueError("empty coordinate list")
     m = cs[0].n
     for c in cs:
         if c.n != m:
@@ -586,9 +617,7 @@ def compose(p: Polynomial, coords) -> Polynomial:
     # Per-variable power cache: powers[i][k] = coords[i] ** (k + 1).
     powers = [[c] for c in cs]
     unpack = _unpacker(p.n)
-    acc: dict = {}
-    den = 1
-    ebound = 0
+    terms = []
     for key, c in p._nums.items():
         term = one
         for i, e in enumerate(unpack(key)):
@@ -597,18 +626,9 @@ def compose(p: Polynomial, coords) -> Polynomial:
                 while len(cache) < e:
                     cache.append(cache[-1] * cs[i])
                 term = cache[e - 1] if term is one else term * cache[e - 1]
-        # acc / den += (c / p.den) * term
-        tden = p.den * term.den
-        if den % tden:
-            f = tden // gcd(den, tden)
-            acc = {k: v * f for k, v in acc.items()}
-            den *= f
-        f = c * (den // tden)
-        get = acc.get
-        for k, v in term._nums.items():
-            acc[k] = get(k, 0) + f * v
-        ebound = max(ebound, term._ebound)
-    return _canon(m, {k: v for k, v in acc.items() if v}, den, ebound)
+        terms.append((c, term))
+    q = linear_combination(terms, m)
+    return q if p.den == 1 else _canon(m, q._nums, q.den * p.den, q._ebound)
 
 
 def jacobian(ps: Sequence[Polynomial]) -> Polynomial:
@@ -630,14 +650,11 @@ def _det(rows, cols):
     """Determinant by expansion along the first remaining row."""
     if len(cols) == 1:
         return rows[len(rows) - len(cols)][cols[0]]
-    r = len(rows) - len(cols)
-    acc = Polynomial.zero(rows[0][0].n)
-    for k, c in enumerate(cols):
-        entry = rows[r][c]
-        if not entry.is_zero():
-            term = entry * _det(rows, cols[:k] + cols[k + 1 :])
-            acc = acc - term if k % 2 else acc + term
-    return acc
+    row = rows[len(rows) - len(cols)]
+    return linear_combination(
+        ((-row[c] if k % 2 else row[c], _det(rows, cols[:k] + cols[k + 1 :]))
+         for k, c in enumerate(cols) if not row[c].is_zero()),
+        row[0].n)
 
 
 def _rref(matrix):

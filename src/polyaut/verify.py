@@ -247,10 +247,6 @@ def _word_batches(rng: random.Random, count: int, per_word: int, budgets,
 # -- the suites --------------------------------------------------------------
 
 
-def _suite(name, seed, count, case_iter) -> SuiteResult:
-    return SuiteResult(name, seed, count, tuple(case_iter))
-
-
 def run_jvdk_roundtrip(seed: int, count: int) -> SuiteResult:
     def cases():
         for idx, word in enumerate(plane_corpus(seed, count)):
@@ -277,7 +273,7 @@ def run_jvdk_roundtrip(seed: int, count: int) -> SuiteResult:
                 continue
             yield CaseResult(idx, True, f"{len(dec.steps)} steps")
 
-    return _suite("jvdk-roundtrip", seed, count, cases())
+    return SuiteResult("jvdk-roundtrip", seed, count, tuple(cases()))
 
 
 def run_lemma_1_2(seed: int, count: int) -> SuiteResult:
@@ -295,7 +291,7 @@ def run_lemma_1_2(seed: int, count: int) -> SuiteResult:
                 detail = f"n={n} lhs={lhs} rhs={rhs} strict={strict} in_I={tilde_in}"
                 yield CaseResult(idx, ok, detail)
 
-    return _suite("lemma-1<2", seed, count, cases())
+    return SuiteResult("lemma-1<2", seed, count, tuple(cases()))
 
 
 def run_parachute(seed: int, count: int) -> SuiteResult:
@@ -311,7 +307,7 @@ def run_parachute(seed: int, count: int) -> SuiteResult:
                 ok = check_parachute(cert, p, k, var=var)
                 yield CaseResult(idx, ok, f"n={n} k={k} var={var}")
 
-    return _suite("parachute", seed, count, cases())
+    return SuiteResult("parachute", seed, count, tuple(cases()))
 
 
 def run_lnd_witness(seed: int, count: int) -> SuiteResult:
@@ -343,7 +339,7 @@ def run_lnd_witness(seed: int, count: int) -> SuiteResult:
                     continue
             yield CaseResult(idx, True, f"n={n} index={i}")
 
-    return _suite("lnd-witness", seed, count, cases())
+    return SuiteResult("lnd-witness", seed, count, tuple(cases()))
 
 
 def run_lnd01(seed: int, count: int) -> SuiteResult:
@@ -373,7 +369,7 @@ def run_lnd01(seed: int, count: int) -> SuiteResult:
                         break
                 yield CaseResult(idx, ok, detail)
 
-    return _suite("lnd01", seed, count, cases())
+    return SuiteResult("lnd01", seed, count, tuple(cases()))
 
 
 def run_degree_bound(seed: int, count: int) -> SuiteResult:
@@ -396,7 +392,7 @@ def run_degree_bound(seed: int, count: int) -> SuiteResult:
                 idx, ok, f"deg2(R)={deg} <= nabla+1={report.parachute + 1}"
             )
 
-    return _suite("degree-bound", seed, count, cases())
+    return SuiteResult("degree-bound", seed, count, tuple(cases()))
 
 
 def run_oracle_agreement(seed: int, count: int) -> SuiteResult:
@@ -409,7 +405,7 @@ def run_oracle_agreement(seed: int, count: int) -> SuiteResult:
                 continue
             yield CaseResult(idx, True, f"n={word.n} oracle elements={len(oracle)}")
 
-    return _suite("oracle-agreement", seed, count, cases())
+    return SuiteResult("oracle-agreement", seed, count, tuple(cases()))
 
 
 def run_affine_ideal(seed: int, count: int) -> SuiteResult:
@@ -430,7 +426,7 @@ def run_affine_ideal(seed: int, count: int) -> SuiteResult:
                 ok = not report.ideal.is_zero_ideal()
                 yield CaseResult(idx, ok, f"nonaffine n={n}: ideal nonzero={ok}")
 
-    return _suite("affine-ideal", seed, count, cases())
+    return SuiteResult("affine-ideal", seed, count, tuple(cases()))
 
 
 def run_classify_soundness(seed: int, count: int) -> SuiteResult:
@@ -458,7 +454,7 @@ def run_classify_soundness(seed: int, count: int) -> SuiteResult:
                 continue
             yield CaseResult(idx, True, f"{tag.value} -> {type(nf.canonical).__name__}")
 
-    return _suite("classify-soundness", seed, count, cases())
+    return SuiteResult("classify-soundness", seed, count, tuple(cases()))
 
 
 SUITES = {

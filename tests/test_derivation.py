@@ -15,6 +15,7 @@ from polyaut.autmap import (
     Transposition,
     certify,
     expand,
+    expansion,
     invert_word,
     jacobian_constant,
     parse_map,
@@ -43,7 +44,7 @@ from polyaut.polycore import (
     partial,
     wdeg,
 )
-from polyaut.verify import random_polynomial, random_tame_word
+from polyaut.verify import _mixed_corpus, random_polynomial, random_tame_word
 from test_autmap import _benchmark_words, _seeded_words
 
 
@@ -255,6 +256,32 @@ def test_word_witness_computes_no_determinant(count_calls):
     assert calls == []
 
 
+def test_sums_of_products_build_no_intermediate_polynomials(monkeypatch):
+    # Affine coordinates, chain-rule columns, cofactor rows and D(P) are each
+    # one polycore.linear_combination.  What is left: one + per Elementary
+    # generator (its coordinate plus the composed addend; the corpus has
+    # 46), compose's products of powers, and the column scaling by det(J_g).
+    words = _mixed_corpus(20260810, 25)
+    assert len(words) == 30
+    calls = {"+": 0, "*": 0}
+    for name, op in [("__add__", "+"), ("__radd__", "+"), ("__mul__", "*"), ("__rmul__", "*")]:
+        method = getattr(Polynomial, name)
+
+        def counting(*args, method=method, op=op):
+            calls[op] += 1
+            return method(*args)
+
+        monkeypatch.setattr(Polynomial, name, counting)
+    for w in words:
+        for _ in expansion(w):  # apply_generator, once per generator
+            pass
+    assert calls == {"+": 46, "*": 95}
+    calls.update({"+": 0, "*": 0})
+    for w in words:
+        lnd_witness(w, WeightVector.standard(w.n))
+    assert calls == {"+": 92, "*": 322}
+
+
 def test_lnd_witness_word_matches_raw_map_with_inverse():
     # Word input takes mu from the word; the raw-map path recomputes it from
     # the expanded map after checking the inverse by composition.
@@ -299,6 +326,17 @@ def test_lnd_witness_nagata():
     i, dbar = lnd_witness(certify(m, inv), WeightVector.standard(3))
     assert apply(dbar, P("x2^2 + x1*x3", 3)).is_zero()
     assert isinstance(is_locally_nilpotent(dbar), LocallyNilpotent)
+
+
+def test_raw_map_has_no_inverse_steps():
+    # A raw map's Certified has no generator word: both word-only entry
+    # points raise a typed error, and lnd_witness takes the Laplace route.
+    cert = certify(parse_map(NAGATA, 3), parse_map(NAGATA_INVERSE, 3))
+    with pytest.raises(TypeError, match="no generator word.*delta_derivation"):
+        cert.inverse_steps
+    with pytest.raises(TypeError, match="no generator word.*delta_derivation"):
+        next(word_derivations(cert))
+    assert lnd_witness(cert, WeightVector.standard(3))[0] == 1
 
 
 def test_lnd_witness_requires_inverse_for_raw_maps():

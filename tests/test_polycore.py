@@ -21,6 +21,7 @@ from polyaut.polycore import (
     is_homogeneous,
     jacobian,
     leading_term,
+    linear_combination,
     parse_poly,
     partial,
     wdeg,
@@ -465,6 +466,64 @@ def test_core_compose_matches_reference(npc):
     n, a, coords = npc
     out = compose(_poly(n, a), [_poly(n, c) for c in coords])
     assert out.terms == _ref_compose(a, coords, n)
+
+
+@st.composite
+def ref_combinations(draw, sizes=(1, 2, 3, 4, 12)):
+    """(n, [(a, p)]): factors a that are rationals over coprime denominators,
+    ints or polynomials, zero among each kind, and polynomials p."""
+    n = draw(st.sampled_from(sizes))
+    factors = st.one_of(COEFFS, st.integers(-3, 3), ref_polys(n))
+    return n, draw(st.lists(st.tuples(factors, ref_polys(n)), max_size=5))
+
+
+def _ref_factor(a, n):
+    return a if isinstance(a, dict) else _ref_clean({(0,) * n: Fraction(a)})
+
+
+@settings(max_examples=150, deadline=None)
+@given(ref_combinations())
+def test_core_linear_combination_matches_reference(npairs):
+    n, pairs = npairs
+
+    def polys(ref_pairs):
+        return [(_poly(n, a) if isinstance(a, dict) else a, _poly(n, p)) for a, p in ref_pairs]
+
+    expected = {}
+    for a, p in pairs:
+        expected = _ref_add(expected, _ref_mul(_ref_factor(a, n), p))
+    out = linear_combination(polys(pairs), n)
+    assert out.terms == expected
+    assert out == Polynomial(n, expected) and hash(out) == hash(Polynomial(n, expected))
+    # Every pair again with its factor negated: the sum cancels to 0.
+    negated = [(_ref_neg(a) if isinstance(a, dict) else -a, p) for a, p in pairs]
+    assert linear_combination(polys(pairs + negated), n) == Polynomial.zero(n)
+
+
+def test_linear_combination_edge_cases():
+    x1, x2 = Polynomial.variable(1, 2), Polynomial.variable(2, 2)
+    assert linear_combination([], 2) == Polynomial.zero(2)
+    assert linear_combination(iter([(0, x1), (Polynomial.zero(2), x2)]), 2).is_zero()
+    assert linear_combination([(Fraction(1, 2), x1), (x2, x1), (Fraction(1, 3), x1)], 2) == \
+        x1 * Fraction(5, 6) + x1 * x2
+    with pytest.raises(ValueError, match="variable-count mismatch"):
+        linear_combination([(1, x1)], 3)
+    with pytest.raises(ValueError, match="variable-count mismatch"):
+        linear_combination([(Polynomial.variable(1, 1), x1)], 2)
+
+
+def test_linear_combination_exponent_overflow_as_mul():
+    top = Polynomial.monomial((MAX_EXPONENT,), 1, 1)
+    x1 = Polynomial.variable(1, 1)
+    with pytest.raises(ExponentOverflow) as by_mul:
+        top * x1
+    for pair in [(top, x1), (x1, top)]:
+        with pytest.raises(ExponentOverflow) as by_sum:
+            linear_combination([(1, x1), pair], 1)
+        assert str(by_sum.value) == str(by_mul.value)
+    # A scalar factor leaves the exponents alone, and the bound is checked
+    # exactly: top + 1 - top carries top's bound but times x1 fits.
+    assert linear_combination([(3, top), (top + 1 - top, x1)], 1) == top * 3 + x1
 
 
 @settings(max_examples=60, deadline=None)
