@@ -255,18 +255,16 @@ def _affine(matrix: tuple, shift: tuple, det: Fraction) -> Affine:
 
 
 def invert_generator(g: Generator) -> Generator:
-    """The inverse generator.  An Affine is inverted by one elimination of
-    [M | I], and its inverse keeps det(M^-1) = 1/det(M)."""
+    """The inverse generator.  An Affine x |-> M x + s is inverted by one
+    elimination of [M | I | -s] to [I | M^-1 | -M^-1 s], and its inverse
+    keeps det(M^-1) = 1/det(M)."""
     if isinstance(g, Affine):
         n = g.n
-        augmented = [list(row) + [Fraction(int(i == j)) for j in range(n)]
-                     for i, row in enumerate(g.matrix)]
-        inv = tuple(tuple(row[n:]) for row in _rref(augmented)[0])
-        # Only the nonzero shift entries contribute; a zero shift stays a
-        # tuple of Fraction(0).
-        nonzero = [(c, s) for c, s in enumerate(g.shift) if s]
-        shift = tuple(-sum((row[c] * s for c, s in nonzero), Fraction(0)) for row in inv)
-        return _affine(inv, shift, 1 / g.det)
+        augmented = [[*row, *(Fraction(int(i == j)) for j in range(n)), -s]
+                     for i, (row, s) in enumerate(zip(g.matrix, g.shift))]
+        reduced = _rref(augmented)[0]
+        return _affine(tuple(tuple(row[n:-1]) for row in reduced),
+                       tuple(row[-1] for row in reduced), 1 / g.det)
     if isinstance(g, Elementary):
         return Elementary(g.target, -g.addend)
     return g  # transpositions are involutions

@@ -60,7 +60,8 @@ from fractions import Fraction
 from math import gcd, isqrt
 from typing import Optional, Union
 
-from .autmap import Affine, AutWord, Elementary, Transposition, expand, invert_generator
+from .autmap import (Affine, AutWord, Elementary, Transposition, expand, generator_map,
+                     invert_generator)
 from .derivation import Derivation
 from .polycore import (
     Polynomial,
@@ -653,8 +654,6 @@ class _Normalizer:
         self.gens: list = []
 
     def step(self, g):
-        from .autmap import generator_map
-
         self.gens.append(g)
         self.cur = compose(self.cur, generator_map(g).coords)
 

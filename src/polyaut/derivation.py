@@ -256,7 +256,8 @@ def word_derivations(cert: Certified):
     the compositions da/dx_s o v_t are shared by all n columns.  The column
     is scaled by det(J_g), the reciprocal of the word's own Jacobian
     (word_jacobian), so that the check sum_j dg_i/dx_j * C_ij = 1/mu still
-    rejects a wrong mu.
+    rejects a wrong mu; every step is linear, so the scale enters once, in
+    the start vector det(J_g) * e_i.
     """
     word, mu = cert.phi, cert.mu
     n = word.n
@@ -267,7 +268,7 @@ def word_derivations(cert: Certified):
     composed = {}  # (t, s) -> da_t/dx_s o v_t, t the 1-based generator index
     for i in range(1, n + 1):
         vec = [zero] * n
-        vec[i - 1] = Polynomial.constant(1, n)
+        vec[i - 1] = Polynomial.constant(scale, n)
         for t in range(len(word.gens), 0, -1):
             gen = word.gens[t - 1]
             if isinstance(gen, Affine):
@@ -285,9 +286,8 @@ def word_derivations(cert: Certified):
                 vec[target] = linear_combination(pairs, n)
             else:
                 vec[gen.i - 1], vec[gen.j - 1] = vec[gen.j - 1], vec[gen.i - 1]
-        coeffs = [c * scale for c in vec]
-        _check_cofactors([partial(g[i - 1], j) for j in range(1, n + 1)], coeffs, mu)
-        yield Derivation(n, tuple(coeffs))
+        _check_cofactors([partial(g[i - 1], j) for j in range(1, n + 1)], vec, mu)
+        yield Derivation(n, tuple(vec))
 
 
 def format_derivation(d: Derivation) -> str:

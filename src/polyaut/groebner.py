@@ -11,7 +11,9 @@ Provides reduced Groebner bases over the rationals, multivariate division
   * graded_kernel_oracle: an independent degree-by-degree linear-algebra
     recomputation of the kernel's graded slices, used to cross-check the
     Buchberger route.  The kernel is homogeneous for the weights d, so each
-    slice can be solved as one exact linear system.
+    slice can be solved as one exact linear system, of compose's power
+    products.  Its matrices and span_contains' [vectors | target] come from
+    one builder, _coefficient_matrix, and each ends in one polycore._rref.
 
 Every monomial order ranks packed exponents (polycore's one int per
 monomial) by one int key, built by packed_key(n) from the order's weights
@@ -50,6 +52,7 @@ from .polycore import (
     _int_weights,
     _pack,
     _poly,
+    _power_products,
     _rref,
     _unpacker,
     compose,
@@ -485,8 +488,11 @@ def graded_kernel_oracle(images: Sequence[Polynomial], dweights: WeightVector,
 
     For each weighted degree D <= dmax, enumerates the monomials z^a with
     a . d = D, expands sum(c_a * images^a) = 0 as an exact linear system and
-    returns a basis of solutions as polynomials in the z-variables (monic
-    for the dweights-graded lex order).  Independent of the Buchberger route.
+    returns a basis of solutions as polynomials in the z-variables, monic
+    for the dweights-graded lex order by construction: a slice has one
+    weighted degree, and a solution's lex largest monomial is its free
+    column's, with coefficient 1.  The images^a are compose's cached power
+    products (polycore._power_products).  Independent of the Buchberger route.
     """
     images = list(images)
     nz = len(images)
@@ -497,70 +503,38 @@ def graded_kernel_oracle(images: Sequence[Polynomial], dweights: WeightVector,
     by_degree: dict = {}
     for alpha in _exponents_up_to(d, floor(Fraction(dmax) * s)):
         by_degree.setdefault(sum(map(mul, alpha, d)), []).append(alpha)
-    # Power caches for the images.
-    caches = [[Polynomial.constant(1, images[0].n)] for _ in images]
-
-    def image_power(i, e):
-        cache = caches[i]
-        while len(cache) <= e:
-            cache.append(cache[-1] * images[i])
-        return cache[e]
-
-    back = GradedLex(tuple(dweights.weights))
+    # Degree 0 holds only the constant monomial: no nonzero relation.
+    slices = [sorted(by_degree[deg]) for deg in sorted(by_degree) if deg]
+    products = _power_products(itertools.chain.from_iterable(slices), images)
     found = []
-    for deg in sorted(by_degree):
-        alphas = sorted(by_degree[deg])
-        if deg == 0:
-            continue  # only the constant monomial; no nonzero relation
-        expansions = []
-        support = set()
-        for alpha in alphas:
-            prod = Polynomial.constant(1, images[0].n)
-            for i, e in enumerate(alpha):
-                if e:
-                    prod = prod * image_power(i, e)
-            expansions.append(prod)
-            support.update(prod.support())
+    for alphas in slices:
         # One matrix column per candidate monomial, one row per x-monomial.
-        columns = _coefficient_rows(expansions, sorted(support))
-        rows = list(zip(*columns))
-        if not rows:
-            rows = [[Fraction(0)] * len(columns)]
-        # The nullspace, read from the RREF: one vector per free column.
-        reduced, pivots, _ = _rref(rows)
-        for fc in range(len(columns)):
+        reduced, pivots, _ = _rref(_coefficient_matrix(
+            list(itertools.islice(products, len(alphas)))))
+        # The nullspace, read from the RREF: one vector per free column fc,
+        # with 1 at fc and nonzero entries only at pivot columns left of fc.
+        for fc in range(len(alphas)):
             if fc in pivots:
                 continue
-            vec = [Fraction(0)] * len(columns)
-            vec[fc] = Fraction(1)
-            for row, pc in zip(reduced, pivots):
-                vec[pc] = -row[fc]
-            poly = Polynomial(nz, {alpha: c for alpha, c in zip(alphas, vec) if c})
-            found.append(monic(poly, back))
+            vec = {alphas[pc]: -row[fc] for row, pc in zip(reduced, pivots) if row[fc]}
+            vec[alphas[fc]] = 1
+            found.append(Polynomial(nz, vec))
     return found
 
 
-def _coefficient_rows(polys, support) -> list:
-    """One dense row of Fraction coefficients per polynomial, over the sorted
-    monomial list support (which holds every monomial of every polynomial)."""
-    index = {m: i for i, m in enumerate(support)}
-    rows = []
-    for p in polys:
-        row = [Fraction(0)] * len(support)
-        for m in p.support():
-            row[index[m]] = p.coeff(m)
-        rows.append(row)
-    return rows
+def _coefficient_matrix(polys) -> list:
+    """The dense matrix of the polynomials' coefficients: one row per
+    monomial of their joint support, in increasing packed (lex) order, and
+    one column per polynomial.  Nonzero entries are Fractions, zero entries
+    int 0."""
+    support = sorted(set().union(*(p._nums for p in polys)))
+    return [[Fraction(p._nums[k], p.den) if k in p._nums else 0 for p in polys]
+            for k in support]
 
 
 def span_contains(vectors: Sequence[Polynomial], target: Polynomial) -> bool:
-    """Exact linear-span membership test for polynomials (as coefficient vectors)."""
-    support = sorted(set(itertools.chain(target.support(), *(v.support() for v in vectors))))
-    *rows, tvec = _coefficient_rows((*vectors, target), support)
-    # Reduce tvec against the pivot rows of the RREF.
-    reduced, pivots, _ = _rref(rows)
-    for row, col in zip(reduced, pivots):
-        f = tvec[col]
-        if f != 0:
-            tvec = [a - f * b for a, b in zip(tvec, row)]
-    return all(a == 0 for a in tvec)
+    """Exact linear-span membership test for polynomials (as coefficient
+    vectors): target lies in the span iff the target column of the
+    augmented matrix [vectors | target] has no pivot."""
+    vectors = list(vectors)
+    return len(vectors) not in _rref(_coefficient_matrix(vectors + [target]))[1]

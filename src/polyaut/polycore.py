@@ -18,7 +18,8 @@ view.
 Exponents range over 0..MAX_EXPONENT = 2^32 - 1.  Every polynomial carries
 an upper bound on its exponents; a product or power whose bound could pass
 MAX_EXPONENT checks its exact degrees once, for the whole operation, and
-raises ExponentOverflow (a ValueError) when a field would overflow.
+raises ExponentOverflow (a ValueError) when a field would overflow; so does
+a constant raised to a power above MAX_EXPONENT.
 
 On top of the ring operations the module provides positive weighted
 homogeneous (p.w.h.) degree functions: a weight vector (w1,..,wn) with all
@@ -349,6 +350,9 @@ class Polynomial:
     def __pow__(self, k: int):
         if k < 0:
             raise ValueError("negative exponent")
+        if k > MAX_EXPONENT and self.is_constant():
+            # No field bounds c^k, whose coefficient grows without bound.
+            _check_exponents([k])
         if self._ebound * k > MAX_EXPONENT:
             _check_exponents([e * k for e in _degrees(self)])
         result = _constant(1, self.n)
@@ -597,14 +601,31 @@ def linear_combination(pairs, n: int) -> Polynomial:
     return _canon(n, {k: v for k, v in acc.items() if v}, den, ebound)
 
 
+def _power_products(exponents, coords):
+    """Yield prod(coords[i] ** a[i]) for each exponent tuple a, from powers
+    cached over the whole iteration; no product is multiplied by 1."""
+    one = _constant(1, coords[0].n)
+    # Per-variable power cache: powers[i][k] = coords[i] ** (k + 1).
+    powers = [[c] for c in coords]
+    for a in exponents:
+        term = one
+        for i, e in enumerate(a):
+            if e:
+                cache = powers[i]
+                while len(cache) < e:
+                    cache.append(cache[-1] * coords[i])
+                term = cache[e - 1] if term is one else term * cache[e - 1]
+        yield term
+
+
 def compose(p: Polynomial, coords) -> Polynomial:
     """Substitute coords[i-1] for x_i in p, exactly.
 
     coords may be a sequence of Polynomials or anything with a .coords
     attribute (a polynomial map); all must share p's variable count.  The
-    monomials of p, built from cached powers of the coordinates, are summed
-    by linear_combination with p's numerators as the scalars; p's one
-    denominator divides the sum once.
+    monomials of p, built by _power_products from cached powers of the
+    coordinates, are summed by linear_combination with p's numerators as
+    the scalars; p's one denominator divides the sum once.
     """
     cs = list(getattr(coords, "coords", coords))
     if len(cs) != p.n:
@@ -613,21 +634,8 @@ def compose(p: Polynomial, coords) -> Polynomial:
     for c in cs:
         if c.n != m:
             raise ValueError("coordinates have inconsistent variable counts")
-    one = _constant(1, m)
-    # Per-variable power cache: powers[i][k] = coords[i] ** (k + 1).
-    powers = [[c] for c in cs]
-    unpack = _unpacker(p.n)
-    terms = []
-    for key, c in p._nums.items():
-        term = one
-        for i, e in enumerate(unpack(key)):
-            if e:
-                cache = powers[i]
-                while len(cache) < e:
-                    cache.append(cache[-1] * cs[i])
-                term = cache[e - 1] if term is one else term * cache[e - 1]
-        terms.append((c, term))
-    q = linear_combination(terms, m)
+    products = _power_products(map(_unpacker(p.n), p._nums), cs)
+    q = linear_combination(zip(p._nums.values(), products), m)
     return q if p.den == 1 else _canon(m, q._nums, q.den * p.den, q._ebound)
 
 
@@ -666,8 +674,10 @@ def _rref(matrix):
     columns as rows, the determinant of the leading square block: the
     product of the pivots with the sign of the row swaps, or 0 when one of
     its columns has no pivot.  This is the one row elimination of the
-    library: determinants, inverses (of [M | I]), nullspaces and span
-    membership all read off its result.
+    library: determinants, affine inverses and shifts ([M | I | -s] to
+    [I | M^-1 | -M^-1 s]), nullspaces and span membership (no pivot in the
+    target column of [vectors | target]) all read off its result.  Zero
+    entries may be int 0.
     """
     rows = [list(r) for r in matrix]
     nrows = len(rows)

@@ -39,7 +39,9 @@ from .autmap import (
     PolyMap,
     Transposition,
     certify,
+    compose_map,
     expand,
+    generator_map,
 )
 from .classify3 import (
     Classified,
@@ -171,8 +173,6 @@ def random_tame_word(rng: random.Random, n: int, max_gens: int = 6,
     as an intermediate coordinate degree leaves the budget, so rejected
     draws never pay for a large expansion.
     """
-    from .autmap import compose_map, generator_map
-
     for _ in range(2000):
         target_len = rng.randint(1, max_gens)
         gens = []

@@ -330,6 +330,16 @@ def test_exponent_overflow_is_domain_outcome(capsys):
     ]
 
 
+def test_constant_power_overflow_is_domain_outcome(capsys):
+    status = main(["compose", "--map", f"1^{MAX_EXPONENT + 1}*x1; x2"])
+    captured = capsys.readouterr()
+    assert status == 1
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        f"error: exponent {MAX_EXPONENT + 1} exceeds the largest exponent {MAX_EXPONENT}"
+    ]
+
+
 def test_other_value_errors_stay_usage_errors(capsys):
     status = main(["lnd-witness", "--map", "x1+x2^2; x2", "--inverse", "x1; x2; x3"])
     captured = capsys.readouterr()

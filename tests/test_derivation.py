@@ -258,9 +258,10 @@ def test_word_witness_computes_no_determinant(count_calls):
 
 def test_sums_of_products_build_no_intermediate_polynomials(monkeypatch):
     # Affine coordinates, chain-rule columns, cofactor rows and D(P) are each
-    # one polycore.linear_combination.  What is left: one + per Elementary
-    # generator (its coordinate plus the composed addend; the corpus has
-    # 46), compose's products of powers, and the column scaling by det(J_g).
+    # one polycore.linear_combination, and each chain-rule column starts
+    # from det(J_g) * e_i instead of being scaled at the end.  What is left:
+    # one + per Elementary generator (its coordinate plus the composed
+    # addend; the corpus has 46) and compose's products of powers.
     words = _mixed_corpus(20260810, 25)
     assert len(words) == 30
     calls = {"+": 0, "*": 0}
@@ -279,7 +280,7 @@ def test_sums_of_products_build_no_intermediate_polynomials(monkeypatch):
     calls.update({"+": 0, "*": 0})
     for w in words:
         lnd_witness(w, WeightVector.standard(w.n))
-    assert calls == {"+": 92, "*": 322}
+    assert calls == {"+": 92, "*": 238}
 
 
 def test_lnd_witness_word_matches_raw_map_with_inverse():

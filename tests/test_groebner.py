@@ -26,6 +26,7 @@ from polyaut.polycore import (
     Polynomial,
     WeightVector,
     _pack,
+    _rref,
     compose,
     is_homogeneous,
     leading_term,
@@ -399,6 +400,14 @@ def test_oracle_affine_images_empty():
     assert graded_kernel_oracle(images, WeightVector((1, 1)), 4) == []
 
 
+def test_oracle_zero_image_leaves_every_column_free():
+    # No product of a slice containing z1 has a term, so its matrix has no
+    # rows and every such monomial is a relation.
+    images = [Polynomial.zero(2), P("x2", 2)]
+    assert graded_kernel_oracle(images, WeightVector((1, 1)), 2) == [
+        P("x1", 2), P("x1*x2", 2), P("x1^2", 2)]
+
+
 def test_oracle_elementary_example():
     images = [P("x2^2", 2), P("x2", 2)]
     found = graded_kernel_oracle(images, WeightVector((2, 1)), 2)
@@ -477,6 +486,63 @@ def test_span_contains_seeded_combinations():
         # A monomial of degree 4 lies outside every vector's support.
         outside = combo + Polynomial.monomial((4,) + (0,) * (n - 1), 1, n)
         assert not span_contains(vectors, outside)
+
+
+def _coefficient_rank(polys, support):
+    return len(_rref([[p.coeff(m) for m in support] for p in polys])[1])
+
+
+def test_span_contains_matches_a_rank_reference():
+    # target lies in the span iff appending it keeps the rank, over rows of
+    # Fraction coefficients built here, not by the library's matrix builder.
+    rng = random.Random(43)
+    for _ in range(60):
+        n = rng.randint(1, 3)
+        vectors = [random_polynomial(rng, n, max_terms=3, max_deg=2, coeff_bound=3)
+                   for _ in range(rng.randint(0, 3))]
+        if vectors and rng.random() < 0.5:  # a dependent vector, or a zero one
+            vectors.append(sum((v * rng.randint(-2, 2) for v in vectors), Polynomial.zero(n)))
+        target = rng.choice([
+            Polynomial.zero(n),
+            random_polynomial(rng, n, max_terms=3, max_deg=2, coeff_bound=3),
+            sum((v * Fraction(rng.randint(-3, 3), rng.randint(1, 2)) for v in vectors),
+                Polynomial.zero(n)),
+        ])
+        support = sorted(set().union(target.support(), *(v.support() for v in vectors)))
+        expected = (_coefficient_rank(vectors, support)
+                    == _coefficient_rank(vectors + [target], support))
+        assert span_contains(vectors, target) == expected
+
+
+def test_oracle_shares_compose_power_products(monkeypatch):
+    # The slice products come from compose's cache of image powers, never
+    # from a multiply by the constant 1 (a second cache starting from 1
+    # made 205 products here); each element is monic for the d-graded lex
+    # order without normalization.
+    from polyaut.relations import relation_report
+    from polyaut.verify import space_corpus_principal
+
+    reports = [relation_report(w, oracle_shadow=False)
+               for w in space_corpus_principal(20260813, 10)]
+    calls = []
+    mul = Polynomial.__mul__
+
+    def counting(*args):
+        calls.append(None)
+        return mul(*args)
+
+    monkeypatch.setattr(Polynomial, "__mul__", counting)
+    monkeypatch.setattr(Polynomial, "__rmul__", counting)
+    found = []
+    for r in reports:
+        dmax = max([r.parachute + 1, *(wdeg(g, r.d) for g in r.ideal.gens)])
+        found.append((graded_kernel_oracle(r.fbars, r.d, dmax), r.d))
+    assert len(calls) == 65
+    assert sum(len(elements) for elements, _ in found) == 15
+    for elements, d in found:
+        order = GradedLex(d.weights)
+        for g in elements:
+            assert g.coeff(leading_monomial(g, order)) == 1
 
 
 def test_oracle_and_kernel_agree_on_fixed_instances():
@@ -604,6 +670,7 @@ def test_kernel_and_oracle_agree_on_arbitrary_graded_images():
         oracle = graded_kernel_oracle(images, d, dmax)
         for g in oracle:
             assert normal_form(g, basis).is_zero()
+            assert g.coeff(leading_monomial(g, GradedLex(d.weights))) == 1
         for g in basis.gens:
             if wdeg(g, d) <= dmax:
                 assert span_contains(oracle, g)

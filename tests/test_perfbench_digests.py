@@ -1,5 +1,6 @@
 """The benchmark's default-seed outputs, pinned: one checked pass of each
-perfbench workload must fail no case and hash to perfbench/digests.json."""
+perfbench workload must fail no case and hash to perfbench/digests.json.
+Every library function the benchmark's tracer wraps must exist."""
 
 import importlib.util
 import json
@@ -32,3 +33,11 @@ def test_default_seed_pass_matches_the_stored_digest(name):
     one_pass.run()
     assert one_pass.failed == 0, one_pass.bad
     assert one_pass.digest() == STORED["digests"][name]
+
+
+def test_every_traced_function_resolves_to_a_library_callable():
+    # A traced function that was deleted or renamed fails here, not only in
+    # a later traced benchmark run.
+    for module, attr in _load("tracing").FUNCTIONS.values():
+        assert module.startswith("polyaut.")
+        assert callable(getattr(importlib.import_module(module), attr, None)), (module, attr)

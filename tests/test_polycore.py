@@ -604,6 +604,18 @@ def test_exponent_overflow_raises_typed_error():
     assert issubclass(ExponentOverflow, ValueError)
 
 
+def test_constant_power_past_the_largest_exponent_raises():
+    # No exponent field bounds c^k, so the exponent itself is refused, with
+    # the message of x^k; a constant whose exponent bound is above 0 too.
+    message = f"exponent {MAX_EXPONENT + 1} exceeds the largest exponent {MAX_EXPONENT}"
+    for text in ["0", "1", "(-1)", "(x1 - x1 + 1)"]:
+        with pytest.raises(ExponentOverflow) as exc:
+            parse_poly(f"{text}^{MAX_EXPONENT + 1}", 1)
+        assert str(exc.value) == message
+    assert parse_poly(f"(-1)^{MAX_EXPONENT}", 1) == Polynomial.constant(-1, 1)
+    assert Polynomial.zero(1) ** MAX_EXPONENT == Polynomial.zero(1)
+
+
 def test_exponent_bound_is_checked_exactly():
     # top + 1 - top carries the bound of top, but its product with x1 fits.
     top = Polynomial.monomial((MAX_EXPONENT - 1,), 1, 1)
