@@ -28,7 +28,8 @@ sufficient check that its Jacobian is a nonzero constant (jacobian_constant).
 
 Text formats (used by the CLI and the tests):
   word: one generator per line,
-        "E <i> <poly>" | "T <i> <j>" | "A <n*n rationals> | <n rationals>"
+        "E <i> <poly>" | "T <i> <j>" | "A <n*n rationals> | <n rationals>",
+        each rational an integer, p/q or a decimal (parse_fraction)
   map:  n lines, one polynomial per coordinate.
 """
 
@@ -37,6 +38,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
+from math import lcm
 from typing import Union
 
 from .polycore import (
@@ -260,8 +262,14 @@ def invert_generator(g: Generator) -> Generator:
     keeps det(M^-1) = 1/det(M)."""
     if isinstance(g, Affine):
         n = g.n
-        augmented = [[*row, *(Fraction(int(i == j)) for j in range(n)), -s]
-                     for i, (row, s) in enumerate(zip(g.matrix, g.shift))]
+        augmented = []
+        for i, (row, s) in enumerate(zip(g.matrix, g.shift)):
+            # The row [M_i | e_i | -s_i] scaled to ints by the lcm of its
+            # denominators.
+            l = lcm(s.denominator, *[a.denominator for a in row])
+            augmented.append([*[a.numerator * (l // a.denominator) for a in row],
+                              *[l if i == j else 0 for j in range(n)],
+                              -s.numerator * (l // s.denominator)])
         reduced = _rref(augmented)[0]
         return _affine(tuple(tuple(row[n:-1]) for row in reduced),
                        tuple(row[-1] for row in reduced), 1 / g.det)

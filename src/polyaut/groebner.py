@@ -13,7 +13,8 @@ Provides reduced Groebner bases over the rationals, multivariate division
     Buchberger route.  The kernel is homogeneous for the weights d, so each
     slice can be solved as one exact linear system, of compose's power
     products.  Its matrices and span_contains' [vectors | target] come from
-    one builder, _coefficient_matrix, and each ends in one polycore._rref.
+    one builder, _coefficient_matrix, of int entries, and each ends in one
+    polycore._rref.
 
 Every monomial order ranks packed exponents (polycore's one int per
 monomial) by one int key, built by packed_key(n) from the order's weights
@@ -37,7 +38,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import floor, gcd
+from math import floor, gcd, lcm
 from operator import add, le, mul, sub
 from typing import NamedTuple, Sequence
 
@@ -153,12 +154,6 @@ def _divides(a, b) -> bool:
 
 def _mono_lcm(a, b):
     return tuple(map(max, a, b))
-
-
-def monic(p: Polynomial, order: MonomialOrder) -> Polynomial:
-    if p.is_zero():
-        return p
-    return p * (Fraction(1) / p.coeff(leading_monomial(p, order)))
 
 
 @dataclass(frozen=True)
@@ -523,13 +518,14 @@ def graded_kernel_oracle(images: Sequence[Polynomial], dweights: WeightVector,
 
 
 def _coefficient_matrix(polys) -> list:
-    """The dense matrix of the polynomials' coefficients: one row per
-    monomial of their joint support, in increasing packed (lex) order, and
-    one column per polynomial.  Nonzero entries are Fractions, zero entries
-    int 0."""
+    """The dense matrix of the polynomials' coefficients, times the lcm L
+    of their denominators: one row per monomial of their joint support, in
+    increasing packed (lex) order, and one column per polynomial.  The
+    entries are ints; the scaling by L leaves the reduced form unchanged."""
     support = sorted(set().union(*(p._nums for p in polys)))
-    return [[Fraction(p._nums[k], p.den) if k in p._nums else 0 for p in polys]
-            for k in support]
+    l = lcm(*[p.den for p in polys])
+    columns = [(p._nums, l // p.den) for p in polys]
+    return [[nums.get(k, 0) * f for nums, f in columns] for k in support]
 
 
 def span_contains(vectors: Sequence[Polynomial], target: Polynomial) -> bool:

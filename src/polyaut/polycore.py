@@ -42,6 +42,7 @@ of the text grammar; exponent tuples are plain 0-based Python tuples.
 from __future__ import annotations
 
 import functools
+import re
 import struct
 from collections.abc import Mapping
 from dataclasses import dataclass, field
@@ -665,49 +666,87 @@ def _det(rows, cols):
         row[0].n)
 
 
+_ZERO, _ONE = Fraction(0), Fraction(1)
+
+
 def _rref(matrix):
-    """Reduced row echelon form of a matrix of Fractions, by Gauss-Jordan
+    """Reduced row echelon form of a rational matrix, by Gauss-Jordan
     elimination with the first nonzero entry of each column as pivot.
 
-    Returns (rows, pivots, det): the reduced rows as new lists, the pivot
-    column of each nonzero reduced row, and, when there are at least as many
-    columns as rows, the determinant of the leading square block: the
-    product of the pivots with the sign of the row swaps, or 0 when one of
-    its columns has no pivot.  This is the one row elimination of the
-    library: determinants, affine inverses and shifts ([M | I | -s] to
+    Entries are ints or Fractions; callers that build a matrix pass ints.
+    Each row is scaled to ints by the lcm of its denominators, which leaves
+    the reduced form unchanged, and the elimination runs on ints alone
+    (fraction-free, after Bareiss): a row is cleared against the pivot row
+    by cross-multiplication and divided by the gcd of its entries, and the
+    row scalings are kept so that the determinant stays exact.  Each pivot
+    row is divided by its pivot once, at the end.
+
+    Returns (rows, pivots, det): the reduced rows as new lists of Fractions
+    (every zero entry is one shared Fraction(0)), the pivot column of each
+    nonzero reduced row, and the determinant of the leading square block
+    when there are at least as many columns as rows (0 otherwise; 1 for
+    the empty matrix).  This is the one row elimination of the library:
+    determinants, affine inverses and shifts ([M | I | -s] to
     [I | M^-1 | -M^-1 s]), nullspaces and span membership (no pivot in the
-    target column of [vectors | target]) all read off its result.  Zero
-    entries may be int 0.
+    target column of [vectors | target]) all read off its result.
     """
-    rows = [list(r) for r in matrix]
-    nrows = len(rows)
-    ncols = len(rows[0]) if rows else 0
+    nrows = len(matrix)
+    ncols = len(matrix[0]) if nrows else 0
+    # det(rows) = det(matrix) * num / den throughout.  track: det(matrix)
+    # is defined and may be nonzero, i.e. the matrix is square or wide and
+    # each column of its leading block so far has a pivot.
+    track = ncols >= nrows
+    num = den = 1
+    rows = []
+    for row in matrix:
+        l = lcm(*[a.denominator for a in row])
+        rows.append([a.numerator * (l // a.denominator) for a in row])
+        num *= l
     pivots = []
-    det = Fraction(1)
     for c in range(ncols):
         r = len(pivots)
         if r == nrows:
             break
-        p = next((i for i in range(r, nrows) if rows[i][c] != 0), None)
+        p = next((i for i in range(r, nrows) if rows[i][c]), None)
         if p is None:
-            det = Fraction(0)
+            track = False
             continue
         if p != r:
             rows[r], rows[p] = rows[p], rows[r]
-            det = -det
+            num = -num
         pivot_row = rows[r]
         pivot = pivot_row[c]
-        det *= pivot
-        # Zero entries are skipped: they are most of a sparse matrix, and
-        # every entry left of c in the pivot row is zero.
-        if pivot != 1:
-            pivot_row = rows[r] = [a / pivot if a else a for a in pivot_row]
         for i in range(nrows):
-            f = rows[i][c]
+            row = rows[i]
+            f = row[c]
             if i != r and f:
-                rows[i] = [a - f * b if b else a for a, b in zip(rows[i], pivot_row)]
+                # row <- (a * row - b * pivot_row) / g with a : b = pivot : f.
+                h = gcd(pivot, f)
+                a, b = pivot // h, f // h
+                row = [a * x - b * y for x, y in zip(row, pivot_row)]
+                g = gcd(*row)
+                if g > 1:
+                    row = [x // g for x in row]
+                    den *= g
+                rows[i] = row
+                num *= a
         pivots.append(c)
-    return rows, pivots, det
+    if track:
+        # The leading block is diagonal now.
+        for i in range(nrows):
+            den *= rows[i][i]
+        det = Fraction(den, num)
+    else:
+        det = _ZERO
+    out = []
+    for r, c in enumerate(pivots):
+        row = rows[r]
+        pivot, row[c] = row[c], 0  # the pivot entry comes out as the shared 1
+        row = [Fraction(x, pivot) if x else _ZERO for x in row]
+        row[c] = _ONE
+        out.append(row)
+    out += [[_ZERO] * ncols for _ in range(nrows - len(pivots))]
+    return out, pivots, det
 
 
 # -- text grammar ----------------------------------------------------------
@@ -828,9 +867,18 @@ def parse_poly(text: str, n: int) -> Polynomial:
     return _Parser(text, n).parse()
 
 
+# rational := ['+'|'-'] (UINT ['/' UINT] | UINT '.' [UINT] | '.' UINT)
+_RATIONAL = re.compile(r"\s*[+-]?(?:[0-9]+(?:/[0-9]+)?|[0-9]+\.[0-9]*|\.[0-9]+)\s*")
+
+
 def parse_fraction(text: str) -> Fraction:
-    """Parse a rational literal such as 3, -1/2 or 0.25; ValueError when it
-    is malformed or has a zero denominator."""
+    """Parse a rational literal: an integer, p/q or a decimal, optionally
+    signed, such as 3, -1/2 or 0.25.  ValueError naming the text when it is
+    anything else (exponents such as 1e3 and underscores are refused before
+    any number is built) or has a zero denominator."""
+    if not _RATIONAL.fullmatch(text):
+        raise ValueError(f"invalid rational literal {text!r}: "
+                         "expected an integer, p/q or a decimal")
     try:
         return Fraction(text)
     except ZeroDivisionError:

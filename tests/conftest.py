@@ -1,6 +1,7 @@
 """Fixtures shared by the test modules."""
 
 import sys
+from fractions import Fraction
 
 import pytest
 
@@ -35,3 +36,27 @@ def count_calls(monkeypatch):
 def expand_calls(count_calls):
     """The words passed to autmap.expand, one entry per call."""
     return count_calls(autmap, "expand")
+
+
+@pytest.fixture
+def count_fractions(monkeypatch):
+    """count_fractions() counts, from then on, every Fraction that polyaut
+    code constructs by calling Fraction(...), and returns the list of the
+    calling functions' names, one entry per construction.  The results of
+    Fraction arithmetic are not counted: the fractions module builds them
+    differently from one Python version to the next."""
+
+    def install():
+        made = []
+        new = Fraction.__new__
+
+        def counting(cls, *args, **kwargs):
+            caller = sys._getframe(1)
+            if caller.f_globals.get("__name__", "").split(".")[0] == "polyaut":
+                made.append(caller.f_code.co_name)
+            return new(cls, *args, **kwargs)
+
+        monkeypatch.setattr(Fraction, "__new__", staticmethod(counting))
+        return made
+
+    return install

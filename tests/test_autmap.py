@@ -213,6 +213,19 @@ def test_invert_word_eliminates_once_per_affine(count_calls):
         assert len(calls) - before == sum(isinstance(g, Affine) for g in w)
 
 
+def test_invert_word_fraction_constructions(count_fractions):
+    # invert_generator hands _rref the int rows [L M | L I | -L s]; the
+    # Fractions are the nonzero entries of M^-1 and -M^-1 s, each divided
+    # by its pivot once, and each elimination's determinant.  (The Fraction
+    # elimination made 188 such calls, and its arithmetic built 1342 more
+    # Fractions under CPython 3.11.)
+    words = _seeded_words()
+    made = count_fractions()
+    for w in words:
+        invert_word(w)
+    assert len(made) == 227
+
+
 def test_inverse_affine_keeps_the_reciprocal_determinant():
     rng = random.Random(15)
     for n in (1, 2, 3, 4):

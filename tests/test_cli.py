@@ -293,6 +293,27 @@ def test_zero_denominator_is_usage_error(capsys, argv):
 
 
 @pytest.mark.parametrize(
+    "argv, token",
+    [
+        (["compose", "--word", "A 1e3 0 0 1 | 0 0"], "1e3"),
+        (["compose", "--word", "A 1 0 0 1 | 2E-1 0"], "2E-1"),
+        (["relations", "--map", "x1;x2", "--weights", "1_0,1"], "1_0"),
+        (["classify3", "--rel", "x3^2 + x2^3", "--weights", "1,2,1e3"], "1e3"),
+    ],
+    ids=["word-matrix", "word-shift", "relations-weights", "classify3-weights"],
+)
+def test_rational_outside_the_grammar_is_usage_error(capsys, argv, token):
+    # Affine entries and weights are integers, p/q or decimals; exponent
+    # notation and underscores are malformed input, like 1/0.
+    status = main(argv)
+    captured = capsys.readouterr()
+    assert status == 2
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        f"error: invalid rational literal '{token}': expected an integer, p/q or a decimal"]
+
+
+@pytest.mark.parametrize(
     "argv, message",
     [
         (["compose", "--word", "A 1 2 3 | 0 0"], "affine line does not contain a square matrix"),

@@ -545,6 +545,37 @@ def test_oracle_shares_compose_power_products(monkeypatch):
             assert g.coeff(leading_monomial(g, order)) == 1
 
 
+def test_oracle_eliminates_int_matrices(monkeypatch, count_fractions):
+    # _coefficient_matrix scales each slice by the lcm of the image
+    # denominators and builds no Fraction; the oracle's Fractions are the
+    # reduced entries of _rref and the coefficients of the elements it
+    # returns.  (With a Fraction per matrix entry it made 298 such calls,
+    # and the Fraction elimination's arithmetic built 578 more under
+    # CPython 3.11.)
+    from polyaut import groebner
+    from polyaut.relations import relation_report
+    from polyaut.verify import space_corpus_principal
+
+    reports = [relation_report(w, oracle_shadow=False)
+               for w in space_corpus_principal(20260813, 10)]
+    matrices = []
+    build = groebner._coefficient_matrix
+
+    def recording(polys):
+        matrices.append(build(polys))
+        return matrices[-1]
+
+    dmaxes = [max([r.parachute + 1, *(wdeg(g, r.d) for g in r.ideal.gens)]) for r in reports]
+    monkeypatch.setattr(groebner, "_coefficient_matrix", recording)
+    made = count_fractions()
+    found = [graded_kernel_oracle(r.fbars, r.d, dmax) for r, dmax in zip(reports, dmaxes)]
+    assert len(made) == 74
+    for r, oracle in zip(reports, found):
+        assert all(span_contains(oracle, g) for g in r.ideal.gens)
+    assert len(matrices) > len(reports)
+    assert all(type(a) is int for m in matrices for row in m for a in row)
+
+
 def test_oracle_and_kernel_agree_on_fixed_instances():
     for images, d, dmax in [
         ([P("x2^2", 2), P("x2", 2)], WeightVector((2, 1)), 2),

@@ -2,10 +2,12 @@
 the exact row elimination."""
 
 import random
+import re
 from fractions import Fraction
+from math import prod
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from polyaut.autmap import Affine, AutWord, invert_generator, word_jacobian
 from polyaut.polycore import (
@@ -22,6 +24,7 @@ from polyaut.polycore import (
     jacobian,
     leading_term,
     linear_combination,
+    parse_fraction,
     parse_poly,
     partial,
     wdeg,
@@ -59,6 +62,21 @@ def test_parse_rational_literals():
     p = P("1/2*x1 - 3/4", 1)
     assert p.coeff((1,)) == Fraction(1, 2)
     assert p.constant_value() == Fraction(-3, 4)
+
+
+@pytest.mark.parametrize("text, value", [
+    ("3", 3), ("-1/2", Fraction(-1, 2)), ("0.25", Fraction(1, 4)), ("+7", 7),
+    ("1.", 1), (".5", Fraction(1, 2)), ("-0.125", Fraction(-1, 8)), ("12/16", Fraction(3, 4)),
+])
+def test_parse_fraction_reads_integers_ratios_and_decimals(text, value):
+    assert parse_fraction(text) == value
+
+
+@pytest.mark.parametrize("text", ["1e3", "2E-1", "1_0", "1.5e2", "0x10", "1/2.5", "-", ".", ""])
+def test_parse_fraction_refuses_other_text_naming_it(text):
+    # Exponent notation would build its power of ten before any size check.
+    with pytest.raises(ValueError, match=f"invalid rational literal {re.escape(repr(text))}"):
+        parse_fraction(text)
 
 
 def test_parse_reports_position():
@@ -719,3 +737,96 @@ def test_rref_rows_are_reduced_and_span_the_input():
         stacked, stacked_pivots, _ = _rref(rows + m)
         assert stacked_pivots == pivots
         assert stacked[: len(pivots)] == rows[: len(pivots)]
+
+
+def _reference_rref(matrix):
+    """The Fraction Gauss-Jordan elimination that _rref ran before its
+    integer interior, kept as the reference: a matrix of Fractions (zero
+    entries may be int 0) to (rows, pivots, det) as _rref documents them."""
+    rows = [list(r) for r in matrix]
+    nrows = len(rows)
+    ncols = len(rows[0]) if rows else 0
+    pivots = []
+    det = Fraction(1)
+    for c in range(ncols):
+        r = len(pivots)
+        if r == nrows:
+            break
+        p = next((i for i in range(r, nrows) if rows[i][c] != 0), None)
+        if p is None:
+            det = Fraction(0)
+            continue
+        if p != r:
+            rows[r], rows[p] = rows[p], rows[r]
+            det = -det
+        pivot_row = rows[r]
+        pivot = pivot_row[c]
+        det *= pivot
+        # Zero entries are skipped: they are most of a sparse matrix, and
+        # every entry left of c in the pivot row is zero.
+        if pivot != 1:
+            pivot_row = rows[r] = [a / pivot if a else a for a in pivot_row]
+        for i in range(nrows):
+            f = rows[i][c]
+            if i != r and f:
+                rows[i] = [a - f * b if b else a for a, b in zip(rows[i], pivot_row)]
+        pivots.append(c)
+    return rows, pivots, det
+
+
+_NONZERO_ENTRIES = st.one_of(
+    st.integers(-30, 30).filter(bool),
+    st.builds(Fraction, st.integers(-60, 60).filter(bool), st.integers(1, 12)),
+)
+_ENTRIES = st.one_of(st.just(0), st.just(Fraction(0)), _NONZERO_ENTRIES)
+
+
+@st.composite
+def _matrices(draw):
+    """Wide, square and tall matrices of int, Fraction and int-0 entries,
+    some with a zero row or a row that combines two others; the empty
+    matrix too."""
+    nrows = draw(st.integers(0, 6))
+    ncols = draw(st.integers(0, 7)) if nrows else 0
+    m = [draw(st.lists(_ENTRIES, min_size=ncols, max_size=ncols)) for _ in range(nrows)]
+    if nrows >= 3 and draw(st.booleans()):
+        i, j, k = draw(st.permutations(range(nrows)))[:3]
+        c = draw(_NONZERO_ENTRIES)
+        m[k] = [a + c * b for a, b in zip(m[i], m[j])]
+    if nrows and draw(st.booleans()):
+        m[draw(st.integers(0, nrows - 1))] = [0] * ncols
+    return m
+
+
+def _square_or_wide(m):
+    return not m or len(m[0]) >= len(m)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_matrices())
+@example([])
+@example([[0, 0], [0, 0]])
+@example([[Fraction(1, 2), 3], [1, 6]])
+def test_rref_matches_the_fraction_reference(m):
+    before = [list(row) for row in m]
+    rows, pivots, det = _rref(m)
+    ref_rows, ref_pivots, ref_det = _reference_rref(
+        [[Fraction(a) if a else a for a in row] for row in m])
+    assert m == before
+    assert pivots == ref_pivots
+    assert rows == ref_rows
+    assert all(type(a) is Fraction for row in rows for a in row)
+    if _square_or_wide(m):
+        assert det == ref_det
+
+
+@settings(max_examples=100, deadline=None)
+@given(_matrices(), st.data())
+def test_rref_is_unchanged_by_row_scaling(m, data):
+    scales = [data.draw(_NONZERO_ENTRIES) for _ in m]
+    scaled = [[s * a for a in row] for s, row in zip(scales, m)]
+    rows, pivots, det = _rref(m)
+    scaled_rows, scaled_pivots, scaled_det = _rref(scaled)
+    assert (scaled_rows, scaled_pivots) == (rows, pivots)
+    if _square_or_wide(m):
+        assert scaled_det == det * prod(scales)
