@@ -38,7 +38,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from math import lcm
 from typing import Union
 
 from .polycore import (
@@ -262,14 +261,8 @@ def invert_generator(g: Generator) -> Generator:
     keeps det(M^-1) = 1/det(M)."""
     if isinstance(g, Affine):
         n = g.n
-        augmented = []
-        for i, (row, s) in enumerate(zip(g.matrix, g.shift)):
-            # The row [M_i | e_i | -s_i] scaled to ints by the lcm of its
-            # denominators.
-            l = lcm(s.denominator, *[a.denominator for a in row])
-            augmented.append([*[a.numerator * (l // a.denominator) for a in row],
-                              *[l if i == j else 0 for j in range(n)],
-                              -s.numerator * (l // s.denominator)])
+        augmented = [[*row, *[int(i == j) for j in range(n)], -s]
+                     for i, (row, s) in enumerate(zip(g.matrix, g.shift))]
         reduced = _rref(augmented)[0]
         return _affine(tuple(tuple(row[n:-1]) for row in reduced),
                        tuple(row[-1] for row in reduced), 1 / g.det)

@@ -46,6 +46,7 @@ from .polycore import (
     FIELD_BITS,
     MAX_EXPONENT,
     Polynomial,
+    ResourceCapExceeded,
     WeightVector,
     _canon,
     _check_exponents,
@@ -58,10 +59,6 @@ from .polycore import (
     _unpacker,
     compose,
 )
-
-
-class ResourceCapExceeded(RuntimeError):
-    """The S-pair reduction budget was exhausted before the basis stabilized."""
 
 
 DEFAULT_PAIR_CAP = 100_000

@@ -45,6 +45,7 @@ from .polycore import (
     WeightVector,
     compose,
     leading_term,
+    linear_combination,
 )
 
 
@@ -91,7 +92,8 @@ def reduce_step(f: Polynomial, g: Polynomial, df: int):
     c = f.coeff(tuple(r * e for e in t)) / g.coeff(t) ** r
     if c == 0:
         return None
-    h = f - (g ** r) * c
+    # -c as a constant polynomial, so no Fraction is built for the sign.
+    h = linear_combination(((1, f), (-Polynomial.constant(c, f.n), g ** r)), f.n)
     dh = h.total_degree()
     if dh >= df:
         return None

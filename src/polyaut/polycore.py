@@ -30,9 +30,9 @@ monomials of maximal weighted degree.
 
 Also here: formal partial derivatives, substitution of a tuple of
 polynomials (composition with a polynomial map) and the Jacobian
-determinant j(P1,..,Pn) = det(dPi/dxj).  Every sum of products of
-polynomials in the library (compositions, affine coordinates, derivations
-applied, chain-rule columns, cofactor rows, determinants) is accumulated by
+determinant j(P1,..,Pn) = det(dPi/dxj), within MAX_DET_STEPS steps.  Every
+product (+, -, *, compositions, affine coordinates, derivations applied,
+chain-rule columns, cofactor rows, determinants) is accumulated by
 linear_combination, into one dict of numerators over one denominator.
 
 Variable indices in the public API are 1-based, matching the x1..xn naming
@@ -150,6 +150,10 @@ class ExponentOverflow(ValueError):
     """An exponent exceeds MAX_EXPONENT, the largest one a packed field holds."""
 
 
+class ResourceCapExceeded(RuntimeError):
+    """A work budget ran out: Buchberger's pair_cap or MAX_DET_STEPS."""
+
+
 @functools.cache
 def _layout(n: int) -> struct.Struct:
     """n exponents as big-endian unsigned FIELD_BITS-bit fields."""
@@ -182,6 +186,19 @@ def _check_exponents(exponents) -> int:
         raise ExponentOverflow(
             f"exponent {top} exceeds the largest exponent {MAX_EXPONENT}")
     return top
+
+
+def _sum_operator(a: int, b: int):
+    """The ring operator (self, other) |-> a*self + b*other, one linear_combination."""
+
+    def operator(self, other):
+        if not isinstance(other, _OPERANDS):
+            return NotImplemented
+        if not isinstance(other, Polynomial):
+            other = _constant(other, self.n)
+        return linear_combination(((a, self), (b, other)), self.n)
+
+    return operator
 
 
 class Polynomial:
@@ -300,51 +317,17 @@ class Polynomial:
 
     # -- ring operations ---------------------------------------------------
 
-    def __add__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = _constant(other, self.n)
-        return linear_combination(((1, self), (1, other)), self.n)
-
-    __radd__ = __add__
+    __add__ = __radd__ = _sum_operator(1, 1)
+    __sub__ = _sum_operator(1, -1)
+    __rsub__ = _sum_operator(-1, 1)
 
     def __neg__(self):
         return _poly(self.n, {k: -c for k, c in self._nums.items()}, self.den, self._ebound)
 
-    def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = _constant(other, self.n)
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            num, den = _ratio(other)
-            out = {k: c * num for k, c in self._nums.items()} if num else {}
-            return _canon(self.n, out, self.den * den, self._ebound)
-        if self.n != other.n:
-            raise ValueError(f"variable-count mismatch: {self.n} vs {other.n}")
-        a, b = self._nums, other._nums
-        if not a or not b:
-            return _poly(self.n, {}, 1, 0)
-        ebound = self._ebound + other._ebound
-        if ebound > MAX_EXPONENT:
-            ebound = _check_exponents(map(add, _degrees(self), _degrees(other)))
-        if len(a) > len(b):
-            a, b = b, a
-        if len(a) == 1:
-            [(ka, ca)] = a.items()
-            out = {ka + kb: ca * cb for kb, cb in b.items()}
-        else:
-            out = {}
-            get = out.get
-            for ka, ca in a.items():
-                for kb, cb in b.items():
-                    k = ka + kb
-                    out[k] = get(k, 0) + ca * cb
-            out = {k: c for k, c in out.items() if c}
-        return _canon(self.n, out, self.den * other.den, ebound)
+        if not isinstance(other, _OPERANDS):
+            return NotImplemented
+        return linear_combination(((other, self),), self.n)
 
     __rmul__ = __mul__
 
@@ -356,14 +339,14 @@ class Polynomial:
             _check_exponents([k])
         if self._ebound * k > MAX_EXPONENT:
             _check_exponents([e * k for e in _degrees(self)])
-        result = _constant(1, self.n)
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            k >>= 1
-            if k:
-                base = base * base
+        if not k:
+            return _constant(1, self.n)
+        # Left to right over the bits of k, never multiplying by 1.
+        result = self
+        for bit in bin(k)[3:]:
+            result = result * result
+            if bit == "1":
+                result = result * self
         return result
 
     def __eq__(self, other):
@@ -427,6 +410,11 @@ def _ratio(c):
 def _constant(c, n: int) -> Polynomial:
     num, den = _ratio(c)
     return _poly(n, {0: num} if num else {}, den, 0)
+
+
+#: The operand types of +, - and *, on either side: anything else gives
+#: NotImplemented, so Python raises TypeError.
+_OPERANDS = (Polynomial, int, Fraction)
 
 
 def _degrees(p: Polynomial) -> list:
@@ -556,50 +544,59 @@ def linear_combination(pairs, n: int) -> Polynomial:
     """sum(a * p) over the (a, p) pairs as a polynomial in n variables, each
     p a Polynomial and each a a Polynomial or a rational.
 
-    Every term goes straight into one {packed exponent: numerator} dict over
-    one common denominator: no product or partial sum is built as a
+    This is the library's one product of terms: +, -, * and every sum of
+    products (compose, affine coordinates, determinants, ...) run through
+    it.  A rational a is read as the one-term polynomial at packed exponent
+    0, and the factor with fewer terms drives the outer loop.  Every term
+    goes straight into one {packed exponent: numerator} dict over one
+    common denominator: no product or partial sum is built as a
     Polynomial.  A product whose exponents pass MAX_EXPONENT raises
-    ExponentOverflow, as * does.
+    ExponentOverflow.
     """
     acc: dict = {}
-    get = acc.get
     den = 1
     ebound = 0
     for a, p in pairs:
         if p.n != n:
             raise ValueError(f"variable-count mismatch: {n} vs {p.n}")
+        inner = p._nums.items()
         if isinstance(a, Polynomial):
             if a.n != n:
                 raise ValueError(f"variable-count mismatch: {n} vs {a.n}")
-            outer, tden = a._nums, a.den * p.den
+            outer, tden = a._nums.items(), a.den * p.den
             eb = a._ebound + p._ebound
             if eb > MAX_EXPONENT:
                 eb = _check_exponents(map(add, _degrees(a), _degrees(p)))
         else:
             num, tden = (a, 1) if a.__class__ is int else _ratio(a)
-            if not num or not p._nums:
-                continue
-            outer, tden, eb = None, tden * p.den, p._ebound
+            outer, tden, eb = ((0, num),) if num else (), tden * p.den, p._ebound
+        if not outer or not inner:
+            continue
+        if len(outer) > len(inner):
+            outer, inner = inner, outer
         # acc / den += a * p, with a * p over the denominator tden
         if den % tden:
             f = tden // gcd(den, tden)
             acc = {k: v * f for k, v in acc.items()}
-            get = acc.get
             den *= f
         scale = den // tden
-        if outer is None:
-            f = num * scale
-            for k, v in p._nums.items():
-                acc[k] = get(k, 0) + f * v
-        else:
-            for ka, ca in outer.items():
-                f = ca * scale
-                for kb, cb in p._nums.items():
-                    k = ka + kb
-                    acc[k] = get(k, 0) + f * cb
+        rows = iter(outer)
+        if not acc:
+            # Nothing to collide with yet: the first row is written at once.
+            ka, ca = next(rows)
+            f = ca * scale
+            acc = {ka + kb: f * cb for kb, cb in inner}
+        get = acc.get
+        for ka, ca in rows:
+            f = ca * scale
+            for kb, cb in inner:
+                k = ka + kb
+                acc[k] = get(k, 0) + f * cb
         if eb > ebound:
             ebound = eb
-    return _canon(n, {k: v for k, v in acc.items() if v}, den, ebound)
+    if 0 in acc.values():
+        acc = {k: v for k, v in acc.items() if v}
+    return _canon(n, acc, den, ebound)
 
 
 def _power_products(exponents, coords):
@@ -655,13 +652,23 @@ def jacobian(ps: Sequence[Polynomial]) -> Polynomial:
     return _det(rows, list(range(n)))
 
 
-def _det(rows, cols):
-    """Determinant by expansion along the first remaining row."""
-    if len(cols) == 1:
-        return rows[len(rows) - len(cols)][cols[0]]
+#: The most expansion steps one determinant may take: a dense k x k matrix
+#: takes 1 + k + k(k-1) + .. + k!, 41 at k = 4 and 69281 at k = 8.
+MAX_DET_STEPS = 100_000
+
+
+def _det(rows, cols, steps=None):
+    """Determinant by expansion along the first remaining row, skipping zero
+    entries; ResourceCapExceeded past MAX_DET_STEPS steps (calls)."""
+    if steps is None:
+        steps = iter(range(MAX_DET_STEPS))
+    if next(steps, None) is None:
+        raise ResourceCapExceeded(f"determinant expansion exceeded {MAX_DET_STEPS} steps")
     row = rows[len(rows) - len(cols)]
+    if len(cols) == 1:
+        return row[cols[0]]
     return linear_combination(
-        ((-row[c] if k % 2 else row[c], _det(rows, cols[:k] + cols[k + 1 :]))
+        ((-row[c] if k % 2 else row[c], _det(rows, cols[:k] + cols[k + 1 :], steps))
          for k, c in enumerate(cols) if not row[c].is_zero()),
         row[0].n)
 
@@ -673,7 +680,7 @@ def _rref(matrix):
     """Reduced row echelon form of a rational matrix, by Gauss-Jordan
     elimination with the first nonzero entry of each column as pivot.
 
-    Entries are ints or Fractions; callers that build a matrix pass ints.
+    Entries are ints or Fractions; this is the one place that scales rows.
     Each row is scaled to ints by the lcm of its denominators, which leaves
     the reduced form unchanged, and the elimination runs on ints alone
     (fraction-free, after Bareiss): a row is cleared against the pivot row

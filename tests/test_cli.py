@@ -458,6 +458,23 @@ def test_malformed_transposition_is_usage_error(capsys, word):
     assert captured.err.startswith("error: ")
 
 
+def test_determinant_budget_is_a_domain_outcome(capsys, monkeypatch):
+    # A raw map's Jacobian is expanded by Laplace, in up to e * n! steps;
+    # past polycore.MAX_DET_STEPS the CLI exits 1.  A dense 4 x 4 linear
+    # map takes 41 steps, so a budget of 40 stands in for a runaway input.
+    from polyaut import polycore
+    # x |-> (I + J) x with J all ones: every entry nonzero, determinant 5.
+    dense = "; ".join(" + ".join(f"{1 + (i == j)}*x{j}" for j in range(1, 5))
+                      for i in range(1, 5))
+    assert run(capsys, "relations", "--no-shadow", "--map", dense)[0] == 0
+    monkeypatch.setattr(polycore, "MAX_DET_STEPS", 40)
+    status = main(["relations", "--no-shadow", "--map", dense])
+    captured = capsys.readouterr()
+    assert status == 1
+    assert captured.out == ""
+    assert captured.err == "error: determinant expansion exceeded 40 steps\n"
+
+
 def _raising(exc):
     def fail(*args, **kwargs):
         raise exc

@@ -159,6 +159,26 @@ def test_decompose2_powers_and_eliminations(monkeypatch, count_calls):
     assert len(eliminations) == 25
 
 
+def test_decompose2_products(monkeypatch):
+    # Every product is one linear_combination: reduce_step builds
+    # f - c*g^r in one call and g^r never multiplies by 1, so the 25 maps
+    # take 198 calls of * (326 when * had its own loop, g^r started from 1
+    # and h was f - (g^r * c)), the recomposition checks included.
+    maps = [expand(w) for w in plane_corpus(20260810, 25)]
+    calls = []
+    mul = Polynomial.__mul__
+
+    def counting(*args):
+        calls.append(None)
+        return mul(*args)
+
+    monkeypatch.setattr(Polynomial, "__mul__", counting)
+    monkeypatch.setattr(Polynomial, "__rmul__", counting)
+    for m in maps:
+        decompose2(m)
+    assert len(calls) == 198
+
+
 def test_decompose2_takes_each_degree_once(monkeypatch):
     # Two degrees per map to start, then one per reduction step: the degree
     # of h, which reduce_step returns with it.  The 25 maps take 64 steps,

@@ -9,6 +9,7 @@ from math import prod
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from polyaut import polycore
 from polyaut.autmap import Affine, AutWord, invert_generator, word_jacobian
 from polyaut.polycore import (
     MAX_EXPONENT,
@@ -16,6 +17,7 @@ from polyaut.polycore import (
     ExponentOverflow,
     Polynomial,
     PolyParseError,
+    ResourceCapExceeded,
     WeightVector,
     compose,
     format_poly,
@@ -460,6 +462,42 @@ def test_core_ring_operations_match_reference(nab, c, k):
     s1, s2 = p + q, Polynomial(n, _ref_add(a, b))
     assert s1 == s2 and hash(s1) == hash(s2)
     assert (q + p) - q == p and hash((q + p) - q) == hash(p)
+    # Factors of different lengths in both orders: the shorter one drives
+    # the outer loop of linear_combination either way.
+    head = dict(sorted(a.items())[:1])
+    for x, y in [(head, b), (b, head), (a, b), (b, a)]:
+        assert (_poly(n, x) * _poly(n, y)).terms == _ref_mul(x, y)
+    # A scalar on the left of -.
+    assert (k - p).terms == _ref_add(_ref_factor(k, n), _ref_neg(a))
+    assert (c - p).terms == _ref_add(_ref_factor(c, n), _ref_neg(a))
+    # Zero operands, as a polynomial and as a scalar, on either side.
+    zero = Polynomial.zero(n)
+    assert p * zero == zero * p == p * 0 == 0 * p == zero
+    assert p + zero == zero + p == p - zero == p + 0 == 0 + p == p - 0 == p
+    assert zero - p == 0 - p == -p
+    one = Polynomial.constant(1, n)
+    assert p ** 0 == zero ** 0 == one and zero ** 3 == zero
+    assert p ** 1 == p and (p ** 1).terms == a
+
+
+@pytest.mark.parametrize("other", [0.5, "2", None])
+def test_ring_operators_take_polynomials_ints_and_fractions_only(other):
+    # A float, str or None is not an operand of +, - or * on either side:
+    # the operator returns NotImplemented and Python raises TypeError.
+    x1 = Polynomial.variable(1, 2)
+    for op in [lambda a, b: a + b, lambda a, b: a - b, lambda a, b: a * b]:
+        with pytest.raises(TypeError):
+            op(x1, other)
+        with pytest.raises(TypeError):
+            op(other, x1)
+    for op in ["__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__"]:
+        assert getattr(x1, op)(other) is NotImplemented
+    # Ints, Fractions and Polynomials of the same n are operands on both
+    # sides; another variable count is a ValueError.
+    half = Fraction(1, 2)
+    assert 2 * x1 - half == x1 * 2 + (-half) == -(half - x1 * 2)
+    with pytest.raises(ValueError, match="variable-count mismatch"):
+        x1 * Polynomial.variable(1, 1)
 
 
 @settings(max_examples=60, deadline=None)
@@ -542,6 +580,24 @@ def test_linear_combination_exponent_overflow_as_mul():
     # A scalar factor leaves the exponents alone, and the bound is checked
     # exactly: top + 1 - top carries top's bound but times x1 fits.
     assert linear_combination([(3, top), (top + 1 - top, x1)], 1) == top * 3 + x1
+
+
+def test_determinant_expansion_is_bounded(monkeypatch):
+    # A dense 4 x 4 Jacobian takes 1 + 4 * (1 + 3 * (1 + 2 * 1)) = 41
+    # expansion steps: the budget admits it at 41 and refuses it at 40.
+    # The error is the one Buchberger's pair_cap raises.
+    from polyaut import groebner
+    assert groebner.ResourceCapExceeded is ResourceCapExceeded
+    rng = random.Random(4)
+    coords = [linear_combination([(rng.randint(1, 9), Polynomial.variable(j, 4))
+                                  for j in range(1, 5)], 4) for _ in range(4)]
+    expected = jacobian(coords)
+    assert expected.is_constant() and not expected.is_zero()
+    monkeypatch.setattr(polycore, "MAX_DET_STEPS", 41)
+    assert jacobian(coords) == expected
+    monkeypatch.setattr(polycore, "MAX_DET_STEPS", 40)
+    with pytest.raises(ResourceCapExceeded, match="exceeded 40 steps"):
+        jacobian(coords)
 
 
 @settings(max_examples=60, deadline=None)
