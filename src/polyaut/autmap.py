@@ -43,6 +43,7 @@ from typing import Union
 from .polycore import (
     Polynomial,
     WeightVector,
+    _ratio,
     _rref,
     compose,
     format_poly,
@@ -75,8 +76,8 @@ class Affine:
     det: Fraction = field(init=False, repr=False, compare=False)  # det(M)
 
     def __post_init__(self):
-        m = tuple(tuple(Fraction(a) for a in row) for row in self.matrix)
-        s = tuple(Fraction(a) for a in self.shift)
+        m = tuple(tuple(Fraction(*_ratio(a)) for a in row) for row in self.matrix)
+        s = tuple(Fraction(*_ratio(a)) for a in self.shift)
         n = len(m)
         if n == 0 or any(len(row) != n for row in m) or len(s) != n:
             raise ValueError("affine generator needs a square matrix and a matching shift")
@@ -152,11 +153,6 @@ class AutWord:
 
     def __iter__(self):
         return iter(self.gens)
-
-    def __add__(self, other: "AutWord") -> "AutWord":
-        if other.n != self.n:
-            raise ValueError("cannot concatenate words with different variable counts")
-        return AutWord(self.n, self.gens + other.gens)
 
 
 @dataclass(frozen=True)
@@ -237,8 +233,8 @@ def expand(word: AutWord) -> PolyMap:
     """Expand a word to its coordinate tuple: G1 o G2 o .. o Gk, evaluated
     G1(G2(..Gk(x))) as the last tuple of expansion(word).
 
-    expand is a monoid homomorphism: expand(u + v) = expand(u) o expand(v),
-    and expand of the empty word is the identity map.
+    expand is a monoid homomorphism: the word of u's generators followed by
+    v's expands to expand(u) o expand(v), and the empty word to the identity.
     """
     for coords in expansion(word):
         pass
@@ -340,8 +336,11 @@ class Certified:
 def certify(phi: AutWord | PolyMap | Certified,
             inverse: PolyMap | None = None) -> Certified:
     """The Certified of phi (a Certified is returned unchanged).  A raw map
-    must pass jacobian_constant, and a supplied inverse must compose with it
-    to the identity on both sides (InverseMismatch otherwise)."""
+    F must pass jacobian_constant, and a supplied inverse G must give
+    G o F = id (InverseMismatch otherwise).  One order suffices: then
+    F*: p |-> p o F is a surjective endomorphism of the Noetherian ring
+    Q[x], the kernels of its powers form an ascending chain that stabilises,
+    so F* is injective too, hence bijective, and F o G = id follows."""
     if inverse is not None and not isinstance(phi, PolyMap):
         raise ValueError("a word or a Certified carries its own inverse")
     if isinstance(phi, Certified):
@@ -349,8 +348,7 @@ def certify(phi: AutWord | PolyMap | Certified,
     if isinstance(phi, AutWord):
         return Certified(phi, expand(phi), word_jacobian(phi))
     mu = jacobian_constant(phi)
-    if inverse is not None and (not compose_map(phi, inverse).is_identity()
-                                or not compose_map(inverse, phi).is_identity()):
+    if inverse is not None and not compose_map(inverse, phi).is_identity():
         raise InverseMismatch("supplied inverse does not invert the map")
     return Certified(phi, phi, mu, inverse)
 

@@ -55,13 +55,15 @@ from .polycore import (
     _pack,
     _poly,
     _power_products,
+    _ratio,
     _rref,
     _unpacker,
     compose,
 )
 
 
-DEFAULT_PAIR_CAP = 100_000
+#: The most S-pair reductions one buchberger call makes; ResourceCapExceeded past it.
+MAX_S_PAIRS = 100_000
 
 
 # -- monomial orders ---------------------------------------------------------
@@ -92,7 +94,7 @@ class GradedLex:
     def __post_init__(self):
         scaled = None
         if self.weights is not None:
-            ws = [Fraction(w) for w in self.weights]
+            ws = [Fraction(*_ratio(w)) for w in self.weights]
             if any(w < 0 for w in ws):
                 raise ValueError(f"order weights must be nonnegative, got {self.weights}")
             scaled = _int_weights(ws)[1]
@@ -331,14 +333,13 @@ def _s_pair(f: _Divisor, g: _Divisor, kl: int, l) -> dict:
     return work
 
 
-def buchberger(gens: Sequence[Polynomial], order: MonomialOrder,
-               pair_cap: int = DEFAULT_PAIR_CAP) -> IdealBasis:
+def buchberger(gens: Sequence[Polynomial], order: MonomialOrder) -> IdealBasis:
     """Reduced Groebner basis of the ideal generated by gens.
 
     Deterministic given the input order.  Pairs are processed smallest lcm
     first; the coprime-lcm and chain criteria discard pairs; every
     intermediate polynomial is content-normalized.  Raises
-    ResourceCapExceeded after pair_cap S-pair reductions.
+    ResourceCapExceeded past MAX_S_PAIRS S-pair reductions (read per call).
     """
     G = [g.primitive() for g in gens if not g.is_zero()]
     if not G:
@@ -375,9 +376,9 @@ def buchberger(gens: Sequence[Polynomial], order: MonomialOrder,
                for k in range(len(divs))):
             continue
         reductions += 1
-        if reductions > pair_cap:
+        if reductions > MAX_S_PAIRS:
             raise ResourceCapExceeded(
-                f"buchberger exceeded {pair_cap} S-pair reductions"
+                f"buchberger exceeded {MAX_S_PAIRS} S-pair reductions"
             )
         rem = _reduce(_s_pair(divs[i], divs[j], kl, l), 1, divs, n)
         if rem.is_zero():
@@ -417,8 +418,7 @@ def _reduce_basis(divs, order, key, n) -> IdealBasis:
 # -- kernels of ring maps ----------------------------------------------------
 
 
-def kernel_ideal(images: Sequence[Polynomial], dweights: WeightVector,
-                 pair_cap: int = DEFAULT_PAIR_CAP) -> IdealBasis:
+def kernel_ideal(images: Sequence[Polynomial], dweights: WeightVector) -> IdealBasis:
     """Reduced Groebner basis (in the relation variables z1..zn, graded by
     dweights) of the kernel of z_i -> images[i].
 
@@ -447,7 +447,7 @@ def kernel_ideal(images: Sequence[Polynomial], dweights: WeightVector,
         Polynomial.variable(nx + i, total) - compose(img, xs)
         for i, img in enumerate(images, start=1)
     ]
-    gb = buchberger(gens, order, pair_cap=pair_cap)
+    gb = buchberger(gens, order)
     to_z = [Polynomial.zero(nz)] * nx + [Polynomial.variable(i, nz) for i in range(1, nz + 1)]
     kept = [(g, lm) for g, lm in zip(gb.gens, gb.lms) if not any(lm[:nx])]
     return IdealBasis(tuple(compose(g, to_z) for g, _ in kept), order.back_order, nz,

@@ -10,10 +10,9 @@ one positive int denominator den, reduced so that gcd(den, all numerators)
 is 1 (den is 1 for the zero polynomial).  That form is canonical, so
 equality and hashing compare it directly, and the ring operations,
 substitution, derivatives, weighted degrees and formatting run on ints
-alone.  Fraction appears only at the API: the constructor validates a
-{exponent tuple: coefficient} mapping through Fraction, coefficients are
-returned as Fractions, and .terms is a read-only {exponent tuple: Fraction}
-view.
+alone.  Fraction appears only at the API: every scalar taken is an int or
+a Fraction (_ratio), coefficients are returned as Fractions, and .terms is
+a read-only {exponent tuple: Fraction} view.
 
 Exponents range over 0..MAX_EXPONENT = 2^32 - 1.  Every polynomial carries
 an upper bound on its exponents; a product or power whose bound could pass
@@ -109,7 +108,7 @@ class WeightVector:
     _int_form: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        ws = tuple(Fraction(w) for w in self.weights)
+        ws = tuple(Fraction(*_ratio(w)) for w in self.weights)
         if not ws:
             raise ValueError("weight vector must be nonempty")
         if any(w <= 0 for w in ws):
@@ -151,7 +150,7 @@ class ExponentOverflow(ValueError):
 
 
 class ResourceCapExceeded(RuntimeError):
-    """A work budget ran out: Buchberger's pair_cap or MAX_DET_STEPS."""
+    """A work budget ran out: groebner.MAX_S_PAIRS or MAX_DET_STEPS."""
 
 
 @functools.cache
@@ -212,8 +211,8 @@ class Polynomial:
     above, so that a product or power checks once, not per term, whether
     an exponent would pass MAX_EXPONENT and raises ExponentOverflow then.
 
-    Polynomial(n, terms) validates a {exponent tuple: coefficient} mapping
-    through Fraction; .terms reads it back as a {exponent tuple: Fraction}
+    Polynomial(n, terms) takes a {exponent tuple: int or Fraction} mapping,
+    checked by _ratio; .terms reads it back as a {exponent tuple: Fraction}
     view.  Instances are immutable.
     """
 
@@ -221,17 +220,17 @@ class Polynomial:
 
     def __init__(self, n: int, terms: Mapping[Exponent, Fraction] | None = None):
         _check_n(n)
-        fracs = {}
+        ratios = {}
         ebound = 0
         if terms:
             for mono, coeff in terms.items():
                 key = _pack(mono, n)
-                c = Fraction(coeff)
-                if c:
-                    fracs[key] = c
+                num, d = _ratio(coeff)
+                if num:
+                    ratios[key] = num, d
                     ebound = max(ebound, *mono)
-        den = lcm(*(c.denominator for c in fracs.values()))
-        nums = {k: c.numerator * (den // c.denominator) for k, c in fracs.items()}
+        den = lcm(*(d for _, d in ratios.values()))
+        nums = {k: num * (den // d) for k, (num, d) in ratios.items()}
         _init(self, n, nums, den, ebound)
 
     def __setattr__(self, name, value):
@@ -399,12 +398,13 @@ def _check_n(n: int):
 
 
 def _ratio(c):
-    """(numerator, denominator) of a rational scalar, denominator > 0."""
+    """(numerator, denominator > 0) of a scalar: the one scalar check, an
+    int or a Fraction, and TypeError for anything else (a float, a str)."""
     if isinstance(c, int):
         return c, 1
-    if not isinstance(c, Fraction):
-        c = Fraction(c)
-    return c.numerator, c.denominator
+    if isinstance(c, Fraction):
+        return c.numerator, c.denominator
+    raise TypeError(f"a scalar must be an int or a Fraction, not {type(c).__name__}")
 
 
 def _constant(c, n: int) -> Polynomial:
@@ -619,13 +619,12 @@ def _power_products(exponents, coords):
 def compose(p: Polynomial, coords) -> Polynomial:
     """Substitute coords[i-1] for x_i in p, exactly.
 
-    coords may be a sequence of Polynomials or anything with a .coords
-    attribute (a polynomial map); all must share p's variable count.  The
+    coords is a sequence of p.n Polynomials sharing one variable count.  The
     monomials of p, built by _power_products from cached powers of the
     coordinates, are summed by linear_combination with p's numerators as
     the scalars; p's one denominator divides the sum once.
     """
-    cs = list(getattr(coords, "coords", coords))
+    cs = list(coords)
     if len(cs) != p.n:
         raise ValueError(f"expected {p.n} coordinates, got {len(cs)}")
     m = cs[0].n

@@ -40,7 +40,6 @@ from fractions import Fraction
 
 from .autmap import AutWord, Certified, PolyMap, certify
 from .groebner import (
-    DEFAULT_PAIR_CAP,
     IdealBasis,
     graded_kernel_oracle,
     kernel_ideal,
@@ -72,11 +71,14 @@ class RelationReport:
     d: WeightVector
     fbars: tuple  # weighted leading terms of the coordinates
     ideal: IdealBasis
-    principal: bool
     R: Polynomial | None  # monic generator when principal (0 for the zero ideal)
     deg2_of_R: object  # WDegree
     parachute: Fraction
     bound_ok: bool | None  # None: w1 is not uniform, so no bound is proved
+
+    @property
+    def principal(self) -> bool:  # the relation ideal is (R), R possibly 0
+        return self.R is not None
 
     def to_dict(self) -> dict:
         return {
@@ -94,8 +96,7 @@ class RelationReport:
 
 
 def relation_report(phi: AutWord | PolyMap | Certified, w1: WeightVector | None = None,
-                    oracle_shadow: bool = True,
-                    pair_cap: int = DEFAULT_PAIR_CAP) -> RelationReport:
+                    oracle_shadow: bool = True) -> RelationReport:
     """Compute leading terms, relation ideal, principality, R, nabla and the
     degree bound for the map (default weights: standard).
 
@@ -111,23 +112,21 @@ def relation_report(phi: AutWord | PolyMap | Certified, w1: WeightVector | None 
     fbars = tuple(leading_term(c, w1) for c in cert.m.coords)
     d = cert.d(w1)
     nabla = d.total() - w1.total()
-    ideal = kernel_ideal(fbars, d, pair_cap=pair_cap)
+    ideal = kernel_ideal(fbars, d)
     # A reduced basis is principal iff it has at most one member.
     if ideal.is_zero_ideal():
         R = Polynomial.zero(n)
     else:
         R = ideal.gens[0] if len(ideal) == 1 else None
-    principal = R is not None
-    deg2_of_R = wdeg(R, d) if principal else MINUS_INFINITY
+    deg2_of_R = MINUS_INFINITY if R is None else wdeg(R, d)
     # The bound speaks about a nonzero principal generator only, and is
     # proved for uniform weights c*(1, .., 1) only.
     c = w1[1]
     bound_ok = (None if any(w != c for w in w1)
                 else R is None or R.is_zero() or deg2_of_R <= nabla + c)
     report = RelationReport(
-        cert=cert, w1=w1, d=d, fbars=fbars, ideal=ideal,
-        principal=principal, R=R, deg2_of_R=deg2_of_R, parachute=nabla,
-        bound_ok=bound_ok,
+        cert=cert, w1=w1, d=d, fbars=fbars, ideal=ideal, R=R,
+        deg2_of_R=deg2_of_R, parachute=nabla, bound_ok=bound_ok,
     )
     if oracle_shadow and n <= 3:
         _shadow_check(report)

@@ -219,7 +219,7 @@ def space_corpus_principal(seed: int, count: int):
         word = random_tame_word(rng, 3, max_gens=5, max_addend_deg=3,
                                 max_coord_deg=6, mode="nonaffine")
         report = relation_report(word, oracle_shadow=False)
-        if report.principal and report.R is not None and not report.R.is_zero():
+        if report.principal and not report.R.is_zero():
             words.append(word)
     return tuple(words)
 
@@ -333,7 +333,7 @@ def run_lnd_witness(seed: int, count: int) -> SuiteResult:
             if not isinstance(verdict, LocallyNilpotent):
                 yield CaseResult(idx, False, f"leading derivation verdict {verdict}")
                 continue
-            if report.principal and report.R is not None and not report.R.is_zero():
+            if report.principal and not report.R.is_zero():
                 if not apply(dbar, report.R).is_zero():
                     yield CaseResult(idx, False, "leading derivation does not kill R")
                     continue
@@ -376,7 +376,7 @@ def run_degree_bound(seed: int, count: int) -> SuiteResult:
     def cases():
         for idx, word in enumerate(_mixed_corpus(seed, count)):
             report = relation_report(word)
-            if not (report.principal and report.R is not None):
+            if not report.principal:
                 yield CaseResult(idx, True, "kernel not principal; bound vacuous")
                 continue
             if report.R.is_zero():

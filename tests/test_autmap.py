@@ -141,13 +141,13 @@ def test_expand_empty_word_is_identity():
 def test_expand_is_monoid_homomorphism():
     u = AutWord(2, (E(1, "x2^2", 2), Transposition(1, 2, 2)))
     v = AutWord(2, (E(1, "x2^3", 2),))
-    assert expand(u + v) == compose_map(expand(u), expand(v))
+    assert expand(AutWord(2, u.gens + v.gens)) == compose_map(expand(u), expand(v))
     rng = random.Random(14)
     for n in (2, 3, 4):
         for _ in range(4):
             u = _rational_word(rng, n, rng.randint(0, 3))
             v = _rational_word(rng, n, rng.randint(0, 3))
-            assert expand(u + v) == compose_map(expand(u), expand(v))
+            assert expand(AutWord(n, u.gens + v.gens)) == compose_map(expand(u), expand(v))
 
 
 def test_expand_matches_stepwise_substitution():
@@ -308,10 +308,14 @@ def test_certify_returns_a_certified_unchanged():
 
 def test_certify_checks_a_supplied_inverse():
     m = parse_map("x1 + x2^2\nx2", 2)
-    # Each wrong inverse fails one side of the composition at least.
+    # Each wrong inverse fails both sides of the composition, as certify's
+    # docstring proves it must; certify composes one side only.
     for wrong in ("x1 + x2^2\nx2", "x1 - x2^2\n2*x2", "x1\nx2"):
+        g = parse_map(wrong, 2)
+        assert not compose_map(m, g).is_identity()
+        assert not compose_map(g, m).is_identity()
         with pytest.raises(InverseMismatch, match="does not invert"):
-            certify(m, parse_map(wrong, 2))
+            certify(m, g)
     # The Jacobian is checked first, as it is without an inverse.
     with pytest.raises(NonConstantJacobian):
         certify(parse_map("x1^2\nx2", 2), parse_map("x1\nx2", 2))
@@ -320,6 +324,22 @@ def test_certify_checks_a_supplied_inverse():
     for phi in (w, certify(w), certify(m)):
         with pytest.raises(ValueError, match="carries its own inverse"):
             certify(phi, parse_map("x1 - x2^2\nx2", 2))
+
+
+def test_certify_composes_a_raw_inverse_once(count_calls):
+    # G o F = id implies F o G = id (certify's docstring), so certify makes
+    # one composition, the inverse G outside the map F.
+    from polyaut import autmap
+
+    m = parse_map("x1 + x2^2 + x3^3\nx2 + x3\nx3", 3)
+    inverse = parse_map("x1 - (x2 - x3)^2 - x3^3\nx2 - x3\nx3", 3)
+    composed = count_calls(autmap, "compose_map")
+    cert = certify(m, inverse)
+    assert composed == [inverse]
+    assert cert.inverse is inverse and cert.mu == 1
+    with pytest.raises(InverseMismatch):
+        certify(m, m)
+    assert composed == [inverse, m]
 
 
 def test_certified_keeps_the_inverse_and_the_weights(count_calls):

@@ -108,6 +108,35 @@ def test_decompose2_rejects_non_automorphism(capsys):
     assert "not an automorphism" in out
 
 
+@pytest.mark.parametrize("argv, stage, detail", [
+    (["decompose2", "--map", "x2^2; x2"], "reduce step",
+     "coordinate vanished after reduction (f = c*g^r)"),
+    (["decompose2", "--map", "x2^4 + 1; x2^2"], "degenerate coordinate",
+     "a coordinate degenerated to a constant"),
+])
+def test_decompose2_rejects_degenerate_maps(capsys, argv, stage, detail):
+    status, out = run(capsys, *argv)
+    assert status == 1
+    assert out == f"not an automorphism ({stage}): {detail}\n"
+    status, doc = run_json(capsys, *argv)
+    assert status == 1
+    assert doc == {"command": "decompose2", "detail": detail, "stage": stage,
+                   "status": "not-an-automorphism"}
+
+
+def test_classify3_support_bound_is_not_in_list(capsys):
+    argv = ["classify3", "--rel", "x3^3 + x1^6", "--weights", "1,2,2"]
+    diagnostic = ("support bound violated: exponent (0, 0, 3) has weighted "
+                  "degree 6 > d1+d2+d3-2 = 3")
+    status, out = run(capsys, *argv)
+    assert status == 1
+    assert out == f"matches no line: {diagnostic}\n"
+    status, doc = run_json(capsys, *argv)
+    assert status == 1
+    assert doc == {"command": "classify3", "diagnostic": diagnostic,
+                   "status": "not-in-list"}
+
+
 def test_classify3_t5(capsys):
     status, doc = run_json(
         capsys, "classify3", "--rel", "x3^2 + 5*x2^3", "--weights", "1,2,3"

@@ -288,13 +288,17 @@ def test_buchberger_s_polynomials_reduce_to_zero():
                 assert normal_form(s, basis).is_zero()
 
 
-def test_buchberger_resource_cap():
+def test_buchberger_resource_cap(monkeypatch):
+    # The budget is the module constant MAX_S_PAIRS, read at the check.
+    from polyaut import groebner
+
     gens = [
         P("x1^3 - 2*x1*x2", 2),
         P("x1^2*x2 - 2*x2^2 + x1", 2),
     ]
-    with pytest.raises(ResourceCapExceeded):
-        buchberger(gens, GradedLex(), pair_cap=1)
+    monkeypatch.setattr(groebner, "MAX_S_PAIRS", 1)
+    with pytest.raises(ResourceCapExceeded, match="exceeded 1 S-pair reductions"):
+        buchberger(gens, GradedLex())
 
 
 def test_relation_report_principal_cases():
@@ -313,6 +317,25 @@ def test_relation_report_principal_cases():
     two = report("x1 + x3^2; x2 + x3^2; x3", 3)
     assert not two.principal and two.R is None
     assert two.to_dict()["ideal"] == ["z1 - z3^2", "z2 - z3^2"]
+
+
+def test_relation_report_reads_the_s_pair_budget_constant(monkeypatch, count_calls):
+    # relation_report takes no budget parameter: its one buchberger call
+    # reads groebner.MAX_S_PAIRS.
+    from polyaut import groebner
+    from polyaut.relations import relation_report
+
+    m = parse_map("x1 + x2^2\nx2", 2)
+    calls = count_calls(groebner, "buchberger")
+    with pytest.raises(TypeError, match="pair_cap"):
+        relation_report(m, pair_cap=1)
+    assert calls == []
+    assert relation_report(m).R == P("x1 - x2^2", 2)
+    assert len(calls) == 1
+    monkeypatch.setattr(groebner, "MAX_S_PAIRS", 0)
+    with pytest.raises(ResourceCapExceeded, match="exceeded 0 S-pair reductions"):
+        relation_report(m)
+    assert len(calls) == 2
 
 
 # -- kernel ideals -----------------------------------------------------------
@@ -551,7 +574,8 @@ def test_oracle_eliminates_int_matrices(monkeypatch, count_fractions):
     # reduced entries of _rref and the coefficients of the elements it
     # returns.  (With a Fraction per matrix entry it made 298 such calls,
     # and the Fraction elimination's arithmetic built 578 more under
-    # CPython 3.11.)
+    # CPython 3.11.  While the Polynomial constructor passed each
+    # coefficient through Fraction once more, it made 74.)
     from polyaut import groebner
     from polyaut.relations import relation_report
     from polyaut.verify import space_corpus_principal
@@ -569,7 +593,7 @@ def test_oracle_eliminates_int_matrices(monkeypatch, count_fractions):
     monkeypatch.setattr(groebner, "_coefficient_matrix", recording)
     made = count_fractions()
     found = [graded_kernel_oracle(r.fbars, r.d, dmax) for r, dmax in zip(reports, dmaxes)]
-    assert len(made) == 74
+    assert len(made) == 42
     for r, oracle in zip(reports, found):
         assert all(span_contains(oracle, g) for g in r.ideal.gens)
     assert len(matrices) > len(reports)

@@ -500,6 +500,33 @@ def test_ring_operators_take_polynomials_ints_and_fractions_only(other):
         x1 * Polynomial.variable(1, 1)
 
 
+@pytest.mark.parametrize("scalar", [0.1, 0.5, "2e3", "1/2", None])
+def test_constructors_take_ints_and_fractions_only(scalar):
+    # Every scalar slot keeps the ring operators' rule, checked in one place
+    # (polycore._ratio): an int or a Fraction, never a float or a string.
+    from polyaut.groebner import GradedLex
+
+    builders = [
+        lambda c: Polynomial(1, {(1,): c}),
+        lambda c: Polynomial.constant(c, 1),
+        lambda c: Polynomial.monomial((1,), c, 1),
+        lambda c: WeightVector((c, 1)),
+        lambda c: GradedLex((c, 1)),
+        lambda c: Affine(((c,),), (0,)),
+        lambda c: Affine(((1,),), (c,)),
+    ]
+    x1 = Polynomial.variable(1, 1)
+    for build in builders:
+        with pytest.raises(TypeError, match="must be an int or a Fraction"):
+            build(scalar)
+    tenth = Fraction(1, 10)
+    assert Polynomial(1, {(1,): tenth, (0,): 3}) == x1 * tenth + 3
+    assert Polynomial.constant(tenth, 1) == Polynomial.monomial((0,), tenth, 1)
+    assert WeightVector((tenth, 1)).weights == (tenth, 1)
+    assert GradedLex((tenth, 1)).int_weights(2) == (1, 10)
+    assert Affine(((tenth,),), (3,)).matrix == ((tenth,),)
+
+
 @settings(max_examples=60, deadline=None)
 @given(ref_pairs(), st.integers(0, 4))
 def test_core_power_matches_reference(nab, k):
@@ -585,7 +612,7 @@ def test_linear_combination_exponent_overflow_as_mul():
 def test_determinant_expansion_is_bounded(monkeypatch):
     # A dense 4 x 4 Jacobian takes 1 + 4 * (1 + 3 * (1 + 2 * 1)) = 41
     # expansion steps: the budget admits it at 41 and refuses it at 40.
-    # The error is the one Buchberger's pair_cap raises.
+    # The error is the one Buchberger's MAX_S_PAIRS budget raises.
     from polyaut import groebner
     assert groebner.ResourceCapExceeded is ResourceCapExceeded
     rng = random.Random(4)
