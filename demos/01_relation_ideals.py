@@ -42,9 +42,9 @@ show("affine", parse_map("x1 + 2*x2 - 1\nx2 + 3", 2))
 # One elementary composition: leading terms (x2^2, x2) satisfy z1 = z2^2.
 show("elementary", parse_map("x1 + x2^2\nx2", 2))
 
-# The Nagata map: not known to be tame, but its relation ideal is as nice
-# as can be: principal with the quadric generator z2^2 + z1*z3 of degree 6,
-# comfortably below the bound nabla + 1 = 7.
+# The Nagata map: wild (Shestakov-Umirbaev, J. AMS 2004), but its relation
+# ideal is as nice as can be: principal with the quadric generator
+# z2^2 + z1*z3 of degree 6, comfortably below the bound nabla + 1 = 7.
 show(
     "Nagata",
     parse_map(

@@ -46,9 +46,11 @@ come back as NeedsExtension instead of being approximated.
 
 normalize() then produces, for each classified shape, a tame witness word
 moving R to one of the four canonical forms 0, x3, x1^r + x2^s,
-x1^k*x3 + P(x1,x2); every witness is verified by exact composition before
-it is returned, and each canonical form is annihilated by an explicit
-locally nilpotent derivation (canonical_lnd).
+x1^k*x3 + P(x1,x2).  The word is read off the classified line (its tag,
+params and shift_h); R is composed with it once, and that composition is
+checked against the canonical form before the result is returned.  Each
+canonical form is annihilated by an explicit locally nilpotent derivation
+(canonical_lnd).
 """
 
 from __future__ import annotations
@@ -60,8 +62,7 @@ from fractions import Fraction
 from math import gcd, isqrt
 from typing import Optional, Union
 
-from .autmap import (Affine, AutWord, Elementary, Transposition, expand, generator_map,
-                     invert_generator)
+from .autmap import Affine, AutWord, Elementary, Transposition, expand, invert_generator
 from .derivation import Derivation
 from .polycore import (
     Polynomial,
@@ -645,180 +646,167 @@ class NormalForm:
     residual_scalar: Fraction
 
 
-class _Normalizer:
-    """Accumulates a witness word while tracking the transformed polynomial."""
+def _rescale_binomial(r: int, s: int, rho: Fraction) -> Affine:
+    """Diagonal rescale turning A*x1^r + B*x2^s, rho = B/A, into
+    sigma*(x1^r + x2^s).
 
-    def __init__(self, R: Polynomial):
-        self.R = R
-        self.cur = R
-        self.gens: list = []
+    With gcd(r, s) = 1 pick integers u, v with u*r - v*s = 1; scaling
+    x1 by rho^u and x2 by rho^v equalizes the two coefficients,
+    so no root extraction is needed.
+    """
+    g, u, y = _ext_gcd(r, s)
+    if g != 1:
+        raise WitnessVerificationFailed("binomial exponents are not coprime")
+    v = -y  # u*r - v*s = 1
+    alpha, beta = rho ** u, rho ** v
+    return Affine(
+        ((alpha, 0, 0), (0, beta, 0), (0, 0, 1)),
+        (0, 0, 0),
+    )
 
-    def step(self, g):
-        self.gens.append(g)
-        self.cur = compose(self.cur, generator_map(g).coords)
 
-    def rescale_binomial(self):
-        """Diagonal rescale turning A*x1^r + B*x2^s into sigma*(x1^r + x2^s).
+def _hyperbola(b: Fraction) -> Union[Affine, NeedsExtension]:
+    """Turn x3^2 + a*x1^E + b*x2^2 into x2*x3 + a*x1^E via
+    x2 -> (x2 - x3)/(2s), x3 -> (x2 + x3)/2 with s^2 = -b.
 
-        With gcd(r, s) = 1 pick integers u, v with u*r - v*s = 1; scaling
-        x1 by (B/A)^u and x2 by (B/A)^v equalizes the two coefficients,
-        so no root extraction is needed.
-        """
-        terms = sorted(self.cur.terms.items())
-        if len(terms) != 2:
-            raise WitnessVerificationFailed("expected a two-term binomial")
-        (m2_, B), (m1_, A) = terms  # m1_ is the pure x1-power after sorting
-        r, s = m1_[0], m2_[1]
-        g, u, y = _ext_gcd(r, s)
-        if g != 1:
-            raise WitnessVerificationFailed("binomial exponents are not coprime")
-        v = -y  # u*r - v*s = 1
-        rho = B / A
-        alpha, beta = rho ** u, rho ** v
-        self.step(
-            Affine(
-                ((alpha, 0, 0), (0, beta, 0), (0, 0, 1)),
-                (0, 0, 0),
-            )
+    Returns NeedsExtension when -b is not a rational square.
+    """
+    s = _sqrt_fraction(-b)
+    if s is None:
+        return NeedsExtension(
+            f"reaching a triangular fiber form needs sqrt({-b}), "
+            "which is not rational"
         )
+    half = Fraction(1, 2)
+    return Affine(
+        (
+            (1, 0, 0),
+            (0, half / s, -half / s),
+            (0, half, half),
+        ),
+        (0, 0, 0),
+    )
 
-    def hyperbola(self):
-        """Turn x3^2 + a*x1^E + b*x2^2 into x2*x3 + a*x1^E via
-        x2 -> (x2 - x3)/(2s), x3 -> (x2 + x3)/2 with s^2 = -b.
 
-        Returns NeedsExtension when -b is not a rational square.
-        """
-        b = self.cur.coeff((0, 2, 0)) / self.cur.coeff((0, 0, 2))
-        s = _sqrt_fraction(-b)
-        if s is None:
-            return NeedsExtension(
-                f"reaching a triangular fiber form needs sqrt({-b}), "
-                "which is not rational"
-            )
-        half = Fraction(1, 2)
-        self.step(
-            Affine(
-                (
-                    (1, 0, 0),
-                    (0, half / s, -half / s),
-                    (0, half, half),
-                ),
-                (0, 0, 0),
-            )
+def _kill_x2_binomial(a, b, e1) -> list:
+    """Map a*x1^e1 + b*x2 to x2: scale x2 by 1/b, shift by -a*x1^e1."""
+    gens = [
+        Affine(
+            ((1, 0, 0), (0, Fraction(1) / b, 0), (0, 0, 1)),
+            (0, 0, 0),
         )
-        return None
+    ]
+    if a != 0:
+        gens.append(Elementary(2, _mono(e1, 0, 0, -a)))
+    return gens
 
-    def kill_x2_binomial(self, a, b, e1):
-        """Map a*x1^e1 + b*x2 to x2: scale x2 by 1/b, shift by -a*x1^e1."""
-        self.step(
-            Affine(
-                ((1, 0, 0), (0, Fraction(1) / b, 0), (0, 0, 1)),
-                (0, 0, 0),
-            )
-        )
-        if a != 0:
-            self.step(Elementary(2, _mono(e1, 0, 0, -a)))
 
-    def map_form_to_x2(self, a2, b2):
-        """Affine change sending the linear form a2*x1 + b2*x2 to x2."""
-        top = (1, 0) if b2 != 0 else (0, 1)
-        self.step(invert_generator(_linear_part_affine((top, (a2, b2)))))
+def _map_form_to_x2(a2, b2) -> Affine:
+    """Affine change sending the linear form a2*x1 + b2*x2 to x2."""
+    top = (1, 0) if b2 != 0 else (0, 1)
+    return invert_generator(_linear_part_affine((top, (a2, b2))))
 
-    def finish(self, forced=None) -> NormalForm:
-        word = AutWord(3, tuple(self.gens))
-        if compose(self.R, expand(word).coords) != self.cur:
-            raise WitnessVerificationFailed("witness composition mismatch")
-        canonical, canonical_poly, sigma = _read_canonical(self.cur, forced)
-        if canonical_poly * sigma != self.cur:
-            raise WitnessVerificationFailed("canonical form does not match")
-        return NormalForm(
-            canonical=canonical,
-            canonical_poly=canonical_poly,
-            witness=word,
-            residual_scalar=sigma,
-        )
+
+def _witness(rt: RelationType) -> Union[list, NeedsExtension]:
+    """The generators of rt's witness word, read off its tag, params and
+    shift_h; NeedsExtension when a step needs an irrational square root.
+
+    After the x3-unshift, R is rt.scalar * pattern(params), so the scalars
+    a step needs come from the params: rho = B/A of a binomial A*x1^r +
+    B*x2^s, and b = (x2^2 coefficient) / (x3^2 coefficient) of a square
+    line reaching the hyperbola step.
+    """
+    p = rt.params
+    tag = rt.tag
+    if tag is Tag.ZERO:
+        return []
+    gens = []
+    if not rt.shift_h.is_zero():
+        gens.append(Elementary(3, -rt.shift_h))
+    # ElemReducible and T4 need the unshift alone.
+    if tag is Tag.TWO_VAR_BINOMIAL:
+        gens.append(_rescale_binomial(p["e1"], p["e2"], p["c"]))
+    elif tag is Tag.T3:
+        if p["a"] != 0:
+            gens.append(Elementary(2, _mono(p["e1"], 0, 0, -p["a"])))
+        gens.append(Transposition(1, 2, 3))
+    elif tag is Tag.T5:
+        gens.append(Transposition(1, 3, 3))
+        gens.append(_rescale_binomial(2, 3, p["c"]))
+    elif tag is Tag.T6:
+        gens.append(Transposition(1, 3, 3))
+        gens.append(Transposition(1, 2, 3))
+    elif tag is Tag.T7:
+        gens.append(Transposition(2, 3, 3))
+        gens.append(_rescale_binomial(p["r1"], 2, Fraction(1) / p["c"]))
+    elif tag is Tag.T8:
+        gens.append(Transposition(2, 3, 3))
+    elif tag is Tag.T9:
+        hyp = _hyperbola(p["b"])
+        if isinstance(hyp, NeedsExtension):
+            return hyp
+        gens.append(hyp)
+        gens.append(Transposition(1, 2, 3))
+    elif tag is Tag.T10:
+        gens += _kill_x2_binomial(p["a"], p["b"], p["e1"])
+        gens.append(Transposition(2, 3, 3))
+    elif tag is Tag.T11:
+        gamma = (p["a1"] * p["b2"] + p["a2"] * p["b1"]) / (2 * p["b1"] * p["b2"])
+        if gamma != 0:
+            gens.append(Elementary(2, _mono(p["e1"], 0, 0, -gamma)))
+        # The shift leaves the x2^2 coefficient b1*b2 of the product alone.
+        hyp = _hyperbola(p["b1"] * p["b2"])
+        if isinstance(hyp, NeedsExtension):
+            return hyp
+        gens.append(hyp)
+        gens.append(Transposition(1, 2, 3))
+    elif tag is Tag.T12:
+        det = p["a1"] * p["b2"] - p["b1"] * p["a2"]
+        if det == 0:
+            # L1 = k*L2: the cube case x3^2 + k*L2^3 lands in a binomial.
+            k = p["a1"] / p["a2"] if p["a2"] != 0 else p["b1"] / p["b2"]
+            gens.append(_map_form_to_x2(p["a2"], p["b2"]))
+            gens.append(Transposition(1, 3, 3))
+            gens.append(_rescale_binomial(2, 3, k))
+        else:
+            forms = ((p["a1"], p["b1"]), (p["a2"], p["b2"]))
+            gens.append(invert_generator(_linear_part_affine(forms)))
+            gens.append(Transposition(1, 3, 3))
+            gens.append(Transposition(1, 2, 3))
+    elif tag is Tag.T13:
+        gens += _kill_x2_binomial(p["a"], p["b"], p["e1"])
+        gens.append(Transposition(1, 3, 3))
+        gens.append(Transposition(1, 2, 3))
+    elif tag not in (Tag.ELEM_REDUCIBLE, Tag.T4):
+        raise ValueError(f"unknown tag {tag}")
+    return gens
 
 
 def normalize(rt: RelationType) -> Union[NormalForm, NeedsExtension]:
     """Tame witness word moving the classified R to a canonical form.
 
-    Every emitted witness is verified by exact composition; shapes whose
-    reduction would need an irrational square root (T9 and T11 when -b is
-    not a rational square) come back as NeedsExtension.
+    The word is read off the classified line (_witness) and R is composed
+    with it once; that one composition yields the canonical form and is
+    checked against it, canonical_poly * residual_scalar == R o witness,
+    before the result is returned.  Shapes whose reduction would need an
+    irrational square root (T9 and T11 when -b is not a rational square)
+    come back as NeedsExtension.
     """
-    R = reconstruct(rt)
-    nz = _Normalizer(R)
-    p = rt.params
-    tag = rt.tag
-    if tag is Tag.ZERO:
-        return nz.finish(Zero())
-    if not rt.shift_h.is_zero():
-        nz.step(Elementary(3, -rt.shift_h))
-    if tag is Tag.ELEM_REDUCIBLE:
-        return nz.finish(X3())
-    if tag is Tag.TWO_VAR_BINOMIAL:
-        nz.rescale_binomial()
-        return nz.finish()
-    if tag is Tag.T3:
-        if p["a"] != 0:
-            nz.step(Elementary(2, _mono(p["e1"], 0, 0, -p["a"])))
-        nz.step(Transposition(1, 2, 3))
-        return nz.finish()
-    if tag is Tag.T4:
-        return nz.finish()
-    if tag is Tag.T5:
-        nz.step(Transposition(1, 3, 3))
-        nz.rescale_binomial()
-        return nz.finish()
-    if tag is Tag.T6:
-        nz.step(Transposition(1, 3, 3))
-        nz.step(Transposition(1, 2, 3))
-        return nz.finish()
-    if tag is Tag.T7:
-        nz.step(Transposition(2, 3, 3))
-        nz.rescale_binomial()
-        return nz.finish()
-    if tag is Tag.T8:
-        nz.step(Transposition(2, 3, 3))
-        return nz.finish()
-    if tag is Tag.T9:
-        ext = nz.hyperbola()
-        if ext is not None:
-            return ext
-        nz.step(Transposition(1, 2, 3))
-        return nz.finish()
-    if tag is Tag.T10:
-        nz.kill_x2_binomial(p["a"], p["b"], p["e1"])
-        nz.step(Transposition(2, 3, 3))
-        return nz.finish()
-    if tag is Tag.T11:
-        gamma = (p["a1"] * p["b2"] + p["a2"] * p["b1"]) / (2 * p["b1"] * p["b2"])
-        if gamma != 0:
-            nz.step(Elementary(2, _mono(p["e1"], 0, 0, -gamma)))
-        ext = nz.hyperbola()
-        if ext is not None:
-            return ext
-        nz.step(Transposition(1, 2, 3))
-        return nz.finish()
-    if tag is Tag.T12:
-        det = p["a1"] * p["b2"] - p["b1"] * p["a2"]
-        if det == 0:
-            # L1 is proportional to L2: the cube case lands in a binomial.
-            nz.map_form_to_x2(p["a2"], p["b2"])
-            nz.step(Transposition(1, 3, 3))
-            nz.rescale_binomial()
-            return nz.finish()
-        forms = ((p["a1"], p["b1"]), (p["a2"], p["b2"]))
-        nz.step(invert_generator(_linear_part_affine(forms)))
-        nz.step(Transposition(1, 3, 3))
-        nz.step(Transposition(1, 2, 3))
-        return nz.finish()
-    if tag is Tag.T13:
-        nz.kill_x2_binomial(p["a"], p["b"], p["e1"])
-        nz.step(Transposition(1, 3, 3))
-        nz.step(Transposition(1, 2, 3))
-        return nz.finish()
-    raise ValueError(f"unknown tag {tag}")
+    gens = _witness(rt)
+    if isinstance(gens, NeedsExtension):
+        return gens
+    word = AutWord(3, tuple(gens))
+    cur = compose(reconstruct(rt), expand(word).coords)
+    forced = {Tag.ZERO: Zero(), Tag.ELEM_REDUCIBLE: X3()}.get(rt.tag)
+    canonical, canonical_poly, sigma = _read_canonical(cur, forced)
+    if canonical_poly * sigma != cur:
+        raise WitnessVerificationFailed("canonical form does not match")
+    return NormalForm(
+        canonical=canonical,
+        canonical_poly=canonical_poly,
+        witness=word,
+        residual_scalar=sigma,
+    )
 
 
 def _read_canonical(cur: Polynomial, forced):
@@ -830,6 +818,8 @@ def _read_canonical(cur: Polynomial, forced):
     parts = _x3_parts(cur)
     if max(parts) == 0:
         terms = sorted(cur.terms.items())
+        if len(terms) != 2:
+            raise WitnessVerificationFailed("expected a two-term binomial")
         (m2_, c2_), (m1_, c1_) = terms  # m1_ = pure x1-power, m2_ = pure x2-power
         r, s = m1_[0], m2_[1]
         return Binomial(r, s), _mono(r, 0, 0) + _mono(0, s, 0, c2_ / c1_), c1_

@@ -141,12 +141,6 @@ class BlockElimination:
 MonomialOrder = GradedLex | BlockElimination
 
 
-def leading_monomial(p: Polynomial, order: MonomialOrder):
-    if p.is_zero():
-        raise ValueError("zero polynomial has no leading monomial")
-    return _unpacker(p.n)(max(p._nums, key=order.packed_key(p.n)))
-
-
 def _divides(a, b) -> bool:
     return all(map(le, a, b))
 

@@ -763,7 +763,14 @@ def _rref(matrix):
 # atom   := UINT ['/' UINT] | 'x' UINT | '(' expr ')'
 #
 # Whitespace is insignificant.  Variables are x1..xn (multi-digit indices
-# allowed, e.g. x12); rational literals are written p/q.
+# allowed, e.g. x12); rational literals are written p/q.  Parentheses nest
+# at most MAX_PAREN_DEPTH deep.
+
+#: The deepest nesting of parentheses parse_poly accepts; a '(' past it is a
+#: PolyParseError at that '('.  Each level costs the recursive-descent parser
+#: four Python frames, so the bound keeps a parse far below the interpreter's
+#: recursion limit, with room left for the callers' own frames.
+MAX_PAREN_DEPTH = 100
 
 
 class _Tokenizer:
@@ -805,6 +812,7 @@ class _Parser:
     def __init__(self, text: str, n: int):
         self.tok = _Tokenizer(text)
         self.n = n
+        self.depth = 0
 
     def parse(self) -> Polynomial:
         p = self._expr()
@@ -843,9 +851,15 @@ class _Parser:
         if ch is None:
             raise PolyParseError("unexpected end of input", self.tok.pos)
         if ch == "(":
+            if self.depth == MAX_PAREN_DEPTH:
+                raise PolyParseError(
+                    f"parentheses nested deeper than {MAX_PAREN_DEPTH}", self.tok.pos
+                )
+            self.depth += 1
             self.tok.expect_char("(")
             p = self._expr()
             self.tok.expect_char(")")
+            self.depth -= 1
             return p
         if ch == "x":
             pos = self.tok.pos

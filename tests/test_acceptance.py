@@ -37,7 +37,6 @@ from polyaut.derivation import (
 )
 from polyaut.groebner import (
     graded_kernel_oracle,
-    leading_monomial,
     normal_form,
     span_contains,
 )
@@ -70,10 +69,13 @@ def report(criterion: int, ok: bool, detail: str):
 
 
 def _monic(p, order):
-    """p divided by its leading coefficient for the order (0 stays 0)."""
+    """p divided by its leading coefficient for the weighted graded order
+    (0 stays 0)."""
     if p.is_zero():
         return p
-    return p * (Fraction(1) / p.coeff(leading_monomial(p, order)))
+    weights = order.weights if order.weights is not None else (1,) * p.n
+    lm = max(p.support(), key=lambda e: (sum(w * a for w, a in zip(weights, e)), e))
+    return p * (Fraction(1) / p.coeff(lm))
 
 
 @pytest.fixture(scope="module")

@@ -18,8 +18,10 @@ from polyaut.classify3 import (
     NotWeightedHomogeneous,
     Tag,
     TriangularFiber,
+    WitnessVerificationFailed,
     X3,
     Zero,
+    _read_canonical,
     _square_part,
     _x3_parts,
     canonical_lnd,
@@ -351,6 +353,50 @@ def test_normalize_witnesses_verify_for_all_samples():
             continue
         lhs = compose(R, expand(nf.witness).coords)
         assert lhs == nf.canonical_poly * nf.residual_scalar
+
+
+def _witness_corpus(per_tag=10, seed=20261019):
+    """The classified lines of per_tag sample_classified draws per nonzero tag."""
+    rng = random.Random(seed)
+    infos = []
+    for tag in NONZERO_TAGS:
+        for _ in range(per_tag):
+            R, d = sample_classified(tag, rng)
+            infos.append(classify(R, d).info)
+    return infos
+
+
+#: sha256 over repr(normalize(info)) for _witness_corpus(): every witness
+#: generator with its exact Fractions, residual scalar, canonical form and
+#: canonical polynomial, or the NeedsExtension reason.
+EXPECTED_WITNESS_DIGEST = (
+    "dbac102af5bd2f05299b4cd8f641f4dc6b8bb1e86128e238168e1ef1d8b6e6bd"
+)
+
+
+def test_witness_words_characterization():
+    lines = [repr(normalize(info)) for info in _witness_corpus()]
+    assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == EXPECTED_WITNESS_DIGEST
+
+
+def test_normalize_composes_with_its_witness_once(count_calls):
+    from polyaut import autmap, polycore
+
+    infos = _witness_corpus()
+    composed = count_calls(polycore, "compose")
+    expanded = count_calls(autmap, "expand")
+    outs = [normalize(info) for info in infos]
+    normal = sum(isinstance(nf, NormalForm) for nf in outs)
+    assert (len(outs), normal) == (130, 119)
+    # One expand and one composition with R per normal form; the rest are
+    # the x3-shifts of reconstruct and the compositions inside expand.
+    assert len(expanded) == normal
+    assert len(composed) == 183
+
+
+def test_read_canonical_refuses_a_three_term_binomial():
+    with pytest.raises(WitnessVerificationFailed, match="two-term binomial"):
+        _read_canonical(P("x1^2 + x2^3 + x1*x2"), None)
 
 
 def test_canonical_forms_lie_in_lnd_kernels():

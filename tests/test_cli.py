@@ -10,7 +10,7 @@ from polyaut.cli import main
 from polyaut.classify3 import WitnessVerificationFailed
 from polyaut.derivation import NoWitnessIndex
 from polyaut.groebner import ResourceCapExceeded
-from polyaut.polycore import MAX_EXPONENT, MAX_VARIABLES, parse_poly
+from polyaut.polycore import MAX_EXPONENT, MAX_PAREN_DEPTH, MAX_VARIABLES, parse_poly
 from polyaut.autmap import parse_word, parse_map
 from polyaut.relations import OracleMismatch
 
@@ -359,6 +359,31 @@ def test_malformed_input_is_usage_error(capsys, argv, message):
     assert status == 2
     assert captured.out == ""
     assert captured.err.splitlines() == [f"error: {message}"]
+
+
+def _nested(text, depth):
+    return "(" * depth + text + ")" * depth
+
+
+@pytest.mark.parametrize(
+    "make_argv",
+    [
+        lambda depth: ["relations", "--map", _nested("x1", depth) + "; x2"],
+        lambda depth: ["classify3", "--rel", _nested("x3", depth), "--weights", "1,1,1"],
+        lambda depth: ["relations", "--word", "E 1 " + _nested("x2", depth)],
+    ],
+    ids=["relations-map", "classify3-rel", "word-elementary"],
+)
+def test_parentheses_past_the_bound_are_usage_errors(capsys, make_argv):
+    assert main(make_argv(MAX_PAREN_DEPTH)) == 0
+    capsys.readouterr()
+    status = main(make_argv(MAX_PAREN_DEPTH + 1))
+    captured = capsys.readouterr()
+    assert status == 2
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        f"error: parentheses nested deeper than {MAX_PAREN_DEPTH} "
+        f"(at position {MAX_PAREN_DEPTH})"]
 
 
 def test_nonpositive_weights_echo_the_input(capsys):

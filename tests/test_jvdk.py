@@ -7,7 +7,6 @@ import pytest
 
 from polyaut import autmap, jvdk
 from polyaut.autmap import Elementary, PolyMap, expand, parse_map
-from polyaut.groebner import leading_monomial
 from polyaut.jvdk import (
     Decomposition,
     NotAnAutomorphism,
@@ -26,10 +25,13 @@ def P(text, n):
 
 
 def _monic(p, order):
-    """p divided by its leading coefficient for the order (0 stays 0)."""
+    """p divided by its leading coefficient for the weighted graded order
+    (0 stays 0)."""
     if p.is_zero():
         return p
-    return p * (Fraction(1) / p.coeff(leading_monomial(p, order)))
+    weights = order.weights if order.weights is not None else (1,) * p.n
+    lm = max(p.support(), key=lambda e: (sum(w * a for w, a in zip(weights, e)), e))
+    return p * (Fraction(1) / p.coeff(lm))
 
 
 def _reference_reduce(f, g):

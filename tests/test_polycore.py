@@ -87,6 +87,19 @@ def test_parse_reports_position():
     assert err.value.position == 5
 
 
+def test_parentheses_nest_up_to_the_bound():
+    depth = polycore.MAX_PAREN_DEPTH
+    assert P("(" * depth + "x1 + 1" + ")" * depth, 2) == P("x1 + 1", 2)
+    text = "x2*" + "(" * (depth + 1) + "x1" + ")" * (depth + 1)
+    with pytest.raises(PolyParseError, match=f"nested deeper than {depth}") as err:
+        P(text, 2)
+    # The error points at the first '(' past the bound.
+    assert err.value.position == 3 + depth
+    # Far past the bound the parse stops there too, with no RecursionError.
+    with pytest.raises(PolyParseError):
+        P("(" * 100_000 + "x1" + ")" * 100_000, 2)
+
+
 def test_parse_rejects_out_of_range_variable():
     with pytest.raises(PolyParseError):
         P("x3", 2)
