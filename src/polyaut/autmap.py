@@ -26,21 +26,29 @@ A raw PolyMap is only *certified* as an automorphism through the plane
 decomposition (jvdk); certify applies the necessary but, for n >= 2, not
 sufficient check that its Jacobian is a nonzero constant (jacobian_constant).
 
-Text formats (used by the CLI and the tests):
+Text formats, read by parse_word and parse_map alone; a line ends at a
+newline or at a ';':
   word: one generator per line,
         "E <i> <poly>" | "T <i> <j>" | "A <n*n rationals> | <n rationals>",
         each rational an integer, p/q or a decimal (parse_fraction)
   map:  n lines, one polynomial per coordinate.
+n may be omitted: a word's is the largest index it names, a map's its line
+count.  n lies in 1..MAX_VARIABLES, checked before any polynomial is parsed.
+A parse error in a line names the line and points into the text as given.
 """
 
 from __future__ import annotations
 
+import math
+import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from typing import Union
 
 from .polycore import (
+    MAX_VARIABLES,
+    PolyParseError,
     Polynomial,
     WeightVector,
     _ratio,
@@ -389,46 +397,91 @@ def format_word(word: AutWord) -> str:
     return "\n".join(lines)
 
 
-def parse_word(text: str, n: int) -> AutWord:
-    """Parse the one-generator-per-line word format."""
-    gens = []
-    for raw in text.splitlines():
-        line = raw.strip()
-        if not line:
-            continue
-        kind, _, rest = line.partition(" ")
-        if kind == "E":
-            idx_str, _, poly_str = rest.strip().partition(" ")
-            try:
-                target = int(idx_str)
-            except ValueError:
-                raise ValueError(f"bad elementary target in line {line!r}")
-            gens.append(Elementary(target, parse_poly(poly_str, n)))
-        elif kind == "T":
-            parts = rest.split()
-            if len(parts) != 2:
-                raise ValueError(f"bad transposition line {line!r}")
-            gens.append(Transposition(int(parts[0]), int(parts[1]), n))
-        elif kind == "A":
-            body, _, shift_str = rest.partition("|")
-            entries = [parse_fraction(tok) for tok in body.split()]
-            shift = [parse_fraction(tok) for tok in shift_str.split()]
+def _lines(text: str):
+    """Yield (k, start, line) for each nonblank line: its number k from 1,
+    blank lines counted, the offset of its first character in text, and its
+    stripped text.  A line ends at a str.splitlines boundary or at a ';'."""
+    k = start = 0
+    for physical in text.splitlines(keepends=True):
+        for piece in physical.split(";"):
+            k += 1
+            if piece.strip():
+                yield k, start + len(piece) - len(piece.lstrip()), piece.strip()
+            start += len(piece) + 1
+        start -= 1  # no ';' follows the last piece
+
+
+def _variable_count(n: int) -> int:
+    if not 1 <= n <= MAX_VARIABLES:
+        raise ValueError(f"the variable count must lie in 1..{MAX_VARIABLES}, got {n}")
+    return n
+
+
+def _parse_line_poly(text: str, n: int, k: int, offset: int) -> Polynomial:
+    """parse_poly(text, n) of text at offset in line k: a PolyParseError
+    names the line and its position in the whole input."""
+    try:
+        return parse_poly(text, n)
+    except PolyParseError as err:
+        raise PolyParseError(f"line {k}: {err.message}", offset + err.position) from None
+
+
+def _word_line(k: int, start: int, line: str, infer: bool):
+    """The largest index word line k names (an E target and every x<digits>
+    in its text, the T indices, the side of an A matrix, which must be
+    square while inferring) and the function from n to its generator."""
+    kind, _, rest = line.partition(" ")
+    if kind == "E":
+        idx_str, _, poly_str = rest.strip().partition(" ")
+        try:
+            target = int(idx_str)
+        except ValueError:
+            raise ValueError(f"line {k}: bad elementary target in {line!r}") from None
+        offset = start + len(line) - len(poly_str)  # poly_str ends the line
+        top = max([target, *map(int, re.findall(r"x(\d+)", poly_str))])
+        return top, lambda n: Elementary(target, _parse_line_poly(poly_str, n, k, offset))
+    if kind == "T":
+        parts = rest.split()
+        if len(parts) != 2 or not all(part.isdecimal() for part in parts):
+            raise ValueError(f"line {k}: bad transposition line {line!r}")
+        i, j = map(int, parts)
+        return max(i, j), lambda n: Transposition(i, j, n)
+    if kind == "A":
+        body, _, shift_str = rest.partition("|")
+        entries = [parse_fraction(tok) for tok in body.split()]
+        shift = tuple(parse_fraction(tok) for tok in shift_str.split())
+        side = math.isqrt(len(entries))
+        if infer and (side < 1 or side * side != len(entries)):
+            raise ValueError("affine line does not contain a square matrix")
+
+        def affine(n):
             if len(entries) != n * n or len(shift) != n:
                 raise ValueError(f"affine line needs {n * n} matrix entries and {n} shifts")
-            matrix = tuple(tuple(entries[i * n : (i + 1) * n]) for i in range(n))
-            gens.append(Affine(matrix, tuple(shift)))
-        else:
-            raise ValueError(f"unknown generator line {line!r}")
-    return AutWord(n, tuple(gens))
+            return Affine(tuple(tuple(entries[i * n : (i + 1) * n]) for i in range(n)), shift)
+
+        return side, affine
+    raise ValueError(f"line {k}: unknown generator line {line!r}")
+
+
+def parse_word(text: str, n: int | None = None) -> AutWord:
+    """Parse the one-generator-per-line word format, each line classified
+    once.  n, when None, is the largest index the lines name."""
+    lines = [_word_line(k, start, line, n is None) for k, start, line in _lines(text)]
+    n = _variable_count(max((top for top, _ in lines), default=0) if n is None else n)
+    return AutWord(n, tuple(generator(n) for _, generator in lines))
 
 
 def format_map(m: PolyMap) -> str:
     return "\n".join(format_poly(c) for c in m.coords)
 
 
-def parse_map(text: str, n: int) -> PolyMap:
-    """Parse n polynomial lines into a PolyMap."""
-    lines = [line for line in (l.strip() for l in text.splitlines()) if line]
+def parse_map(text: str, n: int | None = None) -> PolyMap:
+    """Parse one polynomial per line; n, when None, is the number of nonblank
+    lines."""
+    lines = list(_lines(text))
+    if n is None and not lines:
+        raise ValueError("empty map input")
+    n = _variable_count(len(lines) if n is None else n)
     if len(lines) != n:
         raise ValueError(f"expected {n} coordinate lines, got {len(lines)}")
-    return PolyMap(n, tuple(parse_poly(line, n) for line in lines))
+    return PolyMap(n, tuple(_parse_line_poly(line, n, k, start) for k, start, line in lines))

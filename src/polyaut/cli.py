@@ -14,10 +14,10 @@ Subcommands:
   invert       invert a word
   verify       run a named property suite with an explicit seed
 
-Inline polynomials use the x1..xn grammar; maps are semicolon-separated
-coordinate lists; words are semicolon-separated generator lines
-("E <i> <poly>", "T <i> <j>", "A <n*n rationals> | <n rationals>").  The
-variable count, --n or inferred, lies in 1..MAX_VARIABLES (64).
+Inline polynomials use the x1..xn grammar.  Maps and words, inline or in a
+file, are read by autmap.parse_map and parse_word alone: a line ends at a
+newline or a ';', and the variable count is --n or, when omitted, inferred
+and bounded by the parser (1..MAX_VARIABLES, 64).
 --json (before or after the subcommand) switches every report to a
 machine-readable document whose polynomial fields re-parse through the same
 grammar.
@@ -33,8 +33,6 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import math
-import re
 import sys
 from dataclasses import asdict
 
@@ -73,7 +71,6 @@ from .derivation import (
 from .groebner import ResourceCapExceeded
 from .jvdk import NotAnAutomorphism, decompose2
 from .polycore import (
-    MAX_VARIABLES,
     ExponentOverflow,
     Polynomial,
     WeightVector,
@@ -93,10 +90,6 @@ class CliError(Exception):
         self.status = status
 
 
-def _split_lines(text: str) -> str:
-    return "\n".join(part.strip() for part in text.split(";") if part.strip())
-
-
 def _read_file(path: str) -> str:
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -105,51 +98,14 @@ def _read_file(path: str) -> str:
         raise CliError(f"cannot read {path}: {exc}", IO)
 
 
-def _infer_word_n(text: str) -> int:
-    """Variable count of a word: the largest index its lines name (the E
-    target and its x<i>, the T indices, the side of the A matrix)."""
-    best = 0
-    for line in text.splitlines():
-        kind, _, rest = line.strip().partition(" ")
-        if kind == "T":
-            indices = rest.split()
-        elif kind == "E":
-            target, _, poly = rest.strip().partition(" ")
-            indices = [target, *re.findall(r"x(\d+)", poly)]
-        elif kind == "A":
-            entries = len(rest.partition("|")[0].split())
-            side = math.isqrt(entries)
-            if side < 1 or side * side != entries:
-                raise CliError("affine line does not contain a square matrix")
-            indices = [side]
-        else:
-            continue
-        best = max([best, *map(int, indices)])
-    if best < 1:
-        raise CliError("cannot infer the variable count; pass --n")
-    return best
-
-
 def _load_map_or_word(args) -> PolyMap | AutWord:
-    """The parsed --map/--word/--map-file/--word-file input, unexpanded.  Its
-    variable count, --n or inferred from the input, lies in 1..MAX_VARIABLES."""
+    """The parsed --map/--word/--map-file/--word-file input, unexpanded;
+    parse_map and parse_word infer and bound its variable count."""
     if sum(bool(s) for s in (args.map, args.word, args.map_file, args.word_file)) != 1:
         raise CliError("exactly one of --map / --word / --map-file / --word-file is required")
-    if args.n is not None and not 1 <= args.n <= MAX_VARIABLES:
-        raise CliError(f"--n must be between 1 and {MAX_VARIABLES}, got {args.n}")
     if args.map or args.map_file:
-        text = _split_lines(args.map) if args.map else _read_file(args.map_file)
-        n = args.n or sum(1 for line in text.splitlines() if line.strip())
-        if n < 1:
-            raise CliError("empty map input")
-        parse = parse_map
-    else:
-        text = _split_lines(args.word) if args.word else _read_file(args.word_file)
-        n = args.n or _infer_word_n(text)
-        parse = parse_word
-    if n > MAX_VARIABLES:
-        raise CliError(f"the input needs {n} variables; at most {MAX_VARIABLES} are allowed")
-    return parse(text, n)
+        return parse_map(args.map or _read_file(args.map_file), args.n)
+    return parse_word(args.word or _read_file(args.word_file), args.n)
 
 
 def _load_map(args) -> PolyMap:
@@ -307,7 +263,7 @@ def cmd_lnd_witness(args) -> int:
             raise CliError("a word carries its own inverse; pass no --inverse with it")
     elif not args.inverse:
         raise CliError("a raw map needs --inverse (or pass a --word)")
-    inv = parse_map(_split_lines(args.inverse), source.n) if args.inverse else None
+    inv = parse_map(args.inverse, source.n) if args.inverse else None
     cert = certify(source, inv)
     report = relation_report(cert, w1)
     i, dbar = lnd_witness(cert, w1)

@@ -18,7 +18,8 @@ Exponents range over 0..MAX_EXPONENT = 2^32 - 1.  Every polynomial carries
 an upper bound on its exponents; a product or power whose bound could pass
 MAX_EXPONENT checks its exact degrees once, for the whole operation, and
 raises ExponentOverflow (a ValueError) when a field would overflow; so does
-a constant raised to a power above MAX_EXPONENT.
+a constant raised to a power above MAX_EXPONENT.  A power whose coefficients
+could need more than MAX_COEFFICIENT_BITS bits raises ResourceCapExceeded.
 
 On top of the ring operations the module provides positive weighted
 homogeneous (p.w.h.) degree functions: a weight vector (w1,..,wn) with all
@@ -90,10 +91,12 @@ WDegree = Union[Fraction, _MinusInfinity]
 
 
 class PolyParseError(ValueError):
-    """Syntax or range error while parsing polynomial text; carries the position."""
+    """Syntax or range error while parsing polynomial text; carries the bare
+    message and the position."""
 
     def __init__(self, message: str, position: int):
         super().__init__(f"{message} (at position {position})")
+        self.message = message
         self.position = position
 
 
@@ -138,10 +141,10 @@ class WeightVector:
 
 FIELD_BITS = 32
 MAX_EXPONENT = (1 << FIELD_BITS) - 1
-#: The largest variable count the command line accepts, explicit or inferred.
-#: Every packed exponent has FIELD_BITS bits per variable and an identity map
-#: has one coordinate per variable, so an unbounded count (a word naming
-#: x99999999999) would ask for unbounded memory; the tests use at most 12.
+#: The largest variable count autmap.parse_word and parse_map accept, given
+#: or inferred.  Every packed exponent has FIELD_BITS bits per variable and
+#: an identity map has one coordinate per variable, so an unbounded count (a
+#: word naming x99999999999) would ask for unbounded memory.
 MAX_VARIABLES = 64
 
 
@@ -150,7 +153,17 @@ class ExponentOverflow(ValueError):
 
 
 class ResourceCapExceeded(RuntimeError):
-    """A work budget ran out: groebner.MAX_S_PAIRS or MAX_DET_STEPS."""
+    """A work budget ran out: groebner.MAX_S_PAIRS, MAX_DET_STEPS or
+    MAX_COEFFICIENT_BITS."""
+
+
+#: The most bits a coefficient of a power p^k may need.  For p with T terms,
+#: integer numerators num over den, every coefficient of p^k is a numerator
+#: of at most (T * max|num|)^k over den^k, so __pow__ bounds its size by
+#: k * ceil(log2(T * max|num| * den)) before it multiplies and raises
+#: ResourceCapExceeded past the cap: 3^4000000 (8000000 bits) is refused,
+#: and 0, 1, -1 and monomials with coefficient 1 need 0 bits.
+MAX_COEFFICIENT_BITS = 1 << 22
 
 
 @functools.cache
@@ -338,6 +351,11 @@ class Polynomial:
             _check_exponents([k])
         if self._ebound * k > MAX_EXPONENT:
             _check_exponents([e * k for e in _degrees(self)])
+        nums = self._nums.values()
+        size = max(len(nums), 1) * max(map(abs, nums), default=1) * self.den
+        if k * (size - 1).bit_length() > MAX_COEFFICIENT_BITS:
+            raise ResourceCapExceeded(f"the coefficients of a power to {k} could need "
+                                      f"more than {MAX_COEFFICIENT_BITS} bits")
         if not k:
             return _constant(1, self.n)
         # Left to right over the bits of k, never multiplying by 1.

@@ -2,6 +2,7 @@
 
 import importlib.util
 import random
+import re
 from fractions import Fraction
 from pathlib import Path
 
@@ -447,3 +448,97 @@ def test_jacobian_chain_identity():
             entries = list(m.coords)
             entries[i - 1] = compose(p, m.coords)
             assert jacobian(entries) == compose(partial(p, i), m.coords) * mu
+
+
+# -- the word and map reader -----------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "text, n",
+    [
+        ("E 1 x3^2", 3),
+        ("E 4 x1 + 2", 4),
+        ("T 2 5", 5),
+        ("A 1 0 0 1 | 0 0", 2),
+        ("T 1 2; E 3 x1", 3),  # the largest index over all lines
+    ],
+)
+def test_word_variable_count_is_the_largest_index_named(text, n):
+    assert parse_word(text).n == n
+
+
+def test_map_variable_count_is_the_number_of_lines():
+    assert parse_map("x1 + x2^2\n\nx2\n").n == 2
+    assert parse_map(" x1 ;; x3 ; x2 ;").n == 3
+    with pytest.raises(ValueError, match="^empty map input$"):
+        parse_map(" ; \n")
+    with pytest.raises(ValueError, match="^expected 3 coordinate lines, got 2$"):
+        parse_map("x1; x2", 3)
+
+
+def test_affine_line_is_square_only_while_inferring():
+    with pytest.raises(ValueError, match="^affine line does not contain a square matrix$"):
+        parse_word("A 1 2 3 | 0 0")
+    with pytest.raises(ValueError, match="^affine line needs 4 matrix entries and 2 shifts$"):
+        parse_word("A 1 2 3 | 0 0", 2)
+
+
+@pytest.mark.parametrize(
+    "parse, text, n",
+    [
+        (parse_word, "E 1 x2", 0),
+        (parse_word, "E 1 x2", -1),
+        (parse_word, "E 1 x2", polycore.MAX_VARIABLES + 1),
+        (parse_word, f"E 1 x{polycore.MAX_VARIABLES + 1}", None),
+        (parse_word, f"E 1 2x{polycore.MAX_VARIABLES + 1}", None),  # inside a bad token too
+        (parse_word, f"T 1 {polycore.MAX_VARIABLES + 1}", None),
+        (parse_word, " ; ", None),  # names no variable
+        (parse_map, "x1", 0),
+        (parse_map, "x1", polycore.MAX_VARIABLES + 1),
+        (parse_map, "; ".join(["x1"] * (polycore.MAX_VARIABLES + 1)), None),
+    ],
+)
+def test_variable_count_outside_the_cap_is_refused_before_parsing(count_calls, parse, text, n):
+    parse_calls = count_calls(polycore, "parse_poly")
+    with pytest.raises(ValueError, match=f"must lie in 1..{polycore.MAX_VARIABLES}, got "):
+        parse(text, n)
+    assert parse_calls == []
+
+
+def test_semicolons_end_lines_like_newlines():
+    rng = random.Random(23)
+    for _ in range(12):
+        word = random_tame_word(rng, rng.choice([2, 3]))
+        text = format_word(word)
+        assert parse_word(text.replace("\n", "; "), word.n) == parse_word(text, word.n) == word
+        m = expand(word)
+        text = format_map(m)
+        assert parse_map(text.replace("\n", ";")) == parse_map(text) == m
+
+
+@pytest.mark.parametrize("text, k", [("T x 1", 1), ("E 1 x2\n\nT 1", 3), ("T 1 2; T +1 2", 2)])
+def test_malformed_transposition_names_the_line(text, k):
+    bad = re.split(r"[;\n]", text)[-1].strip()
+    with pytest.raises(ValueError) as err:
+        parse_word(text)
+    assert str(err.value) == f"line {k}: bad transposition line {bad!r}"
+
+
+@pytest.mark.parametrize(
+    "parse, text, k, message, position",
+    [
+        (parse_word, "E 1 x2\nE 2 (x1 +", 2, "unexpected end of input", 16),
+        (parse_word, "E 1 " + "(" * 101, 1, "parentheses nested deeper than 100", 104),
+        (parse_word, "T 1 2;\tE 2  x1 + )", 2, "unexpected character ')'", 17),
+        (parse_map, "x1\r\n\r\n x2 + )", 3, "unexpected character ')'", 12),
+    ],
+)
+def test_parse_errors_name_the_line_and_point_into_the_text(parse, text, k, message,
+                                                            position):
+    # The position is that of the offending character in the text as given
+    # (the end of the text for an unexpected end).
+    with pytest.raises(polycore.PolyParseError) as err:
+        parse(text)
+    assert err.value.message == f"line {k}: {message}"
+    assert err.value.position == position
+    assert str(err.value) == f"line {k}: {message} (at position {position})"

@@ -178,7 +178,7 @@ def test_compose_and_invert_round_trip(capsys):
     status, doc = run_json(capsys, "invert", "--word", word_text)
     assert status == 0
     inv = parse_word("\n".join(doc["word"]), 2)
-    fwd = parse_word(word_text.replace("; ", "\n").replace(";", "\n"), 2)
+    fwd = parse_word(word_text)
     from polyaut.autmap import compose_map, expand
 
     assert compose_map(expand(fwd), expand(inv)).is_identity()
@@ -366,15 +366,18 @@ def _nested(text, depth):
 
 
 @pytest.mark.parametrize(
-    "make_argv",
+    "make_argv, line, offset",
     [
-        lambda depth: ["relations", "--map", _nested("x1", depth) + "; x2"],
-        lambda depth: ["classify3", "--rel", _nested("x3", depth), "--weights", "1,1,1"],
-        lambda depth: ["relations", "--word", "E 1 " + _nested("x2", depth)],
+        (lambda depth: ["relations", "--map", _nested("x1", depth) + "; x2"], "line 1: ", 0),
+        (lambda depth: ["classify3", "--rel", _nested("x3", depth), "--weights", "1,1,1"],
+         "", 0),
+        (lambda depth: ["relations", "--word", "E 1 " + _nested("x2", depth)], "line 1: ", 4),
     ],
     ids=["relations-map", "classify3-rel", "word-elementary"],
 )
-def test_parentheses_past_the_bound_are_usage_errors(capsys, make_argv):
+def test_parentheses_past_the_bound_are_usage_errors(capsys, make_argv, line, offset):
+    # A map or word line names itself, and the position is in the text as
+    # given: the word's polynomial starts after "E 1 ".
     assert main(make_argv(MAX_PAREN_DEPTH)) == 0
     capsys.readouterr()
     status = main(make_argv(MAX_PAREN_DEPTH + 1))
@@ -382,8 +385,8 @@ def test_parentheses_past_the_bound_are_usage_errors(capsys, make_argv):
     assert status == 2
     assert captured.out == ""
     assert captured.err.splitlines() == [
-        f"error: parentheses nested deeper than {MAX_PAREN_DEPTH} "
-        f"(at position {MAX_PAREN_DEPTH})"]
+        f"error: {line}parentheses nested deeper than {MAX_PAREN_DEPTH} "
+        f"(at position {MAX_PAREN_DEPTH + offset})"]
 
 
 def test_nonpositive_weights_echo_the_input(capsys):
@@ -485,16 +488,16 @@ def test_inverse_with_word_is_usage_error(capsys, count_calls):
          "t-index-over-cap", "map-over-cap"],
 )
 def test_variable_count_outside_the_cap_is_usage_error(capsys, count_calls, argv):
-    from polyaut import cli
+    from polyaut import polycore
 
-    parse_calls = [count_calls(cli, "parse_word"), count_calls(cli, "parse_map")]
+    parse_calls = count_calls(polycore, "parse_poly")
     status = main(argv)
     captured = capsys.readouterr()
     assert status == 2
     assert captured.out == ""
     assert len(captured.err.splitlines()) == 1
     assert captured.err.startswith("error: ")
-    assert parse_calls == [[], []]  # rejected before anything is parsed
+    assert parse_calls == []  # the reader rejects before any polynomial is parsed
 
 
 def test_variable_count_at_the_cap_is_accepted(capsys):
@@ -510,6 +513,44 @@ def test_malformed_transposition_is_usage_error(capsys, word):
     assert status == 2
     assert captured.out == ""
     assert captured.err.startswith("error: ")
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["relations", "--word", "T x 1"], "line 1: bad transposition line 'T x 1'"),
+        (["relations", "--word", "E 1 x2\nE 2 (x1 +"],
+         "line 2: unexpected end of input (at position 16)"),
+        (["relations", "--map", "x1 + x2^2; x2 +"],
+         "line 2: unexpected end of input (at position 15)"),
+        (["lnd-witness", "--map", "x1 + x2^2; x2", "--inverse", "x1 - x2^2; x2 )"],
+         "line 2: unexpected trailing input (at position 14)"),
+    ],
+    ids=["transposition", "word-line-2", "map-line-2", "inverse-line-2"],
+)
+def test_parse_errors_name_the_line(capsys, argv, message):
+    # The position is in the text as typed, not in a rewritten copy (see also
+    # test_parentheses_past_the_bound_are_usage_errors).
+    status = main(argv)
+    captured = capsys.readouterr()
+    assert status == 2
+    assert captured.out == ""
+    assert captured.err.splitlines() == [f"error: {message}"]
+
+
+def test_power_coefficient_budget_is_a_domain_outcome(capsys, monkeypatch):
+    # 3^6 may need 6 * ceil(log2(3)) = 12 coefficient bits; a budget of 11
+    # stands in for a runaway power such as 3^4294967295.
+    from polyaut import polycore
+
+    argv = ["compose", "--map", "3^6*x1; x2"]
+    assert run(capsys, *argv) == (0, "729*x1\nx2\n")
+    monkeypatch.setattr(polycore, "MAX_COEFFICIENT_BITS", 11)
+    status = main(argv)
+    captured = capsys.readouterr()
+    assert status == 1
+    assert captured.out == ""
+    assert captured.err == "error: the coefficients of a power to 6 could need more than 11 bits\n"
 
 
 def test_determinant_budget_is_a_domain_outcome(capsys, monkeypatch):

@@ -322,7 +322,7 @@ def test_relation_report_principal_cases():
     from polyaut.relations import relation_report
 
     def report(text, n):
-        return relation_report(parse_map(text.replace(";", "\n"), n))
+        return relation_report(parse_map(text, n))
 
     zero = report("x1 + 1; x2 - x1", 2)
     assert zero.principal and zero.R == Polynomial.zero(2)

@@ -2,9 +2,12 @@
 
 Formatted polynomials parse back to themselves, and random text over the
 grammar's alphabet either parses or raises a ValueError (PolyParseError,
-ExponentOverflow or another) - never any other exception.  Exponents in the
-random text are cut to one digit and at most two powers: a power such as
-3^4000000 is computed in full, since no degree budget bounds it yet.
+ExponentOverflow or another) - never any other exception - and a
+PolyParseError points inside the text.  Word text is read with n given and
+with n inferred.  Exponents in the random text are cut to one digit and at
+most two powers: polycore.MAX_COEFFICIENT_BITS refuses 3^4000000, but
+(x1 + 1)^4000000 would be computed in full, since no degree or term budget
+bounds it yet.
 """
 
 import re
@@ -39,7 +42,7 @@ def test_format_then_parse_is_identity(p):
 
 
 _POLY_ALPHABET = "x0123456789+-*^/() .e\t"
-_WORD_ALPHABET = _POLY_ALPHABET + "ETA|\n"
+_WORD_ALPHABET = _POLY_ALPHABET + "ETA|\n;"
 
 
 def _bound_powers(text):
@@ -69,3 +72,9 @@ def test_random_text_parses_or_raises_a_value_error(text, n):
 @given(st.text(_WORD_ALPHABET, max_size=40).map(_bound_powers), st.integers(1, 3))
 def test_random_word_text_parses_or_raises_a_value_error(text, n):
     _check_parse(lambda t: parse_word(t, n), text)
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.text(_WORD_ALPHABET, max_size=40).map(_bound_powers))
+def test_random_word_text_with_inferred_n_parses_or_raises_a_value_error(text):
+    _check_parse(parse_word, text)

@@ -730,6 +730,24 @@ def test_constant_power_past_the_largest_exponent_raises():
     assert Polynomial.zero(1) ** MAX_EXPONENT == Polynomial.zero(1)
 
 
+def test_power_coefficient_budget(monkeypatch):
+    # p^k may need k * ceil(log2(T * max|num| * den)) coefficient bits:
+    # (x1 + 3)^4 needs 4 * ceil(log2(2 * 3)) = 12 and (1/3*x1)^6 needs 12.
+    p, third = P("x1 + 3", 1), P("1/3*x1", 1)
+    monkeypatch.setattr(polycore, "MAX_COEFFICIENT_BITS", 12)
+    assert p ** 4 == p * p * p * p
+    assert third ** 6 == Polynomial.monomial((6,), Fraction(1, 729), 1)
+    for base, k in [(p, 5), (third, 7)]:
+        with pytest.raises(ResourceCapExceeded) as exc:
+            base ** k
+        assert str(exc.value) == f"the coefficients of a power to {k} could need more than 12 bits"
+    # 0, 1, -1 and monomials with coefficient 1 need no bits at all.
+    monkeypatch.setattr(polycore, "MAX_COEFFICIENT_BITS", 0)
+    for text in ["0", "1", "(-1)"]:
+        assert P(text, 1) ** MAX_EXPONENT == P(text, 1)
+    assert P("x1*x2", 2) ** 1000 == Polynomial.monomial((1000, 1000), 1, 2)
+
+
 def test_exponent_bound_is_checked_exactly():
     # top + 1 - top carries the bound of top, but its product with x1 fits.
     top = Polynomial.monomial((MAX_EXPONENT - 1,), 1, 1)
