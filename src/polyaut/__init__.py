@@ -51,7 +51,6 @@ from .derivation import (
     nilpotence_order,
 )
 from .groebner import (
-    GradedLex,
     IdealBasis,
     ResourceCapExceeded,
     buchberger,

@@ -14,10 +14,9 @@ and expand([g1,..,gk]) = G1 o G2 o .. o Gk.  It evaluates the word as
 G1(G2(..Gk(x))), last generator first: starting from the identity,
 apply_generator(g, coords) applies each generator to the coordinates
 built so far, and expansion(word) yields every tuple on the way; expand
-is its last.  generator_map(g), the coordinates of one generator, is
-apply_generator on the identity.  A word carries its own certificate of
-invertibility: invert_word reverses the list and inverts each generator,
-an Affine by one elimination that also gives its determinant.
+is its last.  A word carries its own certificate of invertibility:
+invert_word reverses the list and inverts each generator, an Affine by
+one elimination that also gives its determinant.
 
 certify(phi) returns the Certified every later step reads: the map F, its
 constant Jacobian mu, the inverse and the induced weights.  For a word, mu
@@ -51,6 +50,7 @@ from .polycore import (
     PolyParseError,
     Polynomial,
     WeightVector,
+    _UINT,
     _ratio,
     _rref,
     compose,
@@ -215,11 +215,6 @@ def apply_generator(g: Generator, coords: tuple) -> tuple:
     else:
         raise TypeError(f"unknown generator {g!r}")
     return tuple(out)
-
-
-def generator_map(g: Generator) -> PolyMap:
-    """The coordinate tuple of a single generator: g applied to the identity."""
-    return PolyMap(g.n, apply_generator(g, PolyMap.identity(g.n).coords))
 
 
 def expansion(word: AutWord):
@@ -426,6 +421,17 @@ def _parse_line_poly(text: str, n: int, k: int, offset: int) -> Polynomial:
         raise PolyParseError(f"line {k}: {err.message}", offset + err.position) from None
 
 
+def _at_line(k: int, build, *args):
+    """build(*args) for line k: a ValueError it raises names the line (a
+    PolyParseError names it already, see _parse_line_poly)."""
+    try:
+        return build(*args)
+    except PolyParseError:
+        raise
+    except ValueError as err:
+        raise type(err)(f"line {k}: {err}") from None
+
+
 def _word_line(k: int, start: int, line: str, infer: bool):
     """The largest index word line k names (an E target and every x<digits>
     in its text, the T indices, the side of an A matrix, which must be
@@ -433,17 +439,16 @@ def _word_line(k: int, start: int, line: str, infer: bool):
     kind, _, rest = line.partition(" ")
     if kind == "E":
         idx_str, _, poly_str = rest.strip().partition(" ")
-        try:
-            target = int(idx_str)
-        except ValueError:
-            raise ValueError(f"line {k}: bad elementary target in {line!r}") from None
+        if not _UINT.fullmatch(idx_str):
+            raise ValueError(f"bad elementary target in {line!r}")
+        target = int(idx_str)
         offset = start + len(line) - len(poly_str)  # poly_str ends the line
-        top = max([target, *map(int, re.findall(r"x(\d+)", poly_str))])
+        top = max([target, *map(int, re.findall(r"x\s*([0-9]+)", poly_str))])
         return top, lambda n: Elementary(target, _parse_line_poly(poly_str, n, k, offset))
     if kind == "T":
         parts = rest.split()
-        if len(parts) != 2 or not all(part.isdecimal() for part in parts):
-            raise ValueError(f"line {k}: bad transposition line {line!r}")
+        if len(parts) != 2 or not all(map(_UINT.fullmatch, parts)):
+            raise ValueError(f"bad transposition line {line!r}")
         i, j = map(int, parts)
         return max(i, j), lambda n: Transposition(i, j, n)
     if kind == "A":
@@ -460,15 +465,17 @@ def _word_line(k: int, start: int, line: str, infer: bool):
             return Affine(tuple(tuple(entries[i * n : (i + 1) * n]) for i in range(n)), shift)
 
         return side, affine
-    raise ValueError(f"line {k}: unknown generator line {line!r}")
+    raise ValueError(f"unknown generator line {line!r}")
 
 
 def parse_word(text: str, n: int | None = None) -> AutWord:
     """Parse the one-generator-per-line word format, each line classified
-    once.  n, when None, is the largest index the lines name."""
-    lines = [_word_line(k, start, line, n is None) for k, start, line in _lines(text)]
-    n = _variable_count(max((top for top, _ in lines), default=0) if n is None else n)
-    return AutWord(n, tuple(generator(n) for _, generator in lines))
+    once.  n, when None, is the largest index the lines name.  An error in
+    a line, read or built, names the line."""
+    lines = [(k, *_at_line(k, _word_line, k, start, line, n is None))
+             for k, start, line in _lines(text)]
+    n = _variable_count(max((top for _, top, _ in lines), default=0) if n is None else n)
+    return AutWord(n, tuple(_at_line(k, generator, n) for k, _, generator in lines))
 
 
 def format_map(m: PolyMap) -> str:

@@ -71,7 +71,7 @@ from .polycore import (
     is_homogeneous,
     partial,
 )
-from .groebner import GradedLex, divmod_single
+from .groebner import divmod_single
 
 
 class Tag(Enum):
@@ -270,11 +270,6 @@ def _linear_front_split(front: Polynomial):
     return b, a, e1
 
 
-#: x2-degree first: dividing by the monic x2-linear x2 + a*x1^e1 under this
-#: order gives the unique split p = divisor * q + r with r free of x2.
-_X2_FIRST = GradedLex((0, 1, 0))
-
-
 # -- the matcher -------------------------------------------------------------
 
 
@@ -359,7 +354,11 @@ def _classify_x3_linear(R: Polynomial, parts: dict, d: WeightVector) -> Classify
     if a_norm != 0 and e1 < 1:
         return NotInList(_diagnose(R, d))
     divisor = _x(2) + _mono(e1, 0, 0, a_norm)
-    q, p_low = divmod_single(p0 * (Fraction(1) / b), divisor, _X2_FIRST)
+    # x2 leads the divisor for the weights (1, e1 + 1, 1), and only the
+    # leading monomial matters: p = divisor * q + r with r free of x2 is
+    # unique, so the division returns that q and r for any such order.
+    q, p_low = divmod_single(p0 * (Fraction(1) / b), divisor,
+                             WeightVector((1, e1 + 1, 1)))
     mono = _as_monomial(p_low)
     if p_low.is_zero():
         return NotInList("(x2 + a*x1^e1) divides the input, which is reducible")

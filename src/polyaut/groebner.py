@@ -16,10 +16,12 @@ Provides reduced Groebner bases over the rationals, multivariate division
     one builder, _coefficient_matrix, of int entries, and each ends in one
     polycore._rref.
 
-Every monomial order ranks packed exponents (polycore's one int per
-monomial) by one int key, built by packed_key(n) from the order's weights
-scaled to ints once.  The key is additive, key(a + b) = key(a) + key(b),
-and keeps the packed exponent in its low FIELD_BITS * n bits.  Division
+A monomial order is a WeightVector (weighted degree, ties broken
+lexicographically) or a BlockElimination over one.  It ranks packed
+exponents (polycore's one int per monomial) by one int key, built by
+_packed_key(order, n) from the weights the WeightVector scaled to ints
+once.  The key is additive, key(a + b) = key(a) + key(b), and keeps the
+packed exponent in its low FIELD_BITS * n bits.  Division
 therefore runs in place on one dict {key: int numerator} over one
 denominator: each step pops the largest key and subtracts a fraction-free
 multiple of a divisor shifted by adding keys, and no Polynomial or Fraction
@@ -51,11 +53,9 @@ from .polycore import (
     _canon,
     _check_exponents,
     _degrees,
-    _int_weights,
     _pack,
     _poly,
     _power_products,
-    _ratio,
     _rref,
     _unpacker,
     compose,
@@ -78,42 +78,6 @@ def _linear_key(prefix, n: int):
 
 
 @dataclass(frozen=True)
-class GradedLex:
-    """Weighted degree first, ties broken lexicographically.
-
-    weights = None means the standard grading (all weights 1).  Weights are
-    nonnegative rationals (zero is allowed: ties then fall to lex), scaled
-    once, at construction, to ints by the lcm of their denominators.  Like
-    every monomial order here, monomial a is greater than b iff
-    packed_key(n)(a) > packed_key(n)(b) for their packed exponents.
-    """
-
-    weights: tuple | None = None
-    _scaled: tuple | None = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        scaled = None
-        if self.weights is not None:
-            ws = [Fraction(*_ratio(w)) for w in self.weights]
-            if any(w < 0 for w in ws):
-                raise ValueError(f"order weights must be nonnegative, got {self.weights}")
-            scaled = _int_weights(ws)[1]
-        object.__setattr__(self, "_scaled", scaled)
-
-    def int_weights(self, n: int) -> tuple:
-        """The scaled weights of n variables."""
-        if self._scaled is None:
-            return (1,) * n
-        if len(self._scaled) != n:
-            raise ValueError(f"order has {len(self._scaled)} weights, not {n}")
-        return self._scaled
-
-    def packed_key(self, n: int):
-        """The key (scaled weighted degree, packed exponent) as one int."""
-        return _linear_key(self.int_weights(n), n)
-
-
-@dataclass(frozen=True)
 class BlockElimination:
     """Front block of variables dominates: eliminate the first `front` variables.
 
@@ -124,21 +88,29 @@ class BlockElimination:
     """
 
     front: int
-    back_order: GradedLex
-
-    def packed_key(self, n: int):
-        """The key ((sum x, x), (wdeg z, z)) of the front part x and back
-        part z as one int: the fields sum x, x and the scaled wdeg z above
-        the packed exponent, whose low bits are z."""
-        nx = self.front
-        ws = self.back_order.int_weights(n - nx)
-        wbits = (MAX_EXPONENT * sum(ws)).bit_length()
-        xs = [(1 << FIELD_BITS * nx | 1 << FIELD_BITS * (nx - 1 - i)) << wbits
-              for i in range(nx)]
-        return _linear_key(xs + list(ws), n)
+    back_order: WeightVector
 
 
-MonomialOrder = GradedLex | BlockElimination
+#: A WeightVector orders monomials by weighted degree, ties broken
+#: lexicographically.
+MonomialOrder = WeightVector | BlockElimination
+
+
+def _packed_key(order: MonomialOrder, n: int):
+    """The int key of order on n variables: monomial a is greater than b
+    iff key(a) > key(b) for their packed exponents.  For a front part x
+    and weights d on the back part z (all n variables for a WeightVector,
+    x empty) the key is ((sum x, x), (wdeg z, z)) as one int: the fields
+    sum x, x and the scaled wdeg z above the packed exponent, whose low
+    bits are z."""
+    nx, back = (0, order) if isinstance(order, WeightVector) else (order.front, order.back_order)
+    ws = back._int_form[1]
+    if len(ws) != n - nx:
+        raise ValueError(f"order has {len(ws)} weights, not {n - nx}")
+    wbits = (MAX_EXPONENT * sum(ws)).bit_length()
+    xs = [(1 << FIELD_BITS * nx | 1 << FIELD_BITS * (nx - 1 - i)) << wbits
+          for i in range(nx)]
+    return _linear_key(xs + list(ws), n)
 
 
 def _divides(a, b) -> bool:
@@ -172,16 +144,15 @@ class IdealBasis:
 
 class _Divisor(NamedTuple):
     """A nonzero polynomial g as division reads it, through its integer
-    multiple g * scale with content 1 and a positive leading coefficient:
-    the leading monomial lm, its key, that leading coefficient lead, and
-    the other terms of g * scale as (key, numerator) pairs."""
+    multiple with content 1 and a positive leading coefficient: the leading
+    monomial lm, its key, that leading coefficient lead, and the other
+    terms of the multiple as (key, numerator) pairs."""
 
     lm: tuple
     key: int
     lead: int
     tail: list
     g: Polynomial
-    scale: Fraction
 
 
 def _divisor(g: Polynomial, key, lm=None) -> _Divisor:
@@ -196,7 +167,7 @@ def _divisor(g: Polynomial, key, lm=None) -> _Divisor:
     if g._nums[k] < 0:
         content = -content
     tail = [(key(t), c // content) for t, c in g._nums.items() if t != k]
-    return _Divisor(lm, key(k), g._nums[k] // content, tail, g, Fraction(g.den, content))
+    return _Divisor(lm, key(k), g._nums[k] // content, tail, g)
 
 
 def _check_shift(mono, div: _Divisor):
@@ -214,8 +185,8 @@ def _reduce(work: dict, den: int, divisors, n: int, quotient=None) -> Polynomial
     cancels it, scaling work and den by lead / gcd(c, lead) first when that
     is not 1, and otherwise the term joins the remainder with the
     denominator of that step.  When quotient is a list, each step appends
-    (key of x^q, b, den) for the subtracted (b / den) * x^q * g * scale of
-    a single divisor.
+    (key of x^q, b, den) for the subtracted (b / den) * x^q times the
+    integer multiple of g of a single divisor.
     """
     mask = (1 << FIELD_BITS * n) - 1
     unpack = _unpacker(n)
@@ -280,22 +251,24 @@ def _divide(p: Polynomial, gens, lms, order: MonomialOrder) -> Polynomial:
     lms the caller already holds."""
     if not gens:
         return p
-    key = order.packed_key(p.n)
+    key = _packed_key(order, p.n)
     return _remainder(p, [_divisor(g, key, lm) for g, lm in zip(gens, lms)], key)
 
 
 def divmod_single(p: Polynomial, d: Polynomial,
                   order: MonomialOrder | None = None):
-    """Division with remainder by a single divisor: p = q*d + r.
+    """Division with remainder by a single divisor: p = q*d + r, under
+    order, by default the standard grading WeightVector.standard(p.n).
 
     r is 0 exactly when d divides p (single-divisor division is exact
-    membership for principal ideals).
+    membership for principal ideals).  The division runs on the integer
+    multiple c*d of _divisor, and q is scaled by c once at the end.
     """
     if d.is_zero():
         raise ZeroDivisionError("division by the zero polynomial")
     if order is None:
-        order = GradedLex()
-    key = order.packed_key(p.n)
+        order = WeightVector.standard(p.n)
+    key = _packed_key(order, p.n)
     div = _divisor(d, key)
     steps = []
     r = _remainder(p, [div], key, steps)
@@ -303,9 +276,10 @@ def divmod_single(p: Polynomial, d: Polynomial,
     unpack = _unpacker(p.n)
     terms = [(k & mask, b, e) for k, b, e in steps]
     ebound = max((max(unpack(a)) for a, _, _ in terms), default=0)
-    # The steps subtracted sum((b / den) * x^q) * d * scale.
+    # The steps subtracted sum((b / den) * x^q) * c * d, and c * d has the
+    # leading coefficient div.lead where d has d._nums[lm] / d.den.
     q = _collect(terms, steps[-1][2] if steps else 1, p.n, ebound)
-    return q * div.scale, r
+    return q * Fraction(d.den * div.lead, d._nums[div.key & mask]), r
 
 
 def _s_pair(f: _Divisor, g: _Divisor, kl: int, l) -> dict:
@@ -340,7 +314,7 @@ def buchberger(gens: Sequence[Polynomial], order: MonomialOrder) -> IdealBasis:
         n = gens[0].n if gens else 1
         return IdealBasis((), order, n, ())
     n = G[0].n
-    key = order.packed_key(n)
+    key = _packed_key(order, n)
     divs = [_divisor(g, key) for g in G]
     # The lcm of each pair's leading monomials, with its key.
     lcms = {}
@@ -432,10 +406,8 @@ def kernel_ideal(images: Sequence[Polynomial], dweights: WeightVector) -> IdealB
         raise ValueError("empty image list")
     nx = images[0].n
     nz = len(images)
-    if len(dweights) != nz:
-        raise ValueError("dweights length must match image count")
     total = nx + nz
-    order = BlockElimination(nx, GradedLex(tuple(dweights.weights)))
+    order = BlockElimination(nx, dweights)
     xs = [Polynomial.variable(j, total) for j in range(1, nx + 1)]
     gens = [
         Polynomial.variable(nx + i, total) - compose(img, xs)
@@ -444,7 +416,7 @@ def kernel_ideal(images: Sequence[Polynomial], dweights: WeightVector) -> IdealB
     gb = buchberger(gens, order)
     to_z = [Polynomial.zero(nz)] * nx + [Polynomial.variable(i, nz) for i in range(1, nz + 1)]
     kept = [(g, lm) for g, lm in zip(gb.gens, gb.lms) if not any(lm[:nx])]
-    return IdealBasis(tuple(compose(g, to_z) for g, _ in kept), order.back_order, nz,
+    return IdealBasis(tuple(compose(g, to_z) for g, _ in kept), dweights, nz,
                       tuple(lm[nx:] for _, lm in kept))
 
 

@@ -780,9 +780,12 @@ def _rref(matrix):
 # factor := atom ['^' UINT]
 # atom   := UINT ['/' UINT] | 'x' UINT | '(' expr ')'
 #
-# Whitespace is insignificant.  Variables are x1..xn (multi-digit indices
-# allowed, e.g. x12); rational literals are written p/q.  Parentheses nest
-# at most MAX_PAREN_DEPTH deep.
+# Whitespace is insignificant.  UINT is ASCII digits, [0-9]+, in every
+# reader of input text.  Variables are x1..xn (multi-digit indices allowed,
+# e.g. x12); rational literals are written p/q.  Parentheses nest at most
+# MAX_PAREN_DEPTH deep.
+
+_UINT = re.compile(r"[0-9]+")
 
 #: The deepest nesting of parentheses parse_poly accepts; a '(' past it is a
 #: PolyParseError at that '('.  Each level costs the recursive-descent parser
@@ -818,12 +821,11 @@ class _Tokenizer:
 
     def take_uint(self) -> int:
         self._skip_ws()
-        start = self.pos
-        while self.pos < len(self.text) and self.text[self.pos].isdigit():
-            self.pos += 1
-        if self.pos == start:
-            raise PolyParseError("expected an integer", start)
-        return int(self.text[start : self.pos])
+        digits = _UINT.match(self.text, self.pos)
+        if digits is None:
+            raise PolyParseError("expected an integer", self.pos)
+        self.pos = digits.end()
+        return int(digits.group())
 
 
 class _Parser:
@@ -888,7 +890,7 @@ class _Parser:
                     f"variable x{idx} out of range for n={self.n}", pos
                 )
             return Polynomial.variable(idx, self.n)
-        if ch.isdigit():
+        if "0" <= ch <= "9":
             num = self.tok.take_uint()
             if self.tok.take_char("/"):
                 den_pos = self.tok.pos

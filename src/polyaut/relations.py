@@ -161,12 +161,15 @@ def check_degree_lemma(phi: AutWord | PolyMap | Certified, w1: WeightVector,
     relation.  A report computed for phi supplies the expanded map; without
     one, relation_report(phi, w1) computes it.  A report computed for other
     weights than w1 raises ValueError: its d would measure the right side
-    in another grading.
+    in another grading.  So does a report whose map is not phi's: it would
+    answer for that map.
     """
     if report is None:
         report = relation_report(phi, w1)
     elif report.w1 != w1:
         raise ValueError("report was computed for a different w1")
+    elif phi not in (report.cert, report.cert.phi) and certify(phi).m != report.cert.m:
+        raise ValueError("report was computed for a different automorphism")
     lhs = wdeg(compose(p, report.cert.m.coords), w1)
     rhs = wdeg(p, report.d)
     strict = (rhs is not MINUS_INFINITY) and lhs < rhs

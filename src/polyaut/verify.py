@@ -36,12 +36,9 @@ from .autmap import (
     Affine,
     AutWord,
     Elementary,
-    PolyMap,
     Transposition,
     certify,
-    compose_map,
     expand,
-    generator_map,
 )
 from .classify3 import (
     Classified,
@@ -169,27 +166,25 @@ def random_tame_word(rng: random.Random, n: int, max_gens: int = 6,
     """A random word of tame generators whose expansion stays within a
     degree budget; mode selects 'any', 'affine' or 'nonaffine' corpora.
 
-    The word is expanded incrementally while sampling and abandoned as soon
-    as an intermediate coordinate degree leaves the budget, so rejected
-    draws never pay for a large expansion.
+    Outside 'affine' mode the word drawn so far is expanded after each
+    draw and abandoned as soon as a coordinate degree leaves the budget, so
+    rejected draws never pay for a large expansion.
     """
     for _ in range(2000):
         target_len = rng.randint(1, max_gens)
-        gens = []
-        m = PolyMap.identity(n)
+        word = AutWord(n, ())
         ok = True
         for _ in range(target_len):
             g = _random_generator(rng, n, mode, max_addend_deg, coeff_bound)
-            m = compose_map(m, generator_map(g))
-            gens.append(g)
+            word = AutWord(n, word.gens + (g,))
             if mode != "affine":
+                m = expand(word)
                 degs = [c.total_degree() for c in m.coords]
                 if any(d is MINUS_INFINITY or d > max_coord_deg for d in degs):
                     ok = False
                     break
         if not ok:
             continue
-        word = AutWord(n, tuple(gens))
         if mode == "affine":
             return word
         maxdeg = max(int(c.total_degree()) for c in m.coords)

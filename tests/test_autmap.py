@@ -477,10 +477,12 @@ def test_map_variable_count_is_the_number_of_lines():
 
 
 def test_affine_line_is_square_only_while_inferring():
-    with pytest.raises(ValueError, match="^affine line does not contain a square matrix$"):
+    with pytest.raises(ValueError,
+                       match="^line 1: affine line does not contain a square matrix$"):
         parse_word("A 1 2 3 | 0 0")
-    with pytest.raises(ValueError, match="^affine line needs 4 matrix entries and 2 shifts$"):
-        parse_word("A 1 2 3 | 0 0", 2)
+    with pytest.raises(ValueError,
+                       match="^line 2: affine line needs 4 matrix entries and 2 shifts$"):
+        parse_word("T 1 2\nA 1 2 3 | 0 0", 2)
 
 
 @pytest.mark.parametrize(
@@ -522,6 +524,38 @@ def test_malformed_transposition_names_the_line(text, k):
     with pytest.raises(ValueError) as err:
         parse_word(text)
     assert str(err.value) == f"line {k}: bad transposition line {bad!r}"
+
+
+@pytest.mark.parametrize(
+    "text, n, message",
+    [
+        ("E 1 x2; T 1 2; E 3 x1", 2, "line 3: target 3 out of range 1..2"),
+        ("T 1 2; T 1 1", None, "line 2: transposition needs two distinct indices"),
+        ("E 1 x1", None, "line 1: elementary addend must not involve the target variable"),
+        ("A 1 2 2 4 | 0 0", None, "line 1: affine generator has singular matrix"),
+        ("E 1_0 x2", None, "line 1: bad elementary target in 'E 1_0 x2'"),
+        ("E +1 x2", None, "line 1: bad elementary target in 'E +1 x2'"),
+        ("T ١ ٢", None, "line 1: bad transposition line 'T ١ ٢'"),
+    ],
+)
+def test_invalid_generator_lines_name_the_line(text, n, message):
+    with pytest.raises(ValueError) as err:
+        parse_word(text, n)
+    assert str(err.value) == message
+
+
+def test_indices_are_ascii_digits():
+    # int() and str.isdigit take other digits (x٣ would mean x3, x² fails
+    # inside int()); every reader takes [0-9]+ only.
+    for text, position in [("x²", 1), ("x٣", 1), ("٣", 0), ("x1^²", 3)]:
+        with pytest.raises(polycore.PolyParseError) as err:
+            parse_poly(text, 3)
+        assert err.value.position == position
+    with pytest.raises(polycore.PolyParseError) as err:
+        parse_word("E 1 x٣")
+    assert (err.value.message, err.value.position) == ("line 1: expected an integer", 5)
+    # Whitespace is insignificant after x, for the inferred n too.
+    assert parse_word("E 1 x 3") == parse_word("E 1 x3") == parse_word("E 1 x3", 3)
 
 
 @pytest.mark.parametrize(

@@ -304,34 +304,35 @@ def test_non_automorphism_input_is_domain_outcome(capsys, argv, message):
 
 
 @pytest.mark.parametrize(
-    "argv",
+    "argv, line",
     [
-        ["compose", "--word", "A 1/0 0 0 1 | 0 0"],
-        ["compose", "--word", "A 1 0 0 1 | 1/0 0"],
-        ["relations", "--map", "x1;x2", "--weights", "1/0,1"],
-        ["classify3", "--rel", "x3^2 + x2^3", "--weights", "1,2,1/0"],
+        (["compose", "--word", "A 1/0 0 0 1 | 0 0"], "line 1: "),
+        (["compose", "--word", "A 1 0 0 1 | 1/0 0"], "line 1: "),
+        (["relations", "--map", "x1;x2", "--weights", "1/0,1"], ""),
+        (["classify3", "--rel", "x3^2 + x2^3", "--weights", "1,2,1/0"], ""),
     ],
     ids=["word-matrix", "word-shift", "relations-weights", "classify3-weights"],
 )
-def test_zero_denominator_is_usage_error(capsys, argv):
+def test_zero_denominator_is_usage_error(capsys, argv, line):
+    # A word line names itself; a weight list is not line input.
     status = main(argv)
     captured = capsys.readouterr()
     assert status == 2
     assert captured.out == ""
-    assert captured.err.splitlines() == ["error: zero denominator in '1/0'"]
+    assert captured.err.splitlines() == [f"error: {line}zero denominator in '1/0'"]
 
 
 @pytest.mark.parametrize(
-    "argv, token",
+    "argv, line, token",
     [
-        (["compose", "--word", "A 1e3 0 0 1 | 0 0"], "1e3"),
-        (["compose", "--word", "A 1 0 0 1 | 2E-1 0"], "2E-1"),
-        (["relations", "--map", "x1;x2", "--weights", "1_0,1"], "1_0"),
-        (["classify3", "--rel", "x3^2 + x2^3", "--weights", "1,2,1e3"], "1e3"),
+        (["compose", "--word", "A 1e3 0 0 1 | 0 0"], "line 1: ", "1e3"),
+        (["compose", "--word", "A 1 0 0 1 | 2E-1 0"], "line 1: ", "2E-1"),
+        (["relations", "--map", "x1;x2", "--weights", "1_0,1"], "", "1_0"),
+        (["classify3", "--rel", "x3^2 + x2^3", "--weights", "1,2,1e3"], "", "1e3"),
     ],
     ids=["word-matrix", "word-shift", "relations-weights", "classify3-weights"],
 )
-def test_rational_outside_the_grammar_is_usage_error(capsys, argv, token):
+def test_rational_outside_the_grammar_is_usage_error(capsys, argv, line, token):
     # Affine entries and weights are integers, p/q or decimals; exponent
     # notation and underscores are malformed input, like 1/0.
     status = main(argv)
@@ -339,13 +340,14 @@ def test_rational_outside_the_grammar_is_usage_error(capsys, argv, token):
     assert status == 2
     assert captured.out == ""
     assert captured.err.splitlines() == [
-        f"error: invalid rational literal '{token}': expected an integer, p/q or a decimal"]
+        f"error: {line}invalid rational literal '{token}': expected an integer, p/q or a decimal"]
 
 
 @pytest.mark.parametrize(
     "argv, message",
     [
-        (["compose", "--word", "A 1 2 3 | 0 0"], "affine line does not contain a square matrix"),
+        (["compose", "--word", "A 1 2 3 | 0 0"],
+         "line 1: affine line does not contain a square matrix"),
         (["relations", "--map", ";"], "empty map input"),
         (["relations", "--map", "x1; x2", "--weights", "1"], "expected 2 weights, got 1"),
         (["lnd-witness", "--map", "x1 + x2^2; x2"],
@@ -531,6 +533,38 @@ def test_malformed_transposition_is_usage_error(capsys, word):
 def test_parse_errors_name_the_line(capsys, argv, message):
     # The position is in the text as typed, not in a rewritten copy (see also
     # test_parentheses_past_the_bound_are_usage_errors).
+    status = main(argv)
+    captured = capsys.readouterr()
+    assert status == 2
+    assert captured.out == ""
+    assert captured.err.splitlines() == [f"error: {message}"]
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["compose", "--map", "x²; x1"], "line 1: expected an integer (at position 1)"),
+        (["compose", "--word", "E 1_0 x2"], "line 1: bad elementary target in 'E 1_0 x2'"),
+        (["compose", "--word", "E +1 x2"], "line 1: bad elementary target in 'E +1 x2'"),
+        (["compose", "--word", "T ١ ٢"], "line 1: bad transposition line 'T ١ ٢'"),
+        (["compose", "--word", "E 1 x٣"], "line 1: expected an integer (at position 5)"),
+        (["compose", "--word", "E 1 x2; T 1 2; E 3 x1", "--n", "2"],
+         "line 3: target 3 out of range 1..2"),
+        (["compose", "--word", "T 1 2; T 1 1"],
+         "line 2: transposition needs two distinct indices"),
+        (["compose", "--word", "E 1 x1"],
+         "line 1: elementary addend must not involve the target variable"),
+        (["compose", "--word", "A 1 2 2 4 | 0 0"], "line 1: affine generator has singular matrix"),
+        (["compose", "--word", "T 1 2; A 1 2 3 | 0 0", "--n", "2"],
+         "line 2: affine line needs 4 matrix entries and 2 shifts"),
+    ],
+    ids=["superscript-digit", "underscore-target", "signed-target", "arabic-indic-indices",
+         "arabic-indic-variable", "target-out-of-range", "equal-indices", "target-in-addend",
+         "singular-matrix", "affine-entry-count"],
+)
+def test_invalid_lines_are_usage_errors_naming_the_line(capsys, argv, message):
+    # Digits are ASCII [0-9] in every reader, and a line that reads but builds
+    # no generator names its line like a parse error does.
     status = main(argv)
     captured = capsys.readouterr()
     assert status == 2

@@ -9,9 +9,9 @@ from hypothesis import example, given, settings, strategies as st
 from polyaut.autmap import deg2_weights, expand, parse_map
 from polyaut.groebner import (
     BlockElimination,
-    GradedLex,
     ResourceCapExceeded,
     _divide,
+    _packed_key,
     buchberger,
     divmod_single,
     graded_kernel_oracle,
@@ -47,13 +47,12 @@ def P(text, n):
 
 
 def _reference_key(order, exp):
-    """(weighted degree, exp) for GradedLex; ((sum x, x), (wdeg z, z)) for
-    BlockElimination with front part x and back part z."""
+    """(weighted degree, exp) for a WeightVector; ((sum x, x), (wdeg z, z))
+    for BlockElimination with front part x and back part z."""
     if isinstance(order, BlockElimination):
         x, z = exp[: order.front], exp[order.front :]
         return ((sum(x), x), _reference_key(order.back_order, z))
-    weights = order.weights if order.weights is not None else (1,) * len(exp)
-    return (sum(Fraction(w) * e for w, e in zip(weights, exp)), exp)
+    return (sum(w * e for w, e in zip(order.weights, exp)), exp)
 
 
 def _reference_lm(p, order):
@@ -91,23 +90,23 @@ def _reference_divide(p, gens, order):
 
 def test_normal_form_self():
     r = P("x1 - x2^2", 2)
-    basis = buchberger([r], GradedLex())
+    basis = buchberger([r], WeightVector.standard(2))
     assert normal_form(r, basis).is_zero()
 
 
 def test_normal_form_unit():
-    basis = buchberger([P("x1", 2)], GradedLex())
+    basis = buchberger([P("x1", 2)], WeightVector.standard(2))
     assert normal_form(Polynomial.constant(1, 2), basis) == Polynomial.constant(1, 2)
 
 
 def test_normal_form_divisible():
-    basis = buchberger([P("x1 - x2^2", 2)], GradedLex())
+    basis = buchberger([P("x1 - x2^2", 2)], WeightVector.standard(2))
     assert normal_form(P("x1^2 - x2^4", 2), basis).is_zero()
 
 
 def test_basis_holds_its_leading_monomials():
     rng = random.Random(557)
-    bases = [buchberger([P("x1^2", 2), P("x1*x2", 2), P("x2^2", 2)], GradedLex())]
+    bases = [buchberger([P("x1^2", 2), P("x1*x2", 2), P("x2^2", 2)], WeightVector.standard(2))]
     for _ in range(4):
         word = random_tame_word(rng, 3, max_gens=4, max_addend_deg=3, max_coord_deg=5)
         m = expand(word)
@@ -135,7 +134,7 @@ def _derived_leading_monomials(monkeypatch):
 
 
 def test_normal_form_reads_the_held_leading_monomials(monkeypatch):
-    basis = buchberger([P("x1^2", 2), P("x1*x2", 2), P("x2^2", 2)], GradedLex())
+    basis = buchberger([P("x1^2", 2), P("x1*x2", 2), P("x2^2", 2)], WeightVector.standard(2))
     assert len(basis) == 3
     derived = _derived_leading_monomials(monkeypatch)
     assert normal_form(Polynomial.constant(1, 2), basis) == Polynomial.constant(1, 2)
@@ -169,11 +168,11 @@ def test_divmod_single_exact_and_inexact():
 def _division_cases():
     """Seeded (dividend, divisors, order) triples: dividends with rational
     coefficients, primitive non-monic divisors as inside buchberger, and
-    standard, weighted, zero-weight and block orders."""
+    standard, weighted, x2-heavy and block orders."""
     rng = random.Random(558)
-    orders = [GradedLex(), GradedLex((0, 1, 0)),
-              GradedLex((Fraction(1, 2), 3, Fraction(2, 3))),
-              BlockElimination(1, GradedLex((2, 1)))]
+    orders = [WeightVector.standard(3), WeightVector((1, 9, 1)),
+              WeightVector((Fraction(1, 2), 3, Fraction(2, 3))),
+              BlockElimination(1, WeightVector((2, 1)))]
     for trial in range(32):
         p = Polynomial.zero(3)
         for _ in range(3):
@@ -197,17 +196,38 @@ def test_divide_matches_reference():
     assert nonmonic >= 10
 
 
+def test_only_divmod_single_scales_by_a_fraction(count_fractions):
+    # Division runs on each divisor's integer multiple; divmod_single alone
+    # scales back, once, by the Fraction it builds from the leading terms.
+    cases = list(_division_cases())
+    bases = [buchberger(gens, order) for _, gens, order in cases]
+    made = count_fractions()
+    for (p, gens, order), basis in zip(cases, bases):
+        buchberger(gens, order)
+        normal_form(p, basis)
+    assert "_divisor" not in made
+    for p, gens, order in cases:
+        made.clear()
+        divmod_single(p, gens[0], order)
+        assert made.count("divmod_single") == 1 and "_divisor" not in made
+
+
 def test_orders_reject_negative_and_miscounted_weights():
-    with pytest.raises(ValueError):
-        GradedLex((1, -1))
-    with pytest.raises(ValueError):
-        GradedLex((1, 2)).packed_key(3)
+    for weights in [(1, -1), (0, 1)]:
+        with pytest.raises(ValueError, match="weights must be positive"):
+            WeightVector(weights)
+    with pytest.raises(ValueError, match="order has 2 weights, not 3"):
+        _packed_key(WeightVector((1, 2)), 3)
+    with pytest.raises(ValueError, match="order has 2 weights, not 1"):
+        _packed_key(BlockElimination(1, WeightVector((1, 2))), 2)
+    with pytest.raises(ValueError, match="order has 1 weights, not 2"):
+        kernel_ideal([P("x1", 2), P("x2^2", 2)], WeightVector((1,)))
 
 
 def test_division_past_the_largest_exponent_raises():
     # x2 leads x2 - x1^2 for the weights (1, 3); cancelling x1^(MAX - 1) * x2
     # would need x1^(MAX + 1).
-    order = GradedLex((1, 3))
+    order = WeightVector((1, 3))
     g = P("x2 - x1^2", 2)
     p = Polynomial.monomial((MAX_EXPONENT - 1, 1), 1, 2)
     with pytest.raises(ExponentOverflow):
@@ -218,7 +238,7 @@ def test_division_past_the_largest_exponent_raises():
     gens = [P("x1*x2 + x2^2", 2), Polynomial.monomial((0, MAX_EXPONENT), 1, 2)]
     for pair in (gens, gens[::-1]):
         with pytest.raises(ExponentOverflow):
-            buchberger(pair, GradedLex())
+            buchberger(pair, WeightVector.standard(2))
     # A remainder keeps a true exponent bound for later products.
     r = _divide(Polynomial.monomial((MAX_EXPONENT, 0), 1, 2), [P("x2", 2)], [(0, 1)], order)
     with pytest.raises(ExponentOverflow):
@@ -236,21 +256,18 @@ _EXPONENT = st.one_of(st.integers(0, 6), st.integers(0, MAX_EXPONENT))
 @st.composite
 def _order_and_exponents(draw):
     """An order on n variables and two exponent tuples for it."""
-    kind = draw(st.sampled_from(["standard", "int", "rational", "zero", "block"]))
+    kind = draw(st.sampled_from(["standard", "int", "rational", "block"]))
     n = draw(st.integers(1, 4))
     if kind == "standard":
-        order = GradedLex()
+        order = WeightVector.standard(n)
     elif kind == "int":
-        order = GradedLex(tuple(draw(st.integers(1, 9)) for _ in range(n)))
+        order = WeightVector(tuple(draw(st.integers(1, 9)) for _ in range(n)))
     elif kind == "rational":
-        order = GradedLex(tuple(draw(_WEIGHT) for _ in range(n)))
-    elif kind == "zero":
-        n = 3
-        order = GradedLex((0, 1, 0))
+        order = WeightVector(tuple(draw(_WEIGHT) for _ in range(n)))
     else:
         nx = draw(st.integers(1, 3))
         d = tuple(draw(_WEIGHT) for _ in range(n))
-        order, n = BlockElimination(nx, GradedLex(d)), nx + n
+        order, n = BlockElimination(nx, WeightVector(d)), nx + n
     a = draw(st.tuples(*[_EXPONENT] * n))
     # b shares some of a's entries, so that comparisons often tie on a prefix.
     b = tuple(draw(st.one_of(st.just(e), _EXPONENT)) for e in a)
@@ -260,10 +277,10 @@ def _order_and_exponents(draw):
 @settings(max_examples=300, deadline=None)
 @given(_order_and_exponents())
 # Equal sum x, and a back degree 9 * MAX that must not reach the x fields.
-@example((BlockElimination(2, GradedLex((9,))), 3, (0, 5, MAX_EXPONENT), (1, 4, 0)))
+@example((BlockElimination(2, WeightVector((9,))), 3, (0, 5, MAX_EXPONENT), (1, 4, 0)))
 def test_packed_key_ranks_like_the_reference_key(case):
     order, n, a, b = case
-    key = order.packed_key(n)
+    key = _packed_key(order, n)
     ka, kb = key(_pack(a, n)), key(_pack(b, n))
     assert _sign(ka, kb) == _sign(_reference_key(order, a), _reference_key(order, b))
     # Division shifts keys by adding them and reads exponents off the low bits.
@@ -277,17 +294,17 @@ def test_packed_key_ranks_like_the_reference_key(case):
 
 
 def test_buchberger_zero_input():
-    basis = buchberger([Polynomial.zero(2)], GradedLex())
+    basis = buchberger([Polynomial.zero(2)], WeightVector.standard(2))
     assert basis.is_zero_ideal()
 
 
 def test_buchberger_two_reductions():
-    basis = buchberger([P("x1 - x2^2", 2), P("x2", 2)], GradedLex())
+    basis = buchberger([P("x1 - x2^2", 2), P("x2", 2)], WeightVector.standard(2))
     assert set(basis.gens) == {P("x1", 2), P("x2", 2)}
 
 
 def test_buchberger_principal_input_is_monic_singleton():
-    basis = buchberger([P("6*x1^2 - 4*x2", 2)], GradedLex())
+    basis = buchberger([P("6*x1^2 - 4*x2", 2)], WeightVector.standard(2))
     assert len(basis) == 1
     assert basis.gens[0] == P("x1^2 - 2/3*x2", 2)
 
@@ -297,7 +314,7 @@ def test_buchberger_s_polynomials_reduce_to_zero():
     for _ in range(6):
         gens = [random_polynomial(rng, 2, max_terms=3, max_deg=3, coeff_bound=4)
                 for _ in range(2)]
-        basis = buchberger(gens, GradedLex())
+        basis = buchberger(gens, WeightVector.standard(2))
         for i in range(len(basis.gens)):
             for j in range(i + 1, len(basis.gens)):
                 s = _s_poly(basis.gens[i], basis.gens[j], basis.order)
@@ -314,7 +331,7 @@ def test_buchberger_resource_cap(monkeypatch):
     ]
     monkeypatch.setattr(groebner, "MAX_S_PAIRS", 1)
     with pytest.raises(ResourceCapExceeded, match="exceeded 1 S-pair reductions"):
-        buchberger(gens, GradedLex())
+        buchberger(gens, WeightVector.standard(2))
 
 
 def test_relation_report_principal_cases():
@@ -414,10 +431,9 @@ def _seeded_kernel_bases():
 def test_kernel_basis_is_monic_and_sorted_for_the_z_order():
     sizes = []
     for basis, d in _seeded_kernel_bases():
-        order = GradedLex(tuple(d.weights))
-        assert basis.order == order
-        keys = [_reference_key(order, _reference_lm(g, order)) for g in basis.gens]
-        assert all(g.terms[_reference_lm(g, order)] == 1 for g in basis.gens)
+        assert basis.order == d
+        keys = [_reference_key(d, _reference_lm(g, d)) for g in basis.gens]
+        assert all(g.terms[_reference_lm(g, d)] == 1 for g in basis.gens)
         assert all(a > b for a, b in zip(keys, keys[1:]))
         sizes.append(len(basis))
     assert max(sizes) >= 2
@@ -579,9 +595,8 @@ def test_oracle_shares_compose_power_products(monkeypatch):
     assert len(calls) == 65
     assert sum(len(elements) for elements, _ in found) == 15
     for elements, d in found:
-        order = GradedLex(d.weights)
         for g in elements:
-            assert g.coeff(_reference_lm(g, order)) == 1
+            assert g.coeff(_reference_lm(g, d)) == 1
 
 
 def test_oracle_eliminates_int_matrices(monkeypatch, count_fractions):
@@ -703,14 +718,15 @@ def test_buchberger_matches_criteria_free_reference():
     # The reduced Groebner basis is unique, so the optimized engine must
     # agree exactly with a pair-by-pair reference run.
     for trial, gens in enumerate(_criteria_free_inputs()):
-        order = GradedLex()
+        order = WeightVector.standard(gens[0].n)
         assert buchberger(gens, order).gens == _naive_buchberger(gens, order), f"trial {trial}"
 
 
 def test_buchberger_bases_are_reduced():
     # Monic at the held leading monomial, no term divisible by another
     # member's leading monomial, and the held lms are the true ones.
-    bases = [buchberger(gens, GradedLex()) for gens in _criteria_free_inputs()]
+    bases = [buchberger(gens, WeightVector.standard(gens[0].n))
+             for gens in _criteria_free_inputs()]
     bases += [basis for basis, _ in _seeded_kernel_bases()]
     assert max(len(basis) for basis in bases) >= 2
     for basis in bases:
@@ -741,7 +757,7 @@ def test_kernel_and_oracle_agree_on_arbitrary_graded_images():
         oracle = graded_kernel_oracle(images, d, dmax)
         for g in oracle:
             assert normal_form(g, basis).is_zero()
-            assert g.coeff(_reference_lm(g, GradedLex(d.weights))) == 1
+            assert g.coeff(_reference_lm(g, d)) == 1
         for g in basis.gens:
             if wdeg(g, d) <= dmax:
                 assert span_contains(oracle, g)

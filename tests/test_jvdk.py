@@ -29,8 +29,7 @@ def _monic(p, order):
     (0 stays 0)."""
     if p.is_zero():
         return p
-    weights = order.weights if order.weights is not None else (1,) * p.n
-    lm = max(p.support(), key=lambda e: (sum(w * a for w, a in zip(weights, e)), e))
+    lm = max(p.support(), key=lambda e: (sum(w * a for w, a in zip(order.weights, e)), e))
     return p * (Fraction(1) / p.coeff(lm))
 
 

@@ -292,6 +292,7 @@ def test_parachute_random_cases():
 def test_report_carries_its_map_and_lemma_queries_reuse_it(expand_calls):
     rng = random.Random(46)
     word = random_tame_word(rng, 3, max_gens=4, max_addend_deg=3, max_coord_deg=5)
+    expand_calls.clear()  # the sampler's own expansions
     report = relation_report(word)
     for _ in range(5):
         check_degree_lemma(word, report.w1, random_polynomial(rng, 3), report=report)
@@ -360,6 +361,22 @@ def test_degree_lemma_rejects_a_report_for_other_weights():
     with pytest.raises(ValueError, match="different w1"):
         check_degree_lemma(ELEM, w1, P("x2", 2), report=report)
     assert check_degree_lemma(ELEM, w1, P("x2", 2))[:2] == (3, 3)
+
+
+def test_degree_lemma_rejects_a_report_for_another_automorphism():
+    # Read through the report of E 2 x1^3, the query for E 1 x2^2 would
+    # answer (1, 1, False, False) for the wrong map.
+    from polyaut.autmap import parse_word
+
+    phi, other = parse_word("E 1 x2^2"), parse_word("E 2 x1^3")
+    w1 = WeightVector.standard(2)
+    with pytest.raises(ValueError, match="different automorphism"):
+        check_degree_lemma(phi, w1, P("x1", 2), report=relation_report(other))
+    assert check_degree_lemma(phi, w1, P("x1", 2)) == (2, 2, False, False)
+    # The same automorphism as a word, its map or its Certified reads the report.
+    report = relation_report(expand(phi))
+    for same in (phi, expand(phi), certify(phi), report.cert):
+        assert check_degree_lemma(same, w1, P("x1", 2), report=report) == (2, 2, False, False)
 
 
 def test_nabla_is_an_integer_for_the_standard_degree():

@@ -20,11 +20,12 @@ def test_witness_suites_read_the_certified_jacobian(count_calls, suite):
 
 def test_parachute_suite_passes_the_word(count_calls, expand_calls):
     # Each word is certified once, from its generators' determinants, and
-    # its queries share its Certified: 5 words serve the 25 cases.
+    # its queries share its Certified: 5 words serve the 25 cases.  The other
+    # 12 expansions are random_tame_word's, one per prefix it draws.
     calls = count_calls(polycore, "jacobian")
     assert run_suite("parachute", 20260810, 25).passed
     assert calls == []
-    assert len(expand_calls) == 5
+    assert len(expand_calls) == 5 + 12
 
 
 def test_parachute_suite_takes_the_weights_once_per_word(count_calls):
@@ -42,6 +43,7 @@ def test_lnd_witness_suite_certifies_each_word_once(count_calls):
     # reference, and one forward expansion and d each, shared by the report
     # and the witness.  Drawing the 5 principal words computes 6 reports
     # (one draw is rejected), hence 36 forward expansions and 36 d's.
+    # random_tame_word expands each prefix it draws: 127 more expansions.
     from polyaut import autmap, verify
 
     verify.plane_corpus.cache_clear()
@@ -51,7 +53,8 @@ def test_lnd_witness_suite_certifies_each_word_once(count_calls):
     expansions = count_calls(autmap, "expansion")
     weights = count_calls(autmap, "deg2_weights")
     assert run_suite("lnd-witness", 20260810, 25).passed
-    assert (len(inverts), len(expands), len(expansions), len(weights)) == (30, 36, 66, 36)
+    assert (len(inverts), len(expands), len(expansions), len(weights)) == (
+        30, 36 + 127, 66 + 127, 36)
 
 
 def test_lnd01_suite_builds_the_derivations_once_per_word(count_calls):
