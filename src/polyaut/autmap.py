@@ -21,9 +21,11 @@ one elimination that also gives its determinant.
 certify(phi) returns the Certified every later step reads: the map F, its
 constant Jacobian mu, the inverse and the induced weights.  For a word, mu
 is the product of the generator determinants (each Affine keeps its det).
-A raw PolyMap is only *certified* as an automorphism through the plane
-decomposition (jvdk); certify applies the necessary but, for n >= 2, not
-sufficient check that its Jacobian is a nonzero constant (jacobian_constant).
+A raw PolyMap is *certified* as an automorphism by the plane decomposition
+(jvdk, n = 2) or by a supplied inverse (certify(m, inverse), one
+composition); without either, certify applies only the necessary but, for
+n >= 2, not sufficient check that its Jacobian is a nonzero constant
+(jacobian_constant).
 
 Text formats, read by parse_word and parse_map alone; a line ends at a
 newline or at a ';':
@@ -484,11 +486,12 @@ def format_map(m: PolyMap) -> str:
 
 def parse_map(text: str, n: int | None = None) -> PolyMap:
     """Parse one polynomial per line; n, when None, is the number of nonblank
-    lines."""
+    lines.  An error in a line names the line."""
     lines = list(_lines(text))
     if n is None and not lines:
         raise ValueError("empty map input")
     n = _variable_count(len(lines) if n is None else n)
     if len(lines) != n:
         raise ValueError(f"expected {n} coordinate lines, got {len(lines)}")
-    return PolyMap(n, tuple(_parse_line_poly(line, n, k, start) for k, start, line in lines))
+    return PolyMap(n, tuple(_at_line(k, _parse_line_poly, line, n, k, start)
+                            for k, start, line in lines))

@@ -196,6 +196,11 @@ def _val_x1(q: Polynomial) -> int:
     return min(m[0] for m in q.terms)
 
 
+def _binomial(a, b, e: int) -> Polynomial:
+    """The x2-linear binomial a*x1^e + b*x2."""
+    return _mono(e, 0, 0, a) + _mono(0, 1, 0, b)
+
+
 # -- pattern builders --------------------------------------------------------
 
 
@@ -209,8 +214,7 @@ def pattern_polynomial(tag: Tag, params: dict) -> Polynomial:
     if tag is Tag.TWO_VAR_BINOMIAL:
         return _mono(p["e1"], 0, 0) + _mono(0, p["e2"], 0, p["c"])
     if tag is Tag.T3:
-        front = _x(2) + _mono(p["e1"], 0, 0, p["a"])
-        return front * _x(3) + _mono(p["k"], 0, 0, p["c"])
+        return _binomial(p["a"], 1, p["e1"]) * _x(3) + _mono(p["k"], 0, 0, p["c"])
     if tag is Tag.T4:
         return _mono(p["k"], 0, 1) + p["P"]
     sq = _mono(0, 0, 2)
@@ -225,18 +229,14 @@ def pattern_polynomial(tag: Tag, params: dict) -> Polynomial:
     if tag is Tag.T9:
         return sq + _mono(p["e1"], 0, 0, p["a"]) + _mono(0, 2, 0, p["b"])
     if tag is Tag.T10:
-        binom = _mono(p["e1"], 0, 0, p["a"]) + _mono(0, 1, 0, p["b"])
-        return sq + binom * _mono(p["r1"], 0, 0)
+        return sq + _binomial(p["a"], p["b"], p["e1"]) * _mono(p["r1"], 0, 0)
     if tag is Tag.T11:
-        b1 = _mono(p["e1"], 0, 0, p["a1"]) + _mono(0, 1, 0, p["b1"])
-        b2 = _mono(p["e1"], 0, 0, p["a2"]) + _mono(0, 1, 0, p["b2"])
-        return sq + b1 * b2
+        return sq + _binomial(p["a1"], p["b1"], p["e1"]) * _binomial(p["a2"], p["b2"], p["e1"])
     if tag is Tag.T12:
-        l1 = _mono(1, 0, 0, p["a1"]) + _mono(0, 1, 0, p["b1"])
-        l2 = _mono(1, 0, 0, p["a2"]) + _mono(0, 1, 0, p["b2"])
-        return sq + l1 * l2 * l2
+        l2 = _binomial(p["a2"], p["b2"], 1)
+        return sq + _binomial(p["a1"], p["b1"], 1) * l2 * l2
     if tag is Tag.T13:
-        binom = _mono(p["e1"], 0, 0, p["a"]) + _mono(0, 1, 0, p["b"])
+        binom = _binomial(p["a"], p["b"], p["e1"])
         return sq + binom * binom * _x(1)
     raise ValueError(f"unknown tag {tag}")
 
@@ -353,7 +353,7 @@ def _classify_x3_linear(R: Polynomial, parts: dict, d: WeightVector) -> Classify
     a_norm = a / b
     if a_norm != 0 and e1 < 1:
         return NotInList(_diagnose(R, d))
-    divisor = _x(2) + _mono(e1, 0, 0, a_norm)
+    divisor = _binomial(a_norm, 1, e1)
     # x2 leads the divisor for the weights (1, e1 + 1, 1), and only the
     # leading monomial matters: p = divisor * q + r with r free of x2 is
     # unique, so the division returns that q and r for any such order.
@@ -645,6 +645,12 @@ class NormalForm:
     residual_scalar: Fraction
 
 
+def _plane_affine(m) -> Affine:
+    """The linear map that fixes x3 and acts on x1, x2 by the 2x2 block m."""
+    (a, b), (c, e) = m
+    return Affine(((a, b, 0), (c, e, 0), (0, 0, 1)), (0, 0, 0))
+
+
 def _rescale_binomial(r: int, s: int, rho: Fraction) -> Affine:
     """Diagonal rescale turning A*x1^r + B*x2^s, rho = B/A, into
     sigma*(x1^r + x2^s).
@@ -657,16 +663,13 @@ def _rescale_binomial(r: int, s: int, rho: Fraction) -> Affine:
     if g != 1:
         raise WitnessVerificationFailed("binomial exponents are not coprime")
     v = -y  # u*r - v*s = 1
-    alpha, beta = rho ** u, rho ** v
-    return Affine(
-        ((alpha, 0, 0), (0, beta, 0), (0, 0, 1)),
-        (0, 0, 0),
-    )
+    return _plane_affine(((rho ** u, 0), (0, rho ** v)))
 
 
-def _hyperbola(b: Fraction) -> Union[Affine, NeedsExtension]:
-    """Turn x3^2 + a*x1^E + b*x2^2 into x2*x3 + a*x1^E via
-    x2 -> (x2 - x3)/(2s), x3 -> (x2 + x3)/2 with s^2 = -b.
+def _hyperbola(b: Fraction) -> Union[list, NeedsExtension]:
+    """Turn x3^2 + a*x1^E + b*x2^2 into x1*x3 + a*x2^E: first into
+    x2*x3 + a*x1^E via x2 -> (x2 - x3)/(2s), x3 -> (x2 + x3)/2 with
+    s^2 = -b, then swap x1 and x2.
 
     Returns NeedsExtension when -b is not a rational square.
     """
@@ -677,24 +680,13 @@ def _hyperbola(b: Fraction) -> Union[Affine, NeedsExtension]:
             "which is not rational"
         )
     half = Fraction(1, 2)
-    return Affine(
-        (
-            (1, 0, 0),
-            (0, half / s, -half / s),
-            (0, half, half),
-        ),
-        (0, 0, 0),
-    )
+    hyp = Affine(((1, 0, 0), (0, half / s, -half / s), (0, half, half)), (0, 0, 0))
+    return [hyp, Transposition(1, 2, 3)]
 
 
 def _kill_x2_binomial(a, b, e1) -> list:
     """Map a*x1^e1 + b*x2 to x2: scale x2 by 1/b, shift by -a*x1^e1."""
-    gens = [
-        Affine(
-            ((1, 0, 0), (0, Fraction(1) / b, 0), (0, 0, 1)),
-            (0, 0, 0),
-        )
-    ]
+    gens = [_plane_affine(((1, 0), (0, Fraction(1) / b)))]
     if a != 0:
         gens.append(Elementary(2, _mono(e1, 0, 0, -a)))
     return gens
@@ -703,7 +695,12 @@ def _kill_x2_binomial(a, b, e1) -> list:
 def _map_form_to_x2(a2, b2) -> Affine:
     """Affine change sending the linear form a2*x1 + b2*x2 to x2."""
     top = (1, 0) if b2 != 0 else (0, 1)
-    return invert_generator(_linear_part_affine((top, (a2, b2))))
+    return invert_generator(_plane_affine((top, (a2, b2))))
+
+
+#: The 3-cycle x1 <-> x3, then x1 <-> x2, that ends the T6, T12 and T13
+#: witnesses.
+_THREE_CYCLE = (Transposition(1, 3, 3), Transposition(1, 2, 3))
 
 
 def _witness(rt: RelationType) -> Union[list, NeedsExtension]:
@@ -733,8 +730,7 @@ def _witness(rt: RelationType) -> Union[list, NeedsExtension]:
         gens.append(Transposition(1, 3, 3))
         gens.append(_rescale_binomial(2, 3, p["c"]))
     elif tag is Tag.T6:
-        gens.append(Transposition(1, 3, 3))
-        gens.append(Transposition(1, 2, 3))
+        gens += _THREE_CYCLE
     elif tag is Tag.T7:
         gens.append(Transposition(2, 3, 3))
         gens.append(_rescale_binomial(p["r1"], 2, Fraction(1) / p["c"]))
@@ -744,8 +740,7 @@ def _witness(rt: RelationType) -> Union[list, NeedsExtension]:
         hyp = _hyperbola(p["b"])
         if isinstance(hyp, NeedsExtension):
             return hyp
-        gens.append(hyp)
-        gens.append(Transposition(1, 2, 3))
+        gens += hyp
     elif tag is Tag.T10:
         gens += _kill_x2_binomial(p["a"], p["b"], p["e1"])
         gens.append(Transposition(2, 3, 3))
@@ -757,8 +752,7 @@ def _witness(rt: RelationType) -> Union[list, NeedsExtension]:
         hyp = _hyperbola(p["b1"] * p["b2"])
         if isinstance(hyp, NeedsExtension):
             return hyp
-        gens.append(hyp)
-        gens.append(Transposition(1, 2, 3))
+        gens += hyp
     elif tag is Tag.T12:
         det = p["a1"] * p["b2"] - p["b1"] * p["a2"]
         if det == 0:
@@ -769,13 +763,11 @@ def _witness(rt: RelationType) -> Union[list, NeedsExtension]:
             gens.append(_rescale_binomial(2, 3, k))
         else:
             forms = ((p["a1"], p["b1"]), (p["a2"], p["b2"]))
-            gens.append(invert_generator(_linear_part_affine(forms)))
-            gens.append(Transposition(1, 3, 3))
-            gens.append(Transposition(1, 2, 3))
+            gens.append(invert_generator(_plane_affine(forms)))
+            gens += _THREE_CYCLE
     elif tag is Tag.T13:
         gens += _kill_x2_binomial(p["a"], p["b"], p["e1"])
-        gens.append(Transposition(1, 3, 3))
-        gens.append(Transposition(1, 2, 3))
+        gens += _THREE_CYCLE
     elif tag not in (Tag.ELEM_REDUCIBLE, Tag.T4):
         raise ValueError(f"unknown tag {tag}")
     return gens
@@ -796,8 +788,7 @@ def normalize(rt: RelationType) -> Union[NormalForm, NeedsExtension]:
         return gens
     word = AutWord(3, tuple(gens))
     cur = compose(reconstruct(rt), expand(word).coords)
-    forced = {Tag.ZERO: Zero(), Tag.ELEM_REDUCIBLE: X3()}.get(rt.tag)
-    canonical, canonical_poly, sigma = _read_canonical(cur, forced)
+    canonical, canonical_poly, sigma = _read_canonical(cur, rt.tag is Tag.ELEM_REDUCIBLE)
     if canonical_poly * sigma != cur:
         raise WitnessVerificationFailed("canonical form does not match")
     return NormalForm(
@@ -808,10 +799,14 @@ def normalize(rt: RelationType) -> Union[NormalForm, NeedsExtension]:
     )
 
 
-def _read_canonical(cur: Polynomial, forced):
-    if isinstance(forced, Zero) or cur.is_zero():
+def _read_canonical(cur: Polynomial, elem_reducible: bool):
+    """(canonical, canonical_poly, sigma) read off cur = R o witness.  An
+    ElemReducible line gives cur = sigma*x3, which reads as X3 only when
+    elem_reducible says so; the x3-linear reading would be a triangular
+    fiber form with k = 0."""
+    if cur.is_zero():
         return Zero(), Polynomial.zero(3), Fraction(1)
-    if isinstance(forced, X3):
+    if elem_reducible:
         sigma = cur.coeff((0, 0, 1))
         return X3(), _x(3), sigma
     parts = _x3_parts(cur)
@@ -830,17 +825,6 @@ def _read_canonical(cur: Polynomial, forced):
     canonical_poly = cur * (Fraction(1) / sigma)
     fiber = _x3_parts(canonical_poly).get(0, Polynomial.zero(3))
     return TriangularFiber(k, fiber), canonical_poly, sigma
-
-
-def _linear_part_affine(m2):
-    return Affine(
-        (
-            (m2[0][0], m2[0][1], 0),
-            (m2[1][0], m2[1][1], 0),
-            (0, 0, 1),
-        ),
-        (0, 0, 0),
-    )
 
 
 def canonical_lnd(nf: NormalForm) -> Derivation:
@@ -900,36 +884,40 @@ def _weights(*ws) -> WeightVector:
     return WeightVector(tuple(Fraction(w) for w in ws))
 
 
+def _independent_pair(rng: random.Random):
+    """(a1, b1, a2, b2) with b1, b2 nonzero and a1*b2 - b1*a2 != 0: the
+    coefficients of two independent x2-linear binomials a_i*x1^e + b_i*x2."""
+    while True:
+        a1 = Fraction(rng.randint(-3, 3))
+        a2 = Fraction(rng.randint(-3, 3))
+        b1, b2 = _rand_nonzero(rng), _rand_nonzero(rng)
+        if a1 * b2 - b1 * a2 != 0:
+            return a1, b1, a2, b2
+
+
 def sample_classified(tag: Tag, rng: random.Random):
     """(R, d) drawn from the given nonzero line; R is deg2-homogeneous for d
     and satisfies the support bound deg2(R) <= d1+d2+d3-2."""
     lam = _rand_nonzero(rng)
     if tag is Tag.ELEM_REDUCIBLE:
         d = _weights(*rng.choice([(1, 1, 1), (1, 2, 2), (2, 3, 4), (2, 2, 3), (1, 2, 3)]))
-        rt = RelationType(tag, {}, _rand_h(rng, d), lam)
-        return reconstruct(rt), d
-    if tag is Tag.TWO_VAR_BINOMIAL:
+        params = {}
+    elif tag is Tag.TWO_VAR_BINOMIAL:
         e1, e2 = rng.choice([(2, 1), (3, 1), (3, 2), (5, 2), (4, 3), (1, 1), (5, 3)])
         t = rng.randint(1, 2)
         d1, d2 = t * e2, t * e1
         need = e1 * d1 - d1 - d2 + 2  # support bound: d3 >= deg - d1 - d2 + 2
         d3 = max(d2, need) + rng.randint(0, 1)
         d = _weights(d1, d2, d3)
-        rt = RelationType(tag, {"c": _rand_nonzero(rng), "e1": e1, "e2": e2},
-                          Polynomial.zero(3), lam)
-        return reconstruct(rt), d
-    if tag is Tag.T3:
+        params = {"c": _rand_nonzero(rng), "e1": e1, "e2": e2}
+    elif tag is Tag.T3:
         e1 = rng.randint(1, 2)
         t = rng.randint(2, 3)
         k = 2 * e1 + rng.randint(0, 2)
         d = _weights(t, e1 * t, (k - e1) * t)
         a = Fraction(0) if rng.random() < 0.4 else _rand_nonzero(rng)
-        rt = RelationType(
-            tag, {"c": _rand_nonzero(rng), "a": a, "e1": e1, "k": k},
-            _rand_h(rng, d), lam,
-        )
-        return reconstruct(rt), d
-    if tag is Tag.T4:
+        params = {"c": _rand_nonzero(rng), "a": a, "e1": e1, "k": k}
+    elif tag is Tag.T4:
         k = rng.randint(1, 2)
         d1 = rng.randint(1, 2)
         d2 = max(d1, (k - 1) * d1 + 2) + rng.randint(0, 1)
@@ -943,20 +931,17 @@ def sample_classified(tag: Tag, rng: random.Random):
             rest = m * d2 - a1 * d1
             if rest >= 0 and rest % d2 == 0 and rng.random() < 0.3:
                 fiber = fiber + _mono(a1, rest // d2, 0, rng.randint(-3, 3))
-        rt = RelationType(tag, {"k": k, "P": fiber}, Polynomial.zero(3), lam)
-        return reconstruct(rt), d
-    if tag is Tag.T5:
+        params = {"k": k, "P": fiber}
+    elif tag is Tag.T5:
         s = rng.randint(2, 4)
         d = _weights(rng.randint(s + 2, 2 * s), 2 * s, 3 * s)
-        rt = RelationType(tag, {"c": _rand_nonzero(rng)}, _rand_h(rng, d), lam)
-        return reconstruct(rt), d
-    if tag is Tag.T6:
+        params = {"c": _rand_nonzero(rng)}
+    elif tag is Tag.T6:
         u = rng.randint(2, 3)
         d2 = 2 * u + rng.randint(0, 3)
         d = _weights(2 * u, d2, u + d2)
-        rt = RelationType(tag, {"c": _rand_nonzero(rng)}, _rand_h(rng, d), lam)
-        return reconstruct(rt), d
-    if tag is Tag.T7:
+        params = {"c": _rand_nonzero(rng)}
+    elif tag is Tag.T7:
         r1 = rng.choice([3, 5])
         if r1 == 3:
             u = rng.randint(2, 3)
@@ -964,9 +949,8 @@ def sample_classified(tag: Tag, rng: random.Random):
         else:
             u = rng.randint(1, 2)
             d = _weights(2 * u, rng.randint(3 * u + 2, 5 * u), 5 * u)
-        rt = RelationType(tag, {"c": _rand_nonzero(rng), "r1": r1}, _rand_h(rng, d), lam)
-        return reconstruct(rt), d
-    if tag is Tag.T8:
+        params = {"c": _rand_nonzero(rng), "r1": r1}
+    elif tag is Tag.T8:
         if rng.random() < 0.5:
             m = rng.randint(2, 4)
             r1, d = 1, _weights(m, m, m)
@@ -974,9 +958,8 @@ def sample_classified(tag: Tag, rng: random.Random):
             v = rng.randint(2, 3)
             d1 = rng.randint(v, 2 * v)
             r1, d = 2, _weights(d1, 2 * v, d1 + v)
-        rt = RelationType(tag, {"c": _rand_nonzero(rng), "r1": r1}, _rand_h(rng, d), lam)
-        return reconstruct(rt), d
-    if tag is Tag.T9:
+        params = {"c": _rand_nonzero(rng), "r1": r1}
+    elif tag is Tag.T9:
         e1 = rng.choice([3, 5])
         w = rng.randint(1, 2)
         d = _weights(2 * w, e1 * w, e1 * w)
@@ -984,35 +967,19 @@ def sample_classified(tag: Tag, rng: random.Random):
             b = -(_rand_nonzero(rng, 1, 3) ** 2)  # normalizable over Q
         else:
             b = _rand_nonzero(rng)
-        rt = RelationType(tag, {"a": _rand_nonzero(rng), "b": b, "e1": e1},
-                          _rand_h(rng, d), lam)
-        return reconstruct(rt), d
-    if tag is Tag.T10:
+        params = {"a": _rand_nonzero(rng), "b": b, "e1": e1}
+    elif tag is Tag.T10:
         e1, r1 = rng.choice([(1, 1), (2, 2), (1, 2), (2, 3)])
         u = rng.randint(1, 2) if r1 <= e1 else rng.randint(2, 3)
         d = _weights(2 * u, 2 * e1 * u, (e1 + r1) * u)
-        rt = RelationType(
-            tag,
-            {"a": _rand_nonzero(rng), "b": _rand_nonzero(rng), "e1": e1, "r1": r1},
-            _rand_h(rng, d), lam,
-        )
-        return reconstruct(rt), d
-    if tag is Tag.T11:
+        params = {"a": _rand_nonzero(rng), "b": _rand_nonzero(rng), "e1": e1, "r1": r1}
+    elif tag is Tag.T11:
         e1 = rng.randint(1, 3)
         d1 = rng.randint(2, 3)
         d = _weights(d1, e1 * d1, e1 * d1)
-        while True:
-            a1 = Fraction(rng.randint(-3, 3))
-            a2 = Fraction(rng.randint(-3, 3))
-            b1, b2 = _rand_nonzero(rng), _rand_nonzero(rng)
-            if a1 * b2 - b1 * a2 != 0:
-                break
-        rt = RelationType(
-            tag, {"a1": a1, "b1": b1, "a2": a2, "b2": b2, "e1": e1},
-            _rand_h(rng, d), lam,
-        )
-        return reconstruct(rt), d
-    if tag is Tag.T12:
+        a1, b1, a2, b2 = _independent_pair(rng)
+        params = {"a1": a1, "b1": b1, "a2": a2, "b2": b2, "e1": e1}
+    elif tag is Tag.T12:
         w = rng.randint(2, 3)
         d = _weights(2 * w, 2 * w, 3 * w)
         a2, b2 = _rand_nonzero(rng), _rand_nonzero(rng)
@@ -1023,21 +990,19 @@ def sample_classified(tag: Tag, rng: random.Random):
             a1, b1 = Fraction(rng.randint(-3, 3)), Fraction(rng.randint(-3, 3))
             if (a1, b1) == (0, 0):
                 a1 = Fraction(1)
-        rt = RelationType(
-            tag, {"a1": a1, "b1": b1, "a2": a2, "b2": b2},
-            _rand_h(rng, d), lam,
-        )
-        return reconstruct(rt), d
-    if tag is Tag.T13:
+        params = {"a1": a1, "b1": b1, "a2": a2, "b2": b2}
+    elif tag is Tag.T13:
         e1 = rng.randint(2, 3)
         u = rng.randint(2, 3)
         d = _weights(2 * u, 2 * e1 * u, (2 * e1 + 1) * u)
-        rt = RelationType(
-            tag, {"a": _rand_nonzero(rng), "b": _rand_nonzero(rng), "e1": e1},
-            _rand_h(rng, d), lam,
-        )
-        return reconstruct(rt), d
-    raise ValueError(f"no sampler for {tag}")
+        params = {"a": _rand_nonzero(rng), "b": _rand_nonzero(rng), "e1": e1}
+    else:
+        raise ValueError(f"no sampler for {tag}")
+    # classify reports no x3-shift for TwoVarBinomial (x3-free) and T4 (a
+    # shift of x1^k*x3 folds into P).
+    unshifted = tag in (Tag.TWO_VAR_BINOMIAL, Tag.T4)
+    h = Polynomial.zero(3) if unshifted else _rand_h(rng, d)
+    return reconstruct(RelationType(tag, params, h, lam)), d
 
 
 FORBIDDEN_ENTRIES = (1, 2, 3, 4, 5, 6)
@@ -1059,17 +1024,8 @@ def sample_forbidden(entry: int, rng: random.Random):
         e = rng.randint(1, 2)
         u = rng.randint(2, 3)
         d = _weights(2 * u, 2 * e * u, (2 * e + 1) * u)
-        while True:
-            a1 = Fraction(rng.randint(-3, 3))
-            a2 = Fraction(rng.randint(-3, 3))
-            b1, b2 = _rand_nonzero(rng), _rand_nonzero(rng)
-            if a1 * b2 - b1 * a2 != 0:
-                break
-        q = (
-            (_mono(e, 0, 0, a1) + _mono(0, 1, 0, b1))
-            * (_mono(e, 0, 0, a2) + _mono(0, 1, 0, b2))
-            * _x(1)
-        )
+        a1, b1, a2, b2 = _independent_pair(rng)
+        q = _binomial(a1, b1, e) * _binomial(a2, b2, e) * _x(1)
     elif entry == 4:
         w = rng.randint(2, 3)
         d = _weights(2 * w, 2 * w, 3 * w)
@@ -1088,7 +1044,7 @@ def sample_forbidden(entry: int, rng: random.Random):
                 break
         q = Polynomial.constant(1, 3)
         for ai, bi in ls:
-            q = q * (_mono(1, 0, 0, ai) + _mono(0, 1, 0, bi))
+            q = q * _binomial(ai, bi, 1)
     elif entry == 5:
         v = rng.randint(2, 3)
         d = _weights(4 * v, 6 * v, 9 * v)

@@ -74,6 +74,7 @@ from .polycore import (
     ExponentOverflow,
     Polynomial,
     WeightVector,
+    _UINT,
     format_poly,
     parse_fraction,
     parse_poly,
@@ -98,14 +99,25 @@ def _read_file(path: str) -> str:
         raise CliError(f"cannot read {path}: {exc}", IO)
 
 
+def _int_option(flag: str, text: str | None) -> int | None:
+    """The value of an integer option: ASCII digits [0-9]+, as in input
+    text, after an optional '-'; any other text is a usage error."""
+    if text is None:
+        return None
+    if not _UINT.fullmatch(text.removeprefix("-")):
+        raise CliError(f"{flag} must be an integer of ASCII digits, got {text!r}")
+    return int(text)
+
+
 def _load_map_or_word(args) -> PolyMap | AutWord:
     """The parsed --map/--word/--map-file/--word-file input, unexpanded;
     parse_map and parse_word infer and bound its variable count."""
     if sum(bool(s) for s in (args.map, args.word, args.map_file, args.word_file)) != 1:
         raise CliError("exactly one of --map / --word / --map-file / --word-file is required")
+    n = _int_option("--n", args.n)
     if args.map or args.map_file:
-        return parse_map(args.map or _read_file(args.map_file), args.n)
-    return parse_word(args.word or _read_file(args.word_file), args.n)
+        return parse_map(args.map or _read_file(args.map_file), n)
+    return parse_word(args.word or _read_file(args.word_file), n)
 
 
 def _load_map(args) -> PolyMap:
@@ -315,10 +327,11 @@ def cmd_invert(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    if args.count < 1:
-        raise CliError(f"--count must be at least 1, got {args.count}")
+    count = _int_option("--count", args.count)
+    if count < 1:
+        raise CliError(f"--count must be at least 1, got {count}")
     try:
-        result = run_suite(args.suite, args.seed, args.count)
+        result = run_suite(args.suite, _int_option("--seed", args.seed), count)
     except KeyError as exc:
         raise CliError(str(exc))
     payload = {
@@ -347,7 +360,7 @@ def _add_input_flags(p, with_inverse=False):
     p.add_argument("--word", help="semicolon-separated generator lines")
     p.add_argument("--map-file", help="file with one coordinate per line")
     p.add_argument("--word-file", help="file with one generator per line")
-    p.add_argument("--n", type=int, help="variable count (inferred when omitted)")
+    p.add_argument("--n", help="variable count (inferred when omitted)")
     if with_inverse:
         p.add_argument("--inverse",
                        help="inverse map for raw-map input (a word carries its own)")
@@ -407,8 +420,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", parents=[json_flag], help="run a named property suite")
     p.add_argument("--suite", required=True,
                    help=f"one of: {', '.join(sorted(set(SUITES)))}")
-    p.add_argument("--seed", type=int, default=20260810)
-    p.add_argument("--count", type=int, default=25)
+    p.add_argument("--seed", default="20260810")
+    p.add_argument("--count", default="25")
     p.set_defaults(func=cmd_verify)
     return parser
 

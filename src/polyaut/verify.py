@@ -124,20 +124,16 @@ def random_polynomial(rng: random.Random, n: int, max_terms: int = 4,
             return p
 
 
-def _random_affine(rng: random.Random, n: int, coeff_bound: int = 3) -> Affine:
+def _random_affine(rng: random.Random, n: int) -> Affine:
     while True:
-        matrix = tuple(
-            tuple(Fraction(rng.randint(-coeff_bound, coeff_bound)) for _ in range(n))
-            for _ in range(n)
-        )
+        matrix = tuple(tuple(Fraction(rng.randint(-3, 3)) for _ in range(n)) for _ in range(n))
         try:
             return Affine(matrix, tuple(Fraction(rng.randint(-3, 3)) for _ in range(n)))
         except ValueError:
             continue
 
 
-def _random_generator(rng: random.Random, n: int, mode: str,
-                      max_addend_deg: int, coeff_bound: int):
+def _random_generator(rng: random.Random, n: int, mode: str, max_addend_deg: int):
     r = rng.random()
     if mode == "affine":
         kind = "affine" if r < 0.7 else "transposition"
@@ -152,7 +148,7 @@ def _random_generator(rng: random.Random, n: int, mode: str,
         target = rng.randint(1, n)
         others = [i for i in range(n) if i != target - 1]
         return Elementary(target, random_polynomial(
-            rng, n, 3, max_addend_deg, coeff_bound, variables=others, min_deg=1))
+            rng, n, 3, max_addend_deg, variables=others, min_deg=1))
     if kind == "transposition":
         i = rng.randint(1, n)
         j = rng.randint(1, n - 1)
@@ -161,8 +157,8 @@ def _random_generator(rng: random.Random, n: int, mode: str,
 
 
 def random_tame_word(rng: random.Random, n: int, max_gens: int = 6,
-                     max_addend_deg: int = 4, coeff_bound: int = 9,
-                     max_coord_deg: int = 16, mode: str = "any") -> AutWord:
+                     max_addend_deg: int = 4, max_coord_deg: int = 16,
+                     mode: str = "any") -> AutWord:
     """A random word of tame generators whose expansion stays within a
     degree budget; mode selects 'any', 'affine' or 'nonaffine' corpora.
 
@@ -175,7 +171,7 @@ def random_tame_word(rng: random.Random, n: int, max_gens: int = 6,
         word = AutWord(n, ())
         ok = True
         for _ in range(target_len):
-            g = _random_generator(rng, n, mode, max_addend_deg, coeff_bound)
+            g = _random_generator(rng, n, mode, max_addend_deg)
             word = AutWord(n, word.gens + (g,))
             if mode != "affine":
                 m = expand(word)
@@ -187,10 +183,7 @@ def random_tame_word(rng: random.Random, n: int, max_gens: int = 6,
             continue
         if mode == "affine":
             return word
-        maxdeg = max(int(c.total_degree()) for c in m.coords)
-        if maxdeg < 1 or maxdeg > max_coord_deg:
-            continue
-        if mode == "nonaffine" and maxdeg < 2:
+        if mode == "nonaffine" and max(c.total_degree() for c in m.coords) < 2:
             continue
         return word
     raise RuntimeError("failed to sample a word within the degree budget")

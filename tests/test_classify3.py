@@ -10,6 +10,7 @@ from polyaut.autmap import expand
 from polyaut.classify3 import (
     Binomial,
     Classified,
+    FORBIDDEN_ENTRIES,
     Forbidden,
     NONZERO_TAGS,
     NeedsExtension,
@@ -311,6 +312,23 @@ def test_sampler_round_trip_all_lines():
             assert reconstruct(out.info) == R
 
 
+#: sha256 over repr((R, d)) of five rounds of sample_classified for every
+#: nonzero tag, then sample_forbidden for every entry, from one generator:
+#: pins each sampler's polynomial, weights and draw order.
+EXPECTED_SAMPLER_DIGEST = (
+    "18d2ec69d17674b1876bf4e8f9620391d08705f5848a3bd3e8d91237a6bea520"
+)
+
+
+def test_sampler_draws_characterization():
+    rng = random.Random(20261019)
+    lines = []
+    for _ in range(5):
+        lines += [repr(sample_classified(tag, rng)) for tag in NONZERO_TAGS]
+        lines += [repr(sample_forbidden(entry, rng)) for entry in FORBIDDEN_ENTRIES]
+    assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == EXPECTED_SAMPLER_DIGEST
+
+
 def test_normalize_t5_reaches_binomial():
     out = classify(P("x3^2 + 5*x2^3"), W(1, 2, 3))
     nf = normalize(out.info)
@@ -396,7 +414,7 @@ def test_normalize_composes_with_its_witness_once(count_calls):
 
 def test_read_canonical_refuses_a_three_term_binomial():
     with pytest.raises(WitnessVerificationFailed, match="two-term binomial"):
-        _read_canonical(P("x1^2 + x2^3 + x1*x2"), None)
+        _read_canonical(P("x1^2 + x2^3 + x1*x2"), False)
 
 
 def test_canonical_forms_lie_in_lnd_kernels():

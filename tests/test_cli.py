@@ -202,6 +202,32 @@ def test_verify_count_below_one_is_usage_error(capsys, count):
     assert "--count must be at least 1" in captured.err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["compose", "--word", "E 1 x2", "--n", "٢"],
+        ["compose", "--word", "E 1 x2", "--n", "0_2"],
+        ["compose", "--word", "E 1 x2", "--n", "+2"],
+        ["verify", "--suite", "parachute", "--count", "٣"],
+        ["verify", "--suite", "parachute", "--count", "-٣"],
+        ["verify", "--suite", "parachute", "--seed", "1_0"],
+        ["verify", "--suite", "parachute", "--seed", "²"],
+    ],
+    ids=["n-arabic-indic", "n-underscore", "n-plus", "count-arabic-indic",
+         "count-negative-arabic-indic", "seed-underscore", "seed-superscript"],
+)
+def test_integer_options_are_ascii_digits(capsys, argv):
+    # The options follow the [0-9]+ rule of input text, not int().
+    flag, value = argv[-2:]
+    status = main(argv)
+    captured = capsys.readouterr()
+    assert status == 2
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        f"error: {flag} must be an integer of ASCII digits, got {value!r}"
+    ]
+
+
 def test_json_flag_before_and_after_subcommand(capsys):
     argv = ["relations", "--word", "E 1 x2^2; T 1 2"]
     status_before, before = run(capsys, "--json", *argv)
@@ -406,7 +432,7 @@ def test_exponent_overflow_is_domain_outcome(capsys):
     assert status == 1
     assert captured.out == ""
     assert captured.err.splitlines() == [
-        f"error: exponent {MAX_EXPONENT + 1} exceeds the largest exponent {MAX_EXPONENT}"
+        f"error: line 1: exponent {MAX_EXPONENT + 1} exceeds the largest exponent {MAX_EXPONENT}"
     ]
 
 
@@ -416,7 +442,7 @@ def test_constant_power_overflow_is_domain_outcome(capsys):
     assert status == 1
     assert captured.out == ""
     assert captured.err.splitlines() == [
-        f"error: exponent {MAX_EXPONENT + 1} exceeds the largest exponent {MAX_EXPONENT}"
+        f"error: line 1: exponent {MAX_EXPONENT + 1} exceeds the largest exponent {MAX_EXPONENT}"
     ]
 
 
