@@ -63,9 +63,10 @@ from .polycore import (
     Polynomial,
     WeightVector,
     _det,
+    _part,
+    _scaled_degrees,
     compose,
     format_poly,
-    homogeneous_component,
     linear_combination,
     partial,
     wdeg,
@@ -154,14 +155,27 @@ def leading_derivation(d: Derivation, w: WeightVector) -> Derivation:
     The result is a nonzero w-homogeneous derivation; idempotent on
     homogeneous input.
     """
-    r = derivation_degree(d, w)
-    if r is MINUS_INFINITY:
+    lead = _degree_and_leading(d, w)[1]
+    if lead is None:
         raise ValueError("zero derivation has no leading part")
-    coeffs = tuple(
-        homogeneous_component(a, w, r + w[i])
-        for i, a in enumerate(d.coeffs, start=1)
-    )
-    return Derivation(d.n, coeffs)
+    return lead
+
+
+def _degree_and_leading(d: Derivation, w: WeightVector):
+    """(derivation_degree(d, w), leading_derivation(d, w)) from one
+    _scaled_degrees pass per coefficient; the leading part is None for d = 0."""
+    if len(w) != d.n:
+        raise ValueError("weight vector length does not match derivation")
+    s, ws = w._int_form
+    scaled = [_scaled_degrees(a, w)[1] for a in d.coeffs]
+    # s * (wdeg(a_i) - w_i) over the nonzero coefficients a_i.
+    tops = [max(degs.values()) - wi for degs, wi in zip(scaled, ws) if degs]
+    if not tops:
+        return MINUS_INFINITY, None
+    r = max(tops)
+    coeffs = tuple(_part(a, {k: c for k, c in a._nums.items() if degs[k] == r + wi})
+                   for a, degs, wi in zip(d.coeffs, scaled, ws))
+    return Fraction(r, s), Derivation(d.n, coeffs)
 
 
 def nilpotence_order(d: Derivation, p: Polynomial, cap: int):
@@ -317,8 +331,9 @@ def lnd_witness(phi: AutWord | PolyMap | Certified, w1: WeightVector):
         deltas = (delta_derivation(inv, i, cert.mu) for i in range(1, inv.n + 1))
     d = cert.d(w1)
     for i, delta in enumerate(deltas, start=1):
-        if derivation_degree(delta, d) >= -w1[i]:
-            return i, leading_derivation(delta, d)
+        degree, lead = _degree_and_leading(delta, d)
+        if degree >= -w1[i]:
+            return i, lead
     raise NoWitnessIndex(
         "no index satisfies deg2(Delta_i) >= -w_i; input is not an automorphism"
     )

@@ -7,7 +7,8 @@ Provides reduced Groebner bases over the rationals, multivariate division
     eliminating the x-block from the ideal (z_i - image_i).  When the images
     are the weighted leading terms of an automorphism's coordinates, this
     kernel is the ideal of relations between those leading terms.  Both
-    changes of ring (into Q[x, z] and back to Q[z]) are compose calls.
+    changes of ring (into Q[x, z] and back to Q[z]) move packed exponents
+    by a shift: the x fields sit above the z fields.
   * graded_kernel_oracle: an independent degree-by-degree linear-algebra
     recomputation of the kernel's graded slices, used to cross-check the
     Buchberger route.  The kernel is homogeneous for the weights d, so each
@@ -29,7 +30,9 @@ is built per step.
 
 A basis member's leading monomial is computed once and travels with it:
 buchberger keeps a list beside its working basis, and every IdealBasis is
-built with them as lms, which normal_form reads.  Interreduction is one
+built with them as lms.  An IdealBasis builds its division form (the order
+key and one _Divisor per member) from them on its first normal_form and
+keeps it for every later one.  Interreduction is one
 pass: in a minimal basis no leading monomial divides another, so dividing
 a member by the others keeps its leading monomial.  relation_report reads
 principality off the reduced basis: it is principal iff it has <= 1 member.
@@ -40,6 +43,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from math import floor, gcd, lcm
 from operator import add, le, mul, sub
 from typing import NamedTuple, Sequence
@@ -58,7 +62,6 @@ from .polycore import (
     _power_products,
     _rref,
     _unpacker,
-    compose,
 )
 
 
@@ -125,7 +128,12 @@ def _mono_lcm(a, b):
 class IdealBasis:
     """A reduced Groebner basis (monic, pairwise fully reduced, minimal)
     with its monomial order and the leading monomial of each member, which
-    its producers already hold and pass as lms.  No member is zero."""
+    its producers already hold and pass as lms.  No member is zero.
+
+    _division, the basis as division reads it (the order key and one
+    _Divisor per member), is a memo: built from the fields on the first
+    normal_form and kept for every later one.  It is not a field, so it is
+    neither compared nor hashed."""
 
     gens: tuple
     order: MonomialOrder
@@ -137,6 +145,11 @@ class IdealBasis:
 
     def __len__(self):
         return len(self.gens)
+
+    @cached_property
+    def _division(self) -> tuple:
+        key = _packed_key(self.order, self.n)
+        return key, [_divisor(g, key, lm) for g, lm in zip(self.gens, self.lms)]
 
 
 # -- division on order keys ---------------------------------------------------
@@ -242,13 +255,19 @@ def normal_form(p: Polynomial, basis: IdealBasis) -> Polynomial:
 
     No term of the result is divisible by any basis leading monomial.  The
     basis is a Groebner basis, so the remainder is 0 iff p lies in the ideal.
+    The division reads the basis's kept division form.
     """
-    return _divide(p, basis.gens, basis.lms, basis.order)
+    if p.n != basis.n:
+        raise ValueError(f"polynomial has {p.n} variables, the basis {basis.n}")
+    if not basis.gens:
+        return p
+    key, divisors = basis._division
+    return _remainder(p, divisors, key)
 
 
 def _divide(p: Polynomial, gens, lms, order: MonomialOrder) -> Polynomial:
-    """normal_form's division of p by nonzero gens whose leading monomials
-    lms the caller already holds."""
+    """The remainder of p by nonzero gens that no IdealBasis holds, whose
+    leading monomials lms the caller already holds."""
     if not gens:
         return p
     key = _packed_key(order, p.n)
@@ -391,33 +410,36 @@ def kernel_ideal(images: Sequence[Polynomial], dweights: WeightVector) -> IdealB
     dweights) of the kernel of z_i -> images[i].
 
     Computed by eliminating the x-block from the ideal (z_i - images[i]) in
-    the combined ring Q[x1..xn, z1..zn]; compose moves the images into that
-    ring and the kept members back to Q[z1..zn].  Every returned generator
-    G satisfies G(images) = 0 exactly.  A member is x-free iff its leading
-    monomial is: under the block order any monomial with an x-part ranks
-    above every x-free one.  The x-free members of the reduced block-order
-    basis are already monic and sorted for the z-order, with lms the z-parts
-    of their block leading monomials: on x-free monomials the block key
-    compares by the z-order alone.  relation_report reads principality off
-    the size of the result.
+    the combined ring Q[x1..xn, z1..zn], whose packed exponents hold the x
+    fields above the z fields.  An image enters that ring with its packed
+    exponents shifted up past the z fields, and a kept member leaves for
+    Q[z1..zn] with its packed exponents as they are, since its x fields are
+    zero.  Every returned generator G satisfies G(images) = 0 exactly.  A
+    member is x-free iff its leading monomial is: under the block order any
+    monomial with an x-part ranks above every x-free one.  The x-free
+    members of the reduced block-order basis are already monic and sorted
+    for the z-order, with lms the z-parts of their block leading monomials:
+    on x-free monomials the block key compares by the z-order alone.
+    relation_report reads principality off the size of the result.
     """
     images = list(images)
     if not images:
         raise ValueError("empty image list")
     nx = images[0].n
+    if any(img.n != nx for img in images):
+        raise ValueError("images have inconsistent variable counts")
     nz = len(images)
     total = nx + nz
-    order = BlockElimination(nx, dweights)
-    xs = [Polynomial.variable(j, total) for j in range(1, nx + 1)]
+    shift = FIELD_BITS * nz
     gens = [
-        Polynomial.variable(nx + i, total) - compose(img, xs)
+        Polynomial.variable(nx + i, total)
+        - _poly(total, {k << shift: c for k, c in img._nums.items()}, img.den, img._ebound)
         for i, img in enumerate(images, start=1)
     ]
-    gb = buchberger(gens, order)
-    to_z = [Polynomial.zero(nz)] * nx + [Polynomial.variable(i, nz) for i in range(1, nz + 1)]
+    gb = buchberger(gens, BlockElimination(nx, dweights))
     kept = [(g, lm) for g, lm in zip(gb.gens, gb.lms) if not any(lm[:nx])]
-    return IdealBasis(tuple(compose(g, to_z) for g, _ in kept), dweights, nz,
-                      tuple(lm[nx:] for _, lm in kept))
+    return IdealBasis(tuple(_poly(nz, g._nums, g.den, g._ebound) for g, _ in kept),
+                      dweights, nz, tuple(lm[nx:] for _, lm in kept))
 
 
 # -- independent graded oracle ----------------------------------------------
@@ -469,14 +491,20 @@ def graded_kernel_oracle(images: Sequence[Polynomial], dweights: WeightVector,
         # One matrix column per candidate monomial, one row per x-monomial.
         reduced, pivots, _ = _rref(_coefficient_matrix(
             list(itertools.islice(products, len(alphas)))))
+        keys = [_pack(alpha, nz) for alpha in alphas]
+        ebound = max(map(max, alphas))
         # The nullspace, read from the RREF: one vector per free column fc,
-        # with 1 at fc and nonzero entries only at pivot columns left of fc.
+        # with 1 at fc and nonzero entries only at pivot columns left of fc,
+        # as int numerators over the lcm of the entries' denominators (so
+        # already canonical).
         for fc in range(len(alphas)):
             if fc in pivots:
                 continue
-            vec = {alphas[pc]: -row[fc] for row, pc in zip(reduced, pivots) if row[fc]}
-            vec[alphas[fc]] = 1
-            found.append(Polynomial(nz, vec))
+            entries = [(keys[pc], row[fc]) for row, pc in zip(reduced, pivots) if row[fc]]
+            den = lcm(*[e.denominator for _, e in entries])
+            nums = {k: -e.numerator * (den // e.denominator) for k, e in entries}
+            nums[keys[fc]] = den
+            found.append(_poly(nz, nums, den, ebound))
     return found
 
 

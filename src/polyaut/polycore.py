@@ -515,11 +515,17 @@ def leading_term(p: Polynomial, w: WeightVector) -> Polynomial:
 
     The result is weighted homogeneous, and the operation is idempotent.
     """
-    _, degs = _scaled_degrees(p, w)
+    return _leading(p, w)[2]
+
+
+def _leading(p: Polynomial, w: WeightVector):
+    """(s, s * wdeg(p, w), leading_term(p, w)) from one _scaled_degrees
+    pass, s as there; the scaled degree is None for p = 0."""
+    s, degs = _scaled_degrees(p, w)
     if not degs:
-        return p
+        return s, None, p
     top = max(degs.values())
-    return _part(p, {k: c for k, c in p._nums.items() if degs[k] == top})
+    return s, top, _part(p, {k: c for k, c in p._nums.items() if degs[k] == top})
 
 
 def homogeneous_component(p: Polynomial, w: WeightVector, degree) -> Polynomial:

@@ -50,6 +50,7 @@ from .polycore import (
     MINUS_INFINITY,
     Polynomial,
     WeightVector,
+    _leading,
     compose,
     format_poly,
     leading_term,
@@ -171,9 +172,9 @@ def check_degree_lemma(phi: AutWord | PolyMap | Certified, w1: WeightVector,
     elif phi not in (report.cert, report.cert.phi) and certify(phi).m != report.cert.m:
         raise ValueError("report was computed for a different automorphism")
     lhs = wdeg(compose(p, report.cert.m.coords), w1)
-    rhs = wdeg(p, report.d)
+    s, top, tilde = _leading(p, report.d)
+    rhs = MINUS_INFINITY if top is None else Fraction(top, s)
     strict = (rhs is not MINUS_INFINITY) and lhs < rhs
-    tilde = leading_term(p, report.d)
     tilde_in_I = (not tilde.is_zero()) and normal_form(tilde, report.ideal).is_zero()
     return lhs, rhs, strict, tilde_in_I
 

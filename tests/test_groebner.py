@@ -157,6 +157,24 @@ def test_relation_reports_compute_each_leading_monomial_once(monkeypatch):
     assert counts == [5, 4, 4, 5, 4]
 
 
+def test_a_basis_builds_its_division_form_once(count_calls):
+    from polyaut import groebner
+
+    cases = [(p, gens, order) for p, gens, order in _division_cases()]
+    basis = max((buchberger(gens, order) for _, gens, order in cases), key=len)
+    assert len(basis) >= 2
+    fresh = buchberger(basis.gens, basis.order)
+    built = count_calls(groebner, "_divisor")
+    for p, _, order in cases:
+        if order == basis.order:
+            assert normal_form(p, basis) == _reference_divide(p, basis.gens, order)
+    assert len(built) == len(basis)
+    # The kept division form is neither compared nor hashed.
+    assert basis == fresh and hash(basis) == hash(fresh)
+    with pytest.raises(ValueError, match="polynomial has 2 variables, the basis 3"):
+        normal_form(P("x1", 2), basis)
+
+
 def test_divmod_single_exact_and_inexact():
     a = P("x1^2 - x2^4", 2)
     b = P("x1 - x2^2", 2)
@@ -437,6 +455,45 @@ def test_kernel_basis_is_monic_and_sorted_for_the_z_order():
         assert all(a > b for a, b in zip(keys, keys[1:]))
         sizes.append(len(basis))
     assert max(sizes) >= 2
+
+
+def _reference_kernel_ideal(images, dweights):
+    """kernel_ideal by the compose route: compose moves the images into
+    Q[x, z] and the x-free members of the block basis back to Q[z]."""
+    nx, nz = images[0].n, len(images)
+    total = nx + nz
+    xs = [Polynomial.variable(j, total) for j in range(1, nx + 1)]
+    gens = [Polynomial.variable(nx + i, total) - compose(img, xs)
+            for i, img in enumerate(images, start=1)]
+    gb = buchberger(gens, BlockElimination(nx, dweights))
+    to_z = [Polynomial.zero(nz)] * nx + [Polynomial.variable(i, nz) for i in range(1, nz + 1)]
+    kept = [(g, lm) for g, lm in zip(gb.gens, gb.lms) if not any(lm[:nx])]
+    return [compose(g, to_z) for g, _ in kept], [lm[nx:] for _, lm in kept]
+
+
+def test_kernel_ideal_changes_rings_like_the_compose_route(count_calls):
+    from polyaut import polycore
+
+    rng = random.Random(20261019)
+    cases = []
+    for n, max_coord_deg in [(2, 8), (3, 5), (4, 3)]:
+        rational = WeightVector(tuple(Fraction(rng.randint(1, 5), rng.randint(1, 3))
+                                      for _ in range(n)))
+        for w in [WeightVector.standard(n), rational] * 2:
+            m = expand(random_tame_word(rng, n, max_gens=3, max_addend_deg=3,
+                                        max_coord_deg=max_coord_deg))
+            images = [leading_term(c, w) for c in m.coords]
+            d = deg2_weights(m, w)
+            cases.append((images, d, _reference_kernel_ideal(images, d)))
+    composed = count_calls(polycore, "compose")
+    sizes = []
+    for images, d, (gens, lms) in cases:
+        basis = kernel_ideal(images, d)
+        assert list(basis.gens) == gens and list(basis.lms) == lms
+        assert basis.n == len(images) and basis.order == d
+        sizes.append(len(basis))
+    assert composed == []
+    assert max(sizes) >= 2 and 0 in sizes
 
 
 def test_kernel_generators_are_graded():
