@@ -22,20 +22,30 @@ lexicographically) or a BlockElimination over one.  It ranks packed
 exponents (polycore's one int per monomial) by one int key, built by
 _packed_key(order, n) from the weights the WeightVector scaled to ints
 once.  The key is additive, key(a + b) = key(a) + key(b), and keeps the
-packed exponent in its low FIELD_BITS * n bits.  Division
+packed exponent in its low FIELD_BITS * n bits.  Its fields above those
+are linear forms of the exponent, each one int multiply of the packed
+exponent as in polycore._scaled_degrees (the total degree of the front
+block, the weighted degree of the back block); an exponent with a field
+large enough that a form could carry is unpacked instead.  Division
 therefore runs in place on one dict {key: int numerator} over one
 denominator: each step pops the largest key and subtracts a fraction-free
 multiple of a divisor shifted by adding keys, and no Polynomial or Fraction
-is built per step.
+is built per step.  Whether a leading monomial divides the popped one is a
+borrow test on the two packed exponents (_divides) while their fields are
+below 2^31; only a larger field, or a term that joins the remainder, is
+unpacked.
 
 A basis member's leading monomial is computed once and travels with it:
 buchberger keeps a list beside its working basis, and every IdealBasis is
 built with them as lms.  An IdealBasis builds its division form (the order
 key and one _Divisor per member) from them on its first normal_form and
-keeps it for every later one.  Interreduction is one
-pass: in a minimal basis no leading monomial divides another, so dividing
-a member by the others keeps its leading monomial.  relation_report reads
-principality off the reduced basis: it is principal iff it has <= 1 member.
+keeps it for every later one.  Interreduction is one pass on the members'
+keyed integer form (_reduce_basis): in a minimal basis no leading monomial
+divides another, so dividing a member's tail by the others keeps its
+leading term, a member with no tail term to divide is kept as it is, and
+each monic generator is the integer multiple over its leading
+coefficient, with no Fraction.  relation_report reads principality off the
+reduced basis: it is principal iff it has <= 1 member.
 """
 
 from __future__ import annotations
@@ -43,7 +53,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
+from functools import cache, cached_property
 from math import floor, gcd, lcm
 from operator import add, le, mul, sub
 from typing import NamedTuple, Sequence
@@ -56,7 +66,6 @@ from .polycore import (
     WeightVector,
     _canon,
     _check_exponents,
-    _degrees,
     _pack,
     _poly,
     _power_products,
@@ -74,7 +83,8 @@ MAX_S_PAIRS = 100_000
 
 def _linear_key(prefix, n: int):
     """The key sum(a_i * prefix_i) << FIELD_BITS * n | a of a packed exponent
-    a = (a_1..a_n); additive because the packed exponent is."""
+    a = (a_1..a_n) by unpacking a; additive because the packed exponent is.
+    _packed_key's route for exponents whose linear forms could carry."""
     unpack = _unpacker(n)
     shift = FIELD_BITS * n
     return lambda a: sum(map(mul, unpack(a), prefix)) << shift | a
@@ -99,29 +109,77 @@ class BlockElimination:
 MonomialOrder = WeightVector | BlockElimination
 
 
+@cache
+def _ones(n: int) -> int:
+    """The packed exponent with 1 in each of its n fields."""
+    return ((1 << FIELD_BITS * n) - 1) // MAX_EXPONENT
+
+
+#: The top bit of a field: the borrow test of _divides needs every field below it.
+_TOP_BIT = 1 << FIELD_BITS - 1
+
+
 def _packed_key(order: MonomialOrder, n: int):
     """The int key of order on n variables: monomial a is greater than b
     iff key(a) > key(b) for their packed exponents.  For a front part x
     and weights d on the back part z (all n variables for a WeightVector,
     x empty) the key is ((sum x, x), (wdeg z, z)) as one int: the fields
     sum x, x and the scaled wdeg z above the packed exponent, whose low
-    bits are z."""
+    bits are z.
+
+    The two linear forms are int multiplies, as in _scaled_degrees: wdeg z
+    is the middle field of z * W for the back order's W, and sum x that of
+    x * _ones(len(x)); the x fields are the packed exponent shifted down
+    past z.  Neither product carries while every exponent is at most cap,
+    MAX_EXPONENT // sum(ws) (and // len(x) for sum x).  One AND tests a
+    packed exponent for that, against the bits of every field from 2^bits
+    up for the largest 2^bits - 1 <= cap; an exponent with such a bit set
+    takes the unpacking _linear_key instead, which gives the same key."""
     nx, back = (0, order) if isinstance(order, WeightVector) else (order.front, order.back_order)
     ws = back._int_form[1]
-    if len(ws) != n - nx:
-        raise ValueError(f"order has {len(ws)} weights, not {n - nx}")
+    nz = len(ws)
+    if nz != n - nx:
+        raise ValueError(f"order has {nz} weights, not {n - nx}")
     wbits = (MAX_EXPONENT * sum(ws)).bit_length()
     xs = [(1 << FIELD_BITS * nx | 1 << FIELD_BITS * (nx - 1 - i)) << wbits
           for i in range(nx)]
-    return _linear_key(xs + list(ws), n)
+    unpacking = _linear_key(xs + list(ws), n)
+    dot, cap = back._dot
+    if nx:
+        cap = min(cap, MAX_EXPONENT // nx)
+    bits = (cap + 1).bit_length() - 1
+    # The bits of every field from 2^bits up.
+    carries = (MAX_EXPONENT >> bits << bits) * _ones(n)
+    shift = FIELD_BITS * n
+    zshift = FIELD_BITS * (nz - 1)
+    if not nx:
+        return lambda a: (unpacking(a) if a & carries
+                          else (a * dot >> zshift & MAX_EXPONENT) << shift | a)
+    xshift = FIELD_BITS * (nx - 1)
+    xones = _ones(nx)
+    zmask = (1 << FIELD_BITS * nz) - 1
+
+    def key(a):
+        if a & carries:
+            return unpacking(a)
+        x = a >> FIELD_BITS * nz
+        front = (x * xones >> xshift & MAX_EXPONENT) << FIELD_BITS * nx | x
+        return (front << wbits | (a & zmask) * dot >> zshift & MAX_EXPONENT) << shift | a
+
+    return key
 
 
-def _divides(a, b) -> bool:
-    return all(map(le, a, b))
-
-
-def _mono_lcm(a, b):
-    return tuple(map(max, a, b))
+def _divides(lm: int, a: int, n: int) -> bool:
+    """Whether the packed exponent lm divides a.  While every field of both
+    is below 2^31 (_TOP_BIT), lm | a iff ((a | H) - lm) & H == H for H
+    with the top bit of each field set: a field of (a | H) - lm keeps its
+    top bit iff a_i >= lm_i and never borrows from the next.  Otherwise
+    the exponents are unpacked and compared."""
+    high = _TOP_BIT * _ones(n)
+    if (lm | a) & high:
+        unpack = _unpacker(n)
+        return all(map(le, unpack(lm), unpack(a)))
+    return (a | high) - lm & high == high
 
 
 @dataclass(frozen=True)
@@ -158,65 +216,101 @@ class IdealBasis:
 class _Divisor(NamedTuple):
     """A nonzero polynomial g as division reads it, through its integer
     multiple with content 1 and a positive leading coefficient: the leading
-    monomial lm, its key, that leading coefficient lead, and the other
-    terms of the multiple as (key, numerator) pairs."""
+    monomial lm as a tuple and packed as mono, its key, that leading
+    coefficient lead, the other terms of the multiple as (key, numerator)
+    pairs, and an upper bound ebound on g's exponents."""
 
     lm: tuple
+    mono: int
     key: int
     lead: int
     tail: list
-    g: Polynomial
+    ebound: int
 
 
 def _divisor(g: Polynomial, key, lm=None) -> _Divisor:
     """g read for division under the order key; lm is g's leading monomial
     when the caller holds it."""
+    keyed = {key(t): c for t, c in g._nums.items()}
     if lm is None:
-        k = max(g._nums, key=key)
-        lm = _unpacker(g.n)(k)
+        k = max(keyed)
+        mono = k & (1 << FIELD_BITS * g.n) - 1
+        lm = _unpacker(g.n)(mono)
     else:
-        k = _pack(lm, g.n)
-    content = gcd(*g._nums.values())
-    if g._nums[k] < 0:
+        mono = _pack(lm, g.n)
+        k = key(mono)
+    lead = keyed.pop(k)
+    content = gcd(lead, *keyed.values())
+    if lead < 0:
         content = -content
-    tail = [(key(t), c // content) for t, c in g._nums.items() if t != k]
-    return _Divisor(lm, key(k), g._nums[k] // content, tail, g)
+    return _Divisor(lm, mono, k, lead // content,
+                    [(t, c // content) for t, c in keyed.items()], g._ebound)
 
 
 def _check_shift(mono, div: _Divisor):
-    """Raise ExponentOverflow when x^(mono - div.lm) * div.g has an exponent
-    above MAX_EXPONENT."""
-    if max(mono) + div.g._ebound > MAX_EXPONENT:
-        _check_exponents(map(add, map(sub, mono, div.lm), _degrees(div.g)))
+    """Raise ExponentOverflow when x^(mono - div.lm) times the divisor has
+    an exponent above MAX_EXPONENT."""
+    if max(mono) + div.ebound > MAX_EXPONENT:
+        n = len(mono)
+        unpack, mask = _unpacker(n), (1 << FIELD_BITS * n) - 1
+        degrees = div.lm
+        for kt, _ in div.tail:
+            degrees = map(max, degrees, unpack(kt & mask))
+        _check_exponents(map(add, map(sub, mono, div.lm), degrees))
 
 
-def _reduce(work: dict, den: int, divisors, n: int, quotient=None) -> Polynomial:
-    """The remainder of dividing work / den by the divisors, consuming work.
+def _reduce(work: dict, den: int, divisors, n: int, quotient=None):
+    """Divide work / den by the divisors, consuming work; return the
+    remainder as (terms, den, top): its terms (key, numerator, d), each
+    worth numerator / d, in decreasing key order, the final denominator
+    (every d divides it) and the largest exponent of the terms.
 
     work maps order keys to nonzero int numerators.  Each step pops the
     largest key; the first divisor whose leading monomial divides it
     cancels it, scaling work and den by lead / gcd(c, lead) first when that
     is not 1, and otherwise the term joins the remainder with the
-    denominator of that step.  When quotient is a list, each step appends
-    (key of x^q, b, den) for the subtracted (b / den) * x^q times the
-    integer multiple of g of a single divisor.
+    denominator of that step.  Divisibility is the borrow test of _divides
+    on the packed exponent; a term with a field at or above 2^31 is
+    unpacked and compared instead, and a leading monomial with such a
+    field divides no term without one.  Only a term that joins the
+    remainder is unpacked otherwise, and a shift is checked against
+    MAX_EXPONENT (_check_shift) only where it could pass it.  When
+    quotient is a list, each step appends (key of x^q, b, den) for the
+    subtracted (b / den) * x^q times the integer multiple of g of a single
+    divisor.
     """
     mask = (1 << FIELD_BITS * n) - 1
+    high = _TOP_BIT * _ones(n)
+    small = [div for div in divisors if not div.mono & high]
     unpack = _unpacker(n)
     rest = []
     top = 0
     while work:
         k = max(work)
         c = work.pop(k)
-        mono = unpack(k & mask)
-        for div in divisors:
-            if all(map(le, div.lm, mono)):
-                break
+        a = k & mask
+        if a & high:
+            mono = unpack(a)
+            for div in divisors:
+                if all(map(le, div.lm, mono)):
+                    _check_shift(mono, div)
+                    break
+            else:
+                div = None
         else:
-            rest.append((k & mask, c, den))
-            top = max(top, *mono)
+            probe = a | high
+            for div in small:
+                if (probe - div.mono) & high == high:
+                    # a's fields are below 2^31: only such a bound can pass MAX_EXPONENT.
+                    if div.ebound >= _TOP_BIT:
+                        _check_shift(unpack(a), div)
+                    break
+            else:
+                div = None
+        if div is None:
+            rest.append((k, c, den))
+            top = max(top, *unpack(a))
             continue
-        _check_shift(mono, div)
         h = gcd(c, div.lead)
         if h != div.lead:
             s = div.lead // h
@@ -235,19 +329,22 @@ def _reduce(work: dict, den: int, divisors, n: int, quotient=None) -> Polynomial
                 work[t] = v
             else:
                 del work[t]
-    return _collect(rest, den, n, top)
+    return rest, den, top
 
 
-def _collect(terms, den: int, n: int, ebound: int) -> Polynomial:
-    """The polynomial sum(num / d * x^a) of (packed a, num, d) terms with
-    distinct a, each d dividing den."""
+def _collect(terms, den: int, ebound: int, n: int) -> Polynomial:
+    """The polynomial sum(num / d * x^a) of (key, num, d) terms whose
+    packed exponents a, the low FIELD_BITS * n bits of the keys, are
+    distinct, each d dividing den."""
     if not terms:
         return _poly(n, {}, 1, 0)
-    return _canon(n, {a: c * (den // d) for a, c, d in terms}, den, ebound)
+    mask = (1 << FIELD_BITS * n) - 1
+    return _canon(n, {k & mask: c * (den // d) for k, c, d in terms}, den, ebound)
 
 
 def _remainder(p: Polynomial, divisors, key, quotient=None) -> Polynomial:
-    return _reduce({key(a): c for a, c in p._nums.items()}, p.den, divisors, p.n, quotient)
+    work = {key(a): c for a, c in p._nums.items()}
+    return _collect(*_reduce(work, p.den, divisors, p.n, quotient), p.n)
 
 
 def normal_form(p: Polynomial, basis: IdealBasis) -> Polynomial:
@@ -263,15 +360,6 @@ def normal_form(p: Polynomial, basis: IdealBasis) -> Polynomial:
         return p
     key, divisors = basis._division
     return _remainder(p, divisors, key)
-
-
-def _divide(p: Polynomial, gens, lms, order: MonomialOrder) -> Polynomial:
-    """The remainder of p by nonzero gens that no IdealBasis holds, whose
-    leading monomials lms the caller already holds."""
-    if not gens:
-        return p
-    key = _packed_key(order, p.n)
-    return _remainder(p, [_divisor(g, key, lm) for g, lm in zip(gens, lms)], key)
 
 
 def divmod_single(p: Polynomial, d: Polynomial,
@@ -293,12 +381,11 @@ def divmod_single(p: Polynomial, d: Polynomial,
     r = _remainder(p, [div], key, steps)
     mask = (1 << FIELD_BITS * p.n) - 1
     unpack = _unpacker(p.n)
-    terms = [(k & mask, b, e) for k, b, e in steps]
-    ebound = max((max(unpack(a)) for a, _, _ in terms), default=0)
+    ebound = max((max(unpack(q & mask)) for q, _, _ in steps), default=0)
     # The steps subtracted sum((b / den) * x^q) * c * d, and c * d has the
     # leading coefficient div.lead where d has d._nums[lm] / d.den.
-    q = _collect(terms, steps[-1][2] if steps else 1, p.n, ebound)
-    return q * Fraction(d.den * div.lead, d._nums[div.key & mask]), r
+    q = _collect(steps, steps[-1][2] if steps else 1, ebound, p.n)
+    return q * Fraction(d.den * div.lead, d._nums[div.mono]), r
 
 
 def _s_pair(f: _Divisor, g: _Divisor, kl: int, l) -> dict:
@@ -335,13 +422,14 @@ def buchberger(gens: Sequence[Polynomial], order: MonomialOrder) -> IdealBasis:
     n = G[0].n
     key = _packed_key(order, n)
     divs = [_divisor(g, key) for g in G]
-    # The lcm of each pair's leading monomials, with its key.
+    # The lcm of each pair's leading monomials, with its key and packed form.
     lcms = {}
 
     def add_lcms(j):
         for i in range(j):
-            l = _mono_lcm(divs[i].lm, divs[j].lm)
-            lcms[i, j] = (key(_pack(l, n)), l)
+            l = tuple(map(max, divs[i].lm, divs[j].lm))
+            packed = _pack(l, n)
+            lcms[i, j] = (key(packed), l, packed)
 
     for j in range(len(divs)):
         add_lcms(j)
@@ -352,13 +440,12 @@ def buchberger(gens: Sequence[Polynomial], order: MonomialOrder) -> IdealBasis:
         i, j = min(pairs, key=lambda ij: lcms[ij][0])
         pairs.remove((i, j))
         done.add((i, j))
-        kl, l = lcms[i, j]
-        li, lj = divs[i].lm, divs[j].lm
+        kl, l, packed = lcms[i, j]
         # Coprime-lcm criterion: S-polynomial reduces to zero automatically.
-        if l == tuple(map(add, li, lj)):
+        if packed == divs[i].mono + divs[j].mono:
             continue
         # Chain criterion: some k with lm(k) | lcm and both flank pairs done.
-        if any(k not in (i, j) and _divides(divs[k].lm, l)
+        if any(k not in (i, j) and _divides(divs[k].mono, packed, n)
                and (min(i, k), max(i, k)) in done and (min(j, k), max(j, k)) in done
                for k in range(len(divs))):
             continue
@@ -367,7 +454,7 @@ def buchberger(gens: Sequence[Polynomial], order: MonomialOrder) -> IdealBasis:
             raise ResourceCapExceeded(
                 f"buchberger exceeded {MAX_S_PAIRS} S-pair reductions"
             )
-        rem = _reduce(_s_pair(divs[i], divs[j], kl, l), 1, divs, n)
+        rem = _collect(*_reduce(_s_pair(divs[i], divs[j], kl, l), 1, divs, n), n)
         if rem.is_zero():
             continue
         divs.append(_divisor(rem.primitive(), key))
@@ -375,31 +462,47 @@ def buchberger(gens: Sequence[Polynomial], order: MonomialOrder) -> IdealBasis:
         add_lcms(new)
         for k in range(new):
             pairs.add((k, new))
-    return _reduce_basis(divs, order, key, n)
+    return _reduce_basis(divs, order, n)
 
 
-def _reduce_basis(divs, order, key, n) -> IdealBasis:
+def _reduce_basis(divs, order, n) -> IdealBasis:
     """Interreduce the divisors of a Groebner basis to the unique reduced
-    (monic) Groebner basis.
+    (monic) Groebner basis, on their keyed integer form.
 
     One pass suffices: no kept leading monomial divides another, so dividing
     a member by the others keeps its leading term (it cannot reduce to 0),
     the leading monomials never change, and a reduced member stays reduced.
+    A member none of whose tail terms another's leading monomial divides is
+    reduced already and kept as it is; any other has its keyed tail divided
+    by the others.  Each monic generator is the integer multiple over its
+    leading coefficient lead, which is already canonical: the multiple has
+    content 1.
     """
     # Drop members whose leading monomial is divisible by another's.
     keep = [
         d for i, d in enumerate(divs)
-        if not any(j != i and _divides(e.lm, d.lm) and (e.lm != d.lm or j < i)
+        if not any(j != i and _divides(e.mono, d.mono, n) and (e.mono != d.mono or j < i)
                    for j, e in enumerate(divs))
     ]
     # Fully reduce each member against the others, once each, in order.
-    if len(keep) > 1:
-        for i, d in enumerate(keep):
-            g = _remainder(d.g, keep[:i] + keep[i + 1 :], key).primitive()
-            keep[i] = _divisor(g, key, d.lm)
+    mask = (1 << FIELD_BITS * n) - 1
+    for i, d in enumerate(keep):
+        others = keep[:i] + keep[i + 1 :]
+        if not any(_divides(e.mono, kt & mask, n) for kt, _ in d.tail for e in others):
+            continue
+        rest, den, top = _reduce(dict(d.tail), 1, others, n)
+        tail = [(kt, c * (den // e)) for kt, c, e in rest]
+        lead = d.lead * den
+        content = gcd(lead, *(c for _, c in tail))
+        keep[i] = d._replace(lead=lead // content, ebound=max(top, *d.lm),
+                             tail=[(kt, c // content) for kt, c in tail])
     keep.sort(key=lambda d: d.key, reverse=True)
-    return IdealBasis(tuple(d.g * (1 / d.g.coeff(d.lm)) for d in keep), order, n,
-                      tuple(d.lm for d in keep))
+    gens = []
+    for d in keep:
+        nums = {d.mono: d.lead}
+        nums.update((kt & mask, c) for kt, c in d.tail)
+        gens.append(_poly(n, nums, d.lead, d.ebound))
+    return IdealBasis(tuple(gens), order, n, tuple(d.lm for d in keep))
 
 
 # -- kernels of ring maps ----------------------------------------------------

@@ -26,7 +26,12 @@ homogeneous (p.w.h.) degree functions: a weight vector (w1,..,wn) with all
 wi > 0 assigns the degree a1*w1 + .. + an*wn to the monomial
 x1^a1 .. xn^an, the degree of a polynomial is the maximum over its support,
 and deg(0) = -infinity.  The leading term of a polynomial is the sum of its
-monomials of maximal weighted degree.
+monomials of maximal weighted degree.  Scaled to ints, a monomial's degree
+is one int multiply on its packed exponent (_scaled_degrees): the middle
+field of the product with the weights packed in reverse field order, exact
+while the polynomial's exponent bound keeps every field of the product
+below 2^FIELD_BITS; past that bound the exponents are unpacked and summed.
+total_degree is that degree under the standard weights.
 
 Also here: formal partial derivatives, substitution of a tuple of
 polynomials (composition with a polynomial map) and the Jacobian
@@ -100,15 +105,30 @@ class PolyParseError(ValueError):
         self.position = position
 
 
+FIELD_BITS = 32
+MAX_EXPONENT = (1 << FIELD_BITS) - 1
+#: The largest variable count autmap.parse_word and parse_map accept, given
+#: or inferred.  Every packed exponent has FIELD_BITS bits per variable and
+#: an identity map has one coordinate per variable, so an unbounded count (a
+#: word naming x99999999999) would ask for unbounded memory.
+MAX_VARIABLES = 64
+
+
 @dataclass(frozen=True)
 class WeightVector:
     """Positive rational weights (w1,..,wn) defining a p.w.h. degree.
 
-    _int_form is (s, the weights times s) for the least common denominator
-    s, computed once here for the degree functions."""
+    Two forms are computed once here for the degree functions and the
+    monomial orders.  _int_form is (s, ws): s the least common denominator
+    and ws the weights times s.  _dot is (W, cap) for the linear form
+    sum(a_i * ws_i) of a packed exponent a: W = sum(ws_i << FIELD_BITS *
+    (i - 1)) holds ws in reverse field order, so the form is the middle
+    field of the int product a * W, and cap = MAX_EXPONENT // sum(ws) is
+    the largest exponent for which no field of that product carries."""
 
     weights: tuple
     _int_form: tuple = field(init=False, repr=False, compare=False)
+    _dot: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         ws = tuple(Fraction(*_ratio(w)) for w in self.weights)
@@ -117,9 +137,13 @@ class WeightVector:
         if any(w <= 0 for w in ws):
             raise ValueError(f"weights must be positive, got {ws}")
         object.__setattr__(self, "weights", ws)
-        object.__setattr__(self, "_int_form", _int_weights(ws))
+        s, ints = _int_weights(ws)
+        object.__setattr__(self, "_int_form", (s, ints))
+        dot = sum(w << FIELD_BITS * i for i, w in enumerate(ints))
+        object.__setattr__(self, "_dot", (dot, MAX_EXPONENT // sum(ints)))
 
     @staticmethod
+    @functools.lru_cache(maxsize=MAX_VARIABLES)
     def standard(n: int) -> "WeightVector":
         return WeightVector((Fraction(1),) * n)
 
@@ -137,15 +161,6 @@ class WeightVector:
 
     def total(self) -> Fraction:
         return sum(self.weights, Fraction(0))
-
-
-FIELD_BITS = 32
-MAX_EXPONENT = (1 << FIELD_BITS) - 1
-#: The largest variable count autmap.parse_word and parse_map accept, given
-#: or inferred.  Every packed exponent has FIELD_BITS bits per variable and
-#: an identity map has one coordinate per variable, so an unbounded count (a
-#: word naming x99999999999) would ask for unbounded memory.
-MAX_VARIABLES = 64
 
 
 class ExponentOverflow(ValueError):
@@ -184,6 +199,7 @@ def _pack(mono, n: int) -> int:
     raise ValueError(f"monomial {mono} needs nonnegative integer exponents")
 
 
+@functools.cache
 def _unpacker(n: int):
     """The function from a packed exponent to its exponent tuple."""
     unpack = _layout(n).unpack
@@ -320,7 +336,7 @@ class Polynomial:
         """Standard total degree; MINUS_INFINITY for the zero polynomial."""
         if not self._nums:
             return MINUS_INFINITY
-        return max(map(sum, self.support()))
+        return max(_scaled_degrees(self, WeightVector.standard(self.n))[1].values())
 
     def involves(self, i: int) -> bool:
         """True if x_i (1-based) occurs in some term."""
@@ -491,9 +507,20 @@ def _int_weights(weights):
 
 def _scaled_degrees(p: Polynomial, w: WeightVector):
     """(s, {packed exponent: s * weighted degree}) with s the least common
-    denominator of the weights, so that every degree is an int."""
+    denominator of the weights, so that every degree is an int.
+
+    The scaled degree sum(a_i * ws_i) of a packed exponent a is read off
+    one int multiply, as the middle field of a * W (W from w._dot).  Every
+    field of that product is a sum of products a_i * ws_j over one diagonal,
+    at most max(a) * sum(ws), so none carries into the next while p's
+    exponent bound is at most cap = MAX_EXPONENT // sum(ws).  Past that
+    bound the exponents are unpacked and the form summed term by term."""
     if len(w) != p.n:
         raise ValueError("weight vector length does not match variable count")
+    dot, cap = w._dot
+    if p._ebound <= cap:
+        shift = FIELD_BITS * (p.n - 1)
+        return w._int_form[0], {key: key * dot >> shift & MAX_EXPONENT for key in p._nums}
     s, ws = w._int_form
     unpack = _unpacker(p.n)
     return s, {key: sum(map(mul, unpack(key), ws)) for key in p._nums}

@@ -10,8 +10,11 @@ from polyaut.autmap import deg2_weights, expand, parse_map
 from polyaut.groebner import (
     BlockElimination,
     ResourceCapExceeded,
-    _divide,
+    _divides as _packed_divides,
+    _divisor,
     _packed_key,
+    _reduce_basis,
+    _remainder,
     buchberger,
     divmod_single,
     graded_kernel_oracle,
@@ -26,6 +29,7 @@ from polyaut.polycore import (
     WeightVector,
     _pack,
     _rref,
+    _unpacker,
     compose,
     is_homogeneous,
     leading_term,
@@ -201,12 +205,18 @@ def _division_cases():
         yield p, gens, orders[trial % len(orders)]
 
 
+def _engine_divide(p, gens, lms, order):
+    """The engine's remainder of p by nonzero gens with leading monomials lms."""
+    key = _packed_key(order, p.n)
+    return _remainder(p, [_divisor(g, key, lm) for g, lm in zip(gens, lms)], key)
+
+
 def test_divide_matches_reference():
     nonmonic = 0
     for p, gens, order in _division_cases():
         lms = [_reference_lm(g, order) for g in gens]
         nonmonic += any(g.coeff(lm) != 1 for g, lm in zip(gens, lms))
-        assert _divide(p, gens, lms, order) == _reference_divide(p, gens, order)
+        assert _engine_divide(p, gens, lms, order) == _reference_divide(p, gens, order)
         basis = buchberger(gens, order)
         assert normal_form(p, basis) == _reference_divide(p, basis.gens, order)
         q, r = divmod_single(p, gens[0], order)
@@ -249,16 +259,26 @@ def test_division_past_the_largest_exponent_raises():
     g = P("x2 - x1^2", 2)
     p = Polynomial.monomial((MAX_EXPONENT - 1, 1), 1, 2)
     with pytest.raises(ExponentOverflow):
-        _divide(p, [g], [(0, 1)], order)
+        _engine_divide(p, [g], [(0, 1)], order)
     with pytest.raises(ExponentOverflow):
         divmod_single(p, g, order)
+    # Below 2^31 in every field, x2 | x1^(2^31 - 1) * x2 by borrow, and the
+    # divisor's exponent bound 2^31 + 1 is what the shift is checked for.
+    top = 1 << 31
+    heavy = WeightVector((1, top + 2))
+    h = P("x2", 2) - Polynomial.monomial((top + 1, 0), 1, 2)
+    with pytest.raises(ExponentOverflow):
+        _engine_divide(Polynomial.monomial((top - 1, 1), 1, 2), [h], [(0, 1)], heavy)
+    assert (_engine_divide(Polynomial.monomial((top - 2, 1), 1, 2), [h], [(0, 1)], heavy)
+            == Polynomial.monomial((MAX_EXPONENT, 0), 1, 2))
     # The S-pair of x1*x2 + x2^2 and x2^MAX shifts x2^2 by x2^(MAX - 1).
     gens = [P("x1*x2 + x2^2", 2), Polynomial.monomial((0, MAX_EXPONENT), 1, 2)]
     for pair in (gens, gens[::-1]):
         with pytest.raises(ExponentOverflow):
             buchberger(pair, WeightVector.standard(2))
     # A remainder keeps a true exponent bound for later products.
-    r = _divide(Polynomial.monomial((MAX_EXPONENT, 0), 1, 2), [P("x2", 2)], [(0, 1)], order)
+    r = _engine_divide(Polynomial.monomial((MAX_EXPONENT, 0), 1, 2), [P("x2", 2)], [(0, 1)],
+                       order)
     with pytest.raises(ExponentOverflow):
         r * P("x1", 2)
 
@@ -292,20 +312,79 @@ def _order_and_exponents(draw):
     return order, n, a, b
 
 
+def _reference_int_key(order, exp):
+    """The packed key as an int from the exponent tuple: the fields sum x and
+    x, then the scaled wdeg z in enough bits for MAX_EXPONENT * sum(ws),
+    then the packed exponent (x empty for a WeightVector)."""
+    nx, back = ((order.front, order.back_order) if isinstance(order, BlockElimination)
+                else (0, order))
+    ws = back._int_form[1]
+    x, z = exp[:nx], exp[nx:]
+    front = sum(x) << 32 * nx | _pack(x, nx) if nx else 0
+    wbits = (MAX_EXPONENT * sum(ws)).bit_length()
+    wdeg_z = sum(e * w for e, w in zip(z, ws))
+    return (front << wbits | wdeg_z) << 32 * len(exp) | _pack(exp, len(exp))
+
+
+# Fields around the bounds of the keys' multiplies for the weights (1, 2),
+# and for a block with two front variables and the back weight 3: the
+# largest exponent no field carries at, MAX // 3, and the power of two
+# 2^30 below it, where the multiply takes over from the unpacking; 2^31,
+# where divisibility stops being a borrow test.
+_M3 = MAX_EXPONENT // 3
+_P30 = 1 << 30
+
+
 @settings(max_examples=300, deadline=None)
 @given(_order_and_exponents())
 # Equal sum x, and a back degree 9 * MAX that must not reach the x fields.
 @example((BlockElimination(2, WeightVector((9,))), 3, (0, 5, MAX_EXPONENT), (1, 4, 0)))
+@example((WeightVector((1, 2)), 2, (_M3 - 1, 1), (_M3, 0)))
+@example((WeightVector((1, 2)), 2, (_M3 + 1, 0), (_M3, 1)))
+@example((WeightVector((1, 2)), 2, (1 << 31, 0), ((1 << 31) - 1, 1)))
+@example((WeightVector((1, 2)), 2, (_P30 - 1, 2), (_P30, 0)))
+@example((BlockElimination(2, WeightVector((3,))), 3, (_P30 - 1, 1, _P30 - 1), (_P30, 0, 0)))
+@example((BlockElimination(2, WeightVector((3,))), 3, (_M3, 0, _M3 - 1), (_M3 - 1, 1, _M3 + 1)))
+@example((BlockElimination(2, WeightVector((3,))), 3, (0, 1 << 31, 0), (1, (1 << 31) - 1, 0)))
 def test_packed_key_ranks_like_the_reference_key(case):
     order, n, a, b = case
     key = _packed_key(order, n)
     ka, kb = key(_pack(a, n)), key(_pack(b, n))
+    assert (ka, kb) == (_reference_int_key(order, a), _reference_int_key(order, b))
     assert _sign(ka, kb) == _sign(_reference_key(order, a), _reference_key(order, b))
     # Division shifts keys by adding them and reads exponents off the low bits.
     assert ka & ((1 << 32 * n) - 1) == _pack(a, n)
     s = tuple(x + y for x, y in zip(a, b))
     if max(s) <= MAX_EXPONENT:
         assert key(_pack(s, n)) == ka + kb
+
+
+@st.composite
+def _exponent_pairs(draw):
+    """(a, b) on n variables, b often a plus a small or no step per field."""
+    n = draw(st.integers(1, 4))
+    a = draw(st.tuples(*[_EXPONENT] * n))
+    b = tuple(draw(st.one_of(st.just(e), st.just(e + 1), _EXPONENT)) for e in a)
+    return a, tuple(min(e, MAX_EXPONENT) for e in b)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_exponent_pairs())
+@example((((1 << 31) - 1, 0), ((1 << 31) - 1, 5)))
+@example((((1 << 31) - 1, 3), ((1 << 31) - 1, 2)))
+@example(((1 << 31, 0), (1 << 31, 5)))
+@example(((1 << 31, 0), ((1 << 31) - 1, 5)))
+@example(((0, 1 << 31), (MAX_EXPONENT, MAX_EXPONENT)))
+def test_divisibility_by_borrow_matches_the_tuple_test(case):
+    # The borrow test below 2^31 in every field, the unpacked one above; the
+    # division loop's own copy of it divides x^b by x^a exactly when a | b.
+    a, b = case
+    n = len(a)
+    divides = _divides(a, b)
+    assert _packed_divides(_pack(a, n), _pack(b, n), n) == divides
+    order = WeightVector.standard(n)
+    x_a, x_b = Polynomial.monomial(a, 1, n), Polynomial.monomial(b, 1, n)
+    assert _engine_divide(x_b, [x_a], [a], order).is_zero() == divides
 
 
 # -- buchberger --------------------------------------------------------------
@@ -769,6 +848,75 @@ def _criteria_free_inputs():
             random_polynomial(rng, n, max_terms=3, max_deg=3, coeff_bound=4)
             for _ in range(rng.randint(1, 3))
         ]
+
+
+def _reference_reduce_basis(divs, order, n):
+    """The interreduction on Polynomials: drop members whose leading monomial
+    another's divides, divide each kept member by the others, once each, in
+    order (when more than one is kept), and scale each to monic by the
+    Fraction of its leading coefficient.  Returns (gens, lms), sorted by
+    descending key."""
+    key = _packed_key(order, n)
+    mask = (1 << 32 * n) - 1
+    unpack = _unpacker(n)
+    members = [(Polynomial(n, {d.lm: d.lead, **{unpack(kt & mask): c for kt, c in d.tail}}),
+                d.lm) for d in divs]
+    keep = [(g, lm) for i, (g, lm) in enumerate(members)
+            if not any(j != i and _divides(other, lm) and (other != lm or j < i)
+                       for j, (_, other) in enumerate(members))]
+    if len(keep) > 1:
+        for i, (g, lm) in enumerate(keep):
+            others = [_divisor(h, key, hlm) for j, (h, hlm) in enumerate(keep) if j != i]
+            keep[i] = _remainder(g, others, key).primitive(), lm
+    keep.sort(key=lambda member: key(_pack(member[1], n)), reverse=True)
+    return (tuple(g * (1 / g.coeff(lm)) for g, lm in keep), tuple(lm for _, lm in keep))
+
+
+def test_interreduction_matches_the_polynomial_reference(monkeypatch, count_calls,
+                                                         count_fractions):
+    # The divisors buchberger hands to _reduce_basis, on seeded inputs at
+    # n = 2, 3 and 4 under weight and block orders and from kernel_ideal.
+    from polyaut import groebner
+
+    handed = []
+
+    def recording(divs, order, n):
+        handed.append((list(divs), order, n))
+        return _reduce_basis(divs, order, n)
+
+    monkeypatch.setattr(groebner, "_reduce_basis", recording)
+    rng = random.Random(20261020)
+    for n in (2, 3, 4):
+        orders = [WeightVector.standard(n),
+                  WeightVector(tuple(Fraction(rng.randint(1, 5), rng.randint(1, 3))
+                                     for _ in range(n))),
+                  BlockElimination(1, WeightVector.standard(n - 1))]
+        for order in orders * 2:
+            buchberger([random_polynomial(rng, n, max_terms=3, max_deg=3, min_deg=2,
+                                          coeff_bound=5) for _ in range(2)], order)
+        w = WeightVector.standard(n)
+        for _ in range(2):
+            m = expand(random_tame_word(rng, n, max_gens=3, max_addend_deg=3,
+                                        max_coord_deg=4))
+            kernel_ideal([leading_term(c, w) for c in m.coords], deg2_weights(m, w))
+    monkeypatch.undo()
+    reduced = count_calls(groebner, "_reduce")
+    made = count_fractions()
+    sizes, divided = [], []
+    for divs, order, n in handed:
+        expected = _reference_reduce_basis(divs, order, n)
+        made.clear()
+        reduced.clear()
+        basis = _reduce_basis(divs, order, n)
+        # The monic generators are the integer multiples over their leads.
+        assert made == []
+        assert (basis.gens, basis.lms) == expected
+        sizes.append(len(basis))
+        divided.append(len(reduced))
+    assert len(handed) == 24 and max(sizes) >= 4
+    # Some bases had members to divide; many of several members had none.
+    assert sum(map(bool, divided)) >= 3
+    assert sum(1 for size, d in zip(sizes, divided) if size > 1 and not d) >= 10
 
 
 def test_buchberger_matches_criteria_free_reference():

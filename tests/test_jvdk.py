@@ -236,6 +236,27 @@ def test_decompose_rejects_non_automorphism():
     assert out.stage in ("reduce step", "affine base")
 
 
+def test_decompose2_refuses_before_any_power(monkeypatch):
+    # The smallest x1 exponent over the leading form of x1^3200 is 3200,
+    # not 3200 times the 0 of x1 + x2, so reduce_step refuses the map
+    # without building (x1 + x2)^3200, with the refusal that degree drop
+    # gives.  With three variables the same holds for x2 in x2^3200 and
+    # x2 + x3, whose x1 exponents agree.
+    m = parse_map("x1^3200; x1 + x2", 2)
+    f3, g3 = P("x2^3200", 3), P("x2 + x3", 3)
+
+    def refuse(self, k):
+        raise AssertionError(f"a power to {k} was built")
+
+    monkeypatch.setattr(Polynomial, "__pow__", refuse)
+    assert decompose2(m) == NotAnAutomorphism(
+        "reduce step",
+        "leading form of degree 3200 is not a scalar multiple of the "
+        "degree-1 leading form raised to 3200/1",
+    )
+    assert reduce_step(f3, g3, 3200) is None
+
+
 def test_decompose_rejects_singular_affine_base():
     out = decompose2(parse_map("x1 + x2\nx1 + x2 + 1", 2))
     assert out == NotAnAutomorphism(

@@ -30,7 +30,9 @@ from polyaut.polycore import (
     parse_poly,
     partial,
     wdeg,
+    _pack,
     _rref,
+    _scaled_degrees,
 )
 
 
@@ -189,6 +191,51 @@ def test_weight_vector_scales_itself_once(count_calls):
     same = WeightVector((Fraction(1, 2), Fraction(2, 3)))
     assert w == same and hash(w) == hash(same)
     assert repr(w) == "WeightVector(weights=(Fraction(1, 2), Fraction(2, 3)))"
+
+
+def _reference_scaled_degrees(p, w):
+    """The tuple route: s times each term's weighted degree, summed over
+    its exponent tuple with the Fraction weights."""
+    s = w._int_form[0]
+    return s, {_pack(e, p.n): int(s * sum(a * wi for a, wi in zip(e, w.weights)))
+               for e in p.support()}
+
+
+_TOP = 1 << 31
+_FIELD = st.one_of(st.integers(0, 6), st.integers(0, MAX_EXPONENT))
+_DEGREE_WEIGHT = st.one_of(st.integers(1, 9), st.fractions(Fraction(1, 9), 9, max_denominator=9),
+                           st.sampled_from([Fraction(1, 1000003), 1000003]))
+
+
+@st.composite
+def _wide_polynomials(draw):
+    """(p, w): p with exponents up to MAX_EXPONENT, w weights on its variables."""
+    n = draw(st.integers(1, 4))
+    terms = draw(st.dictionaries(st.tuples(*[_FIELD] * n), st.integers(-9, 9).filter(bool),
+                                 min_size=1, max_size=4))
+    return Polynomial(n, terms), WeightVector(tuple(draw(_DEGREE_WEIGHT) for _ in range(n)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_wide_polynomials())
+# Exponents at the multiply's bound MAX // 2 = 2^31 - 1 for two unit weights
+# and one past it; the same for the scaled ints (2, 1000003) of the weights
+# (1/1000003, 1/2), whose bound is MAX // 1000005 = 4294.
+@example((Polynomial(2, {(_TOP - 1, 0): 1, (3, _TOP - 1): 2}), std(2)))
+@example((Polynomial(2, {(_TOP, 0): 1, (3, _TOP - 1): 2}), std(2)))
+@example((Polynomial(2, {(MAX_EXPONENT, 1): 1, (0, 5): 1}), std(2)))
+@example((Polynomial(2, {(4294, 1): 1, (0, 4294): 1}),
+          WeightVector((Fraction(1, 1000003), Fraction(1, 2)))))
+@example((Polynomial(2, {(4294, 1): 1, (0, 4295): 1}),
+          WeightVector((Fraction(1, 1000003), Fraction(1, 2)))))
+def test_degrees_of_packed_exponents_match_the_tuple_route(case):
+    # The multiply on packed exponents where no field carries, the unpacking
+    # past that bound: both give the tuple route's degrees.
+    p, w = case
+    s, degrees = _scaled_degrees(p, w)
+    assert (s, degrees) == _reference_scaled_degrees(p, w)
+    assert wdeg(p, w) == Fraction(max(degrees.values()), s)
+    assert p.total_degree() == max(map(sum, p.support()))
 
 
 def test_minus_infinity_ordering():
