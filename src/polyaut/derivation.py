@@ -69,7 +69,6 @@ from .polycore import (
     format_poly,
     linear_combination,
     partial,
-    wdeg,
 )
 
 
@@ -135,17 +134,7 @@ def derivation_degree(d: Derivation, w: WeightVector):
     It suffices to take the sup over the coordinate functions, since for any
     P the degree of d(P) is at most deg(d) + deg(P).
     """
-    if len(w) != d.n:
-        raise ValueError("weight vector length does not match derivation")
-    best = MINUS_INFINITY
-    for i, a in enumerate(d.coeffs, start=1):
-        da = wdeg(a, w)
-        if da is MINUS_INFINITY:
-            continue
-        val = da - w[i]
-        if best is MINUS_INFINITY or val > best:
-            best = val
-    return best
+    return _degree_and_leading(d, w)[0]
 
 
 def leading_derivation(d: Derivation, w: WeightVector) -> Derivation:

@@ -19,21 +19,19 @@ Provides reduced Groebner bases over the rationals, multivariate division
 
 A monomial order is a WeightVector (weighted degree, ties broken
 lexicographically) or a BlockElimination over one.  It ranks packed
-exponents (polycore's one int per monomial) by one int key, built by
-_packed_key(order, n) from the weights the WeightVector scaled to ints
-once.  The key is additive, key(a + b) = key(a) + key(b), and keeps the
+exponents (polycore's one int per monomial, a 64-bit field per variable
+holding an exponent below 2^32) by one int key, built by _packed_key(order,
+n).  The key is additive, key(a + b) = key(a) + key(b), and keeps the
 packed exponent in its low FIELD_BITS * n bits.  Its fields above those
-are linear forms of the exponent, each one int multiply of the packed
-exponent as in polycore._scaled_degrees (the total degree of the front
-block, the weighted degree of the back block); an exponent with a field
-large enough that a form could carry is unpacked instead.  Division
-therefore runs in place on one dict {key: int numerator} over one
+are linear forms of the exponent, each the WeightVector's own _form (the
+total degree of the front block, the weighted degree of the back block).
+Division therefore runs in place on one dict {key: int numerator} over one
 denominator: each step pops the largest key and subtracts a fraction-free
 multiple of a divisor shifted by adding keys, and no Polynomial or Fraction
 is built per step.  Whether a leading monomial divides the popped one is a
-borrow test on the two packed exponents (_divides) while their fields are
-below 2^31; only a larger field, or a term that joins the remainder, is
-unpacked.
+borrow test on the two packed exponents (_divides), exact for every
+exponent because each field has 32 bits of headroom; only a term that
+joins the remainder, or a shift that could pass MAX_EXPONENT, is unpacked.
 
 A basis member's leading monomial is computed once and travels with it:
 buchberger keeps a list beside its working basis, and every IdealBasis is
@@ -55,11 +53,12 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache, cached_property
 from math import floor, gcd, lcm
-from operator import add, le, mul, sub
+from operator import add, mul, sub
 from typing import NamedTuple, Sequence
 
 from .polycore import (
     FIELD_BITS,
+    FIELD_MASK,
     MAX_EXPONENT,
     Polynomial,
     ResourceCapExceeded,
@@ -79,15 +78,6 @@ MAX_S_PAIRS = 100_000
 
 
 # -- monomial orders ---------------------------------------------------------
-
-
-def _linear_key(prefix, n: int):
-    """The key sum(a_i * prefix_i) << FIELD_BITS * n | a of a packed exponent
-    a = (a_1..a_n) by unpacking a; additive because the packed exponent is.
-    _packed_key's route for exponents whose linear forms could carry."""
-    unpack = _unpacker(n)
-    shift = FIELD_BITS * n
-    return lambda a: sum(map(mul, unpack(a), prefix)) << shift | a
 
 
 @dataclass(frozen=True)
@@ -112,11 +102,13 @@ MonomialOrder = WeightVector | BlockElimination
 @cache
 def _ones(n: int) -> int:
     """The packed exponent with 1 in each of its n fields."""
-    return ((1 << FIELD_BITS * n) - 1) // MAX_EXPONENT
+    return ((1 << FIELD_BITS * n) - 1) // FIELD_MASK
 
 
-#: The top bit of a field: the borrow test of _divides needs every field below it.
+#: The top bit of a field, above every exponent: the borrow test of _divides.
 _TOP_BIT = 1 << FIELD_BITS - 1
+#: 2^31: a sum of two exponents below it is at most MAX_EXPONENT.
+_HALF = MAX_EXPONENT // 2 + 1
 
 
 def _packed_key(order: MonomialOrder, n: int):
@@ -125,60 +117,36 @@ def _packed_key(order: MonomialOrder, n: int):
     and weights d on the back part z (all n variables for a WeightVector,
     x empty) the key is ((sum x, x), (wdeg z, z)) as one int: the fields
     sum x, x and the scaled wdeg z above the packed exponent, whose low
-    bits are z.
-
-    The two linear forms are int multiplies, as in _scaled_degrees: wdeg z
-    is the middle field of z * W for the back order's W, and sum x that of
-    x * _ones(len(x)); the x fields are the packed exponent shifted down
-    past z.  Neither product carries while every exponent is at most cap,
-    MAX_EXPONENT // sum(ws) (and // len(x) for sum x).  One AND tests a
-    packed exponent for that, against the bits of every field from 2^bits
-    up for the largest 2^bits - 1 <= cap; an exponent with such a bit set
-    takes the unpacking _linear_key instead, which gives the same key."""
+    bits are z.  wdeg z is the back order's _form of z, and sum x the
+    standard WeightVector's of x, the packed exponent shifted down past z."""
     nx, back = (0, order) if isinstance(order, WeightVector) else (order.front, order.back_order)
     ws = back._int_form[1]
     nz = len(ws)
     if nz != n - nx:
         raise ValueError(f"order has {nz} weights, not {n - nx}")
-    wbits = (MAX_EXPONENT * sum(ws)).bit_length()
-    xs = [(1 << FIELD_BITS * nx | 1 << FIELD_BITS * (nx - 1 - i)) << wbits
-          for i in range(nx)]
-    unpacking = _linear_key(xs + list(ws), n)
-    dot, cap = back._dot
-    if nx:
-        cap = min(cap, MAX_EXPONENT // nx)
-    bits = (cap + 1).bit_length() - 1
-    # The bits of every field from 2^bits up.
-    carries = (MAX_EXPONENT >> bits << bits) * _ones(n)
+    wdeg = back._form
     shift = FIELD_BITS * n
-    zshift = FIELD_BITS * (nz - 1)
     if not nx:
-        return lambda a: (unpacking(a) if a & carries
-                          else (a * dot >> zshift & MAX_EXPONENT) << shift | a)
-    xshift = FIELD_BITS * (nx - 1)
-    xones = _ones(nx)
-    zmask = (1 << FIELD_BITS * nz) - 1
+        return lambda a: wdeg(a) << shift | a
+    total = WeightVector.standard(nx)._form
+    wbits = (MAX_EXPONENT * sum(ws)).bit_length()
+    zbits = FIELD_BITS * nz
+    zmask = (1 << zbits) - 1
 
     def key(a):
-        if a & carries:
-            return unpacking(a)
-        x = a >> FIELD_BITS * nz
-        front = (x * xones >> xshift & MAX_EXPONENT) << FIELD_BITS * nx | x
-        return (front << wbits | (a & zmask) * dot >> zshift & MAX_EXPONENT) << shift | a
+        x = a >> zbits
+        front = total(x) << FIELD_BITS * nx | x
+        return (front << wbits | wdeg(a & zmask)) << shift | a
 
     return key
 
 
 def _divides(lm: int, a: int, n: int) -> bool:
-    """Whether the packed exponent lm divides a.  While every field of both
-    is below 2^31 (_TOP_BIT), lm | a iff ((a | H) - lm) & H == H for H
-    with the top bit of each field set: a field of (a | H) - lm keeps its
-    top bit iff a_i >= lm_i and never borrows from the next.  Otherwise
-    the exponents are unpacked and compared."""
+    """Whether the packed exponent lm divides a: lm | a iff ((a | H) - lm)
+    & H == H for H with the top bit of each field set (_TOP_BIT).  Every
+    exponent is below that bit, so a field of (a | H) - lm keeps it iff
+    a_i >= lm_i and never borrows from the next."""
     high = _TOP_BIT * _ones(n)
-    if (lm | a) & high:
-        unpack = _unpacker(n)
-        return all(map(le, unpack(lm), unpack(a)))
     return (a | high) - lm & high == high
 
 
@@ -232,19 +200,24 @@ def _divisor(g: Polynomial, key, lm=None) -> _Divisor:
     """g read for division under the order key; lm is g's leading monomial
     when the caller holds it."""
     keyed = {key(t): c for t, c in g._nums.items()}
-    if lm is None:
-        k = max(keyed)
-        mono = k & (1 << FIELD_BITS * g.n) - 1
-        lm = _unpacker(g.n)(mono)
-    else:
-        mono = _pack(lm, g.n)
-        k = key(mono)
+    k = max(keyed) if lm is None else key(_pack(lm, g.n))
     lead = keyed.pop(k)
-    content = gcd(lead, *keyed.values())
+    return _primitive_divisor(k, lead, keyed.items(), g._ebound, g.n, lm)
+
+
+def _primitive_divisor(k: int, lead: int, tail, ebound: int, n: int, lm=None) -> _Divisor:
+    """The _Divisor of the integer polynomial with leading term lead at key
+    k and the other terms tail, (key, numerator) pairs, divided by its
+    content and signed so that lead is positive; lm is the leading monomial
+    as a tuple when the caller holds it."""
+    content = gcd(lead, *(c for _, c in tail))
     if lead < 0:
         content = -content
-    return _Divisor(lm, mono, k, lead // content,
-                    [(t, c // content) for t, c in keyed.items()], g._ebound)
+    mono = k & (1 << FIELD_BITS * n) - 1
+    if lm is None:
+        lm = _unpacker(n)(mono)
+    return _Divisor(lm, mono, k, lead // content, [(t, c // content) for t, c in tail],
+                    ebound)
 
 
 def _check_shift(mono, div: _Divisor):
@@ -270,18 +243,15 @@ def _reduce(work: dict, den: int, divisors, n: int, quotient=None):
     cancels it, scaling work and den by lead / gcd(c, lead) first when that
     is not 1, and otherwise the term joins the remainder with the
     denominator of that step.  Divisibility is the borrow test of _divides
-    on the packed exponent; a term with a field at or above 2^31 is
-    unpacked and compared instead, and a leading monomial with such a
-    field divides no term without one.  Only a term that joins the
-    remainder is unpacked otherwise, and a shift is checked against
-    MAX_EXPONENT (_check_shift) only where it could pass it.  When
-    quotient is a list, each step appends (key of x^q, b, den) for the
-    subtracted (b / den) * x^q times the integer multiple of g of a single
-    divisor.
+    on the packed exponent.  A shift is checked against MAX_EXPONENT
+    (_check_shift) only where it could pass it: where the term or the
+    divisor's exponent bound reaches 2^31.  When quotient is a list, each step appends (key of x^q,
+    b, den) for the subtracted (b / den) * x^q times the integer multiple
+    of g of a single divisor.
     """
     mask = (1 << FIELD_BITS * n) - 1
     high = _TOP_BIT * _ones(n)
-    small = [div for div in divisors if not div.mono & high]
+    half = _HALF * _ones(n)
     unpack = _unpacker(n)
     rest = []
     top = 0
@@ -289,25 +259,13 @@ def _reduce(work: dict, den: int, divisors, n: int, quotient=None):
         k = max(work)
         c = work.pop(k)
         a = k & mask
-        if a & high:
-            mono = unpack(a)
-            for div in divisors:
-                if all(map(le, div.lm, mono)):
-                    _check_shift(mono, div)
-                    break
-            else:
-                div = None
+        probe = a | high
+        for div in divisors:
+            if probe - div.mono & high == high:
+                if a & half or div.ebound >= _HALF:
+                    _check_shift(unpack(a), div)
+                break
         else:
-            probe = a | high
-            for div in small:
-                if (probe - div.mono) & high == high:
-                    # a's fields are below 2^31: only such a bound can pass MAX_EXPONENT.
-                    if div.ebound >= _TOP_BIT:
-                        _check_shift(unpack(a), div)
-                    break
-            else:
-                div = None
-        if div is None:
             rest.append((k, c, den))
             top = max(top, *unpack(a))
             continue
@@ -412,10 +370,13 @@ def buchberger(gens: Sequence[Polynomial], order: MonomialOrder) -> IdealBasis:
 
     Deterministic given the input order.  Pairs are processed smallest lcm
     first; the coprime-lcm and chain criteria discard pairs; every
-    intermediate polynomial is content-normalized.  Raises
-    ResourceCapExceeded past MAX_S_PAIRS S-pair reductions (read per call).
+    intermediate polynomial is content-normalized: each generator and each
+    nonzero S-pair remainder becomes a _Divisor, the remainder straight
+    from the keyed terms of _reduce, whose first is the leading one.
+    Raises ResourceCapExceeded past MAX_S_PAIRS S-pair reductions (read
+    per call).
     """
-    G = [g.primitive() for g in gens if not g.is_zero()]
+    G = [g for g in gens if not g.is_zero()]
     if not G:
         n = gens[0].n if gens else 1
         return IdealBasis((), order, n, ())
@@ -454,10 +415,11 @@ def buchberger(gens: Sequence[Polynomial], order: MonomialOrder) -> IdealBasis:
             raise ResourceCapExceeded(
                 f"buchberger exceeded {MAX_S_PAIRS} S-pair reductions"
             )
-        rem = _collect(*_reduce(_s_pair(divs[i], divs[j], kl, l), 1, divs, n), n)
-        if rem.is_zero():
+        rest, den, top = _reduce(_s_pair(divs[i], divs[j], kl, l), 1, divs, n)
+        if not rest:
             continue
-        divs.append(_divisor(rem.primitive(), key))
+        (klead, lead), *tail = [(kt, c * (den // d)) for kt, c, d in rest]
+        divs.append(_primitive_divisor(klead, lead, tail, top, n))
         new = len(divs) - 1
         add_lcms(new)
         for k in range(new):
@@ -492,10 +454,7 @@ def _reduce_basis(divs, order, n) -> IdealBasis:
             continue
         rest, den, top = _reduce(dict(d.tail), 1, others, n)
         tail = [(kt, c * (den // e)) for kt, c, e in rest]
-        lead = d.lead * den
-        content = gcd(lead, *(c for _, c in tail))
-        keep[i] = d._replace(lead=lead // content, ebound=max(top, *d.lm),
-                             tail=[(kt, c // content) for kt, c in tail])
+        keep[i] = _primitive_divisor(d.key, d.lead * den, tail, max(top, *d.lm), n, d.lm)
     keep.sort(key=lambda d: d.key, reverse=True)
     gens = []
     for d in keep:

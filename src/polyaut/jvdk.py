@@ -10,7 +10,7 @@ then use the key reduction step
 
 so h = f - c*g^r has strictly smaller degree and composing with the
 elementary map (x1 - c*x2^r, x2) strictly decreases the degree sum.
-reduce_step first compares the extreme exponents of the two leading
+reduce_step first compares the extreme monomials of the two leading
 forms, a necessary condition that needs no power of g.  It then decides
 the step by that degree drop: c is read off the one monomial r*t that
 tops g^r (t the lexicographically largest monomial of the leading form
@@ -43,8 +43,6 @@ from .autmap import (
     expand,
 )
 from .polycore import (
-    FIELD_BITS,
-    MAX_EXPONENT,
     Polynomial,
     WeightVector,
     _scaled_degrees,
@@ -84,14 +82,13 @@ def reduce_step(f: Polynomial, g: Polynomial, df: int):
     r = deg(f)/deg(g) and c != 0, or None when no such reduction exists.
 
     Expects deg(f) >= deg(g) >= 1 under the standard degree.  Before g^r
-    is built, each variable's largest and smallest exponent over the
-    leading form of f must be r times those over the leading form of g:
-    Q[x] is a domain, so the leading form of g^r is that of g to the r,
-    and the extreme exponents of a product add.  The lexicographically
-    largest monomial t of the leading form of g gives the top monomial r*t
-    of g^r, so c = f[r*t] / g[t]^r without a root; the leading form of f
-    is c times that of g^r exactly when f - c*g^r drops in degree (h may
-    be 0, with dh = MINUS_INFINITY).
+    is built, the lexicographically largest and smallest monomials of the
+    leading form of f must be r times those of the leading form of g: Q[x]
+    is a domain and lex is a monomial order, so the leading form of g^r is
+    that of g to the r, and its extreme monomials are r times g's.  The
+    largest, r*t, gives c = f[r*t] / g[t]^r without a root; the leading
+    form of f is c times that of g^r exactly when f - c*g^r drops in
+    degree (h may be 0, with dh = MINUS_INFINITY).
     """
     w = WeightVector.standard(f.n)
     gdegs = _scaled_degrees(g, w)[1]
@@ -99,27 +96,15 @@ def reduce_step(f: Polynomial, g: Polynomial, df: int):
     if df % dg != 0:
         return None
     r = df // dg
-    # The packed exponents of the two leading forms, one field per variable.
-    # x1's extremes are the largest and smallest packed exponents' (lex
-    # order); with two variables they fix x2's, since all terms of a
-    # leading form have one degree.
+    # The packed exponents of the two leading forms: the largest and the
+    # smallest are the lex extremes.  r times a packed exponent of g's
+    # leading form packs its exponents times r, none of them past deg(f).
     lg = [k for k, d in gdegs.items() if d == dg]
     lf = [k for k, d in _scaled_degrees(f, w)[1].items() if d == df]
-    top = FIELD_BITS * (f.n - 1)
-    if max(lf) >> top != r * (max(lg) >> top) or min(lf) >> top != r * (min(lg) >> top):
-        return None
-    for shift in range(0, top, FIELD_BITS) if f.n > 2 else ():
-        ef = [k >> shift & MAX_EXPONENT for k in lf]
-        eg = [k >> shift & MAX_EXPONENT for k in lg]
-        if max(ef) != r * max(eg) or min(ef) != r * min(eg):
-            return None
-    # r * t packs as r times t's packed exponent: no field passes the
-    # exponents of f's leading form.
     t = max(lg)
-    ft = f._nums.get(r * t)
-    if ft is None:
+    if max(lf) != r * t or min(lf) != r * min(lg):
         return None
-    c = Fraction(ft * g.den ** r, f.den * g._nums[t] ** r)
+    c = Fraction(f._nums[r * t] * g.den ** r, f.den * g._nums[t] ** r)
     # -c as a constant polynomial, so no Fraction is built for the sign.
     h = linear_combination(((1, f), (-Polynomial.constant(c, f.n), g ** r)), f.n)
     dh = h.total_degree()

@@ -2,7 +2,7 @@
 
 A polynomial in n variables x1..xn is stored as integer numerators over one
 common denominator.  Each exponent vector (a1,..,an) is packed into one int
-of n fixed-width fields of FIELD_BITS = 32 bits, x1 in the most significant
+of n fixed-width fields of FIELD_BITS = 64 bits, x1 in the most significant
 field: adding two packed exponents multiplies the monomials, and integer
 order on packed exponents is lexicographic order on the vectors.  A
 Polynomial holds a dict from packed exponents to nonzero int numerators and
@@ -14,12 +14,15 @@ alone.  Fraction appears only at the API: every scalar taken is an int or
 a Fraction (_ratio), coefficients are returned as Fractions, and .terms is
 a read-only {exponent tuple: Fraction} view.
 
-Exponents range over 0..MAX_EXPONENT = 2^32 - 1.  Every polynomial carries
-an upper bound on its exponents; a product or power whose bound could pass
-MAX_EXPONENT checks its exact degrees once, for the whole operation, and
-raises ExponentOverflow (a ValueError) when a field would overflow; so does
-a constant raised to a power above MAX_EXPONENT.  A power whose coefficients
-could need more than MAX_COEFFICIENT_BITS bits raises ResourceCapExceeded.
+Exponents range over 0..MAX_EXPONENT = 2^32 - 1, so every field keeps 32
+bits of headroom: neither a sum of two exponents nor a weighted sum whose
+int weights add up to at most 2^32 + 1 carries into the next field.  Every
+polynomial carries an upper bound on its exponents; a product or power
+whose bound could pass MAX_EXPONENT checks its exact degrees once, for the
+whole operation, and raises ExponentOverflow (a ValueError) when an
+exponent would pass it; so does a constant raised to a power above
+MAX_EXPONENT.  A power whose coefficients could need more than
+MAX_COEFFICIENT_BITS bits raises ResourceCapExceeded.
 
 On top of the ring operations the module provides positive weighted
 homogeneous (p.w.h.) degree functions: a weight vector (w1,..,wn) with all
@@ -27,11 +30,9 @@ wi > 0 assigns the degree a1*w1 + .. + an*wn to the monomial
 x1^a1 .. xn^an, the degree of a polynomial is the maximum over its support,
 and deg(0) = -infinity.  The leading term of a polynomial is the sum of its
 monomials of maximal weighted degree.  Scaled to ints, a monomial's degree
-is one int multiply on its packed exponent (_scaled_degrees): the middle
-field of the product with the weights packed in reverse field order, exact
-while the polynomial's exponent bound keeps every field of the product
-below 2^FIELD_BITS; past that bound the exponents are unpacked and summed.
-total_degree is that degree under the standard weights.
+is one linear form of its packed exponent, which each WeightVector builds
+once (_scaled_degrees).  total_degree is that degree under the standard
+weights.
 
 Also here: formal partial derivatives, substitution of a tuple of
 polynomials (composition with a polynomial map) and the Jacobian
@@ -54,7 +55,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, lcm
 from operator import add, mul
-from typing import Sequence, Union
+from typing import Callable, Sequence, Union
 
 Exponent = tuple  # tuple[int, ...], one entry per variable
 
@@ -105,8 +106,9 @@ class PolyParseError(ValueError):
         self.position = position
 
 
-FIELD_BITS = 32
-MAX_EXPONENT = (1 << FIELD_BITS) - 1
+FIELD_BITS = 64
+FIELD_MASK = (1 << FIELD_BITS) - 1
+MAX_EXPONENT = (1 << 32) - 1
 #: The largest variable count autmap.parse_word and parse_map accept, given
 #: or inferred.  Every packed exponent has FIELD_BITS bits per variable and
 #: an identity map has one coordinate per variable, so an unbounded count (a
@@ -120,15 +122,17 @@ class WeightVector:
 
     Two forms are computed once here for the degree functions and the
     monomial orders.  _int_form is (s, ws): s the least common denominator
-    and ws the weights times s.  _dot is (W, cap) for the linear form
-    sum(a_i * ws_i) of a packed exponent a: W = sum(ws_i << FIELD_BITS *
-    (i - 1)) holds ws in reverse field order, so the form is the middle
-    field of the int product a * W, and cap = MAX_EXPONENT // sum(ws) is
-    the largest exponent for which no field of that product carries."""
+    and ws the weights times s.  _form maps a packed exponent a to its
+    scaled degree sum(a_i * ws_i).  When sum(ws) <= FIELD_MASK //
+    MAX_EXPONENT = 2^32 + 1 it is one int multiply: with W = sum(ws_i <<
+    FIELD_BITS * (i - 1)), ws in reverse field order, every field of a * W
+    is a sum of products a_i * ws_j over one diagonal, at most
+    MAX_EXPONENT * sum(ws), so none carries and the form is the middle
+    field.  For larger weights it unpacks a and sums."""
 
     weights: tuple
     _int_form: tuple = field(init=False, repr=False, compare=False)
-    _dot: tuple = field(init=False, repr=False, compare=False)
+    _form: Callable = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         ws = tuple(Fraction(*_ratio(w)) for w in self.weights)
@@ -139,8 +143,14 @@ class WeightVector:
         object.__setattr__(self, "weights", ws)
         s, ints = _int_weights(ws)
         object.__setattr__(self, "_int_form", (s, ints))
-        dot = sum(w << FIELD_BITS * i for i, w in enumerate(ints))
-        object.__setattr__(self, "_dot", (dot, MAX_EXPONENT // sum(ints)))
+        if sum(ints) <= FIELD_MASK // MAX_EXPONENT:
+            dot = sum(w << FIELD_BITS * i for i, w in enumerate(ints))
+            shift = FIELD_BITS * (len(ints) - 1)
+            form = lambda a: a * dot >> shift & FIELD_MASK
+        else:
+            unpack = _unpacker(len(ints))
+            form = lambda a: sum(map(mul, unpack(a), ints))
+        object.__setattr__(self, "_form", form)
 
     @staticmethod
     @functools.lru_cache(maxsize=MAX_VARIABLES)
@@ -164,7 +174,7 @@ class WeightVector:
 
 
 class ExponentOverflow(ValueError):
-    """An exponent exceeds MAX_EXPONENT, the largest one a packed field holds."""
+    """An exponent exceeds MAX_EXPONENT, the largest one a packed exponent may hold."""
 
 
 class ResourceCapExceeded(RuntimeError):
@@ -184,15 +194,18 @@ MAX_COEFFICIENT_BITS = 1 << 22
 @functools.cache
 def _layout(n: int) -> struct.Struct:
     """n exponents as big-endian unsigned FIELD_BITS-bit fields."""
-    return struct.Struct(f">{n}I")
+    return struct.Struct(f">{n}Q")
 
 
 def _pack(mono, n: int) -> int:
     """The packed form of an exponent tuple of length n."""
     try:
-        return int.from_bytes(_layout(n).pack(*mono), "big")
+        packed = int.from_bytes(_layout(n).pack(*mono), "big")
     except struct.error:
         pass
+    else:
+        if max(mono) <= MAX_EXPONENT:
+            return packed
     if len(mono) != n:
         raise ValueError(f"monomial {mono} has wrong length for n={n}")
     _check_exponents(mono)
@@ -233,7 +246,7 @@ class Polynomial:
     """A sparse exact polynomial in n variables: int numerators over one
     positive int denominator.
 
-    _nums maps packed exponents (one FIELD_BITS = 32-bit field per
+    _nums maps packed exponents (one FIELD_BITS = 64-bit field per
     variable, x1 most significant) to nonzero ints, and den > 0 with
     gcd(den, all numerators) == 1, den == 1 for zero: the canonical form,
     compared directly by == and hash.  _ebound bounds every exponent from
@@ -321,17 +334,6 @@ class Polynomial:
         """Iterator over the exponent tuples of the nonzero terms."""
         return map(_unpacker(self.n), self._nums)
 
-    def primitive(self) -> "Polynomial":
-        """The rational multiple of self with coprime integer coefficients and
-        a positive coefficient at the lexicographically largest monomial."""
-        nums = self._nums
-        if not nums:
-            return self
-        g = gcd(*nums.values())
-        if nums[max(nums)] < 0:
-            g = -g
-        return _poly(self.n, {k: c // g for k, c in nums.items()}, 1, self._ebound)
-
     def total_degree(self):
         """Standard total degree; MINUS_INFINITY for the zero polynomial."""
         if not self._nums:
@@ -341,7 +343,7 @@ class Polynomial:
     def involves(self, i: int) -> bool:
         """True if x_i (1-based) occurs in some term."""
         shift = FIELD_BITS * (self.n - i)
-        return any(key >> shift & MAX_EXPONENT for key in self._nums)
+        return any(key >> shift & FIELD_MASK for key in self._nums)
 
     # -- ring operations ---------------------------------------------------
 
@@ -507,23 +509,13 @@ def _int_weights(weights):
 
 def _scaled_degrees(p: Polynomial, w: WeightVector):
     """(s, {packed exponent: s * weighted degree}) with s the least common
-    denominator of the weights, so that every degree is an int.
-
-    The scaled degree sum(a_i * ws_i) of a packed exponent a is read off
-    one int multiply, as the middle field of a * W (W from w._dot).  Every
-    field of that product is a sum of products a_i * ws_j over one diagonal,
-    at most max(a) * sum(ws), so none carries into the next while p's
-    exponent bound is at most cap = MAX_EXPONENT // sum(ws).  Past that
-    bound the exponents are unpacked and the form summed term by term."""
+    denominator of the weights, so that every degree is an int: the
+    weight vector's own linear form (WeightVector._form) of each packed
+    exponent."""
     if len(w) != p.n:
         raise ValueError("weight vector length does not match variable count")
-    dot, cap = w._dot
-    if p._ebound <= cap:
-        shift = FIELD_BITS * (p.n - 1)
-        return w._int_form[0], {key: key * dot >> shift & MAX_EXPONENT for key in p._nums}
-    s, ws = w._int_form
-    unpack = _unpacker(p.n)
-    return s, {key: sum(map(mul, unpack(key), ws)) for key in p._nums}
+    form = w._form
+    return w._int_form[0], {key: form(key) for key in p._nums}
 
 
 def wdeg(p: Polynomial, w: WeightVector) -> WDegree:
@@ -555,13 +547,6 @@ def _leading(p: Polynomial, w: WeightVector):
     return s, top, _part(p, {k: c for k, c in p._nums.items() if degs[k] == top})
 
 
-def homogeneous_component(p: Polynomial, w: WeightVector, degree) -> Polynomial:
-    """The w-homogeneous part of p of the given weighted degree (may be 0)."""
-    s, degs = _scaled_degrees(p, w)
-    target = degree * s
-    return _part(p, {k: c for k, c in p._nums.items() if degs[k] == target})
-
-
 def _part(p: Polynomial, nums: dict) -> Polynomial:
     """The polynomial of some of p's terms, given as a subdict of p's numerators."""
     if len(nums) == len(p._nums):
@@ -585,7 +570,7 @@ def partial(p: Polynomial, i: int) -> Polynomial:
     unit = 1 << shift
     out = {}
     for key, c in p._nums.items():
-        e = key >> shift & MAX_EXPONENT
+        e = key >> shift & FIELD_MASK
         if e:
             out[key - unit] = c * e
     return _canon(p.n, out, p.den, p._ebound)

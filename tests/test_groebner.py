@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from math import gcd, lcm
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -23,6 +24,7 @@ from polyaut.groebner import (
     span_contains,
 )
 from polyaut.polycore import (
+    FIELD_BITS,
     MAX_EXPONENT,
     ExponentOverflow,
     Polynomial,
@@ -65,6 +67,20 @@ def _reference_lm(p, order):
 
 def _divides(a, b):
     return all(x <= y for x, y in zip(a, b))
+
+
+def _primitive(p):
+    """The rational multiple of p with coprime integer coefficients and a
+    positive coefficient at the lexicographically largest monomial."""
+    if p.is_zero():
+        return p
+    coeffs = p.terms
+    scale = lcm(*(c.denominator for c in coeffs.values()))
+    ints = [int(c * scale) for c in coeffs.values()]
+    g = gcd(*ints)
+    if coeffs[max(coeffs)] < 0:
+        g = -g
+    return p * Fraction(scale, g)
 
 
 def _reference_divide(p, gens, order):
@@ -158,7 +174,7 @@ def test_relation_reports_compute_each_leading_monomial_once(monkeypatch):
         relation_report(word)
         assert len(set(map(id, derived))) == len(derived)
         counts.append(len(derived))
-    assert counts == [5, 4, 4, 5, 4]
+    assert counts == [3, 3, 3, 3, 3]
 
 
 def test_a_basis_builds_its_division_form_once(count_calls):
@@ -200,7 +216,7 @@ def _division_cases():
         for _ in range(3):
             p = p + random_polynomial(rng, 3, max_terms=3, max_deg=4) * Fraction(
                 rng.randint(-5, 5), rng.randint(1, 7))
-        gens = [random_polynomial(rng, 3, max_terms=3, max_deg=2, coeff_bound=6).primitive()
+        gens = [_primitive(random_polynomial(rng, 3, max_terms=3, max_deg=2, coeff_bound=6))
                 for _ in range(rng.randint(1, 3))]
         yield p, gens, orders[trial % len(orders)]
 
@@ -288,6 +304,9 @@ def _sign(a, b):
 
 
 _WEIGHT = st.fractions(min_value=Fraction(1, 9), max_value=9, max_denominator=9)
+# Weights whose scaled ints can sum past 2^32 + 1, where a WeightVector's
+# linear form unpacks: 1/1000003 beside 1000003 scales to (1, 1000003^2).
+_ORDER_WEIGHT = st.one_of(_WEIGHT, st.sampled_from([Fraction(1, 1000003), 1000003]))
 _EXPONENT = st.one_of(st.integers(0, 6), st.integers(0, MAX_EXPONENT))
 
 
@@ -301,10 +320,10 @@ def _order_and_exponents(draw):
     elif kind == "int":
         order = WeightVector(tuple(draw(st.integers(1, 9)) for _ in range(n)))
     elif kind == "rational":
-        order = WeightVector(tuple(draw(_WEIGHT) for _ in range(n)))
+        order = WeightVector(tuple(draw(_ORDER_WEIGHT) for _ in range(n)))
     else:
         nx = draw(st.integers(1, 3))
-        d = tuple(draw(_WEIGHT) for _ in range(n))
+        d = tuple(draw(_ORDER_WEIGHT) for _ in range(n))
         order, n = BlockElimination(nx, WeightVector(d)), nx + n
     a = draw(st.tuples(*[_EXPONENT] * n))
     # b shares some of a's entries, so that comparisons often tie on a prefix.
@@ -320,19 +339,19 @@ def _reference_int_key(order, exp):
                 else (0, order))
     ws = back._int_form[1]
     x, z = exp[:nx], exp[nx:]
-    front = sum(x) << 32 * nx | _pack(x, nx) if nx else 0
+    front = sum(x) << FIELD_BITS * nx | _pack(x, nx) if nx else 0
     wbits = (MAX_EXPONENT * sum(ws)).bit_length()
     wdeg_z = sum(e * w for e, w in zip(z, ws))
-    return (front << wbits | wdeg_z) << 32 * len(exp) | _pack(exp, len(exp))
+    return (front << wbits | wdeg_z) << FIELD_BITS * len(exp) | _pack(exp, len(exp))
 
 
-# Fields around the bounds of the keys' multiplies for the weights (1, 2),
-# and for a block with two front variables and the back weight 3: the
-# largest exponent no field carries at, MAX // 3, and the power of two
-# 2^30 below it, where the multiply takes over from the unpacking; 2^31,
-# where divisibility stops being a borrow test.
+# Fields at MAX // 3, 2^30 and 2^31 (the bit division's overflow guard
+# reads) for the weights (1, 2), for a block with two front variables and
+# the back weight 3, and for the weights (1/1000003, 1000003), whose linear
+# form unpacks, alone and as a block's back order.
 _M3 = MAX_EXPONENT // 3
 _P30 = 1 << 30
+_WIDE = WeightVector((Fraction(1, 1000003), 1000003))
 
 
 @settings(max_examples=300, deadline=None)
@@ -346,6 +365,10 @@ _P30 = 1 << 30
 @example((BlockElimination(2, WeightVector((3,))), 3, (_P30 - 1, 1, _P30 - 1), (_P30, 0, 0)))
 @example((BlockElimination(2, WeightVector((3,))), 3, (_M3, 0, _M3 - 1), (_M3 - 1, 1, _M3 + 1)))
 @example((BlockElimination(2, WeightVector((3,))), 3, (0, 1 << 31, 0), (1, (1 << 31) - 1, 0)))
+@example((_WIDE, 2, (MAX_EXPONENT, 0), (0, 1)))
+@example((_WIDE, 2, (1 << 31, 5), ((1 << 31) - 1, 6)))
+@example((BlockElimination(1, _WIDE), 3, (2, MAX_EXPONENT, 0), (2, 0, 4295)))
+@example((BlockElimination(2, _WIDE), 4, (_M3, 0, 1 << 31, 1), (_M3 - 1, 1, 0, 2)))
 def test_packed_key_ranks_like_the_reference_key(case):
     order, n, a, b = case
     key = _packed_key(order, n)
@@ -353,7 +376,7 @@ def test_packed_key_ranks_like_the_reference_key(case):
     assert (ka, kb) == (_reference_int_key(order, a), _reference_int_key(order, b))
     assert _sign(ka, kb) == _sign(_reference_key(order, a), _reference_key(order, b))
     # Division shifts keys by adding them and reads exponents off the low bits.
-    assert ka & ((1 << 32 * n) - 1) == _pack(a, n)
+    assert ka & ((1 << FIELD_BITS * n) - 1) == _pack(a, n)
     s = tuple(x + y for x, y in zip(a, b))
     if max(s) <= MAX_EXPONENT:
         assert key(_pack(s, n)) == ka + kb
@@ -376,8 +399,8 @@ def _exponent_pairs(draw):
 @example(((1 << 31, 0), ((1 << 31) - 1, 5)))
 @example(((0, 1 << 31), (MAX_EXPONENT, MAX_EXPONENT)))
 def test_divisibility_by_borrow_matches_the_tuple_test(case):
-    # The borrow test below 2^31 in every field, the unpacked one above; the
-    # division loop's own copy of it divides x^b by x^a exactly when a | b.
+    # The borrow test for every exponent up to MAX_EXPONENT; the division
+    # loop's own copy of it divides x^b by x^a exactly when a | b.
     a, b = case
     n = len(a)
     divides = _divides(a, b)
@@ -815,7 +838,7 @@ def _fixpoint_interreduce(G, order):
             if r.is_zero():
                 del keep[i]
             elif r != g:
-                keep[i] = r.primitive()
+                keep[i] = _primitive(r)
             else:
                 continue
             changed = True
@@ -828,13 +851,13 @@ def _fixpoint_interreduce(G, order):
 def _naive_buchberger(gens, order):
     """Criteria-free reference: process every pair until stable.  Returns the
     generators of the reduced basis, monic and sorted like IdealBasis.gens."""
-    G = [g.primitive() for g in gens if not g.is_zero()]
+    G = [_primitive(g) for g in gens if not g.is_zero()]
     pairs = [(i, j) for i in range(len(G)) for j in range(i + 1, len(G))]
     while pairs:
         i, j = pairs.pop()
         rem = _reference_divide(_s_poly(G[i], G[j], order), G, order)
         if not rem.is_zero():
-            G.append(rem.primitive())
+            G.append(_primitive(rem))
             pairs.extend((k, len(G) - 1) for k in range(len(G) - 1))
     return _fixpoint_interreduce(G, order)
 
@@ -857,7 +880,7 @@ def _reference_reduce_basis(divs, order, n):
     Fraction of its leading coefficient.  Returns (gens, lms), sorted by
     descending key."""
     key = _packed_key(order, n)
-    mask = (1 << 32 * n) - 1
+    mask = (1 << FIELD_BITS * n) - 1
     unpack = _unpacker(n)
     members = [(Polynomial(n, {d.lm: d.lead, **{unpack(kt & mask): c for kt, c in d.tail}}),
                 d.lm) for d in divs]
@@ -867,7 +890,7 @@ def _reference_reduce_basis(divs, order, n):
     if len(keep) > 1:
         for i, (g, lm) in enumerate(keep):
             others = [_divisor(h, key, hlm) for j, (h, hlm) in enumerate(keep) if j != i]
-            keep[i] = _remainder(g, others, key).primitive(), lm
+            keep[i] = _primitive(_remainder(g, others, key)), lm
     keep.sort(key=lambda member: key(_pack(member[1], n)), reverse=True)
     return (tuple(g * (1 / g.coeff(lm)) for g, lm in keep), tuple(lm for _, lm in keep))
 

@@ -21,7 +21,6 @@ from polyaut.polycore import (
     WeightVector,
     compose,
     format_poly,
-    homogeneous_component,
     is_homogeneous,
     jacobian,
     leading_term,
@@ -169,9 +168,8 @@ def test_wdeg_standard():
 @pytest.mark.parametrize("fn", [
     wdeg,
     leading_term,
-    lambda p, w: homogeneous_component(p, w, 2),
     is_homogeneous,
-], ids=["wdeg", "leading_term", "homogeneous_component", "is_homogeneous"])
+], ids=["wdeg", "leading_term", "is_homogeneous"])
 def test_weight_vector_length_must_match(fn, weights):
     # A mismatched weight vector is rejected, not truncated by zip.
     for p in (P("x1^2 + x2^5", 2), Polynomial.zero(2)):
@@ -218,9 +216,9 @@ def _wide_polynomials(draw):
 
 @settings(max_examples=300, deadline=None)
 @given(_wide_polynomials())
-# Exponents at the multiply's bound MAX // 2 = 2^31 - 1 for two unit weights
-# and one past it; the same for the scaled ints (2, 1000003) of the weights
-# (1/1000003, 1/2), whose bound is MAX // 1000005 = 4294.
+# Exponents at 2^31 - 1 = MAX // 2 and one past it for two unit weights, and
+# at 4294 = MAX // 1000005 and one past it for the scaled ints (2, 1000003)
+# of the weights (1/1000003, 1/2): every field of the multiply stays exact.
 @example((Polynomial(2, {(_TOP - 1, 0): 1, (3, _TOP - 1): 2}), std(2)))
 @example((Polynomial(2, {(_TOP, 0): 1, (3, _TOP - 1): 2}), std(2)))
 @example((Polynomial(2, {(MAX_EXPONENT, 1): 1, (0, 5): 1}), std(2)))
@@ -229,8 +227,9 @@ def _wide_polynomials(draw):
 @example((Polynomial(2, {(4294, 1): 1, (0, 4295): 1}),
           WeightVector((Fraction(1, 1000003), Fraction(1, 2)))))
 def test_degrees_of_packed_exponents_match_the_tuple_route(case):
-    # The multiply on packed exponents where no field carries, the unpacking
-    # past that bound: both give the tuple route's degrees.
+    # The multiply for weights whose scaled ints sum to at most 2^32 + 1, the
+    # unpacking for larger ones (1/1000003 beside 1000003): both give the
+    # tuple route's degrees.
     p, w = case
     s, degrees = _scaled_degrees(p, w)
     assert (s, degrees) == _reference_scaled_degrees(p, w)
@@ -390,16 +389,6 @@ def test_jacobian_degree_bound(ps):
     w = WeightVector.standard(2)
     bound = sum((wdeg(p, w) for p in ps), Fraction(0)) - 2
     assert wdeg(j, w) <= bound
-
-
-@settings(max_examples=60, deadline=None)
-@given(polynomials(), weight_vectors())
-def test_homogeneous_components_sum(p, w):
-    degs = {sum(e * wi for e, wi in zip(m, w.weights)) for m in p.terms}
-    total = Polynomial.zero(p.n)
-    for d in degs:
-        total = total + homogeneous_component(p, w, d)
-    assert total == p
 
 
 # -- the integer core against {tuple: Fraction} reference arithmetic -----------
@@ -716,10 +705,6 @@ def test_core_weighted_degrees_match_reference(nab, data):
     top = max(degs.values())
     assert wdeg(p, w) == top
     assert leading_term(p, w).terms == {m: c for m, c in a.items() if degs[m] == top}
-    for d in set(degs.values()) | {top + 1, Fraction(1, 7)}:
-        assert homogeneous_component(p, w, d).terms == {
-            m: c for m, c in a.items() if degs[m] == d
-        }
 
 
 @settings(max_examples=100, deadline=None)
