@@ -55,6 +55,7 @@ from .polycore import (
     _UINT,
     _ratio,
     _rref,
+    _substitution,
     compose,
     format_poly,
     jacobian,
@@ -196,24 +197,41 @@ def compose_map(outer: PolyMap, inner: PolyMap) -> PolyMap:
     return PolyMap(outer.n, tuple(compose(c, inner.coords) for c in outer.coords))
 
 
-def apply_generator(g: Generator, coords: tuple) -> tuple:
+def apply_generator(g: Generator, coords: tuple, powers: list | None = None) -> tuple:
     """The coordinates of g o C, for the map C with coordinates coords: the
     generator's coordinate functions with coords substituted for x1..xn.
 
     An Affine coordinate is the linear_combination of coords with one
-    matrix row plus its shift, an Elementary adds its addend composed with
-    coords to one coordinate, and a Transposition swaps two coordinates.
+    matrix row plus its shift.  An Elementary coordinate is one
+    linear_combination too: coords[t] times the addend's denominator plus
+    each term's numerator times its product of coordinate powers (compose's
+    pairs, polycore._substitution), over that denominator.  A Transposition
+    swaps two coordinates.
+
+    powers, when given, holds one power memo per coordinate
+    (polycore._power_products), kept by the caller across generators and
+    brought up to date here: an Affine renews all of them, an Elementary
+    the memo of its target, and a Transposition swaps two.
     """
     if isinstance(g, Affine):
         one = Polynomial.constant(1, g.n)
-        return tuple(linear_combination([(s, one), *zip(row, coords)], g.n)
-                     for row, s in zip(g.matrix, g.shift))
+        out = [linear_combination([(s, one), *zip(row, coords)], g.n)
+               for row, s in zip(g.matrix, g.shift)]
+        if powers is not None:
+            powers[:] = [{1: c} for c in out]
+        return tuple(out)
     out = list(coords)
     if isinstance(g, Elementary):
-        t = g.target - 1
-        out[t] = coords[t] + compose(g.addend, coords)
+        t, a = g.target - 1, g.addend
+        out[t] = linear_combination([(a.den, coords[t]), *_substitution(a, coords, powers)],
+                                    g.n, a.den)
+        if powers is not None:
+            powers[t] = {1: out[t]}
     elif isinstance(g, Transposition):
-        out[g.i - 1], out[g.j - 1] = coords[g.j - 1], coords[g.i - 1]
+        i, j = g.i - 1, g.j - 1
+        out[i], out[j] = coords[j], coords[i]
+        if powers is not None:
+            powers[i], powers[j] = powers[j], powers[i]
     else:
         raise TypeError(f"unknown generator {g!r}")
     return tuple(out)
@@ -225,12 +243,16 @@ def expansion(word: AutWord):
 
     Each tuple is the generator, last to first, applied to the one before
     (apply_generator), so every step substitutes the accumulated map into
-    one small generator.  The last tuple is expand(word).
+    one small generator.  One power memo per coordinate lives for the whole
+    expansion: an Elementary changes one coordinate, so along a run of
+    Elementaries with one target the powers of the others are formed once.
+    The last tuple is expand(word).
     """
     coords = PolyMap.identity(word.n).coords
+    powers = [{1: c} for c in coords]
     yield coords
     for g in reversed(word.gens):
-        coords = apply_generator(g, coords)
+        coords = apply_generator(g, coords, powers)
         yield coords
 
 

@@ -75,6 +75,10 @@ from .polycore import (
 
 #: The most S-pair reductions one buchberger call makes; ResourceCapExceeded past it.
 MAX_S_PAIRS = 100_000
+#: The most monomials z^a one graded_kernel_oracle call enumerates, counted
+#: before any slice is eliminated; ResourceCapExceeded past it.  No test,
+#: demo, verify suite or benchmark corpus needs more than 24.
+MAX_ORACLE_MONOMIALS = 100_000
 
 
 # -- monomial orders ---------------------------------------------------------
@@ -533,8 +537,10 @@ def graded_kernel_oracle(images: Sequence[Polynomial], dweights: WeightVector,
     returns a basis of solutions as polynomials in the z-variables, monic
     for the dweights-graded lex order by construction: a slice has one
     weighted degree, and a solution's lex largest monomial is its free
-    column's, with coefficient 1.  The images^a are compose's cached power
+    column's, with coefficient 1.  The images^a are compose's power
     products (polycore._power_products).  Independent of the Buchberger route.
+    Raises ResourceCapExceeded when there are more than
+    MAX_ORACLE_MONOMIALS monomials z^a, before any slice is eliminated.
     """
     images = list(images)
     nz = len(images)
@@ -543,7 +549,11 @@ def graded_kernel_oracle(images: Sequence[Polynomial], dweights: WeightVector,
     # Degrees scaled to ints by the common denominator s of the weights.
     s, d = dweights._int_form
     by_degree: dict = {}
-    for alpha in _exponents_up_to(d, floor(Fraction(dmax) * s)):
+    monomials = _exponents_up_to(d, floor(Fraction(dmax) * s))
+    for count, alpha in enumerate(monomials, 1):
+        if count > MAX_ORACLE_MONOMIALS:
+            raise ResourceCapExceeded(
+                f"graded oracle exceeded {MAX_ORACLE_MONOMIALS} monomials")
         by_degree.setdefault(sum(map(mul, alpha, d)), []).append(alpha)
     # Degree 0 holds only the constant monomial: no nonzero relation.
     slices = [sorted(by_degree[deg]) for deg in sorted(by_degree) if deg]

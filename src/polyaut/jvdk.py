@@ -16,11 +16,16 @@ the step by that degree drop: c is read off the one monomial r*t that
 tops g^r (t the lexicographically largest monomial of the leading form
 of g), and since deg(c*g^r) = deg(f), the leading form of f equals c
 times that of g^r exactly when deg(h) < deg(f) or h = 0.
-It returns (c, r, h, deg h), so h and its degree are computed once.  The
-base case is an affine pair.  For a genuine automorphism the reduction
-step always succeeds; its failure on a non-affine pair therefore
-*disproves* automorphy, so the procedure doubles as a decision procedure
-for n = 2 and failure is returned as a value, not an error.
+Each polynomial is measured once: one _scaled_degrees pass gives its
+degree and the lex-extreme monomials of its leading form (lead), and
+reduce_step returns h with its lead, which decompose2 hands on to the
+next step.  The powers of g come from one power memo (polycore._power)
+that decompose2 keeps while g stays the same and renews at each swap, so
+a run r = 4, 3, 2 takes 3 products, not 5.  The base case is an affine
+pair.  For a genuine automorphism the reduction step always succeeds;
+its failure on a non-affine pair therefore *disproves* automorphy, so the
+procedure doubles as a decision procedure for n = 2 and failure is
+returned as a value, not an error.
 
 The first reduction also reads off the relation between the two leading
 forms: the relation ideal of a non-affine plane automorphism is generated
@@ -32,7 +37,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Union
+from typing import NamedTuple, Union
 
 from .autmap import (
     Affine,
@@ -43,8 +48,10 @@ from .autmap import (
     expand,
 )
 from .polycore import (
+    MINUS_INFINITY,
     Polynomial,
     WeightVector,
+    _power,
     _scaled_degrees,
     compose,
     leading_term,
@@ -77,40 +84,64 @@ class Decomposition:
     steps: tuple
 
 
-def reduce_step(f: Polynomial, g: Polynomial, df: int):
-    """(c, r, h, dh) with h = f - c*g^r of degree dh lower than df = deg(f),
+class Lead(NamedTuple):
+    """The standard degree of a polynomial and the lexicographically largest
+    and smallest packed exponents of its leading form (polycore), from one
+    _scaled_degrees pass; (MINUS_INFINITY, None, None) for 0."""
+
+    degree: object  # an int, or MINUS_INFINITY
+    top: int | None
+    bottom: int | None
+
+
+def lead(p: Polynomial) -> Lead:
+    """The Lead of p."""
+    degs = _scaled_degrees(p, WeightVector.standard(p.n))[1]
+    if not degs:
+        return Lead(MINUS_INFINITY, None, None)
+    d = max(degs.values())
+    top = [k for k, e in degs.items() if e == d]
+    return Lead(d, max(top), min(top))
+
+
+def reduce_step(f: Polynomial, g: Polynomial, leads=None, powers=None):
+    """(c, r, h, lead(h)) with h = f - c*g^r of degree lower than deg(f),
     r = deg(f)/deg(g) and c != 0, or None when no such reduction exists.
 
-    Expects deg(f) >= deg(g) >= 1 under the standard degree.  Before g^r
+    Expects f != 0 and deg(g) >= 1 under the standard degree, as
+    decompose2 hands them on with deg(f) >= deg(g).  Before g^r
     is built, the lexicographically largest and smallest monomials of the
     leading form of f must be r times those of the leading form of g: Q[x]
     is a domain and lex is a monomial order, so the leading form of g^r is
     that of g to the r, and its extreme monomials are r times g's.  The
-    largest, r*t, gives c = f[r*t] / g[t]^r without a root; the leading
-    form of f is c times that of g^r exactly when f - c*g^r drops in
-    degree (h may be 0, with dh = MINUS_INFINITY).
+    largest, r*t, gives c = f[r*t] / g^r[r*t]; the leading form of f is c
+    times that of g^r exactly when f - c*g^r drops in degree (h may be 0,
+    with lead(h).degree = MINUS_INFINITY).
+
+    leads = (lead(f), lead(g)) and powers, the power memo of g ({1: g, ..},
+    polycore._power), are what decompose2 hands on from one step to the
+    next; without them, each is computed here (a memo of another base is
+    replaced by a fresh one).
     """
-    w = WeightVector.standard(f.n)
-    gdegs = _scaled_degrees(g, w)[1]
-    dg = max(gdegs.values())
+    (df, ftop, fbottom), (dg, gtop, gbottom) = (lead(f), lead(g)) if leads is None else leads
     if df % dg != 0:
         return None
     r = df // dg
-    # The packed exponents of the two leading forms: the largest and the
-    # smallest are the lex extremes.  r times a packed exponent of g's
-    # leading form packs its exponents times r, none of them past deg(f).
-    lg = [k for k, d in gdegs.items() if d == dg]
-    lf = [k for k, d in _scaled_degrees(f, w)[1].items() if d == df]
-    t = max(lg)
-    if max(lf) != r * t or min(lf) != r * min(lg):
+    # r times a packed exponent of g's leading form packs its exponents
+    # times r, none of them past deg(f).
+    if ftop != r * gtop or fbottom != r * gbottom:
         return None
-    c = Fraction(f._nums[r * t] * g.den ** r, f.den * g._nums[t] ** r)
+    if powers is None or powers[1] is not g:
+        powers = {1: g}
+    # r = 0 when f is a constant: g^0 = 1 is no power of the memo.
+    gr = _power(powers, r) if r else Polynomial.constant(1, g.n)
+    c = Fraction(f._nums[ftop] * gr.den, f.den * gr._nums[ftop])
     # -c as a constant polynomial, so no Fraction is built for the sign.
-    h = linear_combination(((1, f), (-Polynomial.constant(c, f.n), g ** r)), f.n)
-    dh = h.total_degree()
-    if dh >= df:
+    h = linear_combination(((1, f), (-Polynomial.constant(c, f.n), gr)), f.n)
+    lh = lead(h)
+    if lh.degree >= df:
         return None
-    return c, r, h, dh
+    return c, r, h, lh
 
 
 def decompose2(m: PolyMap) -> Union[Decomposition, NotAnAutomorphism]:
@@ -118,6 +149,8 @@ def decompose2(m: PolyMap) -> Union[Decomposition, NotAnAutomorphism]:
 
     On success expand(word) equals the input exactly; each recorded step
     strictly decreases deg(f) + deg(g), which is the termination witness.
+    Each coordinate, and each h, is measured once (lead), and g's powers
+    come from one memo per g (reduce_step).
     """
     if m.n != 2:
         raise ValueError("decompose2 only handles two-variable maps")
@@ -129,26 +162,29 @@ def decompose2(m: PolyMap) -> Union[Decomposition, NotAnAutomorphism]:
     gens: list = []
     steps: list = []
     f, g = m.coords
-    df, dg = f.total_degree(), g.total_degree()
+    lf, lg = lead(f), lead(g)
+    powers = {1: g}
     pending_swap = False
-    while df > 1 or dg > 1:
+    while lf.degree > 1 or lg.degree > 1:
+        df, dg = lf.degree, lg.degree
         if df < dg:
             gens.append(Transposition(1, 2, 2))
-            f, g, df, dg = g, f, dg, df
+            f, g, lf, lg = g, f, lg, lf
+            powers = {1: g}
             pending_swap = True
             continue
         if dg < 1:
             return NotAnAutomorphism(
                 "degenerate coordinate", "a coordinate degenerated to a constant"
             )
-        red = reduce_step(f, g, df)
+        red = reduce_step(f, g, (lf, lg), powers)
         if red is None:
             return NotAnAutomorphism(
                 "reduce step",
                 f"leading form of degree {df} is not a scalar multiple of the "
                 f"degree-{dg} leading form raised to {df}/{dg}",
             )
-        c, r, h, dh = red
+        c, r, h, lh = red
         if h.is_zero():
             return NotAnAutomorphism(
                 "reduce step", "coordinate vanished after reduction (f = c*g^r)"
@@ -160,11 +196,11 @@ def decompose2(m: PolyMap) -> Union[Decomposition, NotAnAutomorphism]:
                 c=c,
                 r=r,
                 degree_sum_before=df + dg,
-                degree_sum_after=dh + dg,
+                degree_sum_after=lh.degree + dg,
             )
         )
         pending_swap = False
-        f, df = h, dh
+        f, lf = h, lh
     # Affine base case: read off the linear part and the shift.
     matrix = tuple(
         tuple(coord.coeff(tuple(int(k == j) for k in range(2))) for j in range(2))

@@ -39,7 +39,9 @@ polynomials (composition with a polynomial map) and the Jacobian
 determinant j(P1,..,Pn) = det(dPi/dxj), within MAX_DET_STEPS steps.  Every
 product (+, -, *, compositions, affine coordinates, derivations applied,
 chain-rule columns, cofactor rows, determinants) is accumulated by
-linear_combination, into one dict of numerators over one denominator.
+linear_combination, into one dict of numerators over one denominator, and
+every power (p ** k, a coordinate's powers in a substitution) comes from
+_power, which keeps the powers it forms in a memo owned by one call.
 
 Variable indices in the public API are 1-based, matching the x1..xn naming
 of the text grammar; exponent tuples are plain 0-based Python tuples.
@@ -178,17 +180,28 @@ class ExponentOverflow(ValueError):
 
 
 class ResourceCapExceeded(RuntimeError):
-    """A work budget ran out: groebner.MAX_S_PAIRS, MAX_DET_STEPS or
-    MAX_COEFFICIENT_BITS."""
+    """A work budget ran out: groebner.MAX_S_PAIRS,
+    groebner.MAX_ORACLE_MONOMIALS, MAX_DET_STEPS or MAX_COEFFICIENT_BITS."""
 
 
 #: The most bits a coefficient of a power p^k may need.  For p with T terms,
 #: integer numerators num over den, every coefficient of p^k is a numerator
-#: of at most (T * max|num|)^k over den^k, so __pow__ bounds its size by
-#: k * ceil(log2(T * max|num| * den)) before it multiplies and raises
-#: ResourceCapExceeded past the cap: 3^4000000 (8000000 bits) is refused,
-#: and 0, 1, -1 and monomials with coefficient 1 need 0 bits.
+#: of at most (T * max|num|)^k over den^k, so __pow__, and _power before
+#: it squares its way up to a power, bound its size by
+#: k * ceil(log2(T * max|num| * den)) and raise ResourceCapExceeded past
+#: the cap: 3^4000000 (8000000 bits) is refused, and 0, 1, -1 and monomials
+#: with coefficient 1 need 0 bits.
 MAX_COEFFICIENT_BITS = 1 << 22
+
+
+def _check_coefficient_bits(p: "Polynomial", k: int):
+    """ResourceCapExceeded when a coefficient of p^k could need more than
+    MAX_COEFFICIENT_BITS bits (the bound above)."""
+    nums = p._nums.values()
+    size = max(len(nums), 1) * max(map(abs, nums), default=1) * p.den
+    if k * (size - 1).bit_length() > MAX_COEFFICIENT_BITS:
+        raise ResourceCapExceeded(f"the coefficients of a power to {k} could need "
+                                  f"more than {MAX_COEFFICIENT_BITS} bits")
 
 
 @functools.cache
@@ -369,20 +382,10 @@ class Polynomial:
             _check_exponents([k])
         if self._ebound * k > MAX_EXPONENT:
             _check_exponents([e * k for e in _degrees(self)])
-        nums = self._nums.values()
-        size = max(len(nums), 1) * max(map(abs, nums), default=1) * self.den
-        if k * (size - 1).bit_length() > MAX_COEFFICIENT_BITS:
-            raise ResourceCapExceeded(f"the coefficients of a power to {k} could need "
-                                      f"more than {MAX_COEFFICIENT_BITS} bits")
+        _check_coefficient_bits(self, k)
         if not k:
             return _constant(1, self.n)
-        # Left to right over the bits of k, never multiplying by 1.
-        result = self
-        for bit in bin(k)[3:]:
-            result = result * result
-            if bit == "1":
-                result = result * self
-        return result
+        return _power({1: self}, k)
 
     def __eq__(self, other):
         if not isinstance(other, Polynomial):
@@ -576,9 +579,10 @@ def partial(p: Polynomial, i: int) -> Polynomial:
     return _canon(p.n, out, p.den, p._ebound)
 
 
-def linear_combination(pairs, n: int) -> Polynomial:
-    """sum(a * p) over the (a, p) pairs as a polynomial in n variables, each
-    p a Polynomial and each a a Polynomial or a rational.
+def linear_combination(pairs, n: int, divisor: int = 1) -> Polynomial:
+    """sum(a * p) / divisor over the (a, p) pairs as a polynomial in n
+    variables, each p a Polynomial, each a a Polynomial or a rational, and
+    divisor a positive int.
 
     This is the library's one product of terms: +, -, * and every sum of
     products (compose, affine coordinates, determinants, ...) run through
@@ -632,33 +636,81 @@ def linear_combination(pairs, n: int) -> Polynomial:
             ebound = eb
     if 0 in acc.values():
         acc = {k: v for k, v in acc.items() if v}
-    return _canon(n, acc, den, ebound)
+    return _canon(n, acc, den * divisor, ebound)
 
 
-def _power_products(exponents, coords):
-    """Yield prod(coords[i] ** a[i]) for each exponent tuple a, from powers
-    cached over the whole iteration; no product is multiplied by 1."""
+def _power(memo: dict, k: int) -> Polynomial:
+    """g^k for g = memo[1] and k >= 1, from the powers of g cached in memo
+    ({exponent: power}); every power formed on the way is cached there.
+
+    This is the library's one power routine.  A cached power is returned
+    as it is, and the power after a cached one takes one product: a walk
+    through consecutive powers multiplies once per power.  Any other k
+    starts from the largest cached j < k and squares while 2j < k; then
+    g^k = g^j * g^(k - j), by the same rule.  From {1: g} that takes no
+    more products than left-to-right binary powering, and any k takes
+    O(log k) products.  Before it squares, the coefficient budget of g^k
+    is checked (MAX_COEFFICIENT_BITS).  A memo lives for one call of its
+    owner (one expansion, compose or decompose2), so no power outlives the
+    computation that formed it.
+    """
+    p = memo.get(k)
+    if p is None:
+        if k - 1 in memo:
+            p = memo[k - 1] * memo[1]
+        else:
+            _check_coefficient_bits(memo[1], k)
+            j = max(i for i in memo if i < k)
+            while 2 * j < k:
+                memo[2 * j] = memo[j] * memo[j]
+                j *= 2
+            p = memo[j] * (memo[j] if 2 * j == k else _power(memo, k - j))
+        memo[k] = p
+    return p
+
+
+def _power_products(exponents, coords, powers=None):
+    """Yield prod(coords[i] ** a[i]) for each exponent tuple a, each power
+    read from powers[i], the _power memo of coords[i]; no product is
+    multiplied by 1.
+
+    powers is a list of memos that the caller keeps across calls (one per
+    coordinate, for as long as that coordinate stays the same), or None for
+    fresh ones.  A memo whose base is not coords[i] is replaced by a fresh
+    one, so a memo left over from another coordinate is never read.
+    """
+    if powers is None:
+        powers = [{1: c} for c in coords]
+    else:
+        for i, c in enumerate(coords):
+            if powers[i][1] is not c:
+                powers[i] = {1: c}
     one = _constant(1, coords[0].n)
-    # Per-variable power cache: powers[i][k] = coords[i] ** (k + 1).
-    powers = [[c] for c in coords]
     for a in exponents:
         term = one
-        for i, e in enumerate(a):
+        for memo, e in zip(powers, a):
             if e:
-                cache = powers[i]
-                while len(cache) < e:
-                    cache.append(cache[-1] * coords[i])
-                term = cache[e - 1] if term is one else term * cache[e - 1]
+                pe = _power(memo, e)
+                term = pe if term is one else term * pe
         yield term
+
+
+def _substitution(p: Polynomial, coords, powers=None):
+    """The (numerator, power product) pair of each term of p at coords:
+    p(coords) is their linear_combination over p.den.  powers as in
+    _power_products."""
+    return zip(p._nums.values(),
+               _power_products(map(_unpacker(p.n), p._nums), coords, powers))
 
 
 def compose(p: Polynomial, coords) -> Polynomial:
     """Substitute coords[i-1] for x_i in p, exactly.
 
     coords is a sequence of p.n Polynomials sharing one variable count.  The
-    monomials of p, built by _power_products from cached powers of the
-    coordinates, are summed by linear_combination with p's numerators as
-    the scalars; p's one denominator divides the sum once.
+    monomials of p, built by _power_products from the powers of the
+    coordinates (one _power memo per coordinate, for this call), are summed
+    by linear_combination with p's numerators as the scalars, over p's one
+    denominator.
     """
     cs = list(coords)
     if len(cs) != p.n:
@@ -667,9 +719,7 @@ def compose(p: Polynomial, coords) -> Polynomial:
     for c in cs:
         if c.n != m:
             raise ValueError("coordinates have inconsistent variable counts")
-    products = _power_products(map(_unpacker(p.n), p._nums), cs)
-    q = linear_combination(zip(p._nums.values(), products), m)
-    return q if p.den == 1 else _canon(m, q._nums, q.den * p.den, q._ebound)
+    return linear_combination(_substitution(p, cs), m, p.den)
 
 
 def jacobian(ps: Sequence[Polynomial]) -> Polynomial:

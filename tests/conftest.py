@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from polyaut import autmap, cli, verify  # noqa: F401 - load the modules to patch
+from polyaut.polycore import Polynomial
 
 
 @pytest.fixture
@@ -36,6 +37,26 @@ def count_calls(monkeypatch):
 def expand_calls(count_calls):
     """The words passed to autmap.expand, one entry per call."""
     return count_calls(autmap, "expand")
+
+
+@pytest.fixture
+def count_products(monkeypatch):
+    """count_products() counts, from then on, every Polynomial * (on either
+    side) and returns the list that gets one entry per product."""
+
+    def install():
+        calls = []
+        mul = Polynomial.__mul__
+
+        def counting(*args):
+            calls.append(None)
+            return mul(*args)
+
+        monkeypatch.setattr(Polynomial, "__mul__", counting)
+        monkeypatch.setattr(Polynomial, "__rmul__", counting)
+        return calls
+
+    return install
 
 
 @pytest.fixture

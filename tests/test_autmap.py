@@ -23,6 +23,7 @@ from polyaut.autmap import (
     compose_map,
     deg2_weights,
     expand,
+    expansion,
     format_map,
     format_word,
     invert_generator,
@@ -166,11 +167,62 @@ def test_expand_matches_stepwise_substitution():
         assert expand(inverse) == _reference_expand(inverse)
 
 
+def _run_word(rng, n):
+    """Two runs of Elementaries with one target each (the shape of a
+    decompose2 word), the first ended by an Elementary that rewrites a
+    coordinate the run has taken powers of, or by a rational Affine; a
+    Transposition sits inside one run."""
+    gens = []
+    swap = rng.randrange(4)
+    for end in rng.sample(("rewrite", "affine"), 2):
+        target = rng.randint(1, n)
+        others = [i for i in range(n) if i != target - 1]
+        for _ in range(2):
+            addend = random_polynomial(rng, n, 2, 2, 5, variables=others, min_deg=1)
+            gens.append(Elementary(target, addend * Fraction(1, rng.randint(1, 3))))
+            if len(gens) == swap:
+                gens.append(Transposition(*rng.sample(range(1, n + 1), 2), n))
+        if end == "rewrite":
+            addend = random_polynomial(rng, n, 2, 2, 5, variables=[target - 1], min_deg=1)
+            gens.append(Elementary(rng.choice(others) + 1, addend))
+        else:
+            gens.append(_rational_affine(rng, n))
+    return AutWord(n, tuple(gens))
+
+
+def test_expansion_with_shared_powers_matches_stepwise_composition():
+    # expansion keeps one power memo per coordinate for the whole word.
+    # Every tuple it yields is the suffix of the word composed generator by
+    # generator, including after a swap inside a run and after an
+    # Elementary that rewrote a coordinate whose powers were cached.
+    rng = random.Random(20261020)
+    words = [_run_word(rng, n) for n in (2, 2, 2, 3, 3, 3) for _ in range(4)]
+    words.append(AutWord(2, (E(1, "x2^3 + x2", 2), E(2, "x1^2", 2), E(1, "x2^3 - x2^2", 2))))
+    words.append(AutWord(3, (E(1, "x2^2*x3", 3), Transposition(2, 3, 3), E(1, "x2^2 + x3^3", 3))))
+    assert any(isinstance(g, Transposition) for w in words for g in w)
+    for w in words:
+        for k, coords in enumerate(expansion(w)):
+            suffix = AutWord(w.n, w.gens[len(w.gens) - k:])
+            assert PolyMap(w.n, coords) == _reference_expand(suffix)
+
+
+def test_expansion_forms_each_power_once_along_a_run(count_products):
+    # Along a run of Elementaries with target 1, the powers of x2 are
+    # formed once for the whole expansion: x2^2 and x2^4 are 2 products,
+    # the substitutions of the 3 addends x2^4 then take none.
+    word = AutWord(2, (E(1, "x2^4", 2),) * 3)
+    expected = parse_map("x1 + 3*x2^4; x2", 2)
+    calls = count_products()
+    assert expand(word) == expected
+    assert len(calls) == 2
+
+
 def test_expand_composes_once_per_elementary(count_calls):
     # Affine and Transposition steps are linear combinations and swaps of
-    # the coordinates; only an Elementary substitutes them into its addend.
+    # the coordinates; only an Elementary substitutes them into its addend,
+    # through compose's (numerator, power product) pairs.
     words = _seeded_words()
-    calls = count_calls(polycore, "compose")
+    calls = count_calls(polycore, "_substitution")
     for w in words:
         before = len(calls)
         expand(w)

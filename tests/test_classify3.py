@@ -402,14 +402,18 @@ def test_normalize_composes_with_its_witness_once(count_calls):
 
     infos = _witness_corpus()
     composed = count_calls(polycore, "compose")
+    substituted = count_calls(autmap, "_substitution")
     expanded = count_calls(autmap, "expand")
     outs = [normalize(info) for info in infos]
     normal = sum(isinstance(nf, NormalForm) for nf in outs)
     assert (len(outs), normal) == (130, 119)
-    # One expand and one composition with R per normal form; the rest are
-    # the x3-shifts of reconstruct and the compositions inside expand.
+    # One expand and one composition with R per normal form; the rest of
+    # the compositions are the x3-shifts of reconstruct.  Each composition
+    # substitutes once, and so does each of the 45 Elementaries of the 119
+    # witness words inside expand.
     assert len(expanded) == normal
-    assert len(composed) == 183
+    assert len(composed) == 138
+    assert len(substituted) == 138 + 45
 
 
 def test_read_canonical_refuses_a_three_term_binomial():

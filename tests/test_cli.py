@@ -2,6 +2,8 @@
 
 import json
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -628,6 +630,64 @@ def test_determinant_budget_is_a_domain_outcome(capsys, monkeypatch):
     assert status == 1
     assert captured.out == ""
     assert captured.err == "error: determinant expansion exceeded 40 steps\n"
+
+
+def test_oracle_budget_is_a_domain_outcome(capsys, monkeypatch):
+    # The shadow check of x1 + x2^2; x2 enumerates 4 monomials; a budget of
+    # 3 stands in for a runaway input such as x1 + x2^4294967295; x2.
+    from polyaut import groebner
+
+    argv = ["relations", "--map", "x1 + x2^2; x2"]
+    assert run(capsys, *argv)[0] == 0
+    monkeypatch.setattr(groebner, "MAX_ORACLE_MONOMIALS", 3)
+    assert run(capsys, "relations", "--no-shadow", "--map", "x1 + x2^2; x2")[0] == 0
+    status = main(argv)
+    captured = capsys.readouterr()
+    assert status == 1
+    assert captured.out == ""
+    assert captured.err == "error: graded oracle exceeded 3 monomials\n"
+
+
+@pytest.mark.parametrize("argv, line", [
+    (["decompose2", "--map", f"x1 + x2^{MAX_EXPONENT}; x2"], f"  E 1 x2^{MAX_EXPONENT}"),
+    (["compose", "--word", f"E 1 x2^{MAX_EXPONENT}"], f"x1 + x2^{MAX_EXPONENT}"),
+])
+def test_largest_exponent_takes_logarithmic_products(capsys, argv, line):
+    # A power to k takes O(log k) products (polycore._power), so a plane
+    # reduction by g^(2^32 - 1) and a substitution into x2^(2^32 - 1) take
+    # about 62 products, not one per power up to the exponent.
+    status, out = run(capsys, *argv)
+    assert status == 0
+    assert line in out.splitlines()
+
+
+@pytest.mark.parametrize("argv, k", [
+    (["compose", "--word", "E 2 x1^6; A 2 0 0 1 | 0 0"], 6),
+    (["decompose2", "--map", "x1 + x2^6; 2*x2"], 6),
+])
+def test_substituted_power_coefficient_budget_is_a_domain_outcome(capsys, monkeypatch,
+                                                                  argv, k):
+    # (2*x1)^6, a power of a coordinate inside a substitution, and (2*x2)^6,
+    # the g^r of a plane reduction, may need 6 coefficient bits; a budget of
+    # 5 stands in for a runaway power such as (2*x1)^4294967295.
+    from polyaut import polycore
+
+    assert run(capsys, *argv)[0] == 0
+    monkeypatch.setattr(polycore, "MAX_COEFFICIENT_BITS", 5)
+    status = main(argv)
+    captured = capsys.readouterr()
+    assert status == 1
+    assert captured.out == ""
+    assert captured.err == f"error: the coefficients of a power to {k} could need more than 5 bits\n"
+
+
+def test_python_m_polyaut_runs_the_cli():
+    # python -m polyaut is the CLI, as the polyaut script is.
+    root = Path(__file__).resolve().parent.parent
+    done = subprocess.run([sys.executable, "-m", "polyaut", "compose", "--word", "E 1 x2^2"],
+                          capture_output=True, text=True, timeout=60,
+                          env={"PYTHONPATH": str(root / "src")})
+    assert (done.returncode, done.stdout, done.stderr) == (0, "x1 + x2^2\nx2\n", "")
 
 
 def _raising(exc):

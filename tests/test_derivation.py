@@ -257,11 +257,14 @@ def test_word_witness_computes_no_determinant(count_calls):
 
 
 def test_sums_of_products_build_no_intermediate_polynomials(monkeypatch):
-    # Affine coordinates, chain-rule columns, cofactor rows and D(P) are each
+    # Affine coordinates, Elementary coordinates (the coordinate plus the
+    # composed addend), chain-rule columns, cofactor rows and D(P) are each
     # one polycore.linear_combination, and each chain-rule column starts
-    # from det(J_g) * e_i instead of being scaled at the end.  What is left:
-    # one + per Elementary generator (its coordinate plus the composed
-    # addend; the corpus has 46) and compose's products of powers.
+    # from det(J_g) * e_i instead of being scaled at the end.  What is left
+    # is compose's products of powers, each power formed once per
+    # expansion (there were 46 and 92 + when each Elementary added its
+    # coordinate apart, and 95 and 238 * when each substitution formed its
+    # own powers).
     words = _mixed_corpus(20260810, 25)
     assert len(words) == 30
     calls = {"+": 0, "*": 0}
@@ -276,11 +279,11 @@ def test_sums_of_products_build_no_intermediate_polynomials(monkeypatch):
     for w in words:
         for _ in expansion(w):  # apply_generator, once per generator
             pass
-    assert calls == {"+": 46, "*": 95}
+    assert calls == {"+": 0, "*": 78}
     calls.update({"+": 0, "*": 0})
     for w in words:
         lnd_witness(w, WeightVector.standard(w.n))
-    assert calls == {"+": 92, "*": 238}
+    assert calls == {"+": 0, "*": 204}
 
 
 def test_lnd_witness_word_matches_raw_map_with_inverse():

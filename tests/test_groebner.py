@@ -628,6 +628,24 @@ def test_oracle_elementary_example():
     assert found == [P("x1 - x2^2", 2)]
 
 
+def test_oracle_monomial_budget(monkeypatch, count_calls):
+    # The budget is the module constant MAX_ORACLE_MONOMIALS, read at the
+    # check.  Under d = (2, 1) up to degree 2 there are 4 monomials, 1, z2,
+    # z2^2 and z1; past the budget the oracle stops before it eliminates
+    # any slice.
+    from polyaut import groebner
+
+    images = [P("x2^2", 2), P("x2", 2)]
+    d = WeightVector((2, 1))
+    eliminations = count_calls(groebner, "_rref")
+    monkeypatch.setattr(groebner, "MAX_ORACLE_MONOMIALS", 3)
+    with pytest.raises(ResourceCapExceeded, match="graded oracle exceeded 3 monomials"):
+        graded_kernel_oracle(images, d, 2)
+    assert eliminations == []
+    monkeypatch.setattr(groebner, "MAX_ORACLE_MONOMIALS", 4)
+    assert graded_kernel_oracle(images, d, 2) == [P("x1 - x2^2", 2)]
+
+
 def test_oracle_nagata_example():
     images = [P(t, 3) for t in NAGATA_LEADING]
     d = WeightVector((5, 3, 1))

@@ -5,13 +5,14 @@ from fractions import Fraction
 
 import pytest
 
-from polyaut import autmap, jvdk
+from polyaut import autmap, jvdk, polycore
 from polyaut.autmap import Elementary, PolyMap, expand, parse_map
 from polyaut.jvdk import (
     Decomposition,
     NotAnAutomorphism,
     NotAnAutomorphismError,
     decompose2,
+    lead,
     reduce_step,
     relation2,
 )
@@ -50,8 +51,14 @@ def _reference_reduce(f, g):
     return c, r
 
 
+def _reduced(f, g):
+    """reduce_step(f, g), with the Lead of h read as its degree."""
+    red = reduce_step(f, g)
+    return red and (*red[:3], red[3].degree)
+
+
 def test_reduce_step_elementary():
-    assert reduce_step(P("x1 + x2^2", 2), P("x2", 2), 2) == (Fraction(1), 2, P("x1", 2), 1)
+    assert _reduced(P("x1 + x2^2", 2), P("x2", 2)) == (Fraction(1), 2, P("x1", 2), 1)
 
 
 def test_reduce_step_reads_c_at_the_lex_largest_monomial():
@@ -60,27 +67,30 @@ def test_reduce_step_reads_c_at_the_lex_largest_monomial():
     # at x1^4, the square of g's lexicographically largest monomial.
     g = Polynomial(2, {(1, 1): 1, (2, 0): 1, (0, 2): 1})
     f = (g ** 2) * 2 + P("x1", 2)
-    assert reduce_step(f, g, 4) == (Fraction(2), 2, P("x1", 2), 1)
+    assert _reduced(f, g) == (Fraction(2), 2, P("x1", 2), 1)
 
 
 def test_reduce_step_not_reducible_distinct_variables():
-    assert reduce_step(P("x1^2", 2), P("x2", 2), 2) is None
+    assert reduce_step(P("x1^2", 2), P("x2", 2)) is None
 
 
 def test_reduce_step_constructed_instance():
     g = P("x2 + x1", 2)
     f = (g ** 5) * 3 + P("x1^2", 2)
-    assert reduce_step(f, g, 5) == (Fraction(3), 5, P("x1^2", 2), 2)
+    assert _reduced(f, g) == (Fraction(3), 5, P("x1^2", 2), 2)
 
 
 def _met_pairs(monkeypatch, maps):
-    """The (f, g) pairs decompose2 hands to reduce_step on the maps."""
+    """The (f, g) pairs decompose2 hands to reduce_step on the maps, each
+    with the Leads and the power memo of g that it hands on."""
     pairs = []
 
-    def recording(f, g, df):
-        assert df == f.total_degree()
+    def recording(f, g, leads, powers):
+        assert leads == (lead(f), lead(g))
+        assert leads[0].degree == f.total_degree()
+        assert powers[1] is g
         pairs.append((f, g))
-        return reduce_step(f, g, df)
+        return reduce_step(f, g, leads, powers)
 
     monkeypatch.setattr(jvdk, "reduce_step", recording)
     for m in maps:
@@ -126,33 +136,35 @@ def test_reduce_step_agrees_with_the_leading_form_criterion(monkeypatch):
     pairs = met + rejected_maps + _constructed_pairs(rng, 150)
     accepted = rejected = 0
     for f, g in pairs:
-        red = reduce_step(f, g, f.total_degree())
+        red = reduce_step(f, g)
         expected = _reference_reduce(f, g)
         if expected is None:
             assert red is None, (f, g)
             rejected += 1
             continue
         assert red is not None, (f, g)
-        c, r, h, dh = red
+        c, r, h, lh = red
         assert (c, r) == expected
         assert h == f - (g ** r) * c
-        assert dh == h.total_degree() < f.total_degree()
+        assert lh == lead(h)
+        assert lh.degree == h.total_degree() < f.total_degree()
         accepted += 1
     assert len(met) > 100 and accepted > len(met) and rejected >= 50
 
 
 def test_decompose2_powers_and_eliminations(monkeypatch, count_calls):
-    # Per reduction step one g^r (the elementary generator's addend is a
-    # monomial); per map one elimination, the Affine of the base case.
+    # Per reduction step one g^r, asked of the power memo of g (the
+    # elementary generator's addend is a monomial); per map one
+    # elimination, the Affine of the base case.
     maps = [expand(w) for w in plane_corpus(20260810, 25)]
     powers = []
-    power = Polynomial.__pow__
+    power = jvdk._power
 
-    def counting(self, k):
+    def counting(memo, k):
         powers.append(k)
-        return power(self, k)
+        return power(memo, k)
 
-    monkeypatch.setattr(Polynomial, "__pow__", counting)
+    monkeypatch.setattr(jvdk, "_power", counting)
     eliminations = count_calls(autmap, "_rref")
     steps = sum(len(decompose2(m).steps) for m in maps)
     assert steps == 64
@@ -160,42 +172,32 @@ def test_decompose2_powers_and_eliminations(monkeypatch, count_calls):
     assert len(eliminations) == 25
 
 
-def test_decompose2_products(monkeypatch):
+def test_decompose2_products(count_products):
     # Every product is one linear_combination: reduce_step builds
-    # f - c*g^r in one call and g^r never multiplies by 1, so the 25 maps
-    # take 198 calls of * (326 when * had its own loop, g^r started from 1
-    # and h was f - (g^r * c)), the recomposition checks included.
+    # f - c*g^r in one call, g^r never multiplies by 1, each power of g is
+    # formed once while g stays the same, and each recomposition check
+    # forms each coordinate power once per expansion.  So the 25 maps take
+    # 130 calls of *, the recomposition checks included (198 when every
+    # g^r and every substitution formed its powers anew, 326 when * had
+    # its own loop, g^r started from 1 and h was f - (g^r * c)).
     maps = [expand(w) for w in plane_corpus(20260810, 25)]
-    calls = []
-    mul = Polynomial.__mul__
-
-    def counting(*args):
-        calls.append(None)
-        return mul(*args)
-
-    monkeypatch.setattr(Polynomial, "__mul__", counting)
-    monkeypatch.setattr(Polynomial, "__rmul__", counting)
+    calls = count_products()
     for m in maps:
         decompose2(m)
-    assert len(calls) == 198
+    assert len(calls) == 130
 
 
-def test_decompose2_takes_each_degree_once(monkeypatch):
-    # Two degrees per map to start, then one per reduction step: the degree
-    # of h, which reduce_step returns with it.  The 25 maps take 64 steps,
-    # and 50 + 64 = 114.
+def test_decompose2_takes_each_degree_once(count_calls):
+    # One pass over the degrees of each polynomial: the two coordinates of
+    # each map to start, then h at each reduction step, whose Lead
+    # reduce_step returns with it and decompose2 hands on.  The 25 maps
+    # take 64 steps, and 50 + 64 = 114 (242 when reduce_step measured f
+    # and g again at each step).
     maps = [expand(w) for w in plane_corpus(20260810, 25)]
-    degrees = []
-    total_degree = Polynomial.total_degree
-
-    def counting(self):
-        degrees.append(self)
-        return total_degree(self)
-
-    monkeypatch.setattr(Polynomial, "total_degree", counting)
+    passes = count_calls(polycore, "_scaled_degrees")
     for m in maps:
         decompose2(m)
-    assert len(degrees) == 114
+    assert len(passes) == 114
 
 
 def test_decompose_identity():
@@ -245,16 +247,16 @@ def test_decompose2_refuses_before_any_power(monkeypatch):
     m = parse_map("x1^3200; x1 + x2", 2)
     f3, g3 = P("x2^3200", 3), P("x2 + x3", 3)
 
-    def refuse(self, k):
+    def refuse(memo, k):
         raise AssertionError(f"a power to {k} was built")
 
-    monkeypatch.setattr(Polynomial, "__pow__", refuse)
+    monkeypatch.setattr(jvdk, "_power", refuse)
     assert decompose2(m) == NotAnAutomorphism(
         "reduce step",
         "leading form of degree 3200 is not a scalar multiple of the "
         "degree-1 leading form raised to 3200/1",
     )
-    assert reduce_step(f3, g3, 3200) is None
+    assert reduce_step(f3, g3) is None
 
 
 def test_decompose_rejects_singular_affine_base():

@@ -11,6 +11,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from polyaut import polycore
 from polyaut.autmap import Affine, AutWord, invert_generator, word_jacobian
+from polyaut.verify import random_polynomial
 from polyaut.polycore import (
     MAX_EXPONENT,
     MINUS_INFINITY,
@@ -775,6 +776,66 @@ def test_power_coefficient_budget(monkeypatch):
     for text in ["0", "1", "(-1)"]:
         assert P(text, 1) ** MAX_EXPONENT == P(text, 1)
     assert P("x1*x2", 2) ** 1000 == Polynomial.monomial((1000, 1000), 1, 2)
+
+
+def _binary_products(k):
+    """The products left-to-right binary powering takes for p^k."""
+    return k.bit_length() - 1 + bin(k).count("1") - 1
+
+
+def test_power_routine_matches_repeated_multiplication(count_products):
+    # Asked in ascending, descending or random order, each memo gives
+    # p^k = p * .. * p, and a walk through consecutive powers takes one
+    # product per power.
+    rng = random.Random(20261020)
+    bases = [random_polynomial(rng, 2, max_terms=3, max_deg=2, coeff_bound=5,
+                               variables=[rng.randrange(2)]) for _ in range(3)]
+    bases.append(P("1/2*x1 - 3*x2", 2))
+    ks = range(1, 65)
+    products = count_products()
+    for base in bases:
+        powers = [None, base]
+        for _ in ks[1:]:
+            powers.append(powers[-1] * base)
+        for order in (list(ks), list(ks)[::-1], rng.sample(ks, len(ks))):
+            memo = {1: base}
+            for k in order:
+                before = len(products)
+                assert polycore._power(memo, k) == powers[k]
+                if order[0] == 1:
+                    assert len(products) - before == (k > 1)
+
+
+def test_power_routine_takes_no_more_products_than_binary_powering(count_products):
+    # From a fresh memo, p^k takes at most the products of left-to-right
+    # binary powering, O(log k), up to the largest exponent (the count does
+    # not depend on p, so a monomial keeps each product cheap); and a memo
+    # reuses every power it has formed, so a run 4, 3, 2 takes 3 products.
+    x = P("x1", 1)
+    products = count_products()
+    for k in [*range(1, 5000), MAX_EXPONENT - 1, MAX_EXPONENT]:
+        before = len(products)
+        assert polycore._power({1: x}, k) == Polynomial.monomial((k,), 1, 1)
+        assert len(products) - before <= _binary_products(k)
+    assert _binary_products(MAX_EXPONENT) == 62
+    base = P("x1 - 2", 1)
+    expected = {k: base ** k for k in (4, 3, 2)}
+    memo, before = {1: base}, len(products)
+    assert {k: polycore._power(memo, k) for k in (4, 3, 2)} == expected
+    assert len(products) - before == 3
+
+
+def test_power_products_never_read_a_memo_of_another_base():
+    # A memo is kept by its caller; one whose base is not the coordinate
+    # (a coordinate since rewritten) is replaced, not read.
+    x1, x2 = P("x1", 2), P("x2", 2)
+    c1, c2 = P("x1 + 1", 2), P("2*x2", 2)
+    powers = [{1: x1, 2: x1 * x1}, {1: c2}]
+    assert list(polycore._power_products([(2, 1), (0, 3)], [c1, c2], powers)) == \
+        [c1 ** 2 * c2, c2 ** 3]
+    assert powers[0][1] is c1 and powers[0][2] == c1 ** 2
+    assert powers[1][3] == c2 ** 3
+    assert compose(P("x1^2*x2", 2), [c1, x2]) == c1 ** 2 * x2
 
 
 def test_exponent_bound_is_checked_exactly():
