@@ -41,7 +41,6 @@ A parse error in a line names the line and points into the text as given.
 from __future__ import annotations
 
 import math
-import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
@@ -53,9 +52,11 @@ from .polycore import (
     Polynomial,
     WeightVector,
     _UINT,
-    _ratio,
+    _fraction,
     _rref,
     _substitution,
+    _tokenize,
+    _variable_indices,
     compose,
     format_poly,
     jacobian,
@@ -87,8 +88,8 @@ class Affine:
     det: Fraction = field(init=False, repr=False, compare=False)  # det(M)
 
     def __post_init__(self):
-        m = tuple(tuple(Fraction(*_ratio(a)) for a in row) for row in self.matrix)
-        s = tuple(Fraction(*_ratio(a)) for a in self.shift)
+        m = tuple(tuple(map(_fraction, row)) for row in self.matrix)
+        s = tuple(map(_fraction, self.shift))
         n = len(m)
         if n == 0 or any(len(row) != n for row in m) or len(s) != n:
             raise ValueError("affine generator needs a square matrix and a matching shift")
@@ -436,11 +437,12 @@ def _variable_count(n: int) -> int:
     return n
 
 
-def _parse_line_poly(text: str, n: int, k: int, offset: int) -> Polynomial:
-    """parse_poly(text, n) of text at offset in line k: a PolyParseError
-    names the line and its position in the whole input."""
+def _parse_line_poly(text: str, n: int, k: int, offset: int,
+                     tokens: list | None = None) -> Polynomial:
+    """parse_poly(text, n, tokens) of text at offset in line k: a
+    PolyParseError names the line and its position in the whole input."""
     try:
-        return parse_poly(text, n)
+        return parse_poly(text, n, tokens)
     except PolyParseError as err:
         raise PolyParseError(f"line {k}: {err.message}", offset + err.position) from None
 
@@ -457,9 +459,10 @@ def _at_line(k: int, build, *args):
 
 
 def _word_line(k: int, start: int, line: str, infer: bool):
-    """The largest index word line k names (an E target and every x<digits>
-    in its text, the T indices, the side of an A matrix, which must be
-    square while inferring) and the function from n to its generator."""
+    """The largest index word line k names (an E target and every variable
+    of its polynomial, read off the token list that its parse reads, the T
+    indices, the side of an A matrix, which must be square while inferring)
+    and the function from n to its generator."""
     kind, _, rest = line.partition(" ")
     if kind == "E":
         idx_str, _, poly_str = rest.strip().partition(" ")
@@ -467,8 +470,9 @@ def _word_line(k: int, start: int, line: str, infer: bool):
             raise ValueError(f"bad elementary target in {line!r}")
         target = int(idx_str)
         offset = start + len(line) - len(poly_str)  # poly_str ends the line
-        top = max([target, *map(int, re.findall(r"x\s*([0-9]+)", poly_str))])
-        return top, lambda n: Elementary(target, _parse_line_poly(poly_str, n, k, offset))
+        tokens = _tokenize(poly_str)
+        top = max([target, *_variable_indices(tokens)])
+        return top, lambda n: Elementary(target, _parse_line_poly(poly_str, n, k, offset, tokens))
     if kind == "T":
         parts = rest.split()
         if len(parts) != 2 or not all(map(_UINT.fullmatch, parts)):

@@ -132,7 +132,7 @@ def _weights(arg: str | None, n: int) -> WeightVector:
     parts = [parse_fraction(tok.strip()) for tok in arg.split(",")]
     if len(parts) != n:
         raise CliError(f"expected {n} weights, got {len(parts)}")
-    if any(w <= 0 for w in parts):
+    if any(w.numerator <= 0 for w in parts):
         raise CliError(f"weights must be positive, got {arg!r}")
     return WeightVector(tuple(parts))
 

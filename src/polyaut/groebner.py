@@ -79,6 +79,11 @@ MAX_S_PAIRS = 100_000
 #: before any slice is eliminated; ResourceCapExceeded past it.  No test,
 #: demo, verify suite or benchmark corpus needs more than 24.
 MAX_ORACLE_MONOMIALS = 100_000
+#: The most division steps (terms cancelled by a divisor) one _reduce call
+#: takes, in Buchberger's S-pair reductions, interreduction and
+#: normal_form; ResourceCapExceeded past it.  No test, demo, default verify
+#: suite or seed-1 benchmark corpus takes more than 27 in one call.
+MAX_DIVISION_STEPS = 100_000
 
 
 # -- monomial orders ---------------------------------------------------------
@@ -251,7 +256,8 @@ def _reduce(work: dict, den: int, divisors, n: int, quotient=None):
     (_check_shift) only where it could pass it: where the term or the
     divisor's exponent bound reaches 2^31.  When quotient is a list, each step appends (key of x^q,
     b, den) for the subtracted (b / den) * x^q times the integer multiple
-    of g of a single divisor.
+    of g of a single divisor.  A step past MAX_DIVISION_STEPS (read per
+    call) raises ResourceCapExceeded.
     """
     mask = (1 << FIELD_BITS * n) - 1
     high = _TOP_BIT * _ones(n)
@@ -259,6 +265,7 @@ def _reduce(work: dict, den: int, divisors, n: int, quotient=None):
     unpack = _unpacker(n)
     rest = []
     top = 0
+    steps = MAX_DIVISION_STEPS
     while work:
         k = max(work)
         c = work.pop(k)
@@ -273,6 +280,9 @@ def _reduce(work: dict, den: int, divisors, n: int, quotient=None):
             rest.append((k, c, den))
             top = max(top, *unpack(a))
             continue
+        if not steps:
+            raise ResourceCapExceeded(f"a division exceeded {MAX_DIVISION_STEPS} steps")
+        steps -= 1
         h = gcd(c, div.lead)
         if h != div.lead:
             s = div.lead // h
@@ -377,8 +387,8 @@ def buchberger(gens: Sequence[Polynomial], order: MonomialOrder) -> IdealBasis:
     intermediate polynomial is content-normalized: each generator and each
     nonzero S-pair remainder becomes a _Divisor, the remainder straight
     from the keyed terms of _reduce, whose first is the leading one.
-    Raises ResourceCapExceeded past MAX_S_PAIRS S-pair reductions (read
-    per call).
+    Raises ResourceCapExceeded past MAX_S_PAIRS S-pair reductions, or
+    past MAX_DIVISION_STEPS steps in one division (each read per call).
     """
     G = [g for g in gens if not g.is_zero()]
     if not G:

@@ -137,10 +137,10 @@ class WeightVector:
     _form: Callable = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        ws = tuple(Fraction(*_ratio(w)) for w in self.weights)
+        ws = tuple(map(_fraction, self.weights))
         if not ws:
             raise ValueError("weight vector must be nonempty")
-        if any(w <= 0 for w in ws):
+        if any(w.numerator <= 0 for w in ws):
             raise ValueError(f"weights must be positive, got {ws}")
         object.__setattr__(self, "weights", ws)
         s, ints = _int_weights(ws)
@@ -181,16 +181,17 @@ class ExponentOverflow(ValueError):
 
 class ResourceCapExceeded(RuntimeError):
     """A work budget ran out: groebner.MAX_S_PAIRS,
-    groebner.MAX_ORACLE_MONOMIALS, MAX_DET_STEPS or MAX_COEFFICIENT_BITS."""
+    groebner.MAX_DIVISION_STEPS, groebner.MAX_ORACLE_MONOMIALS,
+    MAX_DET_STEPS or MAX_COEFFICIENT_BITS."""
 
 
 #: The most bits a coefficient of a power p^k may need.  For p with T terms,
 #: integer numerators num over den, every coefficient of p^k is a numerator
-#: of at most (T * max|num|)^k over den^k, so __pow__, and _power before
-#: it squares its way up to a power, bound its size by
-#: k * ceil(log2(T * max|num| * den)) and raise ResourceCapExceeded past
-#: the cap: 3^4000000 (8000000 bits) is refused, and 0, 1, -1 and monomials
-#: with coefficient 1 need 0 bits.
+#: of at most (T * max|num|)^k over den^k, so __pow__, parse_poly's power
+#: of a literal, and _power before it squares its way up to a power, bound
+#: its size by k * ceil(log2(T * max|num| * den)) and raise
+#: ResourceCapExceeded past the cap: 3^4000000 (8000000 bits) is refused,
+#: and 0, 1, -1 and monomials with coefficient 1 need 0 bits.
 MAX_COEFFICIENT_BITS = 1 << 22
 
 
@@ -198,7 +199,11 @@ def _check_coefficient_bits(p: "Polynomial", k: int):
     """ResourceCapExceeded when a coefficient of p^k could need more than
     MAX_COEFFICIENT_BITS bits (the bound above)."""
     nums = p._nums.values()
-    size = max(len(nums), 1) * max(map(abs, nums), default=1) * p.den
+    _check_power_size(max(len(nums), 1) * max(map(abs, nums), default=1) * p.den, k)
+
+
+def _check_power_size(size: int, k: int):
+    """ResourceCapExceeded when k * ceil(log2(size)) passes MAX_COEFFICIENT_BITS."""
     if k * (size - 1).bit_length() > MAX_COEFFICIENT_BITS:
         raise ResourceCapExceeded(f"the coefficients of a power to {k} could need "
                                   f"more than {MAX_COEFFICIENT_BITS} bits")
@@ -444,6 +449,17 @@ def _ratio(c):
     if isinstance(c, Fraction):
         return c.numerator, c.denominator
     raise TypeError(f"a scalar must be an int or a Fraction, not {type(c).__name__}")
+
+
+def _fraction(c) -> Fraction:
+    """A scalar as a Fraction: one whose class is exactly Fraction is kept
+    as it is, an int is converted, and any other is built from _ratio
+    (TypeError for a non-scalar)."""
+    if c.__class__ is Fraction:
+        return c
+    if c.__class__ is int:
+        return Fraction(c)
+    return Fraction(*_ratio(c))
 
 
 def _constant(c, n: int) -> Polynomial:
@@ -855,142 +871,246 @@ def _rref(matrix):
 
 _UINT = re.compile(r"[0-9]+")
 
+#: The tokens of polynomial text: a variable ('x', whitespace, UINT), a
+#: UINT, or any one character other than whitespace (str.isspace, which is
+#: what \s matches).  A token is never whitespace.
+_TOKEN = re.compile(r"x\s*[0-9]+|[0-9]+|\S")
+_END = " "  # the token after the last: whitespace, so no token of the text
+
 #: The deepest nesting of parentheses parse_poly accepts; a '(' past it is a
-#: PolyParseError at that '('.  Each level costs the recursive-descent parser
-#: four Python frames, so the bound keeps a parse far below the interpreter's
+#: PolyParseError at that '('.  Each level costs the recursive-descent reader
+#: two Python frames, so the bound keeps a parse far below the interpreter's
 #: recursion limit, with room left for the callers' own frames.
 MAX_PAREN_DEPTH = 100
 
 
-class _Tokenizer:
-    def __init__(self, text: str):
+def _tokenize(text: str) -> list:
+    """The tokens of text (_TOKEN) in order, then _END."""
+    tokens = _TOKEN.findall(text)
+    tokens.append(_END)
+    return tokens
+
+
+def _variable_indices(tokens: list) -> list:
+    """The index of every variable in a token list."""
+    return [int(t[1:].lstrip()) for t in tokens if t[0] == "x" and t != "x"]
+
+
+@functools.cache
+def _units(n: int) -> tuple:
+    """The packed exponent of x_i at index i, 1..n (index 0 unused)."""
+    return (0, *(1 << FIELD_BITS * (n - i) for i in range(1, n + 1)))
+
+
+class _Reader:
+    """Recursive descent over one token list (_tokenize).
+
+    A term without parentheses is collected as it is read: its factors
+    multiply an int numerator and denominator and add to one packed
+    exponent, and the term goes straight into its expression's
+    {packed exponent: numerator} dict over one common denominator, which
+    _canon makes canonical once.  Only a parenthesized group, and a power
+    of one (Polynomial ** k), is a Polynomial: a term's groups are
+    multiplied together, and the expression adds each such product, times
+    the term's monomial, in one linear_combination.  Every check runs where
+    it did when each atom was a Polynomial combined with *, + and **: a
+    power of an atom, and each product of a term's running value with its
+    next factor, raise the same ExponentOverflow or ResourceCapExceeded at
+    the same point of the text.  A token's position is found only for an
+    error message.
+    """
+
+    __slots__ = ("text", "tokens", "n", "units", "i", "depth")
+
+    def __init__(self, text: str, tokens: list, n: int):
         self.text = text
-        self.pos = 0
-
-    def _skip_ws(self):
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
-
-    def peek(self):
-        self._skip_ws()
-        if self.pos >= len(self.text):
-            return None
-        return self.text[self.pos]
-
-    def take_char(self, ch: str) -> bool:
-        if self.peek() == ch:
-            self.pos += 1
-            return True
-        return False
-
-    def expect_char(self, ch: str):
-        if not self.take_char(ch):
-            raise PolyParseError(f"expected '{ch}'", self.pos)
-
-    def take_uint(self) -> int:
-        self._skip_ws()
-        digits = _UINT.match(self.text, self.pos)
-        if digits is None:
-            raise PolyParseError("expected an integer", self.pos)
-        self.pos = digits.end()
-        return int(digits.group())
-
-
-class _Parser:
-    def __init__(self, text: str, n: int):
-        self.tok = _Tokenizer(text)
+        self.tokens = tokens
         self.n = n
+        self.units = _units(n)
+        self.i = 0
         self.depth = 0
 
+    def position(self, j: int) -> int:
+        """Where token j starts in the text (its length for _END)."""
+        starts = [m.start() for m in _TOKEN.finditer(self.text)]
+        return starts[j] if j < len(starts) else len(self.text)
+
+    def error(self, message: str, j: int) -> PolyParseError:
+        return PolyParseError(message, self.position(j))
+
+    def uint(self, j: int) -> int:
+        tok = self.tokens[j]
+        if "0" <= tok[0] <= "9":
+            return int(tok)
+        raise self.error("expected an integer", j)
+
     def parse(self) -> Polynomial:
-        p = self._expr()
-        self.tok._skip_ws()
-        if self.tok.pos != len(self.tok.text):
-            raise PolyParseError("unexpected trailing input", self.tok.pos)
+        p = self.expr()
+        if self.tokens[self.i] != _END:
+            raise self.error("unexpected trailing input", self.i)
         return p
 
-    def _expr(self) -> Polynomial:
-        negate = self.tok.take_char("-")
-        p = self._term()
+    def expr(self) -> Polynomial:
+        tokens, n = self.tokens, self.n
+        nums = {}
+        den = 1
+        ebound = 0
+        groups = []  # (monomial, product of groups) of each term with a group
+        negate = tokens[self.i] == "-"
         if negate:
-            p = -p
+            self.i += 1
         while True:
-            if self.tok.take_char("+"):
-                p = p + self._term()
-            elif self.tok.take_char("-"):
-                p = p - self._term()
-            else:
-                return p
-
-    def _term(self) -> Polynomial:
-        p = self._factor()
-        while self.tok.take_char("*"):
-            p = p * self._factor()
+            num, d, key, eb, prod = self.term()
+            if num:
+                if negate:
+                    num = -num
+                if prod is not None:
+                    groups.append((_canon(n, {key: num}, d, eb), prod))
+                else:
+                    if den % d:
+                        f = d // gcd(den, d)
+                        nums = {k: v * f for k, v in nums.items()}
+                        den *= f
+                    nums[key] = nums.get(key, 0) + num * (den // d)
+                    if eb > ebound:
+                        ebound = eb
+            tok = tokens[self.i]
+            if tok != "+" and tok != "-":
+                break
+            negate = tok == "-"
+            self.i += 1
+        if 0 in nums.values():
+            nums = {k: v for k, v in nums.items() if v}
+        p = _canon(n, nums, den, ebound)
+        if groups:
+            p = linear_combination([(1, p), *groups], n)
         return p
 
-    def _factor(self) -> Polynomial:
-        base = self._atom()
-        if self.tok.take_char("^"):
-            return base ** self.tok.take_uint()
-        return base
+    def term(self):
+        """(num, d, key, eb, prod): the term is num / d * x^key * prod, prod
+        the product of its groups (None without one), eb an upper bound on
+        every exponent of x^key * prod.  Once num is 0 the term is 0, and
+        its later factors are read and checked but not multiplied: a
+        product with 0 has no exponents to pass MAX_EXPONENT."""
+        tokens = self.tokens
+        num = d = 1
+        key = eb = 0
+        prod = None
+        i = self.i
+        while True:
+            tok = tokens[i]
+            c = tok[0]
+            i += 1
+            if c == "x":
+                if tok == "x":
+                    raise self.error("expected an integer", i)
+                idx = int(tok[1:].lstrip())
+                if not 0 < idx <= self.n:
+                    raise self.error(f"variable x{idx} out of range for n={self.n}", i - 1)
+                k = 1
+                if tokens[i] == "^":
+                    k = self.uint(i + 1)
+                    i += 2
+                    if k > MAX_EXPONENT:
+                        _check_exponents([k])
+                if num:
+                    key += k * self.units[idx]
+                    eb += k
+            elif "0" <= c <= "9":
+                a, q = int(tok), 1
+                if tokens[i] == "/":
+                    q = self.uint(i + 1)
+                    if not q:
+                        raise PolyParseError("zero denominator", self.position(i) + 1)
+                    i += 2
+                if tokens[i] == "^":
+                    k = self.uint(i + 1)
+                    i += 2
+                    if k > MAX_EXPONENT:
+                        # No field bounds a^k, whose coefficient grows without bound.
+                        _check_exponents([k])
+                    g = gcd(a, q)
+                    a, q = a // g, q // g
+                    _check_power_size(a * q if a else 1, k)
+                    a, q = a ** k, q ** k
+                num *= a
+                d *= q
+            elif c == "(":
+                if self.depth == MAX_PAREN_DEPTH:
+                    raise self.error(f"parentheses nested deeper than {MAX_PAREN_DEPTH}", i - 1)
+                self.depth += 1
+                self.i = i
+                f = self.expr()
+                i = self.i
+                if tokens[i] != ")":
+                    raise self.error("expected ')'", i)
+                self.depth -= 1
+                i += 1
+                if tokens[i] == "^":
+                    f = f ** self.uint(i + 1)
+                    i += 2
+                if not f._nums:
+                    num = 0
+                elif num:
+                    eb += f._ebound
+                    if eb > MAX_EXPONENT:
+                        eb = self.check(key, prod, f)
+                    prod = f if prod is None else prod * f
+            elif tok == _END:
+                raise self.error("unexpected end of input", i - 1)
+            else:
+                raise self.error(f"unexpected character {tok!r}", i - 1)
+            if eb > MAX_EXPONENT:
+                eb = self.check(key, prod)
+            if tokens[i] != "*":
+                self.i = i
+                return num, d, key, eb, prod
+            i += 1
 
-    def _atom(self) -> Polynomial:
-        ch = self.tok.peek()
-        if ch is None:
-            raise PolyParseError("unexpected end of input", self.tok.pos)
-        if ch == "(":
-            if self.depth == MAX_PAREN_DEPTH:
-                raise PolyParseError(
-                    f"parentheses nested deeper than {MAX_PAREN_DEPTH}", self.tok.pos
-                )
-            self.depth += 1
-            self.tok.expect_char("(")
-            p = self._expr()
-            self.tok.expect_char(")")
-            self.depth -= 1
-            return p
-        if ch == "x":
-            pos = self.tok.pos
-            self.tok.expect_char("x")
-            idx = self.tok.take_uint()
-            if not 1 <= idx <= self.n:
-                raise PolyParseError(
-                    f"variable x{idx} out of range for n={self.n}", pos
-                )
-            return Polynomial.variable(idx, self.n)
-        if "0" <= ch <= "9":
-            num = self.tok.take_uint()
-            if self.tok.take_char("/"):
-                den_pos = self.tok.pos
-                den = self.tok.take_uint()
-                if den == 0:
-                    raise PolyParseError("zero denominator", den_pos)
-                return Polynomial.constant(Fraction(num, den), self.n)
-            return Polynomial.constant(num, self.n)
-        raise PolyParseError(f"unexpected character {ch!r}", self.tok.pos)
+    def check(self, key: int, *groups) -> int:
+        """The largest exponent of x^key times the groups (Polynomials or
+        None); ExponentOverflow when it passes MAX_EXPONENT, as a product
+        of the factors would raise it."""
+        for g in groups:
+            if g is not None:
+                key += _pack(_degrees(g), self.n)
+        return _check_exponents(_unpacker(self.n)(key))
 
 
-def parse_poly(text: str, n: int) -> Polynomial:
-    """Parse polynomial text (grammar above) into canonical sparse form."""
-    return _Parser(text, n).parse()
+def parse_poly(text: str, n: int, tokens: list | None = None) -> Polynomial:
+    """Parse polynomial text (grammar above) into canonical sparse form.
+
+    tokens, when given, is _tokenize(text), read already by the caller."""
+    return _Reader(text, _tokenize(text) if tokens is None else tokens, n).parse()
 
 
 # rational := ['+'|'-'] (UINT ['/' UINT] | UINT '.' [UINT] | '.' UINT)
-_RATIONAL = re.compile(r"\s*[+-]?(?:[0-9]+(?:/[0-9]+)?|[0-9]+\.[0-9]*|\.[0-9]+)\s*")
+_RATIONAL = re.compile(
+    r"\s*([+-]?)(?:([0-9]+)(?:/([0-9]+))?|(?=\.?[0-9])([0-9]*)\.([0-9]*))\s*")
 
 
 def parse_fraction(text: str) -> Fraction:
     """Parse a rational literal: an integer, p/q or a decimal, optionally
     signed, such as 3, -1/2 or 0.25.  ValueError naming the text when it is
     anything else (exponents such as 1e3 and underscores are refused before
-    any number is built) or has a zero denominator."""
-    if not _RATIONAL.fullmatch(text):
+    any number is built) or has a zero denominator.  The value is built
+    from the match itself, exactly."""
+    m = _RATIONAL.fullmatch(text)
+    if m is None:
         raise ValueError(f"invalid rational literal {text!r}: "
                          "expected an integer, p/q or a decimal")
-    try:
-        return Fraction(text)
-    except ZeroDivisionError:
-        raise ValueError(f"zero denominator in {text!r}") from None
+    sign, whole, q, ipart, fpart = m.groups()
+    if whole is not None:
+        num = -int(whole) if sign == "-" else int(whole)
+        if q is None:
+            return Fraction(num)
+        q = int(q)
+        if not q:
+            raise ValueError(f"zero denominator in {text!r}")
+        return Fraction(num, q)
+    scale = 10 ** len(fpart)
+    num = int(ipart or "0") * scale + int(fpart or "0")
+    return Fraction(-num if sign == "-" else num, scale)
 
 
 def format_poly(p: Polynomial, var: str = "x") -> str:

@@ -438,6 +438,17 @@ def test_exponent_overflow_is_domain_outcome(capsys):
     ]
 
 
+def test_product_overflow_is_domain_outcome(capsys):
+    # The reader multiplies a term's powers itself, with the check of *.
+    status = main(["compose", "--map", f"x1^{MAX_EXPONENT}*x1; x2"])
+    captured = capsys.readouterr()
+    assert status == 1
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        f"error: line 1: exponent {MAX_EXPONENT + 1} exceeds the largest exponent {MAX_EXPONENT}"
+    ]
+
+
 def test_constant_power_overflow_is_domain_outcome(capsys):
     status = main(["compose", "--map", f"1^{MAX_EXPONENT + 1}*x1; x2"])
     captured = capsys.readouterr()
@@ -646,6 +657,22 @@ def test_oracle_budget_is_a_domain_outcome(capsys, monkeypatch):
     assert status == 1
     assert captured.out == ""
     assert captured.err == "error: graded oracle exceeded 3 monomials\n"
+
+
+def test_division_step_budget_is_a_domain_outcome(capsys, monkeypatch):
+    # Buchberger divides x1 + x2^8; x2's elimination generators one step per
+    # degree; a budget of 3 stands in for x1 + x2^4294967295; x2, whose
+    # division would run for hours.
+    from polyaut import groebner
+
+    argv = ["relations", "--map", "x1 + x2^8; x2"]
+    assert run(capsys, *argv)[0] == 0
+    monkeypatch.setattr(groebner, "MAX_DIVISION_STEPS", 3)
+    status = main(argv)
+    captured = capsys.readouterr()
+    assert status == 1
+    assert captured.out == ""
+    assert captured.err == "error: a division exceeded 3 steps\n"
 
 
 @pytest.mark.parametrize("argv, line", [

@@ -454,6 +454,29 @@ def test_buchberger_resource_cap(monkeypatch):
         buchberger(gens, WeightVector.standard(2))
 
 
+def test_division_step_budget(monkeypatch):
+    # The budget is the module constant MAX_DIVISION_STEPS, counted per
+    # _reduce call and read at its start: x1^5 by x1 - 1 cancels x1^5, x1^4,
+    # .., x1 in 5 steps and leaves 1.
+    from polyaut import groebner
+
+    p, d = P("x1^5", 1), P("x1 - 1", 1)
+    basis = buchberger([d], WeightVector.standard(1))
+    monkeypatch.setattr(groebner, "MAX_DIVISION_STEPS", 5)
+    assert normal_form(p, basis) == P("1", 1)
+    q, r = divmod_single(p, d)
+    assert (q, r) == (P("x1^4 + x1^3 + x1^2 + x1 + 1", 1), P("1", 1))
+    monkeypatch.setattr(groebner, "MAX_DIVISION_STEPS", 4)
+    with pytest.raises(ResourceCapExceeded, match="a division exceeded 4 steps"):
+        divmod_single(p, d)
+    # Buchberger's S-pair reductions (x1 - x2^5 by x2 - 1 here) and
+    # normal_form divide under it too.
+    with pytest.raises(ResourceCapExceeded, match="a division exceeded 4 steps"):
+        buchberger([P("x1 - x2^6", 2), P("x2 - 1", 2)], WeightVector.standard(2))
+    with pytest.raises(ResourceCapExceeded, match="a division exceeded 4 steps"):
+        normal_form(p, basis)
+
+
 def test_relation_report_principal_cases():
     # relation_report reads principality off the size of the reduced basis.
     from polyaut.relations import relation_report

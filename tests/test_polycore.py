@@ -3,6 +3,7 @@ the exact row elimination."""
 
 import random
 import re
+import sys
 from fractions import Fraction
 from math import prod
 
@@ -112,6 +113,106 @@ def test_parse_rejects_out_of_range_variable():
 def test_parse_multi_digit_variable_indices():
     p = P("x12^2", 12)
     assert p.terms == {(0,) * 11 + (2,): 1}
+
+
+#: Every character str.isspace() accepts: the reader's whitespace.
+_SPACES = [c for c in map(chr, range(sys.maxunicode + 1)) if c.isspace()]
+
+
+@st.composite
+def _expressions(draw, n, depth=0):
+    """(text, value): a random expression tree in n variables written in the
+    grammar of parse_poly, with whitespace drawn between its tokens, and its
+    value computed with Polynomial's +, -, * and **."""
+
+    def space():
+        return draw(st.text(st.sampled_from(_SPACES), max_size=2))
+
+    def atom():
+        kind = draw(st.sampled_from(("x", "int", "ratio", "group")[:4 if depth < 2 else 3]))
+        if kind == "x":
+            i = draw(st.integers(1, n))
+            return f"x{space()}{i}", Polynomial.variable(i, n)
+        if kind == "int":
+            c = draw(st.integers(0, 10**20))
+            return str(c), Polynomial.constant(c, n)
+        if kind == "ratio":
+            a, b = draw(st.integers(0, 99)), draw(st.integers(1, 99))
+            return f"{a}{space()}/{space()}{b}", Polynomial.constant(Fraction(a, b), n)
+        text, value = draw(_expressions(n, depth + 1))
+        return f"({space()}{text}{space()})", value
+
+    def factor():
+        text, value = atom()
+        if draw(st.booleans()):
+            k = draw(st.integers(0, 2 if text.startswith("(") else 7))
+            return f"{text}{space()}^{space()}{k}", value ** k
+        return text, value
+
+    def term():
+        text, value = factor()
+        for _ in range(draw(st.integers(0, 2))):
+            more, other = factor()
+            text, value = f"{text}{space()}*{space()}{more}", value * other
+        return text, value
+
+    text, value = term()
+    if draw(st.booleans()):
+        text, value = f"-{space()}{text}", -value
+    for _ in range(draw(st.integers(0, 3))):
+        more, other = term()
+        if draw(st.booleans()):
+            text, value = f"{text}{space()}+{space()}{more}", value + other
+        else:
+            text, value = f"{text}{space()}-{space()}{more}", value - other
+    return f"{space()}{text}{space()}", value
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 4).flatmap(_expressions))
+def test_reader_matches_polynomial_arithmetic(tree):
+    # The reader collects paren-free terms itself; its result is the one
+    # that +, -, * and ** give on the same tree.
+    text, value = tree
+    p = parse_poly(text, value.n)
+    assert p == value
+    assert hash(p) == hash(value)
+
+
+def test_reader_multiplies_no_polynomials_without_parentheses(count_calls):
+    combinations = count_calls(polycore, "linear_combination")
+    p = P("-2*x1^3*x2*3/4 + x2^2*x1 - 7 + 1/3*x3*x3 - x2^2*x1", 3)
+    assert p == P("-3/2*x1^3*x2 + 1/3*x3^2 - 7", 3)
+    assert combinations == []
+    # A parenthesized group, and a power of one, is a polynomial.
+    assert P("x1*(x2 + 1)^2 - x1", 2) == P("x1*x2^2 + 2*x1*x2", 2)
+    assert combinations
+
+
+def test_reader_checks_each_product_as_multiplication_does():
+    # A term's running value times its next factor raises the message of
+    # top * x1; a product that is already 0 multiplies without a check, as
+    # Polynomial * does; and the coefficient budget still refuses 3^4000000.
+    top = Polynomial.monomial((MAX_EXPONENT,), 1, 1)
+    with pytest.raises(ExponentOverflow) as want:
+        top * Polynomial.variable(1, 1)
+    for text in [f"x1^{MAX_EXPONENT}*x1", "x1^2147483648*x1^2147483648",
+                 f"x1^{MAX_EXPONENT}*(x1 + 1)", f"(x1 + 1)*2*x1^{MAX_EXPONENT}",
+                 f"x1^{MAX_EXPONENT}*x1*0"]:
+        with pytest.raises(ExponentOverflow) as got:
+            parse_poly(text, 1)
+        assert str(got.value) == str(want.value)
+    # The check counts the term's monomial with its groups: the product of
+    # x1 * x1^(MAX - 1) with x1^2 has the exponent MAX + 2, though the two
+    # groups alone multiply to MAX + 1.
+    with pytest.raises(ExponentOverflow, match=f"exponent {MAX_EXPONENT + 2} exceeds"):
+        parse_poly(f"x1*(x1^{MAX_EXPONENT - 1})*(x1^2)", 1)
+    assert parse_poly(f"0*x1^{MAX_EXPONENT}*x1", 1) == Polynomial.zero(1)
+    assert parse_poly(f"(x1 - x1)*x1^{MAX_EXPONENT}*x1", 1) == Polynomial.zero(1)
+    assert parse_poly(f"x1^{MAX_EXPONENT}*x2^{MAX_EXPONENT}", 2).terms == {
+        (MAX_EXPONENT, MAX_EXPONENT): 1}
+    with pytest.raises(ResourceCapExceeded):
+        parse_poly("3^4000000", 1)
 
 
 def test_format_round_trips():
@@ -572,6 +673,17 @@ def test_constructors_take_ints_and_fractions_only(scalar):
     assert WeightVector((tenth, 1)).weights == (tenth, 1)
     assert WeightVector((tenth, 1))._int_form == (10, (1, 10))
     assert Affine(((tenth,),), (3,)).matrix == ((tenth,),)
+
+
+def test_scalar_slots_keep_the_fractions_they_are_handed(count_fractions):
+    # A Fraction entry is kept as it is, and only an int entry is converted.
+    half, third = Fraction(1, 2), Fraction(1, 3)
+    made = count_fractions()
+    a = Affine(((half, 0), (0, third)), (third, 1))
+    w = WeightVector((half, third))
+    assert a.matrix[0][0] is half and a.matrix[1][1] is third and a.shift[0] is third
+    assert w.weights[0] is half and w.weights[1] is third
+    assert made.count("_fraction") == 3  # the ints 0, 0 and 1
 
 
 @settings(max_examples=60, deadline=None)
