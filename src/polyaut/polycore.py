@@ -191,8 +191,11 @@ class ResourceCapExceeded(RuntimeError):
 #: of a literal, and _power before it squares its way up to a power, bound
 #: its size by k * ceil(log2(T * max|num| * den)) and raise
 #: ResourceCapExceeded past the cap: 3^4000000 (8000000 bits) is refused,
-#: and 0, 1, -1 and monomials with coefficient 1 need 0 bits.
-MAX_COEFFICIENT_BITS = 1 << 22
+#: and 0, 1, -1 and monomials with coefficient 1 need 0 bits.  The cap also
+#: bounds the gcd that makes a coefficient canonical, whose time grows with
+#: the square of its size: 3/2^1398101 (4194303 bits), whose gcd took
+#: seconds, is refused.
+MAX_COEFFICIENT_BITS = 1 << 20
 
 
 def _check_coefficient_bits(p: "Polynomial", k: int):

@@ -31,6 +31,19 @@ The module also exposes the two degree inequalities as testable predicates:
   * check_parachute:     deg1(P o F) >= deg1(d^k P/dx^k o F) + k*d - k*nabla,
     the k-fold minoration that prevents composition from dropping degrees
     arbitrarily far.
+
+Both read deg1(P o F) from the leading forms (_composed_degree).  Write
+P~ for the deg2-leading form of P and fbar_i for the w1-leading form of
+f_i.  A monomial z^a of deg2 delta composes to f^a, whose w1-degree is
+delta with top component fbar^a, so the w1-component of P o F at
+deg2(P) is P~(fbar).  When P~ has one term, P~(fbar) is a nonzero scalar
+times a product of the nonzero fbar_i, nonzero because Q[x] is a domain;
+otherwise it is composed from the few terms of the fbar_i.  Either way,
+P~(fbar) != 0 gives deg1(P o F) = deg2(P) with no composition of P by the
+whole map.  Only in the strict case, P~(fbar) = 0, is P o F composed and
+its degree read off.  tilde_in_I still comes from normal_form against the
+Groebner basis, so the strictness verdict cross-checks the Buchberger
+kernel against that direct evaluation.
 """
 
 from __future__ import annotations
@@ -151,6 +164,19 @@ def _shadow_check(report: RelationReport) -> list:
     return oracle
 
 
+def _composed_degree(p: Polynomial, coords, fbars, w1: WeightVector, leading):
+    """wdeg(P o F, w1) for F = coords and fbars their w1-leading forms, from
+    leading = _leading(p, d), d the coordinates' w1-degrees (module
+    docstring): P o F is composed only when the d-leading form of P
+    vanishes at fbars."""
+    s, top, tilde = leading
+    if top is None:
+        return MINUS_INFINITY
+    if len(tilde.terms) == 1 or not compose(tilde, fbars).is_zero():
+        return Fraction(top, s)
+    return wdeg(compose(p, coords), w1)
+
+
 def check_degree_lemma(phi: AutWord | PolyMap | Certified, w1: WeightVector,
                        p: Polynomial, report: RelationReport | None = None):
     """Evaluate deg1(P o F) <= deg2(P) and the strictness criterion.
@@ -159,11 +185,14 @@ def check_degree_lemma(phi: AutWord | PolyMap | Certified, w1: WeightVector,
     rhs = deg2(P), strict = (lhs < rhs), and tilde_in_I reports whether the
     deg2-leading term of P reduces to zero against the relation ideal.
     Strictness holds exactly when P is nonzero and its leading term is a
-    relation.  A report computed for phi supplies the expanded map; without
-    one, relation_report(phi, w1) computes it.  A report computed for other
-    weights than w1 raises ValueError: its d would measure the right side
-    in another grading.  So does a report whose map is not phi's: it would
-    answer for that map.
+    relation.  lhs comes from the leading forms: the top component of
+    P o F is P~(fbar), nonzero when P~ has one term, and P o F is composed
+    with the whole map only when P~(fbar) = 0 (module docstring);
+    tilde_in_I comes from normal_form alone.  A report computed for phi
+    supplies the expanded map; without one, relation_report(phi, w1)
+    computes it.  A report computed for other weights than w1 raises
+    ValueError: its d would measure the right side in another grading.  So
+    does a report whose map is not phi's: it would answer for that map.
     """
     if report is None:
         report = relation_report(phi, w1)
@@ -171,8 +200,8 @@ def check_degree_lemma(phi: AutWord | PolyMap | Certified, w1: WeightVector,
         raise ValueError("report was computed for a different w1")
     elif phi not in (report.cert, report.cert.phi) and certify(phi).m != report.cert.m:
         raise ValueError("report was computed for a different automorphism")
-    lhs = wdeg(compose(p, report.cert.m.coords), w1)
-    s, top, tilde = _leading(p, report.d)
+    leading = s, top, tilde = _leading(p, report.d)
+    lhs = _composed_degree(p, report.cert.m.coords, report.fbars, w1, leading)
     rhs = MINUS_INFINITY if top is None else Fraction(top, s)
     strict = (rhs is not MINUS_INFINITY) and lhs < rhs
     tilde_in_I = (not tilde.is_zero()) and normal_form(tilde, report.ideal).is_zero()
@@ -187,7 +216,10 @@ def check_parachute(phi: AutWord | PolyMap | Certified, p: Polynomial, k: int,
 
     var defaults to the last variable; the guarantee holds for every
     automorphism, so False signals a fault or a non-automorphism input.
-    Several queries on one phi share F and d through certify(phi).
+    Several queries on one phi share F and d through certify(phi).  Both
+    degrees come from the leading forms as in check_degree_lemma: a
+    composition with the whole map runs only for a polynomial whose
+    d-leading form vanishes at the leading forms of F.
     """
     if k < 0:
         raise ValueError("k must be >= 0")
@@ -198,11 +230,13 @@ def check_parachute(phi: AutWord | PolyMap | Certified, p: Polynomial, k: int,
     w1 = WeightVector.standard(n)
     d = cert.d(w1)
     nabla = d.total() - n
-    lhs = wdeg(compose(p, cert.m.coords), w1)
+    coords = cert.m.coords
+    fbars = tuple(leading_term(c, w1) for c in coords)
+    lhs = _composed_degree(p, coords, fbars, w1, _leading(p, d))
     pk = p
     for _ in range(k):
         pk = partial(pk, var)
     if pk.is_zero():
         return True
-    rhs = wdeg(compose(pk, cert.m.coords), w1) + k * d[var] - k * nabla
+    rhs = _composed_degree(pk, coords, fbars, w1, _leading(pk, d)) + k * d[var] - k * nabla
     return lhs >= rhs

@@ -14,14 +14,15 @@ def count_calls(monkeypatch):
     """count_calls(module, name) wraps the function module.name wherever a
     polyaut module holds it by name (its own module and every module that
     imported it), and returns the list of first arguments, one entry per
-    call.  The wrapper calls the function captured before patching."""
+    call; with every_arg=True an entry is the tuple of all the positional
+    arguments.  The wrapper calls the function captured before patching."""
 
-    def install(module, name):
+    def install(module, name, every_arg=False):
         original = getattr(module, name)
         calls = []
 
         def counting(*args, **kwargs):
-            calls.append(args[0] if args else None)
+            calls.append(args if every_arg else args[0] if args else None)
             return original(*args, **kwargs)
 
         for mod in list(sys.modules.values()):

@@ -626,6 +626,16 @@ def test_power_coefficient_budget_is_a_domain_outcome(capsys, monkeypatch):
     assert captured.err == "error: the coefficients of a power to 6 could need more than 11 bits\n"
 
 
+def test_literal_power_past_the_coefficient_budget_is_a_domain_outcome(capsys):
+    # The gcd that makes 3^1398101/2^1398101 canonical would take seconds.
+    status = main(["compose", "--map", "3/2^1398101*x1; x2"])
+    captured = capsys.readouterr()
+    assert status == 1
+    assert captured.out == ""
+    assert captured.err == ("error: the coefficients of a power to 1398101 could need "
+                            "more than 1048576 bits\n")
+
+
 def test_determinant_budget_is_a_domain_outcome(capsys, monkeypatch):
     # A raw map's Jacobian is expanded by Laplace, in up to e * n! steps;
     # past polycore.MAX_DET_STEPS the CLI exits 1.  A dense 4 x 4 linear

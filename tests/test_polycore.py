@@ -890,6 +890,16 @@ def test_power_coefficient_budget(monkeypatch):
     assert P("x1*x2", 2) ** 1000 == Polynomial.monomial((1000, 1000), 1, 2)
 
 
+def test_literal_power_past_the_coefficient_budget_is_refused():
+    # 3/2^1398101 may need 1398101 * ceil(log2(6)) = 4194303 bits, past
+    # MAX_COEFFICIENT_BITS: refused before the power and its gcd are formed.
+    assert polycore.MAX_COEFFICIENT_BITS < 4194303
+    with pytest.raises(ResourceCapExceeded) as exc:
+        parse_poly("3/2^1398101", 1)
+    assert str(exc.value) == ("the coefficients of a power to 1398101 could need "
+                              f"more than {polycore.MAX_COEFFICIENT_BITS} bits")
+
+
 def _binary_products(k):
     """The products left-to-right binary powering takes for p^k."""
     return k.bit_length() - 1 + bin(k).count("1") - 1

@@ -1,8 +1,10 @@
 """Relation reports, the degree lemmas and the drop bound."""
 
 import hashlib
+import itertools
 import json
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -21,7 +23,11 @@ from polyaut.polycore import (
     MINUS_INFINITY,
     Polynomial,
     WeightVector,
+    compose,
+    leading_term,
     parse_poly,
+    partial,
+    wdeg,
 )
 from polyaut.relations import (
     check_degree_lemma,
@@ -387,3 +393,131 @@ def test_nabla_is_an_integer_for_the_standard_degree():
         for _ in range(4):
             word = random_tame_word(rng, n, max_gens=3, max_addend_deg=2, max_coord_deg=6)
             assert relation_report(word).parachute.denominator == 1
+
+
+# -- the degree predicates against composition with the whole map ----------------
+
+
+def _parachute_by_composition(m, p, k, var):
+    """check_parachute with both degrees read off compositions with the
+    whole map: the oracle of the leading-form route."""
+    w1 = WeightVector.standard(m.n)
+    d = certify(m).d(w1)
+    nabla = d.total() - m.n
+    lhs = wdeg(compose(p, m.coords), w1)
+    pk = p
+    for _ in range(k):
+        pk = partial(pk, var)
+    if pk.is_zero():
+        return True
+    return lhs >= wdeg(compose(pk, m.coords), w1) + k * d[var] - k * nabla
+
+
+def _queries(rng, report):
+    """(kind, P) pairs for one report: zero; random; tied, a leading form
+    of at least two monomials of one deg2 (when the degrees tie); strict,
+    a basis element of the relation ideal times a random P, whose leading
+    form vanishes at the leading forms of the map; each but the first two
+    plus random terms of lower deg2."""
+    n, d = report.cert.m.n, report.d
+
+    def deg(mono):
+        return sum(a * w for a, w in zip(mono, d))
+
+    def lower(bound):
+        q = random_polynomial(rng, n)
+        return Polynomial(n, {mono: c for mono, c in q.terms.items() if deg(mono) < bound})
+
+    yield "zero", Polynomial.zero(n)
+    yield "random", random_polynomial(rng, n)
+    ties = {}
+    for mono in itertools.product(range(4), repeat=n):
+        if sum(mono) <= 3:
+            ties.setdefault(deg(mono), []).append(mono)
+    tied = [monos for monos in ties.values() if len(monos) > 1]
+    if tied:
+        monos = rng.choice(tied)
+        top = Polynomial(n, {mono: rng.choice((1, -1, 2, -3)) for mono in monos})
+        yield "tied", top + lower(deg(monos[0]))
+    if not report.ideal.is_zero_ideal():
+        g = report.ideal.gens[0] * random_polynomial(rng, n, max_terms=2, max_deg=1)
+        yield "strict", g + lower(wdeg(g, d))
+
+
+def _non_uniform(rng, n):
+    while True:
+        w1 = WeightVector(tuple(Fraction(rng.randint(1, 4), rng.randint(1, 3))
+                                for _ in range(n)))
+        if len(set(w1)) > 1:
+            return w1
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_degree_predicates_agree_with_full_composition(n):
+    rng = random.Random(20261020 + n)
+    seen = Counter()
+    for _ in range(6):
+        word = random_tame_word(rng, n, max_gens=4, max_addend_deg=3,
+                                max_coord_deg=6 if n == 2 else 4)
+        m = expand(word)
+        for w1 in (WeightVector.standard(n), _non_uniform(rng, n)):
+            report = relation_report(word, w1, oracle_shadow=False)
+            for kind, p in _queries(rng, report):
+                lhs, rhs, strict, in_ideal = check_degree_lemma(word, w1, p, report=report)
+                assert lhs == wdeg(compose(p, m.coords), w1)
+                assert strict == in_ideal
+                assert strict or kind != "strict"
+                seen[kind, len(leading_term(p, report.d).terms) > 1, strict] += 1
+                if w1 != WeightVector.standard(n) or p.is_zero():
+                    continue
+                for k in range(4):
+                    var = rng.randint(1, n)
+                    assert (check_parachute(report.cert, p, k, var=var)
+                            == _parachute_by_composition(m, p, k, var))
+    # Multi-term leading forms, both vanishing and not, and the strict case
+    # are all reached.
+    assert seen["tied", True, False] and seen["strict", True, True]
+    assert seen["zero", False, False] == 12
+
+
+def test_degree_predicates_agree_with_full_composition_in_nagata_strict_cases():
+    # R = z1*z3 + z2^2 generates the relation ideal of Nagata's map; P = R*Q
+    # plus terms of lower deg2 (d = (5, 3, 1)) composes to a lower degree.
+    report = relation_report(NAGATA)
+    w1 = report.w1
+    R = P("x1*x3 + x2^2", 3)
+    for q, low in [("1", "0"), ("x3", "x1 + 7"), ("x1 - 2*x2", "x2*x3^2 - x3^4"),
+                   ("x2^2 + x1*x3 + x3", "3*x1*x2")]:
+        p = R * P(q, 3) + P(low, 3)
+        lhs, rhs, strict, in_ideal = check_degree_lemma(NAGATA, w1, p, report=report)
+        assert lhs == wdeg(compose(p, NAGATA.coords), w1) < rhs
+        assert strict and in_ideal
+        for k in range(4):
+            for var in (1, 2, 3):
+                assert (check_parachute(NAGATA, p, k, var=var)
+                        == _parachute_by_composition(NAGATA, p, k, var))
+
+
+def test_degree_predicates_compose_the_whole_map_only_in_the_strict_case(count_calls):
+    from polyaut import polycore
+
+    report = relation_report(ELEM)
+    w1, fbars, coords = report.w1, report.fbars, report.cert.m.coords
+    composed = count_calls(polycore, "compose", every_arg=True)
+    # d = (2, 1) and fbar = (x2^2, x2).  The one-term leading form z1 is
+    # nonzero at fbar, and nothing is composed.
+    assert check_degree_lemma(ELEM, w1, P("x1 + 3*x2", 2), report=report)[0] == 2
+    assert composed == []
+    # z1 + z2^2 is composed with the leading forms only: 2*x2^2 != 0.
+    assert check_degree_lemma(ELEM, w1, P("x1 + x2^2 + 5*x2", 2), report=report)[0] == 2
+    assert composed == [(P("x1 + x2^2", 2), fbars)]
+    # z1 - z2^2 vanishes at fbar: one composition with the map's coordinates.
+    strict = P("x1 - x2^2", 2)
+    composed.clear()
+    assert check_degree_lemma(ELEM, w1, strict, report=report) == (1, 2, True, True)
+    assert composed == [(strict, fbars), (strict, coords)]
+    # check_parachute reads both of its degrees the same way; the derivative
+    # -2*x2 has a one-term leading form.
+    composed.clear()
+    assert check_parachute(ELEM, strict, 1, var=2)
+    assert composed == [(strict, fbars), (strict, coords)]
