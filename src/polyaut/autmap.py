@@ -437,19 +437,18 @@ def _variable_count(n: int) -> int:
     return n
 
 
-def _parse_line_poly(text: str, n: int, k: int, offset: int,
-                     tokens: list | None = None) -> Polynomial:
-    """parse_poly(text, n, tokens) of text at offset in line k: a
+def _in_line(k: int, offset: int, read, text: str, *args):
+    """read(text, *args) of polynomial text at offset in line k: a
     PolyParseError names the line and its position in the whole input."""
     try:
-        return parse_poly(text, n, tokens)
+        return read(text, *args)
     except PolyParseError as err:
         raise PolyParseError(f"line {k}: {err.message}", offset + err.position) from None
 
 
 def _at_line(k: int, build, *args):
     """build(*args) for line k: a ValueError it raises names the line (a
-    PolyParseError names it already, see _parse_line_poly)."""
+    PolyParseError names it already, see _in_line)."""
     try:
         return build(*args)
     except PolyParseError:
@@ -470,9 +469,10 @@ def _word_line(k: int, start: int, line: str, infer: bool):
             raise ValueError(f"bad elementary target in {line!r}")
         target = int(idx_str)
         offset = start + len(line) - len(poly_str)  # poly_str ends the line
-        tokens = _tokenize(poly_str)
+        tokens = _in_line(k, offset, _tokenize, poly_str)
         top = max([target, *_variable_indices(tokens)])
-        return top, lambda n: Elementary(target, _parse_line_poly(poly_str, n, k, offset, tokens))
+        return top, lambda n: Elementary(
+            target, _in_line(k, offset, parse_poly, poly_str, n, tokens))
     if kind == "T":
         parts = rest.split()
         if len(parts) != 2 or not all(map(_UINT.fullmatch, parts)):
@@ -519,5 +519,5 @@ def parse_map(text: str, n: int | None = None) -> PolyMap:
     n = _variable_count(len(lines) if n is None else n)
     if len(lines) != n:
         raise ValueError(f"expected {n} coordinate lines, got {len(lines)}")
-    return PolyMap(n, tuple(_at_line(k, _parse_line_poly, line, n, k, start)
+    return PolyMap(n, tuple(_at_line(k, _in_line, k, start, parse_poly, line, n)
                             for k, start, line in lines))

@@ -30,8 +30,9 @@ denominator: each step pops the largest key and subtracts a fraction-free
 multiple of a divisor shifted by adding keys, and no Polynomial or Fraction
 is built per step.  Whether a leading monomial divides the popped one is a
 borrow test on the two packed exponents (_divides), exact for every
-exponent because each field has 32 bits of headroom; only a term that
-joins the remainder, or a shift that could pass MAX_EXPONENT, is unpacked.
+exponent because each field has 32 bits of headroom.  The headroom also
+holds a shifted term past MAX_EXPONENT exactly; its guard bits
+(polycore._overflow_mask) raise ExponentOverflow when it is popped.
 
 A basis member's leading monomial is computed once and travels with it:
 buchberger keeps a list beside its working basis, and every IdealBasis is
@@ -53,7 +54,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache, cached_property
 from math import floor, gcd, lcm
-from operator import add, mul, sub
+from operator import mul
 from typing import NamedTuple, Sequence
 
 from .polycore import (
@@ -65,6 +66,7 @@ from .polycore import (
     WeightVector,
     _canon,
     _check_exponents,
+    _overflow_mask,
     _pack,
     _poly,
     _power_products,
@@ -116,8 +118,6 @@ def _ones(n: int) -> int:
 
 #: The top bit of a field, above every exponent: the borrow test of _divides.
 _TOP_BIT = 1 << FIELD_BITS - 1
-#: 2^31: a sum of two exponents below it is at most MAX_EXPONENT.
-_HALF = MAX_EXPONENT // 2 + 1
 
 
 def _packed_key(order: MonomialOrder, n: int):
@@ -194,15 +194,14 @@ class _Divisor(NamedTuple):
     """A nonzero polynomial g as division reads it, through its integer
     multiple with content 1 and a positive leading coefficient: the leading
     monomial lm as a tuple and packed as mono, its key, that leading
-    coefficient lead, the other terms of the multiple as (key, numerator)
-    pairs, and an upper bound ebound on g's exponents."""
+    coefficient lead, and the other terms of the multiple as (key,
+    numerator) pairs."""
 
     lm: tuple
     mono: int
     key: int
     lead: int
     tail: list
-    ebound: int
 
 
 def _divisor(g: Polynomial, key, lm=None) -> _Divisor:
@@ -211,10 +210,10 @@ def _divisor(g: Polynomial, key, lm=None) -> _Divisor:
     keyed = {key(t): c for t, c in g._nums.items()}
     k = max(keyed) if lm is None else key(_pack(lm, g.n))
     lead = keyed.pop(k)
-    return _primitive_divisor(k, lead, keyed.items(), g._ebound, g.n, lm)
+    return _primitive_divisor(k, lead, keyed.items(), g.n, lm)
 
 
-def _primitive_divisor(k: int, lead: int, tail, ebound: int, n: int, lm=None) -> _Divisor:
+def _primitive_divisor(k: int, lead: int, tail, n: int, lm=None) -> _Divisor:
     """The _Divisor of the integer polynomial with leading term lead at key
     k and the other terms tail, (key, numerator) pairs, divided by its
     content and signed so that lead is positive; lm is the leading monomial
@@ -225,60 +224,43 @@ def _primitive_divisor(k: int, lead: int, tail, ebound: int, n: int, lm=None) ->
     mono = k & (1 << FIELD_BITS * n) - 1
     if lm is None:
         lm = _unpacker(n)(mono)
-    return _Divisor(lm, mono, k, lead // content, [(t, c // content) for t, c in tail],
-                    ebound)
-
-
-def _check_shift(mono, div: _Divisor):
-    """Raise ExponentOverflow when x^(mono - div.lm) times the divisor has
-    an exponent above MAX_EXPONENT."""
-    if max(mono) + div.ebound > MAX_EXPONENT:
-        n = len(mono)
-        unpack, mask = _unpacker(n), (1 << FIELD_BITS * n) - 1
-        degrees = div.lm
-        for kt, _ in div.tail:
-            degrees = map(max, degrees, unpack(kt & mask))
-        _check_exponents(map(add, map(sub, mono, div.lm), degrees))
+    return _Divisor(lm, mono, k, lead // content, [(t, c // content) for t, c in tail])
 
 
 def _reduce(work: dict, den: int, divisors, n: int, quotient=None):
     """Divide work / den by the divisors, consuming work; return the
-    remainder as (terms, den, top): its terms (key, numerator, d), each
-    worth numerator / d, in decreasing key order, the final denominator
-    (every d divides it) and the largest exponent of the terms.
+    remainder as (terms, den): its terms (key, numerator, d), each worth
+    numerator / d, in decreasing key order, and the final denominator
+    (every d divides it).
 
     work maps order keys to nonzero int numerators.  Each step pops the
-    largest key; the first divisor whose leading monomial divides it
-    cancels it, scaling work and den by lead / gcd(c, lead) first when that
-    is not 1, and otherwise the term joins the remainder with the
-    denominator of that step.  Divisibility is the borrow test of _divides
-    on the packed exponent.  A shift is checked against MAX_EXPONENT
-    (_check_shift) only where it could pass it: where the term or the
-    divisor's exponent bound reaches 2^31.  When quotient is a list, each step appends (key of x^q,
-    b, den) for the subtracted (b / den) * x^q times the integer multiple
-    of g of a single divisor.  A step past MAX_DIVISION_STEPS (read per
-    call) raises ResourceCapExceeded.
+    largest key, raising ExponentOverflow for a guard bit (_overflow_mask)
+    in its packed exponent; the first divisor whose leading monomial
+    divides it cancels it, scaling work and den by lead / gcd(c, lead)
+    first when that is not 1, and otherwise the term joins the remainder
+    with the denominator of that step.  Divisibility is the borrow test of
+    _divides on the packed exponent.  When quotient is a list, each step
+    appends (key of x^q, b, den) for the subtracted (b / den) * x^q times
+    the integer multiple of g of a single divisor.  A step past
+    MAX_DIVISION_STEPS (read per call) raises ResourceCapExceeded.
     """
     mask = (1 << FIELD_BITS * n) - 1
     high = _TOP_BIT * _ones(n)
-    half = _HALF * _ones(n)
-    unpack = _unpacker(n)
+    guard = _overflow_mask(n)
     rest = []
-    top = 0
     steps = MAX_DIVISION_STEPS
     while work:
         k = max(work)
         c = work.pop(k)
         a = k & mask
+        if a & guard:
+            _check_exponents(_unpacker(n)(a))
         probe = a | high
         for div in divisors:
             if probe - div.mono & high == high:
-                if a & half or div.ebound >= _HALF:
-                    _check_shift(unpack(a), div)
                 break
         else:
             rest.append((k, c, den))
-            top = max(top, *unpack(a))
             continue
         if not steps:
             raise ResourceCapExceeded(f"a division exceeded {MAX_DIVISION_STEPS} steps")
@@ -301,17 +283,15 @@ def _reduce(work: dict, den: int, divisors, n: int, quotient=None):
                 work[t] = v
             else:
                 del work[t]
-    return rest, den, top
+    return rest, den
 
 
-def _collect(terms, den: int, ebound: int, n: int) -> Polynomial:
+def _collect(terms, den: int, n: int) -> Polynomial:
     """The polynomial sum(num / d * x^a) of (key, num, d) terms whose
     packed exponents a, the low FIELD_BITS * n bits of the keys, are
     distinct, each d dividing den."""
-    if not terms:
-        return _poly(n, {}, 1, 0)
     mask = (1 << FIELD_BITS * n) - 1
-    return _canon(n, {k & mask: c * (den // d) for k, c, d in terms}, den, ebound)
+    return _canon(n, {k & mask: c * (den // d) for k, c, d in terms}, den)
 
 
 def _remainder(p: Polynomial, divisors, key, quotient=None) -> Polynomial:
@@ -351,21 +331,16 @@ def divmod_single(p: Polynomial, d: Polynomial,
     div = _divisor(d, key)
     steps = []
     r = _remainder(p, [div], key, steps)
-    mask = (1 << FIELD_BITS * p.n) - 1
-    unpack = _unpacker(p.n)
-    ebound = max((max(unpack(q & mask)) for q, _, _ in steps), default=0)
     # The steps subtracted sum((b / den) * x^q) * c * d, and c * d has the
     # leading coefficient div.lead where d has d._nums[lm] / d.den.
-    q = _collect(steps, steps[-1][2] if steps else 1, ebound, p.n)
+    q = _collect(steps, steps[-1][2] if steps else 1, p.n)
     return q * Fraction(d.den * div.lead, d._nums[div.mono]), r
 
 
-def _s_pair(f: _Divisor, g: _Divisor, kl: int, l) -> dict:
+def _s_pair(f: _Divisor, g: _Divisor, kl: int) -> dict:
     """A positive integer multiple of the S-polynomial of f and g, whose
-    leading monomials have lcm l with key kl, as {key: numerator} without
-    the cancelled leading terms."""
-    _check_shift(l, f)
-    _check_shift(l, g)
+    leading monomials have an lcm with key kl, as {key: numerator} without
+    the cancelled leading terms; _reduce finds an exponent past MAX_EXPONENT."""
     qf, qg = kl - f.key, kl - g.key
     work = {qf + kt: g.lead * c for kt, c in f.tail}
     get = work.get
@@ -397,14 +372,13 @@ def buchberger(gens: Sequence[Polynomial], order: MonomialOrder) -> IdealBasis:
     n = G[0].n
     key = _packed_key(order, n)
     divs = [_divisor(g, key) for g in G]
-    # The lcm of each pair's leading monomials, with its key and packed form.
+    # The lcm of each pair's leading monomials: its key and packed form.
     lcms = {}
 
     def add_lcms(j):
         for i in range(j):
-            l = tuple(map(max, divs[i].lm, divs[j].lm))
-            packed = _pack(l, n)
-            lcms[i, j] = (key(packed), l, packed)
+            packed = _pack(tuple(map(max, divs[i].lm, divs[j].lm)), n)
+            lcms[i, j] = (key(packed), packed)
 
     for j in range(len(divs)):
         add_lcms(j)
@@ -415,7 +389,7 @@ def buchberger(gens: Sequence[Polynomial], order: MonomialOrder) -> IdealBasis:
         i, j = min(pairs, key=lambda ij: lcms[ij][0])
         pairs.remove((i, j))
         done.add((i, j))
-        kl, l, packed = lcms[i, j]
+        kl, packed = lcms[i, j]
         # Coprime-lcm criterion: S-polynomial reduces to zero automatically.
         if packed == divs[i].mono + divs[j].mono:
             continue
@@ -429,11 +403,11 @@ def buchberger(gens: Sequence[Polynomial], order: MonomialOrder) -> IdealBasis:
             raise ResourceCapExceeded(
                 f"buchberger exceeded {MAX_S_PAIRS} S-pair reductions"
             )
-        rest, den, top = _reduce(_s_pair(divs[i], divs[j], kl, l), 1, divs, n)
+        rest, den = _reduce(_s_pair(divs[i], divs[j], kl), 1, divs, n)
         if not rest:
             continue
         (klead, lead), *tail = [(kt, c * (den // d)) for kt, c, d in rest]
-        divs.append(_primitive_divisor(klead, lead, tail, top, n))
+        divs.append(_primitive_divisor(klead, lead, tail, n))
         new = len(divs) - 1
         add_lcms(new)
         for k in range(new):
@@ -466,15 +440,15 @@ def _reduce_basis(divs, order, n) -> IdealBasis:
         others = keep[:i] + keep[i + 1 :]
         if not any(_divides(e.mono, kt & mask, n) for kt, _ in d.tail for e in others):
             continue
-        rest, den, top = _reduce(dict(d.tail), 1, others, n)
+        rest, den = _reduce(dict(d.tail), 1, others, n)
         tail = [(kt, c * (den // e)) for kt, c, e in rest]
-        keep[i] = _primitive_divisor(d.key, d.lead * den, tail, max(top, *d.lm), n, d.lm)
+        keep[i] = _primitive_divisor(d.key, d.lead * den, tail, n, d.lm)
     keep.sort(key=lambda d: d.key, reverse=True)
     gens = []
     for d in keep:
         nums = {d.mono: d.lead}
         nums.update((kt & mask, c) for kt, c in d.tail)
-        gens.append(_poly(n, nums, d.lead, d.ebound))
+        gens.append(_poly(n, nums, d.lead))
     return IdealBasis(tuple(gens), order, n, tuple(d.lm for d in keep))
 
 
@@ -509,12 +483,12 @@ def kernel_ideal(images: Sequence[Polynomial], dweights: WeightVector) -> IdealB
     shift = FIELD_BITS * nz
     gens = [
         Polynomial.variable(nx + i, total)
-        - _poly(total, {k << shift: c for k, c in img._nums.items()}, img.den, img._ebound)
+        - _poly(total, {k << shift: c for k, c in img._nums.items()}, img.den)
         for i, img in enumerate(images, start=1)
     ]
     gb = buchberger(gens, BlockElimination(nx, dweights))
     kept = [(g, lm) for g, lm in zip(gb.gens, gb.lms) if not any(lm[:nx])]
-    return IdealBasis(tuple(_poly(nz, g._nums, g.den, g._ebound) for g, _ in kept),
+    return IdealBasis(tuple(_poly(nz, g._nums, g.den) for g, _ in kept),
                       dweights, nz, tuple(lm[nx:] for _, lm in kept))
 
 
@@ -574,7 +548,6 @@ def graded_kernel_oracle(images: Sequence[Polynomial], dweights: WeightVector,
         reduced, pivots, _ = _rref(_coefficient_matrix(
             list(itertools.islice(products, len(alphas)))))
         keys = [_pack(alpha, nz) for alpha in alphas]
-        ebound = max(map(max, alphas))
         # The nullspace, read from the RREF: one vector per free column fc,
         # with 1 at fc and nonzero entries only at pivot columns left of fc,
         # as int numerators over the lcm of the entries' denominators (so
@@ -586,7 +559,7 @@ def graded_kernel_oracle(images: Sequence[Polynomial], dweights: WeightVector,
             den = lcm(*[e.denominator for _, e in entries])
             nums = {k: -e.numerator * (den // e.denominator) for k, e in entries}
             nums[keys[fc]] = den
-            found.append(_poly(nz, nums, den, ebound))
+            found.append(_poly(nz, nums, den))
     return found
 
 

@@ -16,13 +16,13 @@ a read-only {exponent tuple: Fraction} view.
 
 Exponents range over 0..MAX_EXPONENT = 2^32 - 1, so every field keeps 32
 bits of headroom: neither a sum of two exponents nor a weighted sum whose
-int weights add up to at most 2^32 + 1 carries into the next field.  Every
-polynomial carries an upper bound on its exponents; a product or power
-whose bound could pass MAX_EXPONENT checks its exact degrees once, for the
-whole operation, and raises ExponentOverflow (a ValueError) when an
-exponent would pass it; so does a constant raised to a power above
-MAX_EXPONENT.  A power whose coefficients could need more than
-MAX_COEFFICIENT_BITS bits raises ResourceCapExceeded.
+int weights add up to at most 2^32 + 1 carries into the next field.  An
+exponent past MAX_EXPONENT in such a sum sets a guard bit (_overflow_mask),
+tested where exponents are formed (products, popped division terms, terms
+of text) to raise ExponentOverflow (a ValueError), as does p ** k when k
+times p's degree (1 for a constant) passes MAX_EXPONENT.  A power whose
+coefficients could need more than MAX_COEFFICIENT_BITS bits raises
+ResourceCapExceeded.
 
 On top of the ring operations the module provides positive weighted
 homogeneous (p.w.h.) degree functions: a weight vector (w1,..,wn) with all
@@ -52,11 +52,12 @@ from __future__ import annotations
 import functools
 import re
 import struct
+import sys
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, lcm
-from operator import add, mul
+from operator import mul, or_
 from typing import Callable, Sequence, Union
 
 Exponent = tuple  # tuple[int, ...], one entry per variable
@@ -182,7 +183,8 @@ class ExponentOverflow(ValueError):
 class ResourceCapExceeded(RuntimeError):
     """A work budget ran out: groebner.MAX_S_PAIRS,
     groebner.MAX_DIVISION_STEPS, groebner.MAX_ORACLE_MONOMIALS,
-    MAX_DET_STEPS or MAX_COEFFICIENT_BITS."""
+    MAX_DET_STEPS, MAX_COEFFICIENT_BITS, or the interpreter's limit on the
+    digits of an int printed by format_poly (_digit_limit)."""
 
 
 #: The most bits a coefficient of a power p^k may need.  For p with T terms,
@@ -241,13 +243,20 @@ def _unpacker(n: int):
     return lambda key: unpack(key.to_bytes(size, "big"))
 
 
-def _check_exponents(exponents) -> int:
-    """The largest of the exponents; ExponentOverflow when it does not fit a field."""
+def _check_exponents(exponents):
+    """ExponentOverflow naming the largest exponent when it does not fit a field."""
     top = max(exponents)
     if top > MAX_EXPONENT:
         raise ExponentOverflow(
             f"exponent {top} exceeds the largest exponent {MAX_EXPONENT}")
-    return top
+
+
+@functools.cache
+def _overflow_mask(n: int) -> int:
+    """The bits of n packed fields above MAX_EXPONENT: a sum of two in-range
+    packed exponents carries into no field, so it has an exponent past
+    MAX_EXPONENT iff one of these guard bits is set."""
+    return sum((FIELD_MASK ^ MAX_EXPONENT) << FIELD_BITS * i for i in range(n))
 
 
 def _sum_operator(a: int, b: int):
@@ -270,31 +279,28 @@ class Polynomial:
     _nums maps packed exponents (one FIELD_BITS = 64-bit field per
     variable, x1 most significant) to nonzero ints, and den > 0 with
     gcd(den, all numerators) == 1, den == 1 for zero: the canonical form,
-    compared directly by == and hash.  _ebound bounds every exponent from
-    above, so that a product or power checks once, not per term, whether
-    an exponent would pass MAX_EXPONENT and raises ExponentOverflow then.
+    compared directly by == and hash, and all a Polynomial holds.  Every
+    exponent is at most MAX_EXPONENT (see _overflow_mask).
 
     Polynomial(n, terms) takes a {exponent tuple: int or Fraction} mapping,
     checked by _ratio; .terms reads it back as a {exponent tuple: Fraction}
     view.  Instances are immutable.
     """
 
-    __slots__ = ("n", "den", "_nums", "_ebound")
+    __slots__ = ("n", "den", "_nums")
 
     def __init__(self, n: int, terms: Mapping[Exponent, Fraction] | None = None):
         _check_n(n)
         ratios = {}
-        ebound = 0
         if terms:
             for mono, coeff in terms.items():
                 key = _pack(mono, n)
                 num, d = _ratio(coeff)
                 if num:
                     ratios[key] = num, d
-                    ebound = max(ebound, *mono)
         den = lcm(*(d for _, d in ratios.values()))
         nums = {k: num * (den // d) for k, (num, d) in ratios.items()}
-        _init(self, n, nums, den, ebound)
+        _init(self, n, nums, den)
 
     def __setattr__(self, name, value):
         raise AttributeError("Polynomial is immutable")
@@ -309,7 +315,7 @@ class Polynomial:
     @staticmethod
     def zero(n: int) -> "Polynomial":
         _check_n(n)
-        return _poly(n, {}, 1, 0)
+        return _poly(n, {}, 1)
 
     @staticmethod
     def constant(c, n: int) -> "Polynomial":
@@ -321,7 +327,7 @@ class Polynomial:
         """The polynomial x_i (1-based index)."""
         if not 1 <= i <= n:
             raise IndexError(f"variable index {i} out of range 1..{n}")
-        return _poly(n, {1 << (FIELD_BITS * (n - i)): 1}, 1, 1)
+        return _poly(n, {1 << (FIELD_BITS * (n - i)): 1}, 1)
 
     @staticmethod
     def monomial(exponents: Sequence[int], coeff, n: int) -> "Polynomial":
@@ -329,7 +335,7 @@ class Polynomial:
         exponents = tuple(exponents)
         key = _pack(exponents, n)
         num, den = _ratio(coeff)
-        return _poly(n, {key: num} if num else {}, den, max(exponents))
+        return _poly(n, {key: num} if num else {}, den)
 
     # -- basic queries -----------------------------------------------------
 
@@ -373,7 +379,7 @@ class Polynomial:
     __rsub__ = _sum_operator(-1, 1)
 
     def __neg__(self):
-        return _poly(self.n, {k: -c for k, c in self._nums.items()}, self.den, self._ebound)
+        return _poly(self.n, {k: -c for k, c in self._nums.items()}, self.den)
 
     def __mul__(self, other):
         if not isinstance(other, _OPERANDS):
@@ -385,11 +391,9 @@ class Polynomial:
     def __pow__(self, k: int):
         if k < 0:
             raise ValueError("negative exponent")
-        if k > MAX_EXPONENT and self.is_constant():
-            # No field bounds c^k, whose coefficient grows without bound.
-            _check_exponents([k])
-        if self._ebound * k > MAX_EXPONENT:
-            _check_exponents([e * k for e in _degrees(self)])
+        # A constant counts as degree 1: no field bounds c^k, whose
+        # coefficient grows without bound.
+        _check_exponents([max(1, *_degrees(self)) * k])
         _check_coefficient_bits(self, k)
         if not k:
             return _constant(1, self.n)
@@ -414,21 +418,20 @@ _new = object.__new__
 _set = object.__setattr__
 
 
-def _init(p: Polynomial, n: int, nums: dict, den: int, ebound: int):
+def _init(p: Polynomial, n: int, nums: dict, den: int):
     _set(p, "n", n)
     _set(p, "den", den)
     _set(p, "_nums", nums)
-    _set(p, "_ebound", ebound)
 
 
-def _poly(n: int, nums: dict, den: int, ebound: int) -> Polynomial:
+def _poly(n: int, nums: dict, den: int) -> Polynomial:
     """The trusted constructor: nums and den are already in canonical form."""
     p = _new(Polynomial)
-    _init(p, n, nums, den, ebound)
+    _init(p, n, nums, den)
     return p
 
 
-def _canon(n: int, nums: dict, den: int, ebound: int) -> Polynomial:
+def _canon(n: int, nums: dict, den: int) -> Polynomial:
     """The trusted constructor for nums without zero values over den > 0, not
     yet reduced."""
     if den != 1:
@@ -436,7 +439,7 @@ def _canon(n: int, nums: dict, den: int, ebound: int) -> Polynomial:
         if g != 1:
             den //= g
             nums = {k: c // g for k, c in nums.items()}
-    return _poly(n, nums, den, ebound)
+    return _poly(n, nums, den)
 
 
 def _check_n(n: int):
@@ -467,7 +470,7 @@ def _fraction(c) -> Fraction:
 
 def _constant(c, n: int) -> Polynomial:
     num, den = _ratio(c)
-    return _poly(n, {0: num} if num else {}, den, 0)
+    return _poly(n, {0: num} if num else {}, den)
 
 
 #: The operand types of +, - and *, on either side: anything else gives
@@ -477,10 +480,7 @@ _OPERANDS = (Polynomial, int, Fraction)
 
 def _degrees(p: Polynomial) -> list:
     """The degree of p in each variable (all 0 for p = 0)."""
-    degs = [0] * p.n
-    for mono in p.support():
-        degs = list(map(max, degs, mono))
-    return degs
+    return [max(column) for column in zip(*p.support())] or [0] * p.n
 
 
 class _TermsView(Mapping):
@@ -573,7 +573,7 @@ def _part(p: Polynomial, nums: dict) -> Polynomial:
     """The polynomial of some of p's terms, given as a subdict of p's numerators."""
     if len(nums) == len(p._nums):
         return p
-    return _canon(p.n, nums, p.den, p._ebound)
+    return _canon(p.n, nums, p.den)
 
 
 def is_homogeneous(p: Polynomial, w: WeightVector) -> bool:
@@ -595,7 +595,7 @@ def partial(p: Polynomial, i: int) -> Polynomial:
         e = key >> shift & FIELD_MASK
         if e:
             out[key - unit] = c * e
-    return _canon(p.n, out, p.den, p._ebound)
+    return _canon(p.n, out, p.den)
 
 
 def linear_combination(pairs, n: int, divisor: int = 1) -> Polynomial:
@@ -609,12 +609,13 @@ def linear_combination(pairs, n: int, divisor: int = 1) -> Polynomial:
     0, and the factor with fewer terms drives the outer loop.  Every term
     goes straight into one {packed exponent: numerator} dict over one
     common denominator: no product or partial sum is built as a
-    Polynomial.  A product whose exponents pass MAX_EXPONENT raises
-    ExponentOverflow.
+    Polynomial.  When some a is a Polynomial, a guard bit (_overflow_mask)
+    in a key of the sum, cancelled or not, raises ExponentOverflow naming
+    the largest exponent of the sum.
     """
     acc: dict = {}
     den = 1
-    ebound = 0
+    moved = False
     for a, p in pairs:
         if p.n != n:
             raise ValueError(f"variable-count mismatch: {n} vs {p.n}")
@@ -623,12 +624,10 @@ def linear_combination(pairs, n: int, divisor: int = 1) -> Polynomial:
             if a.n != n:
                 raise ValueError(f"variable-count mismatch: {n} vs {a.n}")
             outer, tden = a._nums.items(), a.den * p.den
-            eb = a._ebound + p._ebound
-            if eb > MAX_EXPONENT:
-                eb = _check_exponents(map(add, _degrees(a), _degrees(p)))
+            moved = True
         else:
             num, tden = (a, 1) if a.__class__ is int else _ratio(a)
-            outer, tden, eb = ((0, num),) if num else (), tden * p.den, p._ebound
+            outer, tden = ((0, num),) if num else (), tden * p.den
         if not outer or not inner:
             continue
         if len(outer) > len(inner):
@@ -651,11 +650,11 @@ def linear_combination(pairs, n: int, divisor: int = 1) -> Polynomial:
             for kb, cb in inner:
                 k = ka + kb
                 acc[k] = get(k, 0) + f * cb
-        if eb > ebound:
-            ebound = eb
+    if moved and functools.reduce(or_, acc, 0) & _overflow_mask(n):
+        _check_exponents(map(max, map(_unpacker(n), acc)))
     if 0 in acc.values():
         acc = {k: v for k, v in acc.items() if v}
-    return _canon(n, acc, den * divisor, ebound)
+    return _canon(n, acc, den * divisor)
 
 
 def _power(memo: dict, k: int) -> Polynomial:
@@ -870,7 +869,8 @@ def _rref(matrix):
 # Whitespace is insignificant.  UINT is ASCII digits, [0-9]+, in every
 # reader of input text.  Variables are x1..xn (multi-digit indices allowed,
 # e.g. x12); rational literals are written p/q.  Parentheses nest at most
-# MAX_PAREN_DEPTH deep.
+# MAX_PAREN_DEPTH deep, and a UINT has at most as many digits as the
+# interpreter converts to an int (_digit_limit).
 
 _UINT = re.compile(r"[0-9]+")
 
@@ -887,11 +887,28 @@ _END = " "  # the token after the last: whitespace, so no token of the text
 MAX_PAREN_DEPTH = 100
 
 
+#: The most digits the interpreter converts between int and str, 0 for no limit.
+_digit_limit = getattr(sys, "get_int_max_str_digits", lambda: 0)
+
+
 def _tokenize(text: str) -> list:
-    """The tokens of text (_TOKEN) in order, then _END."""
+    """The tokens of text (_TOKEN) in order, then _END; a PolyParseError at
+    a UINT of more than _digit_limit() digits, which only a text longer
+    than the limit can hold."""
     tokens = _TOKEN.findall(text)
+    limit = _digit_limit()
+    if 0 < limit < len(text):
+        for j, tok in enumerate(tokens):
+            if len(tok.lstrip("x").strip()) > limit:
+                raise PolyParseError(f"a number of more than {limit} digits", _position(text, j))
     tokens.append(_END)
     return tokens
+
+
+def _position(text: str, j: int) -> int:
+    """Where token j of text starts (its length for _END)."""
+    starts = [m.start() for m in _TOKEN.finditer(text)]
+    return starts[j] if j < len(starts) else len(text)
 
 
 def _variable_indices(tokens: list) -> list:
@@ -920,26 +937,22 @@ class _Reader:
     power of an atom, and each product of a term's running value with its
     next factor, raise the same ExponentOverflow or ResourceCapExceeded at
     the same point of the text.  A token's position is found only for an
-    error message.
+    error message (_position).
     """
 
-    __slots__ = ("text", "tokens", "n", "units", "i", "depth")
+    __slots__ = ("text", "tokens", "n", "units", "guard", "i", "depth")
 
     def __init__(self, text: str, tokens: list, n: int):
         self.text = text
         self.tokens = tokens
         self.n = n
         self.units = _units(n)
+        self.guard = _overflow_mask(n)
         self.i = 0
         self.depth = 0
 
-    def position(self, j: int) -> int:
-        """Where token j starts in the text (its length for _END)."""
-        starts = [m.start() for m in _TOKEN.finditer(self.text)]
-        return starts[j] if j < len(starts) else len(self.text)
-
     def error(self, message: str, j: int) -> PolyParseError:
-        return PolyParseError(message, self.position(j))
+        return PolyParseError(message, _position(self.text, j))
 
     def uint(self, j: int) -> int:
         tok = self.tokens[j]
@@ -957,26 +970,23 @@ class _Reader:
         tokens, n = self.tokens, self.n
         nums = {}
         den = 1
-        ebound = 0
         groups = []  # (monomial, product of groups) of each term with a group
         negate = tokens[self.i] == "-"
         if negate:
             self.i += 1
         while True:
-            num, d, key, eb, prod = self.term()
+            num, d, key, prod = self.term()
             if num:
                 if negate:
                     num = -num
                 if prod is not None:
-                    groups.append((_canon(n, {key: num}, d, eb), prod))
+                    groups.append((_canon(n, {key: num}, d), prod))
                 else:
                     if den % d:
                         f = d // gcd(den, d)
                         nums = {k: v * f for k, v in nums.items()}
                         den *= f
                     nums[key] = nums.get(key, 0) + num * (den // d)
-                    if eb > ebound:
-                        ebound = eb
             tok = tokens[self.i]
             if tok != "+" and tok != "-":
                 break
@@ -984,21 +994,24 @@ class _Reader:
             self.i += 1
         if 0 in nums.values():
             nums = {k: v for k, v in nums.items() if v}
-        p = _canon(n, nums, den, ebound)
+        p = _canon(n, nums, den)
         if groups:
             p = linear_combination([(1, p), *groups], n)
         return p
 
     def term(self):
-        """(num, d, key, eb, prod): the term is num / d * x^key * prod, prod
-        the product of its groups (None without one), eb an upper bound on
-        every exponent of x^key * prod.  Once num is 0 the term is 0, and
-        its later factors are read and checked but not multiplied: a
-        product with 0 has no exponents to pass MAX_EXPONENT."""
+        """(num, d, key, prod): the term is num / d * x^key * prod, prod the
+        product of its groups (None without one), formed once the term is
+        read.  After each factor, key plus the packed degrees of the groups
+        has a guard bit (_overflow_mask) iff multiplying by that factor
+        would pass MAX_EXPONENT.  Once num is 0 the term is 0, and its later
+        factors are read and checked but not multiplied: a product with 0
+        has no exponents to pass MAX_EXPONENT."""
         tokens = self.tokens
         num = d = 1
-        key = eb = 0
-        prod = None
+        key = degrees = 0
+        groups = []
+        guard = self.guard
         i = self.i
         while True:
             tok = tokens[i]
@@ -1018,13 +1031,12 @@ class _Reader:
                         _check_exponents([k])
                 if num:
                     key += k * self.units[idx]
-                    eb += k
             elif "0" <= c <= "9":
                 a, q = int(tok), 1
                 if tokens[i] == "/":
                     q = self.uint(i + 1)
                     if not q:
-                        raise PolyParseError("zero denominator", self.position(i) + 1)
+                        raise PolyParseError("zero denominator", _position(self.text, i) + 1)
                     i += 2
                 if tokens[i] == "^":
                     k = self.uint(i + 1)
@@ -1055,29 +1067,19 @@ class _Reader:
                 if not f._nums:
                     num = 0
                 elif num:
-                    eb += f._ebound
-                    if eb > MAX_EXPONENT:
-                        eb = self.check(key, prod, f)
-                    prod = f if prod is None else prod * f
+                    degrees += _pack(_degrees(f), self.n)
+                    groups.append(f)
             elif tok == _END:
                 raise self.error("unexpected end of input", i - 1)
             else:
                 raise self.error(f"unexpected character {tok!r}", i - 1)
-            if eb > MAX_EXPONENT:
-                eb = self.check(key, prod)
+            if (key + degrees) & guard:
+                _check_exponents(_unpacker(self.n)(key + degrees))
             if tokens[i] != "*":
                 self.i = i
-                return num, d, key, eb, prod
+                prod = functools.reduce(mul, groups) if num and groups else None
+                return num, d, key, prod
             i += 1
-
-    def check(self, key: int, *groups) -> int:
-        """The largest exponent of x^key times the groups (Polynomials or
-        None); ExponentOverflow when it passes MAX_EXPONENT, as a product
-        of the factors would raise it."""
-        for g in groups:
-            if g is not None:
-                key += _pack(_degrees(g), self.n)
-        return _check_exponents(_unpacker(self.n)(key))
 
 
 def parse_poly(text: str, n: int, tokens: list | None = None) -> Polynomial:
@@ -1119,7 +1121,8 @@ def parse_fraction(text: str) -> Fraction:
 def format_poly(p: Polynomial, var: str = "x") -> str:
     """Render p with terms in descending lexicographic monomial order.
 
-    Round-trips through parse_poly for var='x'.
+    Round-trips through parse_poly for var='x'.  A coefficient of more
+    digits than _digit_limit() raises ResourceCapExceeded.
     """
     if not p._nums:
         return "0"
@@ -1134,7 +1137,11 @@ def format_poly(p: Polynomial, var: str = "x") -> str:
             for i, e in enumerate(unpack(key))
             if e > 0
         ]
-        coeff = str(a) if b == 1 else f"{a}/{b}"
+        try:
+            coeff = str(a) if b == 1 else f"{a}/{b}"
+        except ValueError:
+            limit = _digit_limit()
+            raise ResourceCapExceeded(f"a coefficient past the limit of {limit} digits") from None
         if not factors:
             body = coeff
         elif a == b == 1:

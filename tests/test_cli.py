@@ -459,6 +459,38 @@ def test_constant_power_overflow_is_domain_outcome(capsys):
     ]
 
 
+@pytest.mark.parametrize("json_flag", [[], ["--json"]])
+def test_output_past_the_digit_limit_is_domain_outcome(capsys, json_flag):
+    # 3^9100 has 4342 digits, more than the interpreter prints by default:
+    # the input is valid, so the refusal is a budget, not a usage error.
+    limit = sys.get_int_max_str_digits()
+    status = main([*json_flag, "compose", "--map", "3^9100*x1; x2"])
+    captured = capsys.readouterr()
+    assert status == 1
+    assert captured.out == ""
+    assert captured.err.splitlines() == [f"error: a coefficient past the limit of {limit} digits"]
+
+
+@pytest.mark.parametrize("flag, text, position", [
+    ("--map", "x1 + {long}; x2", 5),
+    ("--map", "x1; x2^{long}", 7),
+    ("--word", "T 1 2\nE 1 x{long}", 10),
+    ("--word", "E 2 3*x1^{long}", 9),
+])
+def test_input_past_the_digit_limit_is_a_parse_error(capsys, flag, text, position):
+    # A number too long for the interpreter to read is a PolyParseError at
+    # its position in the whole input, also where a word infers its
+    # variable count from an E line.
+    limit = sys.get_int_max_str_digits()
+    status = main(["compose", flag, text.format(long="1" * (limit + 1))])
+    captured = capsys.readouterr()
+    assert status == 2
+    assert captured.out == ""
+    line = text[:position].count("\n") + text[:position].count(";") + 1
+    assert captured.err.splitlines() == [
+        f"error: line {line}: a number of more than {limit} digits (at position {position})"]
+
+
 def test_other_value_errors_stay_usage_errors(capsys):
     status = main(["lnd-witness", "--map", "x1+x2^2; x2", "--inverse", "x1; x2; x3"])
     captured = capsys.readouterr()

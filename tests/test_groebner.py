@@ -279,7 +279,7 @@ def test_division_past_the_largest_exponent_raises():
     with pytest.raises(ExponentOverflow):
         divmod_single(p, g, order)
     # Below 2^31 in every field, x2 | x1^(2^31 - 1) * x2 by borrow, and the
-    # divisor's exponent bound 2^31 + 1 is what the shift is checked for.
+    # shifted tail term x1^(2^32) sets a guard bit when it is popped.
     top = 1 << 31
     heavy = WeightVector((1, top + 2))
     h = P("x2", 2) - Polynomial.monomial((top + 1, 0), 1, 2)
@@ -292,11 +292,23 @@ def test_division_past_the_largest_exponent_raises():
     for pair in (gens, gens[::-1]):
         with pytest.raises(ExponentOverflow):
             buchberger(pair, WeightVector.standard(2))
-    # A remainder keeps a true exponent bound for later products.
+    # A remainder holds its exact exponents, which a later product checks.
     r = _engine_divide(Polynomial.monomial((MAX_EXPONENT, 0), 1, 2), [P("x2", 2)], [(0, 1)],
                        order)
     with pytest.raises(ExponentOverflow):
         r * P("x1", 2)
+
+
+def test_division_term_past_the_largest_exponent_that_cancels_does_not_raise():
+    # Dividing x1^(MAX - 1) * (x2 + x3) by x2 - x1^2 and x3 + x1^2 (leading
+    # x2 and x3 for the weights (1, 3, 3)) forms x1^(MAX + 1) twice, with
+    # opposite signs, before either is popped: only a popped term raises.
+    order = WeightVector((1, 3, 3))
+    g, h = P("x2 - x1^2", 3), P("x3 + x1^2", 3)
+    p = Polynomial.monomial((MAX_EXPONENT - 1, 0, 0), 1, 3) * P("x2 + x3", 3)
+    assert _engine_divide(p, [g, h], [(0, 1, 0), (0, 0, 1)], order).is_zero()
+    with pytest.raises(ExponentOverflow):
+        _engine_divide(p, [g], [(0, 1, 0)], order)
 
 
 def _sign(a, b):

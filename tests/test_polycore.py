@@ -115,6 +115,37 @@ def test_parse_multi_digit_variable_indices():
     assert p.terms == {(0,) * 11 + (2,): 1}
 
 
+def test_numbers_past_the_digit_limit_are_parse_errors():
+    # A literal, an exponent or a variable index of more digits than the
+    # interpreter converts to an int is refused at its position; one of
+    # exactly that many digits is read.
+    limit = sys.get_int_max_str_digits()
+    long = "1" * (limit + 1)
+    for text, position in [(f"x1 + {long}", 5), (f"x1^{long}", 3), (f"2*x{long}", 2),
+                           (f"(x1 + 3/{long})", 8), (f"x 0{long}", 0)]:
+        with pytest.raises(PolyParseError) as err:
+            P(text, 2)
+        assert err.value.message == f"a number of more than {limit} digits"
+        assert err.value.position == position
+    assert P(f"{'0' * (limit - 1)}7*x1 + x1^{'0' * limit}", 1) == P("7*x1 + 1", 1)
+    # The limit is read when the text is: with none, every number is read.
+    sys.set_int_max_str_digits(0)
+    try:
+        assert P(f"x1 + {long}", 1) == P("x1", 1) + int(long)
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+def test_formatting_past_the_digit_limit_is_a_resource_cap():
+    # 10^limit has one digit more than the interpreter prints, so
+    # format_poly refuses it, naming the limit.
+    limit = sys.get_int_max_str_digits()
+    for p in [Polynomial.constant(10 ** limit, 1), P(f"x1 - 3/10^{limit}", 1)]:
+        with pytest.raises(ResourceCapExceeded) as err:
+            format_poly(p)
+        assert str(err.value) == f"a coefficient past the limit of {limit} digits"
+
+
 #: Every character str.isspace() accepts: the reader's whitespace.
 _SPACES = [c for c in map(chr, range(sys.maxunicode + 1)) if c.isspace()]
 
@@ -763,9 +794,19 @@ def test_linear_combination_exponent_overflow_as_mul():
         with pytest.raises(ExponentOverflow) as by_sum:
             linear_combination([(1, x1), pair], 1)
         assert str(by_sum.value) == str(by_mul.value)
-    # A scalar factor leaves the exponents alone, and the bound is checked
-    # exactly: top + 1 - top carries top's bound but times x1 fits.
+    # A scalar factor leaves the exponents alone, and only the exponents a
+    # sum forms are checked: top + 1 - top is 1, and times x1 it fits.
     assert linear_combination([(3, top), (top + 1 - top, x1)], 1) == top * 3 + x1
+
+
+def test_linear_combination_overflow_names_the_largest_exponent_of_the_sum():
+    # The keys of the whole sum are tested once, cancelled terms included:
+    # the error names the largest exponent of all its products.
+    top = Polynomial.monomial((MAX_EXPONENT,), 1, 1)
+    x1 = Polynomial.variable(1, 1)
+    for pairs in [[(x1, top), (x1 * x1, top)], [(x1 * x1, top), (-(x1 * x1), top)]]:
+        with pytest.raises(ExponentOverflow, match=f"exponent {MAX_EXPONENT + 2} exceeds"):
+            linear_combination(pairs, 1)
 
 
 def test_determinant_expansion_is_bounded(monkeypatch):
@@ -862,7 +903,7 @@ def test_exponent_overflow_raises_typed_error():
 
 def test_constant_power_past_the_largest_exponent_raises():
     # No exponent field bounds c^k, so the exponent itself is refused, with
-    # the message of x^k; a constant whose exponent bound is above 0 too.
+    # the message of x^k; a constant written with a variable too.
     message = f"exponent {MAX_EXPONENT + 1} exceeds the largest exponent {MAX_EXPONENT}"
     for text in ["0", "1", "(-1)", "(x1 - x1 + 1)"]:
         with pytest.raises(ExponentOverflow) as exc:
@@ -870,6 +911,52 @@ def test_constant_power_past_the_largest_exponent_raises():
         assert str(exc.value) == message
     assert parse_poly(f"(-1)^{MAX_EXPONENT}", 1) == Polynomial.constant(-1, 1)
     assert Polynomial.zero(1) ** MAX_EXPONENT == Polynomial.zero(1)
+
+
+#: Exponents up to MAX_EXPONENT, with their squares and sums near it.
+_WIDE = st.one_of(st.integers(0, 6), st.integers(0, MAX_EXPONENT),
+                  st.integers(_TOP - 3, _TOP + 3), st.integers(MAX_EXPONENT - 3, MAX_EXPONENT))
+
+
+@st.composite
+def _wide_pairs(draw):
+    """(n, a, b, k): two {exponent tuple: int} polynomials, exponents up to
+    MAX_EXPONENT, in the style of _wide_polynomials, and a power k."""
+    n = draw(st.integers(1, 3))
+    a, b = (draw(st.dictionaries(st.tuples(*[_WIDE] * n), st.integers(-9, 9).filter(bool),
+                                 max_size=4)) for _ in "ab")
+    return n, a, b, draw(st.integers(0, 3))
+
+
+def _obeys_the_overflow_rule(compute, reference):
+    """compute() raises ExponentOverflow naming the reference's largest
+    exponent iff that passes MAX_EXPONENT, and gives the reference otherwise."""
+    top = max((e for mono in reference for e in mono), default=0)
+    if top > MAX_EXPONENT:
+        with pytest.raises(ExponentOverflow) as err:
+            compute()
+        assert str(err.value) == f"exponent {top} exceeds the largest exponent {MAX_EXPONENT}"
+    else:
+        p = compute()
+        assert p.terms == reference
+        assert all(e <= MAX_EXPONENT for mono in p.terms for e in mono)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_wide_pairs())
+@example((1, {(MAX_EXPONENT,): 1}, {(1,): 1, (0,): -1}, 2))
+@example((1, {(_TOP,): 1, (_TOP - 1,): 2}, {(_TOP - 1,): 1}, 2))
+@example((2, {(MAX_EXPONENT, 0): 1, (0, 5): 3}, {(0, MAX_EXPONENT): 1}, 3))
+def test_overflow_rule_matches_the_tuple_reference(case):
+    # Every exponent the products form is checked exactly: an operation
+    # raises iff the tuple-exponent reference has an exponent past
+    # MAX_EXPONENT, and otherwise every exponent it reads back fits.
+    n, a, b, k = case
+    p, q = Polynomial(n, a), Polynomial(n, b)
+    _obeys_the_overflow_rule(lambda: p * q, _ref_mul(a, b))
+    _obeys_the_overflow_rule(lambda: linear_combination([(q, p)], n), _ref_mul(b, a))
+    _obeys_the_overflow_rule(lambda: p - q, _ref_add(a, _ref_neg(b)))
+    _obeys_the_overflow_rule(lambda: p ** k, _ref_pow(a, k, n))
 
 
 def test_power_coefficient_budget(monkeypatch):
