@@ -59,10 +59,12 @@ from .polycore import (
     _variable_indices,
     compose,
     format_poly,
+    format_rational,
     jacobian,
     linear_combination,
     parse_fraction,
     parse_poly,
+    read_uint,
     wdeg,
 )
 
@@ -198,7 +200,7 @@ def compose_map(outer: PolyMap, inner: PolyMap) -> PolyMap:
     return PolyMap(outer.n, tuple(compose(c, inner.coords) for c in outer.coords))
 
 
-def apply_generator(g: Generator, coords: tuple, powers: list | None = None) -> tuple:
+def apply_generator(g: Generator, coords: tuple, powers: list) -> tuple:
     """The coordinates of g o C, for the map C with coordinates coords: the
     generator's coordinate functions with coords substituted for x1..xn.
 
@@ -209,30 +211,24 @@ def apply_generator(g: Generator, coords: tuple, powers: list | None = None) -> 
     pairs, polycore._substitution), over that denominator.  A Transposition
     swaps two coordinates.
 
-    powers, when given, holds one power memo per coordinate
-    (polycore._power_products), kept by the caller across generators and
-    brought up to date here: an Affine renews all of them, an Elementary
-    the memo of its target, and a Transposition swaps two.
+    powers holds one power memo per coordinate, kept by the caller across
+    generators; it is only read here.  polycore._power_products matches
+    each memo to its coordinate by its base when it next substitutes, so
+    a memo follows a swapped coordinate and a rewritten one gets a fresh
+    memo.
     """
     if isinstance(g, Affine):
         one = Polynomial.constant(1, g.n)
-        out = [linear_combination([(s, one), *zip(row, coords)], g.n)
-               for row, s in zip(g.matrix, g.shift)]
-        if powers is not None:
-            powers[:] = [{1: c} for c in out]
-        return tuple(out)
+        return tuple(linear_combination([(s, one), *zip(row, coords)], g.n)
+                     for row, s in zip(g.matrix, g.shift))
     out = list(coords)
     if isinstance(g, Elementary):
         t, a = g.target - 1, g.addend
         out[t] = linear_combination([(a.den, coords[t]), *_substitution(a, coords, powers)],
                                     g.n, a.den)
-        if powers is not None:
-            powers[t] = {1: out[t]}
     elif isinstance(g, Transposition):
         i, j = g.i - 1, g.j - 1
         out[i], out[j] = coords[j], coords[i]
-        if powers is not None:
-            powers[i], powers[j] = powers[j], powers[i]
     else:
         raise TypeError(f"unknown generator {g!r}")
     return tuple(out)
@@ -245,9 +241,10 @@ def expansion(word: AutWord):
     Each tuple is the generator, last to first, applied to the one before
     (apply_generator), so every step substitutes the accumulated map into
     one small generator.  One power memo per coordinate lives for the whole
-    expansion: an Elementary changes one coordinate, so along a run of
-    Elementaries with one target the powers of the others are formed once.
-    The last tuple is expand(word).
+    expansion and stays with its coordinate while that is unchanged, even
+    when a Transposition moves it: along a run of Elementaries with one
+    target the powers of the others are formed once.  The last tuple is
+    expand(word).
     """
     coords = PolyMap.identity(word.n).coords
     powers = [{1: c} for c in coords]
@@ -411,8 +408,8 @@ def format_word(word: AutWord) -> str:
         elif isinstance(g, Transposition):
             lines.append(f"T {g.i} {g.j}")
         else:
-            entries = " ".join(str(a) for row in g.matrix for a in row)
-            shift = " ".join(str(a) for a in g.shift)
+            entries = " ".join(format_rational(a) for row in g.matrix for a in row)
+            shift = " ".join(map(format_rational, g.shift))
             lines.append(f"A {entries} | {shift}")
     return "\n".join(lines)
 
@@ -467,7 +464,7 @@ def _word_line(k: int, start: int, line: str, infer: bool):
         idx_str, _, poly_str = rest.strip().partition(" ")
         if not _UINT.fullmatch(idx_str):
             raise ValueError(f"bad elementary target in {line!r}")
-        target = int(idx_str)
+        target = read_uint(idx_str)
         offset = start + len(line) - len(poly_str)  # poly_str ends the line
         tokens = _in_line(k, offset, _tokenize, poly_str)
         top = max([target, *_variable_indices(tokens)])
@@ -477,7 +474,7 @@ def _word_line(k: int, start: int, line: str, infer: bool):
         parts = rest.split()
         if len(parts) != 2 or not all(map(_UINT.fullmatch, parts)):
             raise ValueError(f"bad transposition line {line!r}")
-        i, j = map(int, parts)
+        i, j = map(read_uint, parts)
         return max(i, j), lambda n: Transposition(i, j, n)
     if kind == "A":
         body, _, shift_str = rest.partition("|")

@@ -68,6 +68,7 @@ from .polycore import (
     Polynomial,
     WeightVector,
     compose,
+    format_rational,
     is_homogeneous,
     partial,
 )
@@ -503,7 +504,7 @@ def _split_x2_quadratic(A: Fraction, B: Fraction, C: Fraction, e: int, val: int)
         b = _sqrt_fraction(A)
         if b is None:
             return NeedsExtension(
-                f"matching (a*x1^{e} + b*x2)^2*x1 needs sqrt({A}), "
+                f"matching (a*x1^{e} + b*x2)^2*x1 needs sqrt({format_rational(A)}), "
                 "which is not rational"
             )
         a = B / (2 * b)
@@ -517,9 +518,10 @@ def _split_x2_quadratic(A: Fraction, B: Fraction, C: Fraction, e: int, val: int)
             return Forbidden(
                 3,
                 "x3'^2 + (two independent x2-linear factors)*x1; factors "
-                f"split only over an extension (disc {disc})",
+                f"split only over an extension (disc {format_rational(disc)})",
             )
-        return NeedsExtension(f"splitting the x2-quadratic for T11 needs sqrt({disc})")
+        return NeedsExtension("splitting the x2-quadratic for T11 needs "
+                              f"sqrt({format_rational(disc)})")
     t1 = (-B + root) / (2 * A)
     t2 = (-B - root) / (2 * A)
     pair1 = (-t1 * A, A)
@@ -529,11 +531,8 @@ def _split_x2_quadratic(A: Fraction, B: Fraction, C: Fraction, e: int, val: int)
             "a1": pair1[0], "b1": pair1[1], "a2": pair2[0], "b2": pair2[1],
             "e1": e,
         }
-    return Forbidden(
-        3,
-        f"x3'^2 + ({pair1[0]}*x1^{e} + {pair1[1]}*x2)"
-        f"({pair2[0]}*x1^{e} + {pair2[1]}*x2)*x1",
-    )
+    a1, b1, a2, b2 = map(format_rational, (*pair1, *pair2))
+    return Forbidden(3, f"x3'^2 + ({a1}*x1^{e} + {b1}*x2)({a2}*x1^{e} + {b2}*x2)*x1")
 
 
 def _match_cubic_form(q: Polynomial, v2: int, c: list):
@@ -586,7 +585,8 @@ def _diagnose(R: Polynomial, d: WeightVector) -> str:
         if got > budget:
             return (
                 f"support bound violated: exponent {mono[:3]} has weighted "
-                f"degree {got} > d1+d2+d3-2 = {budget}"
+                f"degree {format_rational(got, noun='a degree')} > d1+d2+d3-2 = "
+                f"{format_rational(budget, noun='a degree')}"
             )
     return "no line of the classification matches"
 

@@ -72,12 +72,15 @@ from .groebner import ResourceCapExceeded
 from .jvdk import NotAnAutomorphism, decompose2
 from .polycore import (
     ExponentOverflow,
+    NumberTooLong,
     Polynomial,
     WeightVector,
     _UINT,
     format_poly,
+    format_rational,
     parse_fraction,
     parse_poly,
+    read_uint,
 )
 from .relations import OracleMismatch, relation_report
 from .verify import SUITES, run_suite
@@ -99,14 +102,25 @@ def _read_file(path: str) -> str:
         raise CliError(f"cannot read {path}: {exc}", IO)
 
 
+def _option(flag: str, read, text: str):
+    """read(text) of an option's value: a number in it too long to read
+    (polycore.NumberTooLong) is a usage error that names the option."""
+    try:
+        return read(text)
+    except NumberTooLong as err:
+        raise CliError(f"{flag}: {err}") from None
+
+
 def _int_option(flag: str, text: str | None) -> int | None:
     """The value of an integer option: ASCII digits [0-9]+, as in input
     text, after an optional '-'; any other text is a usage error."""
     if text is None:
         return None
-    if not _UINT.fullmatch(text.removeprefix("-")):
+    digits = text.removeprefix("-")
+    if not _UINT.fullmatch(digits):
         raise CliError(f"{flag} must be an integer of ASCII digits, got {text!r}")
-    return int(text)
+    value = _option(flag, read_uint, digits)
+    return -value if digits != text else value
 
 
 def _load_map_or_word(args) -> PolyMap | AutWord:
@@ -129,7 +143,7 @@ def _load_map(args) -> PolyMap:
 def _weights(arg: str | None, n: int) -> WeightVector:
     if not arg:
         return WeightVector.standard(n)
-    parts = [parse_fraction(tok.strip()) for tok in arg.split(",")]
+    parts = [_option("--weights", parse_fraction, tok.strip()) for tok in arg.split(",")]
     if len(parts) != n:
         raise CliError(f"expected {n} weights, got {len(parts)}")
     if any(w.numerator <= 0 for w in parts):
@@ -189,13 +203,13 @@ def cmd_decompose2(args) -> int:
         "command": "decompose2",
         "status": "ok",
         "word": format_word(dec.word).splitlines(),
-        "steps": [{**asdict(s), "c": str(s.c)} for s in dec.steps],
+        "steps": [{**asdict(s), "c": format_rational(s.c)} for s in dec.steps],
     }
     lines = ["word:", *([f"  {l}" for l in payload["word"]] or ["  (identity)"]), "steps:"]
     lines += [
-        f"  {'swap, then ' if s.swapped else ''}subtract {s.c} * g^{s.r}: degree sum "
-        f"{s.degree_sum_before} -> {s.degree_sum_after}"
-        for s in dec.steps
+        f"  {'swap, then ' if s['swapped'] else ''}subtract {s['c']} * g^{s['r']}: degree "
+        f"sum {s['degree_sum_before']} -> {s['degree_sum_after']}"
+        for s in payload["steps"]
     ] or ["  (none: affine map)"]
     _emit(args, payload, lines)
     return OK
@@ -212,7 +226,7 @@ def _canonical_payload(nf: NormalForm) -> dict:
         **kind,
         "canonical_poly": format_poly(nf.canonical_poly),
         "witness": format_word(nf.witness).splitlines(),
-        "residual_scalar": str(nf.residual_scalar),
+        "residual_scalar": format_rational(nf.residual_scalar),
     }
 
 
@@ -233,7 +247,7 @@ def cmd_classify3(args) -> int:
     if isinstance(out, Classified):
         rt = out.info
         params = {
-            k: (format_poly(v) if isinstance(v, Polynomial) else str(v))
+            k: (format_poly(v) if isinstance(v, Polynomial) else format_rational(v))
             for k, v in sorted(rt.params.items())
         }
         payload = {
@@ -242,7 +256,7 @@ def cmd_classify3(args) -> int:
             "tag": rt.tag.value,
             "params": params,
             "h": format_poly(rt.shift_h),
-            "scalar": str(rt.scalar),
+            "scalar": format_rational(rt.scalar),
         }
         lines = [f"tag: {payload['tag']}", f"params: {params}", f"h = {payload['h']}",
                  f"scalar = {payload['scalar']}"]

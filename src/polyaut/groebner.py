@@ -383,19 +383,19 @@ def buchberger(gens: Sequence[Polynomial], order: MonomialOrder) -> IdealBasis:
     for j in range(len(divs)):
         add_lcms(j)
     pairs = {(i, j) for i in range(len(divs)) for j in range(i + 1, len(divs))}
-    done = set()
     reductions = 0
     while pairs:
         i, j = min(pairs, key=lambda ij: lcms[ij][0])
         pairs.remove((i, j))
-        done.add((i, j))
         kl, packed = lcms[i, j]
         # Coprime-lcm criterion: S-polynomial reduces to zero automatically.
         if packed == divs[i].mono + divs[j].mono:
             continue
-        # Chain criterion: some k with lm(k) | lcm and both flank pairs done.
+        # Chain criterion: some k with lm(k) | lcm and both flank pairs
+        # processed; every pair of existing members is pending until then.
         if any(k not in (i, j) and _divides(divs[k].mono, packed, n)
-               and (min(i, k), max(i, k)) in done and (min(j, k), max(j, k)) in done
+               and (min(i, k), max(i, k)) not in pairs
+               and (min(j, k), max(j, k)) not in pairs
                for k in range(len(divs))):
             continue
         reductions += 1

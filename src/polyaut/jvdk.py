@@ -164,14 +164,12 @@ def decompose2(m: PolyMap) -> Union[Decomposition, NotAnAutomorphism]:
     f, g = m.coords
     lf, lg = lead(f), lead(g)
     powers = {1: g}
-    pending_swap = False
     while lf.degree > 1 or lg.degree > 1:
         df, dg = lf.degree, lg.degree
         if df < dg:
             gens.append(Transposition(1, 2, 2))
             f, g, lf, lg = g, f, lg, lf
             powers = {1: g}
-            pending_swap = True
             continue
         if dg < 1:
             return NotAnAutomorphism(
@@ -189,17 +187,17 @@ def decompose2(m: PolyMap) -> Union[Decomposition, NotAnAutomorphism]:
             return NotAnAutomorphism(
                 "reduce step", "coordinate vanished after reduction (f = c*g^r)"
             )
-        gens.append(Elementary(1, Polynomial.monomial((0, r), c, 2)))
         steps.append(
             ReductionStep(
-                swapped=pending_swap,
+                # At most one swap comes before a step: a swap makes df > dg.
+                swapped=bool(gens) and isinstance(gens[-1], Transposition),
                 c=c,
                 r=r,
                 degree_sum_before=df + dg,
                 degree_sum_after=lh.degree + dg,
             )
         )
-        pending_swap = False
+        gens.append(Elementary(1, Polynomial.monomial((0, r), c, 2)))
         f, lf = h, lh
     # Affine base case: read off the linear part and the shift.
     matrix = tuple(

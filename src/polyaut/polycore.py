@@ -184,7 +184,7 @@ class ResourceCapExceeded(RuntimeError):
     """A work budget ran out: groebner.MAX_S_PAIRS,
     groebner.MAX_DIVISION_STEPS, groebner.MAX_ORACLE_MONOMIALS,
     MAX_DET_STEPS, MAX_COEFFICIENT_BITS, or the interpreter's limit on the
-    digits of an int printed by format_poly (_digit_limit)."""
+    digits of a number printed by format_rational (_digit_limit)."""
 
 
 #: The most bits a coefficient of a power p^k may need.  For p with T terms,
@@ -692,17 +692,19 @@ def _power_products(exponents, coords, powers=None):
     read from powers[i], the _power memo of coords[i]; no product is
     multiplied by 1.
 
-    powers is a list of memos that the caller keeps across calls (one per
-    coordinate, for as long as that coordinate stays the same), or None for
-    fresh ones.  A memo whose base is not coords[i] is replaced by a fresh
-    one, so a memo left over from another coordinate is never read.
+    powers is a list of memos, one per coordinate, that the caller keeps
+    across calls, or None for fresh ones.  A memo whose base is not
+    coords[i] is replaced by the memo in the list whose base is coords[i]
+    (one a swap of coordinates moved), or else by a fresh one, so a memo
+    follows its coordinate and one of another base is never read.
     """
     if powers is None:
         powers = [{1: c} for c in coords]
     else:
+        memos = powers[:]
         for i, c in enumerate(coords):
-            if powers[i][1] is not c:
-                powers[i] = {1: c}
+            if memos[i][1] is not c:
+                powers[i] = next((m for m in memos if m[1] is c), None) or {1: c}
     one = _constant(1, coords[0].n)
     for a in exponents:
         term = one
@@ -802,10 +804,7 @@ def _rref(matrix):
     """
     nrows = len(matrix)
     ncols = len(matrix[0]) if nrows else 0
-    # det(rows) = det(matrix) * num / den throughout.  track: det(matrix)
-    # is defined and may be nonzero, i.e. the matrix is square or wide and
-    # each column of its leading block so far has a pivot.
-    track = ncols >= nrows
+    # det(rows) = det(matrix) * num / den throughout.
     num = den = 1
     rows = []
     for row in matrix:
@@ -819,7 +818,6 @@ def _rref(matrix):
             break
         p = next((i for i in range(r, nrows) if rows[i][c]), None)
         if p is None:
-            track = False
             continue
         if p != r:
             rows[r], rows[p] = rows[p], rows[r]
@@ -841,8 +839,9 @@ def _rref(matrix):
                 rows[i] = row
                 num *= a
         pivots.append(c)
-    if track:
-        # The leading block is diagonal now.
+    if pivots == list(range(nrows)):
+        # The leading square block has a pivot in every column, and is
+        # diagonal now; otherwise it is singular or there is none.
         for i in range(nrows):
             den *= rows[i][i]
         det = Fraction(den, num)
@@ -1094,35 +1093,65 @@ _RATIONAL = re.compile(
     r"\s*([+-]?)(?:([0-9]+)(?:/([0-9]+))?|(?=\.?[0-9])([0-9]*)\.([0-9]*))\s*")
 
 
+class NumberTooLong(ValueError):
+    """A number outside polynomial text has more digits than the
+    interpreter reads (_digit_limit); its caller names the line or option."""
+
+
+def read_uint(digits: str) -> int:
+    """The int of a UINT outside polynomial text (a word line's index or
+    entry, an option): NumberTooLong, with the reader's message (_tokenize),
+    past _digit_limit() digits, where int() would refuse it with the
+    interpreter's own text."""
+    limit = _digit_limit()
+    if 0 < limit < len(digits):
+        raise NumberTooLong(f"a number of more than {limit} digits")
+    return int(digits)
+
+
 def parse_fraction(text: str) -> Fraction:
     """Parse a rational literal: an integer, p/q or a decimal, optionally
     signed, such as 3, -1/2 or 0.25.  ValueError naming the text when it is
     anything else (exponents such as 1e3 and underscores are refused before
-    any number is built) or has a zero denominator.  The value is built
-    from the match itself, exactly."""
+    any number is built) or has a zero denominator; NumberTooLong when a
+    number in it is too long (read_uint).  The value is built from the
+    match itself, exactly."""
     m = _RATIONAL.fullmatch(text)
     if m is None:
         raise ValueError(f"invalid rational literal {text!r}: "
                          "expected an integer, p/q or a decimal")
     sign, whole, q, ipart, fpart = m.groups()
     if whole is not None:
-        num = -int(whole) if sign == "-" else int(whole)
+        num = -read_uint(whole) if sign == "-" else read_uint(whole)
         if q is None:
             return Fraction(num)
-        q = int(q)
+        q = read_uint(q)
         if not q:
             raise ValueError(f"zero denominator in {text!r}")
         return Fraction(num, q)
     scale = 10 ** len(fpart)
-    num = int(ipart or "0") * scale + int(fpart or "0")
+    num = read_uint(ipart or "0") * scale + read_uint(fpart or "0")
     return Fraction(-num if sign == "-" else num, scale)
+
+
+def format_rational(num, den: int = 1, noun: str = "a coefficient") -> str:
+    """The text of the rational num / den: str(num) when den is 1 (num an
+    int, a Fraction or a WDegree), else "num/den" of two ints.  Every
+    printed rational is written here: past _digit_limit() digits, where
+    str() would raise the interpreter's own ValueError, it raises
+    ResourceCapExceeded naming noun and the limit."""
+    try:
+        return str(num) if den == 1 else f"{num}/{den}"
+    except ValueError:
+        limit = _digit_limit()
+        raise ResourceCapExceeded(f"{noun} past the limit of {limit} digits") from None
 
 
 def format_poly(p: Polynomial, var: str = "x") -> str:
     """Render p with terms in descending lexicographic monomial order.
 
     Round-trips through parse_poly for var='x'.  A coefficient of more
-    digits than _digit_limit() raises ResourceCapExceeded.
+    digits than _digit_limit() raises ResourceCapExceeded (format_rational).
     """
     if not p._nums:
         return "0"
@@ -1137,11 +1166,7 @@ def format_poly(p: Polynomial, var: str = "x") -> str:
             for i, e in enumerate(unpack(key))
             if e > 0
         ]
-        try:
-            coeff = str(a) if b == 1 else f"{a}/{b}"
-        except ValueError:
-            limit = _digit_limit()
-            raise ResourceCapExceeded(f"a coefficient past the limit of {limit} digits") from None
+        coeff = format_rational(a, b)
         if not factors:
             body = coeff
         elif a == b == 1:

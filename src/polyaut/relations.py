@@ -66,6 +66,7 @@ from .polycore import (
     _leading,
     compose,
     format_poly,
+    format_rational,
     leading_term,
     partial,
     wdeg,
@@ -97,14 +98,14 @@ class RelationReport:
     def to_dict(self) -> dict:
         return {
             "n": self.cert.m.n,
-            "w1": [str(w) for w in self.w1],
-            "d": [str(w) for w in self.d],
+            "w1": [format_rational(w, noun="a weight") for w in self.w1],
+            "d": [format_rational(w, noun="a weight") for w in self.d],
             "fbars": [format_poly(f) for f in self.fbars],
             "ideal": [format_poly(g, var="z") for g in self.ideal.gens],
             "principal": self.principal,
             "R": None if self.R is None else format_poly(self.R, var="z"),
-            "deg2_of_R": str(self.deg2_of_R),
-            "parachute": str(self.parachute),
+            "deg2_of_R": format_rational(self.deg2_of_R, noun="a degree"),
+            "parachute": format_rational(self.parachute, noun="a degree"),
             "bound_ok": self.bound_ok,
         }
 

@@ -85,7 +85,6 @@ class CaseResult:
 class SuiteResult:
     name: str
     seed: int
-    count: int
     cases: tuple
 
     @property
@@ -261,7 +260,7 @@ def run_jvdk_roundtrip(seed: int, count: int) -> SuiteResult:
                 continue
             yield CaseResult(idx, True, f"{len(dec.steps)} steps")
 
-    return SuiteResult("jvdk-roundtrip", seed, count, tuple(cases()))
+    return SuiteResult("jvdk-roundtrip", seed, tuple(cases()))
 
 
 def run_lemma_1_2(seed: int, count: int) -> SuiteResult:
@@ -279,7 +278,7 @@ def run_lemma_1_2(seed: int, count: int) -> SuiteResult:
                 detail = f"n={n} lhs={lhs} rhs={rhs} strict={strict} in_I={tilde_in}"
                 yield CaseResult(idx, ok, detail)
 
-    return SuiteResult("lemma-1<2", seed, count, tuple(cases()))
+    return SuiteResult("lemma-1<2", seed, tuple(cases()))
 
 
 def run_parachute(seed: int, count: int) -> SuiteResult:
@@ -295,7 +294,7 @@ def run_parachute(seed: int, count: int) -> SuiteResult:
                 ok = check_parachute(cert, p, k, var=var)
                 yield CaseResult(idx, ok, f"n={n} k={k} var={var}")
 
-    return SuiteResult("parachute", seed, count, tuple(cases()))
+    return SuiteResult("parachute", seed, tuple(cases()))
 
 
 def run_lnd_witness(seed: int, count: int) -> SuiteResult:
@@ -327,7 +326,7 @@ def run_lnd_witness(seed: int, count: int) -> SuiteResult:
                     continue
             yield CaseResult(idx, True, f"n={n} index={i}")
 
-    return SuiteResult("lnd-witness", seed, count, tuple(cases()))
+    return SuiteResult("lnd-witness", seed, tuple(cases()))
 
 
 def run_lnd01(seed: int, count: int) -> SuiteResult:
@@ -357,7 +356,7 @@ def run_lnd01(seed: int, count: int) -> SuiteResult:
                         break
                 yield CaseResult(idx, ok, detail)
 
-    return SuiteResult("lnd01", seed, count, tuple(cases()))
+    return SuiteResult("lnd01", seed, tuple(cases()))
 
 
 def run_degree_bound(seed: int, count: int) -> SuiteResult:
@@ -380,7 +379,7 @@ def run_degree_bound(seed: int, count: int) -> SuiteResult:
                 idx, ok, f"deg2(R)={deg} <= nabla+1={report.parachute + 1}"
             )
 
-    return SuiteResult("degree-bound", seed, count, tuple(cases()))
+    return SuiteResult("degree-bound", seed, tuple(cases()))
 
 
 def run_oracle_agreement(seed: int, count: int) -> SuiteResult:
@@ -393,7 +392,7 @@ def run_oracle_agreement(seed: int, count: int) -> SuiteResult:
                 continue
             yield CaseResult(idx, True, f"n={word.n} oracle elements={len(oracle)}")
 
-    return SuiteResult("oracle-agreement", seed, count, tuple(cases()))
+    return SuiteResult("oracle-agreement", seed, tuple(cases()))
 
 
 def run_affine_ideal(seed: int, count: int) -> SuiteResult:
@@ -414,7 +413,7 @@ def run_affine_ideal(seed: int, count: int) -> SuiteResult:
                 ok = not report.ideal.is_zero_ideal()
                 yield CaseResult(idx, ok, f"nonaffine n={n}: ideal nonzero={ok}")
 
-    return SuiteResult("affine-ideal", seed, count, tuple(cases()))
+    return SuiteResult("affine-ideal", seed, tuple(cases()))
 
 
 def run_classify_soundness(seed: int, count: int) -> SuiteResult:
@@ -442,7 +441,7 @@ def run_classify_soundness(seed: int, count: int) -> SuiteResult:
                 continue
             yield CaseResult(idx, True, f"{tag.value} -> {type(nf.canonical).__name__}")
 
-    return SuiteResult("classify-soundness", seed, count, tuple(cases()))
+    return SuiteResult("classify-soundness", seed, tuple(cases()))
 
 
 SUITES = {

@@ -471,6 +471,64 @@ def test_output_past_the_digit_limit_is_domain_outcome(capsys, json_flag):
     assert captured.err.splitlines() == [f"error: a coefficient past the limit of {limit} digits"]
 
 
+@pytest.mark.parametrize("json_flag", [[], ["--json"]])
+@pytest.mark.parametrize("argv", [
+    ["decompose2", "--map", "3^9100*x1; x2"],
+    ["classify3", "--rel", "3^9100*x3", "--weights", "1,1,1"],
+    ["classify3", "--rel", "x3^2 + x1^5 + 3^9101*x1*x2^2", "--weights", "2,4,5"],
+], ids=["decompose2-affine-entry", "classify3-scalar", "classify3-forbidden-detail"])
+def test_rationals_past_the_digit_limit_are_domain_outcomes(capsys, json_flag, argv):
+    # An affine entry of a word, the scalars of a classify3 report and the
+    # rationals in the detail of a classify3 outcome are printed like a
+    # coefficient: refused past the limit, as a budget.
+    limit = sys.get_int_max_str_digits()
+    status = main([*json_flag, *argv])
+    captured = capsys.readouterr()
+    assert status == 1
+    assert captured.out == ""
+    assert captured.err.splitlines() == [f"error: a coefficient past the limit of {limit} digits"]
+
+
+@pytest.mark.parametrize("argv, noun", [
+    (["relations", "--map", "x1 + x2^9; x2", "--weights", "1,{w}"], "a weight"),
+    (["classify3", "--rel", "x1^9", "--weights", "{w},{w},{w}"], "a degree"),
+], ids=["relations-induced-weight", "classify3-diagnostic"])
+def test_degrees_past_the_digit_limit_are_domain_outcomes(capsys, argv, noun):
+    # A weight w of limit digits is read, and a degree 9 * w has one digit
+    # more: the induced weight of x1 + x2^9, or the weighted degree of x1^9
+    # in the diagnostic of a relation that matches no line.
+    limit = sys.get_int_max_str_digits()
+    status = main([a.format(w="9" * limit) for a in argv])
+    captured = capsys.readouterr()
+    assert status == 1
+    assert captured.out == ""
+    assert captured.err.splitlines() == [f"error: {noun} past the limit of {limit} digits"]
+
+
+@pytest.mark.parametrize("argv, where", [
+    (["compose", "--word", "E {long} x2"], "line 1"),
+    (["compose", "--word", "E 1 x2; T 1 {long}"], "line 2"),
+    (["compose", "--word", "A {long} 0 0 1 | 0 0"], "line 1"),
+    (["compose", "--word", "A 1 0 0 1 | 0 -1/{long}"], "line 1"),
+    (["compose", "--word", "A 1 0 0 1 | 0 .{long}"], "line 1"),
+    (["relations", "--map", "x1; x2", "--weights", "{long},1"], "--weights"),
+    (["compose", "--map", "x1; x2", "--n", "{long}"], "--n"),
+    (["verify", "--suite", "parachute", "--seed", "-{long}"], "--seed"),
+    (["verify", "--suite", "parachute", "--count", "{long}"], "--count"),
+], ids=["word-target", "word-index", "word-entry", "word-denominator", "word-decimal",
+        "weights", "n", "seed", "count"])
+def test_integers_past_the_digit_limit_are_usage_errors(capsys, argv, where):
+    # A number too long for the interpreter to read, in a word line or an
+    # option, gets the polynomial reader's message and names where it is.
+    limit = sys.get_int_max_str_digits()
+    status = main([a.format(long="1" * (limit + 1)) for a in argv])
+    captured = capsys.readouterr()
+    assert status == 2
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        f"error: {where}: a number of more than {limit} digits"]
+
+
 @pytest.mark.parametrize("flag, text, position", [
     ("--map", "x1 + {long}; x2", 5),
     ("--map", "x1; x2^{long}", 7),

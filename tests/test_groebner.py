@@ -781,6 +781,25 @@ def test_span_contains_matches_a_rank_reference():
         assert span_contains(vectors, target) == expected
 
 
+def test_buchberger_s_pair_reductions_are_pinned(count_calls):
+    # The coprime-lcm and chain criteria skip pairs before any reduction,
+    # and the chain criterion skips some over this corpus: it reads a flank
+    # pair as done when it is no longer pending.
+    from polyaut import groebner
+    from polyaut.verify import space_corpus_principal
+
+    words = space_corpus_principal(20260813, 10)
+    w1 = WeightVector.standard(3)
+    reduced = count_calls(groebner, "_s_pair")
+    per_word = []
+    for word in words:
+        m = expand(word)
+        before = len(reduced)
+        kernel_ideal([leading_term(c, w1) for c in m.coords], deg2_weights(m, w1))
+        per_word.append(len(reduced) - before)
+    assert per_word == [2, 1, 1, 2, 1, 1, 2, 2, 1, 1]
+
+
 def test_oracle_shares_compose_power_products(monkeypatch):
     # The slice products come from compose's cache of image powers, never
     # from a multiply by the constant 1 (a second cache starting from 1

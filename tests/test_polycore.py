@@ -1047,6 +1047,19 @@ def test_power_products_never_read_a_memo_of_another_base():
     assert compose(P("x1^2*x2", 2), [c1, x2]) == c1 ** 2 * x2
 
 
+def test_power_products_hand_a_swapped_memo_to_its_new_position(count_products):
+    # A swap of two coordinates moves their memos with them: the memo
+    # whose base is a is found at its new position and a^2 is read, not
+    # formed again.
+    a, b = P("x1 + x2", 2), P("x1 - 2*x2", 2)
+    memo_a, memo_b = {1: a, 2: a * a}, {1: b}
+    powers, square = [memo_a, memo_b], a * a
+    products = count_products()
+    assert list(polycore._power_products([(0, 2)], [b, a], powers)) == [square]
+    assert products == []
+    assert powers[0] is memo_b and powers[1] is memo_a
+
+
 def test_exponent_bound_is_checked_exactly():
     # top + 1 - top carries the bound of top, but its product with x1 fits.
     top = Polynomial.monomial((MAX_EXPONENT - 1,), 1, 1)
@@ -1130,6 +1143,15 @@ def test_rref_singular_matrix_has_zero_determinant_and_no_inverse():
         assert det == 0 and pivots != list(range(n))
         with pytest.raises(ValueError):
             Affine(m, [0] * n)
+
+
+def test_rref_reports_det_zero_without_a_full_leading_block():
+    # A tall matrix has no determinant to report, and a wide one whose
+    # pivots miss a leading column has a singular leading block.
+    for m in ([[1, 0], [0, 1], [1, 1]], [[0, 1, 0], [0, 0, 1]]):
+        assert _rref(m)[2] == 0
+    assert _rref([[0, 1, 0], [0, 0, 1]])[1] == [1, 2]
+    assert _rref([[2, 1, 0], [0, 3, 1]])[2] == 6
 
 
 def test_rref_rows_are_reduced_and_span_the_input():

@@ -84,3 +84,15 @@ def test_lnd_witness_suite_compares_the_two_routes(monkeypatch):
     assert result.failures
     assert {c.detail for c in result.failures} == {
         "leading derivation differs from the Laplace route"}
+
+
+def test_a_suite_result_is_its_name_seed_and_cases():
+    # The case count is len(cases): a mixed suite holds more cases than
+    # the count it was asked for, so no separate count is kept.
+    from dataclasses import fields
+
+    from polyaut.verify import SuiteResult
+
+    assert [f.name for f in fields(SuiteResult)] == ["name", "seed", "cases"]
+    result = run_suite("lnd-witness", 20260810, 5)
+    assert len(result.cases) == 6 and result.passed
