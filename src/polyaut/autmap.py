@@ -16,16 +16,16 @@ apply_generator(g, coords) applies each generator to the coordinates
 built so far, and expansion(word) yields every tuple on the way; expand
 is its last.  A word carries its own certificate of invertibility:
 invert_word reverses the list and inverts each generator, an Affine by
-one elimination that also gives its determinant.
+one elimination, its inverse keeping the reciprocal of its determinant.
 
 certify(phi) returns the Certified every later step reads: the map F, its
 constant Jacobian mu, the inverse and the induced weights.  For a word, mu
 is the product of the generator determinants (each Affine keeps its det).
-A raw PolyMap is *certified* as an automorphism by the plane decomposition
-(jvdk, n = 2) or by a supplied inverse (certify(m, inverse), one
-composition); without either, certify applies only the necessary but, for
-n >= 2, not sufficient check that its Jacobian is a nonzero constant
-(jacobian_constant).
+A raw PolyMap must have a nonzero constant Jacobian (jacobian_constant), a
+necessary but, for n >= 2, not sufficient check; it is *certified* as an
+automorphism only by a supplied inverse (certify(m, inverse), one
+composition, InverseMismatch when it fails).  certify never decomposes a
+map: jvdk.decompose2 decides automorphy for n = 2 on its own.
 
 Text formats, read by parse_word and parse_map alone; a line ends at a
 newline or at a ';':
@@ -52,6 +52,7 @@ from .polycore import (
     Polynomial,
     WeightVector,
     _UINT,
+    _ZERO,
     _fraction,
     _rref,
     _substitution,
@@ -278,15 +279,17 @@ def _affine(matrix: tuple, shift: tuple, det: Fraction) -> Affine:
 
 def invert_generator(g: Generator) -> Generator:
     """The inverse generator.  An Affine x |-> M x + s is inverted by one
-    elimination of [M | I | -s] to [I | M^-1 | -M^-1 s], and its inverse
-    keeps det(M^-1) = 1/det(M)."""
+    elimination of [M | I | s] to [I | M^-1 | M^-1 s], read off the int
+    rows as x |-> M^-1 x - M^-1 s, and its inverse keeps
+    det(M^-1) = 1/det(M)."""
     if isinstance(g, Affine):
         n = g.n
-        augmented = [[*row, *[int(i == j) for j in range(n)], -s]
+        augmented = [[*row, *[int(i == j) for j in range(n)], s]
                      for i, (row, s) in enumerate(zip(g.matrix, g.shift))]
-        reduced = _rref(augmented)[0]
-        return _affine(tuple(tuple(row[n:-1]) for row in reduced),
-                       tuple(row[-1] for row in reduced), 1 / g.det)
+        inverse = [[Fraction(x, row[i]) if x else _ZERO for x in [*row[n:-1], -row[-1]]]
+                   for i, row in enumerate(_rref(augmented)[0])]
+        return _affine(tuple(tuple(row[:-1]) for row in inverse),
+                       tuple(row[-1] for row in inverse), 1 / g.det)
     if isinstance(g, Elementary):
         return Elementary(g.target, -g.addend)
     return g  # transpositions are involutions

@@ -815,8 +815,10 @@ def _read_canonical(cur: Polynomial, elem_reducible: bool):
         if len(terms) != 2:
             raise WitnessVerificationFailed("expected a two-term binomial")
         (m2_, c2_), (m1_, c1_) = terms  # m1_ = pure x1-power, m2_ = pure x2-power
+        if c2_ != c1_:
+            raise WitnessVerificationFailed("binomial coefficients differ")
         r, s = m1_[0], m2_[1]
-        return Binomial(r, s), _mono(r, 0, 0) + _mono(0, s, 0, c2_ / c1_), c1_
+        return Binomial(r, s), _mono(r, 0, 0) + _mono(0, s, 0), c1_
     front = parts[1]
     front_mono = _as_monomial(front)
     if max(parts) != 1 or front_mono is None or front_mono[0][1:] != (0, 0):

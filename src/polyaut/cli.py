@@ -23,9 +23,14 @@ machine-readable document whose polynomial fields re-parse through the same
 grammar.
 
 Exit status: 0 success, 1 domain outcomes (not an automorphism, forbidden,
-needs-extension, no match, failing verification, an exhausted S-pair
-budget, an oracle mismatch, no witness index, a failed witness check, an
-exponent past the packed field), 2 usage errors, 3 I/O errors.
+needs-extension, no match, failing verification, and the errors
+NonConstantJacobian and ZeroJacobian, a map whose Jacobian is not a nonzero
+constant; InverseMismatch, a supplied inverse that does not invert the map;
+ResourceCapExceeded, an exhausted budget of S-pairs, division steps, oracle
+monomials, determinant steps, coefficient bits or printed digits;
+OracleMismatch; NoWitnessIndex; WitnessVerificationFailed, a failed witness
+check; ExponentOverflow, an exponent past the packed field), 2 usage
+errors, 3 I/O errors.
 """
 
 from __future__ import annotations

@@ -323,6 +323,8 @@ def divmod_single(p: Polynomial, d: Polynomial,
     membership for principal ideals).  The division runs on the integer
     multiple c*d of _divisor, and q is scaled by c once at the end.
     """
+    if p.n != d.n:
+        raise ValueError(f"polynomial has {p.n} variables, the divisor {d.n}")
     if d.is_zero():
         raise ZeroDivisionError("division by the zero polynomial")
     if order is None:
@@ -365,11 +367,12 @@ def buchberger(gens: Sequence[Polynomial], order: MonomialOrder) -> IdealBasis:
     Raises ResourceCapExceeded past MAX_S_PAIRS S-pair reductions, or
     past MAX_DIVISION_STEPS steps in one division (each read per call).
     """
+    n = gens[0].n if gens else 1
+    if any(g.n != n for g in gens):
+        raise ValueError("generators have inconsistent variable counts")
     G = [g for g in gens if not g.is_zero()]
     if not G:
-        n = gens[0].n if gens else 1
         return IdealBasis((), order, n, ())
-    n = G[0].n
     key = _packed_key(order, n)
     divs = [_divisor(g, key) for g in G]
     # The lcm of each pair's leading monomials: its key and packed form.
@@ -548,18 +551,17 @@ def graded_kernel_oracle(images: Sequence[Polynomial], dweights: WeightVector,
         reduced, pivots, _ = _rref(_coefficient_matrix(
             list(itertools.islice(products, len(alphas)))))
         keys = [_pack(alpha, nz) for alpha in alphas]
-        # The nullspace, read from the RREF: one vector per free column fc,
-        # with 1 at fc and nonzero entries only at pivot columns left of fc,
-        # as int numerators over the lcm of the entries' denominators (so
-        # already canonical).
+        # The nullspace, read from the int RREF: one vector per free column
+        # fc, with 1 at fc and -row[fc] / row[pc] at each pivot column pc
+        # left of fc, as int numerators over the lcm of those pivots.
         for fc in range(len(alphas)):
             if fc in pivots:
                 continue
-            entries = [(keys[pc], row[fc]) for row, pc in zip(reduced, pivots) if row[fc]]
-            den = lcm(*[e.denominator for _, e in entries])
-            nums = {k: -e.numerator * (den // e.denominator) for k, e in entries}
+            rows = [(pc, row) for row, pc in zip(reduced, pivots) if row[fc]]
+            den = lcm(*[row[pc] for pc, row in rows])
+            nums = {keys[pc]: -row[fc] * (den // row[pc]) for pc, row in rows}
             nums[keys[fc]] = den
-            found.append(_poly(nz, nums, den))
+            found.append(_canon(nz, nums, den))
     return found
 
 
@@ -579,4 +581,6 @@ def span_contains(vectors: Sequence[Polynomial], target: Polynomial) -> bool:
     vectors): target lies in the span iff the target column of the
     augmented matrix [vectors | target] has no pivot."""
     vectors = list(vectors)
+    if any(v.n != target.n for v in vectors):
+        raise ValueError("vectors and target have inconsistent variable counts")
     return len(vectors) not in _rref(_coefficient_matrix(vectors + [target]))[1]

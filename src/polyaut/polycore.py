@@ -778,7 +778,7 @@ def _det(rows, cols, steps=None):
         row[0].n)
 
 
-_ZERO, _ONE = Fraction(0), Fraction(1)
+_ZERO = Fraction(0)
 
 
 def _rref(matrix):
@@ -790,16 +790,16 @@ def _rref(matrix):
     the reduced form unchanged, and the elimination runs on ints alone
     (fraction-free, after Bareiss): a row is cleared against the pivot row
     by cross-multiplication and divided by the gcd of its entries, and the
-    row scalings are kept so that the determinant stays exact.  Each pivot
-    row is divided by its pivot once, at the end.
+    row scalings are kept so that the determinant stays exact.
 
-    Returns (rows, pivots, det): the reduced rows as new lists of Fractions
-    (every zero entry is one shared Fraction(0)), the pivot column of each
-    nonzero reduced row, and the determinant of the leading square block
-    when there are at least as many columns as rows (0 otherwise; 1 for
-    the empty matrix).  This is the one row elimination of the library:
-    determinants, affine inverses and shifts ([M | I | -s] to
-    [I | M^-1 | -M^-1 s]), nullspaces and span membership (no pivot in the
+    Returns (rows, pivots, det): the reduced rows as new lists of ints, the
+    pivot column of each nonzero reduced row, and the determinant of a
+    square matrix (0 for any other shape; 1 for the empty matrix).  Row
+    r < len(pivots) has a nonzero entry at pivots[r], zeros at the other
+    pivot columns, and stands for itself divided by that entry; the rows
+    after the pivot rows are zero.  This is the one row elimination of the library:
+    determinants, affine inverses and shifts ([M | I | s] to
+    [I | M^-1 | M^-1 s]), nullspaces and span membership (no pivot in the
     target column of [vectors | target]) all read off its result.
     """
     nrows = len(matrix)
@@ -839,23 +839,15 @@ def _rref(matrix):
                 rows[i] = row
                 num *= a
         pivots.append(c)
-    if pivots == list(range(nrows)):
-        # The leading square block has a pivot in every column, and is
-        # diagonal now; otherwise it is singular or there is none.
+    if nrows == ncols and pivots == list(range(nrows)):
+        # A square matrix with a pivot in every column is diagonal now;
+        # otherwise it is singular.
         for i in range(nrows):
             den *= rows[i][i]
         det = Fraction(den, num)
     else:
         det = _ZERO
-    out = []
-    for r, c in enumerate(pivots):
-        row = rows[r]
-        pivot, row[c] = row[c], 0  # the pivot entry comes out as the shared 1
-        row = [Fraction(x, pivot) if x else _ZERO for x in row]
-        row[c] = _ONE
-        out.append(row)
-    out += [[_ZERO] * ncols for _ in range(nrows - len(pivots))]
-    return out, pivots, det
+    return rows, pivots, det
 
 
 # -- text grammar ----------------------------------------------------------

@@ -421,6 +421,29 @@ def test_read_canonical_refuses_a_three_term_binomial():
         _read_canonical(P("x1^2 + x2^3 + x1*x2"), False)
 
 
+def test_read_canonical_refuses_a_binomial_with_unequal_coefficients():
+    with pytest.raises(WitnessVerificationFailed, match="coefficients differ"):
+        _read_canonical(P("x1^2 + 5*x2^3"), False)
+    canonical, canonical_poly, sigma = _read_canonical(P("7*x1^2 + 7*x2^3"), False)
+    assert (canonical, canonical_poly, sigma) == (Binomial(2, 3), P("x1^2 + x2^3"), 7)
+
+
+def test_normalize_refuses_a_binomial_witness_that_skips_its_rescale(monkeypatch):
+    # Without its rescaling Affine the T5 witness ends at x1^2 + c*x2^3
+    # with c != 1, and the canonical binomial x1^2 + x2^3 must not match.
+    from polyaut import classify3
+    from polyaut.autmap import Affine
+
+    rng = random.Random(5)
+    R, d = sample_classified(Tag.T5, rng)
+    info = classify(R, d).info
+    assert normalize(info).canonical == Binomial(2, 3)
+    monkeypatch.setattr(classify3, "_rescale_binomial",
+                        lambda r, s, rho: Affine(((1, 0, 0), (0, 1, 0), (0, 0, 1)), (0, 0, 0)))
+    with pytest.raises(WitnessVerificationFailed, match="coefficients differ"):
+        normalize(info)
+
+
 def test_canonical_forms_lie_in_lnd_kernels():
     rng = random.Random(2718)
     seen = set()

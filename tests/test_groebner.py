@@ -195,6 +195,23 @@ def test_a_basis_builds_its_division_form_once(count_calls):
         normal_form(P("x1", 2), basis)
 
 
+def test_buchberger_refuses_generators_of_different_variable_counts():
+    with pytest.raises(ValueError, match="generators have inconsistent variable counts"):
+        buchberger([P("x1", 2), P("x2", 3)], WeightVector.standard(2))
+    with pytest.raises(ValueError, match="generators have inconsistent variable counts"):
+        buchberger([P("0", 2), P("x2", 3)], WeightVector.standard(3))
+
+
+def test_divmod_single_refuses_a_divisor_of_another_variable_count():
+    with pytest.raises(ValueError, match="polynomial has 2 variables, the divisor 3"):
+        divmod_single(P("x1^2", 2), P("x1", 3))
+
+
+def test_span_contains_refuses_a_target_of_another_variable_count():
+    with pytest.raises(ValueError, match="vectors and target have inconsistent variable counts"):
+        span_contains([P("x1", 3)], P("x1", 2))
+
+
 def test_divmod_single_exact_and_inexact():
     a = P("x1^2 - x2^4", 2)
     b = P("x1 - x2^2", 2)
@@ -832,12 +849,15 @@ def test_oracle_shares_compose_power_products(monkeypatch):
 
 def test_oracle_eliminates_int_matrices(monkeypatch, count_fractions):
     # _coefficient_matrix scales each slice by the lcm of the image
-    # denominators and builds no Fraction; the oracle's Fractions are the
-    # reduced entries of _rref and the coefficients of the elements it
-    # returns.  (With a Fraction per matrix entry it made 298 such calls,
-    # and the Fraction elimination's arithmetic built 578 more under
-    # CPython 3.11.  While the Polynomial constructor passed each
-    # coefficient through Fraction once more, it made 74.)
+    # denominators and builds no Fraction, _rref returns int rows, and the
+    # elements are read from those rows as int numerators over the lcm of
+    # the pivots.  The oracle's Fractions are one degree bound per call and
+    # the determinants of the square slices.  (With a Fraction per matrix
+    # entry it made 298 such calls, and the Fraction elimination's
+    # arithmetic built 578 more under CPython 3.11.  While the Polynomial
+    # constructor passed each coefficient through Fraction once more, it
+    # made 74; while _rref returned Fraction rows, with a determinant for
+    # every wide slice too, it made 42.)
     from polyaut import groebner
     from polyaut.relations import relation_report
     from polyaut.verify import space_corpus_principal
@@ -855,7 +875,7 @@ def test_oracle_eliminates_int_matrices(monkeypatch, count_fractions):
     monkeypatch.setattr(groebner, "_coefficient_matrix", recording)
     made = count_fractions()
     found = [graded_kernel_oracle(r.fbars, r.d, dmax) for r, dmax in zip(reports, dmaxes)]
-    assert len(made) == 42
+    assert len(made) == 20
     for r, oracle in zip(reports, found):
         assert all(span_contains(oracle, g) for g in r.ideal.gens)
     assert len(matrices) > len(reports)

@@ -1101,6 +1101,14 @@ def _invertible_matrix(rng, n):
             return m
 
 
+def _divided(rows, pivots):
+    """The reduced rows that _rref's int rows stand for: each pivot row
+    divided by its pivot, and the zero rows after them as they are."""
+    pivot_entries = [row[c] for row, c in zip(rows, pivots)]
+    pivot_entries += [1] * (len(rows) - len(pivots))
+    return [[Fraction(x, p) for x in row] for row, p in zip(rows, pivot_entries)]
+
+
 def test_rref_inverse_times_matrix_is_identity():
     rng = random.Random(31)
     for _ in range(20):
@@ -1108,8 +1116,9 @@ def test_rref_inverse_times_matrix_is_identity():
         m = _invertible_matrix(rng, n)
         rows, pivots, det = _rref([row + e for row, e in zip(m, _identity(n))])
         assert pivots == list(range(n))
-        assert det == _laplace_det(m)
-        inv = [row[n:] for row in rows]
+        # [M | I] is wide: its leading block's determinant is not reported.
+        assert det == 0 and _rref(m)[2] == _laplace_det(m)
+        inv = [row[n:] for row in _divided(rows, pivots)]
         assert _matmul(m, inv) == _identity(n)
         assert _matmul(inv, m) == _identity(n)
         # invert_generator runs the same elimination on [M | I].
@@ -1146,12 +1155,13 @@ def test_rref_singular_matrix_has_zero_determinant_and_no_inverse():
 
 
 def test_rref_reports_det_zero_without_a_full_leading_block():
-    # A tall matrix has no determinant to report, and a wide one whose
-    # pivots miss a leading column has a singular leading block.
-    for m in ([[1, 0], [0, 1], [1, 1]], [[0, 1, 0], [0, 0, 1]]):
+    # Only a square matrix has a determinant: a tall or wide one reports 0,
+    # whether or not its leading square block is regular.
+    for m in ([[1, 0], [0, 1], [1, 1]], [[0, 1, 0], [0, 0, 1]], [[2, 1, 0], [0, 3, 1]]):
         assert _rref(m)[2] == 0
     assert _rref([[0, 1, 0], [0, 0, 1]])[1] == [1, 2]
-    assert _rref([[2, 1, 0], [0, 3, 1]])[2] == 6
+    assert _rref([[2, 1], [0, 3]])[2] == 6
+    assert _rref([[0, 1], [0, 3]])[2] == 0
 
 
 def test_rref_rows_are_reduced_and_span_the_input():
@@ -1164,20 +1174,24 @@ def test_rref_rows_are_reduced_and_span_the_input():
                 row[:] = [Fraction(0)] * ncols
         rows, pivots, _ = _rref(m)
         assert pivots == sorted(pivots)
+        assert all(type(a) is int for row in rows for a in row)
         for r, c in enumerate(pivots):
-            assert [row[c] for row in rows] == [Fraction(int(i == r)) for i in range(nrows)]
+            assert [bool(row[c]) for row in rows] == [i == r for i in range(nrows)]
         assert all(not any(row) for row in rows[len(pivots):])
         # The reduced rows span the row space of the input: stacking them on
         # the input adds no pivot and leaves the echelon form unchanged.
         stacked, stacked_pivots, _ = _rref(rows + m)
         assert stacked_pivots == pivots
-        assert stacked[: len(pivots)] == rows[: len(pivots)]
+        assert (_divided(stacked, pivots)[: len(pivots)]
+                == _divided(rows, pivots)[: len(pivots)])
 
 
 def _reference_rref(matrix):
     """The Fraction Gauss-Jordan elimination that _rref ran before its
     integer interior, kept as the reference: a matrix of Fractions (zero
-    entries may be int 0) to (rows, pivots, det) as _rref documents them."""
+    entries may be int 0) to the reduced rows, each pivot entry 1, the
+    pivot columns, and the determinant of the leading square block when
+    there are at least as many columns as rows."""
     rows = [list(r) for r in matrix]
     nrows = len(rows)
     ncols = len(rows[0]) if rows else 0
@@ -1233,8 +1247,8 @@ def _matrices(draw):
     return m
 
 
-def _square_or_wide(m):
-    return not m or len(m[0]) >= len(m)
+def _square(m):
+    return not m or len(m[0]) == len(m)
 
 
 @settings(max_examples=200, deadline=None)
@@ -1242,17 +1256,21 @@ def _square_or_wide(m):
 @example([])
 @example([[0, 0], [0, 0]])
 @example([[Fraction(1, 2), 3], [1, 6]])
+@example([[Fraction(1, 2), 3, 0], [1, 6, Fraction(-2, 3)]])
 def test_rref_matches_the_fraction_reference(m):
+    # The rows are new lists of ints, one per input row, and match the
+    # reference once each pivot row is divided by its pivot.  Only a square
+    # matrix has a determinant; any other shape reports 0.
     before = [list(row) for row in m]
     rows, pivots, det = _rref(m)
     ref_rows, ref_pivots, ref_det = _reference_rref(
         [[Fraction(a) if a else a for a in row] for row in m])
     assert m == before
     assert pivots == ref_pivots
-    assert rows == ref_rows
-    assert all(type(a) is Fraction for row in rows for a in row)
-    if _square_or_wide(m):
-        assert det == ref_det
+    assert len(rows) == len(m) and not any(row is r for row in rows for r in m)
+    assert all(type(a) is int for row in rows for a in row)
+    assert _divided(rows, pivots) == ref_rows
+    assert det == (ref_det if _square(m) else 0) and type(det) is Fraction
 
 
 @settings(max_examples=100, deadline=None)
@@ -1262,6 +1280,6 @@ def test_rref_is_unchanged_by_row_scaling(m, data):
     scaled = [[s * a for a in row] for s, row in zip(scales, m)]
     rows, pivots, det = _rref(m)
     scaled_rows, scaled_pivots, scaled_det = _rref(scaled)
-    assert (scaled_rows, scaled_pivots) == (rows, pivots)
-    if _square_or_wide(m):
-        assert scaled_det == det * prod(scales)
+    assert scaled_pivots == pivots
+    assert _divided(scaled_rows, pivots) == _divided(rows, pivots)
+    assert scaled_det == det * prod(scales)
