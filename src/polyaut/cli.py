@@ -352,7 +352,7 @@ def cmd_verify(args) -> int:
     try:
         result = run_suite(args.suite, _int_option("--seed", args.seed), count)
     except KeyError as exc:
-        raise CliError(str(exc))
+        raise CliError(exc.args[0])
     payload = {
         "command": "verify",
         "suite": result.name,

@@ -5,12 +5,14 @@ one family of exact identities or inequalities case by case:
 
   jvdk-roundtrip     decompose, recompose exactly, strict degree descent
   lemma-1<2          deg1(P o F) <= deg2(P), strict iff the leading term
-                     of P is a relation
+  (alias lemma-1-2)  of P is a relation
   parachute          the k-fold degree minoration
   lnd-witness        witness index inequality, the same leading derivation
                      by the chain rule and by Laplace cofactors, local
                      nilpotence of it, annihilation of principal R
   lnd01              the intertwining Delta_i(P) o F = mu^-1 * d(P o F)/dx_i
+                     and its inverse Delta_i(P o G) = (mu^-1 * dP/dx_i) o G
+                     for G = F^-1
   degree-bound       deg2(R) <= d1+..+dn-n+1 for principal kernels
   oracle-agreement   Buchberger kernel == graded linear-algebra oracle up
                      to degree max(nabla+1, top deg2 of a basis member)
@@ -19,9 +21,21 @@ one family of exact identities or inequalities case by case:
                      membership of the canonical forms
 
 All verification is exact rational arithmetic; a suite fails only when a
-checked identity genuinely fails.  Suites are pure functions of
-(seed, count) and independent cases may be sharded freely; results merge
-by case index.
+checked identity genuinely fails.
+
+A suite is a function cases(seed, count), registered in SUITES by
+@_suite(name, *aliases), that returns an iterator of one (ok, detail) pair
+per case in case order; run_suite numbers the cases and builds the
+SuiteResult, which reports the suite under its name for every alias.
+lnd-witness and oracle-agreement report an exception of the step they
+check as a failing case; any other exception propagates.  lnd-witness,
+degree-bound and oracle-agreement check count plane words and then
+max(1, count // 5) principal n = 3 words; every other suite has count
+cases.
+
+A report is a pure function of (seed, count), so it is byte-identical
+across runs, but its cases are not independent: they draw from one rng in
+turn, and in the three mixed suites the word at an index depends on count.
 """
 
 from __future__ import annotations
@@ -67,6 +81,7 @@ from .polycore import (
     partial,
 )
 from .relations import (
+    OracleMismatch,
     _shadow_check,
     check_degree_lemma,
     check_parachute,
@@ -218,249 +233,208 @@ def _mixed_corpus(seed: int, count: int) -> tuple:
 
 def _word_batches(rng: random.Random, count: int, per_word: int, budgets,
                   max_addend_deg: int):
-    """Yield (word, case indices) until count cases are covered: each word
+    """Yield (word, cases) until count cases are covered: each word
     (n = 2 or 3, coordinate degree at most budgets[n - 2]) serves up to
     per_word consecutive cases, which draw from rng before the next word."""
-    idx = 0
-    while idx < count:
+    while count > 0:
         n = rng.choice([2, 3])
         word = random_tame_word(rng, n, max_gens=4, max_addend_deg=max_addend_deg,
                                 max_coord_deg=budgets[n - 2])
-        stop = min(idx + per_word, count)
-        yield word, range(idx, stop)
-        idx = stop
+        yield word, min(per_word, count)
+        count -= per_word
 
 
 # -- the suites --------------------------------------------------------------
 
-
-def run_jvdk_roundtrip(seed: int, count: int) -> SuiteResult:
-    def cases():
-        for idx, word in enumerate(plane_corpus(seed, count)):
-            m = expand(word)
-            dec = decompose2(m)
-            if not isinstance(dec, Decomposition):
-                yield CaseResult(idx, False, f"decomposition failed: {dec}")
-                continue
-            if expand(dec.word) != m:
-                yield CaseResult(idx, False, "recomposition mismatch")
-                continue
-            sums = [s.degree_sum_before for s in dec.steps] + (
-                [dec.steps[-1].degree_sum_after] if dec.steps else []
-            )
-            if any(a <= b for a, b in zip(sums, sums[1:])):
-                yield CaseResult(idx, False, f"degree sums not strictly decreasing: {sums}")
-                continue
-            bad = [
-                s for s in dec.steps
-                if s.degree_sum_before - s.degree_sum_after <= 0 or s.r < 1
-            ]
-            if bad:
-                yield CaseResult(idx, False, f"bad reduction step {bad[0]}")
-                continue
-            yield CaseResult(idx, True, f"{len(dec.steps)} steps")
-
-    return SuiteResult("jvdk-roundtrip", seed, tuple(cases()))
+#: Suite name or alias -> (reported name, cases function).
+SUITES = {}
 
 
-def run_lemma_1_2(seed: int, count: int) -> SuiteResult:
-    def cases():
-        rng = random.Random(seed + 1)
-        for word, indices in _word_batches(rng, count, 5, (8, 5), 3):
-            n = word.n
-            report = relation_report(word)
-            for idx in indices:
-                p = random_polynomial(rng, n)
-                lhs, rhs, strict, tilde_in = check_degree_lemma(
-                    word, report.w1, p, report=report
-                )
-                ok = lhs <= rhs and (strict == tilde_in)
-                detail = f"n={n} lhs={lhs} rhs={rhs} strict={strict} in_I={tilde_in}"
-                yield CaseResult(idx, ok, detail)
-
-    return SuiteResult("lemma-1<2", seed, tuple(cases()))
-
-
-def run_parachute(seed: int, count: int) -> SuiteResult:
-    def cases():
-        rng = random.Random(seed + 2)
-        for word, indices in _word_batches(rng, count, 5, (8, 5), 3):
-            n = word.n
-            cert = certify(word)
-            for idx in indices:
-                p = random_polynomial(rng, n)
-                k = rng.randint(0, 3)
-                var = rng.randint(1, n)
-                ok = check_parachute(cert, p, k, var=var)
-                yield CaseResult(idx, ok, f"n={n} k={k} var={var}")
-
-    return SuiteResult("parachute", seed, tuple(cases()))
-
-
-def run_lnd_witness(seed: int, count: int) -> SuiteResult:
-    def cases():
-        for idx, word in enumerate(_mixed_corpus(seed, count)):
-            n = word.n
-            cert = certify(word)
-            report = relation_report(cert)
-            try:
-                i, dbar = lnd_witness(cert, report.w1)
-            except Exception as exc:  # noqa: BLE001 - reported as a failure
-                yield CaseResult(idx, False, f"witness failed: {exc}")
-                continue
-            # The Laplace route, independent of lnd_witness's chain rule.
-            delta = delta_derivation(cert.inverse, i, cert.mu)
-            if not derivation_degree(delta, report.d) >= -report.w1[i]:
-                yield CaseResult(idx, False, "witness inequality fails")
-                continue
-            if leading_derivation(delta, report.d) != dbar:
-                yield CaseResult(idx, False, "leading derivation differs from the Laplace route")
-                continue
-            verdict = is_locally_nilpotent(dbar)
-            if not isinstance(verdict, LocallyNilpotent):
-                yield CaseResult(idx, False, f"leading derivation verdict {verdict}")
-                continue
-            if report.principal and not report.R.is_zero():
-                if not apply(dbar, report.R).is_zero():
-                    yield CaseResult(idx, False, "leading derivation does not kill R")
-                    continue
-            yield CaseResult(idx, True, f"n={n} index={i}")
-
-    return SuiteResult("lnd-witness", seed, tuple(cases()))
-
-
-def run_lnd01(seed: int, count: int) -> SuiteResult:
-    def cases():
-        rng = random.Random(seed + 4)
-        for word, indices in _word_batches(rng, count, 2, (4, 3), 2):
-            n = word.n
-            cert = certify(word)
-            m, mu, inv = cert.m, cert.mu, cert.inverse
-            deltas = [delta_derivation(inv, i, mu) for i in range(1, n + 1)]
-            for idx in indices:
-                p = random_polynomial(rng, n, max_deg=3)
-                ok = True
-                detail = f"n={n}"
-                for i, delta in enumerate(deltas, start=1):
-                    lhs = compose(apply(delta, p), m.coords)
-                    rhs = partial(compose(p, m.coords), i) * (Fraction(1) / mu)
-                    if lhs != rhs:
-                        ok = False
-                        detail = f"n={n} forward identity fails at i={i}"
-                        break
-                    lhs2 = apply(delta, compose(p, inv.coords))
-                    rhs2 = compose(partial(p, i) * (Fraction(1) / mu), inv.coords)
-                    if lhs2 != rhs2:
-                        ok = False
-                        detail = f"n={n} inverse identity fails at i={i}"
-                        break
-                yield CaseResult(idx, ok, detail)
-
-    return SuiteResult("lnd01", seed, tuple(cases()))
-
-
-def run_degree_bound(seed: int, count: int) -> SuiteResult:
-    def cases():
-        for idx, word in enumerate(_mixed_corpus(seed, count)):
-            report = relation_report(word)
-            if not report.principal:
-                yield CaseResult(idx, True, "kernel not principal; bound vacuous")
-                continue
-            if report.R.is_zero():
-                yield CaseResult(idx, True, "zero ideal")
-                continue
-            deg = report.deg2_of_R
-            ok = (
-                deg is not MINUS_INFINITY
-                and Fraction(deg).denominator == 1
-                and deg <= report.parachute + 1
-            )
-            yield CaseResult(
-                idx, ok, f"deg2(R)={deg} <= nabla+1={report.parachute + 1}"
-            )
-
-    return SuiteResult("degree-bound", seed, tuple(cases()))
-
-
-def run_oracle_agreement(seed: int, count: int) -> SuiteResult:
-    def cases():
-        for idx, word in enumerate(_mixed_corpus(seed, count)):
-            try:
-                oracle = _shadow_check(relation_report(word, oracle_shadow=False))
-            except Exception as exc:  # noqa: BLE001
-                yield CaseResult(idx, False, f"oracle mismatch: {exc}")
-                continue
-            yield CaseResult(idx, True, f"n={word.n} oracle elements={len(oracle)}")
-
-    return SuiteResult("oracle-agreement", seed, tuple(cases()))
-
-
-def run_affine_ideal(seed: int, count: int) -> SuiteResult:
-    def cases():
-        rng = random.Random(seed + 5)
-        half = count // 2
-        for idx in range(count):
-            mode = "affine" if idx < half else "nonaffine"
-            n = rng.choice([2, 3])
-            budget = 8 if n == 2 else 5
-            word = random_tame_word(rng, n, max_gens=4, max_addend_deg=3,
-                                    max_coord_deg=budget, mode=mode)
-            report = relation_report(word)
-            if mode == "affine":
-                ok = report.ideal.is_zero_ideal()
-                yield CaseResult(idx, ok, f"affine n={n}: ideal zero={ok}")
-            else:
-                ok = not report.ideal.is_zero_ideal()
-                yield CaseResult(idx, ok, f"nonaffine n={n}: ideal nonzero={ok}")
-
-    return SuiteResult("affine-ideal", seed, tuple(cases()))
-
-
-def run_classify_soundness(seed: int, count: int) -> SuiteResult:
-    def cases():
-        rng = random.Random(seed + 6)
-        tags = [t for t in classify3.NONZERO_TAGS]
-        for idx in range(count):
-            tag = tags[idx % len(tags)]
-            R, d = sample_classified(tag, rng)
-            out = classify(R, d)
-            if not isinstance(out, Classified) or out.info.tag is not tag:
-                yield CaseResult(idx, False, f"{tag.value}: classified as {out}")
-                continue
-            if reconstruct(out.info) != R:
-                yield CaseResult(idx, False, f"{tag.value}: reconstruction mismatch")
-                continue
-            nf = normalize(out.info)
-            if isinstance(nf, NeedsExtension):
-                ok = tag in (Tag.T9, Tag.T11)
-                yield CaseResult(idx, ok, f"{tag.value}: {nf.reason}")
-                continue
-            lnd = canonical_lnd(nf)
-            if not apply(lnd, nf.canonical_poly).is_zero():
-                yield CaseResult(idx, False, f"{tag.value}: canonical LND fails")
-                continue
-            yield CaseResult(idx, True, f"{tag.value} -> {type(nf.canonical).__name__}")
-
-    return SuiteResult("classify-soundness", seed, tuple(cases()))
-
-
-SUITES = {
-    "jvdk-roundtrip": run_jvdk_roundtrip,
-    "lemma-1<2": run_lemma_1_2,
-    "lemma-1-2": run_lemma_1_2,  # shell-friendly alias
-    "parachute": run_parachute,
-    "lnd-witness": run_lnd_witness,
-    "lnd01": run_lnd01,
-    "degree-bound": run_degree_bound,
-    "oracle-agreement": run_oracle_agreement,
-    "affine-ideal": run_affine_ideal,
-    "classify-soundness": run_classify_soundness,
-}
+def _suite(name: str, *aliases: str):
+    """Register a cases function under name and its aliases."""
+    def register(cases):
+        for key in (name, *aliases):
+            SUITES[key] = (name, cases)
+        return cases
+    return register
 
 
 def run_suite(name: str, seed: int, count: int) -> SuiteResult:
     if name not in SUITES:
-        raise KeyError(
-            f"unknown suite {name!r}; available: {', '.join(sorted(set(SUITES)))}"
-        )
-    return SUITES[name](seed, count)
+        raise KeyError(f"unknown suite {name!r}; available: {', '.join(sorted(SUITES))}")
+    reported, cases = SUITES[name]
+    return SuiteResult(reported, seed, tuple(
+        CaseResult(index, ok, detail)
+        for index, (ok, detail) in enumerate(cases(seed, count))))
+
+
+def _roundtrip(word):
+    m = expand(word)
+    dec = decompose2(m)
+    if not isinstance(dec, Decomposition):
+        return False, f"decomposition failed: {dec}"
+    if expand(dec.word) != m:
+        return False, "recomposition mismatch"
+    sums = [s.degree_sum_before for s in dec.steps] + (
+        [dec.steps[-1].degree_sum_after] if dec.steps else []
+    )
+    if any(a <= b for a, b in zip(sums, sums[1:])):
+        return False, f"degree sums not strictly decreasing: {sums}"
+    bad = [
+        s for s in dec.steps
+        if s.degree_sum_before - s.degree_sum_after <= 0 or s.r < 1
+    ]
+    if bad:
+        return False, f"bad reduction step {bad[0]}"
+    return True, f"{len(dec.steps)} steps"
+
+
+@_suite("jvdk-roundtrip")
+def _jvdk_roundtrip(seed: int, count: int):
+    return map(_roundtrip, plane_corpus(seed, count))
+
+
+@_suite("lemma-1<2", "lemma-1-2")  # shell-friendly alias
+def _lemma_1_2(seed: int, count: int):
+    rng = random.Random(seed + 1)
+    for word, cases in _word_batches(rng, count, 5, (8, 5), 3):
+        report = relation_report(word)
+        for _ in range(cases):
+            p = random_polynomial(rng, word.n)
+            lhs, rhs, strict, tilde_in = check_degree_lemma(
+                word, report.w1, p, report=report
+            )
+            yield (lhs <= rhs and strict == tilde_in,
+                   f"n={word.n} lhs={lhs} rhs={rhs} strict={strict} in_I={tilde_in}")
+
+
+@_suite("parachute")
+def _parachute(seed: int, count: int):
+    rng = random.Random(seed + 2)
+    for word, cases in _word_batches(rng, count, 5, (8, 5), 3):
+        cert = certify(word)
+        for _ in range(cases):
+            p = random_polynomial(rng, word.n)
+            k = rng.randint(0, 3)
+            var = rng.randint(1, word.n)
+            yield check_parachute(cert, p, k, var=var), f"n={word.n} k={k} var={var}"
+
+
+def _witness(word):
+    cert = certify(word)
+    report = relation_report(cert)
+    try:
+        i, dbar = lnd_witness(cert, report.w1)
+    except Exception as exc:  # noqa: BLE001 - reported as a failure
+        return False, f"witness failed: {exc}"
+    # The Laplace route, independent of lnd_witness's chain rule.
+    delta = delta_derivation(cert.inverse, i, cert.mu)
+    if not derivation_degree(delta, report.d) >= -report.w1[i]:
+        return False, "witness inequality fails"
+    if leading_derivation(delta, report.d) != dbar:
+        return False, "leading derivation differs from the Laplace route"
+    verdict = is_locally_nilpotent(dbar)
+    if not isinstance(verdict, LocallyNilpotent):
+        return False, f"leading derivation verdict {verdict}"
+    if report.principal and not report.R.is_zero() and not apply(dbar, report.R).is_zero():
+        return False, "leading derivation does not kill R"
+    return True, f"n={word.n} index={i}"
+
+
+@_suite("lnd-witness")
+def _lnd_witness(seed: int, count: int):
+    return map(_witness, _mixed_corpus(seed, count))
+
+
+def _intertwining(cert, deltas, p):
+    """Both identities for each Delta_i: forward through F, inverse
+    through F^-1; (ok, detail) at the first that fails."""
+    m, inv, scale = cert.m.coords, cert.inverse.coords, Fraction(1) / cert.mu
+    for i, delta in enumerate(deltas, start=1):
+        if compose(apply(delta, p), m) != partial(compose(p, m), i) * scale:
+            return False, f"n={p.n} forward identity fails at i={i}"
+        if apply(delta, compose(p, inv)) != compose(partial(p, i) * scale, inv):
+            return False, f"n={p.n} inverse identity fails at i={i}"
+    return True, f"n={p.n}"
+
+
+@_suite("lnd01")
+def _lnd01(seed: int, count: int):
+    rng = random.Random(seed + 4)
+    for word, cases in _word_batches(rng, count, 2, (4, 3), 2):
+        cert = certify(word)
+        deltas = [delta_derivation(cert.inverse, i, cert.mu) for i in range(1, word.n + 1)]
+        for _ in range(cases):
+            yield _intertwining(cert, deltas, random_polynomial(rng, word.n, max_deg=3))
+
+
+def _bound(word):
+    report = relation_report(word)
+    if not report.principal:
+        return True, "kernel not principal; bound vacuous"
+    if report.R.is_zero():
+        return True, "zero ideal"
+    deg = report.deg2_of_R
+    ok = (
+        deg is not MINUS_INFINITY
+        and Fraction(deg).denominator == 1
+        and deg <= report.parachute + 1
+    )
+    return ok, f"deg2(R)={deg} <= nabla+1={report.parachute + 1}"
+
+
+@_suite("degree-bound")
+def _degree_bound(seed: int, count: int):
+    return map(_bound, _mixed_corpus(seed, count))
+
+
+def _oracle(word):
+    try:
+        oracle = _shadow_check(relation_report(word, oracle_shadow=False))
+    except OracleMismatch as exc:
+        return False, f"oracle mismatch: {exc}"
+    except Exception as exc:  # noqa: BLE001 - reported as a failure
+        return False, f"{type(exc).__name__}: {exc}"
+    return True, f"n={word.n} oracle elements={len(oracle)}"
+
+
+@_suite("oracle-agreement")
+def _oracle_agreement(seed: int, count: int):
+    return map(_oracle, _mixed_corpus(seed, count))
+
+
+@_suite("affine-ideal")
+def _affine_ideal(seed: int, count: int):
+    rng = random.Random(seed + 5)
+    for drawn in range(count):
+        affine = drawn < count // 2
+        n = rng.choice([2, 3])
+        word = random_tame_word(rng, n, max_gens=4, max_addend_deg=3,
+                                max_coord_deg=8 if n == 2 else 5,
+                                mode="affine" if affine else "nonaffine")
+        ok = relation_report(word).ideal.is_zero_ideal() == affine
+        yield ok, (f"affine n={n}: ideal zero={ok}" if affine
+                   else f"nonaffine n={n}: ideal nonzero={ok}")
+
+
+def _soundness(tag, rng):
+    R, d = sample_classified(tag, rng)
+    out = classify(R, d)
+    if not isinstance(out, Classified) or out.info.tag is not tag:
+        return False, f"{tag.value}: classified as {out}"
+    if reconstruct(out.info) != R:
+        return False, f"{tag.value}: reconstruction mismatch"
+    nf = normalize(out.info)
+    if isinstance(nf, NeedsExtension):
+        return tag in (Tag.T9, Tag.T11), f"{tag.value}: {nf.reason}"
+    if not apply(canonical_lnd(nf), nf.canonical_poly).is_zero():
+        return False, f"{tag.value}: canonical LND fails"
+    return True, f"{tag.value} -> {type(nf.canonical).__name__}"
+
+
+@_suite("classify-soundness")
+def _classify_soundness(seed: int, count: int):
+    rng = random.Random(seed + 6)
+    tags = classify3.NONZERO_TAGS
+    for drawn in range(count):
+        yield _soundness(tags[drawn % len(tags)], rng)

@@ -263,6 +263,11 @@ def test_readme_command_lines_exit_zero(capsys):
 def test_verify_unknown_suite_is_usage_error(capsys):
     status = main(["verify", "--suite", "nope"])
     assert status == 2
+    # The message itself, not the repr a KeyError gives it.
+    assert capsys.readouterr().err == (
+        "error: unknown suite 'nope'; available: affine-ideal, classify-soundness, "
+        "degree-bound, jvdk-roundtrip, lemma-1-2, lemma-1<2, lnd-witness, lnd01, "
+        "oracle-agreement, parachute\n")
 
 
 def test_verify_output_is_deterministic(capsys):

@@ -1,9 +1,13 @@
-"""The seeded verify suites reuse what each word already certifies."""
+"""The seeded verify suites reuse what each word already certifies, keep
+their case-count contract and are listed where the docs name them."""
+
+import re
+from pathlib import Path
 
 import pytest
 
-from polyaut import polycore
-from polyaut.verify import run_suite
+from polyaut import polycore, verify
+from polyaut.verify import SUITES, run_suite
 
 
 @pytest.mark.parametrize("suite", ["lnd-witness", "lnd01"])
@@ -96,3 +100,54 @@ def test_a_suite_result_is_its_name_seed_and_cases():
     assert [f.name for f in fields(SuiteResult)] == ["name", "seed", "cases"]
     result = run_suite("lnd-witness", 20260810, 5)
     assert len(result.cases) == 6 and result.passed
+
+
+#: The suites whose plane corpus is followed by max(1, count // 5) n = 3 words.
+MIXED = {"lnd-witness", "degree-bound", "oracle-agreement"}
+
+
+@pytest.mark.parametrize("suite", sorted(SUITES))
+def test_a_suite_numbers_its_cases_in_order(suite):
+    count = 7
+    result = run_suite(suite, 20260810, count)
+    assert result.name == ("lemma-1<2" if suite == "lemma-1-2" else suite)
+    assert [c.index for c in result.cases] == list(range(len(result.cases)))
+    assert len(result.cases) == count + (max(1, count // 5) if suite in MIXED else 0)
+
+
+def test_oracle_agreement_names_an_error_that_is_not_a_mismatch(monkeypatch):
+    # A budget error fails the case under its own type, not as a mismatch.
+    from polyaut import groebner
+
+    monkeypatch.setattr(groebner, "MAX_ORACLE_MONOMIALS", 1)
+    result = run_suite("oracle-agreement", 20260810, 3)
+    assert [(c.ok, c.detail) for c in result.cases] == [
+        (False, "ResourceCapExceeded: graded oracle exceeded 1 monomials")] * 4
+
+
+def test_oracle_agreement_reports_a_mismatch(monkeypatch):
+    from polyaut.relations import OracleMismatch
+
+    def mismatch(report):
+        raise OracleMismatch("planted")
+
+    monkeypatch.setattr(verify, "_shadow_check", mismatch)
+    result = run_suite("oracle-agreement", 20260810, 3)
+    assert [(c.ok, c.detail) for c in result.cases] == [
+        (False, "oracle mismatch: planted")] * 4
+
+
+def _paragraph(text, marker):
+    return next(p for p in text.split("\n\n") if marker in p)
+
+
+def test_the_docs_list_exactly_the_suites():
+    # README's list (up to the sentence's full stop) and the table in the
+    # module docstring name every suite and alias, and nothing else.
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    sentence = _paragraph(readme, "Available `verify` suites:").split(":", 1)[1]
+    listed = re.findall(r"`([^`]+)`", sentence.split(".", 1)[0])
+    table = _paragraph(verify.__doc__, "jvdk-roundtrip")
+    tabled = re.findall(r"^  ([a-z]\S*)", table, re.M) + re.findall(r"\(alias (\S+)\)", table)
+    assert sorted(listed) == sorted(SUITES)
+    assert sorted(tabled) == sorted(SUITES)
