@@ -254,7 +254,9 @@ def _linear_front_split(front: Polynomial):
     """Decompose an x3-coefficient as b*x2 + a*x1^e1; None if impossible.
 
     Returns (b, a, e1) with b the x2-coefficient (possibly 0, then a != 0
-    and the front is the pure monomial a*x1^e1).
+    and the front is the pure monomial a*x1^e1).  The front is homogeneous
+    for positive weights (classify refuses any other R), so it holds at
+    most one pure x1-power, and e1 >= 1 when it holds x2 as well.
     """
     b = Fraction(0)
     a = Fraction(0)
@@ -263,8 +265,6 @@ def _linear_front_split(front: Polynomial):
         if mono == (0, 1, 0):
             b = c
         elif mono[1] == 0 and mono[2] == 0:
-            if a != 0:
-                return None  # two distinct pure x1-powers cannot both occur
             a, e1 = c, mono[0]
         else:
             return None
@@ -352,8 +352,6 @@ def _classify_x3_linear(R: Polynomial, parts: dict, d: WeightVector) -> Classify
         return Classified(rt)
     # x3-coefficient contains x2: normalize it to x2 + a*x1^e1.
     a_norm = a / b
-    if a_norm != 0 and e1 < 1:
-        return NotInList(_diagnose(R, d))
     divisor = _binomial(a_norm, 1, e1)
     # x2 leads the divisor for the weights (1, e1 + 1, 1), and only the
     # leading monomial matters: p = divisor * q + r with r free of x2 is

@@ -34,10 +34,11 @@ exponent because each field has 32 bits of headroom.  The headroom also
 holds a shifted term past MAX_EXPONENT exactly; its guard bits
 (polycore._overflow_mask) raise ExponentOverflow when it is popped.
 
-A basis member's leading monomial is computed once and travels with it:
-buchberger keeps a list beside its working basis, and every IdealBasis is
-built with them as lms.  An IdealBasis builds its division form (the order
-key and one _Divisor per member) from them on its first normal_form and
+A leading monomial is one packed int: a _Divisor holds it as mono, the
+low bits of its largest key.  A pair's lcm is the field-wise maximum of
+the two (polycore._join), a borrow test like _divides, and its key is the
+order key of that packed exponent.  An IdealBasis builds its division form
+(the order key and one _Divisor per member) on its first normal_form and
 keeps it for every later one.  Interreduction is one pass on the members'
 keyed integer form (_reduce_basis): in a minimal basis no leading monomial
 divides another, so dividing a member's tail by the others keeps its
@@ -50,27 +51,28 @@ reduced basis: it is principal iff it has <= 1 member.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache, cached_property
+from functools import cached_property
 from math import floor, gcd, lcm
 from operator import mul
 from typing import NamedTuple, Sequence
 
 from .polycore import (
     FIELD_BITS,
-    FIELD_MASK,
     MAX_EXPONENT,
     Polynomial,
     ResourceCapExceeded,
     WeightVector,
     _canon,
     _check_exponents,
+    _join,
     _overflow_mask,
     _pack,
     _poly,
     _power_products,
     _rref,
+    _top_bits,
     _unpacker,
 )
 
@@ -110,16 +112,6 @@ class BlockElimination:
 MonomialOrder = WeightVector | BlockElimination
 
 
-@cache
-def _ones(n: int) -> int:
-    """The packed exponent with 1 in each of its n fields."""
-    return ((1 << FIELD_BITS * n) - 1) // FIELD_MASK
-
-
-#: The top bit of a field, above every exponent: the borrow test of _divides.
-_TOP_BIT = 1 << FIELD_BITS - 1
-
-
 def _packed_key(order: MonomialOrder, n: int):
     """The int key of order on n variables: monomial a is greater than b
     iff key(a) > key(b) for their packed exponents.  For a front part x
@@ -152,28 +144,28 @@ def _packed_key(order: MonomialOrder, n: int):
 
 def _divides(lm: int, a: int, n: int) -> bool:
     """Whether the packed exponent lm divides a: lm | a iff ((a | H) - lm)
-    & H == H for H with the top bit of each field set (_TOP_BIT).  Every
+    & H == H for H the top bit of each field (polycore._top_bits).  Every
     exponent is below that bit, so a field of (a | H) - lm keeps it iff
     a_i >= lm_i and never borrows from the next."""
-    high = _TOP_BIT * _ones(n)
+    high = _top_bits(n)
     return (a | high) - lm & high == high
 
 
 @dataclass(frozen=True)
 class IdealBasis:
     """A reduced Groebner basis (monic, pairwise fully reduced, minimal)
-    with its monomial order and the leading monomial of each member, which
-    its producers already hold and pass as lms.  No member is zero.
+    with its monomial order, sorted by descending leading monomial.  No
+    member is zero.
 
     _division, the basis as division reads it (the order key and one
-    _Divisor per member), is a memo: built from the fields on the first
-    normal_form and kept for every later one.  It is not a field, so it is
-    neither compared nor hashed."""
+    _Divisor per member, each finding its leading monomial as its largest
+    key), is a memo: built from the fields on the first normal_form and
+    kept for every later one.  It is not a field, so it is neither
+    compared nor hashed."""
 
     gens: tuple
     order: MonomialOrder
     n: int
-    lms: tuple = field(repr=False, compare=False)
 
     def is_zero_ideal(self) -> bool:
         return not self.gens
@@ -184,7 +176,7 @@ class IdealBasis:
     @cached_property
     def _division(self) -> tuple:
         key = _packed_key(self.order, self.n)
-        return key, [_divisor(g, key, lm) for g, lm in zip(self.gens, self.lms)]
+        return key, [_divisor(g, key) for g in self.gens]
 
 
 # -- division on order keys ---------------------------------------------------
@@ -192,39 +184,34 @@ class IdealBasis:
 
 class _Divisor(NamedTuple):
     """A nonzero polynomial g as division reads it, through its integer
-    multiple with content 1 and a positive leading coefficient: the leading
-    monomial lm as a tuple and packed as mono, its key, that leading
-    coefficient lead, and the other terms of the multiple as (key,
-    numerator) pairs."""
+    multiple with content 1 and a positive leading coefficient: the packed
+    leading monomial mono, its key, that leading coefficient lead, and the
+    other terms of the multiple as (key, numerator) pairs."""
 
-    lm: tuple
     mono: int
     key: int
     lead: int
     tail: list
 
 
-def _divisor(g: Polynomial, key, lm=None) -> _Divisor:
-    """g read for division under the order key; lm is g's leading monomial
-    when the caller holds it."""
+def _divisor(g: Polynomial, key) -> _Divisor:
+    """g read for division under the order key: its leading term is at
+    the largest of the keys of its terms."""
     keyed = {key(t): c for t, c in g._nums.items()}
-    k = max(keyed) if lm is None else key(_pack(lm, g.n))
+    k = max(keyed)
     lead = keyed.pop(k)
-    return _primitive_divisor(k, lead, keyed.items(), g.n, lm)
+    return _primitive_divisor(k, lead, keyed.items(), g.n)
 
 
-def _primitive_divisor(k: int, lead: int, tail, n: int, lm=None) -> _Divisor:
+def _primitive_divisor(k: int, lead: int, tail, n: int) -> _Divisor:
     """The _Divisor of the integer polynomial with leading term lead at key
     k and the other terms tail, (key, numerator) pairs, divided by its
-    content and signed so that lead is positive; lm is the leading monomial
-    as a tuple when the caller holds it."""
+    content and signed so that lead is positive."""
     content = gcd(lead, *(c for _, c in tail))
     if lead < 0:
         content = -content
     mono = k & (1 << FIELD_BITS * n) - 1
-    if lm is None:
-        lm = _unpacker(n)(mono)
-    return _Divisor(lm, mono, k, lead // content, [(t, c // content) for t, c in tail])
+    return _Divisor(mono, k, lead // content, [(t, c // content) for t, c in tail])
 
 
 def _reduce(work: dict, den: int, divisors, n: int, quotient=None):
@@ -245,7 +232,7 @@ def _reduce(work: dict, den: int, divisors, n: int, quotient=None):
     MAX_DIVISION_STEPS (read per call) raises ResourceCapExceeded.
     """
     mask = (1 << FIELD_BITS * n) - 1
-    high = _TOP_BIT * _ones(n)
+    high = _top_bits(n)
     guard = _overflow_mask(n)
     rest = []
     steps = MAX_DIVISION_STEPS
@@ -372,7 +359,7 @@ def buchberger(gens: Sequence[Polynomial], order: MonomialOrder) -> IdealBasis:
         raise ValueError("generators have inconsistent variable counts")
     G = [g for g in gens if not g.is_zero()]
     if not G:
-        return IdealBasis((), order, n, ())
+        return IdealBasis((), order, n)
     key = _packed_key(order, n)
     divs = [_divisor(g, key) for g in G]
     # The lcm of each pair's leading monomials: its key and packed form.
@@ -380,7 +367,7 @@ def buchberger(gens: Sequence[Polynomial], order: MonomialOrder) -> IdealBasis:
 
     def add_lcms(j):
         for i in range(j):
-            packed = _pack(tuple(map(max, divs[i].lm, divs[j].lm)), n)
+            packed = _join((divs[i].mono, divs[j].mono), n)
             lcms[i, j] = (key(packed), packed)
 
     for j in range(len(divs)):
@@ -445,14 +432,14 @@ def _reduce_basis(divs, order, n) -> IdealBasis:
             continue
         rest, den = _reduce(dict(d.tail), 1, others, n)
         tail = [(kt, c * (den // e)) for kt, c, e in rest]
-        keep[i] = _primitive_divisor(d.key, d.lead * den, tail, n, d.lm)
+        keep[i] = _primitive_divisor(d.key, d.lead * den, tail, n)
     keep.sort(key=lambda d: d.key, reverse=True)
     gens = []
     for d in keep:
         nums = {d.mono: d.lead}
         nums.update((kt & mask, c) for kt, c in d.tail)
         gens.append(_poly(n, nums, d.lead))
-    return IdealBasis(tuple(gens), order, n, tuple(d.lm for d in keep))
+    return IdealBasis(tuple(gens), order, n)
 
 
 # -- kernels of ring maps ----------------------------------------------------
@@ -468,12 +455,11 @@ def kernel_ideal(images: Sequence[Polynomial], dweights: WeightVector) -> IdealB
     exponents shifted up past the z fields, and a kept member leaves for
     Q[z1..zn] with its packed exponents as they are, since its x fields are
     zero.  Every returned generator G satisfies G(images) = 0 exactly.  A
-    member is x-free iff its leading monomial is: under the block order any
-    monomial with an x-part ranks above every x-free one.  The x-free
-    members of the reduced block-order basis are already monic and sorted
-    for the z-order, with lms the z-parts of their block leading monomials:
-    on x-free monomials the block key compares by the z-order alone.
-    relation_report reads principality off the size of the result.
+    member is kept iff it is x-free, that is iff its largest packed
+    exponent has no bit above the z fields.  The x-free members of the
+    reduced block-order basis are already monic and sorted for the
+    z-order: on x-free monomials the block key compares by the z-order
+    alone.  relation_report reads principality off the size of the result.
     """
     images = list(images)
     if not images:
@@ -490,9 +476,8 @@ def kernel_ideal(images: Sequence[Polynomial], dweights: WeightVector) -> IdealB
         for i, img in enumerate(images, start=1)
     ]
     gb = buchberger(gens, BlockElimination(nx, dweights))
-    kept = [(g, lm) for g, lm in zip(gb.gens, gb.lms) if not any(lm[:nx])]
-    return IdealBasis(tuple(_poly(nz, g._nums, g.den) for g, _ in kept),
-                      dweights, nz, tuple(lm[nx:] for _, lm in kept))
+    return IdealBasis(tuple(_poly(nz, g._nums, g.den) for g in gb.gens
+                            if not max(g._nums) >> shift), dweights, nz)
 
 
 # -- independent graded oracle ----------------------------------------------

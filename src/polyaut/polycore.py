@@ -22,7 +22,10 @@ tested where exponents are formed (products, popped division terms, terms
 of text) to raise ExponentOverflow (a ValueError), as does p ** k when k
 times p's degree (1 for a constant) passes MAX_EXPONENT.  A power whose
 coefficients could need more than MAX_COEFFICIENT_BITS bits raises
-ResourceCapExceeded.
+ResourceCapExceeded.  The headroom also leaves the top bit of each field
+free, so the field-wise maximum of packed exponents (_join), the
+exponent of their lcm and p's degree in each variable, is a borrow test
+on whole words.
 
 On top of the ring operations the module provides positive weighted
 homogeneous (p.w.h.) degree functions: a weight vector (w1,..,wn) with all
@@ -259,6 +262,26 @@ def _overflow_mask(n: int) -> int:
     return sum((FIELD_MASK ^ MAX_EXPONENT) << FIELD_BITS * i for i in range(n))
 
 
+@functools.cache
+def _top_bits(n: int) -> int:
+    """The top bit of each of n packed fields, above every exponent and
+    every sum of two: the borrow test of _join and groebner._divides."""
+    return sum(1 << FIELD_BITS * (i + 1) - 1 for i in range(n))
+
+
+def _join(keys, n: int) -> int:
+    """The field-wise maximum of packed exponents on n variables (0 for
+    none), the exponent of their lcm.  A field of (a | H) - b, for H the
+    top bits (_top_bits), keeps its top bit iff a_i >= b_i and borrows
+    from no other field, so each field is picked from a or b whole."""
+    high = _top_bits(n)
+    out = 0
+    for a in keys:
+        pick = ((out | high) - a & high) >> FIELD_BITS - 1
+        out = a ^ (out ^ a) & pick * FIELD_MASK
+    return out
+
+
 def _sum_operator(a: int, b: int):
     """The ring operator (self, other) |-> a*self + b*other, one linear_combination."""
 
@@ -350,10 +373,13 @@ class Polynomial:
         return Fraction(self._nums.get(0, 0), self.den)
 
     def coeff(self, exponents: Sequence[int]) -> Fraction:
-        """Coefficient of the monomial with these exponents (0 if absent)."""
+        """Coefficient of the monomial with these exponents: 0 if absent,
+        as for an exponent past MAX_EXPONENT, which no term has.  Like
+        monomial, raises ValueError for a tuple of the wrong length or an
+        exponent that is not a nonnegative int."""
         try:
             key = _pack(tuple(exponents), self.n)
-        except ValueError:
+        except ExponentOverflow:
             return Fraction(0)
         return Fraction(self._nums.get(key, 0), self.den)
 
@@ -393,7 +419,7 @@ class Polynomial:
             raise ValueError("negative exponent")
         # A constant counts as degree 1: no field bounds c^k, whose
         # coefficient grows without bound.
-        _check_exponents([max(1, *_degrees(self)) * k])
+        _check_exponents([max(1, *_unpacker(self.n)(_join(self._nums, self.n))) * k])
         _check_coefficient_bits(self, k)
         if not k:
             return _constant(1, self.n)
@@ -476,11 +502,6 @@ def _constant(c, n: int) -> Polynomial:
 #: The operand types of +, - and *, on either side: anything else gives
 #: NotImplemented, so Python raises TypeError.
 _OPERANDS = (Polynomial, int, Fraction)
-
-
-def _degrees(p: Polynomial) -> list:
-    """The degree of p in each variable (all 0 for p = 0)."""
-    return [max(column) for column in zip(*p.support())] or [0] * p.n
 
 
 class _TermsView(Mapping):
@@ -651,7 +672,7 @@ def linear_combination(pairs, n: int, divisor: int = 1) -> Polynomial:
                 k = ka + kb
                 acc[k] = get(k, 0) + f * cb
     if moved and functools.reduce(or_, acc, 0) & _overflow_mask(n):
-        _check_exponents(map(max, map(_unpacker(n), acc)))
+        _check_exponents(_unpacker(n)(_join(acc, n)))
     if 0 in acc.values():
         acc = {k: v for k, v in acc.items() if v}
     return _canon(n, acc, den * divisor)
@@ -1052,13 +1073,17 @@ class _Reader:
                     raise self.error("expected ')'", i)
                 self.depth -= 1
                 i += 1
+                top = _join(f._nums, self.n)
                 if tokens[i] == "^":
-                    f = f ** self.uint(i + 1)
+                    k = self.uint(i + 1)
+                    f = f ** k
+                    # Over Q, deg_xi(f^k) = k * deg_xi(f), which ** bounded.
+                    top *= k
                     i += 2
                 if not f._nums:
                     num = 0
                 elif num:
-                    degrees += _pack(_degrees(f), self.n)
+                    degrees += top
                     groups.append(f)
             elif tok == _END:
                 raise self.error("unexpected end of input", i - 1)

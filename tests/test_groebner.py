@@ -29,6 +29,7 @@ from polyaut.polycore import (
     ExponentOverflow,
     Polynomial,
     WeightVector,
+    _join,
     _pack,
     _rref,
     _unpacker,
@@ -124,7 +125,7 @@ def test_normal_form_divisible():
     assert normal_form(P("x1^2 - x2^4", 2), basis).is_zero()
 
 
-def test_basis_holds_its_leading_monomials():
+def test_basis_members_are_monic_at_their_leading_monomials():
     rng = random.Random(557)
     bases = [buchberger([P("x1^2", 2), P("x1*x2", 2), P("x2^2", 2)], WeightVector.standard(2))]
     for _ in range(4):
@@ -132,49 +133,28 @@ def test_basis_holds_its_leading_monomials():
         m = expand(word)
         w = WeightVector.standard(3)
         bases.append(kernel_ideal([leading_term(c, w) for c in m.coords], deg2_weights(m, w)))
+    assert max(map(len, bases)) >= 2
     for basis in bases:
-        assert basis.lms == tuple(_reference_lm(g, basis.order) for g in basis.gens)
+        assert all(g.coeff(_reference_lm(g, basis.order)) == 1 for g in basis.gens)
 
 
-def _derived_leading_monomials(monkeypatch):
-    """Patch groebner._divisor to record each polynomial whose leading
-    monomial it finds itself, because the caller held none."""
+def test_relation_report_reads_each_polynomial_for_division_once(count_calls):
+    # Three elimination generators enter buchberger, and the oracle shadow
+    # check's normal_form reads the one member of the principal kernel basis
+    # once for all its queries.
     from polyaut import groebner
-
-    original = groebner._divisor
-    derived = []
-
-    def recording(g, key, lm=None):
-        if lm is None:
-            derived.append(g)
-        return original(g, key, lm)
-
-    monkeypatch.setattr(groebner, "_divisor", recording)
-    return derived
-
-
-def test_normal_form_reads_the_held_leading_monomials(monkeypatch):
-    basis = buchberger([P("x1^2", 2), P("x1*x2", 2), P("x2^2", 2)], WeightVector.standard(2))
-    assert len(basis) == 3
-    derived = _derived_leading_monomials(monkeypatch)
-    assert normal_form(Polynomial.constant(1, 2), basis) == Polynomial.constant(1, 2)
-    # Division pops the dividend's leading terms off its order keys.
-    assert len(derived) == 0
-
-
-def test_relation_reports_compute_each_leading_monomial_once(monkeypatch):
     from polyaut.relations import relation_report
     from polyaut.verify import space_corpus_principal
 
     words = space_corpus_principal(20260813, 5)
-    derived = _derived_leading_monomials(monkeypatch)
+    read = count_calls(groebner, "_divisor")
     counts = []
     for word in words:
-        derived.clear()
+        read.clear()
         relation_report(word)
-        assert len(set(map(id, derived))) == len(derived)
-        counts.append(len(derived))
-    assert counts == [3, 3, 3, 3, 3]
+        assert len(set(map(id, read))) == len(read)
+        counts.append(len(read))
+    assert counts == [4, 4, 4, 4, 4]
 
 
 def test_a_basis_builds_its_division_form_once(count_calls):
@@ -238,10 +218,10 @@ def _division_cases():
         yield p, gens, orders[trial % len(orders)]
 
 
-def _engine_divide(p, gens, lms, order):
-    """The engine's remainder of p by nonzero gens with leading monomials lms."""
+def _engine_divide(p, gens, order):
+    """The engine's remainder of p by the nonzero gens."""
     key = _packed_key(order, p.n)
-    return _remainder(p, [_divisor(g, key, lm) for g, lm in zip(gens, lms)], key)
+    return _remainder(p, [_divisor(g, key) for g in gens], key)
 
 
 def test_divide_matches_reference():
@@ -249,7 +229,7 @@ def test_divide_matches_reference():
     for p, gens, order in _division_cases():
         lms = [_reference_lm(g, order) for g in gens]
         nonmonic += any(g.coeff(lm) != 1 for g, lm in zip(gens, lms))
-        assert _engine_divide(p, gens, lms, order) == _reference_divide(p, gens, order)
+        assert _engine_divide(p, gens, order) == _reference_divide(p, gens, order)
         basis = buchberger(gens, order)
         assert normal_form(p, basis) == _reference_divide(p, basis.gens, order)
         q, r = divmod_single(p, gens[0], order)
@@ -292,7 +272,7 @@ def test_division_past_the_largest_exponent_raises():
     g = P("x2 - x1^2", 2)
     p = Polynomial.monomial((MAX_EXPONENT - 1, 1), 1, 2)
     with pytest.raises(ExponentOverflow):
-        _engine_divide(p, [g], [(0, 1)], order)
+        _engine_divide(p, [g], order)
     with pytest.raises(ExponentOverflow):
         divmod_single(p, g, order)
     # Below 2^31 in every field, x2 | x1^(2^31 - 1) * x2 by borrow, and the
@@ -301,8 +281,8 @@ def test_division_past_the_largest_exponent_raises():
     heavy = WeightVector((1, top + 2))
     h = P("x2", 2) - Polynomial.monomial((top + 1, 0), 1, 2)
     with pytest.raises(ExponentOverflow):
-        _engine_divide(Polynomial.monomial((top - 1, 1), 1, 2), [h], [(0, 1)], heavy)
-    assert (_engine_divide(Polynomial.monomial((top - 2, 1), 1, 2), [h], [(0, 1)], heavy)
+        _engine_divide(Polynomial.monomial((top - 1, 1), 1, 2), [h], heavy)
+    assert (_engine_divide(Polynomial.monomial((top - 2, 1), 1, 2), [h], heavy)
             == Polynomial.monomial((MAX_EXPONENT, 0), 1, 2))
     # The S-pair of x1*x2 + x2^2 and x2^MAX shifts x2^2 by x2^(MAX - 1).
     gens = [P("x1*x2 + x2^2", 2), Polynomial.monomial((0, MAX_EXPONENT), 1, 2)]
@@ -310,8 +290,7 @@ def test_division_past_the_largest_exponent_raises():
         with pytest.raises(ExponentOverflow):
             buchberger(pair, WeightVector.standard(2))
     # A remainder holds its exact exponents, which a later product checks.
-    r = _engine_divide(Polynomial.monomial((MAX_EXPONENT, 0), 1, 2), [P("x2", 2)], [(0, 1)],
-                       order)
+    r = _engine_divide(Polynomial.monomial((MAX_EXPONENT, 0), 1, 2), [P("x2", 2)], order)
     with pytest.raises(ExponentOverflow):
         r * P("x1", 2)
 
@@ -323,9 +302,9 @@ def test_division_term_past_the_largest_exponent_that_cancels_does_not_raise():
     order = WeightVector((1, 3, 3))
     g, h = P("x2 - x1^2", 3), P("x3 + x1^2", 3)
     p = Polynomial.monomial((MAX_EXPONENT - 1, 0, 0), 1, 3) * P("x2 + x3", 3)
-    assert _engine_divide(p, [g, h], [(0, 1, 0), (0, 0, 1)], order).is_zero()
+    assert _engine_divide(p, [g, h], order).is_zero()
     with pytest.raises(ExponentOverflow):
-        _engine_divide(p, [g], [(0, 1, 0)], order)
+        _engine_divide(p, [g], order)
 
 
 def _sign(a, b):
@@ -436,7 +415,55 @@ def test_divisibility_by_borrow_matches_the_tuple_test(case):
     assert _packed_divides(_pack(a, n), _pack(b, n), n) == divides
     order = WeightVector.standard(n)
     x_a, x_b = Polynomial.monomial(a, 1, n), Polynomial.monomial(b, 1, n)
-    assert _engine_divide(x_b, [x_a], [a], order).is_zero() == divides
+    assert _engine_divide(x_b, [x_a], order).is_zero() == divides
+
+
+@settings(max_examples=300, deadline=None)
+@given(_exponent_pairs())
+@example((((1 << 31) - 1, 0), ((1 << 31) - 1, 5)))
+@example((((1 << 31) - 1, 3), ((1 << 31) - 1, 2)))
+@example(((1 << 31, 0), (1 << 31, 5)))
+@example(((1 << 31, 0), ((1 << 31) - 1, 5)))
+@example(((0, 1 << 31), (MAX_EXPONENT, MAX_EXPONENT)))
+def test_join_matches_the_tuple_maximum(case):
+    # The field-wise maximum by borrow for every exponent up to
+    # MAX_EXPONENT, of two keys, of either order, and of three.
+    a, b = case
+    n = len(a)
+    pa, pb = _pack(a, n), _pack(b, n)
+    join = _pack(tuple(map(max, a, b)), n)
+    assert _join((pa, pb), n) == _join((pb, pa), n) == join
+    assert _join((pa, pb, _pack((1,) * n, n)), n) == _pack(tuple(map(max, a, b, (1,) * n)), n)
+    assert _join((pa,), n) == pa and _join((), n) == 0
+
+
+def test_buchberger_pair_lcms_match_the_tuple_lcm(monkeypatch):
+    # Every S-pair buchberger reduces is shifted to the order key of the
+    # tuple lcm of the two leading monomials, under weight and block orders.
+    from polyaut import groebner
+
+    pairs = []
+
+    def recording(f, g, kl):
+        pairs.append((f.mono, g.mono, kl))
+        return s_pair(f, g, kl)
+
+    s_pair = groebner._s_pair
+    monkeypatch.setattr(groebner, "_s_pair", recording)
+    rng = random.Random(20261022)
+    checked = 0
+    for gens in _criteria_free_inputs():
+        n = gens[0].n
+        front = rng.randint(1, n - 1)
+        for order in [WeightVector.standard(n),
+                      BlockElimination(front, WeightVector.standard(n - front))]:
+            pairs.clear()
+            buchberger(gens, order)
+            key, unpack = _packed_key(order, n), _unpacker(n)
+            for f, g, kl in pairs:
+                assert kl == key(_pack(tuple(map(max, unpack(f), unpack(g))), n))
+            checked += len(pairs)
+    assert checked >= 40
 
 
 # -- buchberger --------------------------------------------------------------
@@ -621,7 +648,8 @@ def _reference_kernel_ideal(images, dweights):
             for i, img in enumerate(images, start=1)]
     gb = buchberger(gens, BlockElimination(nx, dweights))
     to_z = [Polynomial.zero(nz)] * nx + [Polynomial.variable(i, nz) for i in range(1, nz + 1)]
-    kept = [(g, lm) for g, lm in zip(gb.gens, gb.lms) if not any(lm[:nx])]
+    lms = [_reference_lm(g, gb.order) for g in gb.gens]
+    kept = [(g, lm) for g, lm in zip(gb.gens, lms) if not any(lm[:nx])]
     return [compose(g, to_z) for g, _ in kept], [lm[nx:] for _, lm in kept]
 
 
@@ -643,7 +671,8 @@ def test_kernel_ideal_changes_rings_like_the_compose_route(count_calls):
     sizes = []
     for images, d, (gens, lms) in cases:
         basis = kernel_ideal(images, d)
-        assert list(basis.gens) == gens and list(basis.lms) == lms
+        assert list(basis.gens) == gens
+        assert [_reference_lm(g, d) for g in basis.gens] == lms
         assert basis.n == len(images) and basis.order == d
         sizes.append(len(basis))
     assert composed == []
@@ -974,14 +1003,15 @@ def _reference_reduce_basis(divs, order, n):
     key = _packed_key(order, n)
     mask = (1 << FIELD_BITS * n) - 1
     unpack = _unpacker(n)
-    members = [(Polynomial(n, {d.lm: d.lead, **{unpack(kt & mask): c for kt, c in d.tail}}),
-                d.lm) for d in divs]
+    members = [(Polynomial(n, {unpack(d.mono): d.lead,
+                               **{unpack(kt & mask): c for kt, c in d.tail}}),
+                unpack(d.mono)) for d in divs]
     keep = [(g, lm) for i, (g, lm) in enumerate(members)
             if not any(j != i and _divides(other, lm) and (other != lm or j < i)
                        for j, (_, other) in enumerate(members))]
     if len(keep) > 1:
         for i, (g, lm) in enumerate(keep):
-            others = [_divisor(h, key, hlm) for j, (h, hlm) in enumerate(keep) if j != i]
+            others = [_divisor(h, key) for j, (h, _) in enumerate(keep) if j != i]
             keep[i] = _primitive(_remainder(g, others, key)), lm
     keep.sort(key=lambda member: key(_pack(member[1], n)), reverse=True)
     return (tuple(g * (1 / g.coeff(lm)) for g, lm in keep), tuple(lm for _, lm in keep))
@@ -1025,7 +1055,7 @@ def test_interreduction_matches_the_polynomial_reference(monkeypatch, count_call
         basis = _reduce_basis(divs, order, n)
         # The monic generators are the integer multiples over their leads.
         assert made == []
-        assert (basis.gens, basis.lms) == expected
+        assert (basis.gens, tuple(_reference_lm(g, order) for g in basis.gens)) == expected
         sizes.append(len(basis))
         divided.append(len(reduced))
     assert len(handed) == 24 and max(sizes) >= 4
@@ -1043,17 +1073,19 @@ def test_buchberger_matches_criteria_free_reference():
 
 
 def test_buchberger_bases_are_reduced():
-    # Monic at the held leading monomial, no term divisible by another
-    # member's leading monomial, and the held lms are the true ones.
+    # Monic at the leading monomial, no term divisible by another member's
+    # leading monomial, and the division form's packed leading monomials
+    # are the true ones.
     bases = [buchberger(gens, WeightVector.standard(gens[0].n))
              for gens in _criteria_free_inputs()]
     bases += [basis for basis, _ in _seeded_kernel_bases()]
     assert max(len(basis) for basis in bases) >= 2
     for basis in bases:
-        assert basis.lms == tuple(_reference_lm(g, basis.order) for g in basis.gens)
-        for i, (g, lm) in enumerate(zip(basis.gens, basis.lms)):
+        lms = [_reference_lm(g, basis.order) for g in basis.gens]
+        assert [_unpacker(basis.n)(d.mono) for d in basis._division[1]] == lms
+        for i, (g, lm) in enumerate(zip(basis.gens, lms)):
             assert g.coeff(lm) == 1
-            for j, other in enumerate(basis.lms):
+            for j, other in enumerate(lms):
                 assert j == i or not any(_divides(other, m) for m in g.support())
 
 

@@ -246,6 +246,18 @@ def test_reader_checks_each_product_as_multiplication_does():
         parse_poly("3^4000000", 1)
 
 
+def test_reader_reads_a_group_power_off_its_base(count_calls):
+    # The packed degrees of (..)^k are k times the base's: the reader and
+    # ** each read the base's 4 keys, and none of the power's 84.
+    joins = count_calls(polycore, "_join")
+    assert len(P("(x1 + x2 + x3 + 1)^6", 3).terms) == 84
+    assert sum(map(len, joins)) <= 8
+    # The degrees it adds still bound the term: deg_x1 (x1^2 + x2)^3 = 6.
+    assert len(P(f"(x1^2 + x2)^3*x1^{MAX_EXPONENT - 6}", 2).terms) == 4
+    with pytest.raises(ExponentOverflow, match=f"exponent {MAX_EXPONENT + 1} exceeds"):
+        P(f"(x1^2 + x2)^3*x1^{MAX_EXPONENT - 5}", 2)
+
+
 def test_format_round_trips():
     for text, n in [
         ("x1^2*x2 - 2*x2^3 + 1/2", 2),
@@ -883,6 +895,20 @@ def test_largest_exponent_builds_and_formats():
     # Fields are separate: the largest exponent in every variable fits.
     x1, x2 = (Polynomial.monomial(e, 1, 2) for e in [(MAX_EXPONENT, 0), (0, MAX_EXPONENT)])
     assert (x1 * x2).terms == {(MAX_EXPONENT, MAX_EXPONENT): 1}
+
+
+def test_coeff_refuses_malformed_exponents():
+    # No term has an exponent past MAX_EXPONENT, so its coefficient is 0;
+    # a tuple that names no monomial raises, as monomial does.
+    p = parse_poly("x1*x2 + 3", 2)
+    assert p.coeff((1, 1)) == 1 and p.coeff((0, 0)) == 3 and p.coeff((2, 0)) == 0
+    assert p.coeff((MAX_EXPONENT + 1, 1)) == 0
+    for exponents in [(1, 1, 0), (1.0, 1), (-1, 0)]:
+        with pytest.raises(ValueError) as got:
+            p.coeff(exponents)
+        assert not isinstance(got.value, ExponentOverflow)
+        with pytest.raises(ValueError):
+            Polynomial.monomial(exponents, 1, 2)
 
 
 def test_exponent_overflow_raises_typed_error():
