@@ -17,6 +17,9 @@ built so far, and expansion(word) yields every tuple on the way; expand
 is its last.  A word carries its own certificate of invertibility:
 invert_word reverses the list and inverts each generator, an Affine by
 one elimination, its inverse keeping the reciprocal of its determinant.
+An Affine holds its rows as ints over one denominator each, as a
+Polynomial holds its terms, so inverting and applying it builds no
+Fraction; its matrix and shift are Fraction views.
 
 certify(phi) returns the Certified every later step reads: the map F, its
 constant Jacobian mu, the inverse and the induced weights.  For a word, mu
@@ -52,8 +55,7 @@ from .polycore import (
     Polynomial,
     WeightVector,
     _UINT,
-    _ZERO,
-    _fraction,
+    _int_row,
     _rref,
     _substitution,
     _tokenize,
@@ -82,35 +84,55 @@ class InverseMismatch(ValueError):
     """The inverse supplied with a raw map does not invert it."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, repr=False)
 class Affine:
-    """x |-> M x + s with an invertible rational matrix M."""
+    """x |-> M x + s with an invertible rational matrix M.
 
-    matrix: tuple  # n rows, each a tuple of n Fractions
-    shift: tuple  # n Fractions
-    det: Fraction = field(init=False, repr=False, compare=False)  # det(M)
+    Each coordinate is held as ints, the way a Polynomial holds its terms:
+    _rows[i] = (den, nums) with nums = (den * s_i, den * M_i1, .., den *
+    M_in), den > 0 and gcd(den, *nums) = 1, so equal maps hold equal rows.
+    matrix and shift are read-only Fraction views built on demand; det is
+    det(M), kept outside equality and repr."""
 
-    def __post_init__(self):
-        m = tuple(tuple(map(_fraction, row)) for row in self.matrix)
-        s = tuple(map(_fraction, self.shift))
-        n = len(m)
-        if n == 0 or any(len(row) != n for row in m) or len(s) != n:
+    _rows: tuple
+    det: Fraction = field(compare=False)
+
+    def __init__(self, matrix, shift):
+        n = len(matrix)
+        if n == 0 or any(len(row) != n for row in matrix) or len(shift) != n:
             raise ValueError("affine generator needs a square matrix and a matching shift")
-        object.__setattr__(self, "matrix", m)
-        object.__setattr__(self, "shift", s)
-        det = _rref(m)[2]
+        rows = []
+        scale = 1  # det(D) for the row denominators D
+        for s, row in zip(shift, matrix):
+            den, nums = _int_row((s, *row))
+            rows.append((den, tuple(nums)))
+            scale *= den
+        det = _rref([nums[1:] for _, nums in rows])[2]  # det(D M)
         if det == 0:
             raise ValueError("affine generator has singular matrix")
-        object.__setattr__(self, "det", det)
+        object.__setattr__(self, "_rows", tuple(rows))
+        object.__setattr__(self, "det", det / scale if scale != 1 else det)
+
+    @property
+    def matrix(self) -> tuple:
+        """M: n rows, each a tuple of n Fractions."""
+        return tuple(tuple(Fraction(a, den) for a in nums[1:]) for den, nums in self._rows)
+
+    @property
+    def shift(self) -> tuple:
+        """s: n Fractions."""
+        return tuple(Fraction(nums[0], den) for den, nums in self._rows)
 
     @property
     def n(self) -> int:
-        return len(self.matrix)
+        return len(self._rows)
 
     def is_identity(self) -> bool:
-        return not any(self.shift) and all(
-            a == int(i == j) for i, row in enumerate(self.matrix) for j, a in enumerate(row)
-        )
+        return all(den == nums[i] == 1 and sum(map(abs, nums)) == 1
+                   for i, (den, nums) in enumerate(self._rows, 1))
+
+    def __repr__(self):
+        return f"Affine(matrix={self.matrix!r}, shift={self.shift!r})"
 
 
 @dataclass(frozen=True)
@@ -205,8 +227,9 @@ def apply_generator(g: Generator, coords: tuple, powers: list) -> tuple:
     """The coordinates of g o C, for the map C with coordinates coords: the
     generator's coordinate functions with coords substituted for x1..xn.
 
-    An Affine coordinate is the linear_combination of coords with one
-    matrix row plus its shift.  An Elementary coordinate is one
+    An Affine coordinate is the linear_combination of 1 and coords with
+    the int numerators of one row (its shift, then its matrix row) over
+    the row's denominator.  An Elementary coordinate is one
     linear_combination too: coords[t] times the addend's denominator plus
     each term's numerator times its product of coordinate powers (compose's
     pairs, polycore._substitution), over that denominator.  A Transposition
@@ -219,9 +242,8 @@ def apply_generator(g: Generator, coords: tuple, powers: list) -> tuple:
     memo.
     """
     if isinstance(g, Affine):
-        one = Polynomial.constant(1, g.n)
-        return tuple(linear_combination([(s, one), *zip(row, coords)], g.n)
-                     for row, s in zip(g.matrix, g.shift))
+        coords = (Polynomial.constant(1, g.n), *coords)
+        return tuple(linear_combination(zip(nums, coords), g.n, den) for den, nums in g._rows)
     out = list(coords)
     if isinstance(g, Elementary):
         t, a = g.target - 1, g.addend
@@ -267,29 +289,34 @@ def expand(word: AutWord) -> PolyMap:
     return PolyMap(word.n, coords)
 
 
-def _affine(matrix: tuple, shift: tuple, det: Fraction) -> Affine:
-    """An Affine from Fraction entries whose det(M) is already known, built
-    without the constructor's elimination."""
+def _affine(rows: tuple, det: Fraction) -> Affine:
+    """An Affine from canonical int rows (see Affine) whose det(M) is
+    already known, built without the constructor's elimination."""
     a = object.__new__(Affine)
-    object.__setattr__(a, "matrix", matrix)
-    object.__setattr__(a, "shift", shift)
+    object.__setattr__(a, "_rows", rows)
     object.__setattr__(a, "det", det)
     return a
 
 
 def invert_generator(g: Generator) -> Generator:
     """The inverse generator.  An Affine x |-> M x + s is inverted by one
-    elimination of [M | I | s] to [I | M^-1 | M^-1 s], read off the int
-    rows as x |-> M^-1 x - M^-1 s, and its inverse keeps
-    det(M^-1) = 1/det(M)."""
+    elimination of [M | I | s], handed over as the int rows [D M | D | D s]
+    for its row denominators D, to [I | M^-1 | M^-1 s].  Row i of the
+    result stands for itself over its pivot, so it is the inverse's int row
+    for x |-> M^-1 x - M^-1 s once the sign sits on the numerators; its
+    inverse keeps det(M^-1) = 1/det(M), the one Fraction it builds."""
     if isinstance(g, Affine):
         n = g.n
-        augmented = [[*row, *[int(i == j) for j in range(n)], s]
-                     for i, (row, s) in enumerate(zip(g.matrix, g.shift))]
-        inverse = [[Fraction(x, row[i]) if x else _ZERO for x in [*row[n:-1], -row[-1]]]
-                   for i, row in enumerate(_rref(augmented)[0])]
-        return _affine(tuple(tuple(row[:-1]) for row in inverse),
-                       tuple(row[-1] for row in inverse), 1 / g.det)
+        augmented = [[*nums[1:], *[den if i == j else 0 for j in range(n)], nums[0]]
+                     for i, (den, nums) in enumerate(g._rows)]
+        rows = []
+        # Every reduced row has gcd 1: a cleared row is divided by its gcd,
+        # and any other is an input row, whose den and numerators are coprime.
+        for i, row in enumerate(_rref(augmented)[0]):
+            if row[i] < 0:
+                row = [-x for x in row]
+            rows.append((row[i], (-row[-1], *row[n:-1])))
+        return _affine(tuple(rows), 1 / g.det)
     if isinstance(g, Elementary):
         return Elementary(g.target, -g.addend)
     return g  # transpositions are involutions
@@ -403,6 +430,12 @@ def deg2_weights(m: PolyMap, w1: WeightVector) -> WeightVector:
 # -- text formats -----------------------------------------------------------
 
 
+def _entry(num: int, den: int) -> str:
+    """The text of the rational num / den, reduced."""
+    g = math.gcd(num, den)
+    return format_rational(num // g, den // g)
+
+
 def format_word(word: AutWord) -> str:
     lines = []
     for g in word.gens:
@@ -411,8 +444,8 @@ def format_word(word: AutWord) -> str:
         elif isinstance(g, Transposition):
             lines.append(f"T {g.i} {g.j}")
         else:
-            entries = " ".join(format_rational(a) for row in g.matrix for a in row)
-            shift = " ".join(map(format_rational, g.shift))
+            entries = " ".join(_entry(a, den) for den, nums in g._rows for a in nums[1:])
+            shift = " ".join(_entry(nums[0], den) for den, nums in g._rows)
             lines.append(f"A {entries} | {shift}")
     return "\n".join(lines)
 

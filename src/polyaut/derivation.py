@@ -252,11 +252,12 @@ def word_derivations(cert: Certified):
 
     Column i of J_F o g = J_G1(v_1) .. J_Gk(v_k) is the product applied,
     right to left, to the unit vector e_i: an Affine G_t multiplies by its
-    matrix, an Elementary G_t with target r and addend a adds
-    sum_s (da/dx_s o v_t) * vec_s to entry r, and a Transposition swaps two
-    entries.  Each new entry is one polycore.linear_combination.  The v_t
-    are cert.inverse_steps (a raw map's Certified has none: TypeError), and
-    the compositions da/dx_s o v_t are shared by all n columns.  The column
+    matrix, each entry the int numerators of a row over its denominator,
+    an Elementary G_t with target r and addend a adds sum_s (da/dx_s o
+    v_t) * vec_s to entry r, and a Transposition swaps two entries.  Each
+    new entry is one polycore.linear_combination.  The v_t are
+    cert.inverse_steps (a raw map's Certified has none: TypeError), and the
+    compositions da/dx_s o v_t are shared by all n columns.  The column
     is scaled by det(J_g), the reciprocal of the word's own Jacobian
     (word_jacobian), so that the check sum_j dg_i/dx_j * C_ij = 1/mu still
     rejects a wrong mu; every step is linear, so the scale enters once, in
@@ -275,7 +276,7 @@ def word_derivations(cert: Certified):
         for t in range(len(word.gens), 0, -1):
             gen = word.gens[t - 1]
             if isinstance(gen, Affine):
-                vec = [linear_combination(zip(row, vec), n) for row in gen.matrix]
+                vec = [linear_combination(zip(nums[1:], vec), n, den) for den, nums in gen._rows]
             elif isinstance(gen, Elementary):
                 target = gen.target - 1
                 pairs = [(1, vec[target])]

@@ -176,7 +176,8 @@ class WeightVector:
         return iter(self.weights)
 
     def total(self) -> Fraction:
-        return sum(self.weights, Fraction(0))
+        s, ints = self._int_form
+        return Fraction(sum(ints), s)
 
 
 class ExponentOverflow(ValueError):
@@ -234,7 +235,8 @@ def _pack(mono, n: int) -> int:
             return packed
     if len(mono) != n:
         raise ValueError(f"monomial {mono} has wrong length for n={n}")
-    _check_exponents(mono)
+    if all(isinstance(e, int) and e >= 0 for e in mono):
+        _check_exponents(mono)
     raise ValueError(f"monomial {mono} needs nonnegative integer exponents")
 
 
@@ -546,8 +548,8 @@ class _TermsView(Mapping):
 def _int_weights(weights):
     """(s, ints): s the least common denominator of the rational weights
     and ints the tuple of the weights times s."""
-    s = lcm(*(w.denominator for w in weights))
-    return s, tuple(w.numerator * (s // w.denominator) for w in weights)
+    s, ints = _int_row(weights)
+    return s, tuple(ints)
 
 
 def _scaled_degrees(p: Polynomial, w: WeightVector):
@@ -802,13 +804,29 @@ def _det(rows, cols, steps=None):
 _ZERO = Fraction(0)
 
 
+def _int_row(row) -> tuple:
+    """(l, ints) for a row of scalars: the lcm l of their denominators and
+    the row times l, a list of ints; a row of ints is copied as it is.
+    This is the one place that scales rows: _rref's, autmap.Affine's and
+    the weights' (_int_weights).  TypeError for a non-scalar (_ratio)."""
+    types = set(map(type, row))
+    if types <= {int}:
+        return 1, list(row)
+    if not types <= {int, Fraction}:
+        row = [Fraction(*_ratio(a)) for a in row]
+    l = lcm(*[a.denominator for a in row])
+    if l == 1:
+        return l, [a.numerator for a in row]
+    return l, [a.numerator * (l // a.denominator) for a in row]
+
+
 def _rref(matrix):
     """Reduced row echelon form of a rational matrix, by Gauss-Jordan
     elimination with the first nonzero entry of each column as pivot.
 
-    Entries are ints or Fractions; this is the one place that scales rows.
-    Each row is scaled to ints by the lcm of its denominators, which leaves
-    the reduced form unchanged, and the elimination runs on ints alone
+    Entries are ints or Fractions.  Each row is scaled to ints by the lcm
+    of its denominators (_int_row), which leaves the reduced form
+    unchanged, and the elimination runs on ints alone
     (fraction-free, after Bareiss): a row is cleared against the pivot row
     by cross-multiplication and divided by the gcd of its entries, and the
     row scalings are kept so that the determinant stays exact.
@@ -829,26 +847,27 @@ def _rref(matrix):
     num = den = 1
     rows = []
     for row in matrix:
-        l = lcm(*[a.denominator for a in row])
-        rows.append([a.numerator * (l // a.denominator) for a in row])
+        l, ints = _int_row(row)
+        rows.append(ints)
         num *= l
     pivots = []
     for c in range(ncols):
         r = len(pivots)
         if r == nrows:
             break
-        p = next((i for i in range(r, nrows) if rows[i][c]), None)
-        if p is None:
+        for p in range(r, nrows):
+            if rows[p][c]:
+                break
+        else:
             continue
         if p != r:
             rows[r], rows[p] = rows[p], rows[r]
             num = -num
         pivot_row = rows[r]
         pivot = pivot_row[c]
-        for i in range(nrows):
-            row = rows[i]
+        for i, row in enumerate(rows):
             f = row[c]
-            if i != r and f:
+            if f and i != r:
                 # row <- (a * row - b * pivot_row) / g with a : b = pivot : f.
                 h = gcd(pivot, f)
                 a, b = pivot // h, f // h

@@ -1,6 +1,7 @@
 """Automorphism words: expansion, inversion, Jacobians, induced weights."""
 
 import importlib.util
+import math
 import random
 import re
 from fractions import Fraction
@@ -267,18 +268,19 @@ def test_invert_word_eliminates_once_per_affine(count_calls):
 
 
 def test_invert_word_fraction_constructions(count_fractions):
-    # invert_generator hands _rref [M | I | s], which it scales to int rows;
-    # the Fractions are the nonzero entries of M^-1 and -M^-1 s, each an
-    # int of the reduced rows over its pivot.  The wide matrix has no
-    # determinant.  (The Fraction elimination made 188 such calls, and its
-    # arithmetic built 1342 more Fractions under CPython 3.11.  While _rref
-    # returned Fraction rows and a determinant of the leading block, it
-    # made 227.)
+    # invert_generator hands _rref the int rows [D M | D | D s] of an Affine
+    # and reads the inverse's int rows off the reduced rows, so it builds
+    # no Fraction; 1/det(M) is Fraction arithmetic, which is not counted.
+    # The wide matrix has no determinant.  (The Fraction elimination made
+    # 188 such calls, and its arithmetic built 1342 more Fractions under
+    # CPython 3.11.  While _rref returned Fraction rows and a determinant
+    # of the leading block, it made 227, and while an Affine held Fraction
+    # entries, one per nonzero entry of M^-1 and -M^-1 s, it made 208.)
     words = _seeded_words()
     made = count_fractions()
     for w in words:
         invert_word(w)
-    assert len(made) == 208
+    assert made == []
 
 
 def test_inverse_affine_keeps_the_reciprocal_determinant():
@@ -301,6 +303,32 @@ def test_inverse_affine_shift_stays_a_fraction():
         inv = invert_generator(g)
         assert all(type(s) is Fraction for s in inv.shift)
         assert format_word(AutWord(g.n, (inv,))).endswith(text)
+
+
+def test_affine_holds_canonical_int_rows():
+    # Row i is (den, nums): den > 0, gcd(den, *nums) = 1 and nums the shift
+    # and the matrix row times den.  Rebuilding from the Fraction views,
+    # inverting twice and formatting all read back the same map.
+    rng = random.Random(38)
+    for n in (1, 2, 3, 4):
+        for _ in range(6):
+            a = _rational_affine(rng, n)
+            inv = invert_generator(a)
+            for g in (a, inv):
+                for (den, nums), row, s in zip(g._rows, g.matrix, g.shift):
+                    assert den > 0 and math.gcd(den, *nums) == 1
+                    assert nums == tuple(x * den for x in (s, *row))
+                same = Affine(g.matrix, g.shift)
+                assert same == g and hash(same) == hash(g) and same.det == g.det
+                entries = [str(x) for row in g.matrix for x in row]
+                text = f"A {' '.join(entries)} | {' '.join(map(str, g.shift))}"
+                assert format_word(AutWord(n, (g,))) == text
+            assert invert_generator(inv) == a
+            assert expand(AutWord(n, (a, inv))).is_identity()
+    half = Fraction(-1, 2)
+    g = Affine(((half, 0), (3, Fraction(1, 3))), (0, half))
+    assert g._rows == ((2, (0, -1, 0)), (6, (-3, 18, 2)))
+    assert format_word(AutWord(2, (g,))) == "A -1/2 0 3 1/3 | 0 -1/2"
 
 
 def test_invert_identity_word():

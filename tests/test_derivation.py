@@ -256,6 +256,32 @@ def test_word_witness_computes_no_determinant(count_calls):
     assert calls == []
 
 
+def test_ladder_witness_fraction_constructions(count_fractions):
+    # An lnd-ladder word A; E; A; E; A with det 2 matrices.  Its Affine
+    # generators hold int rows, so inverting them and applying them to
+    # coordinates and witness columns builds no Fraction.  The 8 left are
+    # 3 wdeg, 2 word_jacobian (certify, and the column scale 1/mu),
+    # 1 constant_value and 1 _check_cofactors (the cofactor check), and
+    # 1 _degree_and_leading.  (While an Affine held Fraction entries, the
+    # inverse made one per nonzero entry of M^-1 and -M^-1 s: 35 in all.)
+    def affine(matrix):
+        return Affine(matrix, (0, 0, 0))
+
+    word = AutWord(3, (
+        affine(((1, 1, 0), (0, 1, 1), (1, 0, 1))),
+        Elementary(2, Polynomial.monomial((2, 0, 0), 1, 3)),
+        affine(((0, 1, 1), (1, 1, 0), (1, 0, 1))),
+        Elementary(1, Polynomial.monomial((0, 1, 1), 1, 3)),
+        affine(((1, 0, 1), (1, 1, 0), (0, 1, 1))),
+    ))
+    assert {abs(g.det) for g in word if isinstance(g, Affine)} == {2}
+    made = count_fractions()
+    i, dbar = lnd_witness(word, WeightVector.standard(3))
+    assert is_locally_nilpotent(dbar) == LocallyNilpotent((2, 2, 2))
+    assert len(made) == 8
+    assert i == 1 and dbar.coeffs[1] == 2 * dbar.coeffs[0] == 2 * dbar.coeffs[2]
+
+
 def test_sums_of_products_build_no_intermediate_polynomials(monkeypatch):
     # Affine coordinates, Elementary coordinates (the coordinate plus the
     # composed addend), chain-rule columns, cofactor rows and D(P) are each

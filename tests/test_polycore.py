@@ -329,6 +329,7 @@ def test_weight_vector_scales_itself_once(count_calls):
     calls = count_calls(polycore, "_int_weights")
     for k in range(10):
         assert wdeg(P(f"x1^{k} + x2", 2), w) == max(Fraction(k, 2), Fraction(2, 3))
+    assert w.total() == Fraction(7, 6)
     assert calls == []
     # The cached integer form stays out of ==, hash and repr.
     same = WeightVector((Fraction(1, 2), Fraction(2, 3)))
@@ -719,14 +720,16 @@ def test_constructors_take_ints_and_fractions_only(scalar):
 
 
 def test_scalar_slots_keep_the_fractions_they_are_handed(count_fractions):
-    # A Fraction entry is kept as it is, and only an int entry is converted.
+    # A WeightVector keeps a Fraction entry as it is and converts only an
+    # int entry.  An Affine holds int rows: its entries read back equal to
+    # the ones it was handed, and the only Fraction it builds is det(M).
     half, third = Fraction(1, 2), Fraction(1, 3)
     made = count_fractions()
     a = Affine(((half, 0), (0, third)), (third, 1))
     w = WeightVector((half, third))
-    assert a.matrix[0][0] is half and a.matrix[1][1] is third and a.shift[0] is third
+    assert made == ["_rref"]
+    assert a.matrix == ((half, 0), (0, third)) and a.shift == (third, 1)
     assert w.weights[0] is half and w.weights[1] is third
-    assert made.count("_fraction") == 3  # the ints 0, 0 and 1
 
 
 @settings(max_examples=60, deadline=None)
@@ -909,6 +912,17 @@ def test_coeff_refuses_malformed_exponents():
         assert not isinstance(got.value, ExponentOverflow)
         with pytest.raises(ValueError):
             Polynomial.monomial(exponents, 1, 2)
+
+
+@pytest.mark.parametrize("exponents", [(-1, 2**40), (1.5, 2**40), (2**40, -1)])
+def test_malformed_exponents_are_named_before_an_overflow(exponents):
+    # A negative or non-int exponent is the error even when another
+    # exponent is past MAX_EXPONENT: coeff raises instead of reading 0.
+    p = parse_poly("x1*x2 + 3", 2)
+    with pytest.raises(ValueError, match="needs nonnegative integer exponents"):
+        Polynomial.monomial(exponents, 1, 2)
+    with pytest.raises(ValueError, match="needs nonnegative integer exponents"):
+        p.coeff(exponents)
 
 
 def test_exponent_overflow_raises_typed_error():
